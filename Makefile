@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
+.PHONY: all build fmt-check vet test race bench bench-check bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
 
 all: build test
 
@@ -24,6 +24,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The performance ledger is a module of its own (bench/go.mod), so `build`,
+# `vet` and `test` above never compile it: vet it and run its tests (every
+# workload and probe, correctness checks on) against this tree's engine.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # Transport/combiner hot-path benchmarks; writes BENCH_transport.json.
 bench-net:

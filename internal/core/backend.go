@@ -9,6 +9,7 @@ import (
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/mvstore"
+	"alohadb/internal/placement"
 	"alohadb/internal/trace"
 	"alohadb/internal/transport"
 	"alohadb/internal/tstamp"
@@ -21,7 +22,7 @@ import (
 func (s *Server) handleMessage(ctx context.Context, from transport.NodeID, msg any) (any, error) {
 	switch m := msg.(type) {
 	case MsgInstall:
-		return s.handleInstall(ctx, m), nil
+		return s.handleInstall(ctx, m, nil, false), nil
 	case MsgAbort:
 		return nil, s.handleAbort(ctx, m)
 	case MsgRead:
@@ -106,9 +107,14 @@ func readFromPush(m MsgPush) funcRead {
 // install span's context is stamped onto every buffered work item so the
 // asynchronous functor.process span (which may start an epoch later)
 // remains attached to the transaction's trace.
-func (s *Server) handleInstall(ctx context.Context, m MsgInstall) MsgInstallResp {
+//
+// A coordinator installing on its own partition passes the ownership map it
+// routed the writes under (routedHere set; the map is nil before any move):
+// while that is still the table's map, the owners it found stand and the
+// fence does not route the keys again.
+func (s *Server) handleInstall(ctx context.Context, m MsgInstall, routed *placement.Map, routedHere bool) MsgInstallResp {
 	ctx, span := s.tr.Start(ctx, "be.install")
-	span.SetAttr("txns", fmt.Sprintf("%d", len(m.Txns)))
+	span.SetAttrInt("txns", int64(len(m.Txns)))
 	defer span.End()
 	sc := trace.FromContext(ctx)
 	if m.Placement != nil {
@@ -128,7 +134,7 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall) MsgInstallResp
 	s.moveMu.RLock()
 	defer s.moveMu.RUnlock()
 	for i, txn := range m.Txns {
-		if reason := s.placementFence(txn); reason != "" {
+		if reason := s.placementFence(txn, routedHere && routed == s.table.Map()); reason != "" {
 			resp.Results[i] = InstallResult{Err: reason, WrongOwner: true}
 			if resp.Placement == nil {
 				resp.Placement = s.table.Map()
@@ -142,7 +148,8 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall) MsgInstallResp
 		failed := false
 		nf, nb := 0, 0
 		for _, w := range txn.Writes {
-			rec, err := s.store.Put(w.Key, txn.Version, w.Functor)
+			c := s.store.ChainOrCreate(w.Key)
+			rec, err := c.Put(txn.Version, w.Functor)
 			if err == mvstore.ErrVersionExists {
 				// Retransmitted install: idempotent.
 				continue
@@ -158,7 +165,7 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall) MsgInstallResp
 			s.skew.Observe(s.id, string(w.Key))
 			nf++
 			nb += len(w.Key) + len(w.Functor.Arg)
-			items = append(items, workItem{key: w.Key, version: txn.Version, rec: rec, installed: now, sc: sc})
+			items = append(items, workItem{key: w.Key, chain: c, rec: rec, installed: now, sc: sc})
 		}
 		if nf > 0 {
 			s.journal.Install(uint64(txn.Version.Epoch()), nf, nb, now)
@@ -193,14 +200,19 @@ var workItemsPool = sync.Pool{New: func() any {
 // rebalancer's barrier), or a key whose owner at the transaction's epoch is
 // another server under a newer ownership map than the coordinator routed
 // with. Both come back WrongOwner — the coordinator re-routes with the map
-// attached to the response and the same timestamp. Callers hold moveMu.R.
-func (s *Server) placementFence(txn InstallTxn) string {
+// attached to the response and the same timestamp. owned says the caller
+// already routed every write here under the current map, leaving only the
+// sealed ranges to check. Callers hold moveMu.R.
+func (s *Server) placementFence(txn InstallTxn, owned bool) string {
 	e := txn.Version.Epoch()
 	for _, w := range txn.Writes {
 		for _, r := range s.sealedRanges {
 			if r.Contains(w.Key) {
 				return fmt.Sprintf("key %q sealed for migration", w.Key)
 			}
+		}
+		if owned {
+			continue
 		}
 		if o := s.ownerAt(w.Key, e); o != s.id {
 			return fmt.Sprintf("key %q owned by server %d at epoch %d", w.Key, o, e)
@@ -232,7 +244,7 @@ func (s *Server) bufferWork(items []workItem) {
 	var direct []workItem
 	s.pendingMu.Lock()
 	for _, it := range items {
-		e := it.version.Epoch()
+		e := it.rec.Version.Epoch()
 		if e <= s.drainedEpoch {
 			direct = append(direct, it)
 			continue
@@ -251,7 +263,7 @@ func (s *Server) bufferWork(items []workItem) {
 		for i := range direct {
 			// Late arrival for an already-committed epoch: seal
 			// immediately so the record is readable.
-			s.store.Seal(direct[i].key, tstamp.End(direct[i].version.Epoch()))
+			direct[i].chain.Seal(tstamp.End(direct[i].rec.Version.Epoch()))
 			direct[i].ready = now
 		}
 		s.proc.enqueue(direct)
@@ -353,7 +365,7 @@ func (s *Server) handleRead(ctx context.Context, m MsgRead) (MsgReadResp, error)
 // own remote fan-out, so serializing them would stack those latencies.
 func (s *Server) handleReadBatch(ctx context.Context, m MsgReadBatch) (MsgReadBatchResp, error) {
 	ctx, span := s.tr.Start(ctx, "be.read.batch")
-	span.SetAttr("batch", fmt.Sprintf("%d", len(m.Reads)))
+	span.SetAttrInt("batch", int64(len(m.Reads)))
 	defer span.End()
 	s.stats.readsServed.Add(uint64(len(m.Reads)))
 	ectx := s.engineCtx(ctx)
@@ -413,11 +425,11 @@ func readResult(r funcRead, err error) ReadResult {
 // flavors. Items run in parallel like handleReadBatch.
 func (s *Server) handleEnsureBatch(ctx context.Context, m MsgEnsureBatch) (MsgEnsureBatchResp, error) {
 	ctx, span := s.tr.Start(ctx, "be.ensure.batch")
-	span.SetAttr("batch", fmt.Sprintf("%d", len(m.Reqs)))
+	span.SetAttrInt("batch", int64(len(m.Reqs)))
 	defer span.End()
 	ectx := s.engineCtx(ctx)
 	// Ensures resolve records through the sealed view (resolveRecord walks
-	// store.View, computeKeyUpTo walks Between): wait for local visibility
+	// the chain's View, computeKeyUpTo walks Between): wait for local visibility
 	// of the highest requested version so the mid-broadcast window can't
 	// make them compute against a partial chain.
 	maxV := m.Reqs[0].Version
@@ -455,11 +467,7 @@ func (s *Server) handleEnsureBatch(ctx context.Context, m MsgEnsureBatch) (MsgEn
 			}
 			return EnsureResult{}
 		}
-		rec, ok := s.store.At(req.Key, req.Version)
-		if !ok {
-			return EnsureResult{Err: fmt.Sprintf("core: server %d: determinate functor %q@%v not found", s.id, req.Key, req.Version)}
-		}
-		res, err := s.resolveRecord(ectx, req.Key, rec)
+		res, err := s.ensureLocal(ectx, req.Key, req.Version)
 		if err != nil {
 			return EnsureResult{Err: err.Error()}
 		}
@@ -499,11 +507,7 @@ func (s *Server) handleEnsure(ctx context.Context, m MsgEnsure) (MsgEnsureResp, 
 	if err := s.waitVisible(s.engineCtx(ctx), m.Version); err != nil {
 		return MsgEnsureResp{}, err
 	}
-	rec, ok := s.store.At(m.Key, m.Version)
-	if !ok {
-		return MsgEnsureResp{}, fmt.Errorf("core: server %d: determinate functor %q@%v not found", s.id, m.Key, m.Version)
-	}
-	res, err := s.resolveRecord(s.engineCtx(ctx), m.Key, rec)
+	res, err := s.ensureLocal(s.engineCtx(ctx), m.Key, m.Version)
 	if err != nil {
 		return MsgEnsureResp{}, err
 	}
@@ -514,35 +518,25 @@ func (s *Server) handleEnsure(ctx context.Context, m MsgEnsure) (MsgEnsureResp, 
 // Statically-declared dependent keys carry markers installed in the
 // write-only phase; dynamically-named dependent keys (unknown at install,
 // e.g. rows keyed by a freshly allocated id) get their records created
-// here. Resolution is a CAS and record creation is idempotent, so
-// duplicate deliveries and races with on-demand marker resolution are
-// harmless.
+// here, born resolved and sealed — deferred writes happen after their epoch
+// committed, and readers (guarded by the dependency rule) see them at once.
+// Resolution is a CAS and record creation is idempotent, so duplicate
+// deliveries and races with on-demand marker resolution are harmless.
 func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 	_, span := s.tr.Start(ctx, "be.deferred")
-	span.SetAttr("writes", fmt.Sprintf("%d", len(m.Writes)))
+	span.SetAttrInt("writes", int64(len(m.Writes)))
 	defer span.End()
 	if !m.Fwd {
 		m = s.forwardDeferred(ctx, m)
 	}
 	for _, w := range m.Writes {
-		rec, ok := s.store.At(w.Key, m.Version)
-		if !ok {
-			fn := functor.Value(w.Value)
-			if w.Delete {
-				fn = functor.Deleted()
-			}
-			var err error
-			rec, err = s.store.Put(w.Key, m.Version, fn)
-			if err != nil && err != mvstore.ErrVersionExists {
-				continue
-			}
-			// Deferred writes happen after their epoch committed; seal the
-			// fresh record so readers (guarded by the dependency rule) see
-			// it immediately.
-			s.store.Seal(w.Key, m.Version+1)
+		fn, res := _deferredValue, deferredResolution(w)
+		if w.Delete {
+			fn = _deferredDelete
+		}
+		if _, fresh := s.store.ChainOrCreate(w.Key).PutResolved(m.Version, fn, res); fresh {
 			s.stats.functorsInstalled.Add(1)
 		}
-		rec.Resolve(deferredResolution(w))
 	}
 	for _, k := range m.Dissolve {
 		if rec, ok := s.store.At(k, m.Version); ok {

@@ -228,22 +228,25 @@ func (c *Cluster) loadOne(k kv.Key, fn *functor.Functor) error {
 	srv := c.servers[owner]
 	c.loadSeq[owner]++
 	ts := tstamp.Make(0, c.loadSeq[owner], uint16(owner))
-	rec, err := srv.store.Put(k, ts, fn)
-	if err != nil {
-		return fmt.Errorf("core: load %q: %w", k, err)
-	}
 	if srv.durability != nil {
 		if err := srv.durability.LogInstall(ts, k, fn); err != nil {
 			return fmt.Errorf("core: load %q: %w", k, err)
 		}
 	}
-	if res, ok := FinalLoadResolution(fn); ok {
-		rec.Resolve(res)
-		srv.store.AdvanceWatermark(k, ts)
-	}
 	// Bulk loads seal immediately: epoch 0 commits at Start, and load
-	// order is ascending per key, so each seal is a sorted append.
-	srv.store.Seal(k, tstamp.End(0))
+	// order is ascending per key, so each seal publishes in place.
+	chain := srv.store.ChainOrCreate(k)
+	if res, ok := FinalLoadResolution(fn); ok {
+		if _, fresh := chain.PutResolved(ts, fn, res); !fresh {
+			return fmt.Errorf("core: load %q: %w", k, mvstore.ErrVersionExists)
+		}
+		chain.AdvanceWatermark(ts)
+		return nil
+	}
+	if _, err := chain.Put(ts, fn); err != nil {
+		return fmt.Errorf("core: load %q: %w", k, err)
+	}
+	chain.Seal(tstamp.End(0))
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -272,7 +271,7 @@ func (c *combiner) dispatchSingle(owner int, op *combOp) {
 		s.stats.recordReadBatch(1)
 		rctx, span := s.tr.Start(ctx, "read.remote")
 		span.SetAttr("key", string(op.key))
-		span.SetAttr("owner", strconv.Itoa(owner))
+		span.SetAttrInt("owner", int64(owner))
 		resp, err := s.conn.Call(rctx, transport.NodeID(owner), MsgRead{Key: op.key, Version: op.version})
 		span.End()
 		if err != nil {
@@ -317,8 +316,8 @@ func (c *combiner) dispatchReads(owner int, ops []*combOp) {
 	s := c.s
 	s.stats.recordReadBatch(len(ops))
 	ctx, span := s.tr.Start(s.engineCtx(ops[0].ctx), "read.remote.batch")
-	span.SetAttr("owner", strconv.Itoa(owner))
-	span.SetAttr("batch", strconv.Itoa(len(ops)))
+	span.SetAttrInt("owner", int64(owner))
+	span.SetAttrInt("batch", int64(len(ops)))
 	msg := MsgReadBatch{Reads: make([]MsgRead, len(ops))}
 	for i, op := range ops {
 		msg.Reads[i] = MsgRead{Key: op.key, Version: op.version}
@@ -352,8 +351,8 @@ func (c *combiner) dispatchEnsures(owner int, ops []*combOp) {
 	s := c.s
 	s.stats.recordEnsureBatch(len(ops))
 	ctx, span := s.tr.Start(s.engineCtx(ops[0].ctx), "ensure.remote.batch")
-	span.SetAttr("owner", strconv.Itoa(owner))
-	span.SetAttr("batch", strconv.Itoa(len(ops)))
+	span.SetAttrInt("owner", int64(owner))
+	span.SetAttrInt("batch", int64(len(ops)))
 	msg := MsgEnsureBatch{Reqs: make([]EnsureReq, len(ops))}
 	for i, op := range ops {
 		msg.Reqs[i] = EnsureReq{Key: op.key, Version: op.version, UpTo: op.kind == combEnsureUpTo}

@@ -25,6 +25,14 @@ var (
 	_skipResolutionShared    = functor.SkipResolution()
 )
 
+// The functors of records created by deferred writes. Such a record is born
+// resolved, so its value lives in the resolution and one placeholder of
+// each final f-type serves them all.
+var (
+	_deferredValue  = functor.Value(nil)
+	_deferredDelete = functor.Deleted()
+)
+
 // The compute call graph threads a context end to end: it carries the
 // transaction's trace across the recursive resolution chain (and across
 // nodes, via transport), and its cancellation is the server's lifetime —
@@ -34,12 +42,15 @@ var (
 // the value of the latest version of k not exceeding v, computing functors
 // on demand, skipping aborted versions, and treating tombstones as absent.
 func (s *Server) getLocal(ctx context.Context, k kv.Key, v tstamp.Timestamp) (funcRead, error) {
-	rec, ok := s.store.Latest(k, v)
-	for ok {
+	c := s.store.Chain(k)
+	if c == nil {
+		return funcRead{}, nil
+	}
+	for rec := c.Latest(v); rec != nil; {
 		res := rec.Resolution()
 		if res == nil {
 			var err error
-			res, err = s.resolveRecord(ctx, k, rec)
+			res, err = s.resolveRecord(ctx, k, c, rec)
 			if err != nil {
 				return funcRead{}, err
 			}
@@ -52,7 +63,7 @@ func (s *Server) getLocal(ctx context.Context, k kv.Key, v tstamp.Timestamp) (fu
 		default:
 			// ABORTED or SKIPPED: fall through to the next lower version
 			// (Algorithm 1, lines 22-23).
-			rec, ok = s.store.Latest(k, rec.Version.Prev())
+			rec = c.Latest(rec.Version.Prev())
 		}
 	}
 	return funcRead{}, nil
@@ -101,7 +112,8 @@ func (s *Server) ensureUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) e
 // computeKeyUpTo resolves every record of k at or below v in ascending
 // order and raises the value watermark to v (Algorithm 1's Compute).
 func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) error {
-	if s.store.Watermark(k) >= v {
+	c := s.store.ChainOrCreate(k)
+	if c.Watermark() >= v {
 		return nil
 	}
 	// As in resolveRecord: a forwarded ensure can land on a stale replica
@@ -109,7 +121,7 @@ func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestam
 	if o := s.owner(k); o != s.id {
 		return s.comb.ensureUpTo(ctx, o, k, v)
 	}
-	for _, rec := range s.store.Between(k, tstamp.Zero, v) {
+	for _, rec := range c.Between(tstamp.Zero, v) {
 		if rec.Final() {
 			continue
 		}
@@ -117,7 +129,7 @@ func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestam
 			return err
 		}
 	}
-	s.store.AdvanceWatermark(k, v)
+	c.AdvanceWatermark(v)
 	return nil
 }
 
@@ -127,7 +139,7 @@ func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestam
 // not an option). Cross-key dependencies recurse through getLocal/read,
 // bounded by the workload's dependency depth; version numbers strictly
 // decrease across such hops, so the recursion terminates.
-func (s *Server) resolveRecord(ctx context.Context, k kv.Key, rec *mvstore.Record) (*functor.Resolution, error) {
+func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, rec *mvstore.Record) (*functor.Resolution, error) {
 	// The key may have migrated away while this record sat in the
 	// processor queue (or a forwarded read raced a second move). The
 	// current owner is the one replica allowed to *compute* it: resolving
@@ -143,14 +155,14 @@ func (s *Server) resolveRecord(ctx context.Context, k kv.Key, rec *mvstore.Recor
 		rec.Resolve(res)
 		return rec.Resolution(), nil
 	}
-	view := s.store.View(k)
+	view := c.View()
 	// Locate rec in the snapshot.
 	i := sort.Search(len(view), func(i int) bool { return view[i].Version >= rec.Version })
 	if i == len(view) || view[i] != rec {
 		// The snapshot raced with an insert of a lower version; rec must
 		// still be present in a fresh view because records are never
 		// removed while unresolved.
-		view = s.store.View(k)
+		view = c.View()
 		i = sort.Search(len(view), func(i int) bool { return view[i].Version >= rec.Version })
 		if i == len(view) || view[i] != rec {
 			return nil, fmt.Errorf("core: record %q@%v vanished", k, rec.Version)
@@ -357,11 +369,20 @@ func (s *Server) ensureComputed(ctx context.Context, k kv.Key, version tstamp.Ti
 	if owner := s.owner(k); owner != s.id {
 		return s.comb.ensure(ctx, owner, k, version)
 	}
-	rec, ok := s.store.At(k, version)
-	if !ok {
-		return nil, fmt.Errorf("core: determinate functor %q@%v not found", k, version)
+	return s.ensureLocal(ctx, k, version)
+}
+
+// ensureLocal resolves the record of locally-owned k at exactly version.
+func (s *Server) ensureLocal(ctx context.Context, k kv.Key, version tstamp.Timestamp) (*functor.Resolution, error) {
+	c := s.store.Chain(k)
+	var rec *mvstore.Record
+	if c != nil {
+		rec = c.At(version)
 	}
-	return s.resolveRecord(ctx, k, rec)
+	if rec == nil {
+		return nil, fmt.Errorf("core: server %d: determinate functor %q@%v not found", s.id, k, version)
+	}
+	return s.resolveRecord(ctx, k, c, rec)
 }
 
 // markerResolution derives a dependent-key marker's resolution from its
@@ -448,6 +469,9 @@ func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, ve
 	for _, om := range byOwner {
 		owner, m := om.owner, om.msg
 		if owner == s.id {
+			// Routed a moment ago: apply as is, without the receiving
+			// side's ownership split.
+			m.Fwd = true
 			s.handleApplyDeferred(ctx, *m)
 			continue
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -90,7 +89,7 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 	// same trace through the contexts and work items derived from it, and
 	// the slow-capture policy keys off this span's duration.
 	ctx, root := s.tr.StartRoot(ctx, "txn.submit")
-	root.SetAttr("txns", strconv.Itoa(len(txns)))
+	root.SetAttrInt("txns", int64(len(txns)))
 	defer root.End()
 	rootSC := trace.FromContext(ctx)
 	_, done, err := s.beginTxn(len(txns))
@@ -121,6 +120,9 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 		return &perOwner[len(perOwner)-1]
 	}
 	versions := make([]tstamp.Timestamp, len(txns))
+	// Read the ownership map before routing: if it is still the table's map
+	// when the local install runs its fence, every owner found below stands.
+	routed := s.table.Map()
 	for i := range txns {
 		ts, err := s.gen.Next()
 		if err != nil {
@@ -180,7 +182,7 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 		go func(owner int, slices []installSlice) {
 			defer wg.Done()
 			ictx, span := s.tr.Start(ctx, "txn.install")
-			span.SetAttr("owner", strconv.Itoa(owner))
+			span.SetAttrInt("owner", int64(owner))
 			defer span.End()
 			msg := MsgInstall{Txns: make([]InstallTxn, len(slices))}
 			for i, sl := range slices {
@@ -189,7 +191,7 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 			var resp MsgInstallResp
 			var callErr error
 			if owner == s.id {
-				resp = s.handleInstall(ictx, msg)
+				resp = s.handleInstall(ictx, msg, routed, true)
 			} else {
 				raw, err := s.conn.Call(ictx, transport.NodeID(owner), msg)
 				if err != nil {
@@ -420,7 +422,7 @@ func (s *Server) retryWrongOwner(ctx context.Context, pending []installSlice, re
 			}
 			var resp MsgInstallResp
 			if ob.owner == s.id {
-				resp = s.handleInstall(ctx, msg)
+				resp = s.handleInstall(ctx, msg, nil, false)
 			} else {
 				raw, err := s.conn.Call(ctx, transport.NodeID(ob.owner), msg)
 				if err != nil {

@@ -128,10 +128,10 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 		}
 		pf := &obs.PendingFunctor{
 			Key:       string(it.key),
-			Version:   uint64(it.version),
+			Version:   uint64(it.rec.Version),
 			QueueWait: wait,
 		}
-		if it.rec != nil && it.rec.Functor != nil {
+		if it.rec.Functor != nil {
 			pf.FType = it.rec.Functor.Type.String()
 		}
 		if tid := it.sc.Trace; tid != 0 {

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"alohadb/internal/kv"
-	"alohadb/internal/mvstore"
-	"alohadb/internal/tstamp"
 )
 
 // This file is the server side of the rebalancer's epoch-barrier handoff
@@ -75,28 +73,26 @@ func (s *Server) handleRangeImport(ctx context.Context, m MsgRangeImport) MsgRan
 	var work []workItem
 	for _, ke := range m.Keys {
 		resp.Keys++
+		c := s.store.ChainOrCreate(ke.Key)
 		for _, er := range ke.Records {
-			rec, err := s.store.Put(ke.Key, er.Version, er.Functor)
-			if err != nil && err != mvstore.ErrVersionExists {
+			if er.Resolution != nil {
+				if _, fresh := c.PutResolved(er.Version, er.Functor, er.Resolution); fresh {
+					resp.Records++
+				}
 				continue
 			}
+			rec, err := c.Put(er.Version, er.Functor)
 			if err == nil {
 				resp.Records++
 			}
-			if er.Resolution != nil {
-				rec.Resolve(er.Resolution)
-				s.store.Seal(ke.Key, tstamp.End(er.Version.Epoch()))
-				continue
-			}
 			if rec.Final() {
 				// The record existed and is already final here.
-				s.store.Seal(ke.Key, tstamp.End(er.Version.Epoch()))
 				continue
 			}
-			work = append(work, workItem{key: ke.Key, version: er.Version, rec: rec, installed: now})
+			work = append(work, workItem{key: ke.Key, chain: c, rec: rec, installed: now})
 		}
 		if ke.Watermark != 0 {
-			s.store.AdvanceWatermark(ke.Key, ke.Watermark)
+			c.AdvanceWatermark(ke.Watermark)
 		}
 	}
 	if len(work) > 0 {

@@ -12,7 +12,6 @@ import (
 	"alohadb/internal/mvstore"
 	"alohadb/internal/trace"
 	"alohadb/internal/transport"
-	"alohadb/internal/tstamp"
 )
 
 // workItem is the metadata of one installed functor awaiting asynchronous
@@ -20,9 +19,12 @@ import (
 // buffered in the previous epoch, are pushed to a queue for the processor
 // to consume").
 type workItem struct {
-	key     kv.Key
-	version tstamp.Timestamp
-	rec     *mvstore.Record
+	key kv.Key
+	// chain is the key's chain and rec the installed record (rec.Version is
+	// the version): found once at install, they spare the commit and
+	// compute stages from addressing the store by key again.
+	chain *mvstore.Chain
+	rec   *mvstore.Record
 	// installed is when the functor was installed in the BE; ready is when
 	// its epoch committed and it entered the queue. The Figure-10 "waiting
 	// for processing" stage spans installed → dequeue.
@@ -230,7 +232,7 @@ func (p *processor) process(item workItem) {
 	// time cannot show.
 	ctx, span := s.tr.StartAt(s.ctx, item.sc, "functor.process")
 	span.SetAttr("key", string(item.key))
-	span.SetAttr("wait", wait.String())
+	span.SetAttrDuration("wait", wait)
 	defer span.End()
 
 	fn := item.rec.Functor
@@ -248,15 +250,15 @@ func (p *processor) process(item workItem) {
 	}
 	// Fast path: an earlier chain walk (hot key) already settled this
 	// record and the watermark.
-	if item.rec.Final() && s.store.Watermark(item.key) >= item.version {
+	if item.rec.Final() && item.chain.Watermark() >= item.rec.Version {
 		return
 	}
-	if _, err := s.resolveRecord(ctx, item.key, item.rec); err != nil {
+	if _, err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
 		// A failed remote read (e.g. during shutdown) leaves the functor
 		// for on-demand computation at read time.
 		return
 	}
-	s.store.AdvanceWatermark(item.key, item.version)
+	item.chain.AdvanceWatermark(item.rec.Version)
 }
 
 // pushToRecipients sends the latest value of the functor's key strictly
@@ -264,7 +266,7 @@ func (p *processor) process(item workItem) {
 // optimization: compute falls back to remote reads when a push is missing.
 func (p *processor) pushToRecipients(ctx context.Context, item workItem, fn *functor.Functor) {
 	s := p.s
-	prev, err := s.getLocal(ctx, item.key, item.version.Prev())
+	prev, err := s.getLocal(ctx, item.key, item.rec.Version.Prev())
 	if err != nil {
 		return
 	}
@@ -277,7 +279,7 @@ func (p *processor) pushToRecipients(ctx context.Context, item workItem, fn *fun
 		sent[owner] = true
 		s.stats.pushesSent.Add(1)
 		_ = s.conn.Send(ctx, transport.NodeID(owner), MsgPush{
-			Version:      item.version,
+			Version:      item.rec.Version,
 			Key:          item.key,
 			Value:        prev.Value,
 			Found:        prev.Found,

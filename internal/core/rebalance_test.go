@@ -161,7 +161,7 @@ func TestSealedRangeRejectsInstall(t *testing.T) {
 	resp := s0.handleInstall(context.Background(), MsgInstall{Txns: []InstallTxn{{
 		Version: ts,
 		Writes:  []Write{{Key: k, Functor: functor.Value(kv.Value("x"))}},
-	}}})
+	}}}, nil, false)
 	if len(resp.Results) != 1 || !resp.Results[0].WrongOwner {
 		t.Fatalf("sealed-range install = %+v, want WrongOwner", resp.Results)
 	}
@@ -169,7 +169,7 @@ func TestSealedRangeRejectsInstall(t *testing.T) {
 	resp = s0.handleInstall(context.Background(), MsgInstall{Txns: []InstallTxn{{
 		Version: ts,
 		Writes:  []Write{{Key: k, Functor: functor.Value(kv.Value("x"))}},
-	}}})
+	}}}, nil, false)
 	if len(resp.Results) != 1 || !resp.Results[0].OK {
 		t.Fatalf("post-clear install = %+v, want OK", resp.Results)
 	}

@@ -276,6 +276,15 @@ func TestRemoteEpochManager(t *testing.T) {
 	if !committed {
 		t.Fatalf("aborted: %s", reason)
 	}
+	// Await saw the epoch commit on server 0; the manager's Committed
+	// message reaches server 1 on its own, and GetCommitted reads at
+	// whatever that server has committed so far.
+	for deadline := time.Now().Add(2 * time.Second); srvs[1].CommittedEpoch() < h.Version().Epoch(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("server 1 never committed epoch %d", h.Version().Epoch())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	v, found, err := srvs[1].GetCommitted(ctx, "k")
 	if err != nil {
 		t.Fatal(err)

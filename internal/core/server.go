@@ -441,7 +441,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	// interface, and the commit path (durability flush + seal + enqueue) is
 	// interesting in isolation.
 	ctx, commitSpan := s.tr.StartRoot(s.ctx, "epoch.commit")
-	commitSpan.SetAttr("epoch", strconv.FormatUint(uint64(e), 10))
+	commitSpan.SetAttrInt("epoch", int64(e))
 	defer commitSpan.End()
 	// Drain the epoch's buffered functor metadata and record the drain under
 	// one lock: a straggler install racing this commit either appends to the
@@ -457,14 +457,12 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	s.pendingMu.Unlock()
 	// Seal the epoch's versions (in-epoch -> out-epoch, Figure 4) before
 	// advancing visibility: a reader that wakes on the visibility broadcast
-	// must find every version of the epoch already reachable. Seal is
-	// idempotent and cheap once a chain's staging is empty, so duplicate
-	// keys in the batch don't warrant a dedup map here — the map cost the
-	// allocation the duplicates were supposed to save.
+	// must find every version of the epoch already reachable. A key written
+	// twice in the epoch is sealed twice; the second finds nothing staged.
 	now := time.Now()
 	slowIdx, slowWait := -1, time.Duration(0)
 	for i := range items {
-		s.store.Seal(items[i].key, tstamp.End(e))
+		items[i].chain.Seal(tstamp.End(e))
 		if s.journal != nil && !items[i].installed.IsZero() {
 			if w := now.Sub(items[i].installed); slowIdx < 0 || w > slowWait {
 				slowIdx, slowWait = i, w
@@ -479,7 +477,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		// txn, a hot key, a lagging owner).
 		it := items[slowIdx]
 		ftype := ""
-		if it.rec != nil && it.rec.Functor != nil {
+		if it.rec.Functor != nil {
 			ftype = it.rec.Functor.Type.String()
 		}
 		s.journal.Slowest(uint64(e), string(it.key), ftype, slowWait, uint64(it.sc.Trace))

@@ -16,7 +16,6 @@ package epoch
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -254,7 +253,7 @@ func (m *Manager) Advance() (tstamp.Epoch, error) {
 	begin := time.Now()
 	jr.Decide(uint64(e), begin)
 	ctx, span := m.tr.StartRoot(context.Background(), "epoch.switch")
-	span.SetAttr("epoch", strconv.FormatUint(uint64(e), 10))
+	span.SetAttrInt("epoch", int64(e))
 	defer span.End()
 	var wg sync.WaitGroup
 	wg.Add(len(parts))

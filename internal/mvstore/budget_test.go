@@ -1,0 +1,129 @@
+package mvstore
+
+import (
+	"fmt"
+	"testing"
+
+	"alohadb/internal/functor"
+	"alohadb/internal/kv"
+	"alohadb/internal/tstamp"
+)
+
+// perOp measures f, which performs batch operations on the key set it is
+// handed, with testing.AllocsPerRun and returns the allocations per
+// operation. AllocsPerRun calls f twice (once to warm up) and rounds down to
+// whole objects per call: each call gets its own half of keys, and the batch
+// is what gives an amortised budget its fraction.
+func perOp(batch int, keys []kv.Key, f func(keys []kv.Key)) float64 {
+	half, call := len(keys)/2, 0
+	return testing.AllocsPerRun(1, func() {
+		f(keys[call*half : (call+1)*half])
+		call++
+	}) / float64(batch)
+}
+
+// TestAllocationBudgets pins the layout's cost in heap objects: at most two
+// per version (the record and, amortised, its share of a grown array; a
+// key's first version is embedded in its chain), none per seal.
+func TestAllocationBudgets(t *testing.T) {
+	const n = 4096
+	keys := make([]kv.Key, 4*n)
+	for i := range keys {
+		keys[i] = kv.Key(fmt.Sprintf("k:%d", i))
+	}
+	written, unwritten := keys[:2*n], keys[2*n:]
+	// A new key also grows the store's key index now and then, a few
+	// hundredths of an object per key that belong to no version.
+	const index = 0.1
+	add := functor.Add(1)
+	s := New()
+
+	if got := perOp(n, written, func(keys []kv.Key) {
+		for _, k := range keys {
+			c := s.ChainOrCreate(k)
+			c.Put(ts(1, 1, 0), add)
+			c.Seal(tstamp.End(1))
+		}
+	}); got > 2+index {
+		t.Errorf("fresh-key Put+Seal allocates %.2f objects, budget 2", got)
+	}
+
+	// One more version per epoch on each of those chains, 1 → 65 versions:
+	// out of the embedded array and through six doublings.
+	if got := perOp(64*n, written, func(keys []kv.Key) {
+		for e := tstamp.Epoch(2); e < 66; e++ {
+			for _, k := range keys {
+				c := s.Chain(k)
+				c.Put(ts(e, 1, 0), add)
+				c.Seal(tstamp.End(e))
+			}
+		}
+	}); got > 2 {
+		t.Errorf("Put+Seal on an existing chain allocates %.2f objects amortised, budget 2", got)
+	}
+
+	// A deferred write to a fresh key: the chain and the resolution that
+	// carries the value.
+	val, shared := kv.Value("row"), functor.Value(nil)
+	if got := perOp(n, unwritten, func(keys []kv.Key) {
+		for _, k := range keys {
+			s.ChainOrCreate(k).PutResolved(ts(1, 1, 0), shared, functor.ValueResolution(val))
+		}
+	}); got > 2+index {
+		t.Errorf("pre-resolved install of a fresh key allocates %.2f objects, budget 2", got)
+	}
+
+	if got := perOp(n, written, func(keys []kv.Key) {
+		for _, k := range keys {
+			s.Chain(k).Seal(tstamp.Max)
+		}
+	}); got != 0 {
+		t.Errorf("Seal with nothing staged allocates %.2f objects, budget 0", got)
+	}
+
+	// A seal that publishes several staged records in place.
+	for _, k := range written {
+		for seq := uint32(1); seq <= 3; seq++ {
+			s.Put(k, ts(70, seq, 0), add)
+		}
+	}
+	if got := perOp(n, written, func(keys []kv.Key) {
+		for _, k := range keys {
+			s.Chain(k).Seal(tstamp.End(70))
+		}
+	}); got != 0 {
+		t.Errorf("Seal of staged records allocates %.2f objects, budget 0", got)
+	}
+}
+
+// TestRecordAddressStable: the pointer Put returns stays the record for
+// good. The processor queue, second-round aborts and the resolve-once CAS
+// all hold it across seals, array replacements and compactions of the key.
+func TestRecordAddressStable(t *testing.T) {
+	s := New()
+	first, err := s.Put("k", ts(1, 1, 0), functor.Add(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _ := s.Put("k", ts(1, 2, 0), functor.Add(1))
+	s.Seal("k", tstamp.End(1))
+	for e := tstamp.Epoch(2); e < 1002; e++ {
+		if _, err := s.Put("k", ts(e, 1, 0), functor.Value(nil)); err != nil {
+			t.Fatal(err)
+		}
+		s.Seal("k", tstamp.End(e))
+	}
+	for _, rec := range []*Record{first, second} {
+		res := functor.ValueResolution(kv.EncodeInt64(int64(rec.Version)))
+		if !rec.Resolve(res) {
+			t.Fatalf("record %v already resolved", rec.Version)
+		}
+		got, ok := s.Latest("k", rec.Version)
+		if !ok || got != rec || got.Resolution() != res {
+			t.Fatalf("Latest(%v) = %p %v, want the record Put returned (%p) with its resolution", rec.Version, got, ok, rec)
+		}
+	}
+	if len(s.View("k")) != 1002 {
+		t.Fatalf("view has %d records, want 1002", len(s.View("k")))
+	}
+}

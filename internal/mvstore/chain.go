@@ -1,6 +1,8 @@
 package mvstore
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,49 +11,61 @@ import (
 	"alohadb/internal/tstamp"
 )
 
-// Chain holds the version records of a single key, split exactly as the
-// paper's Figure 4 describes into two categories:
+// Chain holds the version records of a single key — the paper's Figure 4
+// "linked list of arrays", with both of its categories in one array:
 //
-//   - out-epoch: an immutable, sorted array of records from committed
-//     epochs, readable without locks through an atomically published
-//     slice;
-//   - in-epoch: a staging table of records from epochs still being
-//     written, invisible to readers, accepting inserts in O(1) regardless
-//     of arrival order (decentralized timestamps interleave across
-//     servers, so arrivals are only nearly sorted).
+//	recs: [ sealed, sorted, immutable ....... | staged, unsorted ... | free ]
+//	       0                                  n                      n+staged
 //
-// Seal moves staged records below an epoch boundary into the sorted array
-// — one sort + append per key per epoch, amortizing what per-record sorted
-// insertion would make quadratic on hot keys.
+// Out-epoch records, those of committed epochs, are recs[:n], ascending by
+// version. Readers load the block pointer and its n atomically and read the
+// prefix without locks; a published slot is never written again.
+//
+// In-epoch records, those of epochs still being written, are
+// recs[n:n+staged] in arrival order (decentralized timestamps interleave
+// across servers, so arrivals are only nearly sorted). They are guarded by
+// mu and invisible to readers.
+//
+// Seal sorts the staged region in place and publishes the part below the
+// epoch boundary by raising n: no copy and no allocation unless a straggler
+// sorts below a record sealed earlier. A full array is replaced by one of
+// twice the size; readers of the old block keep a consistent prefix.
+//
+// A chain embeds its first record, a one-slot array for it and that array's
+// block, so a key written once costs a single object. Records never move:
+// the arrays hold pointers, and the resolve-once CAS, the processor queue
+// and second-round aborts all address a record by the pointer Put returned.
 type Chain struct {
-	mu   sync.Mutex // guards staged and structural view changes
-	view atomic.Pointer[[]*Record]
-	// staged holds in-epoch records, unsorted; nil when empty. A small
-	// slice beats a map here: the set lives for one epoch, holds a handful
-	// of records for all but the hottest keys, and a map's buckets cost
-	// far more live heap per key than a compact pointer array. Duplicate
-	// checks scan linearly — duplicates only arise from retransmitted
-	// installs, and the scan is a pointer-array sweep.
-	staged []*Record
+	mu  sync.Mutex // guards staged, the staged region of cur, and block replacement
+	cur atomic.Pointer[block]
+	// staged counts the in-epoch records after cur's sealed prefix.
+	staged int
 	// watermark is the value watermark: every version at or below it is a
 	// final value (paper §III-D). Monotonically non-decreasing.
 	watermark atomic.Uint64
+
+	first Record
+	slot  [1]*Record
+	blk   block
 }
 
-// emptyView is the shared zero-length view every fresh chain publishes.
-// Seal never appends in place to a zero-capacity backing array, so the
-// shared slice is immutable and one allocation serves every key.
-var emptyView = make([]*Record, 0)
-
-func newChain() *Chain {
-	c := &Chain{}
-	c.view.Store(&emptyView)
-	return c
+// block is one array of a chain. recs never changes after the block is
+// published; n only grows.
+type block struct {
+	n    atomic.Int64
+	recs []*Record
 }
 
 // View returns the current immutable snapshot of the sealed (out-epoch)
 // version list, sorted ascending by version. Callers must not mutate it.
-func (c *Chain) View() []*Record { return *c.view.Load() }
+func (c *Chain) View() []*Record {
+	b := c.cur.Load()
+	if b == nil {
+		return nil
+	}
+	n := b.n.Load()
+	return b.recs[:n:n]
+}
 
 // Watermark returns the key's value watermark.
 func (c *Chain) Watermark() tstamp.Timestamp {
@@ -73,101 +87,134 @@ func (c *Chain) AdvanceWatermark(v tstamp.Timestamp) {
 	}
 }
 
-// insert stages a record as an in-epoch version. Inserting a duplicate
-// version returns the existing record and false.
-func (c *Chain) insert(r *Record) (*Record, bool) {
+// Put stages fn as a new in-epoch version (paper Figure 4). The record
+// stays invisible to reads until Seal publishes it when its epoch commits.
+// A duplicate version returns the existing record and ErrVersionExists.
+func (c *Chain) Put(version tstamp.Timestamp, fn *functor.Functor) (*Record, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rec := c.at(r.Version); rec != nil {
-		return rec, false
+	if rec := c.at(version); rec != nil {
+		return rec, ErrVersionExists
 	}
-	c.staged = append(c.staged, r)
-	return r, true
+	return c.stage(version, fn, nil), nil
 }
 
-// seal moves staged records with versions strictly below bound into the
-// immutable sorted view, making them readable. Committed epochs only grow
-// the high end of the version space, so the merge is a sorted append.
-func (c *Chain) seal(bound tstamp.Timestamp) {
+// PutResolved installs a version whose outcome is already known — a
+// deferred write, an imported or checkpointed final value — resolved and
+// sealed in one step; it publishes every staged record at or below version
+// with it. When the version exists (a marker installed in the write-only
+// phase, a duplicate delivery) that record takes res through the
+// resolve-once CAS, stays where it is, and comes back with false.
+func (c *Chain) PutResolved(version tstamp.Timestamp, fn *functor.Functor, res *functor.Resolution) (*Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.staged) == 0 {
-		return
+	if rec := c.at(version); rec != nil {
+		rec.Resolve(res)
+		return rec, false
 	}
-	// Partition in place: records below the bound form the batch, the
-	// rest (stragglers from still-open epochs) stay staged.
-	var batch []*Record
-	keep := 0
-	for _, r := range c.staged {
-		if r.Version < bound {
-			batch = append(batch, r)
-		} else {
-			c.staged[keep] = r
-			keep++
-		}
-	}
-	if keep == 0 {
-		// Release the staging array: a store holds one chain per key it
-		// has ever seen, and retained empty staging per cold key is pure
-		// live-heap (and GC mark) overhead.
-		c.staged = nil
+	rec := c.stage(version, fn, res)
+	c.seal(version + 1)
+	return rec, true
+}
+
+// stage appends a record to the staged region, growing the array when it is
+// full. Callers hold c.mu and have ruled out a duplicate.
+func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor, res *functor.Resolution) *Record {
+	b := c.cur.Load()
+	var rec *Record
+	if b == nil {
+		rec = &c.first
+		c.blk.recs = c.slot[:]
+		b = &c.blk
+		c.cur.Store(b)
 	} else {
-		clear(c.staged[keep:])
-		c.staged = c.staged[:keep]
+		rec = new(Record)
 	}
-	if len(batch) == 0 {
+	rec.Version, rec.Functor = version, fn
+	if res != nil {
+		rec.resolved.Store(res)
+	}
+	n := int(b.n.Load())
+	if n+c.staged == len(b.recs) {
+		b = c.replace(b.recs[:n+c.staged], n)
+	}
+	b.recs[n+c.staged] = rec
+	c.staged++
+	return rec
+}
+
+// newBlock returns an unpublished block with room for twice live records.
+func newBlock(live int) *block {
+	return &block{recs: make([]*Record, 2*max(live, 1))}
+}
+
+// replace publishes a fresh block holding live (n sealed records, then the
+// staged ones) and returns it. Callers hold c.mu.
+func (c *Chain) replace(live []*Record, n int) *block {
+	b := newBlock(len(live))
+	copy(b.recs, live)
+	b.n.Store(int64(n))
+	c.cur.Store(b)
+	return b
+}
+
+// Seal makes the staged records with versions strictly below bound
+// readable. The backend seals every key an epoch touched when the epoch
+// commits.
+func (c *Chain) Seal(bound tstamp.Timestamp) {
+	c.mu.Lock()
+	c.seal(bound)
+	c.mu.Unlock()
+}
+
+func (c *Chain) seal(bound tstamp.Timestamp) {
+	if c.staged == 0 {
 		return
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Version < batch[j].Version })
-	old := *c.view.Load()
-	n := len(old)
-	if n == 0 || old[n-1].Version < batch[0].Version {
-		// Sorted append, in place when capacity allows: published slice
-		// headers only grow in length, so readers holding older headers
-		// never observe the freshly filled slots, and the atomic header
-		// store orders the writes for readers that do.
-		var neu []*Record
-		if cap(old)-n >= len(batch) {
-			neu = old[:n+len(batch)]
-		} else {
-			// First seal sizes exactly: most keys are written once and
-			// never again, and slack capacity on millions of cold chains
-			// is pure live-heap overhead. Hot keys hit the doubling branch
-			// from their second seal on.
-			grow := n + len(batch)
-			if n > 0 {
-				grow *= 2
-			}
-			neu = make([]*Record, n+len(batch), grow)
-			copy(neu, old)
-		}
-		copy(neu[n:], batch)
-		c.view.Store(&neu)
+	b := c.cur.Load()
+	n := int(b.n.Load())
+	staged := b.recs[n : n+c.staged]
+	if len(staged) > 1 {
+		slices.SortFunc(staged, func(x, y *Record) int { return cmp.Compare(x.Version, y.Version) })
+	}
+	// Sorted, the records below the bound are a prefix; stragglers from
+	// still-open epochs stay staged behind them.
+	k := sort.Search(len(staged), func(i int) bool { return staged[i].Version >= bound })
+	if k == 0 {
 		return
 	}
-	// General merge (stragglers sealed late can interleave with an epoch
-	// sealed earlier): build a fresh array.
-	neu := make([]*Record, 0, n+len(batch))
-	i, j := 0, 0
-	for i < n && j < len(batch) {
-		if old[i].Version < batch[j].Version {
-			neu = append(neu, old[i])
+	c.staged -= k
+	if n == 0 || b.recs[n-1].Version < staged[0].Version {
+		// Committed epochs only grow the high end of the version space:
+		// the sorted prefix already sits where it belongs.
+		b.n.Store(int64(n + k))
+		return
+	}
+	// A straggler sealed late sorts below a record sealed earlier. Slots
+	// readers may be scanning cannot be rewritten, so merge into a fresh
+	// block.
+	nb := newBlock(n + len(staged))
+	i, j, w := 0, 0, 0
+	for ; i < n && j < k; w++ {
+		if b.recs[i].Version < staged[j].Version {
+			nb.recs[w] = b.recs[i]
 			i++
 		} else {
-			neu = append(neu, batch[j])
+			nb.recs[w] = staged[j]
 			j++
 		}
 	}
-	neu = append(neu, old[i:]...)
-	neu = append(neu, batch[j:]...)
-	c.view.Store(&neu)
+	w += copy(nb.recs[w:], b.recs[i:n])
+	copy(nb.recs[w:], staged[j:])
+	nb.n.Store(int64(n + k))
+	c.cur.Store(nb)
 }
 
-// latest returns the newest sealed record with Version <= max, or nil.
+// Latest returns the newest sealed record with Version <= max, or nil.
 // Staged (in-epoch) records are invisible by design: reads only ever run
 // at snapshots whose epochs have committed and sealed.
-func (c *Chain) latest(max tstamp.Timestamp) *Record {
-	view := *c.view.Load()
+func (c *Chain) Latest(max tstamp.Timestamp) *Record {
+	view := c.View()
 	i := sort.Search(len(view), func(i int) bool { return view[i].Version > max })
 	if i == 0 {
 		return nil
@@ -175,24 +222,27 @@ func (c *Chain) latest(max tstamp.Timestamp) *Record {
 	return view[i-1]
 }
 
-// at returns the record with exactly the given version, sealed or staged.
-// The second-round abort and deferred-write paths address records by
-// version before their epoch commits.
-func (c *Chain) atLocked(v tstamp.Timestamp) *Record {
+// At returns the record with exactly the given version, sealed or staged,
+// or nil. The second-round abort and deferred-write paths address records
+// by version before their epoch commits.
+func (c *Chain) At(v tstamp.Timestamp) *Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.at(v)
 }
 
-// at is atLocked without the staging lock; callers hold c.mu or accept
-// missing staged records.
+// at is At for callers holding c.mu.
 func (c *Chain) at(v tstamp.Timestamp) *Record {
-	view := *c.view.Load()
-	i := sort.Search(len(view), func(i int) bool { return view[i].Version >= v })
-	if i < len(view) && view[i].Version == v {
-		return view[i]
+	b := c.cur.Load()
+	if b == nil {
+		return nil
 	}
-	for _, r := range c.staged {
+	n := int(b.n.Load())
+	i := sort.Search(n, func(i int) bool { return b.recs[i].Version >= v })
+	if i < n && b.recs[i].Version == v {
+		return b.recs[i]
+	}
+	for _, r := range b.recs[n : n+c.staged] {
 		if r.Version == v {
 			return r
 		}
@@ -200,11 +250,11 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 	return nil
 }
 
-// between returns the sealed records with versions in [from, to],
-// ascending. Used by the processor to compute all pending functors of a
-// key up to a queued version (Algorithm 1, line 4).
-func (c *Chain) between(from, to tstamp.Timestamp) []*Record {
-	view := *c.view.Load()
+// Between returns the sealed records with versions in [from, to],
+// ascending. Used to compute all pending functors of a key up to a queued
+// version (Algorithm 1, line 4).
+func (c *Chain) Between(from, to tstamp.Timestamp) []*Record {
+	view := c.View()
 	lo := sort.Search(len(view), func(i int) bool { return view[i].Version >= from })
 	hi := sort.Search(len(view), func(i int) bool { return view[i].Version > to })
 	if lo >= hi {
@@ -230,14 +280,18 @@ func (c *Chain) compact(bound tstamp.Timestamp) int {
 	if w := tstamp.Timestamp(c.watermark.Load()); bound > w {
 		bound = w
 	}
-	old := *c.view.Load()
-	i := sort.Search(len(old), func(i int) bool { return old[i].Version >= bound })
+	b := c.cur.Load()
+	if b == nil {
+		return 0
+	}
+	n := int(b.n.Load())
+	i := sort.Search(n, func(i int) bool { return b.recs[i].Version >= bound })
 	if i < 1 {
 		return 0
 	}
 	keepFrom := i // if no record below bound is visible, drop them all
 	for j := i - 1; j >= 0; j-- {
-		res := old[j].Resolution()
+		res := b.recs[j].Resolution()
 		// A nil resolution below the watermark is a lazily-resolved final
 		// functor (VALUE/DELETED placeholders resolve on first read);
 		// treat it as visible.
@@ -249,8 +303,8 @@ func (c *Chain) compact(bound tstamp.Timestamp) int {
 	if keepFrom == 0 {
 		return 0
 	}
-	neu := make([]*Record, len(old)-keepFrom)
-	copy(neu, old[keepFrom:])
-	c.view.Store(&neu)
+	// Readers may hold the old prefix, so the survivors move to a fresh
+	// block (staged records ride along).
+	c.replace(b.recs[keepFrom:n+c.staged], n-keepFrom)
 	return keepFrom
 }

@@ -34,12 +34,12 @@ type KeyExport struct {
 func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	view := *c.view.Load()
-	out := make([]ExportedRecord, 0, len(view)+len(c.staged))
-	for _, r := range view {
-		out = append(out, ExportedRecord{Version: r.Version, Functor: r.Functor, Resolution: r.Resolution()})
+	var live []*Record
+	if b := c.cur.Load(); b != nil {
+		live = b.recs[:int(b.n.Load())+c.staged]
 	}
-	for _, r := range c.staged {
+	out := make([]ExportedRecord, 0, len(live))
+	for _, r := range live {
 		out = append(out, ExportedRecord{Version: r.Version, Functor: r.Functor, Resolution: r.Resolution()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Version < out[j].Version })
@@ -49,7 +49,7 @@ func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 // ExportKey snapshots one key's chain for migration. ok is false when the
 // key has never been written here.
 func (s *Store) ExportKey(k kv.Key) (recs []ExportedRecord, watermark tstamp.Timestamp, ok bool) {
-	c := s.chain(k)
+	c := s.Chain(k)
 	if c == nil {
 		return nil, 0, false
 	}

@@ -1,6 +1,8 @@
 package mvstore
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"alohadb/internal/functor"
@@ -63,5 +65,46 @@ func TestExportMatchingAndDrop(t *testing.T) {
 	}
 	if _, _, ok := s.ExportKey("h:1"); ok {
 		t.Fatal("dropped key still exports")
+	}
+}
+
+// TestExportImportRoundTrip moves a chain the way a placement handoff does
+// — resolved records through PutResolved, unresolved ones staged and
+// sealed by their epoch — and requires the copy to export and read the
+// same: embedded and array records, a deferred write's placeholder
+// functor, a second-round abort, a staged straggler, the watermark.
+func TestExportImportRoundTrip(t *testing.T) {
+	src := New()
+	c := src.ChainOrCreate("k")
+	c.PutResolved(tstamp.Make(1, 1, 0), functor.Value(nil), functor.ValueResolution([]byte("deferred")))
+	aborted, _ := c.Put(tstamp.Make(1, 2, 0), functor.Value([]byte("rolled back")))
+	aborted.Resolve(functor.AbortResolution("second round"))
+	c.Put(tstamp.Make(1, 3, 0), functor.Add(1))
+	c.Seal(tstamp.End(1))
+	c.Put(tstamp.Make(2, 1, 0), functor.Add(2)) // staged at export time
+	c.AdvanceWatermark(tstamp.Make(1, 2, 0))
+
+	recs, wm, _ := src.ExportKey("k")
+	dst := New()
+	d := dst.ChainOrCreate("k")
+	for _, er := range recs {
+		if er.Resolution != nil {
+			d.PutResolved(er.Version, er.Functor, er.Resolution)
+			continue
+		}
+		d.Put(er.Version, er.Functor)
+	}
+	d.Seal(tstamp.End(1))
+	d.AdvanceWatermark(wm)
+
+	got, gotWM, _ := dst.ExportKey("k")
+	if !reflect.DeepEqual(got, recs) || gotWM != wm {
+		t.Fatalf("re-export differs:\n got %+v wm %v\nwant %+v wm %v", got, gotWM, recs, wm)
+	}
+	if g, w := versionsOf(dst.View("k")), versionsOf(src.View("k")); !slices.Equal(g, w) {
+		t.Fatalf("readable versions %v, source %v", g, w)
+	}
+	if rec, ok := dst.Latest("k", tstamp.Make(1, 1, 0)); !ok || string(rec.Resolution().Value) != "deferred" {
+		t.Fatalf("deferred write lost its value in the move: %+v", rec)
 	}
 }

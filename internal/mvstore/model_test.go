@@ -2,6 +2,7 @@ package mvstore
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -108,7 +109,7 @@ func TestConcurrentModelEquivalence(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		got := s.Between("k", lo, hi)
+		got := s.Chain("k").Between(lo, hi)
 		want := 0
 		for _, v := range versions {
 			if v >= lo && v <= hi {
@@ -118,5 +119,400 @@ func TestConcurrentModelEquivalence(t *testing.T) {
 		if len(got) != want {
 			t.Fatalf("round %d: Between(%v,%v) = %d records, want %d", round, lo, hi, len(got), want)
 		}
+	}
+}
+
+// chainModel is the sequential reference for one key's chain: a map of
+// live versions with their sealed flag and resolution kind, and the value
+// watermark. Every mutation of the layout (embedded first record, in-place
+// seal, growth, merge, compaction, pre-resolved install) must leave the
+// chain answering exactly like it.
+type chainModel struct {
+	recs      map[tstamp.Timestamp]*modelRec
+	watermark tstamp.Timestamp
+}
+
+type modelRec struct {
+	sealed bool
+	kind   functor.ResolutionKind // 0 while unresolved
+}
+
+func (m *chainModel) sorted(sealedOnly bool) []tstamp.Timestamp {
+	var out []tstamp.Timestamp
+	for v, r := range m.recs {
+		if r.sealed || !sealedOnly {
+			out = append(out, v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (m *chainModel) seal(bound tstamp.Timestamp) {
+	for v, r := range m.recs {
+		if v < bound {
+			r.sealed = true
+		}
+	}
+}
+
+func (m *chainModel) compact(bound tstamp.Timestamp) int {
+	if bound > m.watermark {
+		bound = m.watermark
+	}
+	sealed := m.sorted(true)
+	i := sort.Search(len(sealed), func(i int) bool { return sealed[i] >= bound })
+	keepFrom := i
+	for j := i - 1; j >= 0; j-- {
+		if k := m.recs[sealed[j]].kind; k == 0 || k == functor.Resolved || k == functor.ResolvedDeleted {
+			keepFrom = j
+			break
+		}
+	}
+	for _, v := range sealed[:keepFrom] {
+		delete(m.recs, v)
+	}
+	return keepFrom
+}
+
+// modelHarness applies each operation to a store and to the model and
+// compares every answer the chain can give.
+type modelHarness struct {
+	t *testing.T
+	s *Store
+	m *chainModel
+	// held are views readers took earlier with the versions they showed:
+	// whatever the chain does next, a held view must keep showing them.
+	held []heldView
+	// ptrs is the record Put handed back for each live version; its address
+	// must never change.
+	ptrs map[tstamp.Timestamp]*Record
+}
+
+type heldView struct {
+	view     []*Record
+	versions []tstamp.Timestamp
+}
+
+func newModelHarness(t *testing.T) *modelHarness {
+	return &modelHarness{t: t, s: New(), m: &chainModel{recs: map[tstamp.Timestamp]*modelRec{}}, ptrs: map[tstamp.Timestamp]*Record{}}
+}
+
+func (h *modelHarness) put(v tstamp.Timestamp, fn *functor.Functor) {
+	h.t.Helper()
+	rec, err := h.s.Put("k", v, fn)
+	if _, dup := h.m.recs[v]; dup != (err == ErrVersionExists) {
+		h.t.Fatalf("Put(%v): err %v, model duplicate %v", v, err, dup)
+	}
+	if err == nil {
+		h.m.recs[v] = &modelRec{}
+		h.ptrs[v] = rec
+	} else if rec != h.ptrs[v] {
+		h.t.Fatalf("duplicate Put(%v) returned another record", v)
+	}
+	h.check()
+}
+
+func (h *modelHarness) putResolved(v tstamp.Timestamp, fn *functor.Functor, res *functor.Resolution) {
+	h.t.Helper()
+	rec, fresh := h.s.ChainOrCreate("k").PutResolved(v, fn, res)
+	if _, dup := h.m.recs[v]; dup == fresh {
+		h.t.Fatalf("PutResolved(%v): fresh %v, model duplicate %v", v, fresh, dup)
+	}
+	if fresh {
+		h.m.recs[v] = &modelRec{kind: res.Kind}
+		h.ptrs[v] = rec
+		h.m.seal(v + 1)
+	} else if rec != h.ptrs[v] {
+		h.t.Fatalf("duplicate PutResolved(%v) returned another record", v)
+	} else if m := h.m.recs[v]; m.kind == 0 {
+		m.kind = res.Kind // the existing record takes the resolution, once
+	}
+	h.check()
+}
+
+func (h *modelHarness) seal(bound tstamp.Timestamp) {
+	h.t.Helper()
+	h.s.Seal("k", bound)
+	h.m.seal(bound)
+	h.check()
+}
+
+func (h *modelHarness) resolve(v tstamp.Timestamp, res *functor.Resolution) {
+	h.t.Helper()
+	rec, ok := h.s.At("k", v)
+	if !ok {
+		h.t.Fatalf("At(%v) missing", v)
+	}
+	if won := rec.Resolve(res); won != (h.m.recs[v].kind == 0) {
+		h.t.Fatalf("Resolve(%v) won = %v, model kind %v", v, won, h.m.recs[v].kind)
+	} else if won {
+		h.m.recs[v].kind = res.Kind
+	}
+	h.check()
+}
+
+func (h *modelHarness) advance(v tstamp.Timestamp) {
+	h.s.AdvanceWatermark("k", v)
+	if v > h.m.watermark {
+		h.m.watermark = v
+	}
+}
+
+func (h *modelHarness) compact(bound tstamp.Timestamp) {
+	h.t.Helper()
+	if got, want := h.s.Compact(bound), h.m.compact(bound); got != want {
+		h.t.Fatalf("Compact(%v) removed %d records, model %d", bound, got, want)
+	}
+	for v := range h.ptrs {
+		if _, live := h.m.recs[v]; !live {
+			delete(h.ptrs, v)
+		}
+	}
+	h.check()
+}
+
+// hold keeps the current view the way a reader in the middle of a chain
+// walk does.
+func (h *modelHarness) hold() {
+	view := h.s.View("k")
+	h.held = append(h.held, heldView{view: view, versions: versionsOf(view)})
+}
+
+func (h *modelHarness) check() {
+	h.t.Helper()
+	sealed, all := h.m.sorted(true), h.m.sorted(false)
+	view := h.s.View("k")
+	if got := versionsOf(view); !slices.Equal(got, sealed) {
+		h.t.Fatalf("view = %v, model %v", got, sealed)
+	}
+	for _, hv := range h.held {
+		if got := versionsOf(hv.view); !slices.Equal(got, hv.versions) {
+			h.t.Fatalf("a held view changed: %v, was %v", got, hv.versions)
+		}
+	}
+	for _, v := range all {
+		rec, ok := h.s.At("k", v)
+		if !ok || rec != h.ptrs[v] || rec.Version != v {
+			h.t.Fatalf("At(%v) = %p ok=%v, Put returned %p", v, rec, ok, h.ptrs[v])
+		}
+		var kind functor.ResolutionKind
+		if res := rec.Resolution(); res != nil {
+			kind = res.Kind
+		}
+		if kind != h.m.recs[v].kind {
+			h.t.Fatalf("record %v resolved %v, model %v", v, kind, h.m.recs[v].kind)
+		}
+		// Latest just below, at, and just above each version.
+		for _, max := range []tstamp.Timestamp{v.Prev(), v, v + 1} {
+			i := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
+			rec, ok := h.s.Latest("k", max)
+			if ok != (i > 0) || (ok && rec.Version != sealed[i-1]) {
+				h.t.Fatalf("Latest(%v) = %v ok=%v, model sealed %v", max, rec, ok, sealed)
+			}
+		}
+	}
+	if _, ok := h.s.At("k", tstamp.Max); ok {
+		h.t.Fatal("At of a version never written found a record")
+	}
+	if len(all) > 0 {
+		lo, hi := all[len(all)/3], all[len(all)*2/3]
+		want := 0
+		for _, v := range sealed {
+			if v >= lo && v <= hi {
+				want++
+			}
+		}
+		if got := h.s.Chain("k").Between(lo, hi); len(got) != want {
+			h.t.Fatalf("Between(%v,%v) = %v, model has %d of %v", lo, hi, versionsOf(got), want, sealed)
+		}
+	}
+	if got := h.s.ChainOrCreate("k").Watermark(); got != h.m.watermark {
+		h.t.Fatalf("watermark %v, model %v", got, h.m.watermark)
+	}
+}
+
+var (
+	valueRes = functor.ValueResolution(kv.Value("v"))
+	abortRes = functor.AbortResolution("second round")
+)
+
+// TestLayoutAgainstModel walks the chain through each transition of its
+// layout and compares it with the model after every step.
+func TestLayoutAgainstModel(t *testing.T) {
+	t.Run("inline record to array growth under held views", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.hold() // of a key never written
+		h.put(ts(1, 1, 0), functor.Add(1))
+		h.hold() // staged only: still empty
+		h.seal(tstamp.End(1))
+		h.hold() // the embedded one-slot array
+		for e := tstamp.Epoch(2); e <= 12; e++ {
+			for seq := uint32(1); seq <= uint32(e); seq++ {
+				h.put(ts(e, seq, 0), functor.Add(1))
+			}
+			h.hold() // full arrays are replaced while this one is held
+			h.seal(tstamp.End(e))
+		}
+		if rec, _ := h.s.At("k", ts(1, 1, 0)); rec != &h.s.Chain("k").first {
+			t.Error("the first record is not the one embedded in the chain")
+		}
+	})
+
+	t.Run("straggler sealed below a sealed epoch", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.put(ts(1, 5, 0), functor.Add(1))
+		h.put(ts(2, 5, 0), functor.Add(1)) // next epoch's straggler, staged early
+		h.seal(tstamp.End(1))              // leaves epoch 2 staged
+		h.put(ts(3, 1, 0), functor.Add(1))
+		h.seal(tstamp.End(3))
+		h.hold()
+		// Arrive after epoch 3 is readable: below, between and inside it.
+		h.put(ts(3, 9, 1), functor.Add(1))
+		h.put(ts(1, 1, 1), functor.Add(1))
+		h.put(ts(2, 7, 1), functor.Add(1))
+		h.put(ts(4, 1, 1), functor.Add(1)) // and one that must stay staged
+		h.seal(tstamp.End(3))
+		h.hold()
+		h.seal(tstamp.End(4))
+	})
+
+	t.Run("second-round abort of a staged VALUE beats the lazy resolution", func(t *testing.T) {
+		h := newModelHarness(t)
+		v := ts(1, 1, 0)
+		fn := functor.Value(kv.Value("never visible"))
+		h.put(v, fn)
+		h.resolve(v, abortRes) // before the epoch commits, on the embedded record
+		h.seal(tstamp.End(1))
+		lazy, _ := FinalResolution(fn)
+		h.resolve(v, lazy) // a reader's lazy resolution must lose
+		if res := h.ptrs[v].Resolution(); res.Kind != functor.ResolvedAborted {
+			t.Errorf("record resolved %v, want ABORTED", res.Kind)
+		}
+		// The same on a record that lives in a grown array.
+		v2 := ts(2, 1, 0)
+		h.put(v2, fn)
+		h.put(ts(2, 2, 0), functor.Add(1))
+		h.resolve(v2, abortRes)
+		h.seal(tstamp.End(2))
+		h.resolve(v2, lazy)
+	})
+
+	t.Run("compaction of one record and across the inline boundary", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.put(ts(1, 1, 0), functor.Add(1))
+		h.seal(tstamp.End(1))
+		h.resolve(ts(1, 1, 0), valueRes)
+		h.advance(tstamp.End(1))
+		h.compact(tstamp.End(1)) // one record: it is the newest visible, nothing goes
+		h.hold()
+		h.put(ts(2, 1, 0), functor.Add(1)) // grows out of the embedded array
+		h.put(ts(2, 2, 0), functor.Add(1))
+		h.put(ts(3, 1, 0), functor.Add(1)) // stays staged across the compaction
+		h.seal(tstamp.End(2))
+		h.resolve(ts(2, 1, 0), valueRes)
+		h.resolve(ts(2, 2, 0), abortRes)
+		h.advance(tstamp.End(2))
+		h.hold()
+		h.compact(tstamp.End(2)) // drops the embedded record, keeps 2.1 (visible) and 2.2
+		if _, ok := h.m.recs[ts(1, 1, 0)]; ok {
+			t.Fatal("model kept the embedded record")
+		}
+		h.seal(tstamp.End(3))
+		h.resolve(ts(3, 1, 0), valueRes)
+		h.advance(tstamp.End(3))
+		h.compact(tstamp.End(3))
+		h.put(ts(4, 1, 0), functor.Add(1)) // the chain keeps working after it
+		h.seal(tstamp.End(4))
+	})
+
+	t.Run("pre-resolved installs", func(t *testing.T) {
+		h := newModelHarness(t)
+		shared := functor.Value(nil)
+		h.putResolved(ts(1, 3, 0), shared, valueRes) // fresh key: embedded, sealed, resolved
+		if !h.ptrs[ts(1, 3, 0)].Final() || len(h.s.View("k")) != 1 {
+			t.Fatal("a pre-resolved install is not readable at once")
+		}
+		h.put(ts(1, 2, 0), functor.DepMarker("det")) // a marker staged in the write-only phase
+		h.put(ts(1, 9, 0), functor.Add(1))
+		h.putResolved(ts(1, 2, 0), shared, valueRes) // resolves the marker where it is, still staged
+		h.resolve(ts(1, 2, 0), abortRes)             // and only once
+		h.hold()
+		h.putResolved(ts(1, 5, 0), shared, valueRes) // publishes the marker 1.2 with it, merged below the sealed 1.3
+		h.putResolved(ts(1, 5, 0), shared, valueRes) // duplicate delivery
+		h.seal(tstamp.End(1))
+	})
+}
+
+// TestLayoutRandomOpsAgainstModel drives random puts, pre-resolved
+// installs, seals at random bounds (so stragglers both stay staged and
+// merge below sealed records), resolutions and compactions through the
+// harness while readers walk the chain concurrently; run under -race it
+// also shows that no published slot is ever rewritten.
+func TestLayoutRandomOpsAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newModelHarness(t)
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					view := h.s.View("k")
+					for i, rec := range view {
+						if i > 0 && view[i-1].Version >= rec.Version {
+							t.Errorf("seed %d: reader saw an unsorted view %v", seed, versionsOf(view))
+							return
+						}
+						rec.Resolution()
+					}
+					h.s.Latest("k", tstamp.Max)
+				}
+			}()
+		}
+		epochs := 4
+		for i := 0; i < 400; i++ {
+			v := ts(tstamp.Epoch(rng.Intn(epochs)+1), uint32(rng.Intn(40)+1), uint16(rng.Intn(3)))
+			switch op := rng.Intn(20); {
+			case op < 9:
+				h.put(v, functor.Add(1))
+			case op < 11:
+				h.putResolved(v, functor.Value(nil), valueRes)
+			case op < 14:
+				h.seal(tstamp.End(tstamp.Epoch(rng.Intn(epochs) + 1)))
+			case op < 15:
+				h.hold()
+			case op < 18:
+				if all := h.m.sorted(false); len(all) > 0 {
+					res := valueRes
+					if rng.Intn(3) == 0 {
+						res = abortRes
+					}
+					h.resolve(all[rng.Intn(len(all))], res)
+				}
+			default:
+				// Raise the watermark over the resolved sealed prefix, as
+				// the engine does, then compact somewhere inside it.
+				var wm tstamp.Timestamp
+				for _, sv := range h.m.sorted(true) {
+					if h.m.recs[sv].kind == 0 {
+						break
+					}
+					wm = sv
+				}
+				h.advance(wm)
+				h.compact(ts(tstamp.Epoch(rng.Intn(epochs)+1), uint32(rng.Intn(40)), 0))
+			}
+		}
+		h.seal(tstamp.Max)
+		close(stop)
+		readers.Wait()
 	}
 }

@@ -5,12 +5,12 @@
 // versions that are final: reads below the watermark need no
 // synchronization at all.
 //
-// Concurrency design: version lists are published as immutable sorted
-// slices through an atomic pointer, so readers are lock-free; inserts take
-// a per-key mutex (inserts are nearly sorted — appends — because versions
-// are assigned in epoch order). Resolutions are installed with a single
-// compare-and-swap, enforcing the paper's "computed at most once" rule and
-// providing the key-level concurrency control of functor-enabled ECC.
+// Concurrency design: a key's sealed versions are the prefix of an array
+// whose length is published atomically, so readers are lock-free; inserts
+// take a per-key mutex and append behind that prefix (see Chain).
+// Resolutions are installed with a single compare-and-swap, enforcing the
+// paper's "computed at most once" rule and providing the key-level
+// concurrency control of functor-enabled ECC.
 package mvstore
 
 import (
@@ -30,10 +30,6 @@ type Record struct {
 	Functor *functor.Functor
 
 	resolved atomic.Pointer[functor.Resolution]
-}
-
-func newRecord(version tstamp.Timestamp, fn *functor.Functor) *Record {
-	return &Record{Version: version, Functor: fn}
 }
 
 // FinalResolution derives the resolution of a final f-type (VALUE, ABORTED,

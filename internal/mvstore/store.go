@@ -2,6 +2,7 @@ package mvstore
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"alohadb/internal/functor"
@@ -49,8 +50,10 @@ func (s *Store) shardFor(k kv.Key) *shard {
 	return &s.shards[kv.Hash(k)%uint64(len(s.shards))]
 }
 
-// chain returns the key's chain, or nil if the key has never been written.
-func (s *Store) chain(k kv.Key) *Chain {
+// Chain returns the key's chain, or nil if the key has never been written.
+// Callers that touch one key more than once hold on to the chain instead
+// of addressing the store by key again.
+func (s *Store) Chain(k kv.Key) *Chain {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	c := sh.chains[k]
@@ -58,8 +61,8 @@ func (s *Store) chain(k kv.Key) *Chain {
 	return c
 }
 
-// chainOrCreate returns the key's chain, creating it if needed.
-func (s *Store) chainOrCreate(k kv.Key) *Chain {
+// ChainOrCreate returns the key's chain, creating it if needed.
+func (s *Store) ChainOrCreate(k kv.Key) *Chain {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	c := sh.chains[k]
@@ -70,30 +73,25 @@ func (s *Store) chainOrCreate(k kv.Key) *Chain {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if c = sh.chains[k]; c == nil {
-		c = newChain()
+		c = new(Chain)
 		sh.chains[k] = c
 	}
 	return c
 }
 
-// Put installs a functor as a new in-epoch version of key k (paper
-// Figure 4). The record stays invisible to reads until Seal moves it into
-// the out-epoch category when its epoch commits.
+// The key-addressed forms below are one probe plus the Chain method of the
+// same name, for callers that touch a key once.
+
+// Put installs a functor as a new in-epoch version of key k.
 func (s *Store) Put(k kv.Key, version tstamp.Timestamp, fn *functor.Functor) (*Record, error) {
-	rec := newRecord(version, fn)
-	got, inserted := s.chainOrCreate(k).insert(rec)
-	if !inserted {
-		return got, ErrVersionExists
-	}
-	return got, nil
+	return s.ChainOrCreate(k).Put(version, fn)
 }
 
 // Seal makes k's staged records with versions strictly below bound
-// readable. The backend seals every key an epoch touched when the epoch
-// commits.
+// readable.
 func (s *Store) Seal(k kv.Key, bound tstamp.Timestamp) {
-	if c := s.chain(k); c != nil {
-		c.seal(bound)
+	if c := s.Chain(k); c != nil {
+		c.Seal(bound)
 	}
 }
 
@@ -101,18 +99,18 @@ func (s *Store) Seal(k kv.Key, bound tstamp.Timestamp) {
 // it to publish a rebuilt store in one sweep.
 func (s *Store) SealAll(bound tstamp.Timestamp) {
 	s.Range(func(_ kv.Key, c *Chain) bool {
-		c.seal(bound)
+		c.Seal(bound)
 		return true
 	})
 }
 
 // Latest returns the newest record of k with Version <= max.
 func (s *Store) Latest(k kv.Key, max tstamp.Timestamp) (*Record, bool) {
-	c := s.chain(k)
+	c := s.Chain(k)
 	if c == nil {
 		return nil, false
 	}
-	r := c.latest(max)
+	r := c.Latest(max)
 	return r, r != nil
 }
 
@@ -120,44 +118,26 @@ func (s *Store) Latest(k kv.Key, max tstamp.Timestamp) (*Record, bool) {
 // or still staged in-epoch (the second-round abort addresses uncommitted
 // records by version).
 func (s *Store) At(k kv.Key, version tstamp.Timestamp) (*Record, bool) {
-	c := s.chain(k)
+	c := s.Chain(k)
 	if c == nil {
 		return nil, false
 	}
-	r := c.atLocked(version)
+	r := c.At(version)
 	return r, r != nil
 }
 
 // View returns the immutable ascending version snapshot of k, or nil.
 func (s *Store) View(k kv.Key) []*Record {
-	c := s.chain(k)
+	c := s.Chain(k)
 	if c == nil {
 		return nil
 	}
 	return c.View()
 }
 
-// Between returns k's records with versions in [from, to], ascending.
-func (s *Store) Between(k kv.Key, from, to tstamp.Timestamp) []*Record {
-	c := s.chain(k)
-	if c == nil {
-		return nil
-	}
-	return c.between(from, to)
-}
-
-// Watermark returns k's value watermark (zero if the key is unknown).
-func (s *Store) Watermark(k kv.Key) tstamp.Timestamp {
-	c := s.chain(k)
-	if c == nil {
-		return tstamp.Zero
-	}
-	return c.Watermark()
-}
-
 // AdvanceWatermark raises k's value watermark to at least v.
 func (s *Store) AdvanceWatermark(k kv.Key, v tstamp.Timestamp) {
-	s.chainOrCreate(k).AdvanceWatermark(v)
+	s.ChainOrCreate(k).AdvanceWatermark(v)
 }
 
 // Range calls fn for every key in the store until fn returns false. The
@@ -165,19 +145,22 @@ func (s *Store) AdvanceWatermark(k kv.Key, v tstamp.Timestamp) {
 // versions may be inserted concurrently, but each View() call returns a
 // consistent snapshot.
 func (s *Store) Range(fn func(k kv.Key, c *Chain) bool) {
+	type entry struct {
+		k kv.Key
+		c *Chain
+	}
+	var snap []entry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		keys := make([]kv.Key, 0, len(sh.chains))
-		for k := range sh.chains {
-			keys = append(keys, k)
+		snap = slices.Grow(snap[:0], len(sh.chains))
+		for k, c := range sh.chains {
+			snap = append(snap, entry{k, c})
 		}
 		sh.mu.RUnlock()
-		for _, k := range keys {
-			if c := s.chain(k); c != nil {
-				if !fn(k, c) {
-					return
-				}
+		for _, e := range snap {
+			if !fn(e.k, e.c) {
+				return
 			}
 		}
 	}

@@ -119,15 +119,15 @@ func TestBetween(t *testing.T) {
 		}
 	}
 	s.SealAll(tstamp.Max)
-	got := s.Between("k", ts(1, 3, 0), ts(1, 7, 0))
+	got := s.Chain("k").Between(ts(1, 3, 0), ts(1, 7, 0))
 	if len(got) != 5 {
 		t.Fatalf("len = %d, want 5", len(got))
 	}
 	if got[0].Version != ts(1, 3, 0) || got[4].Version != ts(1, 7, 0) {
 		t.Error("wrong boundary records")
 	}
-	if s.Between("missing", tstamp.Zero, tstamp.Max) != nil {
-		t.Error("Between on missing key should be nil")
+	if got := s.Chain("k").Between(ts(2, 1, 0), tstamp.Max); got != nil {
+		t.Errorf("Between above every version = %v, want nil", versionsOf(got))
 	}
 }
 
@@ -195,19 +195,20 @@ func TestResolveOnce(t *testing.T) {
 
 func TestWatermark(t *testing.T) {
 	s := New()
-	if s.Watermark("k") != tstamp.Zero {
-		t.Error("missing key watermark should be zero")
+	if s.Chain("k") != nil {
+		t.Error("a key never written has a chain")
 	}
 	s.AdvanceWatermark("k", ts(1, 5, 0))
-	if s.Watermark("k") != ts(1, 5, 0) {
+	c := s.Chain("k")
+	if c.Watermark() != ts(1, 5, 0) {
 		t.Error("watermark not advanced")
 	}
 	s.AdvanceWatermark("k", ts(1, 2, 0)) // lower: no-op
-	if s.Watermark("k") != ts(1, 5, 0) {
+	if c.Watermark() != ts(1, 5, 0) {
 		t.Error("watermark regressed")
 	}
 	s.AdvanceWatermark("k", ts(2, 1, 0))
-	if s.Watermark("k") != ts(2, 1, 0) {
+	if c.Watermark() != ts(2, 1, 0) {
 		t.Error("watermark not advanced further")
 	}
 }

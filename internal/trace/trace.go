@@ -32,6 +32,7 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -301,6 +302,22 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.data.Attrs = append(s.data.Attrs, Attr{Key: key, Value: value})
+}
+
+// SetAttrInt is SetAttr for a number, formatted only when the span records:
+// on the disabled path the call costs a nil check, not a string.
+func (s *Span) SetAttrInt(key string, value int64) {
+	if s != nil {
+		s.SetAttr(key, strconv.FormatInt(value, 10))
+	}
+}
+
+// SetAttrDuration is SetAttr for a duration, formatted only when the span
+// records.
+func (s *Span) SetAttrDuration(key string, value time.Duration) {
+	if s != nil {
+		s.SetAttr(key, value.String())
+	}
 }
 
 // End completes the span and hands it to the sinks: sampled spans go to

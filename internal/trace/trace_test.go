@@ -29,6 +29,8 @@ func TestDisabledTracerIsNil(t *testing.T) {
 		t.Error("nil node tracer started a child span")
 	}
 	span.SetAttr("k", "v") // must not panic
+	span.SetAttrInt("n", 1)
+	span.SetAttrDuration("d", time.Second)
 	span.End()
 	if sc := span.Context(); sc.Valid() {
 		t.Error("nil span has a valid context")
@@ -45,6 +47,8 @@ func TestDisabledPathAllocs(t *testing.T) {
 		ctx, span := nt.StartRoot(base, "txn.submit")
 		_, child := nt.Start(ctx, "txn.install")
 		child.SetAttr("k", "v")
+		child.SetAttrInt("txns", 123456)
+		child.SetAttrDuration("wait", 1234567*time.Microsecond)
 		child.End()
 		span.End()
 		_ = Detach(base, ctx)
@@ -164,10 +168,12 @@ func TestStartAtReattaches(t *testing.T) {
 }
 
 func TestSlowCapture(t *testing.T) {
-	tr := New(Config{SampleRate: 0, SlowThreshold: time.Microsecond})
+	// The threshold leaves the fast root below room for a preempted
+	// goroutine: at a microsecond it was captured as slow on a busy box.
+	tr := New(Config{SampleRate: 0, SlowThreshold: 2 * time.Millisecond})
 	nt := tr.ForNode(0)
 	_, span := nt.StartRoot(context.Background(), "slow-root")
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(5 * time.Millisecond)
 	span.End()
 
 	if got := tr.Traces(); len(got) != 0 {
@@ -253,7 +259,8 @@ func TestWriteTextTree(t *testing.T) {
 	nt := tr.ForNode(0)
 	ctx, root := nt.StartRoot(context.Background(), "txn.submit")
 	_, child := nt.Start(ctx, "txn.install")
-	child.SetAttr("owner", "1")
+	child.SetAttrInt("owner", 1)
+	child.SetAttrDuration("wait", 1500*time.Microsecond)
 	child.End()
 	root.End()
 	var sb strings.Builder
@@ -261,7 +268,7 @@ func TestWriteTextTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"root=txn.submit", "txn.install", "owner=1"} {
+	for _, want := range []string{"root=txn.submit", "txn.install", "owner=1", "wait=1.5ms"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText output missing %q:\n%s", want, out)
 		}

@@ -153,7 +153,6 @@ func LoadCheckpoint(path string) (*mvstore.Store, tstamp.Timestamp, error) {
 			return nil, 0, err
 		}
 	}
-	store.SealAll(tstamp.Max)
 	return store, bound, nil
 }
 
@@ -193,12 +192,11 @@ func loadCkptRecord(store *mvstore.Store, payload []byte) error {
 	default:
 		return fmt.Errorf("%w: checkpoint resolution kind %d", ErrCorrupt, kind)
 	}
-	rec, err := store.Put(k, v, fn)
-	if err != nil {
-		return err
+	c := store.ChainOrCreate(k)
+	if _, fresh := c.PutResolved(v, fn, res); !fresh {
+		return mvstore.ErrVersionExists
 	}
-	rec.Resolve(res)
-	store.AdvanceWatermark(k, v)
+	c.AdvanceWatermark(v)
 	return nil
 }
 
@@ -217,40 +215,9 @@ func RecoverFull(ckptPath, logPath string) (*mvstore.Store, tstamp.Epoch, error)
 			return nil, 0, err
 		}
 	}
-	var last tstamp.Epoch
-	if err := Replay(logPath, func(e Entry) error {
-		if e.Kind == KindEpochCommitted && e.Epoch > last {
-			last = e.Epoch
-		}
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	bound := tstamp.End(last)
-	err := Replay(logPath, func(e Entry) error {
-		switch e.Kind {
-		case KindInstall:
-			if e.Version <= ckptBound || e.Version >= bound {
-				return nil
-			}
-			if _, err := store.Put(e.Key, e.Version, e.Functor); err != nil && err != mvstore.ErrVersionExists {
-				return err
-			}
-		case KindAbort:
-			if e.Version <= ckptBound || e.Version >= bound {
-				return nil
-			}
-			for _, k := range e.Keys {
-				if rec, ok := store.At(k, e.Version); ok {
-					rec.Resolve(_abortedByPeer)
-				}
-			}
-		}
-		return nil
-	})
+	last, err := replayCommitted(store, logPath, ckptBound)
 	if err != nil {
 		return nil, 0, err
 	}
-	store.SealAll(bound)
 	return store, last, nil
 }

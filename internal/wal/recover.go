@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"fmt"
-
 	"alohadb/internal/functor"
 	"alohadb/internal/mvstore"
 	"alohadb/internal/tstamp"
@@ -17,6 +15,18 @@ var _abortedByPeer = functor.AbortResolution("aborted: peer partition failed pha
 // epoch without its committed marker never became visible), and return the
 // last committed epoch so the cluster can restart at the next one.
 func Recover(path string) (*mvstore.Store, tstamp.Epoch, error) {
+	store := mvstore.New()
+	last, err := replayCommitted(store, path, tstamp.Zero)
+	if err != nil {
+		return nil, 0, err
+	}
+	return store, last, nil
+}
+
+// replayCommitted applies the log's committed-epoch entries above floor (a
+// checkpoint's bound; Zero without one) to store and returns the last
+// committed epoch.
+func replayCommitted(store *mvstore.Store, path string, floor tstamp.Timestamp) (tstamp.Epoch, error) {
 	// Pass 1: find the last committed epoch.
 	var last tstamp.Epoch
 	if err := Replay(path, func(e Entry) error {
@@ -25,22 +35,27 @@ func Recover(path string) (*mvstore.Store, tstamp.Epoch, error) {
 		}
 		return nil
 	}); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	// Pass 2: apply committed-epoch entries.
-	store := mvstore.New()
+	// Pass 2: apply committed-epoch entries, sealing what each epoch touched
+	// at its marker as the live path does at Committed. Left staged until
+	// the end, a hot key's versions would each be checked against all the
+	// staged ones before it: quadratic in the chain.
 	bound := tstamp.End(last)
+	skip := func(v tstamp.Timestamp) bool { return v >= bound || v <= floor }
+	var touched []*mvstore.Chain
 	err := Replay(path, func(e Entry) error {
 		switch e.Kind {
 		case KindInstall:
-			if e.Version >= bound {
-				return nil // uncommitted epoch: discard
+			if skip(e.Version) {
+				return nil // uncommitted epoch, or covered by the checkpoint
 			}
-			if _, err := store.Put(e.Key, e.Version, e.Functor); err != nil && err != mvstore.ErrVersionExists {
-				return fmt.Errorf("wal: recover %q@%v: %w", e.Key, e.Version, err)
+			c := store.ChainOrCreate(e.Key)
+			if _, err := c.Put(e.Version, e.Functor); err == nil {
+				touched = append(touched, c)
 			}
 		case KindAbort:
-			if e.Version >= bound {
+			if skip(e.Version) {
 				return nil
 			}
 			for _, k := range e.Keys {
@@ -49,14 +64,22 @@ func Recover(path string) (*mvstore.Store, tstamp.Epoch, error) {
 				}
 			}
 		case KindEpochCommitted:
-			// Pass 1 consumed these.
+			if e.Epoch > last {
+				return nil
+			}
+			for _, c := range touched {
+				c.Seal(tstamp.End(e.Epoch))
+			}
+			clear(touched)
+			touched = touched[:0]
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	// Publish the rebuilt versions (in-epoch staging -> readable).
-	store.SealAll(tstamp.End(last))
-	return store, last, nil
+	// Publish what the markers left staged: a straggler of epoch e+1 logged
+	// ahead of e's marker is not in the touched set when e+1's marker comes.
+	store.SealAll(bound)
+	return last, nil
 }

@@ -206,6 +206,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// An aborted head: the checkpoint must fall back to the value below.
 	put("b", ts(1, 3), functor.Value(kv.EncodeInt64(7)), functor.ValueResolution(kv.EncodeInt64(7)))
 	put("b", ts(2, 2), functor.Aborted(), functor.AbortResolution("x"))
+	// A deferred write's record: born resolved and sealed, its functor a
+	// shared placeholder, the value in the resolution alone.
+	row := src.ChainOrCreate("row")
+	row.PutResolved(ts(2, 3), functor.Value(nil), functor.ValueResolution(kv.Value("deferred")))
+	row.AdvanceWatermark(ts(2, 3))
 
 	path := filepath.Join(dir, "ckpt")
 	bound := tstamp.End(2).Prev()
@@ -233,6 +238,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	rec, ok = loaded.Latest("b", tstamp.Max)
 	if !ok || rec.Version != ts(1, 3) {
 		t.Fatalf("b: rec=%+v ok=%v (aborted head must be skipped)", rec, ok)
+	}
+	rec, ok = loaded.Latest("row", tstamp.Max)
+	if !ok || rec.Version != ts(2, 3) || string(rec.Resolution().Value) != "deferred" {
+		t.Fatalf("row: rec=%+v ok=%v, want the deferred write's value", rec, ok)
+	}
+	if wm := loaded.Chain("row").Watermark(); wm != ts(2, 3) {
+		t.Errorf("row watermark = %v, want %v", wm, ts(2, 3))
 	}
 }
 

@@ -59,13 +59,15 @@ func HistoryKey(w, d, c int, uid uint64) kv.Key {
 		strconv.Itoa(c) + ":" + strconv.FormatUint(uid, 10))
 }
 
-// fields splits a key into its prefix and numeric components. Returns nil
-// on malformed keys.
-func fields(k kv.Key) (prefix string, nums []int64) {
+// fields splits a key into its prefix and numeric components: the first
+// two land in nums (no key is routed by more), n counts them all. Every
+// component must parse or the key is malformed and n is 0. The router runs
+// on every key of every transaction, so nothing here touches the heap.
+func fields(k kv.Key) (prefix string, nums [2]int64, n int) {
 	s := string(k)
 	sep := strings.IndexByte(s, ':')
 	if sep < 0 {
-		return "", nil
+		return "", nums, 0
 	}
 	prefix = s[:sep]
 	rest := s[sep+1:]
@@ -77,13 +79,16 @@ func fields(k kv.Key) (prefix string, nums []int64) {
 		} else {
 			part, rest = rest[:next], rest[next+1:]
 		}
-		n, err := strconv.ParseInt(part, 10, 64)
+		v, err := strconv.ParseInt(part, 10, 64)
 		if err != nil {
-			return "", nil
+			return "", [2]int64{}, 0
 		}
-		nums = append(nums, n)
+		if n < len(nums) {
+			nums[n] = v
+		}
+		n++
 	}
-	return prefix, nums
+	return prefix, nums, n
 }
 
 // Partitioner returns the key placement for the configuration: TPC-C
@@ -93,8 +98,8 @@ func fields(k kv.Key) (prefix string, nums []int64) {
 func (c Config) Partitioner() func(k kv.Key, n int) int {
 	scaled := c.Scaled
 	return func(k kv.Key, n int) int {
-		prefix, nums := fields(k)
-		if len(nums) == 0 {
+		prefix, nums, count := fields(k)
+		if count == 0 {
 			return kv.PartitionOf(k, n)
 		}
 		switch prefix {
@@ -104,7 +109,7 @@ func (c Config) Partitioner() func(k kv.Key, n int) int {
 			return int(nums[0]) % n
 		case "s":
 			if scaled {
-				if len(nums) < 2 {
+				if count < 2 {
 					return kv.PartitionOf(k, n)
 				}
 				return int(nums[1]) % n // by item
@@ -114,7 +119,7 @@ func (c Config) Partitioner() func(k kv.Key, n int) int {
 			return warehouseServer(int(nums[0]), n)
 		case "dt", "dy", "doid", "c", "cb", "o", "no", "ol", "h":
 			if scaled {
-				if len(nums) < 2 {
+				if count < 2 {
 					return kv.PartitionOf(k, n)
 				}
 				return int(nums[1]) % n // by district
@@ -140,14 +145,27 @@ func warehouseServer(w, n int) int {
 // next-order-id functors at or below ts to compute, which applies the
 // deferred row writes.
 func (c Config) DependencyRule() func(k kv.Key) (kv.Key, bool) {
+	// The rule runs on every local read; the configuration's districts get
+	// their next-order-id keys built once instead of once per call.
+	oid := make([][]kv.Key, c.Warehouses()+1)
+	for w := 1; w < len(oid); w++ {
+		oid[w] = make([]kv.Key, c.DistrictsPerWarehouse()+1)
+		for d := 1; d < len(oid[w]); d++ {
+			oid[w][d] = NextOIDKey(w, d)
+		}
+	}
 	return func(k kv.Key) (kv.Key, bool) {
-		prefix, nums := fields(k)
+		prefix, nums, count := fields(k)
 		switch prefix {
 		case "o", "no", "ol":
-			if len(nums) < 2 {
+			if count < 2 {
 				return "", false
 			}
-			return NextOIDKey(int(nums[0]), int(nums[1])), true
+			w, d := int(nums[0]), int(nums[1])
+			if w > 0 && w < len(oid) && d > 0 && d < len(oid[w]) {
+				return oid[w][d], true
+			}
+			return NextOIDKey(w, d), true
 		default:
 			return "", false
 		}

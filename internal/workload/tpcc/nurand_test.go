@@ -78,7 +78,7 @@ func TestCatalogFormulasMatchLoader(t *testing.T) {
 	cfg := Config{Servers: 2, Items: 50, CustomersPerDistrict: 4}
 	checked := 0
 	if err := cfg.Load(func(p kv.Pair) error {
-		prefix, nums := fields(p.Key)
+		prefix, nums := fieldsRef(p.Key)
 		got, _ := kv.DecodeInt64(p.Value)
 		switch prefix {
 		case "i":

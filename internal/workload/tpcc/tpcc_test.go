@@ -1,38 +1,156 @@
 package tpcc
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"alohadb/internal/kv"
 )
 
-func TestFieldsParsing(t *testing.T) {
-	tests := []struct {
-		key    kv.Key
-		prefix string
-		nums   []int64
-	}{
-		{key: ItemKey(42), prefix: "i", nums: []int64{42}},
-		{key: StockKey(3, 99), prefix: "s", nums: []int64{3, 99}},
-		{key: OrderLineKey(1, 2, 77, 5), prefix: "ol", nums: []int64{1, 2, 77, 5}},
-		{key: "garbage", prefix: "", nums: nil},
-		{key: "x:notanumber", prefix: "", nums: nil},
+// fieldsRef is the reference key parser: every numeric component, as a
+// slice. The router's fields must agree with it on every key.
+func fieldsRef(k kv.Key) (prefix string, nums []int64) {
+	s := string(k)
+	sep := strings.IndexByte(s, ':')
+	if sep < 0 {
+		return "", nil
 	}
-	for _, tt := range tests {
-		prefix, nums := fields(tt.key)
-		if prefix != tt.prefix {
-			t.Errorf("fields(%q) prefix = %q, want %q", tt.key, prefix, tt.prefix)
+	prefix = s[:sep]
+	rest := s[sep+1:]
+	for len(rest) > 0 {
+		next := strings.IndexByte(rest, ':')
+		var part string
+		if next < 0 {
+			part, rest = rest, ""
+		} else {
+			part, rest = rest[:next], rest[next+1:]
+		}
+		n, err := strconv.ParseInt(part, 10, 64)
+		if err != nil {
+			return "", nil
+		}
+		nums = append(nums, n)
+	}
+	return prefix, nums
+}
+
+// routerKeys is one key from every constructor in keys.go, inside and
+// outside the configuration's warehouse and district ranges, plus keys no
+// constructor builds.
+func routerKeys() (wellFormed, malformed []kv.Key) {
+	for _, w := range []int{1, 2, 7} {
+		for _, d := range []int{1, 10, 13} {
+			wellFormed = append(wellFormed,
+				ItemKey(w*1000+d), ReplicaItemKey(w, 4242), StockKey(w, 99),
+				WarehouseTaxKey(w), WarehouseYTDKey(w), DistrictTaxKey(w, d), DistrictYTDKey(w, d),
+				NextOIDKey(w, d), CustomerKey(w, d, 7), CustomerBalanceKey(w, d, 7),
+				OrderKey(w, d, 3001), NewOrderKey(w, d, 3001), OrderLineKey(w, d, 3001, 5),
+				HistoryKey(w, d, 7, 1<<48|9))
+		}
+	}
+	malformed = []kv.Key{
+		"", "garbage", "x:notanumber", "o:", "o:1", "o:1:", "o::2", "o:1:x:3", "ol:1:2:3:",
+		"o:+1:02:5", "no:-1:2:3", "ol:0:0:0:0", "s:1", "s:x:1", "c:1", "dt:99999999999999999999:1",
+		"h:1:2:3:18446744073709551615", "zz:1:2", ":1:2", "i:", "wy:abc", "o:1:2:3:4:5:6",
+	}
+	return wellFormed, malformed
+}
+
+func TestFieldsMatchesReference(t *testing.T) {
+	well, mal := routerKeys()
+	for _, k := range append(well, mal...) {
+		wantPrefix, wantNums := fieldsRef(k)
+		prefix, nums, n := fields(k)
+		if prefix != wantPrefix || n != len(wantNums) {
+			t.Errorf("fields(%q) = %q with %d numbers, reference %q %v", k, prefix, n, wantPrefix, wantNums)
 			continue
 		}
-		if len(nums) != len(tt.nums) {
-			t.Errorf("fields(%q) nums = %v, want %v", tt.key, nums, tt.nums)
-			continue
-		}
-		for i := range nums {
-			if nums[i] != tt.nums[i] {
-				t.Errorf("fields(%q) nums = %v, want %v", tt.key, nums, tt.nums)
-				break
+		for i := 0; i < n && i < len(nums); i++ {
+			if nums[i] != wantNums[i] {
+				t.Errorf("fields(%q) nums[%d] = %d, reference %d", k, i, nums[i], wantNums[i])
 			}
+		}
+	}
+}
+
+// refPartitioner and refDependencyRule are the router as it was written
+// over fieldsRef; the closures Config hands out must give the same answer
+// for every key, well-formed or not.
+func refPartitioner(scaled bool, k kv.Key, n int) int {
+	prefix, nums := fieldsRef(k)
+	if len(nums) == 0 {
+		return kv.PartitionOf(k, n)
+	}
+	byWarehouse := func() int {
+		if scaled {
+			if len(nums) < 2 {
+				return kv.PartitionOf(k, n)
+			}
+			return int(nums[1]) % n
+		}
+		return warehouseServer(int(nums[0]), n)
+	}
+	switch prefix {
+	case "i":
+		return int(nums[0]) % n
+	case "wt", "wy":
+		return warehouseServer(int(nums[0]), n)
+	case "s", "dt", "dy", "doid", "c", "cb", "o", "no", "ol", "h":
+		return byWarehouse()
+	default:
+		return kv.PartitionOf(k, n)
+	}
+}
+
+func refDependencyRule(k kv.Key) (kv.Key, bool) {
+	prefix, nums := fieldsRef(k)
+	switch prefix {
+	case "o", "no", "ol":
+		if len(nums) < 2 {
+			return "", false
+		}
+		return NextOIDKey(int(nums[0]), int(nums[1])), true
+	}
+	return "", false
+}
+
+func TestRouterMatchesReferenceAndAllocatesNothing(t *testing.T) {
+	well, mal := routerKeys()
+	for _, cfg := range []Config{{Servers: 2}, {Servers: 4, WarehousesPerServer: 2}, {Servers: 3, Scaled: true, DistrictsPerServer: 4}} {
+		part, rule := cfg.Partitioner(), cfg.DependencyRule()
+		for _, k := range append(append([]kv.Key{}, well...), mal...) {
+			if got, want := part(k, cfg.Servers), refPartitioner(cfg.Scaled, k, cfg.Servers); got != want {
+				t.Errorf("%+v: partition(%q) = %d, reference %d", cfg, k, got, want)
+			}
+			det, ok := rule(k)
+			if wantDet, wantOK := refDependencyRule(k); det != wantDet || ok != wantOK {
+				t.Errorf("%+v: rule(%q) = %q %v, reference %q %v", cfg, k, det, ok, wantDet, wantOK)
+			}
+		}
+		// Every key a constructor builds for this configuration routes
+		// without touching the heap.
+		var keys []kv.Key
+		for _, k := range well {
+			if _, nums := fieldsRef(k); len(nums) >= 2 && k[0] != 'i' &&
+				(nums[0] > int64(cfg.Warehouses()) || nums[1] > int64(cfg.DistrictsPerWarehouse())) {
+				continue
+			}
+			keys = append(keys, k)
+		}
+		if len(keys) < 14 {
+			t.Fatalf("%+v: only %d in-range keys", cfg, len(keys))
+		}
+		var sink int
+		if n := testing.AllocsPerRun(100, func() {
+			for _, k := range keys {
+				sink += part(k, cfg.Servers)
+				if det, ok := rule(k); ok {
+					sink += len(det)
+				}
+			}
+		}); n != 0 {
+			t.Errorf("%+v: routing %d keys allocates %v objects, want 0", cfg, len(keys), n)
 		}
 	}
 }
@@ -265,7 +383,7 @@ func TestLoadShape(t *testing.T) {
 func TestLoadScaledOmitsWarehouseYTD(t *testing.T) {
 	cfg := Config{Servers: 2, Scaled: true, Items: 5, CustomersPerDistrict: 1}
 	for _, p := range cfg.LoadPairs() {
-		prefix, _ := fields(p.Key)
+		prefix, _ := fieldsRef(p.Key)
 		if prefix == "wy" {
 			t.Fatal("scaled TPC-C must not load w_ytd (the column is removed, §V-A1)")
 		}
