@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-check bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
+.PHONY: all build fmt-check vet test race bench bench-check commit-guard bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
 
 all: build test
 
@@ -30,6 +30,11 @@ bench:
 # workload and probe, correctness checks on) against this tree's engine.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# An epoch commit with retention on must not scale with the store: ns/op of
+# BenchmarkEpochCommitRetention at 200 k keys within 3x of 1 k keys.
+commit-guard:
+	./scripts/commit-guard.sh
 
 # Transport/combiner hot-path benchmarks; writes BENCH_transport.json.
 bench-net:

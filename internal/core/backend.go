@@ -263,7 +263,10 @@ func (s *Server) bufferWork(items []workItem) {
 		for i := range direct {
 			// Late arrival for an already-committed epoch: seal
 			// immediately so the record is readable.
-			direct[i].chain.Seal(tstamp.End(direct[i].rec.Version.Epoch()))
+			e := direct[i].rec.Version.Epoch()
+			if direct[i].chain.Seal(tstamp.End(e)) > 0 {
+				s.sealedIn(e, direct[i].chain)
+			}
 			direct[i].ready = now
 		}
 		s.proc.enqueue(direct)
@@ -429,7 +432,7 @@ func (s *Server) handleEnsureBatch(ctx context.Context, m MsgEnsureBatch) (MsgEn
 	defer span.End()
 	ectx := s.engineCtx(ctx)
 	// Ensures resolve records through the sealed view (resolveRecord walks
-	// the chain's View, computeKeyUpTo walks Between): wait for local visibility
+	// the chain's View, and so does computeKeyUpTo): wait for local visibility
 	// of the highest requested version so the mid-broadcast window can't
 	// make them compute against a partial chain.
 	maxV := m.Reqs[0].Version
@@ -534,8 +537,10 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 		if w.Delete {
 			fn = _deferredDelete
 		}
-		if _, fresh := s.store.ChainOrCreate(w.Key).PutResolved(m.Version, fn, res); fresh {
+		c := s.store.ChainOrCreate(w.Key)
+		if _, fresh := c.PutResolved(m.Version, fn, res); fresh {
 			s.stats.functorsInstalled.Add(1)
+			s.sealedIn(m.Version.Epoch(), c)
 		}
 	}
 	for _, k := range m.Dissolve {

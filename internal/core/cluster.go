@@ -272,10 +272,21 @@ func (c *Cluster) Start() error {
 		return fmt.Errorf("core: cluster already started")
 	}
 	c.started = true
+	start := c.em.Run
 	if c.cfg.ManualEpochs {
-		return c.em.Start()
+		start = c.em.Start
 	}
-	return c.em.Run()
+	if err := start(); err != nil {
+		return err
+	}
+	// What the stores held before the first epoch (a bulk load, a recovered
+	// log, a checkpoint) was sealed by no commit: file it once.
+	for _, srv := range c.servers {
+		if srv.retention.Load() != 0 {
+			srv.seedRetirement()
+		}
+	}
+	return nil
 }
 
 // AdvanceEpoch performs one manual epoch switch.

@@ -113,7 +113,8 @@ func (s *Server) ensureUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) e
 // order and raises the value watermark to v (Algorithm 1's Compute).
 func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) error {
 	c := s.store.ChainOrCreate(k)
-	if c.Watermark() >= v {
+	w := c.Watermark()
+	if w >= v {
 		return nil
 	}
 	// As in resolveRecord: a forwarded ensure can land on a stale replica
@@ -121,15 +122,20 @@ func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestam
 	if o := s.owner(k); o != s.id {
 		return s.comb.ensureUpTo(ctx, o, k, v)
 	}
-	for _, rec := range c.Between(tstamp.Zero, v) {
-		if rec.Final() {
+	// Everything at or below the watermark is final; ascending from there,
+	// so is everything below the record being computed.
+	view := c.View()
+	lo := sort.Search(len(view), func(i int) bool { return view[i].Version > w })
+	for idx := lo; idx < len(view) && view[idx].Version <= v; idx++ {
+		if view[idx].Final() {
 			continue
 		}
-		if err := s.computeOne(ctx, k, rec); err != nil {
+		if err := s.computeOne(ctx, k, view, idx); err != nil {
 			return err
 		}
 	}
 	c.AdvanceWatermark(v)
+	s.payOwed(c)
 	return nil
 }
 
@@ -168,16 +174,18 @@ func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, 
 			return nil, fmt.Errorf("core: record %q@%v vanished", k, rec.Version)
 		}
 	}
-	// Walk down to the nearest resolved record, then compute forward.
+	// Walk down to the nearest record a read would stop at, then compute
+	// forward: everything a functor in between reads below itself is final
+	// by the time it runs (readBelow).
 	j := i - 1
-	for j >= 0 && !view[j].Final() {
+	for j >= 0 && !readable(view[j].Resolution()) {
 		j--
 	}
 	for idx := j + 1; idx <= i; idx++ {
 		if view[idx].Final() {
 			continue
 		}
-		if err := s.computeOne(ctx, k, view[idx]); err != nil {
+		if err := s.computeOne(ctx, k, view, idx); err != nil {
 			return nil, err
 		}
 	}
@@ -188,12 +196,38 @@ func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, 
 	return res, nil
 }
 
-// computeOne computes exactly one functor, assuming every lower version of
-// its key is already final (the paper's Func procedure, Algorithm 1 lines
-// 10-15). Concurrent invocations are safe: the resolution CAS ensures the
-// functor is computed at most once and identical inputs yield identical
-// results.
-func (s *Server) computeOne(ctx context.Context, k kv.Key, rec *mvstore.Record) error {
+// readable reports whether a read stops at a record with resolution res: a
+// value, or a tombstone. ABORTED and SKIPPED records are read through, and
+// so is a record not yet resolved (nil).
+func readable(res *functor.Resolution) bool {
+	return res != nil && (res.Kind == functor.Resolved || res.Kind == functor.ResolvedDeleted)
+}
+
+// readBelow is a functor's read of its own key at the version before its
+// own (Algorithm 1's Get, lines 16-23) without a second probe of the store:
+// the functor is view[idx], and its callers have made every record between
+// it and the nearest readable one below final.
+func readBelow(view []*mvstore.Record, idx int) funcRead {
+	for j := idx - 1; j >= 0; j-- {
+		res := view[j].Resolution()
+		if !readable(res) {
+			continue
+		}
+		if res.Kind == functor.ResolvedDeleted {
+			break // ⊥: deleted key
+		}
+		return funcRead{Value: res.Value, Found: true, Version: view[j].Version}
+	}
+	return funcRead{}
+}
+
+// computeOne computes exactly one functor, view[idx] of k's chain, assuming
+// every lower version of its key that a read would visit is already final
+// (the paper's Func procedure, Algorithm 1 lines 10-15). Concurrent
+// invocations are safe: the resolution CAS ensures the functor is computed
+// at most once and identical inputs yield identical results.
+func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Record, idx int) error {
+	rec := view[idx]
 	fn := rec.Functor
 	var computeStart time.Time
 	if !fn.Type.Final() {
@@ -211,11 +245,8 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, rec *mvstore.Record) 
 		res, _ = mvstore.FinalResolution(fn)
 
 	case fn.Type.Arithmetic():
-		prev, err := s.getLocal(ctx, k, rec.Version.Prev())
-		if err != nil {
-			return err
-		}
-		res, err = functor.EvalArithmetic(fn.Type, fn.Arg, prev)
+		var err error
+		res, err = functor.EvalArithmetic(fn.Type, fn.Arg, readBelow(view, idx))
 		if err != nil {
 			// A malformed argument is a logic error: the transaction
 			// aborts, which ECC permits (unlike deterministic systems).
@@ -232,7 +263,7 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, rec *mvstore.Record) 
 
 	case fn.Type == functor.TypeUser:
 		var err error
-		res, err = s.computeUser(ctx, k, rec)
+		res, err = s.computeUser(ctx, k, rec, readBelow(view, idx))
 		if err != nil {
 			return err
 		}
@@ -270,8 +301,9 @@ var readsPool = sync.Pool{
 	New: func() any { return make(map[kv.Key]funcRead, 8) },
 }
 
-// computeUser gathers the read set and invokes the user handler.
-func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record) (*functor.Resolution, error) {
+// computeUser gathers the read set and invokes the user handler; self is
+// the functor's own key at the previous version.
+func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record, self funcRead) (*functor.Resolution, error) {
 	fn := rec.Functor
 	handler, ok := s.registry.Lookup(fn.Handler)
 	if !ok {
@@ -286,10 +318,6 @@ func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record)
 	// always available to the handler (paper §IV-B: "the read set of some
 	// functors comprises only the key to which the functor was written, in
 	// which case the read set is omitted").
-	self, err := s.getLocal(ctx, k, rec.Version.Prev())
-	if err != nil {
-		return nil, err
-	}
 	reads[k] = self
 	// Resolve pushed and local keys inline; remote keys fetch in parallel
 	// so a functor's computation costs one network round trip regardless
@@ -331,6 +359,7 @@ func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record)
 			err error
 		}
 		results := make(chan fetched, len(remote))
+		var err error
 		for _, rk := range remote {
 			go func(rk kv.Key) {
 				r, err := s.read(ctx, rk, rec.Version.Prev())

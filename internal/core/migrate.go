@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"alohadb/internal/kv"
+	"alohadb/internal/tstamp"
 )
 
 // This file is the server side of the rebalancer's epoch-barrier handoff
@@ -74,10 +75,14 @@ func (s *Server) handleRangeImport(ctx context.Context, m MsgRangeImport) MsgRan
 	for _, ke := range m.Keys {
 		resp.Keys++
 		c := s.store.ChainOrCreate(ke.Key)
+		// Records ascend, so the last one published names the horizon that
+		// has to pass before the chain's imported history can retire.
+		published, newest := false, tstamp.Epoch(0)
 		for _, er := range ke.Records {
 			if er.Resolution != nil {
 				if _, fresh := c.PutResolved(er.Version, er.Functor, er.Resolution); fresh {
 					resp.Records++
+					published, newest = true, er.Version.Epoch()
 				}
 				continue
 			}
@@ -93,6 +98,10 @@ func (s *Server) handleRangeImport(ctx context.Context, m MsgRangeImport) MsgRan
 		}
 		if ke.Watermark != 0 {
 			c.AdvanceWatermark(ke.Watermark)
+			s.payOwed(c)
+		}
+		if published {
+			s.sealedIn(newest, c)
 		}
 	}
 	if len(work) > 0 {

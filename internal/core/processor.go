@@ -47,6 +47,9 @@ type processor struct {
 	shards  []*procShard
 	wg      sync.WaitGroup
 	stopped atomic.Bool
+	// handoffs counts epoch commits between publishing the epoch as
+	// committed and queueing its functors; drainWait treats them as busy.
+	handoffs atomic.Int32
 	// groups is enqueue's reusable per-shard grouping scratch, serialized
 	// by groupMu (epoch commits enqueue one batch at a time; the mutex
 	// only guards against overlapping callers).
@@ -132,7 +135,10 @@ func (p *processor) enqueue(items []workItem) {
 // tests and by the saturation-mode benchmark barrier.
 func (p *processor) drainWait() {
 	for {
-		empty := true
+		// Read before the queues: a hand-off this read misses has queued
+		// its items already, or belongs to an epoch the caller has not seen
+		// committed.
+		empty := p.handoffs.Load() == 0
 		for _, sh := range p.shards {
 			sh.mu.Lock()
 			if len(sh.queue) > 0 || sh.active {
@@ -189,6 +195,7 @@ func (p *processor) worker(sh *procShard) {
 	// and forces append to grow a fresh array every few batches, a steady
 	// allocation stream this copy-and-shift avoids.
 	var buf [_workerBatch]workItem
+	var owing [_workerBatch]*mvstore.Chain
 	for {
 		sh.mu.Lock()
 		for len(sh.queue) == 0 && !p.stopped.Load() {
@@ -209,8 +216,20 @@ func (p *processor) worker(sh *procShard) {
 		sh.active = true
 		sh.mu.Unlock()
 
+		// A chain that owes a compaction (its watermark was behind the
+		// horizon when its epoch retired) pays once per batch, not per
+		// functor: each payment copies the survivors, and a hot chain
+		// catching up moves its watermark one record at a time.
+		no := 0
 		for i := range buf[:n] {
 			p.process(buf[i])
+			if c := buf[i].chain; c.Owed() != 0 && (no == 0 || owing[no-1] != c) {
+				owing[no] = c
+				no++
+			}
+		}
+		for _, c := range owing[:no] {
+			p.s.payOwed(c)
 		}
 
 		sh.mu.Lock()

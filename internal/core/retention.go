@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"alohadb/internal/kv"
+	"alohadb/internal/mvstore"
 	"alohadb/internal/transport"
 	"alohadb/internal/tstamp"
 )
@@ -17,8 +18,9 @@ import (
 // scans let them enumerate keys without knowing them ahead of time).
 
 // SetRetention configures how many epochs of history every server keeps;
-// each epoch commit then compacts versions older than the horizon. Zero
-// (the default) keeps everything.
+// each epoch commit then retires the versions that fell behind the horizon.
+// Zero (the default) keeps everything. It may be lowered or raised while
+// the cluster runs.
 //
 // Compaction never touches the newest final version below the horizon, so
 // reads at any snapshot within the retained window — and the latest state
@@ -27,21 +29,124 @@ import (
 // checkpoint recovery.
 func (c *Cluster) SetRetention(epochs tstamp.Epoch) {
 	for _, srv := range c.servers {
-		srv.retention.Store(uint32(epochs))
+		was := srv.retention.Swap(uint32(epochs))
+		switch {
+		case epochs == 0:
+			srv.retiring.reset()
+		case was == 0 && c.started:
+			// Nothing was filed while everything was kept.
+			srv.seedRetirement()
+		}
 	}
 }
 
-// maybeCompact runs on every epoch commit and compacts the store when a
-// retention horizon is configured.
-func (s *Server) maybeCompact(committed tstamp.Epoch) {
+// retireQueue is what makes an epoch commit cost what the epoch wrote: per
+// epoch, the chains that gained a readable version of that epoch. A version
+// of epoch x makes everything older on its key droppable once the horizon
+// has passed x, so the commit that moves the horizon past x visits list x —
+// those chains and no others.
+type retireQueue struct {
+	mu sync.Mutex
+	// lists[i] belongs to epoch base+i; every list below base has been
+	// handed out.
+	base  tstamp.Epoch
+	lists [][]*mvstore.Chain
+}
+
+// add files chains under epoch e. A version sealed after its epoch's list
+// was handed out (a straggler, a deferred write computed late, an import)
+// goes to the oldest list still held: the horizon it is visited under lies
+// above e all the same.
+func (q *retireQueue) add(e tstamp.Epoch, chains ...*mvstore.Chain) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.lists) == 0 && e > q.base {
+		q.base = e
+	}
+	i := 0
+	if e > q.base {
+		i = int(e - q.base)
+	}
+	for len(q.lists) <= i {
+		q.lists = append(q.lists, nil)
+	}
+	q.lists[i] = append(q.lists[i], chains...)
+}
+
+// next hands out the oldest list if its epoch is below limit, else nil.
+func (q *retireQueue) next(limit tstamp.Epoch) []*mvstore.Chain {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.lists) > 0 && q.base < limit {
+		list := q.lists[0]
+		n := copy(q.lists, q.lists[1:])
+		q.lists[n] = nil
+		q.lists = q.lists[:n]
+		q.base++
+		if len(list) > 0 {
+			return list
+		}
+	}
+	return nil
+}
+
+func (q *retireQueue) reset() {
+	q.mu.Lock()
+	q.lists = nil
+	q.mu.Unlock()
+}
+
+// sealedIn is called wherever the live path makes a version of epoch e
+// readable on chains: the commit's seal loop, a straggler's seal, a
+// deferred write and a range import.
+func (s *Server) sealedIn(e tstamp.Epoch, chains ...*mvstore.Chain) {
+	if len(chains) > 0 && s.retention.Load() != 0 {
+		s.retiring.add(e, chains...)
+	}
+}
+
+// seedRetirement files every chain of the store under the newest committed
+// epoch: a store that live installs did not build (WAL recovery, a
+// checkpoint, a bulk load) or built while retention was off has chains no
+// list knows. It is the one full pass over the store retention makes.
+func (s *Server) seedRetirement() {
+	var all []*mvstore.Chain
+	s.store.Range(func(_ kv.Key, c *mvstore.Chain) bool {
+		all = append(all, c)
+		return true
+	})
+	s.sealedIn(s.CommittedEpoch(), all...)
+}
+
+// retire compacts, at the commit of an epoch, the chains of the epochs the
+// horizon has just passed. A chain whose watermark is still behind the
+// horizon keeps the horizon (mvstore.Chain.Owed) and is finished where its
+// watermark moves: payOwed.
+func (s *Server) retire(committed tstamp.Epoch) {
 	retention := tstamp.Epoch(s.retention.Load())
 	if retention == 0 || committed <= retention {
 		return
 	}
-	horizon := tstamp.Start(committed - retention)
-	removed := s.store.Compact(horizon)
+	limit := committed - retention
+	horizon := tstamp.Start(limit)
+	removed := 0
+	for list := s.retiring.next(limit); list != nil; list = s.retiring.next(limit) {
+		for _, c := range list {
+			removed += c.Compact(horizon)
+		}
+	}
 	if removed > 0 {
 		s.stats.versionsCompacted.Add(uint64(removed))
+	}
+}
+
+// payOwed finishes the compaction c owes, if any, after its watermark has
+// moved.
+func (s *Server) payOwed(c *mvstore.Chain) {
+	if h := c.Owed(); h != 0 {
+		if removed := c.Compact(h); removed > 0 {
+			s.stats.versionsCompacted.Add(uint64(removed))
+		}
 	}
 }
 

@@ -293,3 +293,88 @@ func TestRemoteEpochManager(t *testing.T) {
 		t.Errorf("read %q found=%v", v, found)
 	}
 }
+
+// TestSelfReadThroughPredecessorRun extends the equivalence property to
+// what a functor reads below itself on its own key: every order of an
+// ABORTED, a SKIPPED, a DELETED and a VALUE record, all of one epoch and
+// none resolved when the epoch commits, followed by two appends. ABORTED
+// and SKIPPED are read through, DELETED reads as absent, VALUE as its
+// value — the sequential replay of the same run decides what is expected.
+// Run once with processors (the queued walk) and once without (the walk a
+// read triggers).
+func TestSelfReadThroughPredecessorRun(t *testing.T) {
+	kinds := []string{"aborted", "skipped", "deleted", "value"}
+	var orders [][]string
+	var permute func(done, rest []string)
+	permute = func(done, rest []string) {
+		if len(rest) == 0 {
+			orders = append(orders, append([]string(nil), done...))
+			return
+		}
+		for i := range rest {
+			next := append(append([]string(nil), rest[:i]...), rest[i+1:]...)
+			permute(append(done, rest[i]), next)
+		}
+	}
+	permute(nil, kinds)
+
+	for _, workers := range []int{2, -1} {
+		reg := testRegistry(t)
+		// A determinate functor that names a dependent key and writes
+		// nothing to it: the key's marker resolves SKIPPED.
+		reg.MustRegister("det", func(*functor.Context) (*functor.Resolution, error) {
+			return functor.ValueResolution(kv.EncodeInt64(1)), nil
+		})
+		c, err := NewCluster(ClusterConfig{Servers: 2, ManualEpochs: true, Registry: reg, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[kv.Key]string)
+		for i, order := range orders {
+			k := kv.Key(fmt.Sprintf("run:%02d", i))
+			have := ""
+			for _, kind := range order {
+				switch kind {
+				case "aborted":
+					h := mustSubmit(t, c, i%2, Txn{
+						Writes:   []Write{{Key: k, Functor: functor.Value(kv.Value("poison"))}},
+						Requires: []kv.Key{"missing"},
+					})
+					if aborted, _ := h.Installed(); !aborted {
+						t.Fatal("expected a phase-1 abort")
+					}
+				case "skipped":
+					mustSubmit(t, c, i%2, Txn{Writes: []Write{{
+						Key:     kv.Key(fmt.Sprintf("det:%02d", i)),
+						Functor: functor.User("det", nil, nil, functor.WithDependentKeys(k)),
+					}}})
+				case "deleted":
+					mustSubmit(t, c, i%2, Txn{Writes: []Write{{Key: k, Functor: functor.Deleted()}}})
+					have = ""
+				case "value":
+					mustSubmit(t, c, i%2, Txn{Writes: []Write{{Key: k, Functor: functor.Value(kv.Value("v"))}}})
+					have = "v"
+				}
+			}
+			for _, arg := range []string{"x", "y"} {
+				mustSubmit(t, c, i%2, Txn{Writes: []Write{{Key: k, Functor: functor.User("append", []byte(arg), nil)}}})
+				have += arg
+			}
+			want[k] = have
+		}
+		mustAdvance(t, c)
+		for k, w := range want {
+			v, found, err := c.Server(0).GetCommitted(context.Background(), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found || string(v) != w {
+				t.Errorf("workers=%d %s: engine produced %q found=%v, sequential replay %q", workers, k, v, found, w)
+			}
+		}
+		c.Close()
+	}
+}

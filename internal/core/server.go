@@ -203,8 +203,10 @@ type Server struct {
 	computedCh      chan struct{}
 	computedWaiters atomic.Int32
 
-	// retention is the history horizon in epochs (0 = keep everything).
+	// retention is the history horizon in epochs (0 = keep everything);
+	// retiring holds the chains each recent epoch wrote (see retention.go).
 	retention atomic.Uint32
+	retiring  retireQueue
 
 	// ctx is cancelled on Close, releasing blocked remote calls/waiters.
 	ctx    context.Context
@@ -461,8 +463,12 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	// twice in the epoch is sealed twice; the second finds nothing staged.
 	now := time.Now()
 	slowIdx, slowWait := -1, time.Duration(0)
+	retaining := s.retention.Load() != 0
+	var sealed []*mvstore.Chain
 	for i := range items {
-		items[i].chain.Seal(tstamp.End(e))
+		if items[i].chain.Seal(tstamp.End(e)) > 0 && retaining {
+			sealed = append(sealed, items[i].chain)
+		}
 		if s.journal != nil && !items[i].installed.IsZero() {
 			if w := now.Sub(items[i].installed); slowIdx < 0 || w > slowWait {
 				slowIdx, slowWait = i, w
@@ -470,6 +476,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		}
 		items[i].ready = now
 	}
+	s.sealedIn(e, sealed...)
 	s.journal.SealDone(uint64(e), time.Now(), len(items))
 	if slowIdx >= 0 {
 		// The functor that waited longest between install and commit: the
@@ -503,6 +510,10 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		}
 		dspan.End()
 	}
+	// The hand-off counts as busy from before the epoch shows as committed
+	// until its functors are queued: whoever sees CommittedEpoch() >= e and
+	// then drains the processors waits for every functor of e.
+	s.proc.handoffs.Add(1)
 	// Advance visibility to Start(e+1) — after the seal and after the
 	// durable marker, so observable implies recoverable: a crash right
 	// after a reader saw epoch e can never roll e back (§III-B's atomic
@@ -531,6 +542,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		s.journal.Visible(uint64(e), time.Now(), migSeals, s.wd.Active())
 	}
 	s.proc.enqueue(items)
+	s.proc.handoffs.Add(-1)
 	if items != nil {
 		// enqueue copied the items into the shard queues; recycle the
 		// epoch buffer for bufferWork's next epoch.
@@ -540,7 +552,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	}
 	s.evictPushCache(e)
 	s.evictAbortStash(e)
-	s.maybeCompact(e)
+	s.retire(e)
 }
 
 // evictAbortStash drops stashed forwarded aborts whose epoch has committed:

@@ -3,6 +3,7 @@ package mvstore
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
@@ -125,5 +126,14 @@ func TestRecordAddressStable(t *testing.T) {
 	}
 	if len(s.View("k")) != 1002 {
 		t.Fatalf("view has %d records, want 1002", len(s.View("k")))
+	}
+}
+
+// TestChainSizeClass pins a chain — a key written once is nothing else — to
+// the allocator's 96-byte class; one more word would move every key of the
+// store to the 112-byte class.
+func TestChainSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Chain{}); got != 96 {
+		t.Fatalf("Chain is %d bytes, want 96", got)
 	}
 }

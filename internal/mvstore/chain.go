@@ -39,7 +39,11 @@ type Chain struct {
 	mu  sync.Mutex // guards staged, the staged region of cur, and block replacement
 	cur atomic.Pointer[block]
 	// staged counts the in-epoch records after cur's sealed prefix.
-	staged int
+	staged int32
+	// owed is the epoch of the horizon of a Compact that the watermark cut
+	// short (zero: none); it shares staged's word so that a key written once
+	// stays in the 96-byte size class.
+	owed atomic.Uint32
 	// watermark is the value watermark: every version at or below it is a
 	// final value (paper §III-D). Monotonically non-decreasing.
 	watermark atomic.Uint64
@@ -135,10 +139,11 @@ func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor, res *functo
 		rec.resolved.Store(res)
 	}
 	n := int(b.n.Load())
-	if n+c.staged == len(b.recs) {
-		b = c.replace(b.recs[:n+c.staged], n)
+	live := n + int(c.staged)
+	if live == len(b.recs) {
+		b = c.replace(b.recs[:live], n)
 	}
-	b.recs[n+c.staged] = rec
+	b.recs[live] = rec
 	c.staged++
 	return rec
 }
@@ -159,21 +164,23 @@ func (c *Chain) replace(live []*Record, n int) *block {
 }
 
 // Seal makes the staged records with versions strictly below bound
-// readable. The backend seals every key an epoch touched when the epoch
-// commits.
-func (c *Chain) Seal(bound tstamp.Timestamp) {
+// readable and returns how many it published. The backend seals every key
+// an epoch touched when the epoch commits; of several seals of one key in
+// one epoch only the first publishes anything.
+func (c *Chain) Seal(bound tstamp.Timestamp) int {
 	c.mu.Lock()
-	c.seal(bound)
+	k := c.seal(bound)
 	c.mu.Unlock()
+	return k
 }
 
-func (c *Chain) seal(bound tstamp.Timestamp) {
+func (c *Chain) seal(bound tstamp.Timestamp) int {
 	if c.staged == 0 {
-		return
+		return 0
 	}
 	b := c.cur.Load()
 	n := int(b.n.Load())
-	staged := b.recs[n : n+c.staged]
+	staged := b.recs[n : n+int(c.staged)]
 	if len(staged) > 1 {
 		slices.SortFunc(staged, func(x, y *Record) int { return cmp.Compare(x.Version, y.Version) })
 	}
@@ -181,14 +188,14 @@ func (c *Chain) seal(bound tstamp.Timestamp) {
 	// still-open epochs stay staged behind them.
 	k := sort.Search(len(staged), func(i int) bool { return staged[i].Version >= bound })
 	if k == 0 {
-		return
+		return 0
 	}
-	c.staged -= k
+	c.staged -= int32(k)
 	if n == 0 || b.recs[n-1].Version < staged[0].Version {
 		// Committed epochs only grow the high end of the version space:
 		// the sorted prefix already sits where it belongs.
 		b.n.Store(int64(n + k))
-		return
+		return k
 	}
 	// A straggler sealed late sorts below a record sealed earlier. Slots
 	// readers may be scanning cannot be rewritten, so merge into a fresh
@@ -208,6 +215,7 @@ func (c *Chain) seal(bound tstamp.Timestamp) {
 	copy(nb.recs[w:], staged[j:])
 	nb.n.Store(int64(n + k))
 	c.cur.Store(nb)
+	return k
 }
 
 // Latest returns the newest sealed record with Version <= max, or nil.
@@ -242,7 +250,7 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 	if i < n && b.recs[i].Version == v {
 		return b.recs[i]
 	}
-	for _, r := range b.recs[n : n+c.staged] {
+	for _, r := range b.recs[n : n+int(c.staged)] {
 		if r.Version == v {
 			return r
 		}
@@ -250,20 +258,7 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 	return nil
 }
 
-// Between returns the sealed records with versions in [from, to],
-// ascending. Used to compute all pending functors of a key up to a queued
-// version (Algorithm 1, line 4).
-func (c *Chain) Between(from, to tstamp.Timestamp) []*Record {
-	view := c.View()
-	lo := sort.Search(len(view), func(i int) bool { return view[i].Version >= from })
-	hi := sort.Search(len(view), func(i int) bool { return view[i].Version > to })
-	if lo >= hi {
-		return nil
-	}
-	return view[lo:hi]
-}
-
-// compact drops sealed records whose versions are strictly below bound,
+// Compact drops sealed records whose versions are strictly below bound,
 // keeping the newest *visible* such record so reads at old-but-live
 // snapshots still resolve. Aborted and skipped records are invisible to
 // reads — collapsing the history onto one of them would erase the key's
@@ -274,11 +269,22 @@ func (c *Chain) Between(from, to tstamp.Timestamp) []*Record {
 // prefix is dropped: reads there found nothing before and still find
 // nothing. Only final records below the watermark may be dropped. Returns
 // the number of records removed.
-func (c *Chain) compact(bound tstamp.Timestamp) int {
+//
+// A call the watermark cuts short leaves the epoch of its bound with the
+// chain (see Owed), so whoever advances the watermark later can finish it.
+// Retention's bounds are horizons, each the start of an epoch; any other
+// bound is finished up to the start of its epoch only.
+func (c *Chain) Compact(bound tstamp.Timestamp) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Stamp first, read the watermark second: a compute that raises the
+	// watermark after this read finds the stamp and compacts again, one
+	// that raised it before is seen here.
+	c.owed.Store(uint32(bound.Epoch()))
 	if w := tstamp.Timestamp(c.watermark.Load()); bound > w {
 		bound = w
+	} else {
+		c.owed.Store(0)
 	}
 	b := c.cur.Load()
 	if b == nil {
@@ -305,6 +311,13 @@ func (c *Chain) compact(bound tstamp.Timestamp) int {
 	}
 	// Readers may hold the old prefix, so the survivors move to a fresh
 	// block (staged records ride along).
-	c.replace(b.recs[keepFrom:n+c.staged], n-keepFrom)
+	c.replace(b.recs[keepFrom:n+int(c.staged)], n-keepFrom)
 	return keepFrom
+}
+
+// Owed returns the horizon of the last Compact that stopped at the
+// watermark, or zero when the chain owes nothing. A chain is compacted where
+// its epoch retires and, if it owes then, again where its watermark moves.
+func (c *Chain) Owed() tstamp.Timestamp {
+	return tstamp.Start(tstamp.Epoch(c.owed.Load()))
 }

@@ -36,7 +36,7 @@ func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 	defer c.mu.Unlock()
 	var live []*Record
 	if b := c.cur.Load(); b != nil {
-		live = b.recs[:int(b.n.Load())+c.staged]
+		live = b.recs[:int(b.n.Load())+int(c.staged)]
 	}
 	out := make([]ExportedRecord, 0, len(live))
 	for _, r := range live {

@@ -14,7 +14,7 @@ import (
 
 // TestConcurrentModelEquivalence runs random interleaved inserts, seals,
 // and reads against the store while maintaining a reference model, then
-// verifies every Latest/At/Between answer over the sealed state matches
+// verifies every Latest/At answer over the sealed state matches
 // the model exactly.
 func TestConcurrentModelEquivalence(t *testing.T) {
 	const (
@@ -102,22 +102,6 @@ func TestConcurrentModelEquivalence(t *testing.T) {
 			if got, _ := kv.DecodeInt64(rec.Resolution().Value); got != model[want] {
 				t.Fatalf("round %d: value mismatch at %v", round, want)
 			}
-		}
-		// Between over a random window matches the model slice.
-		lo := versions[rng.Intn(len(versions))]
-		hi := versions[rng.Intn(len(versions))]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		got := s.Chain("k").Between(lo, hi)
-		want := 0
-		for _, v := range versions {
-			if v >= lo && v <= hi {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("round %d: Between(%v,%v) = %d records, want %d", round, lo, hi, len(got), want)
 		}
 	}
 }
@@ -314,18 +298,6 @@ func (h *modelHarness) check() {
 	}
 	if _, ok := h.s.At("k", tstamp.Max); ok {
 		h.t.Fatal("At of a version never written found a record")
-	}
-	if len(all) > 0 {
-		lo, hi := all[len(all)/3], all[len(all)*2/3]
-		want := 0
-		for _, v := range sealed {
-			if v >= lo && v <= hi {
-				want++
-			}
-		}
-		if got := h.s.Chain("k").Between(lo, hi); len(got) != want {
-			h.t.Fatalf("Between(%v,%v) = %v, model has %d of %v", lo, hi, versionsOf(got), want, sealed)
-		}
 	}
 	if got := h.s.ChainOrCreate("k").Watermark(); got != h.m.watermark {
 		h.t.Fatalf("watermark %v, model %v", got, h.m.watermark)

@@ -192,7 +192,7 @@ func (s *Store) Len() int {
 func (s *Store) Compact(bound tstamp.Timestamp) int {
 	total := 0
 	s.Range(func(_ kv.Key, c *Chain) bool {
-		total += c.compact(bound)
+		total += c.Compact(bound)
 		return true
 	})
 	return total

@@ -111,26 +111,6 @@ func TestAt(t *testing.T) {
 	}
 }
 
-func TestBetween(t *testing.T) {
-	s := New()
-	for seq := uint32(1); seq <= 10; seq++ {
-		if _, err := s.Put("k", ts(1, seq, 0), functor.Add(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.SealAll(tstamp.Max)
-	got := s.Chain("k").Between(ts(1, 3, 0), ts(1, 7, 0))
-	if len(got) != 5 {
-		t.Fatalf("len = %d, want 5", len(got))
-	}
-	if got[0].Version != ts(1, 3, 0) || got[4].Version != ts(1, 7, 0) {
-		t.Error("wrong boundary records")
-	}
-	if got := s.Chain("k").Between(ts(2, 1, 0), tstamp.Max); got != nil {
-		t.Errorf("Between above every version = %v, want nil", versionsOf(got))
-	}
-}
-
 func TestFinalResolution(t *testing.T) {
 	tests := []struct {
 		fn   *functor.Functor
@@ -339,6 +319,41 @@ func TestCompactRespectsWatermark(t *testing.T) {
 	}
 	if view[0].Version != ts(1, 2, 0) {
 		t.Errorf("oldest surviving version = %v, want %v", view[0].Version, ts(1, 2, 0))
+	}
+}
+
+// TestCompactLeavesItsHorizonWhenCutShort: a Compact the watermark stops
+// short of its bound leaves the bound with the chain, so that whoever moves
+// the watermark can finish it; one that reaches its bound owes nothing.
+func TestCompactLeavesItsHorizonWhenCutShort(t *testing.T) {
+	s := New()
+	for seq := uint32(1); seq <= 5; seq++ {
+		if _, err := s.Put("k", ts(1, seq, 0), functor.Add(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SealAll(tstamp.Max)
+	c := s.Chain("k")
+	if got := c.Owed(); got != 0 {
+		t.Fatalf("a chain never compacted owes %v", got)
+	}
+	c.AdvanceWatermark(ts(1, 3, 0))
+	horizon := tstamp.Start(2)
+	if removed := c.Compact(horizon); removed != 1 { // seq 1; seq 2 is the newest below the watermark
+		t.Fatalf("removed %d behind the watermark, want 1", removed)
+	}
+	if got := c.Owed(); got != horizon {
+		t.Fatalf("owed %v after a compaction cut short at the watermark, want %v", got, horizon)
+	}
+	c.AdvanceWatermark(tstamp.Start(3))
+	if removed := c.Compact(c.Owed()); removed != 3 {
+		t.Fatalf("removed %d once the watermark passed the horizon, want 3", removed)
+	}
+	if got := c.Owed(); got != 0 {
+		t.Fatalf("owed %v after a compaction that reached its bound", got)
+	}
+	if view := c.View(); len(view) != 1 || view[0].Version != ts(1, 5, 0) {
+		t.Fatalf("survivors %v, want seq 5 alone", versionsOf(view))
 	}
 }
 
