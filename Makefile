@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-check commit-guard bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
+.PHONY: all build fmt-check vet test race bench bench-check commit-guard alloc-guard bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
 
 all: build test
 
@@ -35,6 +35,13 @@ bench-check:
 # BenchmarkEpochCommitRetention at 200 k keys within 3x of 1 k keys.
 commit-guard:
 	./scripts/commit-guard.sh
+
+# Object budgets and zero-allocation paths, the block CI runs: what a key
+# written once keeps alive (core.TestStoreObjectBudget), the chain and record
+# size classes, the untraced install/compute path, the TPC-C NewOrder pins,
+# and the wire/trace/skew/journal/recorder benchmarks at 0 allocs/op.
+alloc-guard:
+	./scripts/alloc-guard.sh
 
 # Transport/combiner hot-path benchmarks; writes BENCH_transport.json.
 bench-net:

@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"alohadb/internal/functor"
+	"alohadb/internal/kv"
+	"alohadb/internal/tstamp"
 )
 
 // TestUntracedHotPathAllocs extends the tracer's "disabled path allocates
@@ -38,5 +43,146 @@ func TestUntracedHotPathAllocs(t *testing.T) {
 	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() { s.handleInstall(ctx, msg, nil, false) }); n > 1 {
 		t.Errorf("untraced handleInstall allocates %v objects beyond its response, want none", n-1)
+	}
+}
+
+// liveHeapObjects is the number of objects that survive a collection.
+func liveHeapObjects() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapObjects
+}
+
+// TestStoreObjectBudget pins what a key written once keeps alive — its key
+// string, its chain (the record embedded, the outcome in the record) and its
+// value bytes, plus a fraction for the store's map — on the two paths that
+// build most of a TPC-C store: the bulk load and deferred writes. Every
+// object here is one the collector marks again on every cycle for as long as
+// the version lives.
+func TestStoreObjectBudget(t *testing.T) {
+	const (
+		n      = 100_000
+		budget = 3.2
+	)
+	pair := func(i int) (kv.Key, kv.Value) {
+		return kv.Key(fmt.Sprintf("row:%07d", i)), kv.EncodeInt64(int64(i))
+	}
+	measure := func(name string, build func(c *Cluster)) {
+		c := newTestCluster(t, 1, -1)
+		before := liveHeapObjects()
+		build(c)
+		per := float64(liveHeapObjects()-before) / n
+		if got := c.Server(0).store.Len(); got != n {
+			t.Fatalf("%s: store holds %d keys, want %d", name, got, n)
+		}
+		t.Logf("%s: %.2f live heap objects per key", name, per)
+		if per > budget {
+			t.Errorf("%s leaves %.2f live heap objects per key, budget %.1f", name, per, budget)
+		}
+	}
+	measure("Cluster.Load", func(c *Cluster) {
+		pairs := make([]kv.Pair, n)
+		for i := range pairs {
+			pairs[i].Key, pairs[i].Value = pair(i)
+		}
+		if err := c.Load(pairs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	measure("deferred writes", func(c *Cluster) {
+		// Ten rows per determinate functor, as a NewOrder writes them.
+		s, ctx := c.Server(0), context.Background()
+		for i := 0; i < n; i += 10 {
+			writes := make([]functor.DependentWrite, 10)
+			for j := range writes {
+				writes[j].Key, writes[j].Value = pair(i + j)
+			}
+			s.handleApplyDeferred(ctx, MsgApplyDeferred{Version: tstamp.Make(1, uint32(i+1), 0), Writes: writes, Fwd: true})
+		}
+	})
+}
+
+// TestSubmitBatchLeavesCallerSlicesAlone: a transaction with one owner hands
+// its own Writes and Requires slices to the install, so nothing on the
+// install path may write through an InstallTxn's slices — not into their
+// elements and not, by append, into the capacity behind them.
+func TestSubmitBatchLeavesCallerSlicesAlone(t *testing.T) {
+	c := newTestCluster(t, 2, 1)
+	keyOn := func(server int, prefix string) kv.Key {
+		for i := 0; ; i++ {
+			if k := kv.Key(fmt.Sprintf("%s%d", prefix, i)); c.Server(0).owner(k) == server {
+				return k
+			}
+		}
+	}
+	a, b, item := keyOn(0, "a"), keyOn(0, "b"), keyOn(0, "item")
+	remote, remoteItem := keyOn(1, "r"), keyOn(1, "ritem")
+	if err := c.Load([]kv.Pair{{Key: item, Value: kv.Value("i")}, {Key: remoteItem, Value: kv.Value("i")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sentinelW := Write{Key: "sentinel", Functor: functor.Add(7)}
+	// padded returns its arguments with spare capacity holding sentinels.
+	writes := func(ws ...Write) []Write {
+		out := append(make([]Write, 0, len(ws)+3), ws...)
+		copy(out[len(ws):cap(out)], []Write{sentinelW, sentinelW, sentinelW})
+		return out
+	}
+	requires := func(ks ...kv.Key) []kv.Key {
+		out := append(make([]kv.Key, 0, len(ks)+3), ks...)
+		copy(out[len(ks):cap(out)], []kv.Key{"sentinel", "sentinel", "sentinel"})
+		return out
+	}
+	txns := []Txn{
+		{Writes: writes(Write{Key: a, Functor: functor.Add(1)}, Write{Key: b, Functor: functor.Add(2)}), Requires: requires(item)},           // one owner, local
+		{Writes: writes(Write{Key: remote, Functor: functor.Add(3)}), Requires: requires(remoteItem)},                                        // one owner, remote
+		{Writes: writes(Write{Key: a, Functor: functor.Add(4)}, Write{Key: remote, Functor: functor.Add(5)}), Requires: requires(item)},      // two owners
+		{Writes: writes(Write{Key: b, Functor: functor.Add(6)}), Requires: requires(item, "missing")},                                        // aborts in phase 1
+		{Writes: writes(Write{Key: remote, Functor: functor.Add(7)}, Write{Key: b, Functor: functor.Add(8)}), Requires: requires("missing")}, // two owners, aborts
+	}
+	type snapshot struct {
+		writes   []Write
+		requires []kv.Key
+	}
+	full := func(txn Txn) snapshot {
+		return snapshot{
+			writes:   append([]Write(nil), txn.Writes[:cap(txn.Writes)]...),
+			requires: append([]kv.Key(nil), txn.Requires[:cap(txn.Requires)]...),
+		}
+	}
+	var before []snapshot
+	for _, txn := range txns {
+		before = append(before, full(txn))
+	}
+	results, handles, err := c.Server(0).SubmitBatch(context.Background(), txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, false, false, true, true} {
+		if results[i].Aborted != want {
+			t.Fatalf("txn %d aborted = %v (%s), want %v", i, results[i].Aborted, results[i].Reason, want)
+		}
+	}
+	mustAdvance(t, c)
+	for i, h := range handles {
+		if _, _, err := h.Await(context.Background()); err != nil {
+			t.Fatalf("txn %d: %v", i, err)
+		}
+	}
+	for i, txn := range txns {
+		if got := full(txn); !reflect.DeepEqual(got, before[i]) {
+			t.Errorf("txn %d: the engine wrote through the caller's slices:\n got %+v\nwant %+v", i, got, before[i])
+		}
+	}
+	// The installs landed where they should have: a = 1 + 4, b = 2, remote = 3 + 5.
+	for k, want := range map[kv.Key]int64{a: 5, b: 2, remote: 8} {
+		v, found, err := c.Server(0).GetCommitted(context.Background(), k)
+		if got, _ := kv.DecodeInt64(v); err != nil || !found || got != want {
+			t.Errorf("%s = %d found=%v err=%v, want %d", k, got, found, err, want)
+		}
 	}
 }

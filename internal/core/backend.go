@@ -523,7 +523,7 @@ func (s *Server) handleEnsure(ctx context.Context, m MsgEnsure) (MsgEnsureResp, 
 // e.g. rows keyed by a freshly allocated id) get their records created
 // here, born resolved and sealed — deferred writes happen after their epoch
 // committed, and readers (guarded by the dependency rule) see them at once.
-// Resolution is a CAS and record creation is idempotent, so duplicate
+// Resolution happens once and record creation is idempotent, so duplicate
 // deliveries and races with on-demand marker resolution are harmless.
 func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 	_, span := s.tr.Start(ctx, "be.deferred")
@@ -533,12 +533,9 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 		m = s.forwardDeferred(ctx, m)
 	}
 	for _, w := range m.Writes {
-		fn, res := _deferredValue, deferredResolution(w)
-		if w.Delete {
-			fn = _deferredDelete
-		}
+		fn, kind, value := deferredOutcome(w)
 		c := s.store.ChainOrCreate(w.Key)
-		if _, fresh := c.PutResolved(m.Version, fn, res); fresh {
+		if _, fresh := c.PutResolved(m.Version, fn, kind, value); fresh {
 			s.stats.functorsInstalled.Add(1)
 			s.sealedIn(m.Version.Epoch(), c)
 		}
@@ -559,7 +556,7 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 // writes and dissolve keys that migrated away go one hop to their new owner
 // (Fwd set so the receiver applies locally), and the returned message keeps
 // only the still-local remainder. Deliveries are idempotent (resolution is
-// a CAS, record creation tolerates duplicates), so a failed forward is
+// once, record creation tolerates duplicates), so a failed forward is
 // retried by nothing worse than the reader-side on-demand path.
 func (s *Server) forwardDeferred(ctx context.Context, m MsgApplyDeferred) MsgApplyDeferred {
 	foreign := false
@@ -675,9 +672,13 @@ func (s *Server) handleWaitComputed(ctx context.Context, m MsgWaitComputed) (Msg
 		}
 		return MsgWaitComputedResp{}, fmt.Errorf("core: server %d: record %q@%v not found", s.id, m.Key, m.Version)
 	}
-	res, err := s.waitRecordFinal(s.engineCtx(ctx), rec)
-	if err != nil {
+	if err := s.waitRecordFinal(s.engineCtx(ctx), rec); err != nil {
 		return MsgWaitComputedResp{}, err
 	}
-	return MsgWaitComputedResp{Kind: res.Kind, Reason: res.Reason}, nil
+	kind, _, ext := rec.Outcome()
+	resp := MsgWaitComputedResp{Kind: kind}
+	if ext != nil {
+		resp.Reason = ext.Reason
+	}
+	return resp, nil
 }

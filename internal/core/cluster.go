@@ -236,8 +236,14 @@ func (c *Cluster) loadOne(k kv.Key, fn *functor.Functor) error {
 	// Bulk loads seal immediately: epoch 0 commits at Start, and load
 	// order is ascending per key, so each seal publishes in place.
 	chain := srv.store.ChainOrCreate(k)
-	if res, ok := FinalLoadResolution(fn); ok {
-		if _, fresh := chain.PutResolved(ts, fn, res); !fresh {
+	// A loaded value or tombstone is a write whose outcome is known: loads
+	// cannot be aborted by a second round, so it is born resolved like a
+	// deferred write (sparing the first epoch a burst of on-demand computes)
+	// and, like one, points at the shared placeholder of its f-type instead
+	// of keeping a functor of its own alive per key.
+	if fn.Type == functor.TypeValue || fn.Type == functor.TypeDeleted {
+		shared, kind, value := deferredOutcome(functor.DependentWrite{Value: fn.Arg, Delete: fn.Type == functor.TypeDeleted})
+		if _, fresh := chain.PutResolved(ts, shared, kind, value); !fresh {
 			return fmt.Errorf("core: load %q: %w", k, mvstore.ErrVersionExists)
 		}
 		chain.AdvanceWatermark(ts)
@@ -248,20 +254,6 @@ func (c *Cluster) loadOne(k kv.Key, fn *functor.Functor) error {
 	}
 	chain.Seal(tstamp.End(0))
 	return nil
-}
-
-// FinalLoadResolution resolves final f-types eagerly during bulk load
-// (loads cannot be aborted by a second round, so eager resolution is safe
-// and spares the first epoch a burst of on-demand computes).
-func FinalLoadResolution(fn *functor.Functor) (*functor.Resolution, bool) {
-	switch fn.Type {
-	case functor.TypeValue:
-		return functor.ValueResolution(fn.Arg), true
-	case functor.TypeDeleted:
-		return functor.DeleteResolution(), true
-	default:
-		return nil, false
-	}
 }
 
 // Start commits epoch 0 and begins serving: with ManualEpochs the caller

@@ -26,8 +26,8 @@ var (
 )
 
 // The functors of records created by deferred writes. Such a record is born
-// resolved, so its value lives in the resolution and one placeholder of
-// each final f-type serves them all.
+// resolved, so its value lives in the record's outcome and one placeholder
+// of each final f-type serves them all.
 var (
 	_deferredValue  = functor.Value(nil)
 	_deferredDelete = functor.Deleted()
@@ -47,17 +47,16 @@ func (s *Server) getLocal(ctx context.Context, k kv.Key, v tstamp.Timestamp) (fu
 		return funcRead{}, nil
 	}
 	for rec := c.Latest(v); rec != nil; {
-		res := rec.Resolution()
-		if res == nil {
-			var err error
-			res, err = s.resolveRecord(ctx, k, c, rec)
-			if err != nil {
+		kind, value, _ := rec.Outcome()
+		if kind == 0 {
+			if err := s.resolveRecord(ctx, k, c, rec); err != nil {
 				return funcRead{}, err
 			}
+			kind, value, _ = rec.Outcome()
 		}
-		switch res.Kind {
+		switch kind {
 		case functor.Resolved:
-			return funcRead{Value: res.Value, Found: true, Version: rec.Version}, nil
+			return funcRead{Value: value, Found: true, Version: rec.Version}, nil
 		case functor.ResolvedDeleted:
 			return funcRead{}, nil // ⊥: deleted key
 		default:
@@ -145,7 +144,7 @@ func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestam
 // not an option). Cross-key dependencies recurse through getLocal/read,
 // bounded by the workload's dependency depth; version numbers strictly
 // decrease across such hops, so the recursion terminates.
-func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, rec *mvstore.Record) (*functor.Resolution, error) {
+func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, rec *mvstore.Record) error {
 	// The key may have migrated away while this record sat in the
 	// processor queue (or a forwarded read raced a second move). The
 	// current owner is the one replica allowed to *compute* it: resolving
@@ -156,29 +155,27 @@ func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, 
 	if o := s.owner(k); o != s.id {
 		res, err := s.comb.ensure(ctx, o, k, rec.Version)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rec.Resolve(res)
-		return rec.Resolution(), nil
+		return nil
 	}
 	view := c.View()
-	// Locate rec in the snapshot.
-	i := sort.Search(len(view), func(i int) bool { return view[i].Version >= rec.Version })
-	if i == len(view) || view[i] != rec {
+	i := locate(view, rec)
+	if i < 0 {
 		// The snapshot raced with an insert of a lower version; rec must
 		// still be present in a fresh view because records are never
 		// removed while unresolved.
 		view = c.View()
-		i = sort.Search(len(view), func(i int) bool { return view[i].Version >= rec.Version })
-		if i == len(view) || view[i] != rec {
-			return nil, fmt.Errorf("core: record %q@%v vanished", k, rec.Version)
+		if i = locate(view, rec); i < 0 {
+			return fmt.Errorf("core: record %q@%v vanished", k, rec.Version)
 		}
 	}
 	// Walk down to the nearest record a read would stop at, then compute
 	// forward: everything a functor in between reads below itself is final
 	// by the time it runs (readBelow).
 	j := i - 1
-	for j >= 0 && !readable(view[j].Resolution()) {
+	for j >= 0 && !readable(view[j]) {
 		j--
 	}
 	for idx := j + 1; idx <= i; idx++ {
@@ -186,21 +183,39 @@ func (s *Server) resolveRecord(ctx context.Context, k kv.Key, c *mvstore.Chain, 
 			continue
 		}
 		if err := s.computeOne(ctx, k, view, idx); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	res := rec.Resolution()
-	if res == nil {
-		return nil, fmt.Errorf("core: record %q@%v unresolved after compute", k, rec.Version)
+	if !rec.Final() {
+		return fmt.Errorf("core: record %q@%v unresolved after compute", k, rec.Version)
 	}
-	return res, nil
+	return nil
 }
 
-// readable reports whether a read stops at a record with resolution res: a
-// value, or a tombstone. ABORTED and SKIPPED records are read through, and
-// so is a record not yet resolved (nil).
-func readable(res *functor.Resolution) bool {
-	return res != nil && (res.Kind == functor.Resolved || res.Kind == functor.ResolvedDeleted)
+// locate returns rec's index in view, or -1. A record being resolved was
+// sealed by a recent commit, so the search gallops down from the tail and
+// bisects only the stretch it stepped over.
+func locate(view []*mvstore.Record, rec *mvstore.Record) int {
+	hi := len(view)
+	lo := hi - 1
+	for step := 1; lo >= 0 && view[lo].Version > rec.Version; step *= 2 {
+		hi = lo
+		lo -= step
+	}
+	lo = max(lo, 0)
+	i := lo + sort.Search(hi-lo, func(i int) bool { return view[lo+i].Version >= rec.Version })
+	if i == len(view) || view[i] != rec {
+		return -1
+	}
+	return i
+}
+
+// readable reports whether a read stops at rec: a value, or a tombstone.
+// ABORTED and SKIPPED records are read through, and so is a record not yet
+// resolved.
+func readable(rec *mvstore.Record) bool {
+	kind, _, _ := rec.Outcome()
+	return kind == functor.Resolved || kind == functor.ResolvedDeleted
 }
 
 // readBelow is a functor's read of its own key at the version before its
@@ -209,14 +224,12 @@ func readable(res *functor.Resolution) bool {
 // it and the nearest readable one below final.
 func readBelow(view []*mvstore.Record, idx int) funcRead {
 	for j := idx - 1; j >= 0; j-- {
-		res := view[j].Resolution()
-		if !readable(res) {
-			continue
+		switch kind, value, _ := view[j].Outcome(); kind {
+		case functor.Resolved:
+			return funcRead{Value: value, Found: true, Version: view[j].Version}
+		case functor.ResolvedDeleted:
+			return funcRead{} // ⊥: deleted key
 		}
-		if res.Kind == functor.ResolvedDeleted {
-			break // ⊥: deleted key
-		}
-		return funcRead{Value: res.Value, Found: true, Version: view[j].Version}
 	}
 	return funcRead{}
 }
@@ -224,8 +237,8 @@ func readBelow(view []*mvstore.Record, idx int) funcRead {
 // computeOne computes exactly one functor, view[idx] of k's chain, assuming
 // every lower version of its key that a read would visit is already final
 // (the paper's Func procedure, Algorithm 1 lines 10-15). Concurrent
-// invocations are safe: the resolution CAS ensures the functor is computed
-// at most once and identical inputs yield identical results.
+// invocations are safe: resolve-once keeps one outcome per functor and
+// identical inputs yield identical results.
 func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Record, idx int) error {
 	rec := view[idx]
 	fn := rec.Functor
@@ -239,19 +252,18 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Recor
 		span.SetAttr("key", string(k))
 		defer span.End()
 	}
-	var res *functor.Resolution
 	switch {
 	case fn.Type.Final():
-		res, _ = mvstore.FinalResolution(fn)
+		rec.ResolveValue(mvstore.FinalOutcome(fn))
 
 	case fn.Type.Arithmetic():
-		var err error
-		res, err = functor.EvalArithmetic(fn.Type, fn.Arg, readBelow(view, idx))
+		res, err := functor.EvalArithmetic(fn.Type, fn.Arg, readBelow(view, idx))
 		if err != nil {
 			// A malformed argument is a logic error: the transaction
 			// aborts, which ECC permits (unlike deterministic systems).
 			res = functor.AbortResolution(err.Error())
 		}
+		rec.Resolve(res)
 
 	case fn.Type == functor.TypeDepMarker:
 		det := fn.DeterminateKey()
@@ -259,19 +271,18 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Recor
 		if err != nil {
 			return err
 		}
-		res = markerResolution(detRes, k)
+		resolveMarker(rec, detRes, k)
 
 	case fn.Type == functor.TypeUser:
-		var err error
-		res, err = s.computeUser(ctx, k, rec, readBelow(view, idx))
+		res, err := s.computeUser(ctx, k, rec, readBelow(view, idx))
 		if err != nil {
 			return err
 		}
+		rec.Resolve(res)
 
 	default:
-		res = functor.AbortResolution(fmt.Sprintf("unknown f-type %d", fn.Type))
+		rec.Resolve(functor.AbortResolution(fmt.Sprintf("unknown f-type %d", fn.Type)))
 	}
-	rec.Resolve(res)
 	s.stats.functorsComputed.Add(1)
 	if !computeStart.IsZero() {
 		// Figure-10 "processing" stage: the Func procedure's run time,
@@ -282,12 +293,16 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Recor
 	// Distribute deferred writes for determinate functors, synchronously:
 	// the caller may advance this key's watermark next, which per §IV-E
 	// promises readers of the dependent keys that all deferred writes have
-	// been applied. The resolution actually installed may differ from res
-	// if a concurrent computation won the CAS; use the installed one so
-	// all partitions agree.
-	installed := rec.Resolution()
-	if len(fn.DependentKeys) > 0 || len(installed.DependentWrites) > 0 {
-		s.distributeDeferred(ctx, fn, rec.Version, installed)
+	// been applied. The outcome installed may be that of a concurrent
+	// computation that won the record; use the installed one (a losing
+	// Resolve returns once it is readable) so all partitions agree.
+	kind, _, ext := rec.Outcome()
+	var writes []functor.DependentWrite
+	if ext != nil {
+		writes = ext.DependentWrites
+	}
+	if len(fn.DependentKeys) > 0 || len(writes) > 0 {
+		s.distributeDeferred(ctx, fn, rec.Version, kind == functor.ResolvedAborted, writes)
 	}
 	s.notifyComputed()
 	return nil
@@ -411,30 +426,38 @@ func (s *Server) ensureLocal(ctx context.Context, k kv.Key, version tstamp.Times
 	if rec == nil {
 		return nil, fmt.Errorf("core: server %d: determinate functor %q@%v not found", s.id, k, version)
 	}
-	return s.resolveRecord(ctx, k, c, rec)
+	if err := s.resolveRecord(ctx, k, c, rec); err != nil {
+		return nil, err
+	}
+	return rec.Resolution(), nil
 }
 
-// markerResolution derives a dependent-key marker's resolution from its
-// determinate functor's resolution: the deferred write's value if present,
+// resolveMarker gives a dependent-key marker the outcome its determinate
+// functor's resolution implies: the deferred write's value if present,
 // ABORTED if the transaction aborted, SKIPPED otherwise.
-func markerResolution(det *functor.Resolution, marker kv.Key) *functor.Resolution {
+func resolveMarker(rec *mvstore.Record, det *functor.Resolution, marker kv.Key) {
 	if det.Kind == functor.ResolvedAborted {
-		return _abortResolutionDeferred
+		rec.Resolve(_abortResolutionDeferred)
+		return
 	}
 	for _, w := range det.DependentWrites {
 		if w.Key == marker {
-			return deferredResolution(w)
+			_, kind, value := deferredOutcome(w)
+			rec.ResolveValue(kind, value)
+			return
 		}
 	}
-	return _skipResolutionShared
+	rec.Resolve(_skipResolutionShared)
 }
 
-// deferredResolution converts one deferred write into a resolution.
-func deferredResolution(w functor.DependentWrite) *functor.Resolution {
+// deferredOutcome is what one deferred write makes of its key's version: the
+// shared placeholder functor a record created for it points at, and the
+// plain outcome.
+func deferredOutcome(w functor.DependentWrite) (*functor.Functor, functor.ResolutionKind, kv.Value) {
 	if w.Delete {
-		return functor.DeleteResolution()
+		return _deferredDelete, functor.ResolvedDeleted, nil
 	}
-	return functor.ValueResolution(w.Value)
+	return _deferredValue, functor.Resolved, w.Value
 }
 
 // distributeDeferred pushes a computed determinate functor's deferred
@@ -447,8 +470,9 @@ func deferredResolution(w functor.DependentWrite) *functor.Resolution {
 //
 // Distribution is synchronous: the determinate key's watermark only
 // advances after this returns, which is exactly the promise the
-// DependencyRule relies on. All applications are idempotent CAS installs.
-func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, version tstamp.Timestamp, res *functor.Resolution) {
+// DependencyRule relies on. All applications are idempotent resolve-once
+// installs.
+func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, version tstamp.Timestamp, aborted bool, writes []functor.DependentWrite) {
 	ctx, span := s.tr.Start(ctx, "deferred.apply")
 	defer span.End()
 	// A determinate functor touches a handful of owners and a dozen-odd
@@ -465,32 +489,44 @@ func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, ve
 				return byOwner[i].msg
 			}
 		}
-		m := &MsgApplyDeferred{Version: version, Aborted: res.Kind == functor.ResolvedAborted}
+		m := &MsgApplyDeferred{Version: version, Aborted: aborted}
 		byOwner = append(byOwner, ownerMsg{owner: owner, msg: m})
 		return m
 	}
-	aborted := res.Kind == functor.ResolvedAborted
-	if !aborted {
-		for _, w := range res.DependentWrites {
+	if aborted {
+		writes = nil
+	}
+	local := len(writes) > 0
+	for i := range writes {
+		if s.owner(writes[i].Key) != s.id {
+			local = false
+			break
+		}
+	}
+	if local {
+		// Rows keyed by what the functor just computed (TPC-C's order rows)
+		// live with it: the outcome's own slice is the message, read-only
+		// from here on.
+		msgFor(s.id).Writes = writes
+	} else {
+		for _, w := range writes {
 			m := msgFor(s.owner(w.Key))
 			if m.Writes == nil {
-				m.Writes = make([]functor.DependentWrite, 0, len(res.DependentWrites))
+				m.Writes = make([]functor.DependentWrite, 0, len(writes))
 			}
 			m.Writes = append(m.Writes, w)
 		}
 	}
 	for _, dk := range fn.DependentKeys {
-		if !aborted {
-			written := false
-			for _, w := range res.DependentWrites {
-				if w.Key == dk {
-					written = true
-					break
-				}
+		written := false
+		for i := range writes {
+			if writes[i].Key == dk {
+				written = true
+				break
 			}
-			if written {
-				continue
-			}
+		}
+		if written {
+			continue
 		}
 		m := msgFor(s.owner(dk))
 		m.Dissolve = append(m.Dissolve, dk)

@@ -131,39 +131,10 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 		versions[i] = ts
 		results[i].Version = ts
 		withMarkers := expandDependentMarkers(txns[i].Writes)
-		// Group this transaction's writes by owner. Transactions touch a
-		// handful of partitions, so a linear scan over a small slice beats
-		// a map allocation per transaction.
-		type ownerSlice struct {
-			owner int
-			inst  InstallTxn
-		}
-		var owners []ownerSlice
-		sliceFor := func(o int) *InstallTxn {
-			for j := range owners {
-				if owners[j].owner == o {
-					return &owners[j].inst
-				}
-			}
-			owners = append(owners, ownerSlice{owner: o, inst: InstallTxn{Version: ts}})
-			return &owners[len(owners)-1].inst
-		}
-		// Installs route at the transaction's epoch, not at the newest
-		// placement: a move taking effect next epoch must not steer this
-		// epoch's writes to the new owner early (the move's From-epoch
-		// fence, placement.Move).
-		for _, w := range withMarkers {
-			it := sliceFor(s.ownerAt(w.Key, ts.Epoch()))
-			it.Writes = append(it.Writes, w)
-		}
-		for _, rk := range txns[i].Requires {
-			it := sliceFor(s.ownerAt(rk, ts.Epoch()))
-			it.Requires = append(it.Requires, rk)
-		}
-		for _, os := range owners {
-			b := batchFor(os.owner)
-			b.slices = append(b.slices, installSlice{txnIdx: i, inst: os.inst})
-		}
+		s.splitByOwner(ts, withMarkers, txns[i].Requires, func(owner int, inst InstallTxn) {
+			b := batchFor(owner)
+			b.slices = append(b.slices, installSlice{txnIdx: i, inst: inst})
+		})
 		handles[i] = &TxnHandle{s: s, version: ts, writes: withMarkers, sc: rootSC}
 	}
 
@@ -327,6 +298,84 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 	return results, handles, nil
 }
 
+// splitByOwner hands emit one InstallTxn per partition that owns some of a
+// transaction's writes or required keys, in order of first appearance.
+// Installs route at the transaction's epoch, not at the newest placement: a
+// move taking effect next epoch must not steer this epoch's writes to the
+// new owner early (the move's From-epoch fence, placement.Move).
+//
+// A transaction whose keys all have one owner — nine NewOrders in ten —
+// passes its own slices on as they are: nothing downstream writes through
+// an InstallTxn's slices. Otherwise each owner's share is counted first and
+// allocated once.
+func (s *Server) splitByOwner(ts tstamp.Timestamp, writes []Write, requires []kv.Key, emit func(owner int, inst InstallTxn)) {
+	e := ts.Epoch()
+	var buf [32]int // a NewOrder's keys; longer transactions spill to the heap
+	owners := buf[:0]
+	for i := range writes {
+		owners = append(owners, s.ownerAt(writes[i].Key, e))
+	}
+	for _, rk := range requires {
+		owners = append(owners, s.ownerAt(rk, e))
+	}
+	if len(owners) == 0 {
+		return
+	}
+	single := true
+	for _, o := range owners[1:] {
+		if o != owners[0] {
+			single = false
+			break
+		}
+	}
+	if single {
+		emit(owners[0], InstallTxn{Version: ts, Writes: writes, Requires: requires})
+		return
+	}
+	// Transactions touch a handful of partitions, so a linear scan over a
+	// small slice beats a map allocation per transaction.
+	type share struct {
+		owner, writes, requires int
+		inst                    InstallTxn
+	}
+	var sbuf [4]share
+	shares := sbuf[:0]
+	shareOf := func(o int) *share {
+		for j := range shares {
+			if shares[j].owner == o {
+				return &shares[j]
+			}
+		}
+		shares = append(shares, share{owner: o})
+		return &shares[len(shares)-1]
+	}
+	writeOwners, requireOwners := owners[:len(writes)], owners[len(writes):]
+	for _, o := range writeOwners {
+		shareOf(o).writes++
+	}
+	for _, o := range requireOwners {
+		shareOf(o).requires++
+	}
+	for j := range shares {
+		sh := &shares[j]
+		sh.inst = InstallTxn{Version: ts, Writes: make([]Write, 0, sh.writes)}
+		if sh.requires > 0 {
+			sh.inst.Requires = make([]kv.Key, 0, sh.requires)
+		}
+	}
+	for i, o := range writeOwners {
+		inst := &shareOf(o).inst
+		inst.Writes = append(inst.Writes, writes[i])
+	}
+	for i, o := range requireOwners {
+		inst := &shareOf(o).inst
+		inst.Requires = append(inst.Requires, requires[i])
+	}
+	for j := range shares {
+		emit(shares[j].owner, shares[j].inst)
+	}
+}
+
 // installSlice is one transaction's writes destined for one partition
 // (shared by SubmitBatch's initial fan-out and the WrongOwner retry path).
 type installSlice struct {
@@ -387,32 +436,9 @@ func (s *Server) retryWrongOwner(ctx context.Context, pending []installSlice, re
 				// round will roll it back, don't grow its footprint.
 				continue
 			}
-			e := sl.inst.Version.Epoch()
-			type ownerSlice struct {
-				owner int
-				inst  InstallTxn
-			}
-			var owners []ownerSlice
-			sliceFor := func(o int) *InstallTxn {
-				for j := range owners {
-					if owners[j].owner == o {
-						return &owners[j].inst
-					}
-				}
-				owners = append(owners, ownerSlice{owner: o, inst: InstallTxn{Version: sl.inst.Version}})
-				return &owners[len(owners)-1].inst
-			}
-			for _, w := range sl.inst.Writes {
-				it := sliceFor(s.ownerAt(w.Key, e))
-				it.Writes = append(it.Writes, w)
-			}
-			for _, rk := range sl.inst.Requires {
-				it := sliceFor(s.ownerAt(rk, e))
-				it.Requires = append(it.Requires, rk)
-			}
-			for _, os := range owners {
-				add(os.owner, installSlice{txnIdx: sl.txnIdx, inst: os.inst})
-			}
+			s.splitByOwner(sl.inst.Version, sl.inst.Writes, sl.inst.Requires, func(owner int, inst InstallTxn) {
+				add(owner, installSlice{txnIdx: sl.txnIdx, inst: inst})
+			})
 		}
 		pending = pending[:0]
 		for _, ob := range perOwner {

@@ -57,7 +57,7 @@ func (s *Server) handleRangeExport(m MsgRangeExport) MsgRangeExportResp {
 // handleRangeImport absorbs exported chains at the new owner. Puts are
 // idempotent (a retransmitted import, or a straggler install that raced
 // ahead under the new map, leaves the existing record in place), carried
-// resolutions install via the resolve-once CAS, and unresolved functors
+// resolutions install through resolve-once, and unresolved functors
 // flow through bufferWork so the processor computes them under the same
 // epoch discipline as locally installed ones: epochs the server already
 // drained seal and enqueue immediately, the sealing epoch's records wait
@@ -79,16 +79,19 @@ func (s *Server) handleRangeImport(ctx context.Context, m MsgRangeImport) MsgRan
 		// has to pass before the chain's imported history can retire.
 		published, newest := false, tstamp.Epoch(0)
 		for _, er := range ke.Records {
-			if er.Resolution != nil {
-				if _, fresh := c.PutResolved(er.Version, er.Functor, er.Resolution); fresh {
-					resp.Records++
-					published, newest = true, er.Version.Epoch()
-				}
-				continue
-			}
 			rec, err := c.Put(er.Version, er.Functor)
 			if err == nil {
 				resp.Records++
+			}
+			if er.Resolution != nil {
+				// Final at the old owner: take its outcome whole (reason and
+				// dependent writes included) and publish at once.
+				rec.Resolve(er.Resolution)
+				if err == nil {
+					c.Seal(er.Version + 1)
+					published, newest = true, er.Version.Epoch()
+				}
+				continue
 			}
 			if rec.Final() {
 				// The record existed and is already final here.

@@ -272,7 +272,7 @@ func (p *processor) process(item workItem) {
 	if item.rec.Final() && item.chain.Watermark() >= item.rec.Version {
 		return
 	}
-	if _, err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
+	if err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
 		// A failed remote read (e.g. during shutdown) leaves the functor
 		// for on-demand computation at read time.
 		return

@@ -687,26 +687,23 @@ func (s *Server) notifyComputed() {
 }
 
 // waitRecordFinal blocks until the record reaches a final state.
-func (s *Server) waitRecordFinal(ctx context.Context, rec *mvstore.Record) (*functor.Resolution, error) {
-	if res := rec.Resolution(); res != nil {
-		return res, nil
+func (s *Server) waitRecordFinal(ctx context.Context, rec *mvstore.Record) error {
+	if rec.Final() {
+		return nil
 	}
 	s.computedWaiters.Add(1)
 	defer s.computedWaiters.Add(-1)
 	for {
-		if res := rec.Resolution(); res != nil {
-			return res, nil
-		}
 		s.computedMu.Lock()
 		ch := s.computedCh
 		s.computedMu.Unlock()
-		if res := rec.Resolution(); res != nil {
-			return res, nil
+		if rec.Final() {
+			return nil
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }

@@ -40,9 +40,10 @@ func (k ResolutionKind) String() string {
 	}
 }
 
-// Resolution is the outcome of computing one functor. It is immutable and
-// installed into the version record with a single compare-and-swap, which
-// enforces the "computed at most once" rule.
+// Resolution is the outcome of computing one functor, as a handler returns
+// it. It is immutable. The version record takes the kind and the value into
+// its own fields, once ("computed at most once"), and keeps the Resolution
+// itself only when it carries a reason or dependent writes.
 type Resolution struct {
 	// Kind classifies the outcome.
 	Kind ResolutionKind

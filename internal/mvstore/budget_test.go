@@ -1,6 +1,7 @@
 package mvstore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"unsafe"
@@ -25,7 +26,8 @@ func perOp(batch int, keys []kv.Key, f func(keys []kv.Key)) float64 {
 
 // TestAllocationBudgets pins the layout's cost in heap objects: at most two
 // per version (the record and, amortised, its share of a grown array; a
-// key's first version is embedded in its chain), none per seal.
+// key's first version is embedded in its chain), none per seal, none for an
+// outcome — it lives in the record.
 func TestAllocationBudgets(t *testing.T) {
 	const n = 4096
 	keys := make([]kv.Key, 4*n)
@@ -63,15 +65,45 @@ func TestAllocationBudgets(t *testing.T) {
 		t.Errorf("Put+Seal on an existing chain allocates %.2f objects amortised, budget 2", got)
 	}
 
-	// A deferred write to a fresh key: the chain and the resolution that
-	// carries the value.
+	// A deferred write to a fresh key is the chain and nothing else: the
+	// record is embedded and the record holds the value.
 	val, shared := kv.Value("row"), functor.Value(nil)
 	if got := perOp(n, unwritten, func(keys []kv.Key) {
 		for _, k := range keys {
-			s.ChainOrCreate(k).PutResolved(ts(1, 1, 0), shared, functor.ValueResolution(val))
+			s.ChainOrCreate(k).PutResolved(ts(1, 1, 0), shared, functor.Resolved, val)
 		}
-	}); got > 2+index {
-		t.Errorf("pre-resolved install of a fresh key allocates %.2f objects, budget 2", got)
+	}); got > 1+index {
+		t.Errorf("pre-resolved install of a fresh key allocates %.2f objects, budget 1", got)
+	}
+
+	// 64 more on each of those chains: the record, plus the seven arrays a
+	// chain doubles through on the way (a block and its slots each time).
+	const growth = 14.0 / 64
+	if got := perOp(64*n, unwritten, func(keys []kv.Key) {
+		for e := tstamp.Epoch(2); e < 66; e++ {
+			for _, k := range keys {
+				s.Chain(k).PutResolved(ts(e, 1, 0), shared, functor.Resolved, val)
+			}
+		}
+	}); got > 1+growth {
+		t.Errorf("pre-resolved install on an existing chain allocates %.2f objects amortised, budget 1 + %.2f of array growth", got, growth)
+	}
+
+	// Resolving allocates nothing unless the outcome carries more than a
+	// value, and reading an outcome never does.
+	var recs []*Record
+	for _, k := range written[:n] {
+		recs = append(recs, s.Chain(k).View()...)
+	}
+	plain, sink := functor.ValueResolution(val), 0
+	if got := testing.AllocsPerRun(1, func() {
+		for _, rec := range recs {
+			rec.Resolve(plain)
+			kind, value, _ := rec.Outcome()
+			sink += int(kind) + len(value)
+		}
+	}); got != 0 {
+		t.Errorf("Resolve + Outcome over %d records allocates %.0f objects, budget 0", len(recs), got)
 	}
 
 	if got := perOp(n, written, func(keys []kv.Key) {
@@ -98,8 +130,8 @@ func TestAllocationBudgets(t *testing.T) {
 }
 
 // TestRecordAddressStable: the pointer Put returns stays the record for
-// good. The processor queue, second-round aborts and the resolve-once CAS
-// all hold it across seals, array replacements and compactions of the key.
+// good. The processor queue, second-round aborts and resolve-once all hold
+// it across seals, array replacements and compactions of the key.
 func TestRecordAddressStable(t *testing.T) {
 	s := New()
 	first, err := s.Put("k", ts(1, 1, 0), functor.Add(1))
@@ -120,8 +152,11 @@ func TestRecordAddressStable(t *testing.T) {
 			t.Fatalf("record %v already resolved", rec.Version)
 		}
 		got, ok := s.Latest("k", rec.Version)
-		if !ok || got != rec || got.Resolution() != res {
-			t.Fatalf("Latest(%v) = %p %v, want the record Put returned (%p) with its resolution", rec.Version, got, ok, rec)
+		if !ok || got != rec {
+			t.Fatalf("Latest(%v) = %p %v, want the record Put returned (%p)", rec.Version, got, ok, rec)
+		}
+		if kind, value, _ := got.Outcome(); kind != functor.Resolved || !bytes.Equal(value, res.Value) {
+			t.Fatalf("Latest(%v) holds %v %q, want the value just resolved", rec.Version, kind, value)
 		}
 	}
 	if len(s.View("k")) != 1002 {
@@ -130,10 +165,14 @@ func TestRecordAddressStable(t *testing.T) {
 }
 
 // TestChainSizeClass pins a chain — a key written once is nothing else — to
-// the allocator's 96-byte class; one more word would move every key of the
-// store to the 112-byte class.
+// exactly the allocator's 128-byte class, and a record on its own to the
+// 64-byte one; one more word would move every key of the store to the
+// 144-byte class and every later version to the 80-byte one.
 func TestChainSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Chain{}); got != 96 {
-		t.Fatalf("Chain is %d bytes, want 96", got)
+	if got := unsafe.Sizeof(Chain{}); got != 128 {
+		t.Errorf("Chain is %d bytes, want 128", got)
+	}
+	if got := unsafe.Sizeof(Record{}); got > 64 {
+		t.Errorf("Record is %d bytes, want at most 64", got)
 	}
 }

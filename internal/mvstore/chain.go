@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"alohadb/internal/functor"
+	"alohadb/internal/kv"
 	"alohadb/internal/tstamp"
 )
 
@@ -32,9 +33,10 @@ import (
 // twice the size; readers of the old block keep a consistent prefix.
 //
 // A chain embeds its first record, a one-slot array for it and that array's
-// block, so a key written once costs a single object. Records never move:
-// the arrays hold pointers, and the resolve-once CAS, the processor queue
-// and second-round aborts all address a record by the pointer Put returned.
+// block, so a key written once costs a single object (128 bytes with the
+// record's inline outcome). Records never move: the arrays hold pointers,
+// and resolve-once, the processor queue and second-round aborts all address
+// a record by the pointer Put returned.
 type Chain struct {
 	mu  sync.Mutex // guards staged, the staged region of cur, and block replacement
 	cur atomic.Pointer[block]
@@ -42,7 +44,7 @@ type Chain struct {
 	staged int32
 	// owed is the epoch of the horizon of a Compact that the watermark cut
 	// short (zero: none); it shares staged's word so that a key written once
-	// stays in the 96-byte size class.
+	// stays in the 128-byte size class.
 	owed atomic.Uint32
 	// watermark is the value watermark: every version at or below it is a
 	// final value (paper §III-D). Monotonically non-decreasing.
@@ -100,30 +102,34 @@ func (c *Chain) Put(version tstamp.Timestamp, fn *functor.Functor) (*Record, err
 	if rec := c.at(version); rec != nil {
 		return rec, ErrVersionExists
 	}
-	return c.stage(version, fn, nil), nil
+	return c.stage(version, fn), nil
 }
 
-// PutResolved installs a version whose outcome is already known — a
-// deferred write, an imported or checkpointed final value — resolved and
-// sealed in one step; it publishes every staged record at or below version
-// with it. When the version exists (a marker installed in the write-only
-// phase, a duplicate delivery) that record takes res through the
-// resolve-once CAS, stays where it is, and comes back with false.
-func (c *Chain) PutResolved(version tstamp.Timestamp, fn *functor.Functor, res *functor.Resolution) (*Record, bool) {
+// PutResolved installs a version whose plain outcome is already known — a
+// deferred write, a bulk-loaded or checkpointed final value — resolved and
+// sealed in one step, the outcome written straight into the record; it
+// publishes every staged record at or below version with it. When the
+// version exists (a marker installed in the write-only phase, a duplicate
+// delivery) that record takes the outcome through resolve-once, stays where
+// it is, and comes back with false.
+func (c *Chain) PutResolved(version tstamp.Timestamp, fn *functor.Functor, kind functor.ResolutionKind, value kv.Value) (*Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rec := c.at(version); rec != nil {
-		rec.Resolve(res)
-		return rec, false
+	rec := c.at(version)
+	fresh := rec == nil
+	if fresh {
+		rec = c.stage(version, fn)
 	}
-	rec := c.stage(version, fn, res)
-	c.seal(version + 1)
-	return rec, true
+	rec.ResolveValue(kind, value)
+	if fresh {
+		c.seal(version + 1)
+	}
+	return rec, fresh
 }
 
 // stage appends a record to the staged region, growing the array when it is
 // full. Callers hold c.mu and have ruled out a duplicate.
-func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor, res *functor.Resolution) *Record {
+func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor) *Record {
 	b := c.cur.Load()
 	var rec *Record
 	if b == nil {
@@ -135,9 +141,6 @@ func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor, res *functo
 		rec = new(Record)
 	}
 	rec.Version, rec.Functor = version, fn
-	if res != nil {
-		rec.resolved.Store(res)
-	}
 	n := int(b.n.Load())
 	live := n + int(c.staged)
 	if live == len(b.recs) {
@@ -246,9 +249,13 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 		return nil
 	}
 	n := int(b.n.Load())
-	i := sort.Search(n, func(i int) bool { return b.recs[i].Version >= v })
-	if i < n && b.recs[i].Version == v {
-		return b.recs[i]
+	// An install's version is above every sealed one unless it is a
+	// straggler: compare with the newest sealed record before searching.
+	if n > 0 && v <= b.recs[n-1].Version {
+		i := sort.Search(n, func(i int) bool { return b.recs[i].Version >= v })
+		if b.recs[i].Version == v {
+			return b.recs[i]
+		}
 	}
 	for _, r := range b.recs[n : n+int(c.staged)] {
 		if r.Version == v {
@@ -297,11 +304,11 @@ func (c *Chain) Compact(bound tstamp.Timestamp) int {
 	}
 	keepFrom := i // if no record below bound is visible, drop them all
 	for j := i - 1; j >= 0; j-- {
-		res := b.recs[j].Resolution()
-		// A nil resolution below the watermark is a lazily-resolved final
-		// functor (VALUE/DELETED placeholders resolve on first read);
+		kind, _, _ := b.recs[j].Outcome()
+		// An unresolved record below the watermark is a lazily-resolved
+		// final functor (VALUE/DELETED placeholders resolve on first read);
 		// treat it as visible.
-		if res == nil || res.Kind == functor.Resolved || res.Kind == functor.ResolvedDeleted {
+		if kind == 0 || kind == functor.Resolved || kind == functor.ResolvedDeleted {
 			keepFrom = j
 			break
 		}

@@ -69,14 +69,14 @@ func TestExportMatchingAndDrop(t *testing.T) {
 }
 
 // TestExportImportRoundTrip moves a chain the way a placement handoff does
-// — resolved records through PutResolved, unresolved ones staged and
-// sealed by their epoch — and requires the copy to export and read the
+// — resolved records take their exported outcome whole and are published
+// at once, unresolved ones are staged and sealed by their epoch — and requires the copy to export and read the
 // same: embedded and array records, a deferred write's placeholder
 // functor, a second-round abort, a staged straggler, the watermark.
 func TestExportImportRoundTrip(t *testing.T) {
 	src := New()
 	c := src.ChainOrCreate("k")
-	c.PutResolved(tstamp.Make(1, 1, 0), functor.Value(nil), functor.ValueResolution([]byte("deferred")))
+	c.PutResolved(tstamp.Make(1, 1, 0), functor.Value(nil), functor.Resolved, []byte("deferred"))
 	aborted, _ := c.Put(tstamp.Make(1, 2, 0), functor.Value([]byte("rolled back")))
 	aborted.Resolve(functor.AbortResolution("second round"))
 	c.Put(tstamp.Make(1, 3, 0), functor.Add(1))
@@ -88,11 +88,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 	dst := New()
 	d := dst.ChainOrCreate("k")
 	for _, er := range recs {
+		rec, _ := d.Put(er.Version, er.Functor)
 		if er.Resolution != nil {
-			d.PutResolved(er.Version, er.Functor, er.Resolution)
-			continue
+			rec.Resolve(er.Resolution)
+			d.Seal(er.Version + 1)
 		}
-		d.Put(er.Version, er.Functor)
 	}
 	d.Seal(tstamp.End(1))
 	d.AdvanceWatermark(wm)

@@ -1,7 +1,9 @@
 package mvstore
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -107,8 +109,8 @@ func TestConcurrentModelEquivalence(t *testing.T) {
 }
 
 // chainModel is the sequential reference for one key's chain: a map of
-// live versions with their sealed flag and resolution kind, and the value
-// watermark. Every mutation of the layout (embedded first record, in-place
+// live versions with their sealed flag and the outcome that won them, and
+// the value watermark. Every mutation of the layout (embedded first record, in-place
 // seal, growth, merge, compaction, pre-resolved install) must leave the
 // chain answering exactly like it.
 type chainModel struct {
@@ -118,7 +120,14 @@ type chainModel struct {
 
 type modelRec struct {
 	sealed bool
-	kind   functor.ResolutionKind // 0 while unresolved
+	won    *functor.Resolution // the outcome installed first; nil while unresolved
+}
+
+func (r *modelRec) kind() functor.ResolutionKind {
+	if r.won == nil {
+		return 0
+	}
+	return r.won.Kind
 }
 
 func (m *chainModel) sorted(sealedOnly bool) []tstamp.Timestamp {
@@ -148,7 +157,7 @@ func (m *chainModel) compact(bound tstamp.Timestamp) int {
 	i := sort.Search(len(sealed), func(i int) bool { return sealed[i] >= bound })
 	keepFrom := i
 	for j := i - 1; j >= 0; j-- {
-		if k := m.recs[sealed[j]].kind; k == 0 || k == functor.Resolved || k == functor.ResolvedDeleted {
+		if k := m.recs[sealed[j]].kind(); k == 0 || k == functor.Resolved || k == functor.ResolvedDeleted {
 			keepFrom = j
 			break
 		}
@@ -197,20 +206,21 @@ func (h *modelHarness) put(v tstamp.Timestamp, fn *functor.Functor) {
 	h.check()
 }
 
-func (h *modelHarness) putResolved(v tstamp.Timestamp, fn *functor.Functor, res *functor.Resolution) {
+func (h *modelHarness) putResolved(v tstamp.Timestamp, fn *functor.Functor, kind functor.ResolutionKind, value kv.Value) {
 	h.t.Helper()
-	rec, fresh := h.s.ChainOrCreate("k").PutResolved(v, fn, res)
+	rec, fresh := h.s.ChainOrCreate("k").PutResolved(v, fn, kind, value)
 	if _, dup := h.m.recs[v]; dup == fresh {
 		h.t.Fatalf("PutResolved(%v): fresh %v, model duplicate %v", v, fresh, dup)
 	}
+	won := &functor.Resolution{Kind: kind, Value: value}
 	if fresh {
-		h.m.recs[v] = &modelRec{kind: res.Kind}
+		h.m.recs[v] = &modelRec{won: won}
 		h.ptrs[v] = rec
 		h.m.seal(v + 1)
 	} else if rec != h.ptrs[v] {
 		h.t.Fatalf("duplicate PutResolved(%v) returned another record", v)
-	} else if m := h.m.recs[v]; m.kind == 0 {
-		m.kind = res.Kind // the existing record takes the resolution, once
+	} else if m := h.m.recs[v]; m.won == nil {
+		m.won = won // the existing record takes the outcome, once
 	}
 	h.check()
 }
@@ -228,10 +238,10 @@ func (h *modelHarness) resolve(v tstamp.Timestamp, res *functor.Resolution) {
 	if !ok {
 		h.t.Fatalf("At(%v) missing", v)
 	}
-	if won := rec.Resolve(res); won != (h.m.recs[v].kind == 0) {
-		h.t.Fatalf("Resolve(%v) won = %v, model kind %v", v, won, h.m.recs[v].kind)
+	if won := rec.Resolve(res); won != (h.m.recs[v].won == nil) {
+		h.t.Fatalf("Resolve(%v) won = %v, model kind %v", v, won, h.m.recs[v].kind())
 	} else if won {
-		h.m.recs[v].kind = res.Kind
+		h.m.recs[v].won = res
 	}
 	h.check()
 }
@@ -280,13 +290,7 @@ func (h *modelHarness) check() {
 		if !ok || rec != h.ptrs[v] || rec.Version != v {
 			h.t.Fatalf("At(%v) = %p ok=%v, Put returned %p", v, rec, ok, h.ptrs[v])
 		}
-		var kind functor.ResolutionKind
-		if res := rec.Resolution(); res != nil {
-			kind = res.Kind
-		}
-		if kind != h.m.recs[v].kind {
-			h.t.Fatalf("record %v resolved %v, model %v", v, kind, h.m.recs[v].kind)
-		}
+		h.checkOutcome(rec, h.m.recs[v].won)
 		// Latest just below, at, and just above each version.
 		for _, max := range []tstamp.Timestamp{v.Prev(), v, v + 1} {
 			i := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
@@ -304,9 +308,34 @@ func (h *modelHarness) check() {
 	}
 }
 
+// checkOutcome compares both accessors of rec with the outcome the model
+// says won it: Outcome is the winner's kind and value, with the winner's own
+// Resolution behind ext exactly when it carries a reason or dependent
+// writes; Resolution() is that object, or an equal one made on the spot.
+func (h *modelHarness) checkOutcome(rec *Record, won *functor.Resolution) {
+	h.t.Helper()
+	kind, value, ext := rec.Outcome()
+	res := rec.Resolution()
+	if won == nil {
+		if kind != 0 || value != nil || ext != nil || res != nil || rec.Final() {
+			h.t.Fatalf("record %v resolved %v (%q, ext %v, Resolution %v), model unresolved", rec.Version, kind, value, ext, res)
+		}
+		return
+	}
+	wantExt := keptBehindExt(won)
+	if kind != won.Kind || !bytes.Equal(value, won.Value) || ext != wantExt || !rec.Final() {
+		h.t.Fatalf("record %v: Outcome = %v %q ext %p, model %v %q ext %p", rec.Version, kind, value, ext, won.Kind, won.Value, wantExt)
+	}
+	if res == nil || (wantExt != nil && res != wantExt) || !reflect.DeepEqual(res, won) {
+		h.t.Fatalf("record %v: Resolution() = %+v, model %+v", rec.Version, res, won)
+	}
+}
+
 var (
 	valueRes = functor.ValueResolution(kv.Value("v"))
 	abortRes = functor.AbortResolution("second round")
+	// A determinate functor's outcome: a value that carries deferred writes.
+	writesRes = &functor.Resolution{Kind: functor.Resolved, Value: kv.Value("det"), DependentWrites: []functor.DependentWrite{{Key: "row", Value: kv.Value("r")}}}
 )
 
 // TestLayoutAgainstModel walks the chain through each transition of its
@@ -356,7 +385,8 @@ func TestLayoutAgainstModel(t *testing.T) {
 		h.put(v, fn)
 		h.resolve(v, abortRes) // before the epoch commits, on the embedded record
 		h.seal(tstamp.End(1))
-		lazy, _ := FinalResolution(fn)
+		kind, value := FinalOutcome(fn)
+		lazy := &functor.Resolution{Kind: kind, Value: value}
 		h.resolve(v, lazy) // a reader's lazy resolution must lose
 		if res := h.ptrs[v].Resolution(); res.Kind != functor.ResolvedAborted {
 			t.Errorf("record resolved %v, want ABORTED", res.Kind)
@@ -401,17 +431,20 @@ func TestLayoutAgainstModel(t *testing.T) {
 	t.Run("pre-resolved installs", func(t *testing.T) {
 		h := newModelHarness(t)
 		shared := functor.Value(nil)
-		h.putResolved(ts(1, 3, 0), shared, valueRes) // fresh key: embedded, sealed, resolved
+		h.putResolved(ts(1, 3, 0), shared, functor.Resolved, kv.Value("v")) // fresh key: embedded, sealed, resolved
 		if !h.ptrs[ts(1, 3, 0)].Final() || len(h.s.View("k")) != 1 {
 			t.Fatal("a pre-resolved install is not readable at once")
 		}
 		h.put(ts(1, 2, 0), functor.DepMarker("det")) // a marker staged in the write-only phase
 		h.put(ts(1, 9, 0), functor.Add(1))
-		h.putResolved(ts(1, 2, 0), shared, valueRes) // resolves the marker where it is, still staged
-		h.resolve(ts(1, 2, 0), abortRes)             // and only once
+		h.putResolved(ts(1, 2, 0), shared, functor.Resolved, kv.Value("w")) // resolves the marker where it is, still staged
+		h.resolve(ts(1, 2, 0), abortRes)                                    // and only once
 		h.hold()
-		h.putResolved(ts(1, 5, 0), shared, valueRes) // publishes the marker 1.2 with it, merged below the sealed 1.3
-		h.putResolved(ts(1, 5, 0), shared, valueRes) // duplicate delivery
+		h.putResolved(ts(1, 5, 0), shared, functor.Resolved, kv.Value("x")) // publishes the marker 1.2 with it, merged below the sealed 1.3
+		h.putResolved(ts(1, 5, 0), shared, functor.Resolved, kv.Value("y")) // duplicate delivery: the first value stays
+		h.putResolved(ts(1, 6, 0), functor.Deleted(), functor.ResolvedDeleted, nil)
+		h.resolve(ts(1, 9, 0), writesRes)                                      // an outcome that keeps its Resolution
+		h.putResolved(ts(1, 9, 0), shared, functor.Resolved, kv.Value("late")) // and a deferred write that arrives after it
 		h.seal(tstamp.End(1))
 	})
 }
@@ -456,25 +489,22 @@ func TestLayoutRandomOpsAgainstModel(t *testing.T) {
 			case op < 9:
 				h.put(v, functor.Add(1))
 			case op < 11:
-				h.putResolved(v, functor.Value(nil), valueRes)
+				h.putResolved(v, functor.Value(nil), functor.Resolved, kv.EncodeInt64(int64(i)))
 			case op < 14:
 				h.seal(tstamp.End(tstamp.Epoch(rng.Intn(epochs) + 1)))
 			case op < 15:
 				h.hold()
 			case op < 18:
 				if all := h.m.sorted(false); len(all) > 0 {
-					res := valueRes
-					if rng.Intn(3) == 0 {
-						res = abortRes
-					}
-					h.resolve(all[rng.Intn(len(all))], res)
+					res := []*functor.Resolution{valueRes, abortRes, writesRes, functor.DeleteResolution(), functor.SkipResolution(), functor.ValueResolution(kv.EncodeInt64(int64(i)))}
+					h.resolve(all[rng.Intn(len(all))], res[rng.Intn(len(res))])
 				}
 			default:
 				// Raise the watermark over the resolved sealed prefix, as
 				// the engine does, then compact somewhere inside it.
 				var wm tstamp.Timestamp
 				for _, sv := range h.m.sorted(true) {
-					if h.m.recs[sv].kind == 0 {
+					if h.m.recs[sv].won == nil {
 						break
 					}
 					wm = sv

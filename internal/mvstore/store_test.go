@@ -26,8 +26,7 @@ func TestPutAndLatest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _ := FinalResolution(fn)
-		rec.Resolve(res)
+		rec.ResolveValue(FinalOutcome(fn))
 	}
 	s.SealAll(tstamp.Max)
 	tests := []struct {
@@ -111,33 +110,28 @@ func TestAt(t *testing.T) {
 	}
 }
 
-func TestFinalResolution(t *testing.T) {
+func TestFinalOutcome(t *testing.T) {
 	tests := []struct {
-		fn   *functor.Functor
-		kind functor.ResolutionKind
-		ok   bool
+		fn    *functor.Functor
+		kind  functor.ResolutionKind // zero: not a final f-type
+		value string
 	}{
-		{fn: functor.Value(kv.Value("x")), kind: functor.Resolved, ok: true},
-		{fn: functor.Aborted(), kind: functor.ResolvedAborted, ok: true},
-		{fn: functor.Deleted(), kind: functor.ResolvedDeleted, ok: true},
-		{fn: functor.Add(1), ok: false},
-		{fn: functor.User("h", nil, nil), ok: false},
+		{fn: functor.Value(kv.Value("x")), kind: functor.Resolved, value: "x"},
+		{fn: functor.Aborted(), kind: functor.ResolvedAborted},
+		{fn: functor.Deleted(), kind: functor.ResolvedDeleted},
+		{fn: functor.Add(1)},
+		{fn: functor.User("h", nil, nil)},
 	}
 	for _, tt := range tests {
-		res, ok := FinalResolution(tt.fn)
-		if ok != tt.ok {
-			t.Errorf("%v: ok = %v, want %v", tt.fn.Type, ok, tt.ok)
-			continue
-		}
-		if ok && res.Kind != tt.kind {
-			t.Errorf("%v: kind = %v, want %v", tt.fn.Type, res.Kind, tt.kind)
+		if kind, value := FinalOutcome(tt.fn); kind != tt.kind || string(value) != tt.value {
+			t.Errorf("%v: outcome = %v %q, want %v %q", tt.fn.Type, kind, value, tt.kind, tt.value)
 		}
 	}
 }
 
 func TestRecordsNotResolvedAtInsert(t *testing.T) {
 	// Records must stay unresolved at insert so the coordinator's second
-	// round can abort them (see FinalResolution).
+	// round can abort them (see FinalOutcome).
 	s := New()
 	for i, fn := range []*functor.Functor{
 		functor.Value(kv.Value("x")), functor.Aborted(), functor.Deleted(), functor.Add(1),
@@ -152,24 +146,6 @@ func TestRecordsNotResolvedAtInsert(t *testing.T) {
 		if !r.Resolve(functor.AbortResolution("second round")) {
 			t.Errorf("%v record could not be aborted post-insert", fn.Type)
 		}
-	}
-}
-
-func TestResolveOnce(t *testing.T) {
-	s := New()
-	r, err := s.Put("k", ts(1, 1, 0), functor.Add(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := functor.ValueResolution(kv.EncodeInt64(1))
-	if !r.Resolve(first) {
-		t.Fatal("first Resolve should win")
-	}
-	if r.Resolve(functor.ValueResolution(kv.EncodeInt64(99))) {
-		t.Fatal("second Resolve should lose")
-	}
-	if r.Resolution() != first {
-		t.Error("resolution changed after losing CAS")
 	}
 }
 

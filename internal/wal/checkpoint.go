@@ -60,15 +60,15 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 			if rec.Version > bound {
 				continue
 			}
-			res := rec.Resolution()
-			if res == nil {
+			kind, value, _ := rec.Outcome()
+			if kind == 0 {
 				scanErr = fmt.Errorf("wal: checkpoint: %q@%v not computed", k, rec.Version)
 				return false
 			}
-			if !res.Readable() {
+			if kind != functor.Resolved && kind != functor.ResolvedDeleted {
 				continue
 			}
-			if werr := writeCkptRecord(w, k, rec.Version, res); werr != nil {
+			if werr := writeCkptRecord(w, k, rec.Version, kind, value); werr != nil {
 				scanErr = werr
 				return false
 			}
@@ -85,14 +85,14 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 	return f.Sync()
 }
 
-func writeCkptRecord(w io.Writer, k kv.Key, v tstamp.Timestamp, res *functor.Resolution) error {
-	payload := make([]byte, 0, 32+len(k)+len(res.Value))
+func writeCkptRecord(w io.Writer, k kv.Key, v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) error {
+	payload := make([]byte, 0, 32+len(k)+len(value))
 	payload = binary.BigEndian.AppendUint64(payload, uint64(v))
 	payload = binary.AppendUvarint(payload, uint64(len(k)))
 	payload = append(payload, k...)
-	payload = append(payload, byte(res.Kind))
-	payload = binary.AppendUvarint(payload, uint64(len(res.Value)))
-	payload = append(payload, res.Value...)
+	payload = append(payload, byte(kind))
+	payload = binary.AppendUvarint(payload, uint64(len(value)))
+	payload = append(payload, value...)
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	crc := crc32.NewIEEE()
@@ -181,19 +181,16 @@ func loadCkptRecord(store *mvstore.Store, payload []byte) error {
 	copy(val, rest[n:n+int(vlen)])
 
 	var fn *functor.Functor
-	var res *functor.Resolution
 	switch kind {
 	case functor.Resolved:
 		fn = functor.Value(val)
-		res = functor.ValueResolution(val)
 	case functor.ResolvedDeleted:
-		fn = functor.Deleted()
-		res = functor.DeleteResolution()
+		fn, val = functor.Deleted(), nil
 	default:
 		return fmt.Errorf("%w: checkpoint resolution kind %d", ErrCorrupt, kind)
 	}
 	c := store.ChainOrCreate(k)
-	if _, fresh := c.PutResolved(v, fn, res); !fresh {
+	if _, fresh := c.PutResolved(v, fn, kind, val); !fresh {
 		return mvstore.ErrVersionExists
 	}
 	c.AdvanceWatermark(v)

@@ -207,9 +207,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	put("b", ts(1, 3), functor.Value(kv.EncodeInt64(7)), functor.ValueResolution(kv.EncodeInt64(7)))
 	put("b", ts(2, 2), functor.Aborted(), functor.AbortResolution("x"))
 	// A deferred write's record: born resolved and sealed, its functor a
-	// shared placeholder, the value in the resolution alone.
+	// shared placeholder, the value in the record's outcome alone.
 	row := src.ChainOrCreate("row")
-	row.PutResolved(ts(2, 3), functor.Value(nil), functor.ValueResolution(kv.Value("deferred")))
+	row.PutResolved(ts(2, 3), functor.Value(nil), functor.Resolved, kv.Value("deferred"))
 	row.AdvanceWatermark(ts(2, 3))
 
 	path := filepath.Join(dir, "ckpt")

@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -357,58 +358,44 @@ type decodedNewOrder struct {
 	Prices []int64 // per line
 }
 
-func decodeNewOrderArg(b []byte) (decodedNewOrder, error) {
+// _maxLines bounds the lines of a NewOrder argument (TPC-C orders 5 to 15);
+// a handler that decodes into arrays of this size keeps them on its stack.
+const _maxLines = 64
+
+// decodeNewOrderArg parses a NewOrder argument, appending the lines and
+// their prices to the buffers it is handed (nil allocates).
+func decodeNewOrderArg(b []byte, lines []Line, prices []int64) (decodedNewOrder, error) {
 	var no decodedNewOrder
-	read := func() (uint64, error) {
+	var fields [6]uint64 // uid, w, d, c, warehouse tax, line count
+	for i := range fields {
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
-			return 0, fmt.Errorf("tpcc: truncated NewOrder argument")
+			return no, errTruncatedNewOrder
 		}
-		b = b[n:]
-		return v, nil
+		fields[i], b = v, b[n:]
 	}
-	uid, err := read()
-	if err != nil {
-		return no, err
-	}
-	no.UID = uid
-	for _, dst := range []*int{&no.W, &no.D, &no.C} {
-		v, err := read()
-		if err != nil {
-			return no, err
-		}
-		*dst = int(v)
-	}
-	wtax, err := read()
-	if err != nil {
-		return no, err
-	}
-	no.WTax = int64(wtax)
-	count, err := read()
-	if err != nil {
-		return no, err
-	}
-	if count > 64 {
+	no.UID, no.W, no.D, no.C, no.WTax = fields[0], int(fields[1]), int(fields[2]), int(fields[3]), int64(fields[4])
+	count := fields[5]
+	if count > _maxLines {
 		return no, fmt.Errorf("tpcc: implausible line count %d", count)
 	}
 	for i := uint64(0); i < count; i++ {
-		var l Line
-		for _, dst := range []*int{&l.Item, &l.SupplyW, &l.Qty} {
-			v, err := read()
-			if err != nil {
-				return no, err
+		var line [4]uint64 // item, supply warehouse, quantity, price
+		for j := range line {
+			v, n := binary.Uvarint(b)
+			if n <= 0 {
+				return no, errTruncatedNewOrder
 			}
-			*dst = int(v)
+			line[j], b = v, b[n:]
 		}
-		price, err := read()
-		if err != nil {
-			return no, err
-		}
-		no.Prices = append(no.Prices, int64(price))
-		no.Lines = append(no.Lines, l)
+		lines = append(lines, Line{Item: int(line[0]), SupplyW: int(line[1]), Qty: int(line[2])})
+		prices = append(prices, int64(line[3]))
 	}
+	no.Lines, no.Prices = lines, prices
 	return no, nil
 }
+
+var errTruncatedNewOrder = errors.New("tpcc: truncated NewOrder argument")
 
 // orderHeader encodes the order-row value: uid, customer, line count.
 func orderHeader(uid uint64, c, lines int) kv.Value {

@@ -9,6 +9,7 @@
 package tpcc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -19,8 +20,9 @@ import (
 // Key constructors. Numeric fields are decimal-encoded; every row that the
 // transactions touch independently is its own key, which keeps functors
 // single-purpose (an ADD on a YTD counter never conflicts structurally
-// with a balance update).
-func ItemKey(item int) kv.Key { return kv.Key("i:" + strconv.Itoa(item)) }
+// with a balance update). A NewOrder builds two dozen keys, so each is
+// assembled in a stack buffer and costs one allocation, the string.
+func ItemKey(item int) kv.Key { return key("i:", int64(item)) }
 
 // ReplicaItemKey is the per-server copy of a read-only item row. Standard
 // TPC-C deployments replicate the item table to every server so a
@@ -29,34 +31,58 @@ func ItemKey(item int) kv.Key { return kv.Key("i:" + strconv.Itoa(item)) }
 // the home warehouse. Scaled TPC-C instead partitions the single item
 // table by item id (ItemKey), which is precisely what makes its
 // transactions span many partitions.
-func ReplicaItemKey(server, item int) kv.Key {
-	return kv.Key("i:" + strconv.Itoa(server) + ":" + strconv.Itoa(item))
+func ReplicaItemKey(server, item int) kv.Key { return key("i:", int64(server), int64(item)) }
+func StockKey(w, item int) kv.Key            { return key("s:", int64(w), int64(item)) }
+func WarehouseTaxKey(w int) kv.Key           { return key("wt:", int64(w)) }
+func WarehouseYTDKey(w int) kv.Key           { return key("wy:", int64(w)) }
+func DistrictTaxKey(w, d int) kv.Key {
+	var buf [_keyBuf]byte
+	return kv.Key(appendDistrictTaxKey(buf[:0], w, d))
 }
-func StockKey(w, item int) kv.Key    { return kv.Key("s:" + strconv.Itoa(w) + ":" + strconv.Itoa(item)) }
-func WarehouseTaxKey(w int) kv.Key   { return kv.Key("wt:" + strconv.Itoa(w)) }
-func WarehouseYTDKey(w int) kv.Key   { return kv.Key("wy:" + strconv.Itoa(w)) }
-func DistrictTaxKey(w, d int) kv.Key { return kv.Key("dt:" + strconv.Itoa(w) + ":" + strconv.Itoa(d)) }
-func DistrictYTDKey(w, d int) kv.Key { return kv.Key("dy:" + strconv.Itoa(w) + ":" + strconv.Itoa(d)) }
-func NextOIDKey(w, d int) kv.Key     { return kv.Key("doid:" + strconv.Itoa(w) + ":" + strconv.Itoa(d)) }
+func DistrictYTDKey(w, d int) kv.Key { return key("dy:", int64(w), int64(d)) }
+func NextOIDKey(w, d int) kv.Key     { return key("doid:", int64(w), int64(d)) }
 func CustomerKey(w, d, c int) kv.Key {
-	return kv.Key("c:" + strconv.Itoa(w) + ":" + strconv.Itoa(d) + ":" + strconv.Itoa(c))
+	var buf [_keyBuf]byte
+	return kv.Key(appendCustomerKey(buf[:0], w, d, c))
 }
-func CustomerBalanceKey(w, d, c int) kv.Key {
-	return kv.Key("cb:" + strconv.Itoa(w) + ":" + strconv.Itoa(d) + ":" + strconv.Itoa(c))
-}
-func OrderKey(w, d int, oid int64) kv.Key {
-	return kv.Key("o:" + strconv.Itoa(w) + ":" + strconv.Itoa(d) + ":" + strconv.FormatInt(oid, 10))
-}
-func NewOrderKey(w, d int, oid int64) kv.Key {
-	return kv.Key("no:" + strconv.Itoa(w) + ":" + strconv.Itoa(d) + ":" + strconv.FormatInt(oid, 10))
-}
+func CustomerBalanceKey(w, d, c int) kv.Key  { return key("cb:", int64(w), int64(d), int64(c)) }
+func OrderKey(w, d int, oid int64) kv.Key    { return key("o:", int64(w), int64(d), oid) }
+func NewOrderKey(w, d int, oid int64) kv.Key { return key("no:", int64(w), int64(d), oid) }
 func OrderLineKey(w, d int, oid int64, line int) kv.Key {
-	return kv.Key("ol:" + strconv.Itoa(w) + ":" + strconv.Itoa(d) + ":" +
-		strconv.FormatInt(oid, 10) + ":" + strconv.Itoa(line))
+	return key("ol:", int64(w), int64(d), oid, int64(line))
 }
 func HistoryKey(w, d, c int, uid uint64) kv.Key {
-	return kv.Key("h:" + strconv.Itoa(w) + ":" + strconv.Itoa(d) + ":" +
-		strconv.Itoa(c) + ":" + strconv.FormatUint(uid, 10))
+	var buf [_keyBuf]byte
+	out := append(appendNums(append(buf[:0], "h:"...), int64(w), int64(d), int64(c)), ':')
+	return kv.Key(strconv.AppendUint(out, uid, 10))
+}
+
+// The NewOrder handler looks these two up in its read set and never needs
+// them as strings.
+func appendDistrictTaxKey(buf []byte, w, d int) []byte {
+	return appendNums(append(buf, "dt:"...), int64(w), int64(d))
+}
+func appendCustomerKey(buf []byte, w, d, c int) []byte {
+	return appendNums(append(buf, "c:"...), int64(w), int64(d), int64(c))
+}
+
+// _keyBuf holds any key of plausible ids; a longer one spills to the heap.
+const _keyBuf = 64
+
+// key renders prefix followed by nums, colon-separated.
+func key(prefix string, nums ...int64) kv.Key {
+	var buf [_keyBuf]byte
+	return kv.Key(appendNums(append(buf[:0], prefix...), nums...))
+}
+
+func appendNums(out []byte, nums ...int64) []byte {
+	for i, n := range nums {
+		if i > 0 {
+			out = append(out, ':')
+		}
+		out = strconv.AppendInt(out, n, 10)
+	}
+	return out
 }
 
 // fields splits a key into its prefix and numeric components: the first
@@ -182,13 +208,13 @@ type Stock struct {
 	RemoteCnt int64
 }
 
-// Encode renders the stock as a 32-byte value.
+// Encode renders the stock as a 32-byte value: four kv.EncodeInt64 fields.
 func (s Stock) Encode() kv.Value {
-	out := make(kv.Value, 0, 32)
-	out = append(out, kv.EncodeInt64(s.Quantity)...)
-	out = append(out, kv.EncodeInt64(s.YTD)...)
-	out = append(out, kv.EncodeInt64(s.OrderCnt)...)
-	out = append(out, kv.EncodeInt64(s.RemoteCnt)...)
+	out := make(kv.Value, 32)
+	binary.BigEndian.PutUint64(out[0:], uint64(s.Quantity))
+	binary.BigEndian.PutUint64(out[8:], uint64(s.YTD))
+	binary.BigEndian.PutUint64(out[16:], uint64(s.OrderCnt))
+	binary.BigEndian.PutUint64(out[24:], uint64(s.RemoteCnt))
 	return out
 }
 

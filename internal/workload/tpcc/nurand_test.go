@@ -119,7 +119,7 @@ func TestNewOrderArgCarriesCatalog(t *testing.T) {
 		W: 3, D: 1, C: 5, UID: 9,
 		Lines: []Line{{Item: 11, SupplyW: 3, Qty: 2}, {Item: 22, SupplyW: 4, Qty: 1}},
 	}
-	dec, err := decodeNewOrderArg(newOrderArg(no))
+	dec, err := decodeNewOrderArg(newOrderArg(no), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

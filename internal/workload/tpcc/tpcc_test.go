@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"alohadb/internal/core"
+	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 )
 
@@ -55,6 +57,35 @@ func routerKeys() (wellFormed, malformed []kv.Key) {
 		"h:1:2:3:18446744073709551615", "zz:1:2", ":1:2", "i:", "wy:abc", "o:1:2:3:4:5:6",
 	}
 	return wellFormed, malformed
+}
+
+// TestKeyStrings holds every constructor to the key it has always built —
+// the stores, logs and checkpoints of earlier runs are keyed by these bytes —
+// including ids no workload generates.
+func TestKeyStrings(t *testing.T) {
+	for got, want := range map[kv.Key]string{
+		ItemKey(4242):                            "i:4242",
+		ReplicaItemKey(1, 20000):                 "i:1:20000",
+		StockKey(12, 99):                         "s:12:99",
+		WarehouseTaxKey(3):                       "wt:3",
+		WarehouseYTDKey(3):                       "wy:3",
+		DistrictTaxKey(3, 10):                    "dt:3:10",
+		DistrictYTDKey(3, 10):                    "dy:3:10",
+		NextOIDKey(3, 10):                        "doid:3:10",
+		CustomerKey(3, 10, 600):                  "c:3:10:600",
+		CustomerBalanceKey(3, 10, 600):           "cb:3:10:600",
+		OrderKey(3, 10, 3001):                    "o:3:10:3001",
+		NewOrderKey(3, 10, 3001):                 "no:3:10:3001",
+		OrderLineKey(3, 10, 3001, 15):            "ol:3:10:3001:15",
+		HistoryKey(3, 10, 600, 1<<64-1):          "h:3:10:600:18446744073709551615",
+		StockKey(-1, 0):                          "s:-1:0",
+		OrderKey(0, 0, -1<<63):                   "o:0:0:-9223372036854775808",
+		OrderLineKey(1<<62, 1<<62, 1<<62, 1<<62): "ol:4611686018427387904:4611686018427387904:4611686018427387904:4611686018427387904", // longer than the stack buffer
+	} {
+		if string(got) != want {
+			t.Errorf("key %q, want %q", got, want)
+		}
+	}
 }
 
 func TestFieldsMatchesReference(t *testing.T) {
@@ -255,7 +286,7 @@ func TestNewOrderArgRoundTrip(t *testing.T) {
 		W: 3, D: 7, C: 1234, UID: 1<<48 | 99,
 		Lines: []Line{{Item: 5, SupplyW: 3, Qty: 2}, {Item: 88, SupplyW: 4, Qty: 10}},
 	}
-	got, err := decodeNewOrderArg(newOrderArg(no))
+	got, err := decodeNewOrderArg(newOrderArg(no), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +296,7 @@ func TestNewOrderArgRoundTrip(t *testing.T) {
 	if len(got.Lines) != 2 || got.Lines[1] != no.Lines[1] {
 		t.Errorf("lines mismatch: %+v", got.Lines)
 	}
-	if _, err := decodeNewOrderArg([]byte{1, 2}); err == nil {
+	if _, err := decodeNewOrderArg([]byte{1, 2}, nil, nil); err == nil {
 		t.Error("truncated argument should fail")
 	}
 }
@@ -395,5 +426,51 @@ func TestAdjustTotal(t *testing.T) {
 	got := adjustTotal(10000, 500, 500, 1000)
 	if got != 9900 {
 		t.Errorf("adjustTotal = %d, want 9900", got)
+	}
+}
+
+// tenLineOrder is a NewOrder with ten lines, one of them from a remote
+// warehouse, and multi-digit ids in every key.
+func tenLineOrder() NewOrder {
+	no := NewOrder{W: 2, D: 7, C: 431, UID: 1<<40 + 12345}
+	for i := 0; i < 10; i++ {
+		no.Lines = append(no.Lines, Line{Item: 10_007 + 311*i, SupplyW: 2, Qty: 1 + i%10})
+	}
+	no.Lines[3].SupplyW = 1
+	return no
+}
+
+// TestNewOrderAllocations pins what a ten-line NewOrder costs in heap
+// objects on its two workload-owned stages: building the transaction (one
+// object per key, functor and f-argument) and the determinate handler (one
+// per dependent row key and value). Every one of the handler's objects stays
+// live with the rows it creates.
+func TestNewOrderAllocations(t *testing.T) {
+	cfg, no := Config{Servers: 2}, tenLineOrder()
+	var txn core.Txn
+	got := testing.AllocsPerRun(200, func() { txn = AlohaNewOrder(cfg, no) })
+	t.Logf("AlohaNewOrder: %.0f objects", got)
+	if got > 28 {
+		// 1 readSet + 2 of its keys, 1 requires + 10 item keys, 1 writes,
+		// the determinate write's key, functor and argument, and per line a
+		// stock key, a functor and an argument.
+		t.Errorf("AlohaNewOrder allocates %.0f objects for a ten-line order, budget 28", got)
+	}
+	ctx := &functor.Context{
+		Key:     txn.Writes[0].Key,
+		Arg:     txn.Writes[0].Functor.Arg,
+		Version: 1,
+		Reads: map[kv.Key]functor.Read{
+			txn.Writes[0].Key: {Value: kv.EncodeInt64(3000), Found: true},
+		},
+	}
+	var res *functor.Resolution
+	got = testing.AllocsPerRun(200, func() { res, _ = alohaNewOrderHandler(ctx) })
+	t.Logf("alohaNewOrderHandler: %.0f objects", got)
+	if got > 26 {
+		t.Errorf("alohaNewOrderHandler allocates %.0f objects for a ten-line order, budget 28", got)
+	}
+	if res == nil || len(res.DependentWrites) != 12 || res.DependentWrites[11].Key != "ol:2:7:3001:10" {
+		t.Fatalf("handler result %+v", res)
 	}
 }

@@ -34,11 +34,34 @@ func adjustTotal(total, wTax, dTax, disc int64) int64 {
 // stockArg encodes the per-stock functor argument: quantity and the
 // remote-warehouse flag.
 func stockArg(qty int, remote bool) []byte {
-	out := binary.AppendUvarint(nil, uint64(qty))
+	out := binary.AppendUvarint(make([]byte, 0, 4), uint64(qty))
 	if remote {
 		return append(out, 1)
 	}
 	return append(out, 0)
+}
+
+// A stock functor is its argument and nothing else, and TPC-C orders 1 to
+// 10 units per line (§2.4.1.5): those twenty functors are built once and
+// every order line points at one of them — functors are immutable — so a
+// line costs a NewOrder its stock key and the store no functor per version.
+var _stockFunctors = func() (fns [2][11]*functor.Functor) {
+	for remote := range fns {
+		for qty := range fns[remote] {
+			fns[remote][qty] = functor.User(ProcStock, stockArg(qty, remote == 1), nil)
+		}
+	}
+	return fns
+}()
+
+func stockFunctor(qty int, remote bool) *functor.Functor {
+	if qty < 0 || qty >= len(_stockFunctors[0]) {
+		return functor.User(ProcStock, stockArg(qty, remote), nil)
+	}
+	if remote {
+		return _stockFunctors[1][qty]
+	}
+	return _stockFunctors[0][qty]
 }
 
 func decodeStockArg(b []byte) (qty int64, remote bool, err error) {
@@ -71,14 +94,15 @@ func AlohaNewOrder(cfg Config, no NewOrder) core.Txn {
 	for _, l := range no.Lines {
 		requires = append(requires, cfg.itemKeyFor(no.W, l.Item))
 	}
-	writes := []core.Write{{
+	writes := make([]core.Write, 0, 1+len(no.Lines))
+	writes = append(writes, core.Write{
 		Key:     NextOIDKey(no.W, no.D),
 		Functor: functor.User(ProcNewOrder, newOrderArg(no), readSet),
-	}}
+	})
 	for _, l := range no.Lines {
 		writes = append(writes, core.Write{
 			Key:     StockKey(l.SupplyW, l.Item),
-			Functor: functor.User(ProcStock, stockArg(l.Qty, l.SupplyW != no.W), nil),
+			Functor: stockFunctor(l.Qty, l.SupplyW != no.W),
 		})
 	}
 	return core.Txn{Writes: writes, Requires: requires}
@@ -101,11 +125,17 @@ func RegisterAlohaHandlers(reg *functor.Registry) {
 	reg.MustRegister(ProcStock, alohaStockHandler)
 }
 
+// _newOrderFlag is the value of every new-order row: the row's existence is
+// its content, so all of them share one immutable value.
+var _newOrderFlag = kv.EncodeInt64(1)
+
 // alohaNewOrderHandler computes the determinate next-order-id functor:
 // allocate the order id, price the lines, and emit the deferred writes for
 // the order, new-order, and order-line rows (§IV-E key dependency).
 func alohaNewOrderHandler(ctx *functor.Context) (*functor.Resolution, error) {
-	no, err := decodeNewOrderArg(ctx.Arg)
+	var lines [_maxLines]Line
+	var prices [_maxLines]int64
+	no, err := decodeNewOrderArg(ctx.Arg, lines[:0], prices[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -115,20 +145,23 @@ func alohaNewOrderHandler(ctx *functor.Context) (*functor.Resolution, error) {
 	}
 	oid++
 
-	readInt := func(k kv.Key) int64 {
-		if r := ctx.Reads[k]; r.Found {
+	// The two lookup keys never leave this function: they are spelled into a
+	// buffer and the map is indexed with the bytes.
+	var buf [_keyBuf]byte
+	readInt := func(k []byte) int64 {
+		if r := ctx.Reads[kv.Key(k)]; r.Found {
 			n, _ := kv.DecodeInt64(r.Value)
 			return n
 		}
 		return 0
 	}
-	dTax := readInt(DistrictTaxKey(no.W, no.D))
-	disc := readInt(CustomerKey(no.W, no.D, no.C))
+	dTax := readInt(appendDistrictTaxKey(buf[:0], no.W, no.D))
+	disc := readInt(appendCustomerKey(buf[:0], no.W, no.D, no.C))
 
 	writes := make([]functor.DependentWrite, 0, len(no.Lines)+2)
 	writes = append(writes,
 		functor.DependentWrite{Key: OrderKey(no.W, no.D, oid), Value: orderHeader(no.UID, no.C, len(no.Lines))},
-		functor.DependentWrite{Key: NewOrderKey(no.W, no.D, oid), Value: kv.EncodeInt64(1)},
+		functor.DependentWrite{Key: NewOrderKey(no.W, no.D, oid), Value: _newOrderFlag},
 	)
 	total := int64(0)
 	for i, l := range no.Lines {
@@ -211,7 +244,7 @@ func RegisterCalvinProcs(r *calvin.ProcRegistry) {
 }
 
 func calvinNewOrderProc(reads map[kv.Key]kv.Value, args []byte, writeSet []kv.Key) map[kv.Key]kv.Value {
-	no, err := decodeNewOrderArg(args)
+	no, err := decodeNewOrderArg(args, nil, nil)
 	if err != nil {
 		return nil
 	}

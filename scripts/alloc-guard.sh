@@ -1,0 +1,31 @@
+#!/bin/sh
+# Allocation guards, shared by `make alloc-guard` and CI: the object budgets
+# the hot path and the store's layout are held to, as tests that count heap
+# objects and as benchmarks whose steady state must allocate nothing. A
+# failure names the budget that was broken.
+set -eu
+
+# Object counts and size classes: the untraced install/compute path, what a
+# key written once keeps alive (record + outcome in one chain object), the
+# version-chain budgets, and the TPC-C workload's keys, router and handler.
+go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget)$'
+go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass)$'
+go test -count=1 ./internal/workload/tpcc/ -run '^(TestNewOrderAllocations|TestRouterMatchesReferenceAndAllocatesNothing)$'
+go test -count=1 ./internal/trace/ -run '^TestDisabledPathAllocs$'
+
+# zero PKG BENCH ITERATIONS ROWS: every one of ROWS benchmark rows reports
+# 0 allocs/op.
+zero() {
+	out="$(go test "$1" -run '^$' -bench "$2" -benchmem -benchtime "$3")"
+	echo "$out"
+	if [ "$(echo "$out" | grep -Ec '[[:space:]]0 allocs/op')" -ne "$4" ]; then
+		echo "alloc-guard: $1 $2 allocates on a zero-allocation path" >&2
+		exit 1
+	fi
+}
+zero ./internal/core/ 'BenchmarkWire(Encode|Decode)Msg(ReadBatch|Install)$' 100000x 4
+zero ./internal/trace/ 'BenchmarkDisabledSpan' 100000x 1
+zero ./internal/obs/ 'BenchmarkSkew(Disabled|SampledOut)Observe' 100000x 2
+zero ./internal/obs/journal/ 'BenchmarkJournal(Disabled|Enabled)Install' 100000x 2
+zero ./internal/obs/tsdb/ 'BenchmarkRecorderSample' 10000x 1
+echo "alloc-guard: ok"
