@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-check commit-guard alloc-guard bench-net chaos chaos-long figures figures-full examples obs-smoke migrate-smoke scenarios soak trend-gate clean
+.PHONY: all build fmt-check vet test race bench bench-check commit-guard alloc-guard chaos-long figures figures-full examples scenarios soak trend-gate clean
 
 all: build test
 
@@ -43,76 +43,55 @@ commit-guard:
 alloc-guard:
 	./scripts/alloc-guard.sh
 
-# Transport/combiner hot-path benchmarks; writes BENCH_transport.json.
-bench-net:
-	$(GO) run ./cmd/aloha-bench -netbench -netbench-label current -duration 2s
-
-# Regression gate: rerun the suite and fail on a throughput regression
-# against the committed current section (no file writes).
-netbench-gate:
-	./scripts/netbench-gate.sh
-
-# Oracle-checked chaos smoke: a handful of seeds, exits non-zero on any
-# violation and prints the replay command.
-chaos:
-	$(GO) run ./cmd/aloha-bench -chaos -chaos-seeds 4
-	$(GO) run ./cmd/aloha-bench -chaos -chaos-seeds 1 -chaos-crash
-	$(GO) run ./cmd/aloha-bench -chaos -chaos-seeds 1 -chaos-tcp
-
 # Nightly-scale chaos sweep under the race detector (20+ seeds rotating
 # link chaos, crash recovery, and TCP).
 chaos-long:
 	$(GO) test -race -timeout 40m ./internal/chaos/ -run TestChaosLong -v -count=1 -args -chaos.long
 
-# Quick regeneration of every figure of the paper's evaluation.
+# Quick regeneration of every figure of the paper's evaluation: 400 ms per
+# parameter point, the points TREND_bench_quick.jsonl was taken at.
 figures:
-	$(GO) run ./cmd/aloha-bench -figure all
+	$(GO) run ./cmd/aloha-bench run -window 1600ms bench
 
-# Paper-scale parameters (slow).
+# Paper-scale parameters, 2 s per point (slow).
 figures-full:
-	$(GO) run ./cmd/aloha-bench -figure all -full
+	$(GO) run ./cmd/aloha-bench run -full -window 8s bench
 
-# Observability smoke: boot a 3-server sim cluster with the full obs stack,
-# aggregate it with aloha-top, and assert the cluster view is sane.
-obs-smoke:
-	./scripts/obs-smoke.sh
-
-# Live-migration smoke: induce a single-partition Zipfian hot spot on a
-# 3-server sim cluster, split it live through the placement layer, and
-# assert throughput recovery plus a sane aloha-top view across the move.
-migrate-smoke:
-	./scripts/migrate-smoke.sh
-
-# Scenario matrix smoke: every smoke-tagged scenario from the declarative
-# registry (high-contention workloads + ported harnesses) under light
-# fault injection, oracle-checked. `-scenario-list` shows the catalog.
+# Scenario matrix: every scenario the expression selects from the registry
+# (`aloha-bench list` shows it), oracle-checked. The default is CI's per-PR
+# smoke matrix; EXPR='chaos && !crash', EXPR=migrate-recover, ... pick others.
+EXPR ?= smoke
+SEED ?= 1
 scenarios:
-	$(GO) run ./cmd/aloha-bench -scenarios smoke
+	$(GO) run ./cmd/aloha-bench run -seed $(SEED) '$(EXPR)'
 
-# Nightly-scale soak: loop the soak-tagged scenarios with rotating seeds
-# for SOAK_DURATION (default 20m). A failure writes a replayable artifact
-# (scenario name, seed, log tail) to SCENARIO_ARTIFACT when set.
+# Nightly-scale soak: the soak-tagged scenarios share SOAK_DURATION (default
+# 20m), all at seed SEED — pass a different one per run (CI passes its run
+# number) or every night replays the same streams. A failure writes a
+# replayable artifact to SCENARIO_ARTIFACT when set; SCENARIO_TREND takes
+# the trend rows.
 SOAK_DURATION ?= 20m
 SCENARIO_ARTIFACT ?=
 SCENARIO_TREND ?=
 soak:
-	$(GO) run ./cmd/aloha-bench -scenarios soak -soak-duration $(SOAK_DURATION) $(if $(SCENARIO_ARTIFACT),-scenario-artifact $(SCENARIO_ARTIFACT)) $(if $(SCENARIO_TREND),-scenario-trend $(SCENARIO_TREND))
+	$(GO) run ./cmd/aloha-bench run -soak $(SOAK_DURATION) -seed $(SEED) $(if $(SCENARIO_ARTIFACT),-artifact $(SCENARIO_ARTIFACT)) $(if $(SCENARIO_TREND),-trend $(SCENARIO_TREND)) soak
 
-# Nightly trend gate: compare tonight's TREND_*.jsonl summary rows against
-# the previous night's file, failing on throughput / p99 / stall / anomaly
-# regressions beyond a loose tolerance. First night (no previous file)
-# passes and seeds the baseline.
+# Nightly trend gate: compare tonight's TREND_*.jsonl rows against the
+# previous night's file, failing on throughput / p99 / stall / anomaly
+# regressions beyond a loose tolerance (nightly numbers on shared runners
+# are noisy; tighten locally with TOLERANCE=0.15). First night (no previous
+# file) passes and seeds the baseline.
 TREND_PREV ?= TREND_prev.jsonl
 TREND_CUR ?= TREND_soak.jsonl
+TOLERANCE ?= 0.35
 trend-gate:
-	./scripts/trend-gate.sh $(TREND_PREV) $(TREND_CUR)
+	$(GO) run ./cmd/aloha-bench gate -tolerance $(TOLERANCE) $(TREND_PREV) $(TREND_CUR)
 
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/banking
 	$(GO) run ./examples/timetravel
 	$(GO) run ./examples/reservations
-	$(GO) run ./examples/tpcc -duration 500ms -items 1000
 
 clean:
 	$(GO) clean ./...

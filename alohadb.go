@@ -72,20 +72,15 @@ type (
 	Read = functor.Read
 	// Stats aggregates engine counters.
 	Stats = core.Stats
-	// Partitioner overrides key placement.
-	//
-	// Deprecated: use Router. A bare Partitioner cannot express versioned
-	// ownership (live migration); it is wrapped in a static single-
-	// generation Router internally.
-	Partitioner = core.Partitioner
-	// Router maps a key and an epoch to its owning server, the versioned
-	// replacement for Partitioner (see internal/placement).
+	// Router maps a key and an epoch to its owning server (see
+	// internal/placement).
 	Router = placement.Router
 )
 
-// NewStaticRouter wraps a legacy partition function (nil means the default
-// hash partitioner) in a fixed generation-0 Router for n servers.
-func NewStaticRouter(n int, fn Partitioner) Router { return placement.NewStatic(n, fn) }
+// NewStaticRouter wraps a partition function — key and cluster size to
+// server index; nil means the default hash placement — in a fixed
+// generation-0 Router for n servers.
+func NewStaticRouter(n int, fn func(Key, int) int) Router { return placement.NewStatic(n, fn) }
 
 // Metrics type aliases: the self-describing families returned by
 // DB.Metrics. A Family is one named metric (counter, gauge, or histogram)
@@ -180,10 +175,6 @@ type Config struct {
 	// Router overrides key placement with a versioned, epoch-aware
 	// ownership map (default: hash-partitioned StaticRouter).
 	Router Router
-	// Partitioner overrides key placement (default: hash).
-	//
-	// Deprecated: use Router. Still honored when Router is nil.
-	Partitioner Partitioner
 	// DependencyRule declares schema-level key dependencies for dependent
 	// transactions (paper §IV-E).
 	DependencyRule func(k Key) (Key, bool)
@@ -218,7 +209,6 @@ func Open(cfg Config) (*DB, error) {
 		EpochDuration:  cfg.EpochDuration,
 		ManualEpochs:   cfg.ManualEpochs,
 		Router:         cfg.Router,
-		Partitioner:    cfg.Partitioner,
 		Registry:       reg,
 		Workers:        cfg.Workers,
 		DependencyRule: cfg.DependencyRule,

@@ -15,7 +15,7 @@ import (
 	"alohadb/internal/calvin"
 	"alohadb/internal/core"
 	"alohadb/internal/functor"
-	"alohadb/internal/harness"
+	"alohadb/internal/scenario/catalog"
 	"alohadb/internal/workload/tpcc"
 	"alohadb/internal/workload/ycsb"
 )
@@ -37,7 +37,7 @@ func benchTPCCConfig(scaled bool, perHost int) tpcc.Config {
 // benchAlohaTPCC pumps b.N NewOrder transactions through ALOHA-DB.
 func benchAlohaTPCC(b *testing.B, cfg tpcc.Config, payment bool) {
 	b.Helper()
-	c, err := harness.NewAlohaTPCC(cfg, 5*time.Millisecond, 0, nil)
+	c, err := catalog.NewAlohaTPCC(cfg, 5*time.Millisecond, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func benchAlohaTPCC(b *testing.B, cfg tpcc.Config, payment bool) {
 // benchCalvinTPCC pumps b.N NewOrder transactions through Calvin.
 func benchCalvinTPCC(b *testing.B, cfg tpcc.Config, payment bool) {
 	b.Helper()
-	c, err := harness.NewCalvinTPCC(cfg, 5*time.Millisecond, 0)
+	c, err := catalog.NewCalvinTPCC(cfg, 5*time.Millisecond, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func BenchmarkFigure9(b *testing.B) {
 	for _, ci := range []float64{0.0001, 0.01, 0.1} {
 		cfg := benchYCSBCfg(ci)
 		b.Run("Aloha-CI"+fmtCI(ci), func(b *testing.B) {
-			c, err := harness.NewAlohaYCSB(cfg, 5*time.Millisecond, 0, nil)
+			c, err := catalog.NewAlohaYCSB(cfg, 5*time.Millisecond, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func BenchmarkFigure9(b *testing.B) {
 			b.StopTimer()
 		})
 		b.Run("Calvin-CI"+fmtCI(ci), func(b *testing.B) {
-			c, err := harness.NewCalvinYCSB(cfg, 5*time.Millisecond, 0)
+			c, err := catalog.NewCalvinYCSB(cfg, 5*time.Millisecond, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func BenchmarkFigure10(b *testing.B) {
 	for _, ci := range []float64{0.0001, 0.1} {
 		cfg := benchYCSBCfg(ci)
 		b.Run("Aloha-CI"+fmtCI(ci), func(b *testing.B) {
-			c, err := harness.NewAlohaYCSB(cfg, 5*time.Millisecond, 0, nil)
+			c, err := catalog.NewAlohaYCSB(cfg, 5*time.Millisecond, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -273,7 +273,7 @@ func BenchmarkFigure11(b *testing.B) {
 		d := time.Duration(epochMS) * time.Millisecond
 		cfg := benchYCSBCfg(0.001)
 		b.Run("Aloha-epoch"+itoa(epochMS)+"ms", func(b *testing.B) {
-			c, err := harness.NewAlohaYCSB(cfg, d, 0, nil)
+			c, err := catalog.NewAlohaYCSB(cfg, d, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

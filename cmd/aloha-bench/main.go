@@ -1,310 +1,214 @@
-// Command aloha-bench regenerates the paper's evaluation figures
-// (Figures 6-11, §V) on the embedded simulated cluster, printing one row
-// per parameter point.
+// Command aloha-bench is the one front door to everything this repository
+// runs end to end: the paper's evaluation figures (§V, Figures 6-11, both
+// engines), the high-contention workloads, the chaos suites, the
+// observability boot and the live-migration checks are all scenarios in
+// one registry (internal/scenario/catalog), selected by attribute
+// expression.
 //
-// Usage:
-//
-//	aloha-bench -figure 9                 # quick sweep of Figure 9
-//	aloha-bench -figure 6 -full           # paper-scale parameters
-//	aloha-bench -figure all -servers 8
+//	aloha-bench list                              # every scenario, its attributes, one line each
+//	aloha-bench run smoke                         # CI's per-PR matrix
+//	aloha-bench run -window 1600ms bench          # quick sweep of Figures 6-11
+//	aloha-bench run -full -window 8s figure-6     # paper-scale parameters
+//	aloha-bench run -seed 7 'chaos && !crash'     # any boolean expression over attributes and name globs
+//	aloha-bench gate prev.jsonl cur.jsonl         # compare two -trend files
 package main
 
 import (
-	"encoding/json"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"alohadb/internal/harness"
 	"alohadb/internal/obs/tsdb"
+	"alohadb/internal/scenario"
+	"alohadb/internal/scenario/catalog"
 	"alohadb/internal/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	catalog.Register()
+	err := run(scenario.Default(), os.Args[1:], os.Stdout)
+	var ue usageError
+	if errors.As(err, &ue) {
+		fmt.Fprintf(os.Stderr, "aloha-bench: %s\n", ue)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: 6, 7, 8, 9, 10, 11, or all")
-		full     = flag.Bool("full", false, "paper-scale parameters (slow); default is the quick sweep")
-		servers  = flag.Int("servers", 0, "cluster size override")
-		duration = flag.Duration("duration", 0, "measurement window override per point")
-		items    = flag.Int("items", 0, "TPC-C item table size override")
-		csvPath  = flag.String("csv", "", "also write machine-readable results to this CSV file (figures 6-9, 11)")
+// usageError is a malformed command line: main prints the usage and exits 2.
+type usageError string
 
-		traceSample  = flag.Float64("trace-sample", 0, "trace sample rate in [0,1] for the ALOHA-DB clusters under benchmark")
-		traceSlowest = flag.Int("trace-slowest", 0, "after the sweep, dump the N slowest captured traces (needs -trace-sample)")
+func (e usageError) Error() string { return string(e) }
 
-		netbench      = flag.Bool("netbench", false, "run the network-path benchmark suite (transport coalescing, remote reads, 2-server NewOrder over TCP) instead of the figures")
-		netbenchOut   = flag.String("netbench-out", "BENCH_transport.json", "netbench report path (baseline rows in the file are preserved)")
-		netbenchLabel = flag.String("netbench-label", "current", "which report section the run's rows replace: current or baseline")
-		netbenchGate  = flag.Bool("netbench-gate", false, "regression-gate mode: run the suite, compare throughput rows against the committed current section of -netbench-out, and exit non-zero on a regression beyond -netbench-gate-tolerance without writing the file")
-		netbenchTol   = flag.Float64("netbench-gate-tolerance", 0.10, "allowed fractional throughput regression in gate mode (0.10 = 10%)")
-		netbenchTraj  = flag.String("netbench-trajectory", "", "when replacing the current section, preserve the old current rows in the trajectory under this label")
-
-		chaosMode  = flag.Bool("chaos", false, "run oracle-checked chaos scenarios instead of the figures; exits non-zero on any oracle violation")
-		chaosSeeds = flag.Int("chaos-seeds", 4, "number of consecutive chaos seeds to run")
-		chaosSeed  = flag.Int64("chaos-seed", 0, "replay exactly this chaos seed (overrides -chaos-seeds)")
-		chaosBase  = flag.Int64("chaos-base", 1, "first seed of the chaos sweep")
-		chaosOps   = flag.Int("chaos-ops", 60, "transactions per chaos writer")
-		chaosCrash = flag.Bool("chaos-crash", false, "crash the cluster mid-run and recover from the WAL in every chaos scenario")
-		chaosTCP   = flag.Bool("chaos-tcp", false, "run chaos scenarios over real TCP sockets")
-		chaosCodec = flag.String("chaos-codec", "", "TCP wire codec for chaos scenarios: binary, gob, or mixed (with -chaos-tcp)")
-
-		scenarios        = flag.String("scenarios", "", "run the declarative scenario matrix: an attribute expression over the catalog (e.g. smoke, 'chaos && !crash', 'name:feed-*'); exits non-zero on any failure and writes a replay artifact")
-		scenarioList     = flag.Bool("scenario-list", false, "list the scenario catalog (names, attributes, summaries) and exit")
-		scenarioSeed     = flag.Int64("scenario-seed", 1, "deterministic base seed for the scenario matrix (recorded in the replay artifact)")
-		scenarioWindow   = flag.Duration("scenario-window", 0, "per-scenario workload window override (default 800ms)")
-		scenarioArtifact = flag.String("scenario-artifact", "", "replay artifact path for failing scenarios (default $SCENARIO_ARTIFACT)")
-		scenarioTrend    = flag.String("scenario-trend", "", "trend-summary JSONL path for the matrix run (default $SCENARIO_TREND); the nightly soak writes it and `make trend-gate` compares it against the previous night")
-		soakDuration     = flag.Duration("soak-duration", 0, "soak mode: divide this total budget across the selected scenarios and run each as a long-window soak gated on p99 SLOs and zero stalls")
-
-		trendOut  = flag.String("trend-out", "", "also write the figure results as bench-kind trend rows (aloha-trend/v1 JSONL) to this file; the checked-in quick sweep lives in TREND_bench_quick.jsonl")
-		trendGate = flag.Bool("trend-gate", false, "trend-gate mode: compare the -trend-cur file against the -trend-prev baseline and exit non-zero on any sustained regression (no benchmarks run)")
-		trendPrev = flag.String("trend-prev", "", "previous run's trend JSONL for -trend-gate (missing file = no baseline yet, gate passes)")
-		trendCur  = flag.String("trend-cur", "", "current run's trend JSONL for -trend-gate")
-		trendTol  = flag.Float64("trend-tolerance", 0, "trend gate fractional tolerance on throughput drops and p99 rises (0 = default 0.35)")
-
-		obsSim         = flag.Bool("obs-sim", false, "boot a live simulated cluster with the full observability stack (per-server ops listeners, epoch watchdogs, skew profiler) plus a light workload; the target for aloha-top and CI's obs smoke")
-		obsSimServers  = flag.Int("obs-sim-servers", 3, "obs-sim cluster size")
-		obsSimAddrFile = flag.String("obs-sim-addr-file", "", "write the comma-separated ops addresses to this file once the listeners are up")
-
-		epochReport        = flag.Int("epoch-report", 0, "boot an embedded cluster, run a light workload for -duration, then print the N slowest epochs with cluster-wide critical-path attribution (which server and stage gated each commit)")
-		epochReportServers = flag.Int("epoch-report-servers", 3, "epoch-report cluster size")
-
-		migrateSim         = flag.Bool("migrate-sim", false, "run the hot-spot recovery smoke: measure baseline throughput, induce a single-partition Zipfian hot spot, split it live via the placement layer, and require post-split throughput to recover; exits non-zero on failure")
-		migrateSimAddrFile = flag.String("migrate-sim-addr-file", "", "write the comma-separated ops addresses to this file once the listeners are up")
-		migrateSimPhase    = flag.Duration("migrate-sim-phase", 2*time.Second, "measurement window per migrate-sim phase")
-		migrateSimRatio    = flag.Float64("migrate-sim-ratio", 0.9, "required post-split throughput as a fraction of baseline")
-	)
-	flag.Parse()
-
-	if *trendGate {
-		if *trendPrev == "" || *trendCur == "" {
-			return fmt.Errorf("aloha-bench: -trend-gate needs -trend-prev and -trend-cur")
+// run dispatches one command line (without the program name) over the
+// given registry, writing everything a verb reports to out.
+func run(reg *scenario.Registry, args []string, out io.Writer) error {
+	if len(args) == 0 {
+		return usageError("missing verb")
+	}
+	switch verb, rest := args[0], args[1:]; verb {
+	case "list":
+		if len(rest) != 0 {
+			return usageError("list takes no arguments")
 		}
-		return runTrendGate(*trendPrev, *trendCur, *trendTol)
+		scenario.List(out, reg)
+		return nil
+	case "run":
+		return runScenarios(reg, rest, out)
+	case "gate":
+		return gate(rest, out)
+	default:
+		return usageError(fmt.Sprintf("unknown verb %q", verb))
 	}
+}
 
-	if *scenarios != "" || *scenarioList {
-		return runScenarios(scenarioOptions{
-			expr:     *scenarios,
-			list:     *scenarioList,
-			seed:     *scenarioSeed,
-			window:   *scenarioWindow,
-			soak:     *soakDuration,
-			artifact: *scenarioArtifact,
-			trend:    *scenarioTrend,
-		})
+// runOptions are the run verb's flags.
+type runOptions struct {
+	seed         int64
+	window, soak time.Duration
+	artifact     string
+	trend        string
+	full         bool
+	traceSample  float64
+	traceSlowest int
+}
+
+func runFlags(o *runOptions) *flag.FlagSet {
+	fs := flag.NewFlagSet("aloha-bench run", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for every workload stream and fault schedule (recorded in the replay artifact and the trend rows)")
+	fs.DurationVar(&o.window, "window", 0, "workload window per scenario (default 800ms); a figure measures each parameter point for a quarter of it")
+	fs.DurationVar(&o.soak, "soak", 0, "soak mode: divide this total budget across the selected scenarios and run each as a long-window soak gated on p99 SLOs and zero stalls")
+	fs.StringVar(&o.artifact, "artifact", "", "write a replay artifact (JSON: scenario, seed, window, the command that reruns it) here when a scenario fails")
+	fs.StringVar(&o.trend, "trend", "", "write the run's result rows (aloha-trend/v1 JSONL: one soak row per scenario, one bench row per figure point) here; the gate verb compares two such files")
+	fs.BoolVar(&o.full, "full", false, "paper-scale parameters for the figures (slow); default is the quick sweep")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0, "trace sample rate in [0,1] for the ALOHA-DB clusters of the run")
+	fs.IntVar(&o.traceSlowest, "trace-slowest", 0, "after the run, dump the N slowest captured traces (needs -trace-sample)")
+	return fs
+}
+
+func gateFlags(tolerance *float64) *flag.FlagSet {
+	fs := flag.NewFlagSet("aloha-bench gate", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Float64Var(tolerance, "tolerance", 0.35, "fractional tolerance on throughput drops and p99 rises")
+	return fs
+}
+
+func usage(w io.Writer) {
+	fmt.Fprint(w, `usage:
+  aloha-bench list
+  aloha-bench run [flags] <expr>     expr: attributes and name globs joined by && || ! ( ), e.g. smoke, 'chaos && !crash', 'name:figure-*'
+  aloha-bench gate [-tolerance f] <prev.jsonl> <cur.jsonl>
+run flags:
+`)
+	fs := runFlags(&runOptions{})
+	fs.SetOutput(w)
+	fs.PrintDefaults()
+	fmt.Fprintln(w, "gate flags:")
+	fs = gateFlags(new(float64))
+	fs.SetOutput(w)
+	fs.PrintDefaults()
+}
+
+// runScenarios selects scenarios by attribute expression and runs them
+// through the matrix runner: `run smoke` is CI's quick matrix,
+// `run -soak 25m soak` the nightly soak, `run bench` the paper's figures.
+// Any failure prints the command that replays it and exits non-zero.
+func runScenarios(reg *scenario.Registry, args []string, out io.Writer) error {
+	var o runOptions
+	fs := runFlags(&o)
+	if err := fs.Parse(args); err != nil {
+		return usageError(err.Error())
 	}
-
-	if *epochReport > 0 {
-		return runEpochReport(epochReportOptions{
-			servers:  *epochReportServers,
-			duration: *duration,
-			slowest:  *epochReport,
-		})
+	if fs.NArg() != 1 {
+		return usageError("run takes exactly one selection expression, after the flags")
 	}
-
-	if *migrateSim {
-		return runMigrateSim(migrateSimOptions{
-			servers:  *servers,
-			addrFile: *migrateSimAddrFile,
-			phase:    *migrateSimPhase,
-			minRatio: *migrateSimRatio,
-		})
+	if o.traceSlowest > 0 && o.traceSample <= 0 {
+		return usageError("-trace-slowest needs -trace-sample > 0")
 	}
-
-	if *obsSim {
-		return runObsSim(obsSimOptions{
-			servers:  *obsSimServers,
-			duration: *duration,
-			addrFile: *obsSimAddrFile,
-		})
+	scns, err := reg.Select(fs.Arg(0))
+	if err != nil {
+		return err
 	}
-
-	if *chaosMode {
-		return runChaos(chaosOptions{
-			seeds: *chaosSeeds,
-			seed:  *chaosSeed,
-			base:  *chaosBase,
-			ops:   *chaosOps,
-			crash: *chaosCrash,
-			tcp:   *chaosTCP,
-			codec: *chaosCodec,
-		})
+	if len(scns) == 0 {
+		return fmt.Errorf("aloha-bench: %q selects no scenario (`aloha-bench list` shows the catalog)", fs.Arg(0))
 	}
-
-	if *netbench {
-		o := harness.Options{
-			Quick:    !*full,
-			Duration: *duration,
-			Items:    *items,
-			Out:      os.Stdout,
-		}
-		if *netbenchGate {
-			return runNetBenchGate(o, *netbenchOut, *netbenchTol)
-		}
-		return runNetBench(o, *netbenchOut, *netbenchLabel, *netbenchTraj)
-	}
-
 	var tracer *trace.Tracer
-	if *traceSample > 0 {
-		tracer = trace.New(trace.Config{SampleRate: *traceSample})
-	} else if *traceSlowest > 0 {
-		return fmt.Errorf("aloha-bench: -trace-slowest needs -trace-sample > 0")
+	if o.traceSample > 0 {
+		tracer = trace.New(trace.Config{SampleRate: o.traceSample})
 	}
-
-	opts := harness.Options{
-		Quick:    !*full,
-		Servers:  *servers,
-		Duration: *duration,
-		Items:    *items,
-		Out:      os.Stdout,
-		Tracer:   tracer,
+	start := time.Now()
+	_, err = scenario.Run(context.Background(), scns, scenario.RunOptions{
+		Seed:         o.seed,
+		Window:       o.window,
+		Soak:         o.soak,
+		Full:         o.full,
+		Tracer:       tracer,
+		Out:          out,
+		ArtifactPath: o.artifact,
+		TrendPath:    o.trend,
+	})
+	if o.traceSlowest > 0 {
+		traces := tracer.Traces()
+		slowest := trace.Slowest(traces, o.traceSlowest)
+		fmt.Fprintf(out, "# %d slowest traces (of %d captured, %d spans dropped)\n",
+			len(slowest), len(traces), tracer.Dropped())
+		if werr := trace.WriteText(out, slowest); werr != nil && err == nil {
+			err = werr
+		}
 	}
-
-	var collected []harness.Result
-	var trend []tsdb.TrendRow
-	trendAt := time.Now()
-	collect := func(figName string, rows []harness.Result, err error) error {
-		collected = append(collected, rows...)
-		trend = append(trend, trendRows(figName, rows, trendAt)...)
+	if err != nil {
 		return err
 	}
-	type fig struct {
-		name string
-		run  func(harness.Options) error
-	}
-	figs := map[string]func(harness.Options) error{
-		"6":  func(o harness.Options) error { rows, err := harness.Figure6(o); return collect("6", rows, err) },
-		"7":  func(o harness.Options) error { rows, err := harness.Figure7(o); return collect("7", rows, err) },
-		"8":  func(o harness.Options) error { rows, err := harness.Figure8(o); return collect("8", rows, err) },
-		"9":  func(o harness.Options) error { rows, err := harness.Figure9(o); return collect("9", rows, err) },
-		"10": func(o harness.Options) error { _, err := harness.Figure10(o); return err },
-		"11": func(o harness.Options) error { rows, err := harness.Figure11(o); return collect("11", rows, err) },
-	}
-
-	var order []fig
-	if *figure == "all" {
-		for _, n := range []string{"6", "7", "8", "9", "10", "11"} {
-			order = append(order, fig{name: n, run: figs[n]})
-		}
-	} else {
-		f, ok := figs[*figure]
-		if !ok {
-			return fmt.Errorf("unknown figure %q (want 6..11 or all)", *figure)
-		}
-		order = append(order, fig{name: *figure, run: f})
-	}
-
-	for _, f := range order {
-		start := time.Now()
-		if err := f.run(opts); err != nil {
-			return fmt.Errorf("figure %s: %w", f.name, err)
-		}
-		fmt.Printf("# figure %s done in %s\n\n", f.name, time.Since(start).Round(time.Millisecond))
-	}
-	if *csvPath != "" && len(collected) > 0 {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := harness.WriteCSV(f, collected); err != nil {
-			return fmt.Errorf("write csv: %w", err)
-		}
-		fmt.Printf("# wrote %d rows to %s\n", len(collected), *csvPath)
-	}
-	if *trendOut != "" && len(trend) > 0 {
-		if err := tsdb.WriteTrend(*trendOut, trend); err != nil {
-			return fmt.Errorf("write trend: %w", err)
-		}
-		fmt.Printf("# wrote %d trend rows to %s\n", len(trend), *trendOut)
-	}
-	if *traceSlowest > 0 {
-		slowest := trace.Slowest(tracer.Traces(), *traceSlowest)
-		fmt.Printf("# %d slowest traces (of %d captured, %d spans dropped)\n",
-			len(slowest), len(tracer.Traces()), tracer.Dropped())
-		if err := trace.WriteText(os.Stdout, slowest); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintf(out, "# %d scenario(s) passed in %s\n", len(scns), time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// runNetBench executes the network-path suite and merges its rows into the
-// JSON report, preserving the other section (committed baseline rows
-// survive `make bench-net` regenerating the current rows, and vice versa).
-// With trajLabel set, the superseded current rows move into the trajectory
-// under that label instead of being discarded, so the committed file keeps
-// the transport's performance history.
-func runNetBench(o harness.Options, path, label, trajLabel string) error {
-	if label != "current" && label != "baseline" {
-		return fmt.Errorf("aloha-bench: -netbench-label must be current or baseline, got %q", label)
+// gate compares the current run's trend file against the previous run's,
+// matched by (kind, scenario), and fails listing every sustained
+// regression. A missing previous file is not an error — the first night
+// has no baseline.
+func gate(args []string, out io.Writer) error {
+	var tolerance float64
+	fs := gateFlags(&tolerance)
+	if err := fs.Parse(args); err != nil {
+		return usageError(err.Error())
 	}
-	rows, err := harness.NetBench(o)
+	if fs.NArg() != 2 {
+		return usageError("gate takes <prev.jsonl> <cur.jsonl>, after the flags")
+	}
+	if tolerance <= 0 {
+		return usageError("-tolerance must be positive")
+	}
+	prevPath, curPath := fs.Arg(0), fs.Arg(1)
+	cur, err := tsdb.ReadTrend(curPath)
 	if err != nil {
-		return err
+		return fmt.Errorf("aloha-bench: gate: current %s: %w", curPath, err)
 	}
-	var report harness.NetBenchReport
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &report); err != nil {
-			return fmt.Errorf("aloha-bench: parse %s: %w", path, err)
+	prev, err := tsdb.ReadTrend(prevPath)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			fmt.Fprintf(out, "# gate: no previous baseline at %s — %d current rows pass by default\n", prevPath, len(cur))
+			return nil
 		}
+		return fmt.Errorf("aloha-bench: gate: previous %s: %w", prevPath, err)
 	}
-	if label == "baseline" {
-		report.Baseline = rows
-	} else {
-		if trajLabel != "" && len(report.Current) > 0 {
-			report.Trajectory = append(report.Trajectory, harness.NetBenchSnapshot{
-				Label: trajLabel, Rows: report.Current,
-			})
-			fmt.Printf("# preserved %d old current rows in trajectory %q\n", len(report.Current), trajLabel)
-		}
-		report.Current = rows
+	fails := tsdb.GateTrend(prev, cur, tsdb.GateConfig{Tolerance: tolerance})
+	fmt.Fprintf(out, "# gate: %d baseline rows vs %d current rows (tolerance %.0f%%)\n", len(prev), len(cur), 100*tolerance)
+	if len(fails) == 0 {
+		fmt.Fprintln(out, "# gate: no sustained regressions")
+		return nil
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+	for _, f := range fails {
+		fmt.Fprintf(out, "REGRESSION %s\n", f)
 	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("# wrote %d %s rows to %s\n", len(rows), label, path)
-	return nil
-}
-
-// runNetBenchGate is CI's regression gate: run the suite and compare its
-// throughput rows against the committed current section, failing on any
-// regression beyond tolerance. The report file is never written.
-func runNetBenchGate(o harness.Options, path string, tolerance float64) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("aloha-bench: gate needs a committed report: %w", err)
-	}
-	var report harness.NetBenchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		return fmt.Errorf("aloha-bench: parse %s: %w", path, err)
-	}
-	if len(report.Current) == 0 {
-		return fmt.Errorf("aloha-bench: %s has no current section to gate against", path)
-	}
-	rows, err := harness.NetBench(o)
-	if err != nil {
-		return err
-	}
-	if fails := harness.GateFailures(report.Current, rows, tolerance); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Printf("# GATE FAIL %s\n", f)
-		}
-		return fmt.Errorf("aloha-bench: netbench gate: %d throughput regression(s) beyond %.0f%%", len(fails), tolerance*100)
-	}
-	fmt.Printf("# netbench gate PASS against %s (tolerance %.0f%%)\n", path, tolerance*100)
-	return nil
+	return fmt.Errorf("aloha-bench: gate: %d sustained regression(s)", len(fails))
 }

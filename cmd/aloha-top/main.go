@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -72,15 +73,15 @@ func run() error {
 	defer cancel()
 
 	if *once {
-		return oneShot(ctx, sc, *rateWindow, *jsonOut, *epochsN, *timeseries)
+		return oneShot(ctx, os.Stdout, sc, *rateWindow, *jsonOut, *epochsN, *timeseries)
 	}
 	return watch(ctx, sc, *interval, *jsonOut, *epochsN, *timeseries)
 }
 
 // oneShot scrapes twice so rates are measured, then emits a single frame.
-// The JSON carries min_epoch_monotonic — CI's obs smoke asserts it: the
-// cluster's visibility floor must never move backwards.
-func oneShot(ctx context.Context, sc *clusterview.Scraper, window time.Duration, jsonOut bool, epochsN int, timeseries bool) error {
+// The JSON carries min_epoch_monotonic: the cluster's visibility floor
+// must never move backwards.
+func oneShot(ctx context.Context, w io.Writer, sc *clusterview.Scraper, window time.Duration, jsonOut bool, epochsN int, timeseries bool) error {
 	prev := sc.Scrape(ctx)
 	select {
 	case <-time.After(window):
@@ -89,14 +90,14 @@ func oneShot(ctx context.Context, sc *clusterview.Scraper, window time.Duration,
 	}
 	cur := clusterview.Delta(prev, sc.Scrape(ctx))
 	if !jsonOut {
-		clusterview.Render(os.Stdout, cur)
+		clusterview.Render(w, cur)
 		if epochsN > 0 {
-			fmt.Printf("\nslowest epochs (critical path):\n")
-			clusterview.RenderEpochs(os.Stdout, cur.EpochPaths, epochsN)
+			fmt.Fprintf(w, "\nslowest epochs (critical path):\n")
+			clusterview.RenderEpochs(w, cur.EpochPaths, epochsN)
 		}
 		if timeseries {
-			fmt.Printf("\nflight recorder (merged series):\n")
-			clusterview.RenderTimeseries(os.Stdout, cur, 48)
+			fmt.Fprintf(w, "\nflight recorder (merged series):\n")
+			clusterview.RenderTimeseries(w, cur, 48)
 		}
 		return nil
 	}
@@ -104,7 +105,7 @@ func oneShot(ctx context.Context, sc *clusterview.Scraper, window time.Duration,
 		clusterview.ClusterSnapshot
 		MinEpochMonotonic bool `json:"min_epoch_monotonic"`
 	}{cur, cur.MinCommittedEpoch >= prev.MinCommittedEpoch}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }

@@ -29,7 +29,7 @@ func prefixPartitioner(k kv.Key, n int) int {
 			return i
 		}
 	}
-	return core.HashPartitioner(k, n)
+	return kv.PartitionOf(k, n)
 }
 
 func appendReg() *functor.Registry {

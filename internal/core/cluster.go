@@ -24,28 +24,14 @@ type ClusterConfig struct {
 	// Servers is the number of FE/BE nodes. Required.
 	Servers int
 	// EpochDuration is the unified epoch length (default 25 ms, §V-A2).
-	// With EpochMinDuration/EpochMaxDuration set it is only the adaptive
-	// interval's starting point.
 	EpochDuration time.Duration
-	// EpochMinDuration and EpochMaxDuration, when both set, enable the
-	// adaptive epoch interval: the manager retunes the epoch length after
-	// every switch from an EMA of switch durations (bounded to the
-	// [min, max] window) and drifts toward max while no transactions
-	// commit. See epoch.Config.
-	EpochMinDuration time.Duration
-	EpochMaxDuration time.Duration
 	// ManualEpochs disables the timer: epochs advance only via
 	// AdvanceEpoch. Deterministic tests use this.
 	ManualEpochs bool
 	// Router is the base key→server placement shared by every server; nil
-	// falls back to Partitioner (or hash placement). The rebalancer overlays
-	// it with epoch-versioned ownership maps at runtime.
+	// means hash placement. The rebalancer overlays it with epoch-versioned
+	// ownership maps at runtime.
 	Router placement.Router
-	// Partitioner places keys (default: hash).
-	//
-	// Deprecated: set Router instead (wrap a closure with
-	// placement.NewStatic). Ignored when Router is non-nil.
-	Partitioner Partitioner
 	// Registry holds user-defined functor handlers, shared by all servers.
 	Registry *functor.Registry
 	// Workers is the per-server processor pool size (default 2).
@@ -121,7 +107,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg.Registry = functor.NewRegistry()
 	}
 	if cfg.Router == nil {
-		cfg.Router = placement.NewStatic(cfg.Servers, cfg.Partitioner)
+		cfg.Router = placement.NewStatic(cfg.Servers, nil)
 	}
 	c := &Cluster{cfg: cfg, loadSeq: make([]uint32, cfg.Servers), table: placement.NewTable(cfg.Router)}
 	if cfg.Network != nil {
@@ -167,20 +153,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.servers = append(c.servers, srv)
 	}
-	servers := c.servers
 	c.em = epoch.New(epoch.Config{
 		Duration:      cfg.EpochDuration,
 		SwitchTimeout: cfg.SwitchTimeout,
 		StartEpoch:    cfg.StartEpoch,
-		MinDuration:   cfg.EpochMinDuration,
-		MaxDuration:   cfg.EpochMaxDuration,
-		CommitCount: func() uint64 {
-			var n uint64
-			for _, s := range servers {
-				n += s.stats.txnsCommitted.Load()
-			}
-			return n
-		},
 	})
 	// The manager traces as node Servers, matching the TCP address-book
 	// convention that places the EM right after the server IDs.

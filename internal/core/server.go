@@ -20,21 +20,6 @@ import (
 	"alohadb/internal/tstamp"
 )
 
-// Partitioner maps a key to the server owning its partition. Workloads may
-// provide their own placement (TPC-C partitions by warehouse, scaled TPC-C
-// by item/district); the default is hash partitioning.
-//
-// Deprecated: Partitioner describes a placement that can never change.
-// Routing now goes through placement.Router (an epoch-versioned ownership
-// map that supports live migration); wrap a legacy closure with
-// placement.NewStatic, or set ServerConfig.Router / ClusterConfig.Router
-// directly. Existing Partitioner fields keep working via that adapter.
-type Partitioner func(k kv.Key, numServers int) int
-
-// HashPartitioner is the default placement: a StaticRouter over it is what
-// servers route through when no Router is configured.
-func HashPartitioner(k kv.Key, n int) int { return kv.PartitionOf(k, n) }
-
 // ServerConfig configures one combined FE/BE server.
 type ServerConfig struct {
 	// ID is the server's index in 0..NumServers-1; it doubles as the
@@ -42,15 +27,12 @@ type ServerConfig struct {
 	ID int
 	// NumServers is the cluster size.
 	NumServers int
-	// Router is the base key→server placement; nil falls back to
-	// Partitioner (or hash placement). The server overlays it with the
-	// epoch-versioned ownership maps installed by the rebalancer.
+	// Router is the base key→server placement; nil means hash placement
+	// (placement.NewStatic(NumServers, nil)). Workloads provide their own
+	// (TPC-C partitions by warehouse, scaled TPC-C by item/district). The
+	// server overlays it with the epoch-versioned ownership maps installed
+	// by the rebalancer.
 	Router placement.Router
-	// Partitioner places keys; nil means HashPartitioner.
-	//
-	// Deprecated: set Router instead (wrap a closure with
-	// placement.NewStatic). Ignored when Router is non-nil.
-	Partitioner Partitioner
 	// Registry resolves user-defined functor handlers.
 	Registry *functor.Registry
 	// Workers sets the processor pool size; 0 scales with the machine:
@@ -231,9 +213,7 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		cfg.Registry = functor.NewRegistry()
 	}
 	if cfg.Router == nil {
-		// Legacy Partitioner configs (and the nil default, hash placement)
-		// route through the static adapter.
-		cfg.Router = placement.NewStatic(cfg.NumServers, cfg.Partitioner)
+		cfg.Router = placement.NewStatic(cfg.NumServers, nil)
 	}
 	switch {
 	case cfg.Workers == 0:

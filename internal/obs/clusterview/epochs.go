@@ -201,7 +201,7 @@ func attribute(epoch uint64, group []journal.Record, em journal.EMRecord) (Epoch
 
 // RenderEpochs writes the slowest n epochs by total close-out time, one
 // row each with the critical-path attribution — the aloha-top drill-down
-// and aloha-bench -epoch-report output.
+// and the `aloha-bench run obs-view` report.
 func RenderEpochs(w io.Writer, paths []EpochPath, n int) {
 	if len(paths) == 0 {
 		fmt.Fprintln(w, "no attributed epochs (journal empty or no complete records)")

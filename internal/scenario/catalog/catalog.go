@@ -1,10 +1,13 @@
-// Package catalog registers every scenario the repo ships: the four
-// high-contention end-to-end workloads (social-feed fanout, payment
-// ledger, auction sniping, multi-tenant mix) plus ports of the ad-hoc
-// harnesses that predate the registry (bench figures, chaos suites,
-// obs-sim, migrate-sim). It is the one package allowed to import both
-// the scenario runtime and the chaos injector; the runtime itself stays
-// injector-free via EnvConfig.WrapNet.
+// Package catalog registers every scenario the repo ships, one file each:
+// the four high-contention end-to-end workloads (feed.go, ledger.go,
+// auction.go, tenants.go), the paper's evaluation figures against the
+// Calvin baseline (figure6.go … figure11.go over the shared sweep helpers
+// in figures.go, the closed-loop drivers in loop.go, their result types in
+// stats.go and the cluster builders in setup.go), the oracle-checked chaos
+// suites (chaos.go), the observability boot (obsview.go) and the live
+// migration checks (migrate.go). It is the one package allowed to import
+// both the scenario runtime and the chaos injector; the runtime itself
+// stays injector-free via EnvConfig.WrapNet.
 package catalog
 
 import (
@@ -35,7 +38,15 @@ func Register() {
 		registerLedger(r)
 		registerAuction(r)
 		registerTenants(r)
-		registerPorts(r)
+		registerFigure6(r)
+		registerFigure7(r)
+		registerFigure8(r)
+		registerFigure9(r)
+		registerFigure10(r)
+		registerFigure11(r)
+		registerChaos(r)
+		registerObsView(r)
+		registerMigrate(r)
 	})
 }
 

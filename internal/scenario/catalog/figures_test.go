@@ -1,15 +1,17 @@
-package harness
+package catalog
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"alohadb/internal/calvin"
 	"alohadb/internal/core"
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
+	"alohadb/internal/obs/tsdb"
+	"alohadb/internal/scenario"
 	"alohadb/internal/workload/tpcc"
 	"alohadb/internal/workload/ycsb"
 )
@@ -61,15 +63,8 @@ func TestRunAlohaYCSBSmoke(t *testing.T) {
 	}
 	defer c.Close()
 	res, err := RunAloha(AlohaRun{
-		Cluster: c,
-		NewTxn: func(cli int) func() core.Txn {
-			g, gerr := ycsb.NewGenerator(withSeed(cfg, int64(cli)))
-			if gerr != nil {
-				t.Error(gerr)
-				return func() core.Txn { return core.Txn{} }
-			}
-			return func() core.Txn { return ycsb.Aloha(g.Next()) }
-		},
+		Cluster:       c,
+		NewTxn:        alohaYCSBStream(cfg, 0),
 		Clients:       2,
 		BatchSize:     2,
 		Duration:      150 * time.Millisecond,
@@ -105,14 +100,8 @@ func TestRunCalvinYCSBSmoke(t *testing.T) {
 	}
 	defer c.Close()
 	res, err := RunCalvin(CalvinRun{
-		Cluster: c,
-		NewTxn: func(cli int) func() calvin.Txn {
-			g, gerr := ycsb.NewGenerator(withSeed(cfg, int64(cli)))
-			if gerr != nil {
-				t.Error(gerr)
-			}
-			return func() calvin.Txn { return ycsb.Calvin(g.Next()) }
-		},
+		Cluster:   c,
+		NewTxn:    calvinYCSBStream(cfg, 0),
 		Clients:   2,
 		BatchSize: 2,
 		Duration:  150 * time.Millisecond,
@@ -171,18 +160,13 @@ func TestFigureRunnersQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps take seconds")
 	}
-	tiny := Options{
-		Quick:     true,
-		Servers:   2,
-		Duration:  80 * time.Millisecond,
-		Items:     100,
-		Customers: 5,
-	}
+	tiny := scale{servers: 2, items: 100, customers: 5}
 	var buf bytes.Buffer
-	tiny.Out = &buf
+	// 80 ms per parameter point.
+	env := &scenario.Env{Seed: 1, Window: 320 * time.Millisecond, Out: &buf}
 
 	t.Run("fig6", func(t *testing.T) {
-		rows, err := Figure6(tiny)
+		rows, err := figure6(env, tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,9 +174,23 @@ func TestFigureRunnersQuick(t *testing.T) {
 		if len(rows) != 16 {
 			t.Errorf("rows = %d, want 16", len(rows))
 		}
+		// The rows a `run -trend` writes keep the checked-in file's keys.
+		want, err := tsdb.ReadTrend("../../../TREND_bench_quick.jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := trendRows("6", rows)
+		if len(got) != len(want) {
+			t.Fatalf("trend rows = %d, TREND_bench_quick.jsonl has %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Kind != want[i].Kind || got[i].Scenario != want[i].Scenario {
+				t.Errorf("trend row %d = %s/%s, want %s/%s", i, got[i].Kind, got[i].Scenario, want[i].Kind, want[i].Scenario)
+			}
+		}
 	})
 	t.Run("fig7", func(t *testing.T) {
-		rows, err := Figure7(tiny)
+		rows, err := figure7(env, tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +200,7 @@ func TestFigureRunnersQuick(t *testing.T) {
 		}
 	})
 	t.Run("fig8", func(t *testing.T) {
-		rows, err := Figure8(tiny)
+		rows, err := figure8(env, tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +210,7 @@ func TestFigureRunnersQuick(t *testing.T) {
 		}
 	})
 	t.Run("fig9", func(t *testing.T) {
-		rows, err := Figure9(tiny)
+		rows, err := figure9(env, tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +224,7 @@ func TestFigureRunnersQuick(t *testing.T) {
 		}
 	})
 	t.Run("fig10", func(t *testing.T) {
-		rows, err := Figure10(tiny)
+		rows, err := figure10(env, tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +242,7 @@ func TestFigureRunnersQuick(t *testing.T) {
 		}
 	})
 	t.Run("fig11", func(t *testing.T) {
-		rows, err := Figure11(tiny)
+		rows, err := figure11(env, tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,17 +272,59 @@ func TestBreakdownHelpers(t *testing.T) {
 	}
 }
 
-// Keep the harness honest about generator uniqueness: two clients must not
-// share a generator (they are not concurrency-safe).
+// Generators are not concurrency-safe, so every client owns its stream; and
+// every stream derives from the run's seed, so repeated runs (§V-A3) draw
+// different transactions while one seed replays exactly.
 func TestStreamsAreIndependent(t *testing.T) {
-	cfg := tpcc.Config{Servers: 2, Items: 50, CustomersPerDistrict: 5}
-	stream := alohaNewOrderStream(cfg, 9)
-	g1 := stream(0)
-	g2 := stream(1)
-	t1 := g1()
-	t2 := g2()
-	if len(t1.Writes) == 0 || len(t2.Writes) == 0 {
-		t.Fatal("empty transactions")
+	tcfg := tpcc.Config{Servers: 2, Items: 50, CustomersPerDistrict: 5}
+	ycfg := ycsb.Config{Partitions: 2, KeysPerPartition: 1000, ContentionIndex: 0.1, Distributed: true}
+	// first100 renders the first 100 transactions of each of two clients
+	// of every stream kind a figure drives, at one parameter point.
+	first100 := func(seed int64) map[string]string {
+		env := &scenario.Env{Seed: seed}
+		out := make(map[string]string)
+		for cli := 0; cli < 2; cli++ {
+			aloha := map[string]func() core.Txn{
+				"neworder": alohaNewOrderStream(tcfg, streamSeed(env, 8*101))(cli),
+				"payment":  alohaPaymentStream(tcfg, streamSeed(env, 8*101))(cli),
+				"ycsb":     alohaYCSBStream(ycfg, streamSeed(env, 8*107))(cli),
+			}
+			for kind, next := range aloha {
+				var b strings.Builder
+				for i := 0; i < 100; i++ {
+					txn := next()
+					if len(txn.Writes) == 0 {
+						t.Fatalf("%s client %d: empty transaction", kind, cli)
+					}
+					for _, w := range txn.Writes {
+						fmt.Fprintf(&b, "%s=%d:%x;", w.Key, w.Functor.Type, w.Functor.Arg)
+					}
+				}
+				out[fmt.Sprintf("aloha-%s/%d", kind, cli)] = b.String()
+			}
+			calvinNext := calvinNewOrderStream(tcfg, streamSeed(env, 8*103))(cli)
+			var b strings.Builder
+			for i := 0; i < 100; i++ {
+				txn := calvinNext()
+				fmt.Fprintf(&b, "%s:%x;", txn.Proc, txn.Args)
+			}
+			out[fmt.Sprintf("calvin-neworder/%d", cli)] = b.String()
+		}
+		return out
+	}
+	a, again, other := first100(1), first100(1), first100(2)
+	for name, txns := range a {
+		if again[name] != txns {
+			t.Errorf("%s: the same seed drew different transactions", name)
+		}
+		if other[name] == txns {
+			t.Errorf("%s: seeds 1 and 2 drew the same transactions", name)
+		}
+	}
+	for _, kind := range []string{"aloha-neworder", "aloha-payment", "aloha-ycsb", "calvin-neworder"} {
+		if a[kind+"/0"] == a[kind+"/1"] {
+			t.Errorf("%s: clients 0 and 1 share a stream", kind)
+		}
 	}
 }
 

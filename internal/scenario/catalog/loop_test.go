@@ -1,10 +1,9 @@
-package harness
+package catalog
 
 import (
 	"testing"
 	"time"
 
-	"alohadb/internal/core"
 	"alohadb/internal/workload/ycsb"
 )
 
@@ -24,14 +23,8 @@ func TestPaceJitterSpreadsArrivals(t *testing.T) {
 		}
 		defer c.Close()
 		res, err := RunAloha(AlohaRun{
-			Cluster: c,
-			NewTxn: func(cli int) func() core.Txn {
-				g, gerr := ycsb.NewGenerator(withSeed(cfg, int64(cli)+1))
-				if gerr != nil {
-					t.Error(gerr)
-				}
-				return func() core.Txn { return ycsb.Aloha(g.Next()) }
-			},
+			Cluster:       c,
+			NewTxn:        alohaYCSBStream(cfg, 1),
 			Clients:       2,
 			Duration:      400 * time.Millisecond,
 			SampleLatency: true,
@@ -68,14 +61,8 @@ func TestSaturationModeDrains(t *testing.T) {
 	}
 	defer c.Close()
 	res, err := RunAloha(AlohaRun{
-		Cluster: c,
-		NewTxn: func(cli int) func() core.Txn {
-			g, gerr := ycsb.NewGenerator(withSeed(cfg, int64(cli)+1))
-			if gerr != nil {
-				t.Error(gerr)
-			}
-			return func() core.Txn { return ycsb.Aloha(g.Next()) }
-		},
+		Cluster:  c,
+		NewTxn:   alohaYCSBStream(cfg, 1),
 		Clients:  4,
 		Duration: 200 * time.Millisecond,
 	})

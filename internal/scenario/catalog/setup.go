@@ -1,4 +1,4 @@
-package harness
+package catalog
 
 import (
 	"time"
@@ -33,21 +33,9 @@ const (
 	SimJitter  = 40 * time.Microsecond
 )
 
-// simNetwork builds the latency-injected in-memory mesh both engines use.
-func simNetwork() transport.Network {
-	return transport.NewMemNetwork(transport.WithLatency(SimLatency, SimJitter))
-}
-
 // NewAlohaTPCC assembles a started ALOHA-DB cluster loaded with the TPC-C
 // database for the configuration. tracer may be nil (tracing off).
 func NewAlohaTPCC(cfg tpcc.Config, epochDur time.Duration, workers int, tracer *trace.Tracer) (*core.Cluster, error) {
-	return NewAlohaTPCCOn(simNetwork(), cfg, epochDur, workers, tracer)
-}
-
-// NewAlohaTPCCOn is NewAlohaTPCC over a caller-supplied network; the
-// network-path benchmarks use it to wire the same workload over TCP
-// loopback instead of the simulated mesh.
-func NewAlohaTPCCOn(net transport.Network, cfg tpcc.Config, epochDur time.Duration, workers int, tracer *trace.Tracer) (*core.Cluster, error) {
 	reg := functor.NewRegistry()
 	tpcc.RegisterAlohaHandlers(reg)
 	if epochDur <= 0 {
@@ -55,11 +43,12 @@ func NewAlohaTPCCOn(net transport.Network, cfg tpcc.Config, epochDur time.Durati
 	}
 	env, err := scenario.BuildEnv(scenario.EnvConfig{
 		Servers:        cfg.Servers,
-		Network:        net,
+		NetLatency:     SimLatency,
+		NetJitter:      SimJitter,
 		EpochDuration:  epochDur,
 		Registry:       reg,
 		Workers:        workers,
-		Router:         placement.NewStatic(cfg.Servers, core.Partitioner(cfg.Partitioner())),
+		Router:         placement.NewStatic(cfg.Servers, cfg.Partitioner()),
 		DependencyRule: cfg.DependencyRule(),
 		Tracer:         tracer,
 		Load: func(c *core.Cluster) error {
@@ -88,7 +77,7 @@ func NewCalvinTPCC(cfg tpcc.Config, epochDur time.Duration, workers int) (*calvi
 		Workers:       workers,
 		Partitioner:   calvin.Partitioner(cfg.Partitioner()),
 		Procs:         procs,
-		Network:       simNetwork(),
+		Network:       transport.NewMemNetwork(transport.WithLatency(SimLatency, SimJitter)),
 	})
 	if err != nil {
 		return nil, err
@@ -140,7 +129,7 @@ func NewCalvinYCSB(cfg ycsb.Config, epochDur time.Duration, workers int) (*calvi
 		Workers:       workers,
 		Partitioner:   calvin.Partitioner(ycsb.Partitioner),
 		Procs:         procs,
-		Network:       simNetwork(),
+		Network:       transport.NewMemNetwork(transport.WithLatency(SimLatency, SimJitter)),
 	})
 	if err != nil {
 		return nil, err

@@ -11,7 +11,7 @@ import (
 
 // TestScenarioSmokeMatrix is the go-test bridge into the scenario
 // registry: it runs the whole smoke matrix — the same selection CI's
-// `aloha-bench -scenarios smoke` uses — with a short window, so tier-1
+// `aloha-bench run smoke` uses — with a short window, so tier-1
 // `go test ./...` exercises every smoke scenario end to end.
 func TestScenarioSmokeMatrix(t *testing.T) {
 	if testing.Short() {
@@ -76,5 +76,25 @@ func TestRegistryShape(t *testing.T) {
 		if !want[s.Name] {
 			t.Errorf("unexpected soak scenario %q", s.Name)
 		}
+	}
+	// `run bench` is the paper's evaluation: exactly the six figures.
+	bench, err := r.Select("bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range bench {
+		names = append(names, s.Name)
+	}
+	if got, want := strings.Join(names, " "), "figure-10 figure-11 figure-6 figure-7 figure-8 figure-9"; got != want {
+		t.Errorf("bench family = %q, want %q", got, want)
+	}
+	// The hot-spot recovery run is registered but too long for the smoke
+	// matrix; the netbench suite is gone (the ledger under bench/ has its rows).
+	if s := r.Find("migrate-recover"); s == nil || !s.HasAttr("migration") || s.HasAttr("smoke") {
+		t.Error("migrate-recover missing, lost its migration attr, or joined the smoke matrix")
+	}
+	if r.Find("netbench") != nil {
+		t.Error("netbench is still registered")
 	}
 }

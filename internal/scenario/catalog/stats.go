@@ -1,8 +1,4 @@
-// Package harness drives the benchmark experiments of the paper's
-// evaluation (§V): closed-loop load generation against both engines,
-// latency sampling with percentile reporting, stage breakdowns, and the
-// per-figure parameter sweeps that regenerate every plot (Figures 6-11).
-package harness
+package catalog
 
 import (
 	"fmt"
@@ -12,6 +8,9 @@ import (
 
 // LatencySample accumulates latency observations. Not safe for concurrent
 // use; each load-driver goroutine owns one and they are merged at the end.
+// It keeps every sample rather than using the metrics histograms the soak
+// workloads do (latencies, catalog.go): metrics.LatencyBounds doubles per
+// bucket, which would coarsen every figure's p99 column.
 type LatencySample struct {
 	samples []time.Duration
 }

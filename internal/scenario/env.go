@@ -25,23 +25,18 @@ import (
 )
 
 // EnvConfig declares a scenario's cluster shape. BuildEnv turns it into a
-// started cluster plus the observability stack, replacing the hand-rolled
-// construction the chaos runner, netbench, obs-sim, and migrate-sim each
-// used to carry.
+// started cluster plus the observability stack, so no scenario carries a
+// hand-rolled cluster builder.
 type EnvConfig struct {
 	// Servers is the cluster size. Required.
 	Servers int
 	// Transport selects "mem" (default) or "tcp" (real loopback sockets
-	// with the binary wire codec). Ignored when Network is set.
+	// with the binary wire codec).
 	Transport string
 	// WireCodec selects the TCP wire encoding: "binary" (default), "gob",
 	// or "mixed" (even nodes binary, odd nodes gob — the rolling-upgrade
 	// handshake path).
 	WireCodec string
-	// Network overrides transport construction entirely (callers that
-	// pre-build a network, e.g. netbench sharing one across phases). The
-	// env does not close it.
-	Network transport.Network
 	// NetLatency/NetJitter add simulated one-way delay to the in-memory
 	// transport ("mem" only).
 	NetLatency time.Duration
@@ -52,13 +47,10 @@ type EnvConfig struct {
 	// type assertion without this package importing the chaos package.
 	WrapNet func(transport.Network) transport.Network
 
-	// EpochDuration, EpochMinDuration, EpochMaxDuration, ManualEpochs,
-	// SwitchTimeout: see core.ClusterConfig.
-	EpochDuration    time.Duration
-	EpochMinDuration time.Duration
-	EpochMaxDuration time.Duration
-	ManualEpochs     bool
-	SwitchTimeout    time.Duration
+	// EpochDuration, ManualEpochs, SwitchTimeout: see core.ClusterConfig.
+	EpochDuration time.Duration
+	ManualEpochs  bool
+	SwitchTimeout time.Duration
 
 	// Registry, Router, DependencyRule, Workers, Tracer, ReadBatchWindow,
 	// AbortRetries, AbortRetryBackoff, Stores, StartEpoch,
@@ -112,12 +104,13 @@ type EnvConfig struct {
 
 // Env is the pre-wired world a scenario body runs in.
 type Env struct {
-	// Name and Seed identify the run; Window and Soak tell the body how
-	// long and how hard to drive it.
+	// Name and Seed identify the run; Window, Soak and Full tell the body
+	// how long, how hard and at what scale to drive it (see Params).
 	Name   string
 	Seed   int64
 	Window time.Duration
 	Soak   bool
+	Full   bool
 
 	// Cluster is started and loaded (nil for scenarios that build their
 	// own clusters per phase).
@@ -140,11 +133,21 @@ type Env struct {
 	Oracle *oracle.History
 	// Out receives scenario-body reporting (figure rows, progress lines).
 	Out io.Writer
+	// Tracer is the run's tracer (nil when tracing is off). A shaped env's
+	// cluster already carries it; bodies that build their own clusters
+	// hand it to them.
+	Tracer *trace.Tracer
 
-	ownNet    bool
-	httpSrvs  []*http.Server
-	logf      func(format string, args ...any)
-	artifacts []Artifact
+	httpSrvs []*http.Server
+	logf     func(format string, args ...any)
+	reported []tsdb.TrendRow
+}
+
+// Report adds result rows to the run's trend file (RunOptions.TrendPath):
+// the machine-readable form of what a body prints to Out. The runner
+// stamps each row's time and seed and writes them with the soak rows.
+func (e *Env) Report(rows ...tsdb.TrendRow) {
+	e.reported = append(e.reported, rows...)
 }
 
 // Logf writes one line of run output through the runner's writer.
@@ -189,9 +192,8 @@ func (e *Env) AnomaliesTotal() int {
 	return n
 }
 
-// Close tears the env down: recorders, watchdogs, ops listeners,
-// cluster, and (when the env built it) the network. Safe to call more
-// than once.
+// Close tears the env down: recorders, watchdogs, ops listeners, cluster
+// and network. Safe to call more than once.
 func (e *Env) Close() {
 	for _, rec := range e.Recorders {
 		rec.Stop()
@@ -209,7 +211,7 @@ func (e *Env) Close() {
 		e.Cluster.Close()
 		e.Cluster = nil
 	}
-	if e.ownNet && e.Net != nil {
+	if e.Net != nil {
 		e.Net.Close()
 		e.Net = nil
 	}
@@ -223,38 +225,35 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 	}
 	env := &Env{Oracle: oracle.New(), Out: io.Discard}
 
-	inner := cfg.Network
-	if inner == nil {
-		switch cfg.Transport {
-		case "", "mem":
-			inner = transport.NewMemNetwork(transport.WithLatency(cfg.NetLatency, cfg.NetJitter))
-		case "tcp":
-			core.RegisterMessages()
-			addrs := make(map[transport.NodeID]string, cfg.Servers)
-			for i := 0; i < cfg.Servers; i++ {
-				addrs[transport.NodeID(i)] = "127.0.0.1:0"
-			}
-			var opts []transport.TCPOption
-			switch cfg.WireCodec {
-			case "", "binary":
-				opts = append(opts, transport.WithCodec(transport.CodecBinary))
-			case "gob":
-				opts = append(opts, transport.WithCodec(transport.CodecGob))
-			case "mixed":
-				opts = append(opts, transport.WithCodecFor(func(id transport.NodeID) transport.Codec {
-					if id%2 == 0 {
-						return transport.CodecBinary
-					}
-					return transport.CodecGob
-				}))
-			default:
-				return nil, fmt.Errorf("scenario: unknown wire codec %q", cfg.WireCodec)
-			}
-			inner = transport.NewTCPNetwork(addrs, opts...)
-		default:
-			return nil, fmt.Errorf("scenario: unknown transport %q", cfg.Transport)
+	var inner transport.Network
+	switch cfg.Transport {
+	case "", "mem":
+		inner = transport.NewMemNetwork(transport.WithLatency(cfg.NetLatency, cfg.NetJitter))
+	case "tcp":
+		core.RegisterMessages()
+		addrs := make(map[transport.NodeID]string, cfg.Servers)
+		for i := 0; i < cfg.Servers; i++ {
+			addrs[transport.NodeID(i)] = "127.0.0.1:0"
 		}
-		env.ownNet = true
+		var opts []transport.TCPOption
+		switch cfg.WireCodec {
+		case "", "binary":
+			opts = append(opts, transport.WithCodec(transport.CodecBinary))
+		case "gob":
+			opts = append(opts, transport.WithCodec(transport.CodecGob))
+		case "mixed":
+			opts = append(opts, transport.WithCodecFor(func(id transport.NodeID) transport.Codec {
+				if id%2 == 0 {
+					return transport.CodecBinary
+				}
+				return transport.CodecGob
+			}))
+		default:
+			return nil, fmt.Errorf("scenario: unknown wire codec %q", cfg.WireCodec)
+		}
+		inner = transport.NewTCPNetwork(addrs, opts...)
+	default:
+		return nil, fmt.Errorf("scenario: unknown transport %q", cfg.Transport)
 	}
 	netw := inner
 	if cfg.WrapNet != nil {
@@ -275,8 +274,6 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 	c, err := core.NewCluster(core.ClusterConfig{
 		Servers:           cfg.Servers,
 		EpochDuration:     cfg.EpochDuration,
-		EpochMinDuration:  cfg.EpochMinDuration,
-		EpochMaxDuration:  cfg.EpochMaxDuration,
 		ManualEpochs:      cfg.ManualEpochs,
 		Router:            cfg.Router,
 		Registry:          cfg.Registry,

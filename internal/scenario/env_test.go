@@ -181,7 +181,7 @@ func TestRunMatrix(t *testing.T) {
 	if !strings.Contains(out, "--- ok pass-one") || !strings.Contains(out, "--- FAIL fail-one") {
 		t.Fatalf("runner output missing pass/fail lines:\n%s", out)
 	}
-	if !strings.Contains(out, "replay: go run ./cmd/aloha-bench -scenarios 'name:fail-one'") {
+	if !strings.Contains(out, "replay: go run ./cmd/aloha-bench run -seed 1 -window 50ms name:fail-one") {
 		t.Fatalf("runner output missing replay command:\n%s", out)
 	}
 }

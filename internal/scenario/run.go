@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"alohadb/internal/obs/tsdb"
+	"alohadb/internal/trace"
 )
 
 // RunOptions tunes one matrix run.
@@ -25,14 +26,20 @@ type RunOptions struct {
 	// watchdog, oracle, and journal on, gated on p99 SLOs and zero stall
 	// episodes.
 	Soak time.Duration
+	// Full is handed to every scenario as Params.Full.
+	Full bool
+	// Tracer, when set, traces every cluster of the run: the runner puts
+	// it into each shaped env's config and on Env.Tracer.
+	Tracer *trace.Tracer
 	// Out receives progress lines and scenario output (default stdout).
 	Out io.Writer
-	// ArtifactPath, or $SCENARIO_ARTIFACT when empty, names the replay
-	// artifact written when any scenario fails.
+	// ArtifactPath names the replay artifact written when any scenario
+	// fails (empty: none).
 	ArtifactPath string
-	// TrendPath, or $SCENARIO_TREND when empty, names the trend-summary
-	// JSONL (tsdb.TrendRow per scenario) written at the end of the run —
-	// the file `make trend-gate` compares against the previous night.
+	// TrendPath names the trend JSONL written at the end of the run: one
+	// soak-kind tsdb.TrendRow per shaped scenario plus whatever rows the
+	// bodies Report — the file `aloha-bench gate` compares against the
+	// previous run's (empty: none).
 	TrendPath string
 }
 
@@ -45,6 +52,7 @@ type Artifact struct {
 	Seed     int64    `json:"seed"`
 	Window   string   `json:"window"`
 	Soak     bool     `json:"soak"`
+	Full     bool     `json:"full,omitempty"`
 	Error    string   `json:"error"`
 	Replay   string   `json:"replay"`
 }
@@ -64,7 +72,7 @@ const defaultWindow = 800 * time.Millisecond
 // failed. Each scenario gets a fresh environment built from its shape, a
 // context bounded by window+timeout, and a zero-stall gate over its
 // watchdogs; a failure writes a replay artifact (all failures, one JSON
-// document) to opts.ArtifactPath or $SCENARIO_ARTIFACT.
+// document) to opts.ArtifactPath.
 func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, error) {
 	if len(scns) == 0 {
 		return nil, fmt.Errorf("scenario: nothing selected")
@@ -90,15 +98,18 @@ func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, err
 		trend     []tsdb.TrendRow
 	)
 	for _, s := range scns {
-		p := Params{Seed: opts.Seed, Window: window, Soak: opts.Soak > 0}
+		p := Params{Seed: opts.Seed, Window: window, Soak: opts.Soak > 0, Full: opts.Full}
 		fmt.Fprintf(out, "=== scenario %s (seed %d, window %s)\n", s.Name, p.Seed, window.Round(time.Millisecond))
 		start := time.Now()
-		stalls, row, err := runOne(ctx, s, p, out)
+		stalls, rows, err := runOne(ctx, s, p, opts.Tracer, out)
 		oc := Outcome{Name: s.Name, Elapsed: time.Since(start), Stalls: stalls, Err: err}
 		outcomes = append(outcomes, oc)
-		if row != nil && err == nil {
-			row.At = start.UTC().Format(time.RFC3339)
-			trend = append(trend, *row)
+		if err == nil {
+			for _, row := range rows {
+				row.At = start.UTC().Format(time.RFC3339)
+				row.Seed = p.Seed
+				trend = append(trend, row)
+			}
 		}
 		if err != nil {
 			fmt.Fprintf(out, "--- FAIL %s (%s): %v\n", s.Name, oc.Elapsed.Round(time.Millisecond), err)
@@ -108,29 +119,29 @@ func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, err
 				Seed:     p.Seed,
 				Window:   window.String(),
 				Soak:     p.Soak,
+				Full:     p.Full,
 				Error:    err.Error(),
-				Replay: fmt.Sprintf("go run ./cmd/aloha-bench -scenarios 'name:%s' -scenario-seed %d -scenario-window %s",
-					s.Name, p.Seed, window),
+				Replay:   replayCommand(s.Name, p),
 			})
 		} else {
 			fmt.Fprintf(out, "--- ok %s (%s)\n", s.Name, oc.Elapsed.Round(time.Millisecond))
 		}
 	}
 
-	if path := trendPath(opts); path != "" && len(trend) > 0 {
-		if werr := tsdb.WriteTrend(path, trend); werr != nil {
-			fmt.Fprintf(out, "scenario: write trend %s: %v\n", path, werr)
+	if opts.TrendPath != "" && len(trend) > 0 {
+		if werr := tsdb.WriteTrend(opts.TrendPath, trend); werr != nil {
+			fmt.Fprintf(out, "scenario: write trend %s: %v\n", opts.TrendPath, werr)
 		} else {
-			fmt.Fprintf(out, "scenario: trend summary (%d rows) written to %s\n", len(trend), path)
+			fmt.Fprintf(out, "scenario: trend summary (%d rows) written to %s\n", len(trend), opts.TrendPath)
 		}
 	}
 
 	if len(artifacts) > 0 {
-		if path := artifactPath(opts); path != "" {
-			if werr := writeArtifact(path, artifacts); werr != nil {
-				fmt.Fprintf(out, "scenario: write artifact %s: %v\n", path, werr)
+		if opts.ArtifactPath != "" {
+			if werr := writeArtifact(opts.ArtifactPath, artifacts); werr != nil {
+				fmt.Fprintf(out, "scenario: write artifact %s: %v\n", opts.ArtifactPath, werr)
 			} else {
-				fmt.Fprintf(out, "scenario: replay artifact written to %s\n", path)
+				fmt.Fprintf(out, "scenario: replay artifact written to %s\n", opts.ArtifactPath)
 			}
 		}
 		for _, a := range artifacts {
@@ -141,14 +152,32 @@ func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, err
 	return outcomes, nil
 }
 
+// replayCommand is the invocation that reruns one scenario as it ran: a
+// soak replays as a one-scenario soak of the same window, so the body sees
+// the same Soak flag.
+func replayCommand(name string, p Params) string {
+	length := "-window"
+	if p.Soak {
+		length = "-soak"
+	}
+	full := ""
+	if p.Full {
+		full = " -full"
+	}
+	return fmt.Sprintf("go run ./cmd/aloha-bench run -seed %d %s %s%s name:%s", p.Seed, length, p.Window, full, name)
+}
+
 // runOne builds the env, runs the body under its deadline, and applies
 // the runner-level gates (zero stall episodes, oracle verdict). The
-// returned trend row summarizes the run for the nightly gate (nil for
-// scenarios that build their own clusters per phase).
-func runOne(ctx context.Context, s *Scenario, p Params, out io.Writer) (stalls uint64, row *tsdb.TrendRow, err error) {
+// returned trend rows are the body's own (Env.Report) followed, for a
+// shaped scenario, by the soak row summarizing its cluster's run.
+func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, out io.Writer) (stalls uint64, rows []tsdb.TrendRow, err error) {
 	var env *Env
 	if s.Shape != nil {
 		cfg := s.Shape(p)
+		if tracer != nil {
+			cfg.Tracer = tracer
+		}
 		if p.Soak {
 			// Soak runs always fly the recorder: the trend row's anomaly
 			// count and the /debug/timeseries forensics depend on it.
@@ -166,6 +195,8 @@ func runOne(ctx context.Context, s *Scenario, p Params, out io.Writer) (stalls u
 	env.Seed = p.Seed
 	env.Window = p.Window
 	env.Soak = p.Soak
+	env.Full = p.Full
+	env.Tracer = tracer
 	env.Out = out
 	env.logf = func(format string, args ...any) {
 		fmt.Fprintf(out, "    "+format+"\n", args...)
@@ -199,13 +230,13 @@ func runOne(ctx context.Context, s *Scenario, p Params, out io.Writer) (stalls u
 	}()
 
 	stalls = env.StallsTotal()
+	rows = env.reported
 	if env.Cluster != nil {
 		elapsed := time.Since(bodyStart).Seconds()
 		st := env.Cluster.Stats()
-		row = &tsdb.TrendRow{
+		row := tsdb.TrendRow{
 			Kind:      tsdb.TrendKindSoak,
 			Scenario:  s.Name,
-			Seed:      p.Seed,
 			WindowS:   elapsed,
 			Commits:   st.TxnsCommitted - base.commits,
 			Aborts:    st.TxnsAborted - base.aborts,
@@ -217,6 +248,7 @@ func runOne(ctx context.Context, s *Scenario, p Params, out io.Writer) (stalls u
 		if elapsed > 0 {
 			row.Throughput = float64(row.Commits) / elapsed
 		}
+		rows = append(rows, row)
 	}
 	if err == nil && stalls > 0 {
 		err = fmt.Errorf("watchdog recorded %d stall episode(s)", stalls)
@@ -229,21 +261,7 @@ func runOne(ctx context.Context, s *Scenario, p Params, out io.Writer) (stalls u
 			err = fmt.Errorf("oracle found %d violation(s)", len(vs))
 		}
 	}
-	return stalls, row, err
-}
-
-func artifactPath(opts RunOptions) string {
-	if opts.ArtifactPath != "" {
-		return opts.ArtifactPath
-	}
-	return os.Getenv("SCENARIO_ARTIFACT")
-}
-
-func trendPath(opts RunOptions) string {
-	if opts.TrendPath != "" {
-		return opts.TrendPath
-	}
-	return os.Getenv("SCENARIO_TREND")
+	return stalls, rows, err
 }
 
 func writeArtifact(path string, arts []Artifact) error {
@@ -254,7 +272,7 @@ func writeArtifact(path string, arts []Artifact) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// List renders the registry as a table for -scenario-list.
+// List renders the registry as a table for `aloha-bench list`.
 func List(w io.Writer, r *Registry) {
 	for _, s := range r.All() {
 		fmt.Fprintf(w, "%-18s  [%s]  %s\n", s.Name, AttrsString(s.Attrs), s.Summary)

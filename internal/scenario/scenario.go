@@ -35,13 +35,16 @@ type Params struct {
 	// Soak is set on nightly long runs; bodies may loosen pacing or SLO
 	// thresholds that only make sense over hours.
 	Soak bool
+	// Full selects the paper-scale parameter set (§V-A) in the bench
+	// figures; every other scenario ignores it.
+	Full bool
 }
 
 // Scenario is one registered end-to-end workload.
 type Scenario struct {
 	// Name uniquely identifies the scenario (lowercase, dash-separated).
 	Name string
-	// Summary is a one-line description for -scenario-list.
+	// Summary is a one-line description for `aloha-bench list`.
 	Summary string
 	// Attrs are the selection attributes: smoke (per-PR matrix), soak
 	// (nightly long run), chaos, contention, migration, bench, obs.
@@ -50,8 +53,9 @@ type Scenario struct {
 	// slack); the runner cancels the body's context when it expires.
 	Timeout time.Duration
 	// Shape builds the environment config for one run. Nil means the body
-	// constructs its own world (ported harnesses that manage several
-	// clusters per run); it still receives an Env for seed/window/logging.
+	// constructs its own world (the figure sweeps and chaos suites build
+	// several clusters per run); it still receives an Env for seed, window,
+	// tracer, output and Report.
 	Shape func(p Params) EnvConfig
 	// Run drives the workload. A non-nil error fails the scenario; the
 	// runner additionally fails it on watchdog stall episodes.

@@ -30,7 +30,7 @@ func newAlohaCluster(t *testing.T, cfg Config) *core.Cluster {
 		Servers:        cfg.Servers,
 		ManualEpochs:   true,
 		Registry:       reg,
-		Router:         placement.NewStatic(cfg.Servers, core.Partitioner(cfg.Partitioner())),
+		Router:         placement.NewStatic(cfg.Servers, cfg.Partitioner()),
 		DependencyRule: cfg.DependencyRule(),
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func TestOrderIDAllocationUnderConcurrency(t *testing.T) {
 		Servers:        cfg.Servers,
 		EpochDuration:  3 * time.Millisecond,
 		Registry:       reg,
-		Router:         placement.NewStatic(cfg.Servers, core.Partitioner(cfg.Partitioner())),
+		Router:         placement.NewStatic(cfg.Servers, cfg.Partitioner()),
 		DependencyRule: cfg.DependencyRule(),
 	})
 	if err != nil {
