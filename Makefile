@@ -31,15 +31,18 @@ bench:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# An epoch commit with retention on must not scale with the store: ns/op of
-# BenchmarkEpochCommitRetention at 200 k keys within 3x of 1 k keys.
+# An epoch commit with retention on must not scale with the store (ns/op of
+# BenchmarkEpochCommitRetention at 200 k keys within 3x of 1 k keys), and the
+# hand-off of its functors to the processor not more than linearly with what
+# it wrote (ns/functor of BenchmarkEpochHandoff at 256 k items within 2x of
+# 16 k).
 commit-guard:
 	./scripts/commit-guard.sh
 
 # Object budgets and zero-allocation paths, the block CI runs: what a key
 # written once keeps alive (core.TestStoreObjectBudget), the chain and record
 # size classes, the untraced install/compute path, the TPC-C NewOrder pins,
-# and the wire/trace/skew/journal/recorder benchmarks at 0 allocs/op.
+# and the wire/hand-off/trace/skew/journal/recorder benchmarks at 0 allocs/op.
 alloc-guard:
 	./scripts/alloc-guard.sh
 

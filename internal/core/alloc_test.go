@@ -28,13 +28,42 @@ func TestUntracedHotPathAllocs(t *testing.T) {
 	mustAdvance(t, c)
 
 	chain := s.store.Chain("k")
-	item := workItem{key: "k", chain: chain, rec: chain.At(h.Version()), installed: time.Now()}
+	item := &workItem{key: "k", chain: chain, rec: chain.At(h.Version()), installed: time.Now()}
 	s.proc.process(item) // computes the functor and raises the watermark
 	if !item.rec.Final() || chain.Watermark() < h.Version() {
 		t.Fatal("process left the functor uncomputed")
 	}
 	if n := testing.AllocsPerRun(1000, func() { s.proc.process(item) }); n != 0 {
 		t.Errorf("untraced processor.process allocates %v objects per functor, want 0", n)
+	}
+
+	// A user functor with a local two-key read set: the call frame (the
+	// Context and its Reads map) is recycled, so what is left is what the
+	// handler returns — here a shared resolution, so nothing. Each run
+	// computes the next version of the key.
+	const runs = 200
+	shared := functor.ValueResolution(kv.Value("v"))
+	s.registry.MustRegister("shared", func(*functor.Context) (*functor.Resolution, error) { return shared, nil })
+	txns := []Txn{{Writes: []Write{{Key: "r1", Functor: functor.Value(kv.Value("1"))}, {Key: "r2", Functor: functor.Value(kv.Value("2"))}}}}
+	for len(txns) < runs+2 {
+		txns = append(txns, Txn{Writes: []Write{{Key: "u", Functor: functor.User("shared", nil, []kv.Key{"r1", "r2"})}}})
+	}
+	_, handles, err := s.SubmitBatch(context.Background(), txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdvance(t, c)
+	chain = s.store.Chain("u")
+	next := 1
+	if n := testing.AllocsPerRun(runs, func() {
+		user := &workItem{key: "u", chain: chain, rec: chain.At(handles[next].Version()), installed: time.Now()}
+		next++
+		s.proc.process(user)
+		if !user.rec.Final() {
+			t.Fatal("process left the user functor uncomputed")
+		}
+	}); n != 0 {
+		t.Errorf("untraced processor.process of a user functor allocates %v objects beyond what its handler returns, want 0", n)
 	}
 
 	// A retransmitted install takes the whole handler path and stores
@@ -102,6 +131,28 @@ func TestStoreObjectBudget(t *testing.T) {
 			s.handleApplyDeferred(ctx, MsgApplyDeferred{Version: tstamp.Make(1, uint32(i+1), 0), Writes: writes, Fwd: true})
 		}
 	})
+}
+
+// TestLoadAllocatesNoFunctorPerPair: a bulk load without a durability hook
+// allocates the key's chain and the store map's share of it, and no functor
+// only to read type and argument back (a hook gets one to log; that path is
+// TestRecoverMatchesReference's).
+func TestLoadAllocatesNoFunctorPerPair(t *testing.T) {
+	const n = 10_000
+	c := newTestCluster(t, 1, -1)
+	pairs := make([]kv.Pair, n)
+	for i := range pairs {
+		pairs[i] = kv.Pair{Key: kv.Key(fmt.Sprintf("row:%05d", i)), Value: kv.EncodeInt64(int64(i))}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := c.Load(pairs); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 1.5 {
+		t.Errorf("Cluster.Load allocates %.2f objects per pair, want <= 1.5", per)
+	}
 }
 
 // TestSubmitBatchLeavesCallerSlicesAlone: a transaction with one owner hands

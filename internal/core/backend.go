@@ -165,7 +165,7 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall, routed *placem
 			s.skew.Observe(s.id, string(w.Key))
 			nf++
 			nb += len(w.Key) + len(w.Functor.Arg)
-			items = append(items, workItem{key: w.Key, chain: c, rec: rec, installed: now, sc: sc})
+			items = append(items, workItem{key: w.Key, chain: c, rec: rec, installed: now, sc: sc, shard: s.proc.shardOf(w.Key)})
 		}
 		if nf > 0 {
 			s.journal.Install(uint64(txn.Version.Epoch()), nf, nb, now)
@@ -178,18 +178,18 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall, routed *placem
 	if len(items) > 0 {
 		s.bufferWork(items)
 	}
-	// bufferWork copies every item into the per-epoch buffer (or the
-	// processor queue), so the scratch slice can go back to the pool.
+	// bufferWork wrote every item into its segment's chunk, where it stays
+	// until it is computed; the scratch pins nothing once cleared.
 	clear(items)
 	*itemsp = items[:0]
 	workItemsPool.Put(itemsp)
 	return resp
 }
 
-// workItemsPool recycles workItem slices across the install → epoch-buffer →
-// processor hand-offs. Every stage copies items forward by value, so the
-// backing arrays are reusable the moment the call returns; recycling them
-// keeps the install hot path from re-growing a fresh array per batch.
+// workItemsPool recycles handleInstall's scratch: a batch's items are built
+// outside every lock and then appended to their segments in one pendingMu
+// section, so an item is written twice — here, then its chunk — and never
+// copied after that.
 var workItemsPool = sync.Pool{New: func() any {
 	s := make([]workItem, 0, 64)
 	return &s
@@ -233,44 +233,48 @@ func (s *Server) checkRequires(keys []kv.Key) string {
 	return ""
 }
 
-// bufferWork stashes functor metadata under its epoch until Committed.
-// A batch may straddle an epoch switch (straggler mode draws from the next
-// epoch), so items are grouped per epoch; work for an epoch whose buffer
-// Committed already drained goes straight to the processor. The drained
-// check happens under pendingMu — the same lock Committed drains under —
-// so a late install can never append to a buffer that was already handed
+// bufferWork appends functor metadata to its (epoch, shard) segment until
+// Committed takes the epoch. A batch may straddle an epoch switch (straggler
+// mode draws from the next epoch), so the segments are looked up per run of
+// one epoch; work for an epoch Committed already took is sealed here and
+// handed to the processor through a segment of its own. The drained check
+// happens under pendingMu — the same lock Committed takes the segments under
+// — so a late install can never append to a segment that was already handed
 // off (it would stay unsealed and unprocessed: a lost write).
 func (s *Server) bufferWork(items []workItem) {
-	var direct []workItem
+	var late, segs []segment
+	var cur tstamp.Epoch
 	s.pendingMu.Lock()
-	for _, it := range items {
-		e := it.rec.Version.Epoch()
-		if e <= s.drainedEpoch {
-			direct = append(direct, it)
-			continue
+	for i := range items {
+		if e := items[i].rec.Version.Epoch(); segs == nil || e != cur {
+			cur = e
+			if e <= s.drainedEpoch {
+				if late == nil {
+					late = s.proc.newSegments()
+				}
+				segs = late
+			} else if segs = s.pending[e]; segs == nil {
+				segs = s.proc.newSegments()
+				s.pending[e] = segs
+			}
 		}
-		cur, ok := s.pending[e]
-		if !ok {
-			// Start each epoch's buffer from the pool: Committed recycles
-			// drained buffers, so steady state re-grows nothing.
-			cur = *workItemsPool.Get().(*[]workItem)
-		}
-		s.pending[e] = append(cur, it)
+		s.proc.push(&segs[items[i].shard], &items[i])
 	}
 	s.pendingMu.Unlock()
-	if len(direct) > 0 {
-		now := time.Now()
-		for i := range direct {
-			// Late arrival for an already-committed epoch: seal
-			// immediately so the record is readable.
-			e := direct[i].rec.Version.Epoch()
-			if direct[i].chain.Seal(tstamp.End(e)) > 0 {
-				s.sealedIn(e, direct[i].chain)
-			}
-			direct[i].ready = now
-		}
-		s.proc.enqueue(direct)
+	if late == nil {
+		return
 	}
+	// Late arrivals for already-committed epochs: seal immediately so the
+	// records are readable. The segments are this call's own until handed off.
+	for i := range late {
+		late[i].each(0, func(it *workItem) {
+			e := it.rec.Version.Epoch()
+			if it.chain.Seal(tstamp.End(e)) > 0 {
+				s.sealedIn(e, it.chain)
+			}
+		})
+	}
+	s.proc.handoff(late)
 }
 
 // handleAbort is the coordinator's second round: every version the failed

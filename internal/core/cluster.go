@@ -180,7 +180,7 @@ func (c *Cluster) Load(pairs []kv.Pair) error {
 		return fmt.Errorf("core: Load after Start")
 	}
 	for _, p := range pairs {
-		if err := c.loadOne(p.Key, functor.Value(p.Value)); err != nil {
+		if err := c.loadOne(p.Key, functor.TypeValue, p.Value, nil); err != nil {
 			return err
 		}
 	}
@@ -193,10 +193,13 @@ func (c *Cluster) LoadFunctor(k kv.Key, fn *functor.Functor) error {
 	if c.started {
 		return fmt.Errorf("core: Load after Start")
 	}
-	return c.loadOne(k, fn)
+	return c.loadOne(k, fn.Type, fn.Arg, fn)
 }
 
-func (c *Cluster) loadOne(k kv.Key, fn *functor.Functor) error {
+// loadOne installs one epoch-0 write of f-type t and argument arg. fn is the
+// functor when the caller holds one; a plain value comes without, and gets
+// one built only for a durability hook to log.
+func (c *Cluster) loadOne(k kv.Key, t functor.Type, arg []byte, fn *functor.Functor) error {
 	// Loads are epoch-0 writes: route them at epoch 0 through the cluster's
 	// own table rather than through some server's current-owner view (which
 	// would chase post-load moves and used to reach into server internals).
@@ -205,6 +208,9 @@ func (c *Cluster) loadOne(k kv.Key, fn *functor.Functor) error {
 	c.loadSeq[owner]++
 	ts := tstamp.Make(0, c.loadSeq[owner], uint16(owner))
 	if srv.durability != nil {
+		if fn == nil {
+			fn = functor.Value(arg)
+		}
 		if err := srv.durability.LogInstall(ts, k, fn); err != nil {
 			return fmt.Errorf("core: load %q: %w", k, err)
 		}
@@ -217,8 +223,8 @@ func (c *Cluster) loadOne(k kv.Key, fn *functor.Functor) error {
 	// deferred write (sparing the first epoch a burst of on-demand computes)
 	// and, like one, points at the shared placeholder of its f-type instead
 	// of keeping a functor of its own alive per key.
-	if fn.Type == functor.TypeValue || fn.Type == functor.TypeDeleted {
-		shared, kind, value := deferredOutcome(functor.DependentWrite{Value: fn.Arg, Delete: fn.Type == functor.TypeDeleted})
+	if t == functor.TypeValue || t == functor.TypeDeleted {
+		shared, kind, value := deferredOutcome(functor.DependentWrite{Value: arg, Delete: t == functor.TypeDeleted})
 		if _, fresh := chain.PutResolved(ts, shared, kind, value); !fresh {
 			return fmt.Errorf("core: load %q: %w", k, mvstore.ErrVersionExists)
 		}

@@ -308,12 +308,18 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Recor
 	return nil
 }
 
-// readsPool recycles the read-set maps passed to user handlers: one map
-// per computed functor is the engine's hottest allocation, and the Handler
-// contract (the Context is valid only for the duration of the call) makes
+// userCall is the frame of one user-handler call: the Context the handler
+// is passed and the read-set map inside it. One frame per computed functor
+// was the engine's hottest allocation, and the Handler contract (the Context,
+// its Reads map included, is valid only for the duration of the call) makes
 // reuse safe.
-var readsPool = sync.Pool{
-	New: func() any { return make(map[kv.Key]funcRead, 8) },
+type userCall struct {
+	ctx   functor.Context
+	reads map[kv.Key]funcRead
+}
+
+var userCallPool = sync.Pool{
+	New: func() any { return &userCall{reads: make(map[kv.Key]funcRead, 8)} },
 }
 
 // computeUser gathers the read set and invokes the user handler; self is
@@ -324,22 +330,38 @@ func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record,
 	if !ok {
 		return functor.AbortResolution(fmt.Sprintf("unknown handler %q", fn.Handler)), nil
 	}
-	reads := readsPool.Get().(map[kv.Key]funcRead)
-	defer func() {
-		clear(reads)
-		readsPool.Put(reads)
-	}()
+	call := userCallPool.Get().(*userCall)
 	// Implicit self-read: the functor's own key at the previous version is
 	// always available to the handler (paper §IV-B: "the read set of some
 	// functors comprises only the key to which the functor was written, in
 	// which case the read set is omitted").
-	reads[k] = self
+	call.reads[k] = self
+	var res *functor.Resolution
+	err := s.gatherReads(ctx, k, rec, call.reads)
+	if err == nil {
+		call.ctx = functor.Context{Key: k, Version: rec.Version, Arg: fn.Arg, Reads: call.reads}
+		var herr error
+		if res, herr = handler(&call.ctx); herr != nil {
+			res = functor.AbortResolution(herr.Error())
+		} else if res == nil {
+			res = functor.AbortResolution(fmt.Sprintf("handler %q returned no resolution", fn.Handler))
+		}
+	}
+	clear(call.reads)
+	call.ctx = functor.Context{}
+	userCallPool.Put(call)
+	return res, err
+}
+
+// gatherReads fills reads with the value of every other key in the functor's
+// read set at the version before its own.
+func (s *Server) gatherReads(ctx context.Context, k kv.Key, rec *mvstore.Record, reads map[kv.Key]funcRead) error {
 	// Resolve pushed and local keys inline; remote keys fetch in parallel
 	// so a functor's computation costs one network round trip regardless
 	// of read-set size (critical under scaled TPC-C, where a NewOrder's
 	// item reads span many partitions, §V-B3).
 	var remote []kv.Key
-	for _, rk := range fn.ReadSet {
+	for _, rk := range rec.Functor.ReadSet {
 		if rk == k {
 			continue
 		}
@@ -352,7 +374,7 @@ func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record,
 		if s.owner(rk) == s.id {
 			r, err := s.localRead(ctx, rk, rec.Version.Prev())
 			if err != nil {
-				return nil, err
+				return err
 			}
 			reads[rk] = r
 			continue
@@ -364,7 +386,7 @@ func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record,
 	case 1:
 		r, err := s.read(ctx, remote[0], rec.Version.Prev())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		reads[remote[0]] = r
 	default:
@@ -389,22 +411,9 @@ func (s *Server) computeUser(ctx context.Context, k kv.Key, rec *mvstore.Record,
 			}
 			reads[f.key] = f.r
 		}
-		if err != nil {
-			return nil, err
-		}
+		return err
 	}
-	res, err := handler(&functor.Context{
-		Key:     k,
-		Version: rec.Version,
-		Arg:     fn.Arg,
-		Reads:   reads,
-	})
-	if err != nil {
-		res = functor.AbortResolution(err.Error())
-	} else if res == nil {
-		res = functor.AbortResolution(fmt.Sprintf("handler %q returned no resolution", fn.Handler))
-	}
-	return res, nil
+	return nil
 }
 
 // ensureComputed forces the functor at (k, version) — a determinate key —

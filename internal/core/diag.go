@@ -121,7 +121,7 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 	// its key, f-type, queue wait, and owning transaction's trace ID point
 	// the operator at the lagging compute.
 	var oldest *obs.PendingFunctor
-	consider := func(it workItem) {
+	consider := func(it *workItem) {
 		wait := time.Since(it.installed)
 		if oldest != nil && wait <= time.Duration(oldest.QueueWait) {
 			return
@@ -140,16 +140,19 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 		oldest = pf
 	}
 	s.pendingMu.Lock()
-	for e, items := range s.pending {
-		snap.PendingEpochs = append(snap.PendingEpochs, obs.EpochBuffer{Epoch: uint64(e), Buffered: len(items)})
-		for _, it := range items {
-			consider(it)
+	for e, segs := range s.pending {
+		buffered := 0
+		for i := range segs {
+			buffered += segs[i].n
+			segs[i].each(0, consider)
 		}
+		snap.PendingEpochs = append(snap.PendingEpochs, obs.EpochBuffer{Epoch: uint64(e), Buffered: buffered})
 	}
 	s.pendingMu.Unlock()
 	sort.Slice(snap.PendingEpochs, func(i, j int) bool { return snap.PendingEpochs[i].Epoch < snap.PendingEpochs[j].Epoch })
 
-	// Processor shard queues (committed work awaiting compute).
+	// Processor shard queues (committed work awaiting compute, the batch a
+	// worker is in the middle of included).
 	snap.ProcessorQueues = s.proc.queueDepths(consider)
 
 	// Combiner occupancy: remote reads/ensures stuck forming or in flight.

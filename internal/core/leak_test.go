@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -12,13 +13,21 @@ import (
 
 // TestCloseReleasesGoroutines guards the goroutine-lifetime discipline:
 // after a cluster serves traffic and closes, the goroutine count returns
-// to (near) its pre-cluster baseline.
+// to (near) its pre-cluster baseline — also when Close finds a worker in the
+// middle of a segment, with more queued behind it.
 func TestCloseReleasesGoroutines(t *testing.T) {
+	t.Run("idle", func(t *testing.T) { closeReleasesGoroutines(t, false) })
+	t.Run("mid-segment", func(t *testing.T) { closeReleasesGoroutines(t, true) })
+}
+
+func closeReleasesGoroutines(t *testing.T, midSegment bool) {
 	baseline := runtime.NumGoroutine()
+	g := newHandoffGate()
 	c, err := NewCluster(ClusterConfig{
 		Servers:       3,
 		EpochDuration: 3 * time.Millisecond,
 		Workers:       4,
+		Registry:      g.registry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +48,26 @@ func TestCloseReleasesGoroutines(t *testing.T) {
 	}
 	if _, _, err := last.Await(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if midSegment {
+		// One batch: the gated functor and, behind it, several chunks' worth
+		// on every shard. Close finds the worker parked on the gate; it stops
+		// after that batch, whatever is still queued.
+		g.shut()
+		txns := []Txn{{Writes: []Write{{Key: gatedKey, Functor: functor.User("mix", kv.EncodeInt64(1), nil)}}}}
+		for i := 0; i < 12*_chunkItems; i++ {
+			txns = append(txns, Txn{Writes: []Write{{Key: kv.Key(fmt.Sprintf("queued:%d", i)), Functor: functor.Add(1)}}})
+		}
+		if _, _, err := c.Server(0).SubmitBatch(ctx, txns); err != nil {
+			t.Fatal(err)
+		}
+		g.awaitHeld(t)
+		go func() {
+			for !c.Server(c.Server(0).Owner(gatedKey)).proc.stopped.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			g.open()
+		}()
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func (s *Server) handleRangeExport(m MsgRangeExport) MsgRangeExportResp {
 // resolutions install through resolve-once, and unresolved functors
 // flow through bufferWork so the processor computes them under the same
 // epoch discipline as locally installed ones: epochs the server already
-// drained seal and enqueue immediately, the sealing epoch's records wait
+// drained seal and hand off immediately, the sealing epoch's records wait
 // for its Committed, and straggler-epoch records wait for theirs.
 //
 // After the Puts the abort stash is checked under stashMu: a second-round
@@ -97,7 +97,7 @@ func (s *Server) handleRangeImport(ctx context.Context, m MsgRangeImport) MsgRan
 				// The record existed and is already final here.
 				continue
 			}
-			work = append(work, workItem{key: ke.Key, chain: c, rec: rec, installed: now})
+			work = append(work, workItem{key: ke.Key, chain: c, rec: rec, installed: now, shard: s.proc.shardOf(ke.Key)})
 		}
 		if ke.Watermark != 0 {
 			c.AdvanceWatermark(ke.Watermark)

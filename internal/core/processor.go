@@ -25,43 +25,93 @@ type workItem struct {
 	// compute stages from addressing the store by key again.
 	chain *mvstore.Chain
 	rec   *mvstore.Record
-	// installed is when the functor was installed in the BE; ready is when
-	// its epoch committed and it entered the queue. The Figure-10 "waiting
-	// for processing" stage spans installed → dequeue.
+	// installed is when the functor was installed in the BE. The Figure-10
+	// "waiting for processing" stage spans installed → dequeue.
 	installed time.Time
-	ready     time.Time
 	// sc is the install span's trace context, carried across the queue so
 	// the asynchronous computation stays attached to the transaction's
 	// trace (zero when the transaction is untraced).
 	sc trace.SpanContext
+	// shard is the processor shard that computes the key, found where the
+	// item is built so that bufferWork, under pendingMu, only appends.
+	shard uint32
+}
+
+const (
+	_chunkItems = 256 // items per chunk (~22 KB)
+	// _maxFreeChunks caps the free list at a few epochs of a saturated TPC-C
+	// partition (~1.4 MB); chunks released beyond it go to the collector.
+	_maxFreeChunks = 64
+	// _workerBatch is how many functors a worker computes between two looks
+	// at its shard: position published, stop flag read, owed compactions paid.
+	_workerBatch = 64
+)
+
+// workChunk is what the hand-off is built from: a fixed array of items,
+// written once where an install appends them and read in place by the worker,
+// so nothing between install and compute is re-grown or copied. A chunk has
+// one owner at a time: the segment it is filled in (under pendingMu), then
+// the shard queue it was linked onto (items and n frozen, next under sh.mu),
+// then the free list (every slot zero).
+type workChunk struct {
+	items [_chunkItems]workItem
+	n     int
+	next  *workChunk
+}
+
+// segment is a chain of chunks that changes hands by reference: the functors
+// one epoch installed for one shard, in arrival order, or a shard's queue.
+type segment struct {
+	head, tail *workChunk
+	n          int
+}
+
+// each offers every item but the first from, in order.
+func (g *segment) each(from int, fn func(*workItem)) {
+	for c := g.head; c != nil; c, from = c.next, 0 {
+		for i := from; i < c.n; i++ {
+			fn(&c.items[i])
+		}
+	}
 }
 
 // processor is the back-end's thread-pool functor computing engine
 // (paper §IV-C/D). Work is sharded across workers by key: one key's
 // functors always compute on one worker (in ascending version order, the
 // paper's per-key sequential access, §V-B2), while distinct keys compute
-// in parallel — key-level concurrency control in its scheduling form. A
-// worker drains its queue in batches to amortize synchronization.
+// in parallel — key-level concurrency control in its scheduling form.
+// Per-key order is: one key, one shard; a shard's queue takes segments in
+// commit order; a segment keeps arrival order; and what arrived out of
+// version order inside an epoch is put right by resolveRecord's walk down.
 type processor struct {
 	s       *Server
 	shards  []*procShard
 	wg      sync.WaitGroup
 	stopped atomic.Bool
 	// handoffs counts epoch commits between publishing the epoch as
-	// committed and queueing its functors; drainWait treats them as busy.
+	// committed and linking its segments; drainWait treats them as busy.
 	handoffs atomic.Int32
-	// groups is enqueue's reusable per-shard grouping scratch, serialized
-	// by groupMu (epoch commits enqueue one batch at a time; the mutex
-	// only guards against overlapping callers).
-	groupMu sync.Mutex
-	groups  [][]workItem
+
+	// The free list is a stack, so the chunk a worker has just finished — still
+	// in cache — is the next one an install fills; and not a sync.Pool, which
+	// every collection empties (half of a saturated run is spent in one).
+	// freeMu is a leaf lock: taken under pendingMu to grow a segment, alone to
+	// release. spareSegs are the emptied per-epoch slices of handed-off epochs.
+	freeMu    sync.Mutex
+	free      *workChunk
+	nfree     int
+	spareSegs [][]segment
 }
 
+// procShard is one worker's queue. The chunk being computed stays at its head
+// until its last item is done, pos naming the first item not yet computed
+// (published per batch, as is queue.n, the items left): a stall snapshot sees
+// the functor a worker is stuck on, and an idle shard is an empty queue.
 type procShard struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []workItem
-	active bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue segment
+	pos   int
 }
 
 // defaultWorkers sizes the pool for ServerConfig.Workers == 0: one shard
@@ -75,7 +125,7 @@ func defaultWorkers() int {
 }
 
 func newProcessor(s *Server, workers int) *processor {
-	p := &processor{s: s, groups: make([][]workItem, workers)}
+	p := &processor{s: s}
 	for i := 0; i < workers; i++ {
 		sh := &procShard{}
 		sh.cond = sync.NewCond(&sh.mu)
@@ -88,60 +138,115 @@ func newProcessor(s *Server, workers int) *processor {
 	return p
 }
 
-// enqueue routes functor metadata to the owning worker by key hash.
-// Items are grouped per destination shard first, so an epoch's whole
-// batch takes each shard lock once instead of once per item — with
-// GOMAXPROCS-many shards the per-item locking was the enqueue path's
-// dominant cost. Grouping is stable, preserving the per-key ascending
-// version order the workers rely on (§V-B2).
-func (p *processor) enqueue(items []workItem) {
-	if len(items) == 0 || len(p.shards) == 0 {
-		return
+// shardOf names the shard, and so the segment of its epoch, that k's functors
+// go to; without workers there is one segment per epoch.
+func (p *processor) shardOf(k kv.Key) uint32 {
+	if len(p.shards) < 2 {
+		return 0
 	}
-	if len(p.shards) == 1 {
-		sh := p.shards[0]
-		sh.mu.Lock()
-		sh.queue = append(sh.queue, items...)
-		sh.mu.Unlock()
-		sh.cond.Signal()
-		return
-	}
-	p.groupMu.Lock()
-	groups := p.groups
-	for i := range groups {
-		groups[i] = groups[i][:0]
-	}
-	for _, it := range items {
-		si := kv.Hash(it.key) % uint64(len(p.shards))
-		groups[si] = append(groups[si], it)
-	}
-	for si, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		sh := p.shards[si]
-		sh.mu.Lock()
-		sh.queue = append(sh.queue, g...)
-		sh.mu.Unlock()
-		sh.cond.Signal()
-		// Drop the record pointers so the scratch buffer does not pin
-		// records past their processing.
-		clear(g)
-	}
-	p.groupMu.Unlock()
+	return uint32(kv.Hash(k) % uint64(len(p.shards)))
 }
 
-// drainWait blocks until every shard's queue is empty and idle; used by
-// tests and by the saturation-mode benchmark barrier.
+// newSegments returns an epoch's empty segments, one per shard.
+func (p *processor) newSegments() []segment {
+	p.freeMu.Lock()
+	defer p.freeMu.Unlock()
+	if n := len(p.spareSegs); n > 0 {
+		segs := p.spareSegs[n-1]
+		p.spareSegs = p.spareSegs[:n-1]
+		return segs
+	}
+	return make([]segment, max(1, len(p.shards)))
+}
+
+// push appends it to g, on a chunk off the free list when the last is full.
+func (p *processor) push(g *segment, it *workItem) {
+	c := g.tail
+	if c == nil || c.n == _chunkItems {
+		p.freeMu.Lock()
+		nc := p.free
+		if nc != nil {
+			p.free, nc.next = nc.next, nil
+			p.nfree--
+		}
+		p.freeMu.Unlock()
+		if nc == nil {
+			nc = new(workChunk)
+		}
+		if c == nil {
+			g.head = nc
+		} else {
+			c.next = nc
+		}
+		g.tail, c = nc, nc
+	}
+	c.items[c.n] = *it
+	c.n++
+	g.n++
+}
+
+// release clears a chunk whose items are done with — a cleared chunk pins no
+// record, chain or key — and returns it to the free list.
+func (p *processor) release(c *workChunk) {
+	clear(c.items[:c.n])
+	c.n, c.next = 0, nil
+	p.freeMu.Lock()
+	if p.nfree < _maxFreeChunks {
+		c.next, p.free = p.free, c
+		p.nfree++
+	}
+	p.freeMu.Unlock()
+}
+
+// handoff gives sealed segments to the workers: each non-empty one is linked
+// whole onto its shard's queue, a pointer move whatever the epoch wrote.
+// Without workers sealing was all the items were for (functors compute on
+// demand) and the chunks go straight back. segs comes back empty and is kept;
+// an epoch that installed nothing has none.
+func (p *processor) handoff(segs []segment) {
+	if segs == nil {
+		return
+	}
+	for i := range segs {
+		g := &segs[i]
+		if g.head == nil {
+			continue
+		}
+		if len(p.shards) == 0 {
+			for c := g.head; c != nil; {
+				next := c.next
+				p.release(c)
+				c = next
+			}
+		} else {
+			sh := p.shards[i]
+			sh.mu.Lock()
+			if q := &sh.queue; q.tail == nil {
+				*q = *g
+			} else {
+				q.tail.next, q.tail, q.n = g.head, g.tail, q.n+g.n
+			}
+			sh.mu.Unlock()
+			sh.cond.Signal()
+		}
+		*g = segment{}
+	}
+	p.freeMu.Lock()
+	p.spareSegs = append(p.spareSegs, segs)
+	p.freeMu.Unlock()
+}
+
+// drainWait blocks until every shard's queue is empty; used by tests and by
+// the saturation-mode benchmark barrier.
 func (p *processor) drainWait() {
 	for {
-		// Read before the queues: a hand-off this read misses has queued
-		// its items already, or belongs to an epoch the caller has not seen
-		// committed.
+		// Read before the queues: a hand-off this read misses has linked
+		// its segments already, or belongs to an epoch the caller has not
+		// seen committed.
 		empty := p.handoffs.Load() == 0
 		for _, sh := range p.shards {
 			sh.mu.Lock()
-			if len(sh.queue) > 0 || sh.active {
+			if sh.queue.head != nil {
 				empty = false
 			}
 			sh.mu.Unlock()
@@ -156,18 +261,17 @@ func (p *processor) drainWait() {
 	}
 }
 
-// queueDepths reports each shard's queue length for stall snapshots; when
-// consider is non-nil every queued item is offered to it (the watchdog
-// uses this to find the oldest pending functor).
-func (p *processor) queueDepths(consider func(workItem)) []int {
+// queueDepths reports how many functors each shard has yet to compute, the
+// batch in progress included, for stall snapshots; when consider is non-nil
+// each is offered to it (the watchdog uses this to find the oldest pending
+// functor, which is the one a stuck worker is blocked on).
+func (p *processor) queueDepths(consider func(*workItem)) []int {
 	depths := make([]int, len(p.shards))
 	for i, sh := range p.shards {
 		sh.mu.Lock()
-		depths[i] = len(sh.queue)
+		depths[i] = sh.queue.n
 		if consider != nil {
-			for _, it := range sh.queue {
-				consider(it)
-			}
+			sh.queue.each(sh.pos, consider)
 		}
 		sh.mu.Unlock()
 	}
@@ -186,62 +290,62 @@ func (p *processor) stop() {
 	p.wg.Wait()
 }
 
-const _workerBatch = 64
-
+// worker computes its shard's functors a batch at a time, reading the chunk
+// at the head of the queue where the installs wrote it.
 func (p *processor) worker(sh *procShard) {
 	defer p.wg.Done()
-	// buf receives each batch so the queue's backing array can be reused:
-	// slicing the front off (queue = queue[n:]) strands the consumed prefix
-	// and forces append to grow a fresh array every few batches, a steady
-	// allocation stream this copy-and-shift avoids.
-	var buf [_workerBatch]workItem
 	var owing [_workerBatch]*mvstore.Chain
 	for {
 		sh.mu.Lock()
-		for len(sh.queue) == 0 && !p.stopped.Load() {
+		for sh.queue.head == nil && !p.stopped.Load() {
 			sh.cond.Wait()
 		}
 		if p.stopped.Load() {
 			sh.mu.Unlock()
 			return
 		}
-		n := len(sh.queue)
-		if n > _workerBatch {
-			n = _workerBatch
-		}
-		copy(buf[:n], sh.queue)
-		rest := copy(sh.queue, sh.queue[n:])
-		clear(sh.queue[rest:])
-		sh.queue = sh.queue[:rest]
-		sh.active = true
+		c, pos := sh.queue.head, sh.pos
 		sh.mu.Unlock()
 
 		// A chain that owes a compaction (its watermark was behind the
 		// horizon when its epoch retired) pays once per batch, not per
 		// functor: each payment copies the survivors, and a hot chain
 		// catching up moves its watermark one record at a time.
+		end := min(pos+_workerBatch, c.n)
 		no := 0
-		for i := range buf[:n] {
-			p.process(buf[i])
-			if c := buf[i].chain; c.Owed() != 0 && (no == 0 || owing[no-1] != c) {
-				owing[no] = c
+		for i := pos; i < end; i++ {
+			it := &c.items[i]
+			p.process(it)
+			if ch := it.chain; ch.Owed() != 0 && (no == 0 || owing[no-1] != ch) {
+				owing[no] = ch
 				no++
 			}
 		}
-		for _, c := range owing[:no] {
-			p.s.payOwed(c)
+		for _, ch := range owing[:no] {
+			p.s.payOwed(ch)
 		}
 
 		sh.mu.Lock()
-		sh.active = false
+		sh.pos, sh.queue.n = end, sh.queue.n-(end-pos)
+		if end == c.n {
+			// The chunk leaves the queue, and only then is cleared: a
+			// snapshot reads what is queued under sh.mu.
+			sh.pos, sh.queue.head = 0, c.next
+			if c.next == nil {
+				sh.queue.tail = nil
+			}
+		}
 		sh.mu.Unlock()
+		if end == c.n {
+			p.release(c)
+		}
 	}
 }
 
 // process handles one queued functor: record queueing delay, proactively
 // push values to recipient partitions, compute every pending functor of the
 // key up to the queued version, and advance the value watermark.
-func (p *processor) process(item workItem) {
+func (p *processor) process(item *workItem) {
 	s := p.s
 	wait := time.Since(item.installed)
 	s.stats.recordWait(wait)
@@ -283,7 +387,7 @@ func (p *processor) process(item workItem) {
 // pushToRecipients sends the latest value of the functor's key strictly
 // below its version to each recipient's partition (paper §IV-B). Purely an
 // optimization: compute falls back to remote reads when a push is missing.
-func (p *processor) pushToRecipients(ctx context.Context, item workItem, fn *functor.Functor) {
+func (p *processor) pushToRecipients(ctx context.Context, item *workItem, fn *functor.Functor) {
 	s := p.s
 	prev, err := s.getLocal(ctx, item.key, item.rec.Version.Prev())
 	if err != nil {

@@ -144,12 +144,15 @@ type Server struct {
 	epochTxns  map[tstamp.Epoch]uint64    // transactions begun per epoch (metrics)
 	revokedAt  map[tstamp.Epoch]time.Time // revoke arrival, for the switch-span histogram
 	pendingMu  sync.Mutex
-	pending    map[tstamp.Epoch][]workItem // buffered functor metadata per epoch
-	// drainedEpoch is the highest epoch whose pending buffer Committed has
-	// extracted (guarded by pendingMu). bufferWork routes installs at or
-	// below it straight to seal+processor: deciding under the same lock as
-	// the drain means a straggler install can never land in a buffer that
-	// was already handed to the processor (which would orphan it unsealed).
+	// pending holds each open epoch's buffered functor metadata, one segment
+	// per processor shard (one in all without workers). Lock order:
+	// pendingMu, then a shard's mu or the processor's freeMu.
+	pending map[tstamp.Epoch][]segment
+	// drainedEpoch is the highest epoch whose segments Committed has taken
+	// (guarded by pendingMu). bufferWork routes installs at or below it
+	// straight to seal+processor: deciding under the same lock as the take
+	// means a straggler install can never land in a segment that was
+	// already handed to the processor (which would orphan it unsealed).
 	drainedEpoch tstamp.Epoch
 
 	// visible is the exclusive upper bound of readable versions:
@@ -237,7 +240,7 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		inflight:   make(map[tstamp.Epoch]*sync.WaitGroup),
 		epochTxns:  make(map[tstamp.Epoch]uint64),
 		revokedAt:  make(map[tstamp.Epoch]time.Time),
-		pending:    make(map[tstamp.Epoch][]workItem),
+		pending:    make(map[tstamp.Epoch][]segment),
 		abortStash: make(map[tstamp.Timestamp][]kv.Key),
 		pushCache:  make(map[pushKey]functor.Read),
 		visibleCh:  make(chan struct{}),
@@ -420,18 +423,18 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	}
 	// Each server's commit work is its own trace root: the manager-side
 	// epoch.switch span cannot parent it without widening the Participant
-	// interface, and the commit path (durability flush + seal + enqueue) is
+	// interface, and the commit path (durability flush + seal + hand-off) is
 	// interesting in isolation.
 	ctx, commitSpan := s.tr.StartRoot(s.ctx, "epoch.commit")
 	commitSpan.SetAttrInt("epoch", int64(e))
 	defer commitSpan.End()
-	// Drain the epoch's buffered functor metadata and record the drain under
-	// one lock: a straggler install racing this commit either appends to the
-	// buffer before the drain or observes drainedEpoch and seals directly in
-	// bufferWork — never a third option where it lands in a buffer nobody
+	// Take the epoch's buffered functor metadata and record the take under
+	// one lock: a straggler install racing this commit either appends to a
+	// segment before the take or observes drainedEpoch and seals directly in
+	// bufferWork — never a third option where it lands in a segment nobody
 	// will ever hand to the processor.
 	s.pendingMu.Lock()
-	items := s.pending[e]
+	segs := s.pending[e]
 	delete(s.pending, e)
 	if e > s.drainedEpoch {
 		s.drainedEpoch = e
@@ -442,32 +445,36 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	// must find every version of the epoch already reachable. A key written
 	// twice in the epoch is sealed twice; the second finds nothing staged.
 	now := time.Now()
-	slowIdx, slowWait := -1, time.Duration(0)
+	var slow *workItem
+	var slowWait time.Duration
 	retaining := s.retention.Load() != 0
 	var sealed []*mvstore.Chain
-	for i := range items {
-		if items[i].chain.Seal(tstamp.End(e)) > 0 && retaining {
-			sealed = append(sealed, items[i].chain)
-		}
-		if s.journal != nil && !items[i].installed.IsZero() {
-			if w := now.Sub(items[i].installed); slowIdx < 0 || w > slowWait {
-				slowIdx, slowWait = i, w
+	items := 0
+	for i := range segs {
+		items += segs[i].n
+		segs[i].each(0, func(it *workItem) {
+			if it.chain.Seal(tstamp.End(e)) > 0 && retaining {
+				sealed = append(sealed, it.chain)
 			}
-		}
-		items[i].ready = now
+			if s.journal != nil && !it.installed.IsZero() {
+				if w := now.Sub(it.installed); slow == nil || w > slowWait {
+					slow, slowWait = it, w
+				}
+			}
+		})
 	}
 	s.sealedIn(e, sealed...)
-	s.journal.SealDone(uint64(e), time.Now(), len(items))
-	if slowIdx >= 0 {
+	s.journal.SealDone(uint64(e), time.Now(), items)
+	if slow != nil {
 		// The functor that waited longest between install and commit: the
 		// journal's pointer at what dragged the epoch (a stuck dependent
-		// txn, a hot key, a lagging owner).
-		it := items[slowIdx]
+		// txn, a hot key, a lagging owner). Read before the hand-off: the
+		// item is the worker's after it.
 		ftype := ""
-		if it.rec.Functor != nil {
-			ftype = it.rec.Functor.Type.String()
+		if slow.rec.Functor != nil {
+			ftype = slow.rec.Functor.Type.String()
 		}
-		s.journal.Slowest(uint64(e), string(it.key), ftype, slowWait, uint64(it.sc.Trace))
+		s.journal.Slowest(uint64(e), string(slow.key), ftype, slowWait, uint64(slow.sc.Trace))
 	}
 	if s.durability != nil {
 		dctx, dspan := s.tr.Start(ctx, "wal.commit")
@@ -491,8 +498,8 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		dspan.End()
 	}
 	// The hand-off counts as busy from before the epoch shows as committed
-	// until its functors are queued: whoever sees CommittedEpoch() >= e and
-	// then drains the processors waits for every functor of e.
+	// until its last segment is linked: whoever sees CommittedEpoch() >= e
+	// and then drains the processors waits for every functor of e.
 	s.proc.handoffs.Add(1)
 	// Advance visibility to Start(e+1) — after the seal and after the
 	// durable marker, so observable implies recoverable: a crash right
@@ -521,15 +528,10 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		s.moveMu.RUnlock()
 		s.journal.Visible(uint64(e), time.Now(), migSeals, s.wd.Active())
 	}
-	s.proc.enqueue(items)
+	// Sealed, then visible, then computable: only now do the workers get the
+	// epoch's segments.
+	s.proc.handoff(segs)
 	s.proc.handoffs.Add(-1)
-	if items != nil {
-		// enqueue copied the items into the shard queues; recycle the
-		// epoch buffer for bufferWork's next epoch.
-		clear(items)
-		items = items[:0]
-		workItemsPool.Put(&items)
-	}
 	s.evictPushCache(e)
 	s.evictAbortStash(e)
 	s.retire(e)

@@ -8,7 +8,7 @@ set -eu
 # Object counts and size classes: the untraced install/compute path, what a
 # key written once keeps alive (record + outcome in one chain object), the
 # version-chain budgets, and the TPC-C workload's keys, router and handler.
-go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget)$'
+go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget|TestLoadAllocatesNoFunctorPerPair)$'
 go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass)$'
 go test -count=1 ./internal/workload/tpcc/ -run '^(TestNewOrderAllocations|TestRouterMatchesReferenceAndAllocatesNothing)$'
 go test -count=1 ./internal/trace/ -run '^TestDisabledPathAllocs$'
@@ -24,6 +24,7 @@ zero() {
 	fi
 }
 zero ./internal/core/ 'BenchmarkWire(Encode|Decode)Msg(ReadBatch|Install)$' 100000x 4
+zero ./internal/core/ 'BenchmarkHandoffSteadyState$' 200x 1
 zero ./internal/trace/ 'BenchmarkDisabledSpan' 100000x 1
 zero ./internal/obs/ 'BenchmarkSkew(Disabled|SampledOut)Observe' 100000x 2
 zero ./internal/obs/journal/ 'BenchmarkJournal(Disabled|Enabled)Install' 100000x 2

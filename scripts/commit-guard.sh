@@ -1,7 +1,10 @@
 #!/bin/sh
-# Commit-cost guard, shared by `make commit-guard` and CI: an epoch commit
-# with retention on must cost what the epoch wrote, not what the store
-# holds. Runs BenchmarkEpochCommitRetention (100 keys written per epoch,
+# Commit-cost guard, shared by `make commit-guard` and CI. Two things an
+# epoch commit must not scale with, each a pair of benchmark rows compared
+# best of three.
+#
+# The store: an epoch commit with retention on must cost what the epoch
+# wrote, not what the store holds. Runs BenchmarkEpochCommitRetention (100 keys written per epoch,
 # retention 4) over a 1 k-key and a 200 k-key store, takes the best of three
 # ns/op for each, and fails when the large store's commit is more than
 # three times the small one's. A sweep of the store per commit, which this
@@ -17,4 +20,23 @@ echo "$out" | awk '
 		if (!small || !large) { print "commit-guard: benchmark rows missing" > "/dev/stderr"; exit 1 }
 		printf "commit-guard: %d ns/op at 1k keys, %d ns/op at 200k keys (ratio %.2f, limit 3)\n", small, large, large / small
 		if (large > 3 * small) { print "commit-guard: epoch commit cost scales with the store" > "/dev/stderr"; exit 1 }
+	}'
+
+# What the epoch wrote, more than linearly: getting an epoch's functors from
+# the commit to computed costs the same per functor whether the epoch
+# installed 16 k or 256 k. Runs BenchmarkEpochHandoff (one single-ADD
+# transaction per key, timed AdvanceEpoch + DrainProcessors) at both sizes and
+# fails when ns/functor at 256 k is more than twice that at 16 k. A queue that
+# shifts what it still holds after every batch, which this guards against,
+# reads four times apart.
+out="$(go test ./internal/core/ -run '^$' -bench 'BenchmarkEpochHandoff' -benchtime 2x -count 3)"
+echo "$out"
+echo "$out" | awk '
+	{ for (i = 2; i < NF; i++) if ($(i + 1) == "ns/functor") v = $i }
+	/items=16k/  { if (!small || v < small) small = v }
+	/items=256k/ { if (!large || v < large) large = v }
+	END {
+		if (!small || !large) { print "commit-guard: benchmark rows missing" > "/dev/stderr"; exit 1 }
+		printf "commit-guard: %d ns/functor at 16k items, %d ns/functor at 256k items (ratio %.2f, limit 2)\n", small, large, large / small
+		if (large > 2 * small) { print "commit-guard: the processor hand-off is quadratic in what an epoch wrote" > "/dev/stderr"; exit 1 }
 	}'
