@@ -35,7 +35,9 @@ bench-check:
 # BenchmarkEpochCommitRetention at 200 k keys within 3x of 1 k keys), and the
 # hand-off of its functors to the processor not more than linearly with what
 # it wrote (ns/functor of BenchmarkEpochHandoff at 256 k items within 2x of
-# 16 k).
+# 16 k). And a hop of the simulated mesh must cost what it was configured for
+# (median round trip of BenchmarkMemHop at 100 us +- 40 us each way under
+# 700 us from 1 caller and from 64).
 commit-guard:
 	./scripts/commit-guard.sh
 

@@ -14,13 +14,15 @@ import (
 // TestCloseReleasesGoroutines guards the goroutine-lifetime discipline:
 // after a cluster serves traffic and closes, the goroutine count returns
 // to (near) its pre-cluster baseline — also when Close finds a worker in the
-// middle of a segment, with more queued behind it.
+// middle of a segment, with more queued behind it, and when the mesh has
+// latency, so that it runs a delay line and Close finds messages on it.
 func TestCloseReleasesGoroutines(t *testing.T) {
-	t.Run("idle", func(t *testing.T) { closeReleasesGoroutines(t, false) })
-	t.Run("mid-segment", func(t *testing.T) { closeReleasesGoroutines(t, true) })
+	t.Run("idle", func(t *testing.T) { closeReleasesGoroutines(t, false, 0) })
+	t.Run("mid-segment", func(t *testing.T) { closeReleasesGoroutines(t, true, 0) })
+	t.Run("net-latency", func(t *testing.T) { closeReleasesGoroutines(t, false, 100*time.Microsecond) })
 }
 
-func closeReleasesGoroutines(t *testing.T, midSegment bool) {
+func closeReleasesGoroutines(t *testing.T, midSegment bool, netLatency time.Duration) {
 	baseline := runtime.NumGoroutine()
 	g := newHandoffGate()
 	c, err := NewCluster(ClusterConfig{
@@ -28,6 +30,7 @@ func closeReleasesGoroutines(t *testing.T, midSegment bool) {
 		EpochDuration: 3 * time.Millisecond,
 		Workers:       4,
 		Registry:      g.registry(),
+		NetLatency:    netLatency,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package tpcc
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -55,6 +56,7 @@ func routerKeys() (wellFormed, malformed []kv.Key) {
 		"", "garbage", "x:notanumber", "o:", "o:1", "o:1:", "o::2", "o:1:x:3", "ol:1:2:3:",
 		"o:+1:02:5", "no:-1:2:3", "ol:0:0:0:0", "s:1", "s:x:1", "c:1", "dt:99999999999999999999:1",
 		"h:1:2:3:18446744073709551615", "zz:1:2", ":1:2", "i:", "wy:abc", "o:1:2:3:4:5:6",
+		"o:1:-", "o:1:+", "s:9223372036854775808:1", "s:-9223372036854775808:1",
 	}
 	return wellFormed, malformed
 }
@@ -90,7 +92,18 @@ func TestKeyStrings(t *testing.T) {
 
 func TestFieldsMatchesReference(t *testing.T) {
 	well, mal := routerKeys()
-	for _, k := range append(well, mal...) {
+	keys := append(well, mal...)
+	// And what no list thinks of: random strings over the bytes the parser
+	// tells apart, long enough to pass the int64 bounds.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(28))
+		for j := range b {
+			b[j] = "o:::+-0123456789x"[rng.Intn(17)]
+		}
+		keys = append(keys, kv.Key(b))
+	}
+	for _, k := range keys {
 		wantPrefix, wantNums := fieldsRef(k)
 		prefix, nums, n := fields(k)
 		if prefix != wantPrefix || n != len(wantNums) {
@@ -184,6 +197,19 @@ func TestRouterMatchesReferenceAndAllocatesNothing(t *testing.T) {
 			t.Errorf("%+v: routing %d keys allocates %v objects, want 0", cfg, len(keys), n)
 		}
 	}
+}
+
+// BenchmarkPartitioner routes one key from every constructor: ns/op is per
+// key, the router's share of a NewOrder is ~44 of them.
+func BenchmarkPartitioner(b *testing.B) {
+	keys, _ := routerKeys()
+	part := Config{Servers: 2}.Partitioner()
+	var sink int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += part(keys[i%len(keys)], 2)
+	}
+	_ = sink
 }
 
 func TestPartitionerByWarehouse(t *testing.T) {

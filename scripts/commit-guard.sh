@@ -1,7 +1,8 @@
 #!/bin/sh
 # Commit-cost guard, shared by `make commit-guard` and CI. Two things an
 # epoch commit must not scale with, each a pair of benchmark rows compared
-# best of three.
+# best of three, and the cost of the simulated hop every commit latency
+# measured over the in-memory mesh is made of.
 #
 # The store: an epoch commit with retention on must cost what the epoch
 # wrote, not what the store holds. Runs BenchmarkEpochCommitRetention (100 keys written per epoch,
@@ -39,4 +40,28 @@ echo "$out" | awk '
 		if (!small || !large) { print "commit-guard: benchmark rows missing" > "/dev/stderr"; exit 1 }
 		printf "commit-guard: %d ns/functor at 16k items, %d ns/functor at 256k items (ratio %.2f, limit 2)\n", small, large, large / small
 		if (large > 2 * small) { print "commit-guard: the processor hand-off is quadratic in what an epoch wrote" > "/dev/stderr"; exit 1 }
+	}'
+
+# The simulated hop: a Call over a mesh configured like the benchmark's
+# (100 us +- 40 us each way) must take what was configured, from an idle
+# process and from a busy one. Runs BenchmarkMemHop with 1 and with 64
+# concurrent callers, takes the best of three median round trips for each
+# and fails when either reads 700 us or more. A time.Sleep per hop, which
+# this guards against, is rounded up to the millisecond an idle Go scheduler
+# parks for and reads 2200 us; the mesh's delay line reads 300 to 350. Off
+# Linux the line has no kernel timer to sleep by and is not held to it.
+if [ "$(go env GOOS)" != linux ]; then
+	echo "commit-guard: simulated hop not checked on $(go env GOOS): the delay line sleeps by Go timers there"
+	exit 0
+fi
+out="$(go test ./internal/transport/ -run '^$' -bench 'BenchmarkMemHop' -benchtime 1000x -count 3)"
+echo "$out"
+echo "$out" | awk '
+	{ for (i = 2; i < NF; i++) if ($(i + 1) == "p50-rtt-us") v = $i }
+	$1 ~ /waiters=1(-[0-9]+)?$/  { if (!one || v < one) one = v }
+	$1 ~ /waiters=64(-[0-9]+)?$/ { if (!many || v < many) many = v }
+	END {
+		if (!one || !many) { print "commit-guard: benchmark rows missing" > "/dev/stderr"; exit 1 }
+		printf "commit-guard: median round trip %d us from 1 caller, %d us from 64 (limit 700)\n", one, many
+		if (one >= 700 || many >= 700) { print "commit-guard: a simulated hop costs more than the mesh was configured for (the transport logs it once if timerfd_create was refused)" > "/dev/stderr"; exit 1 }
 	}'
