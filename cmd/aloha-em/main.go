@@ -39,7 +39,6 @@ func run() error {
 		duration = flag.Duration("epoch", epoch.DefaultDuration, "unified epoch duration (starting point when adaptive bounds are set)")
 		epochMin = flag.Duration("epoch-interval-min", 0, "adaptive epoch interval lower bound (with -epoch-interval-max; 0 disables the tuner)")
 		epochMax = flag.Duration("epoch-interval-max", 0, "adaptive epoch interval upper bound")
-		codec    = flag.String("wire-codec", "binary", "wire codec for dialed connections: binary or gob")
 		timeout  = flag.Duration("switch-timeout", time.Second, "straggler escape timeout per epoch switch")
 		start    = flag.Uint("start-epoch", 0, "first granted epoch (0 = 1); a restarted EM must start above the cluster's current epoch or the servers rightly refuse to regress (see aloha_server_epoch or /debug/stall on any server)")
 		opsAddr  = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /debug/epochs, /debug/timeseries); empty disables")
@@ -60,12 +59,8 @@ func run() error {
 	emID := transport.NodeID(len(list))
 	book[emID] = strings.TrimSpace(*emAddr)
 
-	wc, err := transport.ParseCodec(*codec)
-	if err != nil {
-		return err
-	}
 	core.RegisterMessages()
-	net := transport.NewTCPNetwork(book, transport.WithCodec(wc))
+	net := transport.NewTCPNetwork(book)
 	defer net.Close()
 
 	em, err := core.NewEMNode(net, emID, serverIDs, epoch.Config{

@@ -54,7 +54,6 @@ func run() error {
 		traceSlow   = flag.Duration("trace-slow", 0, "always capture transactions slower than this (0 disables)")
 		traceRing   = flag.Int("trace-ring", 0, "trace span ring size (0 = default)")
 
-		wireCodec     = flag.String("wire-codec", "binary", "wire codec for dialed connections: binary (zero-allocation framing) or gob (legacy; inbound always auto-detects, so mixed clusters interoperate)")
 		flushBytes    = flag.Int("net-flush-bytes", 0, "transport per-peer buffered-write flush threshold in bytes (0 = default 64KiB)")
 		flushInterval = flag.Duration("net-flush-interval", 0, "transport flusher linger after the send queue drains (0 = flush immediately)")
 		batchWindow   = flag.Duration("read-batch-window", 0, "remote read/ensure combiner linger between batch dispatches (0 = combine without sleeping)")
@@ -81,13 +80,8 @@ func run() error {
 		return fmt.Errorf("aloha-server: -id %d out of range for %d peers", *id, emID)
 	}
 
-	wc, err := transport.ParseCodec(*wireCodec)
-	if err != nil {
-		return err
-	}
 	core.RegisterMessages()
 	net := transport.NewTCPNetwork(addrs,
-		transport.WithCodec(wc),
 		transport.WithFlushBytes(*flushBytes),
 		transport.WithFlushInterval(*flushInterval))
 	defer net.Close()

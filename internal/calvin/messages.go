@@ -39,10 +39,3 @@ type ReadValue struct {
 type MsgDone struct {
 	TxnID uint64
 }
-
-// RegisterMessages registers Calvin's message types for the TCP transport.
-func RegisterMessages() {
-	for _, m := range []any{MsgSubmit{}, MsgBatch{}, MsgReads{}, MsgDone{}} {
-		transport.RegisterType(m)
-	}
-}

@@ -9,8 +9,8 @@ import (
 	"alohadb/internal/transport"
 )
 
-// TestCalvinOverTCP runs the baseline across real sockets, exercising gob
-// encoding of every Calvin message type (batches, read broadcasts,
+// TestCalvinOverTCP runs the baseline across real sockets, exercising the
+// wire codec of every Calvin message type (batches, read broadcasts,
 // completion notices).
 func TestCalvinOverTCP(t *testing.T) {
 	RegisterMessages()

@@ -56,11 +56,6 @@ type ScenarioConfig struct {
 	// TCP runs the cluster over real TCP sockets instead of the in-memory
 	// transport.
 	TCP bool
-	// WireCodec selects the TCP wire encoding: "binary" (default), "gob",
-	// or "mixed" — even nodes dial binary and odd nodes dial gob, so the
-	// handshake fallback that carries a rolling codec upgrade runs under
-	// the same faults and oracle as everything else. Requires TCP.
-	WireCodec string
 	// Dir is the WAL directory (required when Crash is set).
 	Dir string
 }
@@ -262,7 +257,6 @@ func RunScenario(cfg ScenarioConfig) (*Report, error) {
 		}
 		if cfg.TCP {
 			ecfg.Transport = "tcp"
-			ecfg.WireCodec = cfg.WireCodec
 		}
 		if cfg.Crash {
 			dir := cfg.Dir

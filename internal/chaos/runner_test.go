@@ -83,49 +83,18 @@ func TestChaosCrashRecovery(t *testing.T) {
 
 // TestChaosOverTCP exercises the injector stacked on real sockets, with a
 // lighter fault mix (TCP RPCs are slower, so the same drop rates would
-// mostly measure retry latency). Both wire codecs run under the same
-// history oracle: the binary framing and the legacy gob stream must be
-// indistinguishable at the consistency level.
+// mostly measure retry latency).
 func TestChaosOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
 	probs := Probabilities{DropCall: 0.01, DropResp: 0.005, DropSend: 0.03, Duplicate: 0.01, Delay: 0.15, MaxDelay: 2 * time.Millisecond}
-	for _, codec := range []string{"binary", "gob"} {
-		codec := codec
-		for _, seed := range suiteSeeds(3000, 1) {
-			seed := seed
-			t.Run(fmt.Sprintf("%s-seed-%d", codec, seed), func(t *testing.T) {
-				runSeed(t, ScenarioConfig{
-					Seed:          seed,
-					TCP:           true,
-					WireCodec:     codec,
-					Probabilities: &probs,
-					Writers:       4,
-					OpsPerWriter:  30,
-					EpochDuration: 5 * time.Millisecond,
-				})
-			})
-		}
-	}
-}
-
-// TestChaosTCPMixedCodec runs a cluster whose even nodes dial binary and
-// odd nodes dial gob — the rolling-upgrade shape — under faults: every
-// fault path (retries, duplicate delivery, link delays) crosses the
-// codec handshake fallback in both directions.
-func TestChaosTCPMixedCodec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite skipped in -short mode")
-	}
-	probs := Probabilities{DropCall: 0.01, DropResp: 0.005, DropSend: 0.03, Duplicate: 0.01, Delay: 0.15, MaxDelay: 2 * time.Millisecond}
-	for _, seed := range suiteSeeds(3500, 1) {
+	for _, seed := range suiteSeeds(3000, 1) {
 		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("binary-seed-%d", seed), func(t *testing.T) {
 			runSeed(t, ScenarioConfig{
 				Seed:          seed,
 				TCP:           true,
-				WireCodec:     "mixed",
 				Probabilities: &probs,
 				Writers:       4,
 				OpsPerWriter:  30,

@@ -59,18 +59,6 @@ func (s *Server) handleMessage(ctx context.Context, from transport.NodeID, msg a
 	case MsgApplyDeferred:
 		s.handleApplyDeferred(ctx, m)
 		return nil, nil
-	case MsgRangeSeal:
-		s.handleRangeSeal(m)
-		return MsgRangeSealResp{}, nil
-	case MsgRangeExport:
-		return s.handleRangeExport(m), nil
-	case MsgRangeImport:
-		return s.handleRangeImport(ctx, m), nil
-	case MsgMapInstall:
-		s.table.Install(m.Map)
-		return MsgMapInstallResp{}, nil
-	case MsgRangeRetire:
-		return s.handleRangeRetire(m), nil
 	case MsgWaitComputed:
 		return s.handleWaitComputed(ctx, m)
 	case MsgScan:

@@ -11,7 +11,6 @@ import (
 	"alohadb/internal/kv"
 	"alohadb/internal/mvstore"
 	"alohadb/internal/placement"
-	"alohadb/internal/transport"
 	"alohadb/internal/tstamp"
 )
 
@@ -247,11 +246,9 @@ type MsgScanResp struct {
 	Pairs []kv.Pair
 }
 
-// Migration protocol messages, used by the rebalancer's epoch-barrier
-// handoff (internal/core/rebalance.go). The rebalancer calls the in-process
-// server handlers directly, but the messages are registered with the
-// transport codec so deployments that split the control plane out can relay
-// them unchanged.
+// Parameter and result structs of the in-process migration handlers the
+// rebalancer calls at the epoch barrier (internal/core/rebalance.go,
+// migrate.go); they never cross a transport and have no wire codec.
 type (
 	// MsgRangeSeal fences the listed ranges on a server: installs touching
 	// them are rejected WrongOwner until a MsgRangeSeal with Clear lifts the
@@ -261,8 +258,6 @@ type (
 		Ranges []placement.Range
 		Clear  bool
 	}
-	// MsgRangeSealResp acknowledges MsgRangeSeal.
-	MsgRangeSealResp struct{}
 	// MsgRangeExport asks the old owner for every version chain in Range.
 	MsgRangeExport struct {
 		Range placement.Range
@@ -284,12 +279,6 @@ type (
 		Keys    int
 		Records int
 	}
-	// MsgMapInstall installs an ownership map on a server (newest wins).
-	MsgMapInstall struct {
-		Map *placement.Map
-	}
-	// MsgMapInstallResp acknowledges MsgMapInstall.
-	MsgMapInstallResp struct{}
 	// MsgRangeRetire asks the old owner to drop its replica of a migrated
 	// range once the handoff has settled; only chains whose records are all
 	// final are dropped, the rest stay for a later retirement pass.
@@ -366,37 +355,9 @@ type (
 	}
 )
 
-// RegisterMessages registers every core message type with the transport.
-// Call once at startup when using the TCP transport (idempotent).
-//
-// Hot messages (install, read/ensure/abort batches, push, deferred
-// writes, epoch control, ping) register explicit binary codecs with
-// internal/wire — the default TCP codec never gob-encodes them. They are
-// also gob-registered because the legacy gob codec (transport.CodecGob,
-// used by mixed-codec clusters mid-upgrade and the differential codec
-// tests) still carries them reflectively. Cold messages (scans, client
-// protocol, migration control) are gob-only on purpose: they ride the
-// binary envelope's gob escape hatch.
-func RegisterMessages() {
-	registerWire.Do(registerWireCodecs)
-	for _, m := range []any{
-		// Hot messages: binary-coded by default, gob for the legacy codec.
-		MsgInstall{}, MsgInstallResp{}, MsgAbort{}, MsgAbortBatch{},
-		MsgRead{}, MsgReadResp{}, MsgReadBatch{}, MsgReadBatchResp{}, MsgPush{},
-		MsgEnsure{}, MsgEnsureResp{}, MsgEnsureUpTo{}, MsgEnsureUpToResp{},
-		MsgEnsureBatch{}, MsgEnsureBatchResp{},
-		MsgApplyDeferred{}, MsgWaitComputed{}, MsgWaitComputedResp{},
-		MsgGrant{}, MsgRevoke{}, MsgRevokeAck{}, MsgCommitted{},
-		MsgPing{}, MsgPong{},
-		// Cold messages: gob escape hatch only.
-		MsgScan{}, MsgScanResp{},
-		MsgClientSubmit{}, MsgClientSubmitResp{}, MsgClientGet{}, MsgClientGetResp{},
-		MsgRangeSeal{}, MsgRangeSealResp{}, MsgRangeExport{}, MsgRangeExportResp{},
-		MsgRangeImport{}, MsgRangeImportResp{}, MsgMapInstall{}, MsgMapInstallResp{},
-		MsgRangeRetire{}, MsgRangeRetireResp{},
-	} {
-		transport.RegisterType(m)
-	}
-}
+// RegisterMessages registers the wire codec of every core message that
+// crosses a transport (wirecodec.go). Call once at startup when using the
+// TCP transport (idempotent); the in-memory mesh passes values.
+func RegisterMessages() { registerWire.Do(registerCodecs) }
 
 var registerWire sync.Once

@@ -144,8 +144,9 @@ func TestSerializabilityEquivalence(t *testing.T) {
 
 const epochSettle = 10 * time.Millisecond
 
-// TestClusterOverTCP runs the full engine across the TCP transport,
-// exercising gob encoding of every message type on the wire.
+// TestClusterOverTCP runs the full engine across the TCP transport:
+// installs, remote reads, pushes, aborts and scans as frames on real
+// sockets.
 func TestClusterOverTCP(t *testing.T) {
 	RegisterMessages()
 	const servers = 3
@@ -221,6 +222,24 @@ func TestClusterOverTCP(t *testing.T) {
 	}
 	if committed {
 		t.Error("over-withdrawal should abort")
+	}
+	// A scan from every server: two keys over three partitions, so at
+	// least one scanner owns neither and gets every pair off a socket.
+	snap, err := c.Server(0).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdvance(t, c)
+	for id := 0; id < servers; id++ {
+		got, err := c.Server(id).ScanPrefix(ctx, "acct:", snap)
+		if err != nil {
+			t.Fatalf("scan from server %d: %v", id, err)
+		}
+		a, _ := kv.DecodeInt64(got["acct:a"])
+		b, _ := kv.DecodeInt64(got["acct:b"])
+		if len(got) != 2 || a != 400 || b != 600 {
+			t.Errorf("scan from server %d = %v, want acct:a=400 acct:b=600", id, got)
+		}
 	}
 }
 

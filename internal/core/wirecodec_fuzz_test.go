@@ -52,12 +52,9 @@ func fuzzMessageCodec(f *testing.F, kind wire.Kind, samples []any) {
 // envelope header, returning just the message payload bytes.
 func payloadOf(t testing.TB, msg any) []byte {
 	t.Helper()
-	b, gobFallback, err := wire.AppendEnvelope(nil, &wire.Envelope{Kind: 1, Msg: msg})
+	b, _, err := wire.AppendEnvelope(nil, &wire.Envelope{Kind: 1, Msg: msg})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
-	}
-	if gobFallback {
-		t.Fatalf("%T took the gob fallback", msg)
 	}
 	// Header: len(4) | kind(1) | id(1, value 0) | from(1, value 0) |
 	// flags(1, value 0) | msgKind(1).
@@ -78,13 +75,13 @@ func decodePayload(kind wire.Kind, payload []byte) (any, error) {
 
 func FuzzMsgInstall(f *testing.F) {
 	fuzzMessageCodec(f, wireKindInstall, []any{
-		hotSamples()[0], hotSamples()[1], MsgInstall{},
+		samples()[0], samples()[1], MsgInstall{},
 	})
 }
 
 func FuzzMsgInstallResp(f *testing.F) {
 	fuzzMessageCodec(f, wireKindInstallResp, []any{
-		hotSamples()[2], MsgInstallResp{},
+		samples()[2], MsgInstallResp{},
 	})
 }
 
@@ -96,7 +93,7 @@ func FuzzMsgReadBatch(f *testing.F) {
 
 func FuzzMsgReadBatchResp(f *testing.F) {
 	fuzzMessageCodec(f, wireKindReadBatchResp, []any{
-		hotSamples()[10], MsgReadBatchResp{},
+		samples()[10], MsgReadBatchResp{},
 	})
 }
 
@@ -119,6 +116,12 @@ func FuzzMsgApplyDeferred(f *testing.F) {
 	})
 }
 
+func FuzzMsgClientSubmit(f *testing.F) {
+	fuzzMessageCodec(f, wireKindClientSubmit, []any{
+		samples()[31], MsgClientSubmit{WaitComputed: true},
+	})
+}
+
 func FuzzMsgPush(f *testing.F) {
 	fuzzMessageCodec(f, wireKindPush, []any{
 		MsgPush{Version: 5, Key: "k", Found: true},
@@ -130,7 +133,7 @@ func FuzzMsgPush(f *testing.F) {
 // frame bodies.
 func FuzzEnvelope(f *testing.F) {
 	RegisterMessages()
-	for _, msg := range hotSamples() {
+	for _, msg := range samples() {
 		b, _, err := wire.AppendEnvelope(nil, &wire.Envelope{ID: 3, From: 1, Kind: 1, Msg: msg})
 		if err != nil {
 			f.Fatal(err)
@@ -142,11 +145,10 @@ func FuzzEnvelope(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Decoded envelopes must re-encode unless the payload rode the
-		// gob escape hatch (gob streams are not byte-stable).
-		b2, gobFallback, err := wire.AppendEnvelope(nil, &env)
-		if err != nil || gobFallback {
-			return
+		// A decoded message is of a registered type: it re-encodes.
+		b2, _, err := wire.AppendEnvelope(nil, &env)
+		if err != nil {
+			t.Fatalf("decoded envelope failed to re-encode: %v", err)
 		}
 		env2, err := wire.DecodeEnvelope(b2[wire.FrameLenSize:])
 		if err != nil {

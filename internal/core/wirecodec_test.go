@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
+	"strings"
 	"testing"
 
 	"alohadb/internal/functor"
@@ -14,13 +18,21 @@ import (
 	"alohadb/internal/wire"
 )
 
-func init() { RegisterMessages() }
+func init() {
+	RegisterMessages()
+	// gob is the reference codec of TestHotMessagesDifferential and lives
+	// in test files only; it needs every sample type by name.
+	for _, msg := range samples() {
+		gob.Register(msg)
+	}
+}
 
-// hotSamples returns one fully populated sample per hot message type.
-// Slices that would be empty are nil (not []T{}): the binary codec
-// matches gob's convention of decoding zero-length sequences as nil, so
-// DeepEqual round trips hold for both codecs.
-func hotSamples() []any {
+// samples returns fully populated samples of every core message with a
+// wire codec (new kinds are appended: the fuzz seeds index into this).
+// Slices that would be empty are nil (not []T{}): the codec decodes
+// zero-length sequences as nil, as gob does, so DeepEqual round trips hold
+// for both.
+func samples() []any {
 	ts := tstamp.Make(7, 42, 3)
 	fn := &functor.Functor{
 		Type:          functor.TypeUser,
@@ -115,18 +127,30 @@ func hotSamples() []any {
 		MsgCommitted{E: 299},
 		MsgPing{},
 		MsgPong{Node: 3, CommittedEpoch: 11, CurrentEpoch: 12},
+		MsgScan{Prefix: "order:", Snapshot: ts},
+		MsgScanResp{Pairs: []kv.Pair{
+			{Key: "order:1", Value: kv.Value("a")},
+			{Key: "order:2", Value: kv.Value("bb")},
+		}},
+		MsgScanResp{},
+		MsgClientSubmit{
+			Writes:       []Write{{Key: "w:1", Functor: fn}, {Key: "o:9", Functor: put}},
+			Requires:     []kv.Key{"i:77"},
+			WaitComputed: true,
+		},
+		MsgClientSubmitResp{Version: ts, Aborted: true, Reason: "missing key i:404"},
+		MsgClientGet{Key: "stock:3:42", Snapshot: ts},
+		MsgClientGetResp{Value: kv.Value("val"), Found: true},
+		MsgClientGetResp{},
 	}
 }
 
 func binaryRoundTrip(t testing.TB, msg any) any {
 	t.Helper()
 	env := wire.Envelope{ID: 1, Kind: 1, Msg: msg}
-	b, gobFallback, err := wire.AppendEnvelope(nil, &env)
+	b, _, err := wire.AppendEnvelope(nil, &env)
 	if err != nil {
 		t.Fatalf("%T: AppendEnvelope: %v", msg, err)
-	}
-	if gobFallback {
-		t.Fatalf("%T: hot message took the gob fallback", msg)
 	}
 	got, err := wire.DecodeEnvelope(b[wire.FrameLenSize:])
 	if err != nil {
@@ -150,7 +174,7 @@ func gobRoundTrip(t testing.TB, msg any) any {
 }
 
 func TestHotMessagesRoundTrip(t *testing.T) {
-	for _, msg := range hotSamples() {
+	for _, msg := range samples() {
 		t.Run(fmt.Sprintf("%T", msg), func(t *testing.T) {
 			got := binaryRoundTrip(t, msg)
 			if !reflect.DeepEqual(got, msg) {
@@ -160,11 +184,11 @@ func TestHotMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHotMessagesDifferential asserts the binary codec and gob decode
-// every hot message to identical structs — the property that lets a
-// mixed-codec cluster interoperate during a rolling upgrade.
+// TestHotMessagesDifferential holds the hand-written codec against a
+// reference it shares no code with: reflective gob must decode every
+// sample to the identical struct.
 func TestHotMessagesDifferential(t *testing.T) {
-	for _, msg := range hotSamples() {
+	for _, msg := range samples() {
 		t.Run(fmt.Sprintf("%T", msg), func(t *testing.T) {
 			viaBinary := binaryRoundTrip(t, msg)
 			viaGob := gobRoundTrip(t, msg)
@@ -175,22 +199,59 @@ func TestHotMessagesDifferential(t *testing.T) {
 	}
 }
 
-func TestHotMessagesRegistered(t *testing.T) {
-	for _, msg := range hotSamples() {
-		if !wire.Registered(msg) {
-			t.Errorf("%T has no binary codec", msg)
-		}
+// TestEveryMessageHasCodec: a message type that works on the in-memory
+// mesh must not fail on a socket. Every exported Msg* struct declared in
+// messages.go either has a wire codec or is listed here as a parameter
+// struct of an in-process handler that no caller hands to a transport.
+func TestEveryMessageHasCodec(t *testing.T) {
+	inProcessOnly := map[string]bool{
+		"MsgRangeSeal":       true,
+		"MsgRangeExport":     true,
+		"MsgRangeExportResp": true,
+		"MsgRangeImport":     true,
+		"MsgRangeImportResp": true,
+		"MsgRangeRetire":     true,
+		"MsgRangeRetireResp": true,
 	}
-	// Cold messages deliberately ride the gob escape hatch.
-	for _, msg := range []any{MsgScan{}, MsgClientSubmit{}, MsgMapInstall{}} {
-		if wire.Registered(msg) {
-			t.Errorf("%T unexpectedly has a binary codec", msg)
+	sampled := map[string]any{}
+	for _, msg := range samples() {
+		sampled[reflect.TypeOf(msg).Name()] = msg
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "messages.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
 		}
+		name := spec.Name.Name
+		if _, isStruct := spec.Type.(*ast.StructType); !isStruct || !strings.HasPrefix(name, "Msg") {
+			return true
+		}
+		declared++
+		msg, ok := sampled[name]
+		switch {
+		case inProcessOnly[name] && ok:
+			t.Errorf("%s is listed in-process-only but has a sample: drop one", name)
+		case inProcessOnly[name]:
+		case !ok:
+			t.Errorf("%s has no entry in samples(): give it a wire codec and a sample, or list it in inProcessOnly", name)
+		case !wire.Registered(msg):
+			t.Errorf("%s has no wire codec: it would work on the mesh and fail on a socket", name)
+		}
+		return true
+	})
+	if want := len(sampled) + len(inProcessOnly); declared != want {
+		t.Errorf("messages.go declares %d Msg* structs, samples() and inProcessOnly cover %d", declared, want)
 	}
 }
 
-// TestWireKindsStable locks the kind bytes: they are wire format, shared
-// across versions in a mixed cluster. Append new kinds, never renumber.
+// TestWireKindsStable locks the kind bytes: they are wire format, and
+// core's stay inside its range 1–63 (package wire). Append new kinds,
+// never renumber.
 func TestWireKindsStable(t *testing.T) {
 	want := map[wire.Kind]wire.Kind{
 		wireKindInstall:          1,
@@ -217,25 +278,33 @@ func TestWireKindsStable(t *testing.T) {
 		wireKindCommitted:        22,
 		wireKindPing:             23,
 		wireKindPong:             24,
+		wireKindScan:             25,
+		wireKindScanResp:         26,
+		wireKindClientSubmit:     27,
+		wireKindClientSubmitResp: 28,
+		wireKindClientGet:        29,
+		wireKindClientGetResp:    30,
 	}
 	for got, w := range want {
 		if got != w {
 			t.Errorf("kind constant renumbered: got %d, want %d", got, w)
 		}
+		if got < 1 || got > 63 {
+			t.Errorf("kind %d is outside core's range 1-63", got)
+		}
 	}
 }
 
-// TestMessageGolden locks the full frame bytes of representative hot
-// messages. A mismatch means the wire format changed: that breaks mixed
-// clusters, so bump wire.Version instead of editing the bytes.
+// TestMessageGolden locks the full frame bytes of representative
+// messages. A mismatch means the wire format changed: bump wire.Version
+// instead of editing the bytes.
 func TestMessageGolden(t *testing.T) {
-	t.Run("MsgRead", func(t *testing.T) {
-		env := wire.Envelope{ID: 5, From: 2, Kind: 1, Msg: MsgRead{Key: "k1", Version: 9}}
-		b, _, err := wire.AppendEnvelope(nil, &env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []byte{
+	for _, tc := range []struct {
+		name string
+		env  wire.Envelope
+		want []byte
+	}{
+		{"MsgRead", wire.Envelope{ID: 5, From: 2, Kind: 1, Msg: MsgRead{Key: "k1", Version: 9}}, []byte{
 			0x8a, 0x80, 0x80, 0x00, // frame len 10
 			0x01,     // envelope kind: request
 			0x05,     // id 5
@@ -246,18 +315,8 @@ func TestMessageGolden(t *testing.T) {
 			'k', '1', // key
 			0x09, // version 9
 			0x00, // fwd = false
-		}
-		if !bytes.Equal(b, want) {
-			t.Errorf("golden mismatch:\n got % x\nwant % x", b, want)
-		}
-	})
-	t.Run("MsgGrant", func(t *testing.T) {
-		env := wire.Envelope{ID: 1, From: 6, Kind: 3, Msg: MsgGrant{E: 300}}
-		b, _, err := wire.AppendEnvelope(nil, &env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []byte{
+		}},
+		{"MsgGrant", wire.Envelope{ID: 1, From: 6, Kind: 3, Msg: MsgGrant{E: 300}}, []byte{
 			0x87, 0x80, 0x80, 0x00, // frame len 7
 			0x03,       // envelope kind: oneway
 			0x01,       // id 1
@@ -265,11 +324,79 @@ func TestMessageGolden(t *testing.T) {
 			0x00,       // flags: none
 			0x13,       // msgKind: wireKindGrant (19)
 			0xac, 0x02, // epoch 300
-		}
-		if !bytes.Equal(b, want) {
-			t.Errorf("golden mismatch:\n got % x\nwant % x", b, want)
-		}
-	})
+		}},
+		{"MsgScan", wire.Envelope{ID: 5, From: 2, Kind: 1, Msg: MsgScan{Prefix: "o:", Snapshot: 9}}, []byte{
+			0x89, 0x80, 0x80, 0x00, // frame len 9
+			0x01, 0x05, 0x02, 0x00, // request, id 5, from 2, no flags
+			0x19,           // msgKind: wireKindScan (25)
+			0x02, 'o', ':', // prefix
+			0x09, // snapshot 9
+		}},
+		{"MsgScanResp", wire.Envelope{ID: 5, From: 1, Kind: 2, Msg: MsgScanResp{Pairs: []kv.Pair{
+			{Key: "o:1", Value: kv.Value("a")}, {Key: "o:2"},
+		}}}, []byte{
+			0x91, 0x80, 0x80, 0x00, // frame len 17
+			0x02, 0x05, 0x01, 0x00, // response, id 5, from 1, no flags
+			0x1a,                // msgKind: wireKindScanResp (26)
+			0x02,                // two pairs
+			0x03, 'o', ':', '1', // key
+			0x01, 'a', // value
+			0x03, 'o', ':', '2', // key
+			0x00, // empty value
+		}},
+		{"MsgClientSubmit", wire.Envelope{ID: 6, From: 7, Kind: 1, Msg: MsgClientSubmit{
+			Writes:       []Write{{Key: "k", Functor: functor.Value(kv.Value("v"))}},
+			Requires:     []kv.Key{"i"},
+			WaitComputed: true,
+		}}, []byte{
+			0x94, 0x80, 0x80, 0x00, // frame len 20
+			0x01, 0x06, 0x07, 0x00, // request, id 6, from 7, no flags
+			0x1b,      // msgKind: wireKindClientSubmit (27)
+			0x01,      // one write
+			0x01, 'k', // key
+			0x01,      // functor present
+			0x01,      // f-type VALUE
+			0x00,      // no handler
+			0x01, 'v', // arg
+			0x00, 0x00, 0x00, // empty read set, recipients, dependent keys
+			0x01, 0x01, 'i', // requires {"i"}
+			0x01, // wait for compute
+		}},
+		{"MsgClientSubmitResp", wire.Envelope{ID: 6, Kind: 2, Msg: MsgClientSubmitResp{
+			Version: 300, Aborted: true, Reason: "no",
+		}}, []byte{
+			0x8b, 0x80, 0x80, 0x00, // frame len 11
+			0x02, 0x06, 0x00, 0x00, // response, id 6, from 0, no flags
+			0x1c,       // msgKind: wireKindClientSubmitResp (28)
+			0xac, 0x02, // version 300
+			0x01,           // aborted
+			0x02, 'n', 'o', // reason
+		}},
+		{"MsgClientGet", wire.Envelope{ID: 8, From: 7, Kind: 1, Msg: MsgClientGet{Key: "k", Snapshot: 9}}, []byte{
+			0x88, 0x80, 0x80, 0x00, // frame len 8
+			0x01, 0x08, 0x07, 0x00, // request, id 8, from 7, no flags
+			0x1d,      // msgKind: wireKindClientGet (29)
+			0x01, 'k', // key
+			0x09, // snapshot 9
+		}},
+		{"MsgClientGetResp", wire.Envelope{ID: 8, Kind: 2, Msg: MsgClientGetResp{Value: kv.Value("v"), Found: true}}, []byte{
+			0x88, 0x80, 0x80, 0x00, // frame len 8
+			0x02, 0x08, 0x00, 0x00, // response, id 8, from 0, no flags
+			0x1e,      // msgKind: wireKindClientGetResp (30)
+			0x01, 'v', // value
+			0x01, // found
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, _, err := wire.AppendEnvelope(nil, &tc.env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, tc.want) {
+				t.Errorf("golden mismatch:\n got % x\nwant % x", b, tc.want)
+			}
+		})
+	}
 }
 
 // Benchmark messages sized like a hot TPC-C steady state: a 16-read batch
@@ -349,4 +476,33 @@ func BenchmarkWireDecodeMsgInstall(b *testing.B) {
 			b.Fatal(r.Err())
 		}
 	}
+}
+
+// BenchmarkEnvelopeInstall measures what the flusher and the read loop
+// run: AppendEnvelope and DecodeEnvelope through the registry's wrappers,
+// which BenchmarkWire*Msg* above go beneath. alloc-guard holds enc at 0
+// allocs/op and dec at 8 (the message value, its slices and functors).
+func BenchmarkEnvelopeInstall(b *testing.B) {
+	env := wire.Envelope{ID: 7, From: 1, Kind: 1, Msg: benchInstall()}
+	frame, _, err := wire.AppendEnvelope(nil, &env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("enc", func(b *testing.B) {
+		buf := frame
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if buf, _, err = wire.AppendEnvelope(buf[:0], &env); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("dec", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := wire.DecodeEnvelope(frame[wire.FrameLenSize:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -151,9 +151,6 @@ type MsgShipEpoch struct {
 	Entries []wal.Entry
 }
 
-// RegisterMessages registers replication messages for the TCP transport.
-func RegisterMessages() { transport.RegisterType(MsgShipEpoch{}) }
-
 // RemoteSink ships epochs to a backup node over the transport. Shipments
 // are synchronous calls so the primary learns about a dead backup at the
 // epoch boundary rather than silently diverging.

@@ -171,32 +171,38 @@ func TestPrimaryBackupFailover(t *testing.T) {
 
 func TestRemoteShippingOverTransport(t *testing.T) {
 	RegisterMessages()
-	net := transport.NewMemNetwork()
-	defer net.Close()
-	backup, err := NewBackupNode(net, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backup.Close()
-	conn, err := net.Node(0, func(context.Context, transport.NodeID, any) (any, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	shipper := NewShipper(NewRemoteSink(conn, 100))
-	if err := shipper.LogInstall(ts(1, 1), "k", functor.Value(kv.Value("remote"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := shipper.LogEpochCommitted(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	store, last := backup.Backup.Promote()
-	if last != 1 {
-		t.Errorf("backup epoch = %d, want 1", last)
-	}
-	rec, ok := store.At("k", ts(1, 1))
-	if !ok || string(rec.Functor.Arg) != "remote" {
-		t.Error("remote shipment not applied")
+	for name, net := range map[string]transport.Network{
+		"mem": transport.NewMemNetwork(),
+		"tcp": transport.NewTCPNetwork(map[transport.NodeID]string{0: "127.0.0.1:0", 100: "127.0.0.1:0"}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer net.Close()
+			backup, err := NewBackupNode(net, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer backup.Close()
+			conn, err := net.Node(0, func(context.Context, transport.NodeID, any) (any, error) { return nil, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			shipper := NewShipper(NewRemoteSink(conn, 100))
+			if err := shipper.LogInstall(ts(1, 1), "k", functor.Value(kv.Value("remote"))); err != nil {
+				t.Fatal(err)
+			}
+			if err := shipper.LogEpochCommitted(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+			store, last := backup.Backup.Promote()
+			if last != 1 {
+				t.Errorf("backup epoch = %d, want 1", last)
+			}
+			rec, ok := store.At("k", ts(1, 1))
+			if !ok || string(rec.Functor.Arg) != "remote" {
+				t.Error("remote shipment not applied")
+			}
+		})
 	}
 }
 

@@ -51,13 +51,6 @@ func chaosPort(name, summary string, attrs []string, shape func(cfg *chaos.Scena
 }
 
 func registerChaos(r *scenario.Registry) {
-	tcpProbs := func(cfg *chaos.ScenarioConfig) {
-		// TCP RPCs are slower; the in-memory fault mix would mostly
-		// measure retry latency (same tuning as TestChaosOverTCP).
-		probs := chaos.DefaultProbabilities()
-		probs.DropCall, probs.DropSend = 0.01, 0.03
-		cfg.Probabilities = &probs
-	}
 	r.MustRegister(chaosPort("chaos-quick",
 		"oracle-checked fault injection with link chaos on the in-memory transport",
 		[]string{"chaos", "smoke"},
@@ -69,11 +62,14 @@ func registerChaos(r *scenario.Registry) {
 	r.MustRegister(chaosPort("chaos-tcp",
 		"oracle-checked fault injection over real TCP sockets",
 		[]string{"chaos", "net"},
-		func(cfg *chaos.ScenarioConfig) { cfg.TCP = true; tcpProbs(cfg) }))
-	r.MustRegister(chaosPort("chaos-mixed-codec",
-		"fault injection across a rolling codec upgrade (binary and gob peers)",
-		[]string{"chaos", "net"},
-		func(cfg *chaos.ScenarioConfig) { cfg.TCP = true; cfg.WireCodec = "mixed"; tcpProbs(cfg) }))
+		func(cfg *chaos.ScenarioConfig) {
+			cfg.TCP = true
+			// TCP RPCs are slower; the in-memory fault mix would mostly
+			// measure retry latency (same tuning as TestChaosOverTCP).
+			probs := chaos.DefaultProbabilities()
+			probs.DropCall, probs.DropSend = 0.01, 0.03
+			cfg.Probabilities = &probs
+		}))
 	r.MustRegister(chaosPort("chaos-migrate",
 		"live key migration racing the workload under faults",
 		[]string{"chaos", "migration"},

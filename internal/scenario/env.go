@@ -30,13 +30,8 @@ import (
 type EnvConfig struct {
 	// Servers is the cluster size. Required.
 	Servers int
-	// Transport selects "mem" (default) or "tcp" (real loopback sockets
-	// with the binary wire codec).
+	// Transport selects "mem" (default) or "tcp" (real loopback sockets).
 	Transport string
-	// WireCodec selects the TCP wire encoding: "binary" (default), "gob",
-	// or "mixed" (even nodes binary, odd nodes gob — the rolling-upgrade
-	// handshake path).
-	WireCodec string
 	// NetLatency/NetJitter add simulated one-way delay to the in-memory
 	// transport ("mem" only).
 	NetLatency time.Duration
@@ -235,23 +230,7 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 		for i := 0; i < cfg.Servers; i++ {
 			addrs[transport.NodeID(i)] = "127.0.0.1:0"
 		}
-		var opts []transport.TCPOption
-		switch cfg.WireCodec {
-		case "", "binary":
-			opts = append(opts, transport.WithCodec(transport.CodecBinary))
-		case "gob":
-			opts = append(opts, transport.WithCodec(transport.CodecGob))
-		case "mixed":
-			opts = append(opts, transport.WithCodecFor(func(id transport.NodeID) transport.Codec {
-				if id%2 == 0 {
-					return transport.CodecBinary
-				}
-				return transport.CodecGob
-			}))
-		default:
-			return nil, fmt.Errorf("scenario: unknown wire codec %q", cfg.WireCodec)
-		}
-		inner = transport.NewTCPNetwork(addrs, opts...)
+		inner = transport.NewTCPNetwork(addrs)
 	default:
 		return nil, fmt.Errorf("scenario: unknown transport %q", cfg.Transport)
 	}

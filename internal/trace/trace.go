@@ -23,8 +23,8 @@
 //     after the span itself.
 //
 // Trace context crosses nodes through transport.Conn: the in-memory mesh
-// carries it as a context.Context value, the TCP mesh as an extra
-// gob-framed envelope field. Handlers receive it in their context and
+// carries it as a context.Context value, the TCP mesh as a flag-gated
+// field of the wire envelope. Handlers receive it in their context and
 // continue the trace with Start.
 package trace
 

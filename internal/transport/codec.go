@@ -2,56 +2,12 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
-	"fmt"
 	"io"
 	"sync"
 	"time"
 
 	"alohadb/internal/wire"
 )
-
-// Codec selects the wire encoding a node uses when dialing peers.
-//
-// Inbound connections always auto-detect the sender's codec (a binary
-// stream opens with wire.Preamble, whose leading zero byte cannot begin
-// a gob stream) and the reply path mirrors it, so nodes configured with
-// different codecs interoperate — the property mixed-codec chaos
-// scenarios and rolling upgrades rely on.
-type Codec uint8
-
-const (
-	// CodecBinary is the default: the hand-rolled length-prefixed format
-	// of internal/wire, zero-allocation steady state, with a gob escape
-	// hatch for message types without a registered codec.
-	CodecBinary Codec = iota
-	// CodecGob is the legacy reflective gob stream.
-	CodecGob
-)
-
-// String names the codec for flags and logs.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("Codec(%d)", uint8(c))
-	}
-}
-
-// ParseCodec parses a codec name as used by the -wire-codec flag.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return CodecBinary, fmt.Errorf("transport: unknown wire codec %q (want binary or gob)", s)
-	}
-}
 
 // Outbound envelopes are pooled: Call/Send take one, the peer's flusher
 // returns it after encoding. An envelope that never reaches the queue
@@ -71,33 +27,10 @@ func putEnvelope(e *envelope) {
 // two time.Now calls on every message of a saturated link.
 const codecSampleMask = 63
 
-// envEncoder abstracts the flusher's encode/flush cycle over the codecs.
-type envEncoder interface {
-	encode(e *envelope) error
-	buffered() int
-	flush() error
-}
-
-// gobEnvEncoder is the legacy path: one persistent reflective gob stream
-// over a buffered writer.
-type gobEnvEncoder struct {
-	bw  *bufio.Writer
-	enc *gob.Encoder
-}
-
-func newGobEnvEncoder(w io.Writer, size int) *gobEnvEncoder {
-	bw := bufio.NewWriterSize(w, size)
-	return &gobEnvEncoder{bw: bw, enc: gob.NewEncoder(bw)}
-}
-
-func (g *gobEnvEncoder) encode(e *envelope) error { return g.enc.Encode(e) }
-func (g *gobEnvEncoder) buffered() int            { return g.bw.Buffered() }
-func (g *gobEnvEncoder) flush() error             { return g.bw.Flush() }
-
-// binEnvEncoder encodes envelopes with the wire codec straight into one
+// frameEncoder encodes envelopes with the wire codec straight into one
 // reusable coalescing buffer, flushed with a single socket write. The
 // stream preamble rides ahead of the first frame in the same write.
-type binEnvEncoder struct {
+type frameEncoder struct {
 	w     io.Writer
 	m     *Metrics
 	buf   []byte
@@ -105,47 +38,33 @@ type binEnvEncoder struct {
 	n     uint64
 }
 
-func newBinEnvEncoder(w io.Writer, m *Metrics, limit int) *binEnvEncoder {
-	b := &binEnvEncoder{w: w, m: m, limit: limit}
+func newFrameEncoder(w io.Writer, m *Metrics, limit int) *frameEncoder {
+	b := &frameEncoder{w: w, m: m, limit: limit}
 	b.buf = append(make([]byte, 0, limit+4096), wire.Preamble[:]...)
 	return b
 }
 
-func (b *binEnvEncoder) encode(e *envelope) error {
-	wenv := wire.Envelope{
-		ID:      e.ID,
-		From:    int(e.From),
-		Kind:    e.Kind,
-		ErrText: e.ErrText,
-		Trace:   e.Trace,
-		Msg:     e.Payload,
-	}
+func (b *frameEncoder) encode(e *envelope) error {
 	before := len(b.buf)
-	var (
-		gobFallback bool
-		err         error
-	)
+	var err error
 	if b.n&codecSampleMask == 0 {
 		start := time.Now()
-		b.buf, gobFallback, err = wire.AppendEnvelope(b.buf, &wenv)
+		b.buf, _, err = wire.AppendEnvelope(b.buf, e)
 		b.m.codecEncHist.ObserveDuration(time.Since(start))
 	} else {
-		b.buf, gobFallback, err = wire.AppendEnvelope(b.buf, &wenv)
+		b.buf, _, err = wire.AppendEnvelope(b.buf, e)
 	}
 	b.n++
 	if err != nil {
 		return err
 	}
-	if gobFallback {
-		b.m.codecGobFallback.Inc()
-	}
 	b.m.codecFrameBytes.Add(uint64(len(b.buf) - before))
 	return nil
 }
 
-func (b *binEnvEncoder) buffered() int { return len(b.buf) }
+func (b *frameEncoder) buffered() int { return len(b.buf) }
 
-func (b *binEnvEncoder) flush() error {
+func (b *frameEncoder) flush() error {
 	if len(b.buf) == 0 {
 		return nil
 	}
@@ -159,29 +78,31 @@ func (b *binEnvEncoder) flush() error {
 	return err
 }
 
-// envDecoder abstracts the read loops over the codecs. decode fills env
-// in place; implementations reset it first, so one envelope is reused
-// for a connection's lifetime (dispatch copies it by value).
-type envDecoder interface {
-	decode(env *envelope) error
-}
-
-type gobEnvDecoder struct{ dec *gob.Decoder }
-
-func (g *gobEnvDecoder) decode(env *envelope) error {
-	// Gob omits zero fields on the wire, so a reused struct must be
-	// cleared or stale fields of the previous message bleed through.
-	*env = envelope{}
-	return g.dec.Decode(env)
-}
-
-type binEnvDecoder struct {
+// frameDecoder reads one inbound stream, a frame per decode, into an
+// envelope the caller reuses for the connection's lifetime (dispatch
+// copies it by value; decode sets every field).
+type frameDecoder struct {
 	br *bufio.Reader
 	m  *Metrics
 	n  uint64
 }
 
-func (b *binEnvDecoder) decode(env *envelope) error {
+// newFrameDecoder consumes and validates the stream preamble. What arrives
+// on a socket is outside input: a stream that opens with anything else is
+// refused, and the caller closes the connection.
+func newFrameDecoder(r io.Reader, m *Metrics, size int) (*frameDecoder, error) {
+	br := bufio.NewReaderSize(countingReader{r: r, m: m}, size)
+	var pre [len(wire.Preamble)]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		return nil, err
+	}
+	if err := wire.CheckPreamble(pre[:]); err != nil {
+		return nil, err
+	}
+	return &frameDecoder{br: br, m: m}, nil
+}
+
+func (b *frameDecoder) decode(env *envelope) error {
 	var lenbuf [wire.FrameLenSize]byte
 	if _, err := io.ReadFull(b.br, lenbuf[:]); err != nil {
 		return err
@@ -197,45 +118,13 @@ func (b *binEnvDecoder) decode(env *envelope) error {
 	if _, err := io.ReadFull(b.br, buf); err != nil {
 		return err
 	}
-	var wenv wire.Envelope
 	if b.n&codecSampleMask == 0 {
 		start := time.Now()
-		wenv, err = wire.DecodeEnvelope(buf)
+		*env, err = wire.DecodeEnvelope(buf)
 		b.m.codecDecHist.ObserveDuration(time.Since(start))
 	} else {
-		wenv, err = wire.DecodeEnvelope(buf)
+		*env, err = wire.DecodeEnvelope(buf)
 	}
 	b.n++
-	if err != nil {
-		return err
-	}
-	env.ID = wenv.ID
-	env.From = NodeID(wenv.From)
-	env.Kind = wenv.Kind
-	env.ErrText = wenv.ErrText
-	env.Trace = wenv.Trace
-	env.Payload = wenv.Msg
-	return nil
-}
-
-// negotiateDecoder inspects the first byte of an inbound stream to tell
-// a binary peer from a legacy gob peer, consuming and validating the
-// preamble when present. The returned codec is mirrored by the reply
-// path of the same connection.
-func negotiateDecoder(br *bufio.Reader, m *Metrics) (envDecoder, Codec, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, CodecGob, err
-	}
-	if first[0] == wire.PreambleByte {
-		var pre [4]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			return nil, CodecBinary, err
-		}
-		if err := wire.CheckPreamble(pre[:]); err != nil {
-			return nil, CodecBinary, err
-		}
-		return &binEnvDecoder{br: br, m: m}, CodecBinary, nil
-	}
-	return &gobEnvDecoder{dec: gob.NewDecoder(br)}, CodecGob, nil
+	return err
 }

@@ -31,20 +31,16 @@ const (
 	FamEnvelopesPerFlush = "aloha_transport_envelopes_per_flush"
 	// FamFlushBytes is the encoded size of each buffered flush (TCP only).
 	FamFlushBytes = "aloha_transport_flush_bytes"
-	// FamCodecEncodeSeconds is the binary codec's per-envelope encode
+	// FamCodecEncodeSeconds is the wire codec's per-envelope encode
 	// latency, subsampled 1-in-64 so the clock reads stay off the
-	// saturated hot path (TCP binary codec only).
+	// saturated hot path (TCP only).
 	FamCodecEncodeSeconds = "aloha_codec_encode_seconds"
 	// FamCodecDecodeSeconds is the per-envelope decode latency of the
-	// binary codec, subsampled 1-in-64 (TCP binary codec only).
+	// wire codec, subsampled 1-in-64 (TCP only).
 	FamCodecDecodeSeconds = "aloha_codec_decode_seconds"
 	// FamCodecFrameBytes counts bytes produced by the binary codec's
 	// encoder (frame headers + payloads, before socket buffering).
 	FamCodecFrameBytes = "aloha_codec_frame_bytes_total"
-	// FamCodecGobFallback counts envelopes whose payload type had no
-	// registered binary codec and rode the gob escape hatch. A nonzero
-	// rate on a steady-state workload means a hot message lost its codec.
-	FamCodecGobFallback = "aloha_codec_gob_fallback_total"
 )
 
 // Metrics instruments one network: message and byte counters plus the
@@ -52,19 +48,18 @@ const (
 // mesh; all record paths are atomic and allocation-free, keeping the
 // zero-latency in-memory fast path (a plain function call) intact.
 type Metrics struct {
-	msgsSent         metrics.Counter
-	msgsRecv         metrics.Counter
-	bytesSent        metrics.Counter
-	bytesRecv        metrics.Counter
-	socketWrites     metrics.Counter
-	codecFrameBytes  metrics.Counter
-	codecGobFallback metrics.Counter
-	callHist         *metrics.Histogram
-	queueDepth       *metrics.Histogram
-	perFlush         *metrics.Histogram
-	flushBytes       *metrics.Histogram
-	codecEncHist     *metrics.Histogram
-	codecDecHist     *metrics.Histogram
+	msgsSent        metrics.Counter
+	msgsRecv        metrics.Counter
+	bytesSent       metrics.Counter
+	bytesRecv       metrics.Counter
+	socketWrites    metrics.Counter
+	codecFrameBytes metrics.Counter
+	callHist        *metrics.Histogram
+	queueDepth      *metrics.Histogram
+	perFlush        *metrics.Histogram
+	flushBytes      *metrics.Histogram
+	codecEncHist    *metrics.Histogram
+	codecDecHist    *metrics.Histogram
 }
 
 // NewMetrics returns an empty instrument set.
@@ -100,9 +95,9 @@ func (m *Metrics) MsgsSent() uint64 { return m.msgsSent.Value() }
 // (0 on the in-memory mesh).
 func (m *Metrics) SocketWrites() uint64 { return m.socketWrites.Value() }
 
-// GobFallbacks returns how many envelopes rode the binary codec's gob
-// escape hatch; codec tests assert it stays zero on hot-message traffic.
-func (m *Metrics) GobFallbacks() uint64 { return m.codecGobFallback.Value() }
+// GobFallbacks is always 0: bench/layers.go reads it, and the next
+// benchmark PR deletes it with the wire.gob_fallbacks row.
+func (m *Metrics) GobFallbacks() uint64 { return 0 }
 
 // MetricFamilies returns the network's metric snapshot.
 func (m *Metrics) MetricFamilies() []metrics.Family {
@@ -129,7 +124,6 @@ func (m *Metrics) MetricFamilies() []metrics.Family {
 		hist(FamEnvelopesPerFlush, "Envelopes coalesced into each buffered flush (TCP transport).", metrics.UnitNone, m.perFlush),
 		hist(FamFlushBytes, "Encoded bytes per buffered flush (TCP transport).", metrics.UnitNone, m.flushBytes),
 		counter(FamCodecFrameBytes, "Bytes produced by the binary wire codec's encoder.", &m.codecFrameBytes),
-		counter(FamCodecGobFallback, "Envelopes that rode the gob escape hatch of the binary codec.", &m.codecGobFallback),
 		hist(FamCodecEncodeSeconds, "Binary codec per-envelope encode latency (1-in-64 sampled).", metrics.UnitSeconds, m.codecEncHist),
 		hist(FamCodecDecodeSeconds, "Binary codec per-envelope decode latency (1-in-64 sampled).", metrics.UnitSeconds, m.codecDecHist),
 	}

@@ -7,13 +7,23 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"alohadb/internal/wire"
 )
 
 type blob struct{ Data []byte }
 
-func init() { RegisterType(blob{}) }
+func init() {
+	wire.Register(kindBlob, blob{},
+		func(dst []byte, msg any) []byte { return wire.AppendBytes(dst, msg.(blob).Data) },
+		func(b []byte) (any, error) {
+			r := wire.NewReader(b)
+			m := blob{Data: r.Bytes()}
+			return m, r.Err()
+		})
+}
 
-// TestLargePayloadOverTCP pushes a multi-megabyte gob frame through the
+// TestLargePayloadOverTCP pushes a multi-megabyte frame through the
 // wire protocol (epoch-batched installs can be large).
 func TestLargePayloadOverTCP(t *testing.T) {
 	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})

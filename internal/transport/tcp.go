@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bufio"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -13,14 +11,8 @@ import (
 	"time"
 
 	"alohadb/internal/trace"
+	"alohadb/internal/wire"
 )
-
-// RegisterType makes a concrete message type encodable by the gob paths
-// of the TCP transport: the legacy CodecGob stream and the binary
-// envelope's escape hatch for cold messages. Hot messages additionally
-// register explicit binary codecs with internal/wire (see
-// core.RegisterMessages); the in-memory transport needs no registration.
-func RegisterType(v any) { gob.Register(v) }
 
 const (
 	kindRequest uint8 = iota + 1
@@ -28,17 +20,8 @@ const (
 	kindOneway
 )
 
-type envelope struct {
-	ID      uint64
-	From    NodeID
-	Kind    uint8
-	ErrText string
-	// Trace is the sender's trace context; the zero value (untraced) costs
-	// three zero fields on the wire. Being a concrete struct it needs no
-	// gob registration.
-	Trace   trace.SpanContext
-	Payload any
-}
+// envelope is the wire's own: queues and read loops hand it to the codec as is.
+type envelope = wire.Envelope
 
 // Write-path defaults. The flush threshold matches bufio's sweet spot for
 // loopback and data-center MTU trains; the queue bound provides
@@ -55,7 +38,6 @@ type tcpConfig struct {
 	flushInterval  time.Duration
 	sendQueue      int
 	inboundWorkers int
-	codecFor       func(NodeID) Codec
 }
 
 // TCPOption configures a TCPNetwork.
@@ -104,30 +86,12 @@ func WithInboundWorkers(n int) TCPOption {
 	}
 }
 
-// WithCodec sets the wire codec this process's nodes use when dialing
-// peers (default CodecBinary). Inbound connections always auto-detect
-// the sender's codec and replies mirror it, so meshes with differently
-// configured nodes interoperate.
-func WithCodec(codec Codec) TCPOption {
-	return func(c *tcpConfig) { c.codecFor = func(NodeID) Codec { return codec } }
-}
-
-// WithCodecFor sets the dialing codec per destination node — the hook
-// mixed-codec chaos scenarios use to pin half the mesh on each codec.
-func WithCodecFor(f func(NodeID) Codec) TCPOption {
-	return func(c *tcpConfig) {
-		if f != nil {
-			c.codecFor = f
-		}
-	}
-}
-
 // TCPNetwork is a mesh over TCP with a static address book. Each attached
 // node listens on its own address; peers dial lazily and keep one
 // connection per direction. Messages are length-prefixed binary envelopes
-// (internal/wire; gob with WithCodec(CodecGob)), coalesced per peer:
-// senders enqueue onto a bounded per-peer queue and a dedicated flusher
-// encodes many envelopes into one buffer per socket write.
+// (internal/wire), coalesced per peer: senders enqueue onto a bounded
+// per-peer queue and a dedicated flusher encodes many envelopes into one
+// buffer per socket write.
 type TCPNetwork struct {
 	addrs   map[NodeID]string
 	cfg     tcpConfig
@@ -148,7 +112,6 @@ func NewTCPNetwork(addrs map[NodeID]string, opts ...TCPOption) *TCPNetwork {
 		flushBytes:     defaultFlushBytes,
 		sendQueue:      defaultSendQueue,
 		inboundWorkers: defaultInboundWorkers,
-		codecFor:       func(NodeID) Codec { return CodecBinary },
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -298,12 +261,6 @@ type tcpPeer struct {
 	sendq chan *envelope
 	dead  chan struct{}
 	once  sync.Once
-	// codec is the encoding of this peer's outbound stream. Dialed peers
-	// set it from the mesh config before the flusher starts; inbound
-	// reply peers learn it from the connection's negotiated inbound codec,
-	// which serveInbound stores before any request can be dispatched (and
-	// therefore before any reply can be enqueued).
-	codec atomic.Uint32
 }
 
 func newTCPPeer(conn net.Conn, queue int) *tcpPeer {
@@ -390,7 +347,7 @@ func (c *tcpConn) acceptLoop() {
 
 // serveInbound reads requests from one accepted connection and dispatches
 // them to the worker pool; responses ride the same connection through the
-// peer's flusher, mirroring the codec the sender negotiated.
+// peer's flusher.
 func (c *tcpConn) serveInbound(conn net.Conn, out *tcpPeer) {
 	defer c.wg.Done()
 	defer func() {
@@ -399,14 +356,10 @@ func (c *tcpConn) serveInbound(conn net.Conn, out *tcpPeer) {
 		delete(c.inbound, conn)
 		c.inboundMu.Unlock()
 	}()
-	br := bufio.NewReaderSize(countingReader{r: conn, m: c.net.metrics}, c.net.cfg.flushBytes)
-	dec, codec, err := negotiateDecoder(br, c.net.metrics)
+	dec, err := newFrameDecoder(conn, c.net.metrics, c.net.cfg.flushBytes)
 	if err != nil {
 		return
 	}
-	out.codec.Store(uint32(codec))
-	// One envelope is reused for the connection's lifetime; dispatch
-	// copies it by value, and both decoders reset it per frame.
 	env := new(envelope)
 	for {
 		if err := dec.decode(env); err != nil {
@@ -459,18 +412,21 @@ func (c *tcpConn) handleInbound(req inboundReq) {
 	env := &req.env
 	ctx := trace.ContextWith(context.Background(), env.Trace)
 	if req.out == nil {
-		_, _ = c.handler(ctx, env.From, env.Payload)
+		_, _ = c.handler(ctx, NodeID(env.From), env.Msg)
 		return
 	}
-	resp, err := c.handler(ctx, env.From, env.Payload)
+	resp, err := c.handler(ctx, NodeID(env.From), env.Msg)
+	if err == nil {
+		err = checkEncodable(resp)
+	}
 	reply := getEnvelope()
 	reply.ID = env.ID
-	reply.From = c.id
+	reply.From = int(c.id)
 	reply.Kind = kindResponse
-	reply.Payload = resp
+	reply.Msg = resp
 	if err != nil {
 		reply.ErrText = err.Error()
-		reply.Payload = nil
+		reply.Msg = nil
 	}
 	if req.out.enqueue(reply, c.net.metrics) != nil {
 		putEnvelope(reply) // never reached the queue
@@ -478,7 +434,7 @@ func (c *tcpConn) handleInbound(req inboundReq) {
 }
 
 // flushLoop is the peer's dedicated writer: it drains the send queue
-// through the peer's codec into a coalescing buffer and flushes many
+// through the wire codec into a coalescing buffer and flushes many
 // envelopes per socket write. A flush happens when the queue momentarily
 // drains (plus an optional linger window) or when flushBytes of encoded
 // data accumulate. onErr, when non-nil, reports a write failure (outbound
@@ -487,24 +443,13 @@ func (c *tcpConn) handleInbound(req inboundReq) {
 func (c *tcpConn) flushLoop(p *tcpPeer, onErr func(error)) {
 	defer c.wg.Done()
 	cfg := c.net.cfg
-	// The encoder is created at the first envelope, not at connection
-	// start: an inbound reply peer only learns its codec once the serve
-	// loop has negotiated the connection's inbound stream, which strictly
-	// precedes the first enqueued reply.
-	var enc envEncoder
+	enc := newFrameEncoder(countingWriter{w: p.conn, m: c.net.metrics}, c.net.metrics, cfg.flushBytes)
 	for {
 		var env *envelope
 		select {
 		case env = <-p.sendq:
 		case <-p.dead:
 			return
-		}
-		if enc == nil {
-			if Codec(p.codec.Load()) == CodecGob {
-				enc = newGobEnvEncoder(countingWriter{w: p.conn, m: c.net.metrics}, cfg.flushBytes)
-			} else {
-				enc = newBinEnvEncoder(countingWriter{w: p.conn, m: c.net.metrics}, c.net.metrics, cfg.flushBytes)
-			}
 		}
 		var err error
 		batch := 0
@@ -577,13 +522,9 @@ func (c *tcpConn) flushLoop(p *tcpPeer, onErr func(error)) {
 }
 
 // readResponses consumes responses arriving on an outbound connection.
-// The response stream's codec mirrors what this node dialed with, but it
-// is negotiated from the stream itself — responders always prefix binary
-// response streams with the preamble — so the reader never guesses.
 func (c *tcpConn) readResponses(to NodeID, conn net.Conn) {
 	defer c.wg.Done()
-	br := bufio.NewReaderSize(countingReader{r: conn, m: c.net.metrics}, c.net.cfg.flushBytes)
-	dec, _, err := negotiateDecoder(br, c.net.metrics)
+	dec, err := newFrameDecoder(conn, c.net.metrics, c.net.cfg.flushBytes)
 	if err != nil {
 		c.dropPeer(to, err)
 		return
@@ -599,7 +540,7 @@ func (c *tcpConn) readResponses(to NodeID, conn net.Conn) {
 			continue
 		}
 		if ch, ok := c.pending.LoadAndDelete(env.ID); ok {
-			res := callResult{payload: env.Payload}
+			res := callResult{payload: env.Msg}
 			if env.ErrText != "" {
 				res.err = fmt.Errorf("%w: %s", ErrRemote, env.ErrText)
 			}
@@ -647,7 +588,6 @@ func (c *tcpConn) peerFor(to NodeID) (*tcpPeer, error) {
 		return nil, fmt.Errorf("transport: dial node %d (%s): %w", to, addr, err)
 	}
 	p := newTCPPeer(conn, c.net.cfg.sendQueue)
-	p.codec.Store(uint32(c.net.cfg.codecFor(to)))
 	c.peers[to] = p
 	c.wg.Add(2)
 	go c.readResponses(to, conn)
@@ -655,9 +595,22 @@ func (c *tcpConn) peerFor(to NodeID) (*tcpPeer, error) {
 	return p, nil
 }
 
+// checkEncodable refuses a payload the flusher could not encode: there an
+// encode failure kills the link like a dead socket, under every other
+// caller; a type nobody registered must fail only the call that carries it.
+func checkEncodable(payload any) error {
+	if payload == nil || wire.Registered(payload) {
+		return nil
+	}
+	return fmt.Errorf("transport: no wire codec registered for %T", payload)
+}
+
 func (c *tcpConn) Call(ctx context.Context, to NodeID, req any) (any, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
+	}
+	if err := checkEncodable(req); err != nil {
+		return nil, err
 	}
 	p, err := c.peerFor(to)
 	if err != nil {
@@ -674,10 +627,10 @@ func (c *tcpConn) Call(ctx context.Context, to NodeID, req any) (any, error) {
 	}
 	env := getEnvelope()
 	env.ID = id
-	env.From = c.id
+	env.From = int(c.id)
 	env.Kind = kindRequest
 	env.Trace = trace.FromContext(ctx)
-	env.Payload = req
+	env.Msg = req
 	if err := p.enqueue(env, c.net.metrics); err != nil {
 		putEnvelope(env) // never reached the queue
 		c.pending.Delete(id)
@@ -699,15 +652,18 @@ func (c *tcpConn) Send(ctx context.Context, to NodeID, req any) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
+	if err := checkEncodable(req); err != nil {
+		return err
+	}
 	p, err := c.peerFor(to)
 	if err != nil {
 		return err
 	}
 	env := getEnvelope()
-	env.From = c.id
+	env.From = int(c.id)
 	env.Kind = kindOneway
 	env.Trace = trace.FromContext(ctx)
-	env.Payload = req
+	env.Msg = req
 	if err := p.enqueue(env, c.net.metrics); err != nil {
 		putEnvelope(env) // never reached the queue
 		return fmt.Errorf("transport: send to node %d: %w", to, err)

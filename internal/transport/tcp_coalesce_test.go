@@ -87,7 +87,7 @@ func TestCallsCoalesceSocketWrites(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	burst() // warm up: dial, ship gob type descriptors
+	burst() // warm up: dial, ship the preambles
 	w0 := reqNet.NetMetrics().SocketWrites()
 	for b := 0; b < bursts; b++ {
 		burst()

@@ -2,8 +2,10 @@
 // servers (and the Calvin baseline). Two implementations share one
 // interface: an in-memory network with configurable latency/jitter
 // injection used by the simulated clusters in tests and benchmarks, and a
-// TCP network with gob-framed messages used by the multi-process
-// deployment (cmd/aloha-server).
+// TCP network used by the multi-process deployment (cmd/aloha-server).
+// Over TCP every message is a length-prefixed binary frame of
+// internal/wire, the one codec; a message type must be registered there
+// before it can be sent, and Call/Send refuse one that is not.
 //
 // The model is a symmetric node mesh: every node registers one handler and
 // obtains a Conn through which it can Call (request/response) or Send

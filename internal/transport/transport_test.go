@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,14 +12,34 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"alohadb/internal/wire"
 )
 
 type ping struct{ N int }
 type pong struct{ N int }
 
+// Wire kinds of this package's test messages (the test range, >= 200).
+const (
+	kindPing wire.Kind = 200 + iota
+	kindPong
+	kindBlob
+	kindHotPing
+	kindHotPong
+)
+
 func init() {
-	RegisterType(ping{})
-	RegisterType(pong{})
+	decN := func(b []byte) (int, error) {
+		r := wire.NewReader(b)
+		n := int(int64(r.Uvarint()))
+		return n, r.Err()
+	}
+	wire.Register(kindPing, ping{},
+		func(dst []byte, msg any) []byte { return binary.AppendUvarint(dst, uint64(msg.(ping).N)) },
+		func(b []byte) (any, error) { n, err := decN(b); return ping{N: n}, err })
+	wire.Register(kindPong, pong{},
+		func(dst []byte, msg any) []byte { return binary.AppendUvarint(dst, uint64(msg.(pong).N)) },
+		func(b []byte) (any, error) { n, err := decN(b); return pong{N: n}, err })
 }
 
 // echoHandler responds to ping{N} with pong{N+1} and errors on N < 0.

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -182,9 +181,7 @@ func TestRecoverLinearInChainLength(t *testing.T) {
 			}
 			// The marker alone, without its fsync: 200 of those would be
 			// most of the test's run time.
-			var marker [4]byte
-			binary.BigEndian.PutUint32(marker[:], uint32(e))
-			if err := l.append(KindEpochCommitted, marker[:]); err != nil {
+			if err := l.append(Entry{Kind: KindEpochCommitted, Epoch: e}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -119,26 +119,37 @@ func (l *Log) MetricFamilies() []metrics.Family {
 // Path returns the log file path.
 func (l *Log) Path() string { return l.path }
 
+// AppendEntry appends e's record payload to dst: what Log frames behind
+// e.Kind on disk and what a primary ships to its backup
+// (replica.MsgShipEpoch), one format for both. DecodeEntry is its inverse.
+func AppendEntry(dst []byte, e Entry) []byte {
+	switch e.Kind {
+	case KindInstall:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Version))
+		dst = binary.AppendUvarint(dst, uint64(len(e.Key)))
+		dst = append(dst, e.Key...)
+		dst = functor.AppendFunctor(dst, e.Functor)
+	case KindAbort:
+		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Version))
+		dst = binary.AppendUvarint(dst, uint64(len(e.Keys)))
+		for _, k := range e.Keys {
+			dst = binary.AppendUvarint(dst, uint64(len(k)))
+			dst = append(dst, k...)
+		}
+	case KindEpochCommitted:
+		dst = binary.BigEndian.AppendUint32(dst, uint32(e.Epoch))
+	}
+	return dst
+}
+
 // LogInstall implements core.DurabilityHook.
 func (l *Log) LogInstall(version tstamp.Timestamp, key kv.Key, fn *functor.Functor) error {
-	payload := make([]byte, 0, 64)
-	payload = binary.BigEndian.AppendUint64(payload, uint64(version))
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = functor.AppendFunctor(payload, fn)
-	return l.append(KindInstall, payload)
+	return l.append(Entry{Kind: KindInstall, Version: version, Key: key, Functor: fn})
 }
 
 // LogAbort implements core.DurabilityHook.
 func (l *Log) LogAbort(version tstamp.Timestamp, keys []kv.Key) error {
-	payload := make([]byte, 0, 64)
-	payload = binary.BigEndian.AppendUint64(payload, uint64(version))
-	payload = binary.AppendUvarint(payload, uint64(len(keys)))
-	for _, k := range keys {
-		payload = binary.AppendUvarint(payload, uint64(len(k)))
-		payload = append(payload, k...)
-	}
-	return l.append(KindAbort, payload)
+	return l.append(Entry{Kind: KindAbort, Version: version, Keys: keys})
 }
 
 // LogEpochCommitted implements core.DurabilityHook: append the marker and
@@ -146,18 +157,17 @@ func (l *Log) LogAbort(version tstamp.Timestamp, keys []kv.Key) error {
 // (the amortization that lets ECC log at memory speed). The context carries
 // the epoch-commit trace; the fsync itself is not cancellable mid-call.
 func (l *Log) LogEpochCommitted(ctx context.Context, e tstamp.Epoch) error {
-	var payload [4]byte
-	binary.BigEndian.PutUint32(payload[:], uint32(e))
-	if err := l.append(KindEpochCommitted, payload[:]); err != nil {
+	if err := l.append(Entry{Kind: KindEpochCommitted, Epoch: e}); err != nil {
 		return err
 	}
 	return l.Sync()
 }
 
 // append frames one record: crc32(kind|len|payload) kind len payload.
-func (l *Log) append(kind EntryKind, payload []byte) error {
+func (l *Log) append(e Entry) error {
+	payload := AppendEntry(make([]byte, 0, 64), e)
 	var hdr [9]byte
-	hdr[4] = byte(kind)
+	hdr[4] = byte(e.Kind)
 	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
 	crc := crc32.NewIEEE()
 	crc.Write(hdr[4:])
@@ -282,10 +292,12 @@ func readEntry(r *bufio.Reader) (Entry, error) {
 	if crc.Sum32() != binary.BigEndian.Uint32(hdr[:4]) {
 		return Entry{}, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
-	return decodeEntry(kind, payload)
+	return DecodeEntry(kind, payload)
 }
 
-func decodeEntry(kind EntryKind, payload []byte) (Entry, error) {
+// DecodeEntry decodes one record payload of the given kind, as written by
+// AppendEntry. The functor's argument aliases payload.
+func DecodeEntry(kind EntryKind, payload []byte) (Entry, error) {
 	switch kind {
 	case KindInstall:
 		if len(payload) < 8 {

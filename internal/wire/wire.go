@@ -1,6 +1,6 @@
-// Package wire is ALOHA-DB's hand-rolled binary wire format. It replaces
-// reflective encoding/gob on the hot RPC path (paper §V-A2) with explicit
-// append/decode codecs: length-prefixed frames, varint integers, and
+// Package wire is ALOHA-DB's hand-rolled binary wire format, the one
+// encoding a message takes to a socket (paper §V-A2): explicit
+// append/decode codecs, length-prefixed frames, varint integers, and
 // zero-copy byte/string views into the frame buffer, so steady-state
 // encode and decode allocate nothing beyond the frame itself.
 //
@@ -19,24 +19,28 @@
 // length in place without shifting; binary.Uvarint accepts the padded
 // form. Four bytes bound a frame at 2^28-1 bytes.
 //
-// The preamble's leading 0x00 cannot begin a legacy gob stream (gob
-// frames start with a non-zero uvarint byte count), so a receiver peeks
-// one byte to tell a binary peer from a gob peer — that is the whole
-// codec negotiation, and it is what lets mixed-codec clusters
-// interoperate during a rolling upgrade.
+// The preamble is a version check on untrusted input: a receiver reads it
+// off every inbound stream and closes a connection that opens with
+// anything else (CheckPreamble).
 //
 // # Message payloads
 //
-// Hot message types register an explicit AppendFunc/DecodeFunc pair under
-// a Kind byte (see Register). Unregistered (cold) payloads ride a
-// self-contained gob stream under KindGob — the escape hatch that keeps
-// rarely-sent control messages working without hand-written codecs.
+// Every message type that crosses a socket registers an explicit
+// AppendFunc/DecodeFunc pair under a Kind byte (see Register); there is no
+// fallback, and AppendEnvelope refuses a type without one. Kinds are wire
+// format — appended, never renumbered — and each package that owns
+// messages has a range (its TestWireKindsStable enforces it):
+//
+//	0        reserved: never a payload, rejected at decode
+//	1–63     internal/core
+//	64–79    internal/calvin
+//	80–95    internal/replica
+//	200–254  tests
+//	255      KindNone: an absent payload
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -46,20 +50,13 @@ import (
 	"alohadb/internal/trace"
 )
 
-// Stream preamble. A binary sender writes these four bytes once, before
-// its first frame; version bumps make incompatible layout changes
-// detectable at accept time instead of as garbled decodes.
-const (
-	// PreambleByte is the first byte of every binary stream. Zero is
-	// unreachable as the first byte of a gob stream, which is what makes
-	// one-byte peek detection sound.
-	PreambleByte = 0x00
-	// Version is the wire-format version carried in the preamble.
-	Version = 0x01
-)
+// Version is the wire-format version carried in the preamble; bumping it
+// makes an incompatible layout change detectable at accept time instead of
+// as garbled decodes.
+const Version = 0x01
 
-// Preamble is the full stream preamble for the current version.
-var Preamble = [4]byte{PreambleByte, 'A', 'W', Version}
+// Preamble is what a sender writes once, before its first frame.
+var Preamble = [4]byte{0x00, 'A', 'W', Version}
 
 // CheckPreamble validates a received preamble.
 func CheckPreamble(b []byte) error {
@@ -112,8 +109,8 @@ const (
 
 // Envelope is the transport-level message wrapper: request/response
 // correlation, sender identity, error text for failed calls, and the
-// propagated trace context. Msg holds the decoded payload (a registered
-// message value, or whatever the gob escape hatch produced).
+// propagated trace context. Msg holds the decoded payload, a value of a
+// registered message type.
 type Envelope struct {
 	ID      uint64
 	From    int
@@ -123,11 +120,14 @@ type Envelope struct {
 	Msg     any
 }
 
-// AppendEnvelope appends one length-prefixed frame carrying env to dst.
-// gobFallback reports that the payload had no registered codec and rode
-// the gob escape hatch. On error dst is returned truncated to its
-// original length, leaving the stream clean.
-func AppendEnvelope(dst []byte, env *Envelope) (out []byte, gobFallback bool, err error) {
+// AppendEnvelope appends one length-prefixed frame carrying env to dst. A
+// payload whose type has no registered codec is an error naming the type.
+// On error dst is returned truncated to its original length, leaving the
+// stream clean.
+//
+// The middle result is always false: bench/probe.go reads three results,
+// and the next benchmark PR deletes it with the wire.gob_fallbacks row.
+func AppendEnvelope(dst []byte, env *Envelope) (out []byte, _ bool, err error) {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	dst = append(dst, env.Kind)
@@ -151,28 +151,22 @@ func AppendEnvelope(dst []byte, env *Envelope) (out []byte, gobFallback bool, er
 	if flags&flagErrText != 0 {
 		dst = AppendString(dst, env.ErrText)
 	}
-	switch {
-	case env.Msg == nil:
+	if env.Msg == nil {
 		dst = append(dst, byte(KindNone))
-	default:
-		if e, ok := loadRegistry().enc[reflect.TypeOf(env.Msg)]; ok {
-			dst = append(dst, byte(e.kind))
-			dst = e.fn(dst, env.Msg)
-		} else {
-			gobFallback = true
-			dst = append(dst, byte(KindGob))
-			dst, err = appendGobPayload(dst, env.Msg)
-			if err != nil {
-				return dst[:off], true, err
-			}
+	} else {
+		e, ok := loadRegistry().enc[reflect.TypeOf(env.Msg)]
+		if !ok {
+			return dst[:off], false, fmt.Errorf("wire: no codec registered for %T", env.Msg)
 		}
+		dst = append(dst, byte(e.kind))
+		dst = e.fn(dst, env.Msg)
 	}
 	l := len(dst) - off - FrameLenSize
 	if l > MaxFrameLen {
-		return dst[:off], gobFallback, fmt.Errorf("wire: frame of %d bytes exceeds limit", l)
+		return dst[:off], false, fmt.Errorf("wire: frame of %d bytes exceeds limit", l)
 	}
 	PutFrameLen(dst[off:], l)
-	return dst, gobFallback, nil
+	return dst, false, nil
 }
 
 // DecodeEnvelope decodes one frame body (the length field already
@@ -206,12 +200,8 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		if len(payload) != 0 {
 			return env, fmt.Errorf("wire: %d stray bytes after empty payload", len(payload))
 		}
-	case KindGob:
-		msg, err := decodeGobPayload(payload)
-		if err != nil {
-			return env, fmt.Errorf("wire: gob payload: %w", err)
-		}
-		env.Msg = msg
+	case kindReserved:
+		return env, fmt.Errorf("wire: message kind %d is reserved", mk)
 	default:
 		dec := loadRegistry().dec[mk]
 		if dec == nil {
@@ -226,14 +216,14 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 	return env, nil
 }
 
-// Kind tags a payload codec inside the envelope. KindGob and KindNone are
-// reserved; applications register kinds in between.
+// Kind tags a payload codec inside the envelope. Zero and KindNone are
+// reserved; packages register kinds in between (ranges: package comment).
 type Kind uint8
 
 const (
-	// KindGob marks a payload encoded by the self-contained gob escape
-	// hatch (cold or unregistered message types).
-	KindGob Kind = 0
+	// kindReserved is never a payload: a zeroed or truncated header must
+	// not decode to a value.
+	kindReserved Kind = 0
 	// KindNone marks an absent payload (error-only responses).
 	KindNone Kind = 255
 )
@@ -272,9 +262,10 @@ func loadRegistry() *registryState { return reg.Load() }
 // registry is copy-on-write: lookups on the hot path are a single atomic
 // load, registration happens once at startup. Re-registering the same
 // type/kind replaces the functions (idempotent startup paths call this
-// repeatedly).
+// repeatedly); a type under a second kind, or a second type under a taken
+// kind, panics: the latter would overwrite the first owner's decoder.
 func Register(kind Kind, prototype any, enc AppendFunc, dec DecodeFunc) {
-	if kind == KindGob || kind == KindNone {
+	if kind == kindReserved || kind == KindNone {
 		panic(fmt.Sprintf("wire: kind %d is reserved", kind))
 	}
 	t := reflect.TypeOf(prototype)
@@ -283,6 +274,11 @@ func Register(kind Kind, prototype any, enc AppendFunc, dec DecodeFunc) {
 	old := reg.Load()
 	if e, ok := old.enc[t]; ok && e.kind != kind {
 		panic(fmt.Sprintf("wire: %v already registered as kind %d (re-register as %d)", t, e.kind, kind))
+	}
+	for ot, e := range old.enc {
+		if e.kind == kind && ot != t {
+			panic(fmt.Sprintf("wire: kind %d already taken by %v (register %v)", kind, ot, t))
+		}
 	}
 	next := &registryState{enc: make(map[reflect.Type]encEntry, len(old.enc)+1), dec: old.dec}
 	for k, v := range old.enc {
@@ -293,34 +289,11 @@ func Register(kind Kind, prototype any, enc AppendFunc, dec DecodeFunc) {
 	reg.Store(next)
 }
 
-// Registered reports whether msg's concrete type has a binary codec —
-// i.e. whether it avoids the gob escape hatch.
+// Registered reports whether msg's concrete type has a codec, i.e. whether
+// AppendEnvelope can carry it.
 func Registered(msg any) bool {
 	_, ok := loadRegistry().enc[reflect.TypeOf(msg)]
 	return ok
-}
-
-// The gob escape hatch frames a payload as a self-contained gob stream
-// (descriptor + value), so cold messages cost a fresh encoder — exactly
-// the overhead the binary codec removes from hot messages.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func appendGobPayload(dst []byte, msg any) ([]byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	defer gobBufPool.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(&msg); err != nil {
-		return dst, err
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-func decodeGobPayload(b []byte) (any, error) {
-	var msg any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&msg); err != nil {
-		return nil, err
-	}
-	return msg, nil
 }
 
 // Reader is a sticky-error cursor over one payload. All accessors return
@@ -355,12 +328,16 @@ func (r *Reader) fail(what string) {
 	}
 }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int {
+// Finish is how a message decoder ends: the first decoding error, or an
+// error if the payload holds bytes the decoder did not consume.
+func (r *Reader) Finish() error {
 	if r.err != nil {
-		return 0
+		return r.err
 	}
-	return len(r.b) - r.off
+	if n := len(r.b) - r.off; n != 0 {
+		return fmt.Errorf("wire: %d stray bytes after message", n)
+	}
+	return nil
 }
 
 // Byte reads one byte.
@@ -403,8 +380,7 @@ func (r *Reader) U64() uint64 {
 }
 
 // Bytes reads a length-prefixed byte slice ALIASING the underlying
-// buffer (no copy). Zero length decodes as nil, matching gob's treatment
-// of empty slices.
+// buffer (no copy). Zero length decodes as nil.
 func (r *Reader) Bytes() []byte {
 	l := r.Uvarint()
 	if r.err != nil {

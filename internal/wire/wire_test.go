@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,13 +17,12 @@ type testMsg struct {
 	N    uint64
 }
 
-// coldMsg has no registered codec: it must ride the gob escape hatch.
+// coldMsg has no registered codec: AppendEnvelope must refuse it.
 type coldMsg struct{ S string }
 
 const kindTestMsg Kind = 200
 
 func init() {
-	gob.Register(coldMsg{})
 	Register(kindTestMsg, testMsg{},
 		func(dst []byte, msg any) []byte {
 			m := msg.(testMsg)
@@ -39,9 +37,9 @@ func init() {
 		})
 }
 
-func roundTripEnvelope(t *testing.T, env Envelope) (Envelope, bool) {
+func roundTripEnvelope(t *testing.T, env Envelope) Envelope {
 	t.Helper()
-	b, gobFallback, err := AppendEnvelope(nil, &env)
+	b, _, err := AppendEnvelope(nil, &env)
 	if err != nil {
 		t.Fatalf("AppendEnvelope: %v", err)
 	}
@@ -56,7 +54,7 @@ func roundTripEnvelope(t *testing.T, env Envelope) (Envelope, bool) {
 	if err != nil {
 		t.Fatalf("DecodeEnvelope: %v", err)
 	}
-	return got, gobFallback
+	return got
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
@@ -68,24 +66,25 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{Kind: 3, Msg: testMsg{Data: bytes.Repeat([]byte("x"), 1<<16)}},
 	}
 	for i, env := range cases {
-		got, gobFallback := roundTripEnvelope(t, env)
-		if gobFallback {
-			t.Errorf("case %d: registered type took the gob fallback", i)
-		}
+		got := roundTripEnvelope(t, env)
 		if !reflect.DeepEqual(got, env) {
 			t.Errorf("case %d:\n got %#v\nwant %#v", i, got, env)
 		}
 	}
 }
 
-func TestEnvelopeGobEscapeHatch(t *testing.T) {
+// TestEnvelopeUnregisteredType: there is no fallback encoding. A type
+// without a codec is an error that names it, and the stream it was being
+// appended to is left as it was.
+func TestEnvelopeUnregisteredType(t *testing.T) {
+	stream := []byte{0xde, 0xad}
 	env := Envelope{ID: 5, From: 2, Kind: 1, Msg: coldMsg{S: "cold path"}}
-	got, gobFallback := roundTripEnvelope(t, env)
-	if !gobFallback {
-		t.Fatal("unregistered type did not take the gob fallback")
+	out, _, err := AppendEnvelope(stream, &env)
+	if err == nil || !strings.Contains(err.Error(), "wire.coldMsg") {
+		t.Fatalf("err = %v, want one naming wire.coldMsg", err)
 	}
-	if !reflect.DeepEqual(got, env) {
-		t.Errorf("got %#v, want %#v", got, env)
+	if !bytes.Equal(out, stream) {
+		t.Errorf("stream after the refused frame = % x, want % x", out, stream)
 	}
 }
 
@@ -203,6 +202,17 @@ func TestDecodeEnvelopeErrors(t *testing.T) {
 	if _, err := DecodeEnvelope(bad); err == nil {
 		t.Error("unknown payload kind decoded without error")
 	}
+	// Message-kind byte 0 is reserved: an error that says so, never a
+	// value, whatever follows it.
+	for _, body := range [][]byte{
+		{0x01, 0x01, 0x01, 0x00, 0x00},
+		{0x01, 0x01, 0x01, 0x00, 0x00, 0x0c, 0xff, 0x83},
+	} {
+		env, err := DecodeEnvelope(body)
+		if err == nil || !strings.Contains(err.Error(), "kind 0 is reserved") || env.Msg != nil {
+			t.Errorf("message kind 0: Msg = %v, err = %v", env.Msg, err)
+		}
+	}
 }
 
 func TestReaderSticky(t *testing.T) {
@@ -220,21 +230,18 @@ func TestReaderSticky(t *testing.T) {
 	if got := r.Uvarint(); got != 0 {
 		t.Errorf("Uvarint after error = %d", got)
 	}
-	if got := r.Remaining(); got != 0 {
-		t.Errorf("Remaining after error = %d", got)
-	}
 }
 
 func TestReaderCount(t *testing.T) {
 	b := binary.AppendUvarint(nil, 1<<40) // absurd count, tiny payload
 	r := NewReader(b)
 	if n := r.Count(1); n != 0 || r.Err() == nil {
-		t.Errorf("Count accepted %d with %d bytes left", n, r.Remaining())
+		t.Errorf("Count accepted %d with %d bytes of payload", n, len(b))
 	}
 }
 
 func TestRegisterReservedKindPanics(t *testing.T) {
-	for _, k := range []Kind{KindGob, KindNone} {
+	for _, k := range []Kind{0, KindNone} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -263,11 +270,21 @@ func TestRegisterIdempotent(t *testing.T) {
 	if !Registered(testMsg{}) {
 		t.Fatal("testMsg lost its registration")
 	}
-	// Same type under a different kind: a programming error worth a panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering under a new kind did not panic")
-		}
-	}()
-	Register(kindTestMsg+1, testMsg{}, nil, nil)
+	// One type under two kinds, or two types under one kind: programming
+	// errors worth a panic. The second would overwrite the first owner's
+	// decoder and garble its frames.
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("re-registering a type under a new kind", func() { Register(kindTestMsg+1, testMsg{}, nil, nil) })
+	mustPanic("registering a second type under a taken kind", func() { Register(kindTestMsg, coldMsg{}, nil, nil) })
+	if Registered(coldMsg{}) {
+		t.Error("the refused registration took effect")
+	}
 }
