@@ -84,16 +84,16 @@ func liveHeapObjects() uint64 {
 	return m.HeapObjects
 }
 
-// TestStoreObjectBudget pins what a key written once keeps alive — its key
-// string, its chain (the record embedded, the outcome in the record) and its
-// value bytes, plus a fraction for the store's map — on the two paths that
-// build most of a TPC-C store: the bulk load and deferred writes. Every
-// object here is one the collector marks again on every cycle for as long as
-// the version lives.
+// TestStoreObjectBudget pins what a key written once keeps alive — nothing
+// of its own: key, version and value are bytes in a row log, and all that
+// lives is the key's share of the slabs and the index — on the two paths
+// that build most of a TPC-C store: the bulk load and deferred writes. Every
+// object here would be one the collector marks again on every cycle for as
+// long as the version lives (a chain cost three).
 func TestStoreObjectBudget(t *testing.T) {
 	const (
 		n      = 100_000
-		budget = 3.2
+		budget = 0.1
 	)
 	pair := func(i int) (kv.Key, kv.Value) {
 		return kv.Key(fmt.Sprintf("row:%07d", i)), kv.EncodeInt64(int64(i))
@@ -109,6 +109,9 @@ func TestStoreObjectBudget(t *testing.T) {
 		t.Logf("%s: %.2f live heap objects per key", name, per)
 		if per > budget {
 			t.Errorf("%s leaves %.2f live heap objects per key, budget %.1f", name, per, budget)
+		}
+		if st := c.Server(0).store.Stats(); st.Rows != n || st.Chains != 0 {
+			t.Errorf("%s: %d rows and %d chains, want every key a row", name, st.Rows, st.Chains)
 		}
 	}
 	measure("Cluster.Load", func(c *Cluster) {
@@ -134,9 +137,9 @@ func TestStoreObjectBudget(t *testing.T) {
 }
 
 // TestLoadAllocatesNoFunctorPerPair: a bulk load without a durability hook
-// allocates the key's chain and the store map's share of it, and no functor
-// only to read type and argument back (a hook gets one to log; that path is
-// TestRecoverMatchesReference's).
+// allocates a row's share of slab and index growth from empty, and neither a
+// chain nor a functor only to read type and argument back (a hook gets one
+// to log; that path is TestRecoverMatchesReference's).
 func TestLoadAllocatesNoFunctorPerPair(t *testing.T) {
 	const n = 10_000
 	c := newTestCluster(t, 1, -1)
@@ -150,8 +153,8 @@ func TestLoadAllocatesNoFunctorPerPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if per := float64(after.Mallocs-before.Mallocs) / n; per > 1.5 {
-		t.Errorf("Cluster.Load allocates %.2f objects per pair, want <= 1.5", per)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.2 {
+		t.Errorf("Cluster.Load allocates %.2f objects per pair, want <= 0.2", per)
 	}
 }
 
@@ -235,5 +238,43 @@ func TestSubmitBatchLeavesCallerSlicesAlone(t *testing.T) {
 		if got, _ := kv.DecodeInt64(v); err != nil || !found || got != want {
 			t.Errorf("%s = %d found=%v err=%v, want %d", k, got, found, err, want)
 		}
+	}
+}
+
+// TestStoreTierMetrics: the three families that say how much of the store is
+// still rows follow a load, an install on a loaded key (which thaws it) and a
+// read (which does not).
+func TestStoreTierMetrics(t *testing.T) {
+	c := newTestCluster(t, 1, 1)
+	if err := c.Load([]kv.Pair{{Key: "a", Value: kv.EncodeInt64(1)}, {Key: "b", Value: kv.EncodeInt64(2)}, {Key: "c", Value: kv.EncodeInt64(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, c, 0, Txn{Writes: []Write{{Key: "a", Functor: functor.Add(1)}}})
+	mustAdvance(t, c)
+	if v, found, err := c.Server(0).GetCommitted(context.Background(), "b"); err != nil || !found || len(v) != 8 {
+		t.Fatalf("read of a loaded row: %x found=%v err=%v", v, found, err)
+	}
+	got := map[string]float64{}
+	for _, f := range c.Server(0).MetricFamilies() {
+		for _, s := range f.Series {
+			name := f.Name
+			for _, l := range s.Labels {
+				if l.Key == "tier" {
+					name += "/" + l.Value
+				}
+			}
+			got[name] = s.Value
+		}
+	}
+	for name, want := range map[string]float64{FamStoreKeys + "/row": 2, FamStoreKeys + "/chain": 1, FamStoreThaws: 1} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
+		}
+	}
+	if got[FamStoreRowBytes] < 3*(13+1+8) {
+		t.Errorf("%s = %v, want the three loaded rows' bytes", FamStoreRowBytes, got[FamStoreRowBytes])
 	}
 }

@@ -214,7 +214,11 @@ func (s *Server) placementFence(txn InstallTxn, owned bool) string {
 // plain latest-version probe suffices.
 func (s *Server) checkRequires(keys []kv.Key) string {
 	for _, k := range keys {
-		if _, ok := s.store.Latest(k, tstamp.Max); !ok {
+		c, _, ok := s.store.Read(k, tstamp.Max)
+		if c != nil {
+			ok = c.Latest(tstamp.Max) != nil
+		}
+		if !ok {
 			return fmt.Sprintf("required key %q not found", k)
 		}
 	}
@@ -525,11 +529,13 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 		m = s.forwardDeferred(ctx, m)
 	}
 	for _, w := range m.Writes {
-		fn, kind, value := deferredOutcome(w)
-		c := s.store.ChainOrCreate(w.Key)
-		if _, fresh := c.PutResolved(m.Version, fn, kind, value); fresh {
+		kind, value := deferredOutcome(w)
+		if c, fresh := s.store.PutFinal(w.Key, m.Version, kind, value, false); fresh {
 			s.stats.functorsInstalled.Add(1)
-			s.sealedIn(m.Version.Epoch(), c)
+			// A row is its key's one version: nothing to retire.
+			if c != nil {
+				s.sealedIn(m.Version.Epoch(), c)
+			}
 		}
 	}
 	for _, k := range m.Dissolve {

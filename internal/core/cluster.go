@@ -215,22 +215,20 @@ func (c *Cluster) loadOne(k kv.Key, t functor.Type, arg []byte, fn *functor.Func
 			return fmt.Errorf("core: load %q: %w", k, err)
 		}
 	}
+	// A loaded value or tombstone is a write whose outcome is known: loads
+	// cannot be aborted by a second round, so it is born final like a
+	// deferred write (sparing the first epoch a burst of on-demand computes)
+	// and, like one, costs the store no functor and no chain.
+	if t == functor.TypeValue || t == functor.TypeDeleted {
+		kind, value := deferredOutcome(functor.DependentWrite{Value: arg, Delete: t == functor.TypeDeleted})
+		if _, fresh := srv.store.PutFinal(k, ts, kind, value, true); !fresh {
+			return fmt.Errorf("core: load %q: %w", k, mvstore.ErrVersionExists)
+		}
+		return nil
+	}
 	// Bulk loads seal immediately: epoch 0 commits at Start, and load
 	// order is ascending per key, so each seal publishes in place.
 	chain := srv.store.ChainOrCreate(k)
-	// A loaded value or tombstone is a write whose outcome is known: loads
-	// cannot be aborted by a second round, so it is born resolved like a
-	// deferred write (sparing the first epoch a burst of on-demand computes)
-	// and, like one, points at the shared placeholder of its f-type instead
-	// of keeping a functor of its own alive per key.
-	if t == functor.TypeValue || t == functor.TypeDeleted {
-		shared, kind, value := deferredOutcome(functor.DependentWrite{Value: arg, Delete: t == functor.TypeDeleted})
-		if _, fresh := chain.PutResolved(ts, shared, kind, value); !fresh {
-			return fmt.Errorf("core: load %q: %w", k, mvstore.ErrVersionExists)
-		}
-		chain.AdvanceWatermark(ts)
-		return nil
-	}
 	if _, err := chain.Put(ts, fn); err != nil {
 		return fmt.Errorf("core: load %q: %w", k, err)
 	}

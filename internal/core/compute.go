@@ -25,14 +25,6 @@ var (
 	_skipResolutionShared    = functor.SkipResolution()
 )
 
-// The functors of records created by deferred writes. Such a record is born
-// resolved, so its value lives in the record's outcome and one placeholder
-// of each final f-type serves them all.
-var (
-	_deferredValue  = functor.Value(nil)
-	_deferredDelete = functor.Deleted()
-)
-
 // The compute call graph threads a context end to end: it carries the
 // transaction's trace across the recursive resolution chain (and across
 // nodes, via transport), and its cancellation is the server's lifetime —
@@ -42,8 +34,13 @@ var (
 // the value of the latest version of k not exceeding v, computing functors
 // on demand, skipping aborted versions, and treating tombstones as absent.
 func (s *Server) getLocal(ctx context.Context, k kv.Key, v tstamp.Timestamp) (funcRead, error) {
-	c := s.store.Chain(k)
+	c, row, ok := s.store.Read(k, v)
 	if c == nil {
+		// Never written, or one version that was born final: a row has no
+		// lower version to fall through to.
+		if ok && row.Kind == functor.Resolved {
+			return funcRead{Value: row.Value, Found: true, Version: row.Version}, nil
+		}
 		return funcRead{}, nil
 	}
 	for rec := c.Latest(v); rec != nil; {
@@ -111,7 +108,12 @@ func (s *Server) ensureUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) e
 // computeKeyUpTo resolves every record of k at or below v in ascending
 // order and raises the value watermark to v (Algorithm 1's Compute).
 func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) error {
-	c := s.store.ChainOrCreate(k)
+	// A key without a chain was never written or is one version born final:
+	// nothing to compute, and no watermark worth creating the key for.
+	c, _, _ := s.store.Read(k, v)
+	if c == nil {
+		return nil
+	}
 	w := c.Watermark()
 	if w >= v {
 		return nil
@@ -451,22 +453,20 @@ func resolveMarker(rec *mvstore.Record, det *functor.Resolution, marker kv.Key) 
 	}
 	for _, w := range det.DependentWrites {
 		if w.Key == marker {
-			_, kind, value := deferredOutcome(w)
-			rec.ResolveValue(kind, value)
+			rec.ResolveValue(deferredOutcome(w))
 			return
 		}
 	}
 	rec.Resolve(_skipResolutionShared)
 }
 
-// deferredOutcome is what one deferred write makes of its key's version: the
-// shared placeholder functor a record created for it points at, and the
-// plain outcome.
-func deferredOutcome(w functor.DependentWrite) (*functor.Functor, functor.ResolutionKind, kv.Value) {
+// deferredOutcome is the plain outcome one deferred write gives its key's
+// version.
+func deferredOutcome(w functor.DependentWrite) (functor.ResolutionKind, kv.Value) {
 	if w.Delete {
-		return _deferredDelete, functor.ResolvedDeleted, nil
+		return functor.ResolvedDeleted, nil
 	}
-	return _deferredValue, functor.Resolved, w.Value
+	return functor.Resolved, w.Value
 }
 
 // distributeDeferred pushes a computed determinate functor's deferred

@@ -169,3 +169,52 @@ func TestDependencyRuleWithAbortedAllocator(t *testing.T) {
 		t.Errorf("seq = %d ok=%v, want 1", n, ok)
 	}
 }
+
+// TestReadCreatesNoKey: a dependency-rule read settles the determinate key
+// up to the snapshot, and when nobody ever wrote that key there is nothing
+// to settle — the read must not leave an empty chain behind for scans, key
+// counts, exports and checkpoints to find. Locally and over MsgEnsureUpTo.
+func TestReadCreatesNoKey(t *testing.T) {
+	for _, servers := range []int{1, 2} {
+		c, err := NewCluster(ClusterConfig{
+			Servers:      servers,
+			ManualEpochs: true,
+			Workers:      -1,
+			// The determinate key lives on the last server, order rows on
+			// server 0: with two servers the ensure crosses partitions.
+			Router: placement.NewStatic(servers, func(k kv.Key, n int) int {
+				if k == "seq" {
+					return n - 1
+				}
+				return 0
+			}),
+			DependencyRule: func(k kv.Key) (kv.Key, bool) {
+				if strings.HasPrefix(string(k), "order:") {
+					return "seq", true
+				}
+				return "", false
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		mustAdvance(t, c)
+		if _, found, err := c.Server(0).GetCommitted(context.Background(), "order:1"); err != nil || found {
+			t.Fatalf("%d servers: read of a key nobody wrote: found=%v err=%v", servers, found, err)
+		}
+		for i := 0; i < servers; i++ {
+			store := c.Server(i).Store()
+			store.RangeKeys(func(k kv.Key) bool {
+				t.Errorf("%d servers: the read left key %q on server %d", servers, k, i)
+				return true
+			})
+			if _, _, ok := store.ExportKey("seq"); ok || store.Len() != 0 {
+				t.Errorf("%d servers: server %d holds %d keys after a read, \"seq\" exportable: %v", servers, i, store.Len(), ok)
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -201,5 +203,65 @@ func TestForwardedAbortStashesUntilImport(t *testing.T) {
 	res := rec.Resolution()
 	if res == nil || res.Kind != functor.ResolvedAborted {
 		t.Fatalf("stashed abort not applied: resolution=%v", res)
+	}
+}
+
+// TestLiveMigrationMovesRows moves a range of loaded rows: the old owner
+// exports them from where they lie, the new owner reads them, and retirement
+// drops them at the old owner without one of them ever becoming a chain
+// there.
+func TestLiveMigrationMovesRows(t *testing.T) {
+	const n = 200
+	c := newTestCluster(t, 2, 0)
+	var pairs []kv.Pair
+	for i := 0; len(pairs) < n; i++ {
+		if k := kv.Key(fmt.Sprintf("row-%04d", i)); kv.PartitionOf(k, 2) == 0 {
+			pairs = append(pairs, kv.Pair{Key: k, Value: kv.EncodeInt64(int64(i))})
+		}
+	}
+	stay := kv.Pair{Key: keyOwnedBy(t, 0, 2, "stay-"), Value: kv.Value("put")}
+	if err := c.Load(append(pairs, stay)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	old := c.Server(0).Store()
+	if st := old.Stats(); st.Rows != n+1 || st.Chains != 0 {
+		t.Fatalf("loaded %+v, want %d rows", st, n+1)
+	}
+	ticket, err := c.Rebalancer().MoveRange(placement.Range{Start: "row-", End: "row."}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdvance(t, c)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := ticket.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pairs {
+		if got := c.Server(0).Owner(p.Key); got != 1 {
+			t.Fatalf("%q routes to %d after the move, want 1", p.Key, got)
+		}
+		for fe := 0; fe < 2; fe++ {
+			v, found, err := c.Server(fe).GetCommitted(ctx, p.Key)
+			if err != nil || !found || !bytes.Equal(v, p.Value) {
+				t.Fatalf("server %d reads %q = %x found=%v err=%v, want %x", fe, p.Key, v, found, err, p.Value)
+			}
+		}
+	}
+	for i := 0; i < retireGrace+retireAttempts; i++ {
+		mustAdvance(t, c)
+		c.DrainProcessors()
+	}
+	if st := old.Stats(); st.Rows != 1 || st.Chains != 0 || st.Thaws != 0 {
+		t.Errorf("old owner after retirement: %+v, want the one row that stayed and no thaw", st)
+	}
+	if _, _, ok := old.ExportKey(pairs[0].Key); ok {
+		t.Errorf("old owner still holds %q", pairs[0].Key)
+	}
+	if got := c.Server(1).Store().Len(); got < n {
+		t.Errorf("new owner holds %d keys, want at least the %d moved", got, n)
 	}
 }

@@ -108,10 +108,11 @@ func (s *Server) sealedIn(e tstamp.Epoch, chains ...*mvstore.Chain) {
 // seedRetirement files every chain of the store under the newest committed
 // epoch: a store that live installs did not build (WAL recovery, a
 // checkpoint, a bulk load) or built while retention was off has chains no
-// list knows. It is the one full pass over the store retention makes.
+// list knows. It is the one full pass over the store's chains retention
+// makes; a row is a single version and never has anything to retire.
 func (s *Server) seedRetirement() {
 	var all []*mvstore.Chain
-	s.store.Range(func(_ kv.Key, c *mvstore.Chain) bool {
+	s.store.RangeChains(func(_ kv.Key, c *mvstore.Chain) bool {
 		all = append(all, c)
 		return true
 	})
@@ -155,10 +156,11 @@ func (s *Server) payOwed(c *mvstore.Chain) {
 func (s *Server) VisibleBound() tstamp.Timestamp { return s.visibleBound() }
 
 // SettleUpTo forces every functor at or below bound on this partition to
-// its final state (checkpointing requires a fully settled prefix).
+// its final state (checkpointing requires a fully settled prefix). Only a
+// chain holds functors; a row is settled by construction.
 func (s *Server) SettleUpTo(bound tstamp.Timestamp) error {
 	var err error
-	s.store.RangeKeys(func(k kv.Key) bool {
+	s.store.RangeChains(func(k kv.Key, _ *mvstore.Chain) bool {
 		if e := s.computeKeyUpTo(s.ctx, k, bound); e != nil {
 			err = e
 			return false

@@ -309,6 +309,28 @@ func (s *Server) MetricFamilies() []metrics.Family {
 			Kind:   metrics.KindGauge,
 			Series: []metrics.Series{metrics.GaugeSeries(int64(s.table.Generation()))},
 		})
+	// How much of the store is still rows: what a change in the store's
+	// cost to the collector is explained by first.
+	st := s.store.Stats()
+	fams = append(fams,
+		metrics.Family{
+			Name: FamStoreKeys, Help: "Keys in this partition's store by tier: row (one version, born final, no heap object) or chain.",
+			Kind: metrics.KindGauge,
+			Series: []metrics.Series{
+				metrics.GaugeSeries(int64(st.Rows), metrics.Label{Key: "tier", Value: "row"}),
+				metrics.GaugeSeries(int64(st.Chains), metrics.Label{Key: "tier", Value: "chain"}),
+			},
+		},
+		metrics.Family{
+			Name: FamStoreRowBytes, Help: "Bytes in the store's row logs, thawed and dropped rows included (not reclaimed).",
+			Kind:   metrics.KindGauge,
+			Series: []metrics.Series{metrics.GaugeSeries(st.RowBytes)},
+		},
+		metrics.Family{
+			Name: FamStoreThaws, Help: "Rows turned into chains because something needed a record of the key.",
+			Kind:   metrics.KindCounter,
+			Series: []metrics.Series{metrics.CounterSeries(st.Thaws)},
+		})
 	if src, ok := s.durability.(interface{ MetricFamilies() []metrics.Family }); ok {
 		fams = append(fams, src.MetricFamilies()...)
 	}

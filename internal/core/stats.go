@@ -238,6 +238,9 @@ const (
 	FamCommittedEpoch    = "aloha_committed_epoch"
 	FamServerEpoch       = "aloha_server_epoch"
 	FamPlacementGen      = "aloha_placement_generation"
+	FamStoreKeys         = "aloha_store_keys"
+	FamStoreRowBytes     = "aloha_store_row_bytes"
+	FamStoreThaws        = "aloha_store_thaws_total"
 )
 
 // families builds the unlabeled family list; the server tags each series

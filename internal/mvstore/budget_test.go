@@ -35,6 +35,10 @@ func TestAllocationBudgets(t *testing.T) {
 		keys[i] = kv.Key(fmt.Sprintf("k:%d", i))
 	}
 	written, unwritten := keys[:2*n], keys[2*n:]
+	rowKeys := make([]kv.Key, 2*n)
+	for i := range rowKeys {
+		rowKeys[i] = kv.Key(fmt.Sprintf("row:%d", i))
+	}
 	// A new key also grows the store's key index now and then, a few
 	// hundredths of an object per key that belong to no version.
 	const index = 0.1
@@ -65,12 +69,32 @@ func TestAllocationBudgets(t *testing.T) {
 		t.Errorf("Put+Seal on an existing chain allocates %.2f objects amortised, budget 2", got)
 	}
 
-	// A deferred write to a fresh key is the chain and nothing else: the
-	// record is embedded and the record holds the value.
-	val, shared := kv.Value("row"), functor.Value(nil)
+	// A born-final write to a fresh key is a row: bytes in a slab and a
+	// slot, and of heap objects only its share of their growth. Reading it
+	// allocates nothing.
+	val := kv.Value("row")
+	if got := perOp(n, rowKeys, func(keys []kv.Key) {
+		for _, k := range keys {
+			s.PutFinal(k, ts(1, 1, 0), functor.Resolved, val, false)
+		}
+	}); got > index {
+		t.Errorf("born-final write to a fresh key allocates %.2f objects, budget %.1f", got, index)
+	}
+	if got := perOp(n, rowKeys, func(keys []kv.Key) {
+		for _, k := range keys {
+			if _, row, ok := s.Read(k, tstamp.Max); !ok || len(row.Value) != len(val) {
+				t.Fatalf("Read(%q) = %+v %v", k, row, ok)
+			}
+		}
+	}); got != 0 {
+		t.Errorf("reading a row allocates %.2f objects, budget 0", got)
+	}
+
+	// The same write to a key that must have a chain is the chain and nothing
+	// else: the record is embedded and the record holds the value.
 	if got := perOp(n, unwritten, func(keys []kv.Key) {
 		for _, k := range keys {
-			s.ChainOrCreate(k).PutResolved(ts(1, 1, 0), shared, functor.Resolved, val)
+			s.ChainOrCreate(k).PutResolved(ts(1, 1, 0), functor.Resolved, val)
 		}
 	}); got > 1+index {
 		t.Errorf("pre-resolved install of a fresh key allocates %.2f objects, budget 1", got)
@@ -82,7 +106,7 @@ func TestAllocationBudgets(t *testing.T) {
 	if got := perOp(64*n, unwritten, func(keys []kv.Key) {
 		for e := tstamp.Epoch(2); e < 66; e++ {
 			for _, k := range keys {
-				s.Chain(k).PutResolved(ts(e, 1, 0), shared, functor.Resolved, val)
+				s.Chain(k).PutResolved(ts(e, 1, 0), functor.Resolved, val)
 			}
 		}
 	}); got > 1+growth {

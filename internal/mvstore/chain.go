@@ -107,18 +107,20 @@ func (c *Chain) Put(version tstamp.Timestamp, fn *functor.Functor) (*Record, err
 
 // PutResolved installs a version whose plain outcome is already known — a
 // deferred write, a bulk-loaded or checkpointed final value — resolved and
-// sealed in one step, the outcome written straight into the record; it
-// publishes every staged record at or below version with it. When the
-// version exists (a marker installed in the write-only phase, a duplicate
-// delivery) that record takes the outcome through resolve-once, stays where
-// it is, and comes back with false.
-func (c *Chain) PutResolved(version tstamp.Timestamp, fn *functor.Functor, kind functor.ResolutionKind, value kv.Value) (*Record, bool) {
+// sealed in one step, the outcome written straight into the record, which
+// points at the shared placeholder of its f-type; it publishes every staged
+// record at or below version with it. When the version exists (a marker
+// installed in the write-only phase, a duplicate delivery) that record takes
+// the outcome through resolve-once, stays where it is, and comes back with
+// false. Store.PutFinal is its caller: a key that has no chain yet does not
+// need one for this.
+func (c *Chain) PutResolved(version tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) (*Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := c.at(version)
 	fresh := rec == nil
 	if fresh {
-		rec = c.stage(version, fn)
+		rec = c.stage(version, finalPlaceholder(kind))
 	}
 	rec.ResolveValue(kind, value)
 	if fresh {

@@ -46,13 +46,23 @@ func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 	return out, tstamp.Timestamp(c.watermark.Load())
 }
 
-// ExportKey snapshots one key's chain for migration. ok is false when the
-// key has never been written here.
+// ExportKey snapshots one key's chain for migration; a row is exported as
+// the chain it stands for, and stays a row. ok is false when the key has
+// never been written here.
 func (s *Store) ExportKey(k kv.Key) (recs []ExportedRecord, watermark tstamp.Timestamp, ok bool) {
-	c := s.Chain(k)
+	sh, m := s.locate(k)
+	sh.mu.RLock()
+	c := sh.chains[k]
 	if c == nil {
-		return nil, 0, false
+		if pos, row := sh.rows.find(k, m); pos >= 0 {
+			r := rowOf(row)
+			recs = []ExportedRecord{{Version: r.Version, Functor: finalPlaceholder(r.Kind), Resolution: &functor.Resolution{Kind: r.Kind, Value: r.Value}}}
+			watermark, ok = rowWatermark(row), true
+		}
+		sh.mu.RUnlock()
+		return recs, watermark, ok
 	}
+	sh.mu.RUnlock()
 	recs, watermark = c.export()
 	return recs, watermark, true
 }
@@ -77,17 +87,21 @@ func (s *Store) ExportMatching(match func(kv.Key) bool) []KeyExport {
 	return out
 }
 
-// Drop removes a key's entire chain, reporting whether it existed. The old
-// owner retires migrated replicas with it once the handoff has settled;
-// dropping a chain with unresolved records would lose functors, so callers
-// check finality first.
+// Drop removes a key's entire chain, or its row, reporting whether it
+// existed. The old owner retires migrated replicas with it once the handoff
+// has settled; dropping a chain with unresolved records would lose functors,
+// so callers check finality first.
 func (s *Store) Drop(k kv.Key) bool {
-	sh := s.shardFor(k)
+	sh, m := s.locate(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.chains[k]; !ok {
-		return false
+	if _, ok := sh.chains[k]; ok {
+		delete(sh.chains, k)
+		return true
 	}
-	delete(sh.chains, k)
-	return true
+	pos, row := sh.rows.find(k, m)
+	if pos >= 0 {
+		sh.rows.remove(pos, row)
+	}
+	return pos >= 0
 }

@@ -76,7 +76,7 @@ func TestExportMatchingAndDrop(t *testing.T) {
 func TestExportImportRoundTrip(t *testing.T) {
 	src := New()
 	c := src.ChainOrCreate("k")
-	c.PutResolved(tstamp.Make(1, 1, 0), functor.Value(nil), functor.Resolved, []byte("deferred"))
+	c.PutResolved(tstamp.Make(1, 1, 0), functor.Resolved, []byte("deferred"))
 	aborted, _ := c.Put(tstamp.Make(1, 2, 0), functor.Value([]byte("rolled back")))
 	aborted.Resolve(functor.AbortResolution("second round"))
 	c.Put(tstamp.Make(1, 3, 0), functor.Add(1))

@@ -108,14 +108,25 @@ func TestConcurrentModelEquivalence(t *testing.T) {
 	}
 }
 
-// chainModel is the sequential reference for one key's chain: a map of
-// live versions with their sealed flag and the outcome that won them, and
-// the value watermark. Every mutation of the layout (embedded first record, in-place
-// seal, growth, merge, compaction, pre-resolved install) must leave the
-// chain answering exactly like it.
+// chainModel is the sequential reference for one key: a map of live
+// versions with their sealed flag and the outcome that won them, and the
+// value watermark. Every mutation of the layout (embedded first record,
+// in-place seal, growth, merge, compaction, pre-resolved install) must leave
+// the key answering exactly like it — and so must the tier the key lives in:
+// row says the store is expected to hold the key as a row, which changes
+// nothing the model answers, only which accessors may be used to ask without
+// thawing it.
 type chainModel struct {
 	recs      map[tstamp.Timestamp]*modelRec
 	watermark tstamp.Timestamp
+	row       bool
+	// ptrs is the record the store handed back for each live version; its
+	// address must never change.
+	ptrs map[tstamp.Timestamp]*Record
+}
+
+func newChainModel() *chainModel {
+	return &chainModel{recs: map[tstamp.Timestamp]*modelRec{}, ptrs: map[tstamp.Timestamp]*Record{}}
 }
 
 type modelRec struct {
@@ -149,6 +160,12 @@ func (m *chainModel) seal(bound tstamp.Timestamp) {
 	}
 }
 
+func (m *chainModel) advance(v tstamp.Timestamp) {
+	if v > m.watermark {
+		m.watermark = v
+	}
+}
+
 func (m *chainModel) compact(bound tstamp.Timestamp) int {
 	if bound > m.watermark {
 		bound = m.watermark
@@ -164,22 +181,23 @@ func (m *chainModel) compact(bound tstamp.Timestamp) int {
 	}
 	for _, v := range sealed[:keepFrom] {
 		delete(m.recs, v)
+		delete(m.ptrs, v)
 	}
 	return keepFrom
 }
 
-// modelHarness applies each operation to a store and to the model and
-// compares every answer the chain can give.
+// modelHarness applies each operation to a store and to the model of every
+// key the store should hold, and compares every answer the store can give.
+// The chain-level steps address the key selected with on ("k" to begin with).
 type modelHarness struct {
-	t *testing.T
-	s *Store
-	m *chainModel
+	t    *testing.T
+	s    *Store
+	keys map[kv.Key]*chainModel // the keys the store holds
+	k    kv.Key
+	m    *chainModel // k's model; not in keys while nothing has created k
 	// held are views readers took earlier with the versions they showed:
 	// whatever the chain does next, a held view must keep showing them.
 	held []heldView
-	// ptrs is the record Put handed back for each live version; its address
-	// must never change.
-	ptrs map[tstamp.Timestamp]*Record
 }
 
 type heldView struct {
@@ -188,56 +206,111 @@ type heldView struct {
 }
 
 func newModelHarness(t *testing.T) *modelHarness {
-	return &modelHarness{t: t, s: New(), m: &chainModel{recs: map[tstamp.Timestamp]*modelRec{}}, ptrs: map[tstamp.Timestamp]*Record{}}
+	h := &modelHarness{t: t, s: New(), keys: map[kv.Key]*chainModel{}}
+	return h.on("k")
+}
+
+// on selects the key the next steps address.
+func (h *modelHarness) on(k kv.Key) *modelHarness {
+	h.k, h.m = k, h.keys[k]
+	if h.m == nil {
+		h.m = newChainModel()
+	}
+	return h
+}
+
+// chained records that the step just taken left k with a chain: created if
+// the key was new, thawed if it was a row.
+func (h *modelHarness) chained() {
+	h.keys[h.k] = h.m
+	h.m.row = false
 }
 
 func (h *modelHarness) put(v tstamp.Timestamp, fn *functor.Functor) {
 	h.t.Helper()
-	rec, err := h.s.Put("k", v, fn)
+	rec, err := h.s.Put(h.k, v, fn)
+	h.chained()
 	if _, dup := h.m.recs[v]; dup != (err == ErrVersionExists) {
 		h.t.Fatalf("Put(%v): err %v, model duplicate %v", v, err, dup)
 	}
+	h.saw(v, rec)
 	if err == nil {
 		h.m.recs[v] = &modelRec{}
-		h.ptrs[v] = rec
-	} else if rec != h.ptrs[v] {
-		h.t.Fatalf("duplicate Put(%v) returned another record", v)
 	}
 	h.check()
 }
 
-func (h *modelHarness) putResolved(v tstamp.Timestamp, fn *functor.Functor, kind functor.ResolutionKind, value kv.Value) {
+// saw compares rec with the record seen at version v before, if any.
+func (h *modelHarness) saw(v tstamp.Timestamp, rec *Record) {
 	h.t.Helper()
-	rec, fresh := h.s.ChainOrCreate("k").PutResolved(v, fn, kind, value)
+	if p, ok := h.m.ptrs[v]; ok && p != rec {
+		h.t.Fatalf("%q@%v is record %p, was %p", h.k, v, rec, p)
+	}
+	h.m.ptrs[v] = rec
+}
+
+func (h *modelHarness) putResolved(v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) {
+	h.t.Helper()
+	rec, fresh := h.s.ChainOrCreate(h.k).PutResolved(v, kind, value)
+	h.chained()
+	h.saw(v, rec)
+	h.tookFinal(v, fresh, kind, value, false)
+	h.check()
+}
+
+// putFinal is the store-level born-final write: a row for a key never
+// written, PutResolved on the chain of any other.
+func (h *modelHarness) putFinal(v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value, settled bool) {
+	h.t.Helper()
+	_, known := h.keys[h.k]
+	c, fresh := h.s.PutFinal(h.k, v, kind, value, settled)
+	switch _, dup := h.m.recs[v]; {
+	case !known && len(h.k)+len(value) <= _maxRow:
+		h.keys[h.k], h.m.row = h.m, true
+	case h.m.row && dup:
+		// a duplicate delivery leaves the row alone
+	default:
+		h.chained()
+	}
+	if (c == nil) != h.m.row {
+		h.t.Fatalf("PutFinal(%q@%v) returned chain %p, model row %v", h.k, v, c, h.m.row)
+	}
+	h.tookFinal(v, fresh, kind, value, settled)
+	h.check()
+}
+
+func (h *modelHarness) tookFinal(v tstamp.Timestamp, fresh bool, kind functor.ResolutionKind, value kv.Value, settled bool) {
+	h.t.Helper()
 	if _, dup := h.m.recs[v]; dup == fresh {
-		h.t.Fatalf("PutResolved(%v): fresh %v, model duplicate %v", v, fresh, dup)
+		h.t.Fatalf("born-final %q@%v: fresh %v, model duplicate %v", h.k, v, fresh, dup)
 	}
 	won := &functor.Resolution{Kind: kind, Value: value}
 	if fresh {
 		h.m.recs[v] = &modelRec{won: won}
-		h.ptrs[v] = rec
 		h.m.seal(v + 1)
-	} else if rec != h.ptrs[v] {
-		h.t.Fatalf("duplicate PutResolved(%v) returned another record", v)
+		if settled {
+			h.m.advance(v)
+		}
 	} else if m := h.m.recs[v]; m.won == nil {
 		m.won = won // the existing record takes the outcome, once
 	}
-	h.check()
 }
 
 func (h *modelHarness) seal(bound tstamp.Timestamp) {
 	h.t.Helper()
-	h.s.Seal("k", bound)
+	h.s.Seal(h.k, bound)
 	h.m.seal(bound)
 	h.check()
 }
 
 func (h *modelHarness) resolve(v tstamp.Timestamp, res *functor.Resolution) {
 	h.t.Helper()
-	rec, ok := h.s.At("k", v)
+	rec, ok := h.s.At(h.k, v)
 	if !ok {
 		h.t.Fatalf("At(%v) missing", v)
 	}
+	h.chained()
+	h.saw(v, rec)
 	if won := rec.Resolve(res); won != (h.m.recs[v].won == nil) {
 		h.t.Fatalf("Resolve(%v) won = %v, model kind %v", v, won, h.m.recs[v].kind())
 	} else if won {
@@ -247,21 +320,21 @@ func (h *modelHarness) resolve(v tstamp.Timestamp, res *functor.Resolution) {
 }
 
 func (h *modelHarness) advance(v tstamp.Timestamp) {
-	h.s.AdvanceWatermark("k", v)
-	if v > h.m.watermark {
-		h.m.watermark = v
+	h.s.AdvanceWatermark(h.k, v)
+	if _, known := h.keys[h.k]; known {
+		h.chained()
+		h.m.advance(v)
 	}
 }
 
 func (h *modelHarness) compact(bound tstamp.Timestamp) {
 	h.t.Helper()
-	if got, want := h.s.Compact(bound), h.m.compact(bound); got != want {
-		h.t.Fatalf("Compact(%v) removed %d records, model %d", bound, got, want)
+	want := 0
+	for _, m := range h.keys {
+		want += m.compact(bound)
 	}
-	for v := range h.ptrs {
-		if _, live := h.m.recs[v]; !live {
-			delete(h.ptrs, v)
-		}
+	if got := h.s.Compact(bound); got != want {
+		h.t.Fatalf("Compact(%v) removed %d records, model %d", bound, got, want)
 	}
 	h.check()
 }
@@ -269,42 +342,210 @@ func (h *modelHarness) compact(bound tstamp.Timestamp) {
 // hold keeps the current view the way a reader in the middle of a chain
 // walk does.
 func (h *modelHarness) hold() {
-	view := h.s.View("k")
+	view := h.s.View(h.k)
+	if _, known := h.keys[h.k]; known {
+		h.chained()
+	}
 	h.held = append(h.held, heldView{view: view, versions: versionsOf(view)})
 }
 
+// drop removes k, whichever tier it lives in.
+func (h *modelHarness) drop() {
+	h.t.Helper()
+	_, known := h.keys[h.k]
+	if got := h.s.Drop(h.k); got != known {
+		h.t.Fatalf("Drop(%q) = %v, model holds the key: %v", h.k, got, known)
+	}
+	delete(h.keys, h.k)
+	h.on(h.k)
+	h.check()
+}
+
+// rangeAll walks Range, which hands out every key's one live chain and so
+// thaws every row.
+func (h *modelHarness) rangeAll() {
+	h.t.Helper()
+	seen := map[kv.Key]bool{}
+	h.s.Range(func(k kv.Key, c *Chain) bool {
+		if seen[k] || h.keys[k] == nil || c != h.s.Chain(k) {
+			h.t.Fatalf("Range yields %q (again: %v, in model: %v) with chain %p, store has %p", k, seen[k], h.keys[k] != nil, c, h.s.Chain(k))
+		}
+		seen[k] = true
+		return true
+	})
+	if len(seen) != len(h.keys) {
+		h.t.Fatalf("Range yields %d keys, model %d", len(seen), len(h.keys))
+	}
+	for _, m := range h.keys {
+		m.row = false
+	}
+	h.check()
+}
+
+// check compares the selected key in full and the store's key set and
+// tiers; checkAll does so for every key.
 func (h *modelHarness) check() {
 	h.t.Helper()
-	sealed, all := h.m.sorted(true), h.m.sorted(false)
-	view := h.s.View("k")
-	if got := versionsOf(view); !slices.Equal(got, sealed) {
-		h.t.Fatalf("view = %v, model %v", got, sealed)
+	h.checkKey(h.k, h.m)
+	h.checkStore()
+}
+
+func (h *modelHarness) checkAll() {
+	h.t.Helper()
+	for k, m := range h.keys {
+		h.checkKey(k, m)
 	}
+	h.checkStore()
+}
+
+// tier reports where the store keeps k, and fails if that is both places.
+func (h *modelHarness) tier(k kv.Key) (chain *Chain, row []byte) {
+	h.t.Helper()
+	sh, m := h.s.locate(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	chain = sh.chains[k]
+	if pos, b := sh.rows.find(k, m); pos >= 0 {
+		row = b
+	}
+	if chain != nil && row != nil {
+		h.t.Fatalf("%q is in the chain map and in the row index", k)
+	}
+	return chain, row
+}
+
+// checkStore compares the key set (Len, RangeKeys) and walks every shard's
+// row log: every live row is indexed, none has a chain too, and the index
+// keeps the room its probes rely on.
+func (h *modelHarness) checkStore() {
+	h.t.Helper()
 	for _, hv := range h.held {
 		if got := versionsOf(hv.view); !slices.Equal(got, hv.versions) {
 			h.t.Fatalf("a held view changed: %v, was %v", got, hv.versions)
 		}
 	}
-	for _, v := range all {
-		rec, ok := h.s.At("k", v)
-		if !ok || rec != h.ptrs[v] || rec.Version != v {
-			h.t.Fatalf("At(%v) = %p ok=%v, Put returned %p", v, rec, ok, h.ptrs[v])
+	if got := h.s.Len(); got != len(h.keys) {
+		h.t.Fatalf("Len = %d, model %d", got, len(h.keys))
+	}
+	n := 0
+	h.s.RangeKeys(func(k kv.Key) bool {
+		if h.keys[k] == nil {
+			h.t.Fatalf("RangeKeys yields %q, which the model does not hold", k)
 		}
-		h.checkOutcome(rec, h.m.recs[v].won)
+		n++
+		return true
+	})
+	if n != len(h.keys) {
+		h.t.Fatalf("RangeKeys yields %d keys, model %d", n, len(h.keys))
+	}
+	rows := 0
+	for i := range h.s.shards {
+		l, live := &h.s.shards[i].rows, 0
+		l.each(func(row []byte) {
+			live++
+			if m := h.keys[rowKey(row)]; m == nil || !m.row {
+				h.t.Fatalf("the row of %q is live, model: %+v", rowKey(row), m)
+			}
+			h.tier(rowKey(row))
+		})
+		if live != l.live || l.used < l.live || l.used*4 > len(l.index)*3 {
+			h.t.Fatalf("shard %d: %d live rows, index counts %d live, %d used of %d", i, live, l.live, l.used, len(l.index))
+		}
+		rows += live
+	}
+	want := 0
+	for _, m := range h.keys {
+		if m.row {
+			want++
+		}
+	}
+	if st := h.s.Stats(); rows != want || st.Rows != want || st.Chains != len(h.keys)-want {
+		h.t.Fatalf("%d rows, Stats %+v, model %d rows of %d keys", rows, st, want, len(h.keys))
+	}
+}
+
+// checkKey asks everything that can be asked about k without moving it
+// between tiers, and requires the model's answer: of a row through Read,
+// ExportKey and the probes that miss it, of a chain through every accessor.
+func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
+	h.t.Helper()
+	sealed, all := m.sorted(true), m.sorted(false)
+	chain, row := h.tier(k)
+	recs, wm, ok := h.s.ExportKey(k)
+	if _, known := h.keys[k]; !known {
+		c, _, isRow := h.s.Read(k, tstamp.Max)
+		if chain != nil || row != nil || ok || c != nil || isRow || h.s.View(k) != nil {
+			h.t.Fatalf("%q was never written (or dropped) and the store knows it", k)
+		}
+		return
+	}
+	if (row != nil) != m.row || (chain != nil) == m.row {
+		h.t.Fatalf("%q: chain %p, row %v; model row %v", k, chain, row != nil, m.row)
+	}
+	// The export is the same whichever tier holds the key.
+	if !ok || wm != m.watermark || len(recs) != len(all) {
+		h.t.Fatalf("ExportKey(%q) = %d records, watermark %v, ok %v; model %v, watermark %v", k, len(recs), wm, ok, all, m.watermark)
+	}
+	for i, er := range recs {
+		won := m.recs[all[i]].won
+		if er.Version != all[i] || er.Functor == nil || (er.Resolution == nil) != (won == nil) ||
+			(won != nil && (er.Resolution.Kind != won.Kind || !bytes.Equal(er.Resolution.Value, won.Value))) {
+			h.t.Fatalf("ExportKey(%q)[%d] = %v %+v, model %v %+v", k, i, er.Version, er.Resolution, all[i], won)
+		}
+	}
+	c, r, isRow := h.s.Read(k, tstamp.Max)
+	if m.row {
+		v, won := all[0], m.recs[all[0]].won
+		if c != nil || !isRow || r.Version != v || r.Kind != won.Kind || !bytes.Equal(r.Value, won.Value) {
+			h.t.Fatalf("Read(%q) = %p %+v %v, model row %v %+v", k, c, r, isRow, v, won)
+		}
+		if recs[0].Functor != finalPlaceholder(won.Kind) {
+			h.t.Fatalf("ExportKey(%q): a row's functor is %v, not the shared placeholder", k, recs[0].Functor.Type)
+		}
+		// The probes a row answers by missing, and stays a row.
+		if _, _, below := h.s.Read(k, v.Prev()); below {
+			h.t.Fatalf("Read(%q, %v) found the row at %v", k, v.Prev(), v)
+		}
+		if _, hit := h.s.At(k, v+1); hit {
+			h.t.Fatalf("At(%q, %v) found a record; the row is at %v", k, v+1, v)
+		}
+		if _, hit := h.s.Latest(k, v.Prev()); hit {
+			h.t.Fatalf("Latest(%q, %v) found a record; the row is at %v", k, v.Prev(), v)
+		}
+		h.s.Seal(k, tstamp.Max)
+		if _, still := h.tier(k); still == nil {
+			h.t.Fatalf("a probe that misses thawed %q", k)
+		}
+		return
+	}
+	if c != chain || isRow {
+		h.t.Fatalf("Read(%q) = %p, row %v; the key's chain is %p", k, c, isRow, chain)
+	}
+	view := h.s.View(k)
+	if got := versionsOf(view); !slices.Equal(got, sealed) {
+		h.t.Fatalf("view = %v, model %v", got, sealed)
+	}
+	for _, v := range all {
+		rec, ok := h.s.At(k, v)
+		if p, seen := m.ptrs[v]; !ok || rec.Version != v || (seen && rec != p) {
+			h.t.Fatalf("At(%v) = %p ok=%v, the store returned %p before", v, rec, ok, p)
+		}
+		m.ptrs[v] = rec
+		h.checkOutcome(rec, m.recs[v].won)
 		// Latest just below, at, and just above each version.
 		for _, max := range []tstamp.Timestamp{v.Prev(), v, v + 1} {
 			i := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
-			rec, ok := h.s.Latest("k", max)
+			rec, ok := h.s.Latest(k, max)
 			if ok != (i > 0) || (ok && rec.Version != sealed[i-1]) {
 				h.t.Fatalf("Latest(%v) = %v ok=%v, model sealed %v", max, rec, ok, sealed)
 			}
 		}
 	}
-	if _, ok := h.s.At("k", tstamp.Max); ok {
+	if _, ok := h.s.At(k, tstamp.Max); ok {
 		h.t.Fatal("At of a version never written found a record")
 	}
-	if got := h.s.ChainOrCreate("k").Watermark(); got != h.m.watermark {
-		h.t.Fatalf("watermark %v, model %v", got, h.m.watermark)
+	if got := chain.Watermark(); got != m.watermark {
+		h.t.Fatalf("watermark %v, model %v", got, m.watermark)
 	}
 }
 
@@ -388,7 +629,7 @@ func TestLayoutAgainstModel(t *testing.T) {
 		kind, value := FinalOutcome(fn)
 		lazy := &functor.Resolution{Kind: kind, Value: value}
 		h.resolve(v, lazy) // a reader's lazy resolution must lose
-		if res := h.ptrs[v].Resolution(); res.Kind != functor.ResolvedAborted {
+		if res := h.m.ptrs[v].Resolution(); res.Kind != functor.ResolvedAborted {
 			t.Errorf("record resolved %v, want ABORTED", res.Kind)
 		}
 		// The same on a record that lives in a grown array.
@@ -430,21 +671,20 @@ func TestLayoutAgainstModel(t *testing.T) {
 
 	t.Run("pre-resolved installs", func(t *testing.T) {
 		h := newModelHarness(t)
-		shared := functor.Value(nil)
-		h.putResolved(ts(1, 3, 0), shared, functor.Resolved, kv.Value("v")) // fresh key: embedded, sealed, resolved
-		if !h.ptrs[ts(1, 3, 0)].Final() || len(h.s.View("k")) != 1 {
+		h.putResolved(ts(1, 3, 0), functor.Resolved, kv.Value("v")) // fresh key: embedded, sealed, resolved
+		if !h.m.ptrs[ts(1, 3, 0)].Final() || len(h.s.View("k")) != 1 {
 			t.Fatal("a pre-resolved install is not readable at once")
 		}
 		h.put(ts(1, 2, 0), functor.DepMarker("det")) // a marker staged in the write-only phase
 		h.put(ts(1, 9, 0), functor.Add(1))
-		h.putResolved(ts(1, 2, 0), shared, functor.Resolved, kv.Value("w")) // resolves the marker where it is, still staged
-		h.resolve(ts(1, 2, 0), abortRes)                                    // and only once
+		h.putResolved(ts(1, 2, 0), functor.Resolved, kv.Value("w")) // resolves the marker where it is, still staged
+		h.resolve(ts(1, 2, 0), abortRes)                            // and only once
 		h.hold()
-		h.putResolved(ts(1, 5, 0), shared, functor.Resolved, kv.Value("x")) // publishes the marker 1.2 with it, merged below the sealed 1.3
-		h.putResolved(ts(1, 5, 0), shared, functor.Resolved, kv.Value("y")) // duplicate delivery: the first value stays
-		h.putResolved(ts(1, 6, 0), functor.Deleted(), functor.ResolvedDeleted, nil)
-		h.resolve(ts(1, 9, 0), writesRes)                                      // an outcome that keeps its Resolution
-		h.putResolved(ts(1, 9, 0), shared, functor.Resolved, kv.Value("late")) // and a deferred write that arrives after it
+		h.putResolved(ts(1, 5, 0), functor.Resolved, kv.Value("x")) // publishes the marker 1.2 with it, merged below the sealed 1.3
+		h.putResolved(ts(1, 5, 0), functor.Resolved, kv.Value("y")) // duplicate delivery: the first value stays
+		h.putResolved(ts(1, 6, 0), functor.ResolvedDeleted, nil)
+		h.resolve(ts(1, 9, 0), writesRes)                              // an outcome that keeps its Resolution
+		h.putResolved(ts(1, 9, 0), functor.Resolved, kv.Value("late")) // and a deferred write that arrives after it
 		h.seal(tstamp.End(1))
 	})
 }
@@ -489,7 +729,7 @@ func TestLayoutRandomOpsAgainstModel(t *testing.T) {
 			case op < 9:
 				h.put(v, functor.Add(1))
 			case op < 11:
-				h.putResolved(v, functor.Value(nil), functor.Resolved, kv.EncodeInt64(int64(i)))
+				h.putResolved(v, functor.Resolved, kv.EncodeInt64(int64(i)))
 			case op < 14:
 				h.seal(tstamp.End(tstamp.Epoch(rng.Intn(epochs) + 1)))
 			case op < 15:

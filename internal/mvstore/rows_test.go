@@ -1,0 +1,458 @@
+package mvstore
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"alohadb/internal/functor"
+	"alohadb/internal/kv"
+	"alohadb/internal/tstamp"
+)
+
+// The steps below are the ones that can turn a row into a chain by asking
+// for a record of it; with put, putFinal, drop and rangeAll (model_test.go)
+// they are every way a key changes tier.
+
+func (h *modelHarness) at(v tstamp.Timestamp) {
+	h.t.Helper()
+	rec, ok := h.s.At(h.k, v)
+	if _, want := h.m.recs[v]; ok != want {
+		h.t.Fatalf("At(%q, %v) ok = %v, model %v", h.k, v, ok, want)
+	}
+	if ok {
+		h.chained()
+		h.saw(v, rec)
+	}
+	h.check()
+}
+
+func (h *modelHarness) latest(max tstamp.Timestamp) {
+	h.t.Helper()
+	sealed := h.m.sorted(true)
+	i := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
+	rec, ok := h.s.Latest(h.k, max)
+	if ok != (i > 0) || (ok && rec.Version != sealed[i-1]) {
+		h.t.Fatalf("Latest(%q, %v) = %v ok=%v, model sealed %v", h.k, max, rec, ok, sealed)
+	}
+	if ok {
+		h.chained()
+		h.saw(rec.Version, rec)
+	}
+	h.check()
+}
+
+// chain asks for the key's chain, which thaws a row and creates nothing.
+func (h *modelHarness) chain() {
+	h.t.Helper()
+	_, known := h.keys[h.k]
+	if c := h.s.Chain(h.k); (c != nil) != known {
+		h.t.Fatalf("Chain(%q) = %p, model holds the key: %v", h.k, c, known)
+	}
+	if known {
+		h.chained()
+	}
+	h.check()
+}
+
+// tagTwins returns n keys whose slots carry one tag and whose probes start
+// at one position of a 16-slot index: a lookup of any of them walks over the
+// others, told apart by the key bytes in the slab alone.
+var tagTwins = sync.OnceValue(func() []kv.Key {
+	out := []kv.Key{"twin:0"}
+	want := mix(kv.Hash(out[0]))
+	for i, buf := 1, []byte("twin:"); len(out) < 3; i++ {
+		k := kv.Key(strconv.AppendInt(buf[:5], int64(i), 10))
+		if m := mix(kv.Hash(k)); slotTag(m) == slotTag(want) && m&15 == want&15 {
+			out = append(out, k)
+		}
+	}
+	return out
+})
+
+// TestRowsAgainstModel walks a key through every way into, out of and past
+// the row tier and compares the store with the model after every step.
+func TestRowsAgainstModel(t *testing.T) {
+	v1, v2 := ts(1, 1, 0), ts(1, 2, 0)
+
+	t.Run("born final, read, and thawed by what needs a record", func(t *testing.T) {
+		h := newModelHarness(t)
+		// One key per way of thawing; "left" stays a row to the end.
+		for _, k := range []kv.Key{"put", "at", "latest", "view", "chain", "final", "advance", "range", "left", "gone"} {
+			h.on(k).putFinal(v1, functor.Resolved, kv.Value("born "+k), k == "advance")
+		}
+		h.on("gone").putFinal(v2, functor.ResolvedDeleted, nil, false) // a row, then its tombstone version: thawed
+		h.on("put").put(v2, functor.Add(1))
+		h.on("at").at(v2) // misses: still a row
+		if !h.m.row {
+			t.Fatal("an At that missed thawed the row")
+		}
+		h.at(v1)
+		h.on("latest").latest(v1.Prev()) // misses
+		if !h.m.row {
+			t.Fatal("a Latest below the row thawed it")
+		}
+		h.latest(tstamp.Max)
+		h.on("view").hold()
+		h.on("chain").chain()
+		h.on("final").putFinal(v1, functor.Resolved, kv.Value("again"), false) // duplicate delivery
+		if !h.m.row {
+			t.Fatal("a duplicate delivery thawed the row")
+		}
+		h.putFinal(v2, functor.Resolved, kv.Value("second"), false)
+		h.on("advance").advance(v2)
+		h.check()
+		if c := h.s.Chain("advance"); c.Watermark() != v2 {
+			t.Fatalf("watermark %v after a settled row at %v was raised to %v", c.Watermark(), v1, v2)
+		}
+		h.on("never").chain() // asking about a key nobody wrote creates nothing
+		h.at(v1)
+		h.latest(tstamp.Max)
+		h.hold()
+		h.advance(v1)
+		h.checkAll()
+		if st := h.s.Stats(); st.Rows != 2 || st.Thaws != 8 {
+			t.Fatalf("Stats %+v, want the rows of \"range\" and \"left\" and 8 thaws", st)
+		}
+		// A thawed record holds the row's value where it lay, and an append
+		// through it cannot reach the next row.
+		rec, _ := h.s.At("view", v1)
+		_, value, _ := rec.Outcome()
+		if cap(value) != len(value) {
+			t.Fatalf("a thawed value has %d bytes of the slab behind it", cap(value)-len(value))
+		}
+		h.rangeAll()
+		h.checkAll()
+	})
+
+	t.Run("drop and re-insert reuse the slot", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.s = NewWithShards(1)
+		for i := 0; i < 8; i++ {
+			h.on(kv.Key(fmt.Sprintf("k:%d", i))).putFinal(v1, functor.Resolved, kv.EncodeInt64(int64(i)), true)
+		}
+		l := &h.s.shards[0].rows
+		used := l.used
+		for round := 0; round < 40; round++ {
+			h.on(kv.Key(fmt.Sprintf("k:%d", round%8))).drop()
+			h.drop() // a second drop finds nothing
+			h.putFinal(ts(2, uint32(round+1), 0), functor.Resolved, kv.EncodeInt64(int64(round)), false)
+			h.checkAll()
+			if l.used != used || len(l.index) != 16 {
+				t.Fatalf("round %d: dropping and re-inserting one of 8 keys left %d slots used of %d, were %d of 16", round, l.used, len(l.index), used)
+			}
+		}
+		h.on("k:3").drop()
+		h.put(v2, functor.Add(1)) // a dropped key comes back as a chain
+		h.checkAll()
+	})
+
+	t.Run("index growth with tombstones present", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.s = NewWithShards(1)
+		l := &h.s.shards[0].rows
+		size, doublings := 0, 0
+		for i := 0; i < 1500; i++ {
+			value := kv.Value(fmt.Sprintf("%040d", i))
+			h.on(kv.Key(fmt.Sprintf("grow:%d", i))).putFinal(ts(1, uint32(i+1), 0), functor.Resolved, value, i%2 == 0)
+			// Leave tombstones behind: every third key is dropped or thawed.
+			switch i % 6 {
+			case 2:
+				h.drop()
+			case 5:
+				h.put(ts(2, 1, 0), functor.Add(1))
+			}
+			if len(l.index) != size {
+				if size != 0 && len(l.index) == 2*size {
+					doublings++
+				}
+				size = len(l.index)
+				h.checkAll()
+			}
+		}
+		h.checkAll()
+		if doublings < 6 || len(l.slabs) < 4 {
+			t.Fatalf("the index doubled %d times over %d slabs: the test no longer grows what it means to", doublings, len(l.slabs))
+		}
+	})
+
+	t.Run("keys whose tags and positions collide", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.s = NewWithShards(1)
+		twins := tagTwins()
+		for i, k := range twins {
+			h.on(k).putFinal(ts(1, uint32(i+1), 0), functor.Resolved, kv.Value(k), false)
+		}
+		h.checkAll()
+		h.on(twins[0]).drop() // a tombstone at the head of the others' probes
+		h.checkAll()
+		h.on(twins[1]).put(v2, functor.Add(1)) // and one thawed in the middle
+		h.checkAll()
+		h.on(twins[0]).putFinal(v2, functor.Resolved, kv.Value("back"), true)
+		h.checkAll()
+		if len(h.s.shards[0].rows.index) != 16 {
+			t.Fatal("the index grew: the twins no longer share a position")
+		}
+	})
+
+	t.Run("a row over the cap takes the chain path", func(t *testing.T) {
+		h := newModelHarness(t)
+		big := bytes.Repeat([]byte{'x'}, _maxRow)
+		h.on("big").putFinal(v1, functor.Resolved, big, true) // key + value is over by len("big")
+		if h.m.row {
+			t.Fatal("the model took an over-cap write for a row")
+		}
+		h.on("fits").putFinal(v1, functor.Resolved, big[:_maxRow-len("fits")], true)
+		if !h.m.row {
+			t.Fatal("a write of exactly the cap is not a row")
+		}
+		h.on("empty").putFinal(v1, functor.Resolved, nil, false)
+		h.on("").putFinal(v1, functor.ResolvedDeleted, nil, false) // the empty key is a key
+		h.checkAll()
+		h.rangeAll()
+	})
+}
+
+// rowOpKeys is the key set of the random harness: few enough to collide in
+// every way (the twins included), one long enough that its rows straddle
+// slabs.
+var rowOpKeys = sync.OnceValue(func() []kv.Key {
+	keys := append([]kv.Key(nil), tagTwins()...)
+	for i := 0; i < 24; i++ {
+		keys = append(keys, kv.Key(fmt.Sprintf("r:%d", i)))
+	}
+	return append(keys, kv.Key(bytes.Repeat([]byte{'L'}, 300)))
+})
+
+// runRowOps reads data three bytes at a time — operation, key, argument —
+// and applies each to a one-shard store and to the model, comparing every
+// key after every step.
+func runRowOps(t *testing.T, data []byte) {
+	h := newModelHarness(t)
+	h.s = NewWithShards(1)
+	keys := rowOpKeys()
+	for ; len(data) >= 3; data = data[3:] {
+		op, arg := data[0]%16, data[2]
+		h.on(keys[int(data[1])%len(keys)])
+		v := ts(tstamp.Epoch(arg%3+1), uint32(arg/3%8+1), 0)
+		value := kv.Value(fmt.Sprintf("%s=%d", h.k[:min(len(h.k), 8)], arg))
+		switch op {
+		case 0, 1, 2:
+			h.putFinal(v, functor.Resolved, value, arg&1 == 0)
+		case 3:
+			h.putFinal(v, functor.ResolvedDeleted, nil, false)
+		case 4:
+			h.latest(v)
+		case 5:
+			h.put(v, functor.Add(1))
+		case 6:
+			h.at(v)
+		case 7:
+			h.hold()
+			h.held = h.held[:0] // held views are TestLayoutAgainstModel's subject
+		case 8, 9:
+			h.drop()
+		case 10:
+			h.rangeAll()
+		case 11:
+			h.seal(tstamp.End(tstamp.Epoch(arg%3 + 1)))
+		case 12:
+			if all := h.m.sorted(false); len(all) > 0 {
+				res := []*functor.Resolution{valueRes, abortRes, writesRes, functor.DeleteResolution(), functor.SkipResolution()}
+				h.resolve(all[int(arg)%len(all)], res[int(arg)%len(res)])
+			}
+		case 13:
+			// Raise the watermark over the resolved sealed prefix, as the
+			// engine does, then compact somewhere inside it.
+			var wm tstamp.Timestamp
+			for _, sv := range h.m.sorted(true) {
+				if h.m.recs[sv].won == nil {
+					break
+				}
+				wm = sv
+			}
+			h.advance(wm)
+			h.compact(v)
+		case 14:
+			h.putFinal(v, functor.Resolved, bytes.Repeat([]byte{arg}, _maxRow), false)
+		case 15:
+			h.chain()
+		}
+		h.checkAll()
+	}
+}
+
+// TestStoreRowsRandomOps drives the harness from seeded random bytes.
+func TestStoreRowsRandomOps(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		data := make([]byte, 3*500)
+		rand.New(rand.NewSource(seed)).Read(data)
+		runRowOps(t, data)
+	}
+}
+
+// FuzzStoreRows is the same harness driven by the fuzzer's bytes.
+func FuzzStoreRows(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 5, 3, 1, 8, 3, 0, 0, 3, 7, 10, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 8, 0, 0, 6, 1, 1, 0, 0, 9, 14, 1, 0})
+	seeded := make([]byte, 3*200)
+	rand.New(rand.NewSource(1)).Read(seeded)
+	f.Add(seeded)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runRowOps(t, data[:min(len(data), 3*400)])
+	})
+}
+
+// TestRowsConcurrent has born-final writers (every delivery duplicated),
+// thawing Puts and readers on the same keys. A reader that knows a key has
+// been written must find it — as the row, or as the chain whose first
+// version is the row's — never in neither place; exactly one delivery is
+// fresh. Run under -race it also shows that slab bytes handed to a reader
+// are never written again.
+func TestRowsConcurrent(t *testing.T) {
+	const (
+		rounds = 20
+		nkeys  = 256
+	)
+	v1 := ts(1, 1, 0)
+	keys, vals := make([]kv.Key, nkeys), make([]kv.Value, nkeys)
+	for i := range keys {
+		keys[i], vals[i] = kv.Key(fmt.Sprintf("k:%d", i)), kv.EncodeInt64(int64(i))
+	}
+	for round := 0; round < rounds; round++ {
+		s := NewWithShards(2)
+		written := make([]atomic.Bool, nkeys)
+		var fresh atomic.Int64
+		var writers, others sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < 2; w++ {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				for i, k := range keys {
+					if _, ok := s.PutFinal(k, v1, functor.Resolved, vals[i], i%2 == 0); ok {
+						fresh.Add(1)
+					}
+					written[i].Store(true)
+				}
+			}()
+		}
+		others.Add(1)
+		go func() { // thaws every third key that has been written
+			defer others.Done()
+			for thawed := 0; thawed < nkeys/3; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				thawed = 0
+				for i := 0; i < nkeys; i += 3 {
+					if written[i].Load() {
+						s.Put(keys[i], ts(2, 1, 0), functor.Add(1))
+						thawed++
+					}
+				}
+			}
+		}()
+		for r := 0; r < 2; r++ {
+			others.Add(1)
+			go func() {
+				defer others.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for i, k := range keys {
+						if !written[i].Load() {
+							continue
+						}
+						c, row, ok := s.Read(k, tstamp.Max)
+						switch {
+						case c != nil:
+							rec := c.Latest(v1)
+							if rec == nil || rec.Version != v1 {
+								t.Errorf("%q has a chain without the row's version: %v", k, rec)
+								return
+							}
+							if _, value, _ := rec.Outcome(); !bytes.Equal(value, vals[i]) {
+								t.Errorf("%q@%v holds %x in its chain, want %x", k, v1, value, vals[i])
+								return
+							}
+						case ok:
+							if row.Version != v1 || row.Kind != functor.Resolved || !bytes.Equal(row.Value, vals[i]) {
+								t.Errorf("%q is the row %+v, want %v %x", k, row, v1, vals[i])
+								return
+							}
+						default:
+							t.Errorf("%q was written and is neither a row nor a chain", k)
+							return
+						}
+					}
+				}
+			}()
+		}
+		writers.Wait()
+		close(stop)
+		others.Wait()
+		if got := fresh.Load(); got != nkeys {
+			t.Fatalf("round %d: %d of %d deliveries were fresh, want %d", round, got, 2*nkeys, nkeys)
+		}
+		if s.Len() != nkeys {
+			t.Fatalf("round %d: %d keys, want %d", round, s.Len(), nkeys)
+		}
+	}
+}
+
+// benchRowKeys are n distinct keys of a TPC-C order line's length.
+func benchRowKeys(n int) []kv.Key {
+	keys := make([]kv.Key, n)
+	for i := range keys {
+		keys[i] = kv.Key(fmt.Sprintf("ol:1:%02d:%08d", i%10, i))
+	}
+	return keys
+}
+
+// _rowBenchWarm rows are in the store before the clock starts, so the slabs
+// are past their small sizes and the index past its first doublings.
+const _rowBenchWarm = 1 << 16
+
+// BenchmarkStoreRowPut is a born-final write to a fresh key in steady state.
+// What it allocates is a 1 MB slab every ~25 k rows and an index doubling,
+// which per operation rounds to nothing (scripts/alloc-guard.sh requires 0).
+func BenchmarkStoreRowPut(b *testing.B) {
+	s, keys, val := New(), benchRowKeys(_rowBenchWarm+b.N), kv.Value("a TPC-C order line, about so long")
+	for i, k := range keys[:_rowBenchWarm] {
+		s.PutFinal(k, ts(1, uint32(i+1), 0), functor.Resolved, val, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, k := range keys[_rowBenchWarm:] {
+		s.PutFinal(k, ts(2, uint32(i+1), 0), functor.Resolved, val, false)
+	}
+}
+
+// BenchmarkStoreRowRead reads a row where it lies.
+func BenchmarkStoreRowRead(b *testing.B) {
+	s, keys, val := New(), benchRowKeys(_rowBenchWarm), kv.Value("a TPC-C order line, about so long")
+	for i, k := range keys {
+		s.PutFinal(k, ts(1, uint32(i+1), 0), functor.Resolved, val, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		_, row, _ := s.Read(keys[i%_rowBenchWarm], tstamp.Max)
+		n += len(row.Value)
+	}
+	if n != b.N*len(val) {
+		b.Fatalf("read %d value bytes, want %d", n, b.N*len(val))
+	}
+}

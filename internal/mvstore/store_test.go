@@ -154,8 +154,14 @@ func TestWatermark(t *testing.T) {
 	if s.Chain("k") != nil {
 		t.Error("a key never written has a chain")
 	}
+	// A watermark is a property of what was written: raising it does not
+	// create the key.
 	s.AdvanceWatermark("k", ts(1, 5, 0))
-	c := s.Chain("k")
+	if s.Chain("k") != nil || s.Len() != 0 {
+		t.Fatal("AdvanceWatermark created a key nobody wrote")
+	}
+	c := s.ChainOrCreate("k")
+	s.AdvanceWatermark("k", ts(1, 5, 0))
 	if c.Watermark() != ts(1, 5, 0) {
 		t.Error("watermark not advanced")
 	}

@@ -51,7 +51,16 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 	}
 
 	var scanErr error
-	store.Range(func(k kv.Key, c *mvstore.Chain) bool {
+	// Keys, not chains: a row is written from where it lies, and the store
+	// keeps the shape it has.
+	store.RangeKeys(func(k kv.Key) bool {
+		c, row, ok := store.Read(k, bound)
+		if c == nil {
+			if ok && (row.Kind == functor.Resolved || row.Kind == functor.ResolvedDeleted) {
+				scanErr = writeCkptRecord(w, k, row.Version, row.Kind, row.Value)
+			}
+			return scanErr == nil
+		}
 		view := c.View()
 		// Latest readable resolution at or below bound: skip aborted and
 		// skipped versions, stop at a value or tombstone.
@@ -177,23 +186,19 @@ func loadCkptRecord(store *mvstore.Store, payload []byte) error {
 	if n <= 0 || vlen > uint64(len(rest)-n) {
 		return fmt.Errorf("%w: checkpoint value", ErrCorrupt)
 	}
-	val := make(kv.Value, vlen)
-	copy(val, rest[n:n+int(vlen)])
-
-	var fn *functor.Functor
+	val := kv.Value(rest[n : n+int(vlen)])
 	switch kind {
 	case functor.Resolved:
-		fn = functor.Value(val)
 	case functor.ResolvedDeleted:
-		fn, val = functor.Deleted(), nil
+		val = nil
 	default:
 		return fmt.Errorf("%w: checkpoint resolution kind %d", ErrCorrupt, kind)
 	}
-	c := store.ChainOrCreate(k)
-	if _, fresh := c.PutResolved(v, fn, kind, val); !fresh {
+	// One final value per key, nothing older to come: the store copies it
+	// into a row (payload is this record's own, should it be kept instead).
+	if _, fresh := store.PutFinal(k, v, kind, val, true); !fresh {
 		return mvstore.ErrVersionExists
 	}
-	c.AdvanceWatermark(v)
 	return nil
 }
 

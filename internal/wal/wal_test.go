@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -208,9 +210,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	put("b", ts(2, 2), functor.Aborted(), functor.AbortResolution("x"))
 	// A deferred write's record: born resolved and sealed, its functor a
 	// shared placeholder, the value in the record's outcome alone.
-	row := src.ChainOrCreate("row")
-	row.PutResolved(ts(2, 3), functor.Value(nil), functor.Resolved, kv.Value("deferred"))
-	row.AdvanceWatermark(ts(2, 3))
+	src.PutFinal("row", ts(2, 3), functor.Resolved, kv.Value("deferred"), true)
+	// And a few hundred more, some since thawed or dropped, so that shards
+	// hold several rows, dead ones between them, beside chains.
+	const extra = 300
+	for i := 0; i < extra; i++ {
+		k := kv.Key(fmt.Sprintf("extra:%d", i))
+		src.PutFinal(k, ts(1, uint32(10+i)), functor.Resolved, kv.EncodeInt64(int64(i)), true)
+		switch i % 10 {
+		case 3:
+			src.View(k)
+		case 7:
+			src.Drop(k)
+		}
+	}
+	const keys = 4 + extra - extra/10
 
 	path := filepath.Join(dir, "ckpt")
 	bound := tstamp.End(2).Prev()
@@ -223,6 +237,24 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if gotBound != bound {
 		t.Errorf("bound = %v, want %v", gotBound, bound)
+	}
+	// One final value per key is what a row is: the restored store has the
+	// shape of a loaded one, writing it out again thaws nothing, and the
+	// second checkpoint is the first, byte for byte.
+	if st := loaded.Stats(); st.Rows != keys || st.Chains != 0 {
+		t.Errorf("restored store: %+v, want %d rows and no chain", st, keys)
+	}
+	again := filepath.Join(dir, "ckpt2")
+	if err := WriteCheckpoint(loaded, bound, again); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := os.ReadFile(path)
+	second, _ := os.ReadFile(again)
+	if len(first) == 0 || !bytes.Equal(first, second) {
+		t.Errorf("checkpoint of the restored store differs from the one it was restored from (%d and %d bytes)", len(first), len(second))
+	}
+	if st := loaded.Stats(); st.Rows != keys || st.Thaws != 0 {
+		t.Errorf("writing a checkpoint thawed the store: %+v", st)
 	}
 	rec, ok := loaded.Latest("a", tstamp.Max)
 	if !ok || rec.Version != ts(2, 1) {

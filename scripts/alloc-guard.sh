@@ -6,8 +6,8 @@
 set -eu
 
 # Object counts and size classes: the untraced install/compute path, what a
-# key written once keeps alive (record + outcome in one chain object), the
-# version-chain budgets, and the TPC-C workload's keys, router and handler.
+# key written once keeps alive (nothing: it is a row), the version-chain and
+# row budgets, and the TPC-C workload's keys, router and handler.
 go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget|TestLoadAllocatesNoFunctorPerPair)$'
 go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass)$'
 go test -count=1 ./internal/workload/tpcc/ -run '^(TestNewOrderAllocations|TestRouterMatchesReferenceAndAllocatesNothing)$'
@@ -31,6 +31,9 @@ zero ./internal/core/ 'BenchmarkWire(Encode|Decode)Msg(ReadBatch|Install)$' 1000
 zero ./internal/core/ 'BenchmarkEnvelopeInstall/enc$' 100000x 1
 allocs ./internal/core/ 'BenchmarkEnvelopeInstall/dec$' 100000x 1 8
 zero ./internal/core/ 'BenchmarkHandoffSteadyState$' 200x 1
+# A born-final write to a fresh key and the read of a row, slabs and index
+# pre-grown: a slab or an index doubling now and then rounds to nothing.
+zero ./internal/mvstore/ 'BenchmarkStoreRow(Put|Read)$' 100000x 2
 zero ./internal/trace/ 'BenchmarkDisabledSpan' 100000x 1
 zero ./internal/obs/ 'BenchmarkSkew(Disabled|SampledOut)Observe' 100000x 2
 zero ./internal/obs/journal/ 'BenchmarkJournal(Disabled|Enabled)Install' 100000x 2
