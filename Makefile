@@ -14,10 +14,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # One codec: encoding/gob is the reference of the differential codec test
-# and may not come back into non-test code.
+# and may not come back into non-test code. One operator surface:
+# core.OpsHandler builds it; aloha-server and the scenario env assemble no
+# mux of their own, and no Prometheus text parser reads our own /metrics.
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
+	@! grep -rlE --include='*.go' 'metrics\.OpsHandler\(|"net/http/pprof"' cmd/aloha-server internal/scenario | grep -v '_test\.go$$'
+	@! grep -rl --include='*.go' 'ParseMetrics' .
 
 test:
 	$(GO) test ./...

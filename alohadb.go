@@ -370,7 +370,7 @@ func (db *DB) Traces() []TraceData { return db.cluster.Traces() }
 func (db *DB) SlowTraces() []TraceData { return db.cluster.SlowTraces() }
 
 // TraceHandler returns the /debug/traces HTTP handler for this DB's
-// tracer, ready to mount via metrics.WithTraces (or any mux). Safe to call
+// tracer, ready to hand to metrics.OpsHandler (or any mux). Safe to call
 // when tracing is disabled: routes answer 404 with a hint.
 func (db *DB) TraceHandler() http.Handler { return trace.Handler(db.cluster.Tracer()) }
 

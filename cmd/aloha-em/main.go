@@ -7,19 +7,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
 	"alohadb/internal/core"
 	"alohadb/internal/epoch"
-	"alohadb/internal/metrics"
-	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/transport"
 	"alohadb/internal/tstamp"
@@ -41,9 +37,8 @@ func run() error {
 		epochMax = flag.Duration("epoch-interval-max", 0, "adaptive epoch interval upper bound")
 		timeout  = flag.Duration("switch-timeout", time.Second, "straggler escape timeout per epoch switch")
 		start    = flag.Uint("start-epoch", 0, "first granted epoch (0 = 1); a restarted EM must start above the cluster's current epoch or the servers rightly refuse to regress (see aloha_server_epoch or /debug/stall on any server)")
-		opsAddr  = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /debug/epochs, /debug/timeseries); empty disables")
+		opsAddr  = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /debug/obs, /debug/epochs, /debug/timeseries); empty disables")
 		tsEvery  = flag.Duration("timeseries-interval", 500*time.Millisecond, "flight recorder sample interval (0 disables the recorder)")
-		tsKeep   = flag.Int("timeseries-retention", 0, "flight recorder ring length in samples (0 = default 240)")
 	)
 	flag.Parse()
 	if *peers == "" || *emAddr == "" {
@@ -75,61 +70,16 @@ func run() error {
 	}
 	defer em.Close()
 
-	// The EM's flight recorder watches the cluster's heartbeat from the
-	// grantor's side: epoch grant rate (a stalled cluster flatlines here
-	// first), switch cost, the adaptive tuner's interval, and runtime
-	// health. Same rings and /debug/timeseries document as the servers',
-	// so aloha-top could merge it, and anomalies (grant-rate drop, switch
-	// cost step-up) annotate themselves with the epoch range.
 	var rec *tsdb.Recorder
 	if *opsAddr != "" && *tsEvery > 0 {
-		mgr := em.Manager
-		rec = tsdb.New(tsdb.Config{
-			Server:    int(emID),
-			Interval:  *tsEvery,
-			Retention: *tsKeep,
-			Epoch:     func() uint64 { return uint64(mgr.Current()) },
-			Sources: []tsdb.Source{
-				{Name: "epoch_grant_rate", Unit: "epochs/s", Kind: tsdb.KindRate,
-					Value:  func() float64 { return float64(mgr.Current()) },
-					Detect: tsdb.Detect{DropFrac: 0.5, MinBaseline: 1}},
-				{Name: "epoch_interval", Unit: "seconds", Kind: tsdb.KindGauge,
-					Value: func() float64 { return mgr.Interval().Seconds() }},
-				{Name: "switch_mean", Unit: "seconds", Kind: tsdb.KindGauge,
-					Value: func() float64 {
-						n, total := mgr.SwitchStats()
-						if n == 0 {
-							return math.NaN()
-						}
-						return total.Seconds() / float64(n)
-					}},
-				{Name: "heap_bytes", Unit: "bytes", Kind: tsdb.KindGauge,
-					Value: func() float64 {
-						var ms runtime.MemStats
-						runtime.ReadMemStats(&ms)
-						return float64(ms.HeapAlloc)
-					}},
-				{Name: "goroutines", Unit: "goroutines", Kind: tsdb.KindGauge,
-					Value: func() float64 { return float64(runtime.NumGoroutine()) }},
-			},
-		})
+		rec = core.NewEMRecorder(em.Manager, int(emID), *tsEvery)
 		rec.Start()
 		defer rec.Stop()
 	}
 
 	var ops *http.Server
 	if *opsAddr != "" {
-		mgr := em.Manager
-		gather := func() []metrics.Family {
-			return metrics.Merge(mgr.MetricFamilies(), net.NetMetrics().MetricFamilies(), metrics.RuntimeFamilies())
-		}
-		opts := []metrics.OpsOption{
-			metrics.WithDebug("epochs", journal.DocHandler(nil, mgr.Journal())),
-		}
-		if rec != nil {
-			opts = append(opts, metrics.WithDebug("timeseries", rec.Handler()))
-		}
-		ops = &http.Server{Addr: *opsAddr, Handler: metrics.OpsHandler(gather, opts...)}
+		ops = &http.Server{Addr: *opsAddr, Handler: core.OpsHandler(core.Ops{EM: em.Manager, Net: net, Recorder: rec})}
 		go func() {
 			if err := ops.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "aloha-em: ops listener: %v\n", err)

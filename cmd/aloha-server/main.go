@@ -24,9 +24,7 @@ import (
 
 	"alohadb/internal/core"
 	"alohadb/internal/functor"
-	"alohadb/internal/metrics"
 	"alohadb/internal/obs"
-	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/placement"
 	"alohadb/internal/trace"
@@ -48,11 +46,10 @@ func run() error {
 		emAddr  = flag.String("em", "", "epoch manager address")
 		workers = flag.Int("workers", 0, "functor processor pool size (0 = default)")
 		walPath = flag.String("wal", "", "write-ahead log path (empty disables durability)")
-		opsAddr = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /healthz, /debug/pprof, /debug/traces); empty disables")
+		opsAddr = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /healthz, /debug/obs, /debug/pprof, /debug/traces); empty disables")
 
 		traceSample = flag.Float64("trace-sample", 0, "trace sample rate in [0,1] (0 disables sampling)")
 		traceSlow   = flag.Duration("trace-slow", 0, "always capture transactions slower than this (0 disables)")
-		traceRing   = flag.Int("trace-ring", 0, "trace span ring size (0 = default)")
 
 		flushBytes    = flag.Int("net-flush-bytes", 0, "transport per-peer buffered-write flush threshold in bytes (0 = default 64KiB)")
 		flushInterval = flag.Duration("net-flush-interval", 0, "transport flusher linger after the send queue drains (0 = flush immediately)")
@@ -61,13 +58,11 @@ func run() error {
 		placementMap = flag.String("placement-map", "", "JSON ownership map installed at boot (same format as /debug/placement; give every server the same file). Live rebalancing runs through the embedded Rebalancer in single-process clusters; multi-process servers adopt newer maps from WrongOwner responses as they coordinate.")
 
 		stallThreshold = flag.Duration("epoch-stall-threshold", 5*time.Second, "epoch watchdog: declare a stall when the visibility bound stops advancing this long (0 disables)")
-		journalRing    = flag.Int("epoch-journal-ring", journal.DefaultRing, "epoch lifecycle journal depth in epochs, served at /debug/epochs (0 disables)")
 		skewSample     = flag.Int("skew-sample", 0, "hot-key profiler: sample every Nth key access (0 disables profiling)")
 		skewTopK       = flag.Int("skew-topk", 0, "hot-key profiler: tracked heavy-hitter count (0 = default)")
 		walMaxFsyncAge = flag.Duration("wal-fsync-max-age", 0, "readiness: fail /healthz when the last WAL fsync is older than this (0 disables; needs -wal)")
 
-		tsInterval  = flag.Duration("timeseries-interval", 500*time.Millisecond, "metrics flight recorder sample interval, served at /debug/timeseries (0 disables)")
-		tsRetention = flag.Int("timeseries-retention", 0, "flight recorder ring depth in samples per series (0 = default 240, i.e. 2 minutes at the default interval)")
+		tsInterval = flag.Duration("timeseries-interval", 500*time.Millisecond, "metrics flight recorder sample interval, served at /debug/timeseries (0 disables)")
 	)
 	flag.Parse()
 
@@ -86,11 +81,7 @@ func run() error {
 		transport.WithFlushInterval(*flushInterval))
 	defer net.Close()
 
-	tracer := trace.New(trace.Config{
-		SampleRate:    *traceSample,
-		SlowThreshold: *traceSlow,
-		RingSize:      *traceRing,
-	})
+	tracer := trace.New(trace.Config{SampleRate: *traceSample, SlowThreshold: *traceSlow})
 	var skew *obs.Skew
 	if *skewSample > 0 {
 		skew = obs.NewSkew(obs.SkewConfig{SampleEvery: *skewSample, TopK: *skewTopK, Partitions: emID})
@@ -103,10 +94,6 @@ func run() error {
 		Tracer:          tracer,
 		ReadBatchWindow: *batchWindow,
 		Skew:            skew,
-		JournalRing:     *journalRing,
-	}
-	if *journalRing <= 0 {
-		cfg.JournalRing = -1 // flag 0 = off; config negative = disabled
 	}
 	var walLog *wal.Log
 	if *walPath != "" {
@@ -145,7 +132,7 @@ func run() error {
 	var rec *tsdb.Recorder
 	if *tsInterval > 0 {
 		srv.SetMaxQueueDepthSource(net.MaxSendQueueDepth)
-		rec = srv.NewRecorder(tsdb.Config{Interval: *tsInterval, Retention: *tsRetention})
+		rec = srv.NewRecorder(tsdb.Config{Interval: *tsInterval})
 		rec.Start()
 		defer rec.Stop()
 	}
@@ -154,44 +141,8 @@ func run() error {
 
 	var ops *http.Server
 	if *opsAddr != "" {
-		gather := func() []metrics.Family {
-			fams := metrics.Merge(srv.MetricFamilies(), net.NetMetrics().MetricFamilies())
-			fams = append(fams, metrics.RuntimeFamilies()...)
-			fams = append(fams, wd.MetricFamilies()...)   // nil-safe: empty when disabled
-			fams = append(fams, skew.MetricFamilies()...) // nil-safe: empty when disabled
-			return fams
-		}
-		opts := []metrics.OpsOption{
-			metrics.WithTraces(trace.Handler(tracer)),
-			metrics.WithDebug("placement", placement.Handler(srv.PlacementTable())),
-		}
-		if srv.Journal() != nil {
-			// This process hosts no EM (aloha-em does); the second argument
-			// is nil-safe and the merge tolerates docs without EM mirrors.
-			opts = append(opts, metrics.WithDebug("epochs", journal.DocHandler(srv.Journal(), nil)))
-		}
-		if wd != nil {
-			opts = append(opts,
-				metrics.WithDebug("stall", wd.Handler()),
-				metrics.WithHealth("watchdog", wd.Health))
-		}
-		if skew != nil {
-			opts = append(opts, metrics.WithDebug("hotkeys", skew.Handler()))
-		}
-		if rec != nil {
-			opts = append(opts, metrics.WithDebug("timeseries", rec.Handler()))
-		}
-		if walLog != nil && *walMaxFsyncAge > 0 {
-			maxAge := *walMaxFsyncAge
-			opts = append(opts, metrics.WithHealth("wal", func() (bool, string) {
-				age, ok := walLog.LastSyncAge()
-				if !ok || age <= maxAge {
-					return true, ""
-				}
-				return false, fmt.Sprintf("last fsync %s ago (max %s): commits are not reaching disk", age.Round(time.Millisecond), maxAge)
-			}))
-		}
-		ops = &http.Server{Addr: *opsAddr, Handler: metrics.OpsHandler(gather, opts...)}
+		ops = &http.Server{Addr: *opsAddr, Handler: core.OpsHandler(core.Ops{
+			Server: srv, Net: net, Recorder: rec, FsyncMaxAge: *walMaxFsyncAge})}
 		go func() {
 			if err := ops.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "aloha-server: ops listener: %v\n", err)

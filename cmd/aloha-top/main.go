@@ -1,12 +1,11 @@
-// Command aloha-top is the cluster-wide observability dashboard: it polls
-// every server's ops endpoint (/metrics, /healthz, /debug/stall,
-// /debug/hotkeys, /debug/epochs) and renders one merged frame — minimum
-// committed epoch, aggregate commit rate, per-server p99s, a stall/skew
-// roll-up, and each server's share of the epoch critical paths (the
-// "gating" column). -epochs N adds a drill-down of the N slowest epochs
-// with their cluster-wide attribution (which server and stage gated each
-// commit). When servers run the metrics flight recorder
-// (/debug/timeseries), the frame adds a cluster commit-rate sparkline and
+// Command aloha-top is the cluster-wide observability dashboard: it reads
+// every server's /debug/obs document, one request per server, and renders
+// one merged frame — minimum committed epoch, aggregate commit rate,
+// per-server p99s, a stall/skew roll-up, and each server's share of the
+// epoch critical paths (the "gating" column). -epochs N adds a drill-down
+// of the N slowest epochs with their cluster-wide attribution (which server
+// and stage gated each commit). When servers run the metrics flight
+// recorder, the frame adds a cluster commit-rate sparkline and
 // active-anomaly callouts; -timeseries adds a drill-down of every merged
 // series with its trend strip.
 //
@@ -90,15 +89,7 @@ func oneShot(ctx context.Context, w io.Writer, sc *clusterview.Scraper, window t
 	}
 	cur := clusterview.Delta(prev, sc.Scrape(ctx))
 	if !jsonOut {
-		clusterview.Render(w, cur)
-		if epochsN > 0 {
-			fmt.Fprintf(w, "\nslowest epochs (critical path):\n")
-			clusterview.RenderEpochs(w, cur.EpochPaths, epochsN)
-		}
-		if timeseries {
-			fmt.Fprintf(w, "\nflight recorder (merged series):\n")
-			clusterview.RenderTimeseries(w, cur, 48)
-		}
+		frame(w, cur, epochsN, timeseries)
 		return nil
 	}
 	out := struct {
@@ -128,15 +119,7 @@ func watch(ctx context.Context, sc *clusterview.Scraper, interval time.Duration,
 			// Clear and home, then draw the frame.
 			fmt.Print("\x1b[2J\x1b[H")
 			fmt.Printf("aloha-top  %s  (refresh %s, ctrl-c to quit)\n\n", cur.At.Format("15:04:05"), interval)
-			clusterview.Render(os.Stdout, cur)
-			if epochsN > 0 {
-				fmt.Printf("\nslowest epochs (critical path):\n")
-				clusterview.RenderEpochs(os.Stdout, cur.EpochPaths, epochsN)
-			}
-			if timeseries {
-				fmt.Printf("\nflight recorder (merged series):\n")
-				clusterview.RenderTimeseries(os.Stdout, cur, 48)
-			}
+			frame(os.Stdout, cur, epochsN, timeseries)
 		}
 		prev, havePrev = cur, true
 		select {
@@ -144,5 +127,18 @@ func watch(ctx context.Context, sc *clusterview.Scraper, interval time.Duration,
 		case <-ctx.Done():
 			return nil
 		}
+	}
+}
+
+// frame renders the dashboard and the drill-downs asked for.
+func frame(w io.Writer, snap clusterview.ClusterSnapshot, epochsN int, timeseries bool) {
+	clusterview.Render(w, snap)
+	if epochsN > 0 {
+		fmt.Fprintf(w, "\nslowest epochs (critical path):\n")
+		clusterview.RenderEpochs(w, snap.EpochPaths, epochsN)
+	}
+	if timeseries {
+		fmt.Fprintf(w, "\nflight recorder (merged series):\n")
+		clusterview.RenderTimeseries(w, snap, 48)
 	}
 }

@@ -74,9 +74,6 @@ type ClusterConfig struct {
 	// server's install and local-read paths; its families join Metrics().
 	// Nil disables profiling (see ServerConfig.Skew).
 	Skew *obs.Skew
-	// JournalRing sizes each server's per-epoch lifecycle journal (see
-	// ServerConfig.JournalRing): zero = default on, negative = disabled.
-	JournalRing int
 }
 
 // Cluster is an embedded multi-server ALOHA-DB instance. It is the unit the
@@ -142,7 +139,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			AbortRetries:      cfg.AbortRetries,
 			AbortRetryBackoff: cfg.AbortRetryBackoff,
 			Skew:              cfg.Skew,
-			JournalRing:       cfg.JournalRing,
 		}, c.net)
 		if err != nil {
 			c.Close()

@@ -6,6 +6,7 @@ import (
 	rm "runtime/metrics"
 	"time"
 
+	"alohadb/internal/epoch"
 	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 )
@@ -56,7 +57,7 @@ func (rs *runtimeSampler) gcCycles() float64 {
 }
 
 // NewRecorder builds this server's flight recorder: the caller sets the
-// cadence (Interval/Retention/Detector) and owns Start/Stop; the curated
+// cadence (Interval/Detector) and owns Start/Stop; the curated
 // sources, the committed-epoch sample clock, and the journal gating
 // cross-link are wired here. Extra sources (e.g. the cluster-singleton
 // migration gauge) are appended after the curated set. Wire the watchdog
@@ -67,7 +68,7 @@ func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Record
 	if cfg.Epoch == nil {
 		cfg.Epoch = func() uint64 { return uint64(s.CommittedEpoch()) }
 	}
-	if cfg.Gating == nil && s.journal != nil {
+	if cfg.Gating == nil {
 		cfg.Gating = s.journal.GatingBetween
 	}
 
@@ -134,15 +135,49 @@ func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Record
 			},
 		})
 	}
-	rs := newRuntimeSampler()
-	src = append(src,
-		tsdb.Source{Name: "heap_bytes", Unit: "bytes", Kind: tsdb.KindGauge, Value: rs.heap},
-		tsdb.Source{Name: "gc_rate", Unit: "cycles/s", Kind: tsdb.KindRate, Value: rs.gcCycles},
-		tsdb.Source{Name: "goroutines", Unit: "goroutines", Kind: tsdb.KindGauge,
-			Value: func() float64 { return float64(runtime.NumGoroutine()) }},
-	)
+	src = append(src, runtimeSources()...)
 	cfg.Sources = append(src, extra...)
 	return tsdb.New(cfg)
+}
+
+// runtimeSources are the runtime-health series every recorder carries.
+func runtimeSources() []tsdb.Source {
+	rs := newRuntimeSampler()
+	return []tsdb.Source{
+		{Name: "heap_bytes", Unit: "bytes", Kind: tsdb.KindGauge, Value: rs.heap},
+		{Name: "gc_rate", Unit: "cycles/s", Kind: tsdb.KindRate, Value: rs.gcCycles},
+		{Name: "goroutines", Unit: "goroutines", Kind: tsdb.KindGauge,
+			Value: func() float64 { return float64(runtime.NumGoroutine()) }},
+	}
+}
+
+// NewEMRecorder builds the epoch manager's flight recorder, stamped with its
+// node ID: the cluster's heartbeat seen from the grantor's side — grant rate
+// (a stalled cluster flatlines here first), switch cost, the adaptive
+// tuner's interval — plus runtime health, in the rings and document the
+// servers use, so anomalies (grant-rate drop, switch-cost step-up) annotate
+// themselves with the epoch range. The caller owns Start/Stop.
+func NewEMRecorder(m *epoch.Manager, node int, interval time.Duration) *tsdb.Recorder {
+	return tsdb.New(tsdb.Config{
+		Server:   node,
+		Interval: interval,
+		Epoch:    func() uint64 { return uint64(m.Current()) },
+		Sources: append([]tsdb.Source{
+			{Name: "epoch_grant_rate", Unit: "epochs/s", Kind: tsdb.KindRate,
+				Value:  func() float64 { return float64(m.Current()) },
+				Detect: tsdb.Detect{DropFrac: 0.5, MinBaseline: 1}},
+			{Name: "epoch_interval", Unit: "seconds", Kind: tsdb.KindGauge,
+				Value: func() float64 { return m.Interval().Seconds() }},
+			{Name: "switch_mean", Unit: "seconds", Kind: tsdb.KindGauge,
+				Value: func() float64 {
+					n, total := m.SwitchStats()
+					if n == 0 {
+						return math.NaN()
+					}
+					return total.Seconds() / float64(n)
+				}},
+		}, runtimeSources()...),
+	})
 }
 
 // MigrationSource builds the cluster-singleton migration-inflight gauge,

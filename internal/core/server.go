@@ -78,10 +78,6 @@ type ServerConfig struct {
 	// default) disables profiling at zero per-operation cost, the same
 	// contract as Tracer.
 	Skew *obs.Skew
-	// JournalRing sizes the per-epoch lifecycle journal
-	// (internal/obs/journal), in epochs. Zero takes the default (the
-	// journal is always on); negative disables it entirely.
-	JournalRing int
 }
 
 // DurabilityHook receives one server's durable-state stream. Installs and
@@ -119,7 +115,7 @@ type Server struct {
 	tr         *trace.NodeTracer // nil when tracing is disabled
 	comb       *combiner         // per-owner remote read/ensure batcher
 	skew       *obs.Skew         // nil when hot-key profiling is disabled
-	journal    *journal.Journal  // nil when the epoch journal is disabled
+	journal    *journal.Journal  // per-epoch lifecycle journal, always on
 	wd         *obs.Watchdog     // nil when the watchdog is disabled
 
 	// queueDepths, when set, reports per-peer transport send-queue depths
@@ -249,7 +245,7 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		depRule:    cfg.DependencyRule,
 		tr:         cfg.Tracer.ForNode(cfg.ID),
 		skew:       cfg.Skew,
-		journal:    journal.New(journal.Config{Server: cfg.ID, Ring: cfg.JournalRing}),
+		journal:    journal.New(journal.Config{Server: cfg.ID}),
 
 		abortRetries: cfg.AbortRetries,
 		abortBackoff: cfg.AbortRetryBackoff,
@@ -334,13 +330,12 @@ func (s *Server) MetricFamilies() []metrics.Family {
 	if src, ok := s.durability.(interface{ MetricFamilies() []metrics.Family }); ok {
 		fams = append(fams, src.MetricFamilies()...)
 	}
-	fams = append(fams, s.journal.MetricFamilies()...) // nil-safe: empty when disabled
+	fams = append(fams, s.journal.MetricFamilies()...)
 	return metrics.WithLabel(fams, "server", strconv.Itoa(s.id))
 }
 
-// Journal exposes the server's epoch lifecycle journal (nil when disabled
-// via ServerConfig.JournalRing < 0); its Doc feeds /debug/epochs and the
-// clusterview critical-path merge.
+// Journal exposes the server's epoch lifecycle journal; its Doc feeds
+// /debug/epochs and the clusterview critical-path merge.
 func (s *Server) Journal() *journal.Journal { return s.journal }
 
 // Store exposes the partition's multi-version store to tests and tools.

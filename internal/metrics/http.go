@@ -1,110 +1,53 @@
 package metrics
 
 import (
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"strings"
 )
 
-// OpsOption customizes the operator HTTP surface built by OpsHandler.
-type OpsOption func(*opsConfig)
-
-type opsConfig struct {
-	traces http.Handler
-	debug  map[string]http.Handler
-	checks []healthCheck
-	logf   func(format string, args ...any)
-}
-
-type healthCheck struct {
-	name  string
-	check func() (ok bool, reason string)
-}
-
-// WithTraces mounts a trace viewer (see alohadb/internal/trace.Handler)
-// under /debug/traces. The handler receives paths relative to that prefix,
-// so its "/" route serves /debug/traces and "/chrome" serves
-// /debug/traces/chrome.
-func WithTraces(h http.Handler) OpsOption {
-	return func(c *opsConfig) { c.traces = h }
-}
-
-// WithDebug mounts a handler at /debug/<name> (e.g. the watchdog's stall
-// flight recorder at /debug/stall, the skew profiler at /debug/hotkeys).
-func WithDebug(name string, h http.Handler) OpsOption {
-	return func(c *opsConfig) {
-		if c.debug == nil {
-			c.debug = make(map[string]http.Handler)
-		}
-		c.debug[name] = h
-	}
-}
-
-// WithHealth registers a readiness check consulted by /healthz: when any
-// check fails, /healthz answers 503 with "name: reason" lines, turning it
-// into a real readiness probe (an active epoch stall or a stale WAL fsync
-// takes the server out of rotation). Plain liveness stays at /livez.
-func WithHealth(name string, check func() (ok bool, reason string)) OpsOption {
-	return func(c *opsConfig) {
-		c.checks = append(c.checks, healthCheck{name: name, check: check})
-	}
-}
-
-// WithLogf redirects write-failure logging (default log.Printf).
-func WithLogf(logf func(format string, args ...any)) OpsOption {
-	return func(c *opsConfig) { c.logf = logf }
-}
-
-// OpsHandler builds the operator HTTP surface served by -metrics-addr:
+// OpsHandler builds the fixed routes of an operator surface:
 //
 //	/metrics              Prometheus text exposition of gather()
-//	/healthz              readiness probe: 200 "ok", or 503 with the
-//	                      failing checks' reasons (WithHealth)
+//	/healthz              readiness probe: 200 "ok", or 503 with the lines
+//	                      health() reports (one "name: reason" per failure)
 //	/livez                liveness probe, always 200 "ok"
 //	/debug/pprof/         the standard Go profiler endpoints
-//	/debug/traces         recent/slow traces (only with WithTraces)
-//	/debug/traces/chrome  Chrome trace-event export (only with WithTraces)
-//	/debug/<name>         extra debug handlers (WithDebug)
+//	/debug/traces         recent/slow traces (only with a traces handler)
+//	/debug/traces/chrome  Chrome trace-event export (likewise)
 //
-// gather is invoked per scrape; it should return a fresh snapshot (see
-// Cluster.Metrics / Server.MetricFamilies).
-func OpsHandler(gather func() []Family, opts ...OpsOption) http.Handler {
-	cfg := opsConfig{logf: log.Printf}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// gather is invoked per scrape and should return a fresh snapshot; a nil
+// health is always ready. core.OpsHandler mounts the debug documents on
+// the returned mux — it is the one place a server's surface is assembled.
+func OpsHandler(gather func() []Family, health func() []string, traces http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := WriteText(w, gather()); err != nil {
 			// Headers are gone; all we can do is note the broken scrape.
-			cfg.logf("metrics: /metrics write: %v", err)
+			log.Printf("metrics: /metrics write: %v", err)
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		body := "ok\n"
-		status := http.StatusOK
-		for _, hc := range cfg.checks {
-			if ok, reason := hc.check(); !ok {
-				if status == http.StatusOK {
-					status = http.StatusServiceUnavailable
-					body = ""
-				}
-				body += fmt.Sprintf("%s: %s\n", hc.name, reason)
-			}
+		var failing []string
+		if health != nil {
+			failing = health()
 		}
-		w.WriteHeader(status)
+		if len(failing) > 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			body = strings.Join(failing, "\n") + "\n"
+		}
 		if _, err := w.Write([]byte(body)); err != nil {
-			cfg.logf("metrics: /healthz write: %v", err)
+			log.Printf("metrics: /healthz write: %v", err)
 		}
 	})
 	mux.HandleFunc("/livez", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if _, err := w.Write([]byte("ok\n")); err != nil {
-			cfg.logf("metrics: /livez write: %v", err)
+			log.Printf("metrics: /livez write: %v", err)
 		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -112,24 +55,15 @@ func OpsHandler(gather func() []Family, opts ...OpsOption) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if cfg.traces != nil {
-		mux.Handle("/debug/traces/", http.StripPrefix("/debug/traces", cfg.traces))
+	if traces != nil {
+		mux.Handle("/debug/traces/", http.StripPrefix("/debug/traces", traces))
 		// The bare path strips to "", which a ServeMux would redirect to
 		// the server root; rewrite it to the handler's "/" route instead.
 		mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 			r2 := r.Clone(r.Context())
 			r2.URL.Path = "/"
-			cfg.traces.ServeHTTP(w, r2)
+			traces.ServeHTTP(w, r2)
 		})
-	}
-	// Deterministic mount order keeps duplicate-name panics reproducible.
-	names := make([]string, 0, len(cfg.debug))
-	for name := range cfg.debug {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		mux.Handle("/debug/"+name, cfg.debug[name])
 	}
 	return mux
 }

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"bytes"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,7 +26,7 @@ func TestOpsHandlerRoutes(t *testing.T) {
 		// prefix stripping.
 		_, _ = w.Write([]byte("traces:" + r.URL.Path))
 	})
-	h := OpsHandler(opsGather, WithTraces(traced))
+	h := OpsHandler(opsGather, nil, traced)
 
 	get := func(t *testing.T, path string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -77,7 +79,7 @@ func TestOpsHandlerRoutes(t *testing.T) {
 	})
 
 	t.Run("no-traces-option", func(t *testing.T) {
-		bare := OpsHandler(opsGather)
+		bare := OpsHandler(opsGather, nil, nil)
 		rec := httptest.NewRecorder()
 		bare.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
 		if rec.Code != 404 {
@@ -91,15 +93,12 @@ func TestOpsHandlerRoutes(t *testing.T) {
 // while /livez stays 200 regardless.
 func TestOpsHandlerReadiness(t *testing.T) {
 	stalled := false
-	h := OpsHandler(opsGather,
-		WithHealth("watchdog", func() (bool, string) {
-			if stalled {
-				return false, "epoch stall: no progress for 2s"
-			}
-			return true, ""
-		}),
-		WithHealth("wal", func() (bool, string) { return true, "" }),
-	)
+	h := OpsHandler(opsGather, func() []string {
+		if stalled {
+			return []string{"watchdog: epoch stall: no progress for 2s"}
+		}
+		return nil
+	}, nil)
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -121,42 +120,18 @@ func TestOpsHandlerReadiness(t *testing.T) {
 	}
 }
 
-func TestOpsHandlerDebugMounts(t *testing.T) {
-	h := OpsHandler(opsGather,
-		WithDebug("stall", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, _ = w.Write([]byte("stall-status"))
-		})),
-		WithDebug("hotkeys", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, _ = w.Write([]byte("hotkeys-snapshot"))
-		})),
-		WithDebug("epochs", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, _ = w.Write([]byte("epochs-journal"))
-		})),
-	)
-	for path, want := range map[string]string{
-		"/debug/stall":   "stall-status",
-		"/debug/hotkeys": "hotkeys-snapshot",
-		"/debug/epochs":  "epochs-journal",
-	} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 || rec.Body.String() != want {
-			t.Errorf("GET %s = %d %q, want 200 %q", path, rec.Code, rec.Body.String(), want)
-		}
-	}
-}
-
 // TestOpsHandlerWriteFailure covers the /healthz write-error path: a
 // client that vanished mid-response must not crash the handler, only log.
 func TestOpsHandlerWriteFailure(t *testing.T) {
-	var logged []string
-	h := OpsHandler(opsGather, WithLogf(func(format string, args ...any) {
-		logged = append(logged, format)
-	}))
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(prev)
+	h := OpsHandler(opsGather, nil, nil)
 	rec := &failingWriter{ResponseRecorder: httptest.NewRecorder()}
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if len(logged) != 1 {
-		t.Errorf("write failure logged %d times, want 1", len(logged))
+	if n := strings.Count(logged.String(), "/healthz write"); n != 1 {
+		t.Errorf("write failure logged %d times, want 1:\n%s", n, logged.String())
 	}
 }
 

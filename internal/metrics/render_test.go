@@ -81,7 +81,7 @@ func TestWriteTextGolden(t *testing.T) {
 }
 
 func TestOpsHandler(t *testing.T) {
-	srv := httptest.NewServer(OpsHandler(func() []Family { return goldenFamilies() }))
+	srv := httptest.NewServer(OpsHandler(func() []Family { return goldenFamilies() }, nil, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {

@@ -1,3 +1,9 @@
+// Package clusterview merges the servers' /debug/obs documents — one GET
+// per server — into one cluster-wide snapshot: minimum committed epoch,
+// aggregate throughput, per-server stage p99s and readiness, stall and
+// skew roll-ups, the epoch critical paths merged across journals, and the
+// flight-recorder rings merged across servers. It is the library behind
+// cmd/aloha-top.
 package clusterview
 
 import (
@@ -11,38 +17,25 @@ import (
 	"time"
 
 	"alohadb/internal/core"
-	"alohadb/internal/metrics"
 	"alohadb/internal/obs"
 	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 )
 
 // ServerStatus is one server's slice of a cluster snapshot, distilled from
-// its operator endpoints.
+// its /debug/obs document.
 type ServerStatus struct {
 	Addr      string `json:"addr"`
 	Reachable bool   `json:"reachable"`
 	Err       string `json:"err,omitempty"`
 
-	// Readiness per /healthz (false on an active stall or stale WAL fsync).
+	// Readiness as /healthz reports it (false on an active stall or a
+	// stale WAL fsync), with the failing checks' reasons.
 	Healthy      bool   `json:"healthy"`
 	HealthReason string `json:"health_reason,omitempty"`
 
-	CommittedEpoch uint64 `json:"committed_epoch"`
-	CurrentEpoch   uint64 `json:"current_epoch"`
-
-	// PlacementGen is the server's ownership-map generation; servers
-	// disagreeing mid-scrape are converging on a live migration.
-	PlacementGen uint64 `json:"placement_generation,omitempty"`
-
-	// Migration roll-up from the rebalancer families: moves in flight
-	// (queued plus pending retirements) and the last handoff's epoch. A
-	// non-zero inflight with an old handoff means a migration is stuck.
-	MigrationInflight    float64 `json:"migration_inflight,omitempty"`
-	MigrationLastHandoff uint64  `json:"migration_last_handoff_epoch,omitempty"`
-
-	// ServerID is the journal's server number (from /debug/epochs); -1
-	// when the endpoint is absent.
+	// ServerID is the journal's server number; -1 when the document
+	// carries no journal.
 	ServerID int `json:"server_id,omitempty"`
 	// GatingEpochs/GatingStage summarize the merged critical paths: how
 	// many committed epochs this server gated, and its most common gating
@@ -50,38 +43,23 @@ type ServerStatus struct {
 	GatingEpochs int    `json:"gating_epochs,omitempty"`
 	GatingStage  string `json:"gating_stage,omitempty"`
 
-	// Epochs is the raw journal document for the cross-server merge; kept
-	// out of the JSON snapshot (EpochPaths carries the distilled view).
-	Epochs *journal.Doc `json:"-"`
+	// Epochs and Timeseries are the raw journal and flight-recorder
+	// documents for the cross-server merges; kept out of the JSON snapshot
+	// (EpochPaths and ClusterSnapshot.Timeseries carry the merged views).
+	Epochs     *journal.Doc `json:"-"`
+	Timeseries *tsdb.Doc    `json:"-"`
 
-	// Timeseries is the raw flight-recorder document (/debug/timeseries)
-	// for the cross-server merge; like Epochs it stays out of the JSON
-	// snapshot (ClusterSnapshot.Timeseries carries the merged view).
-	Timeseries *tsdb.Doc `json:"-"`
-
-	TxnsCommitted float64 `json:"txns_committed"`
-	TxnsAborted   float64 `json:"txns_aborted"`
-	// AbortReasons breaks TxnsAborted down by the taxonomy labels of
-	// aloha_txn_abort_total{reason=...}; zero-count reasons are omitted.
-	AbortReasons map[string]float64 `json:"abort_reasons,omitempty"`
+	core.ObsSummary
 	// TxnRate is commits/second between two scrapes; zero on a one-shot
 	// snapshot (see Delta).
 	TxnRate float64 `json:"txn_rate,omitempty"`
 
-	// Per-stage p99s in seconds, from the cumulative stage histograms.
-	P99Install float64 `json:"p99_install_seconds"`
-	P99Wait    float64 `json:"p99_wait_seconds"`
-	P99Compute float64 `json:"p99_compute_seconds"`
-
-	Goroutines float64 `json:"goroutines,omitempty"`
-	HeapBytes  float64 `json:"heap_bytes,omitempty"`
-
-	// Stall roll-up from /debug/stall (absent when the watchdog is off).
+	// Stall roll-up (absent when the watchdog is off).
 	StallActive      bool   `json:"stall_active"`
 	StallsTotal      uint64 `json:"stalls_total,omitempty"`
 	UnreachablePeers []int  `json:"unreachable_peers,omitempty"`
 
-	// Skew roll-up from /debug/hotkeys (absent when profiling is off).
+	// Skew roll-up (absent when profiling is off).
 	SkewImbalance float64      `json:"skew_imbalance,omitempty"`
 	HotKeys       []obs.HotKey `json:"hot_keys,omitempty"`
 }
@@ -206,119 +184,58 @@ func mergeEpochPaths(snap *ClusterSnapshot) {
 	}
 }
 
+// scrapeOne fetches one server's /debug/obs. Anything but a 200 with a
+// well-formed document marks the server unreachable with the reason.
 func (s *Scraper) scrapeOne(ctx context.Context, addr string) ServerStatus {
-	st := ServerStatus{Addr: addr}
-	body, _, err := s.get(ctx, addr, "/metrics")
-	if err != nil {
-		st.Err = err.Error()
-		return st
-	}
-	m, err := ParseMetrics(strings.NewReader(string(body)))
+	st := ServerStatus{Addr: addr, ServerID: -1}
+	doc, err := s.get(ctx, addr)
 	if err != nil {
 		st.Err = err.Error()
 		return st
 	}
 	st.Reachable = true
-
-	if v, ok := m.Value(core.FamCommittedEpoch); ok {
-		st.CommittedEpoch = uint64(v)
-	}
-	if v, ok := m.Value(core.FamServerEpoch); ok {
-		st.CurrentEpoch = uint64(v)
-	}
-	if v, ok := m.Value(core.FamPlacementGen); ok {
-		st.PlacementGen = uint64(v)
-	}
-	st.TxnsCommitted, _ = m.Value(core.FamTxnsCommitted)
-	st.TxnsAborted, _ = m.Value(core.FamTxnsAborted)
-	for reason, n := range m.ByLabel(core.FamTxnAbortReason, "reason") {
-		if n <= 0 {
-			continue
-		}
-		if st.AbortReasons == nil {
-			st.AbortReasons = make(map[string]float64)
-		}
-		st.AbortReasons[reason] = n
-	}
-	st.P99Install, _ = m.Quantile(core.FamStageInstall, 0.99)
-	st.P99Wait, _ = m.Quantile(core.FamStageWait, 0.99)
-	st.P99Compute, _ = m.Quantile(core.FamStageCompute, 0.99)
-	st.Goroutines, _ = m.Value(metrics.FamRuntimeGoroutines)
-	st.HeapBytes, _ = m.Value(metrics.FamRuntimeHeapBytes)
-	st.MigrationInflight, _ = m.Value(core.FamMigrationInflight)
-	if v, ok := m.Value(core.FamMigrationLastHandoff); ok {
-		st.MigrationLastHandoff = uint64(v)
-	}
-
-	// Health: non-200 means not ready; the body carries the reasons.
-	if body, code, err := s.get(ctx, addr, "/healthz"); err == nil {
-		st.Healthy = code == http.StatusOK
-		if !st.Healthy {
-			st.HealthReason = strings.TrimSpace(string(body))
+	st.ObsSummary = doc.ObsSummary
+	st.Healthy = len(doc.Health) == 0
+	st.HealthReason = strings.Join(doc.Health, "\n")
+	if stall := doc.Stall; stall != nil {
+		st.StallActive = stall.Active
+		st.StallsTotal = stall.StallsTotal
+		if n := len(stall.Snapshots); n > 0 {
+			st.UnreachablePeers = stall.Snapshots[n-1].UnreachablePeers
 		}
 	}
-
-	// Stall flight recorder (optional endpoint).
-	if body, code, err := s.get(ctx, addr, "/debug/stall"); err == nil && code == http.StatusOK {
-		var stall obs.StallStatus
-		if json.Unmarshal(body, &stall) == nil {
-			st.StallActive = stall.Active
-			st.StallsTotal = stall.StallsTotal
-			if n := len(stall.Snapshots); n > 0 {
-				st.UnreachablePeers = stall.Snapshots[n-1].UnreachablePeers
-			}
-		}
+	if skew := doc.Hotkeys; skew != nil {
+		st.SkewImbalance = skew.Imbalance
+		st.HotKeys = skew.TopKeys[:min(len(skew.TopKeys), 5)]
 	}
-
-	// Hot-key profiler (optional endpoint).
-	if body, code, err := s.get(ctx, addr, "/debug/hotkeys"); err == nil && code == http.StatusOK {
-		var skew obs.SkewSnapshot
-		if json.Unmarshal(body, &skew) == nil {
-			st.SkewImbalance = skew.Imbalance
-			if len(skew.TopKeys) > 5 {
-				skew.TopKeys = skew.TopKeys[:5]
-			}
-			st.HotKeys = skew.TopKeys
-		}
+	if doc.Epochs != nil {
+		st.Epochs = doc.Epochs
+		st.ServerID = doc.Epochs.Server
 	}
-
-	// Epoch lifecycle journal (optional endpoint): the raw document feeds
-	// the cross-server critical-path merge.
-	st.ServerID = -1
-	if body, code, err := s.get(ctx, addr, "/debug/epochs"); err == nil && code == http.StatusOK {
-		var doc journal.Doc
-		if json.Unmarshal(body, &doc) == nil && (len(doc.Records) > 0 || len(doc.EM) > 0 || doc.Ring > 0) {
-			st.Epochs = &doc
-			st.ServerID = doc.Server
-		}
-	}
-
-	// Flight-recorder rings (optional endpoint): the raw document feeds
-	// the cross-server timeseries merge.
-	if body, code, err := s.get(ctx, addr, "/debug/timeseries"); err == nil && code == http.StatusOK {
-		var doc tsdb.Doc
-		if json.Unmarshal(body, &doc) == nil && len(doc.Series) > 0 {
-			st.Timeseries = &doc
-		}
+	if doc.Timeseries != nil && len(doc.Timeseries.Series) > 0 {
+		st.Timeseries = doc.Timeseries
 	}
 	return st
 }
 
-func (s *Scraper) get(ctx context.Context, addr, path string) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", "http://"+addr+path, nil)
+func (s *Scraper) get(ctx context.Context, addr string) (core.ObsDoc, error) {
+	var doc core.ObsDoc
+	req, err := http.NewRequestWithContext(ctx, "GET", "http://"+addr+"/debug/obs", nil)
 	if err != nil {
-		return nil, 0, err
+		return doc, err
 	}
 	resp, err := s.client().Do(req)
 	if err != nil {
-		return nil, 0, err
+		return doc, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, resp.StatusCode, err
+	if resp.StatusCode != http.StatusOK {
+		return doc, fmt.Errorf("clusterview: /debug/obs: %s", resp.Status)
 	}
-	return body, resp.StatusCode, nil
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&doc); err != nil {
+		return doc, fmt.Errorf("clusterview: /debug/obs: %w", err)
+	}
+	return doc, nil
 }
 
 // Delta fills cur's per-server and aggregate commit rates from a previous
@@ -342,18 +259,12 @@ func Delta(prev, cur ClusterSnapshot) ClusterSnapshot {
 			sv.TxnRate = d / dt
 			cur.AggTxnRate += sv.TxnRate
 		}
-		// Carry the previous scrape's journal into the merge: epochs the
-		// ring already overwrote stay attributable, and re-merging the
-		// overlap exercises the dedup path on every refresh.
-		if p.Epochs != nil {
-			if sv.Epochs == nil {
-				sv.Epochs = p.Epochs
-			} else {
-				union := *sv.Epochs
-				union.Records = append(append([]journal.Record(nil), p.Epochs.Records...), sv.Epochs.Records...)
-				union.EM = append(append([]journal.EMRecord(nil), p.Epochs.EM...), sv.Epochs.EM...)
-				sv.Epochs = &union
-			}
+		switch {
+		case p.Epochs == nil:
+		case sv.Epochs == nil:
+			sv.Epochs = p.Epochs
+		default:
+			sv.Epochs = carry(p.Epochs, sv.Epochs)
 		}
 	}
 	mergeEpochPaths(&cur)

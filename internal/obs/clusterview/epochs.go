@@ -3,6 +3,7 @@ package clusterview
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -43,41 +44,83 @@ type EpochPath struct {
 //   - Incomplete records (an epoch mid-close-out when scraped) are
 //     excluded from attribution entirely.
 func MergeEpochs(docs ...journal.Doc) []EpochPath {
-	type key struct {
-		epoch  uint64
-		server int
+	recs, ems := dedupe(docs...)
+	emBy := make(map[uint64]journal.EMRecord, len(ems))
+	for _, e := range ems {
+		emBy[e.Epoch] = e
 	}
-	recs := make(map[key]journal.Record)
-	ems := make(map[uint64]journal.EMRecord)
-	for _, d := range docs {
-		for _, r := range d.Records {
-			k := key{r.Epoch, r.Server}
-			if prev, ok := recs[k]; !ok || moreFinished(r, prev) {
-				recs[k] = r
-			}
-		}
-		for _, e := range d.EM {
-			if prev, ok := ems[e.Epoch]; !ok || e.CommitNS > prev.CommitNS {
-				ems[e.Epoch] = e
-			}
-		}
-	}
-
 	byEpoch := make(map[uint64][]journal.Record)
-	for k, r := range recs {
+	for _, r := range recs {
 		if r.Complete() {
-			byEpoch[k.epoch] = append(byEpoch[k.epoch], r)
+			byEpoch[r.Epoch] = append(byEpoch[r.Epoch], r)
 		}
 	}
 
 	paths := make([]EpochPath, 0, len(byEpoch))
 	for e, group := range byEpoch {
-		if p, ok := attribute(e, group, ems[e]); ok {
+		if p, ok := attribute(e, group, emBy[e]); ok {
 			paths = append(paths, p)
 		}
 	}
 	sort.Slice(paths, func(i, j int) bool { return paths[i].Epoch < paths[j].Epoch })
 	return paths
+}
+
+// dedupe joins the docs' records, keeping one per (epoch, server) — the
+// more finished — and one EM record per epoch — the later commit.
+func dedupe(docs ...journal.Doc) (recs []journal.Record, ems []journal.EMRecord) {
+	type key struct {
+		epoch  uint64
+		server int
+	}
+	recAt := make(map[key]int)
+	emAt := make(map[uint64]int)
+	for _, d := range docs {
+		for _, r := range d.Records {
+			if i, ok := recAt[key{r.Epoch, r.Server}]; !ok {
+				recAt[key{r.Epoch, r.Server}] = len(recs)
+				recs = append(recs, r)
+			} else if moreFinished(r, recs[i]) {
+				recs[i] = r
+			}
+		}
+		for _, e := range d.EM {
+			if i, ok := emAt[e.Epoch]; !ok {
+				emAt[e.Epoch] = len(ems)
+				ems = append(ems, e)
+			} else if e.CommitNS > ems[i].CommitNS {
+				ems[i] = e
+			}
+		}
+	}
+	return recs, ems
+}
+
+// carry unions the previous refresh's journal into a fresh scrape's, so
+// epochs the ring has since overwritten stay attributable. The previous
+// doc is itself such a union, so the result is deduplicated and cut to the
+// maxEpochPaths epochs a snapshot can show — those up to the newest one
+// with a complete record (the newest EM record for an EM-only doc) — which
+// keeps what a watch loop carries bounded however long it runs.
+func carry(prev, cur *journal.Doc) *journal.Doc {
+	out := *cur
+	out.Records, out.EM = dedupe(*prev, *cur)
+	var newest, newestEM uint64
+	for _, r := range out.Records {
+		if r.Complete() {
+			newest = max(newest, r.Epoch)
+		}
+	}
+	for _, e := range out.EM {
+		newestEM = max(newestEM, e.Epoch)
+	}
+	if newest == 0 {
+		newest = newestEM
+	}
+	old := func(e uint64) bool { return e+maxEpochPaths <= newest }
+	out.Records = slices.DeleteFunc(out.Records, func(r journal.Record) bool { return old(r.Epoch) })
+	out.EM = slices.DeleteFunc(out.EM, func(e journal.EMRecord) bool { return old(e.Epoch) })
+	return &out
 }
 
 // moreFinished prefers the record further through the close-out, so a

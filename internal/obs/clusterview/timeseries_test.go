@@ -129,24 +129,6 @@ func TestAnomalyCrossLinkToEpochPaths(t *testing.T) {
 	}
 }
 
-func TestByLabel(t *testing.T) {
-	m, err := ParseMetrics(strings.NewReader(strings.Join([]string{
-		`aloha_txn_abort_total{reason="constraint"} 3`,
-		`aloha_txn_abort_total{reason="chaos-injected"} 7`,
-		`aloha_txn_abort_total{reason="chaos-injected"} 2`,
-	}, "\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	by := m.ByLabel("aloha_txn_abort_total", "reason")
-	if by["constraint"] != 3 || by["chaos-injected"] != 9 {
-		t.Fatalf("ByLabel = %v", by)
-	}
-	if m.ByLabel("absent_family", "reason") != nil {
-		t.Fatal("absent family should return nil")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	got := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8)
 	if got != "▁▂▃▄▅▆▇█" {

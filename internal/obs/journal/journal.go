@@ -25,9 +25,7 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,8 +113,7 @@ type slot struct {
 type Config struct {
 	// Server is the owning server's ID, stamped on snapshots.
 	Server int
-	// Ring is the journal depth in epochs (default DefaultRing). Negative
-	// disables the journal: New returns nil, and the nil receiver is inert.
+	// Ring is the journal depth in epochs (default DefaultRing).
 	Ring int
 }
 
@@ -131,13 +128,9 @@ type Journal struct {
 	stale      atomic.Uint64 // events for epochs already overwritten
 }
 
-// New builds a journal. A non-positive Ring takes the default; a negative
-// Ring disables the journal entirely (returns nil).
+// New builds a journal. A non-positive Ring takes the default.
 func New(cfg Config) *Journal {
-	if cfg.Ring < 0 {
-		return nil
-	}
-	if cfg.Ring == 0 {
+	if cfg.Ring <= 0 {
 		cfg.Ring = DefaultRing
 	}
 	j := &Journal{server: cfg.Server, ring: make([]slot, cfg.Ring)}
@@ -375,15 +368,6 @@ func (j *Journal) GatingBetween(from, to uint64) string {
 	return StageNames[best]
 }
 
-// Stale reports how many late events were dropped because their epoch had
-// already been overwritten in the ring. Nil-safe.
-func (j *Journal) Stale() uint64 {
-	if j == nil {
-		return 0
-	}
-	return j.stale.Load()
-}
-
 // Record is one exported journal entry (the /debug/epochs JSON row). All
 // *_unix_ns fields are wall-clock stamps; *_ns fields are durations.
 type Record struct {
@@ -491,19 +475,6 @@ func (j *Journal) Doc() Doc {
 		return Doc{}
 	}
 	return Doc{Server: j.server, Ring: len(j.ring), Stale: j.stale.Load(), Records: j.Snapshot()}
-}
-
-// DocHandler serves the journal (and, when non-nil, the EM mirror) as
-// indented JSON; mounted at /debug/epochs. Nil-safe on both arguments.
-func DocHandler(j *Journal, em *EM) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		doc := j.Doc()
-		doc.EM = em.Snapshot()
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
-	})
 }
 
 // Metric family names exported by the journal.

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +69,7 @@ func TestJournalRingWrapAndStale(t *testing.T) {
 	j.Install(1, 1, 1, at(0))
 	j.Install(5, 1, 1, at(1)) // same slot as epoch 1, newer: overwrites
 	j.Install(1, 1, 1, at(2)) // stale: dropped
-	if got := j.Stale(); got != 1 {
+	if got := j.Doc().Stale; got != 1 {
 		t.Fatalf("stale = %d, want 1", got)
 	}
 	recs := j.Snapshot()
@@ -89,14 +88,11 @@ func TestJournalNilSafe(t *testing.T) {
 	j.Slowest(1, "k", "VALUE", 0, 0)
 	j.Durable(1, 0, 0)
 	j.Visible(1, at(0), 0, false)
-	if j.Snapshot() != nil || j.Stale() != 0 || j.MetricFamilies() != nil {
+	if j.Snapshot() != nil || j.Doc().Stale != 0 || j.MetricFamilies() != nil {
 		t.Fatal("nil journal must be empty")
 	}
 	if d := j.Doc(); len(d.Records) != 0 {
 		t.Fatal("nil journal doc must be empty")
-	}
-	if New(Config{Ring: -1}) != nil {
-		t.Fatal("negative ring must disable the journal")
 	}
 }
 
@@ -185,7 +181,10 @@ func TestEMJournal(t *testing.T) {
 	}
 }
 
-func TestDocHandler(t *testing.T) {
+// TestDocRoundTrip pins the /debug/epochs document: a server's records
+// plus the co-located EM's mirror survive the JSON round trip an operator
+// tool makes, and an absent journal still yields a valid document.
+func TestDocRoundTrip(t *testing.T) {
 	j := New(Config{Server: 1, Ring: 4})
 	j.Install(7, 2, 10, at(0))
 	j.CommittedRecv(7, at(5))
@@ -194,11 +193,15 @@ func TestDocHandler(t *testing.T) {
 	em.Decide(7, at(1))
 	em.Commit(7, at(4))
 
-	rr := httptest.NewRecorder()
-	DocHandler(j, em).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/epochs", nil))
+	in := j.Doc()
+	in.EM = em.Snapshot()
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var doc Doc
-	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("decode: %v\n%s", err, rr.Body.String())
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("decode: %v\n%s", err, b)
 	}
 	if doc.Server != 1 || doc.Ring != 4 || len(doc.Records) != 1 || len(doc.EM) != 1 {
 		t.Fatalf("doc: %+v", doc)
@@ -207,11 +210,9 @@ func TestDocHandler(t *testing.T) {
 		t.Fatalf("doc epochs: %+v", doc)
 	}
 
-	// Nil journal and nil EM still serve valid JSON.
-	rr = httptest.NewRecorder()
-	DocHandler(nil, nil).ServeHTTP(rr, httptest.NewRequest("GET", "/debug/epochs", nil))
-	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("nil doc decode: %v", err)
+	var nilJ *Journal
+	if b, err := json.Marshal(nilJ.Doc()); err != nil || json.Unmarshal(b, &doc) != nil {
+		t.Fatalf("nil doc: %s %v", b, err)
 	}
 }
 

@@ -8,8 +8,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -253,15 +251,4 @@ func (s *Skew) MetricFamilies() []metrics.Family {
 		fams = append(fams, fam)
 	}
 	return fams
-}
-
-// Handler serves the snapshot as JSON (mounted at /debug/hotkeys). Nil-safe:
-// a disabled profiler serves an empty snapshot.
-func (s *Skew) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Snapshot())
-	})
 }

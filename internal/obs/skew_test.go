@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 )
 
@@ -23,14 +22,13 @@ func TestSkewGoldenOrdering(t *testing.T) {
 	}
 	s.Observe(0, "cold")
 
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hotkeys", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json; charset=utf-8" {
-		t.Fatalf("content type = %q", ct)
+	b, err := json.Marshal(s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
 	var snap SkewSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("unmarshal: %v\n%s", err, rec.Body.String())
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, b)
 	}
 
 	golden := `{"sample_every":1,"observed":12,"sampled":12,"top_keys":[{"key":"hot","count":5},{"key":"warm-a","count":3},{"key":"warm-b","count":3}],"partitions":[{"partition":0,"accesses":6,"share":0.5},{"partition":1,"accesses":6,"share":0.5}],"imbalance":1}`

@@ -145,7 +145,7 @@ func (r *Recorder) detect(s *series, nowMS int64, epoch uint64) {
 	}
 	// The window opened: its start is the first tick of the recent
 	// window, both on the wall clock and the epoch frontier.
-	startSlot := (r.n - dc.Recent) % r.cfg.Retention
+	startSlot := (r.n - dc.Recent) % r.cfg.retention
 	a := &Annotation{
 		Series:    s.src.Name,
 		Kind:      kind,
@@ -172,12 +172,12 @@ func (r *Recorder) detect(s *series, nowMS int64, epoch uint64) {
 func (r *Recorder) windowMean(s *series, skip, n int) (mean float64, ok bool) {
 	var sum float64
 	var cnt int
-	oldest := r.n - min(r.n, r.cfg.Retention)
+	oldest := r.n - min(r.n, r.cfg.retention)
 	for t := r.n - 1 - skip; t >= r.n-skip-n; t-- {
 		if t < oldest {
 			break
 		}
-		v := s.ring[t%r.cfg.Retention]
+		v := s.ring[t%r.cfg.retention]
 		if math.IsNaN(v) {
 			continue
 		}

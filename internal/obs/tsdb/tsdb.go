@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"net/http"
 	"strconv"
 	"sync"
 	"time"
@@ -89,10 +88,10 @@ type Config struct {
 	Server int
 	// Interval is the sample cadence (default 500ms).
 	Interval time.Duration
-	// Retention is the ring length in samples (default 240, two minutes
-	// at the default interval). Memory is Retention x 8B per series plus
-	// the shared tick and epoch rings.
-	Retention int
+	// retention is the ring length in samples: 240, two minutes at the
+	// default interval (tests shrink it). Memory is retention x 8B per
+	// series plus the shared tick and epoch rings.
+	retention int
 	// Epoch, when set, samples the committed-epoch frontier alongside the
 	// wall clock so every ring slot maps to an epoch window. Must not
 	// allocate.
@@ -131,7 +130,7 @@ type Recorder struct {
 	series     []*series
 	ticks      []int64  // unix ms per tick, ring
 	epochs     []uint64 // committed epoch per tick, ring
-	n          int      // ticks taken; slot for tick t is t % Retention
+	n          int      // ticks taken; slot for tick t is t % retention
 	lastTickMS int64
 	anns       []*Annotation // bounded, newest last
 	annTotal   int           // annotations opened since start (ring trims)
@@ -150,14 +149,14 @@ func New(cfg Config) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = 240
+	if cfg.retention <= 0 {
+		cfg.retention = 240
 	}
 	cfg.Detector = cfg.Detector.withDefaults()
 	r := &Recorder{
 		cfg:    cfg,
-		ticks:  make([]int64, cfg.Retention),
-		epochs: make([]uint64, cfg.Retention),
+		ticks:  make([]int64, cfg.retention),
+		epochs: make([]uint64, cfg.retention),
 	}
 	for _, src := range cfg.Sources {
 		if src.Scale == 0 {
@@ -165,7 +164,7 @@ func New(cfg Config) *Recorder {
 		}
 		r.series = append(r.series, &series{
 			src:  src,
-			ring: make([]float64, cfg.Retention),
+			ring: make([]float64, cfg.retention),
 		})
 	}
 	return r
@@ -230,7 +229,7 @@ func (r *Recorder) Sample(now time.Time) {
 	if r.n == 0 || dt <= 0 {
 		dt = r.cfg.Interval.Seconds()
 	}
-	idx := r.n % r.cfg.Retention
+	idx := r.n % r.cfg.retention
 	r.ticks[idx] = ms
 	r.epochs[idx] = e
 	for _, s := range r.series {
@@ -302,16 +301,6 @@ func deltaInto(dst *metrics.HistogramSnapshot, cur, prev metrics.HistogramSnapsh
 		dst.Count += d
 	}
 	dst.Sum = cur.Sum - prev.Sum
-}
-
-// Len returns the number of retained samples. Nil-safe.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return min(r.n, r.cfg.Retention)
 }
 
 // AnomalyCount returns the number of anomaly windows opened since start
@@ -413,13 +402,13 @@ func (r *Recorder) Doc() Doc {
 	doc := Doc{
 		Server:     r.cfg.Server,
 		IntervalMS: r.cfg.Interval.Milliseconds(),
-		Retention:  r.cfg.Retention,
+		Retention:  r.cfg.retention,
 	}
-	valid := min(r.n, r.cfg.Retention)
+	valid := min(r.n, r.cfg.retention)
 	doc.Ticks = make([]int64, valid)
 	doc.Epochs = make([]uint64, valid)
 	for i := 0; i < valid; i++ {
-		slot := (r.n - valid + i) % r.cfg.Retention
+		slot := (r.n - valid + i) % r.cfg.retention
 		doc.Ticks[i] = r.ticks[slot]
 		doc.Epochs[i] = r.epochs[slot]
 	}
@@ -428,7 +417,7 @@ func (r *Recorder) Doc() Doc {
 		sd := SeriesDoc{Name: s.src.Name, Kind: s.src.Kind.String(), Unit: s.src.Unit}
 		sd.Samples = make(Samples, valid)
 		for i := 0; i < valid; i++ {
-			sd.Samples[i] = s.ring[(r.n-valid+i)%r.cfg.Retention]
+			sd.Samples[i] = s.ring[(r.n-valid+i)%r.cfg.retention]
 		}
 		doc.Series[si] = sd
 	}
@@ -439,22 +428,4 @@ func (r *Recorder) Doc() Doc {
 		}
 	}
 	return doc
-}
-
-// Handler serves Doc as JSON (mounted at /debug/timeseries). Nil-safe:
-// a disabled recorder serves an empty document.
-func (r *Recorder) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Doc())
-	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -24,7 +24,7 @@ func TestNilRecorderInert(t *testing.T) {
 	r.Start()
 	r.Sample(time.Now())
 	r.Stop()
-	if r.Len() != 0 || r.AnomalyCount() != 0 || r.Annotations() != nil {
+	if len(r.Doc().Ticks) != 0 || r.AnomalyCount() != 0 || r.Annotations() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 	if doc := r.Doc(); len(doc.Series) != 0 {
@@ -41,7 +41,7 @@ func TestRecorderRingsAndDoc(t *testing.T) {
 	r := New(Config{
 		Server:    2,
 		Interval:  100 * time.Millisecond,
-		Retention: 8,
+		retention: 8,
 		Epoch:     epoch.Load,
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Unit: "txn/s",
@@ -57,7 +57,7 @@ func TestRecorderRingsAndDoc(t *testing.T) {
 		r.Sample(now)
 		now = now.Add(100 * time.Millisecond)
 	}
-	if got := r.Len(); got != 8 {
+	if got := len(r.Doc().Ticks); got != 8 {
 		t.Fatalf("Len = %d, want retention 8", got)
 	}
 	doc := r.Doc()
@@ -89,7 +89,7 @@ func TestQuantileWindowedNotLifetime(t *testing.T) {
 	h := metrics.NewHistogram(metrics.LatencyBounds())
 	r := New(Config{
 		Interval:  100 * time.Millisecond,
-		Retention: 32,
+		retention: 32,
 		Sources: []Source{
 			{Name: "p99", Kind: KindQuantile, Hist: h, Q: 0.99, Scale: 1e-9, Unit: "seconds"},
 		},
@@ -127,7 +127,7 @@ func TestDetectorLevelShiftDetected(t *testing.T) {
 	gateFrom, gateTo := uint64(0), uint64(0)
 	r := New(Config{
 		Interval:  100 * time.Millisecond,
-		Retention: 64,
+		retention: 64,
 		Epoch:     epoch.Load,
 		Gating: func(from, to uint64) string {
 			gateFrom, gateTo = from, to
@@ -194,7 +194,7 @@ func TestDetectorNoiseNotFlagged(t *testing.T) {
 	i := 0
 	r := New(Config{
 		Interval:  100 * time.Millisecond,
-		Retention: 64,
+		retention: 64,
 		Detector:  DetectorConfig{Recent: 3, Baseline: 10},
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Detect: Detect{DropFrac: 0.25, MinBaseline: 10},
@@ -219,7 +219,7 @@ func TestDetectorColdStartSuppressed(t *testing.T) {
 	v.Store(100)
 	r := New(Config{
 		Interval:  100 * time.Millisecond,
-		Retention: 64,
+		retention: 64,
 		Detector:  DetectorConfig{Recent: 3, Baseline: 10},
 		Sources: []Source{
 			// A gauge that collapses immediately: without cold-start
@@ -245,7 +245,7 @@ func TestDetectorRiseAndOnset(t *testing.T) {
 	var stalls atomic.Uint64
 	r := New(Config{
 		Interval:  100 * time.Millisecond,
-		Retention: 64,
+		retention: 64,
 		Detector:  DetectorConfig{Recent: 3, Baseline: 10},
 		Sources: []Source{
 			{Name: "p99", Kind: KindGauge, Detect: Detect{RiseFactor: 2, MinBaseline: 0.5},
@@ -298,13 +298,13 @@ func TestRecorderStartStop(t *testing.T) {
 	})
 	r.Start()
 	deadline := time.Now().Add(2 * time.Second)
-	for r.Len() < 3 && time.Now().Before(deadline) {
+	for len(r.Doc().Ticks) < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	r.Stop()
 	r.Stop() // idempotent
-	if r.Len() < 3 {
-		t.Fatalf("sampling loop took no samples: %d", r.Len())
+	if len(r.Doc().Ticks) < 3 {
+		t.Fatalf("sampling loop took no samples: %d", len(r.Doc().Ticks))
 	}
 }
 
@@ -320,7 +320,7 @@ func BenchmarkRecorderSample(b *testing.B) {
 	}
 	r := New(Config{
 		Interval:  100 * time.Millisecond,
-		Retention: 240,
+		retention: 240,
 		Epoch:     epoch.Load,
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Detect: Detect{DropFrac: 0.25, MinBaseline: 10},

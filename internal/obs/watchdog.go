@@ -2,8 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -122,8 +120,6 @@ type WatchdogConfig struct {
 	Threshold time.Duration
 	// Poll is the check cadence (default Threshold/4, min 1ms).
 	Poll time.Duration
-	// RingSize bounds the snapshot flight-recorder ring (default 16).
-	RingSize int
 	// Progress returns a monotonically advancing value — ALOHA-DB uses the
 	// visibility bound, so any committed epoch is progress. Required.
 	Progress func() uint64
@@ -133,9 +129,6 @@ type WatchdogConfig struct {
 	// OnEvent receives stall.detected / stall.cleared transitions
 	// (optional; events are also kept in the ring).
 	OnEvent func(Event)
-	// ProfileBytes bounds the abbreviated goroutine profile attached to
-	// snapshots (default 16KiB, negative disables).
-	ProfileBytes int
 }
 
 // Watchdog tracks one server's epoch progress and records stalls. A nil
@@ -144,6 +137,11 @@ type Watchdog struct {
 	cfg  WatchdogConfig
 	stop chan struct{}
 	done chan struct{}
+
+	// ring bounds the snapshot ring and profileBytes the goroutine profile
+	// attached to each snapshot (0 attaches none); tests shrink both.
+	ring         int
+	profileBytes int
 
 	mu          sync.Mutex
 	lastVal     uint64
@@ -170,13 +168,7 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Poll < time.Millisecond {
 		cfg.Poll = time.Millisecond
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 16
-	}
-	if cfg.ProfileBytes == 0 {
-		cfg.ProfileBytes = 16 << 10
-	}
-	return &Watchdog{cfg: cfg}
+	return &Watchdog{cfg: cfg, ring: 16, profileBytes: 16 << 10}
 }
 
 // Start begins the polling loop. Nil-safe no-op.
@@ -255,8 +247,8 @@ func (w *Watchdog) check(now time.Time) {
 	snap := w.capture(now, age, cur)
 	w.mu.Lock()
 	w.snaps = append(w.snaps, snap)
-	if len(w.snaps) > w.cfg.RingSize {
-		w.snaps = w.snaps[len(w.snaps)-w.cfg.RingSize:]
+	if len(w.snaps) > w.ring {
+		w.snaps = w.snaps[len(w.snaps)-w.ring:]
 	}
 	w.mu.Unlock()
 	w.emit(ev)
@@ -283,8 +275,8 @@ func (w *Watchdog) capture(now time.Time, age time.Duration, progress uint64) *S
 	if snap.Goroutines == 0 {
 		snap.Goroutines = runtime.NumGoroutine()
 	}
-	if snap.GoroutineProfile == "" && w.cfg.ProfileBytes > 0 {
-		buf := make([]byte, w.cfg.ProfileBytes)
+	if snap.GoroutineProfile == "" && w.profileBytes > 0 {
+		buf := make([]byte, w.profileBytes)
 		n := runtime.Stack(buf, true)
 		snap.GoroutineProfile = string(buf[:n])
 	}
@@ -369,18 +361,6 @@ func (w *Watchdog) Snapshots() []*StallSnapshot {
 	return out
 }
 
-// Events returns the transition ring, oldest first. Nil-safe.
-func (w *Watchdog) Events() []Event {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Event, len(w.events))
-	copy(out, w.events)
-	return out
-}
-
 // StallStatus is the /debug/stall JSON document.
 type StallStatus struct {
 	Active bool `json:"active"`
@@ -457,15 +437,4 @@ func (w *Watchdog) MetricFamilies() []metrics.Family {
 			Series: []metrics.Series{metrics.GaugeSeries(int64(age))},
 		},
 	}
-}
-
-// Handler serves the flight recorder as JSON (mounted at /debug/stall).
-// Nil-safe: a disabled watchdog serves an inactive empty status.
-func (w *Watchdog) Handler() http.Handler {
-	return http.HandlerFunc(func(wr http.ResponseWriter, r *http.Request) {
-		wr.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(wr)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(w.Status())
-	})
 }

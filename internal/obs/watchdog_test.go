@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,12 +110,11 @@ func TestWatchdogDetectAndClear(t *testing.T) {
 func TestWatchdogRingBound(t *testing.T) {
 	var progress atomic.Uint64
 	w := NewWatchdog(WatchdogConfig{
-		Threshold:    5 * time.Millisecond,
-		Poll:         time.Millisecond,
-		RingSize:     3,
-		Progress:     progress.Load,
-		ProfileBytes: -1, // keep the test cheap
+		Threshold: 5 * time.Millisecond,
+		Poll:      time.Millisecond,
+		Progress:  progress.Load,
 	})
+	w.ring, w.profileBytes = 3, 0 // keep the test cheap
 	w.Start()
 	defer w.Stop()
 	for i := 0; i < 6; i++ {
@@ -137,27 +135,29 @@ func TestWatchdogRingBound(t *testing.T) {
 	}
 }
 
-// TestWatchdogHandler pins the /debug/stall JSON document shape.
-func TestWatchdogHandler(t *testing.T) {
+// TestWatchdogStatusJSON pins the /debug/stall JSON document shape.
+func TestWatchdogStatusJSON(t *testing.T) {
 	var progress atomic.Uint64
 	w := NewWatchdog(WatchdogConfig{
-		Server:       3,
-		Threshold:    10 * time.Millisecond,
-		Poll:         2 * time.Millisecond,
-		Progress:     progress.Load,
-		ProfileBytes: -1,
+		Server:    3,
+		Threshold: 10 * time.Millisecond,
+		Poll:      2 * time.Millisecond,
+		Progress:  progress.Load,
 	})
+	w.profileBytes = 0
 	w.Start()
 	defer w.Stop()
 	if !waitFor(t, time.Second, w.Active) {
 		t.Fatal("stall never detected")
 	}
 
-	rec := httptest.NewRecorder()
-	w.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/stall", nil))
+	b, err := json.Marshal(w.Status())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st StallStatus
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("unmarshal: %v\n%s", err, rec.Body.String())
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, b)
 	}
 	if !st.Active || st.StallsTotal != 1 || len(st.Snapshots) != 1 || len(st.Events) != 1 {
 		t.Fatalf("status = %+v", st)
@@ -181,7 +181,7 @@ func TestWatchdogNil(t *testing.T) {
 	if ok, _ := w.Health(); !ok {
 		t.Fatal("nil watchdog unhealthy")
 	}
-	if w.Snapshots() != nil || w.Events() != nil || w.MetricFamilies() != nil {
+	if w.Snapshots() != nil || w.Status().Events != nil || w.MetricFamilies() != nil {
 		t.Fatal("nil watchdog returned data")
 	}
 	if NewWatchdog(WatchdogConfig{}) != nil {

@@ -12,11 +12,9 @@ import (
 	"alohadb/internal/core"
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
-	"alohadb/internal/metrics"
 	"alohadb/internal/mvstore"
 	"alohadb/internal/obs"
 	"alohadb/internal/obs/clusterview"
-	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/placement"
 	"alohadb/internal/trace"
@@ -77,10 +75,9 @@ type EnvConfig struct {
 	// shapes use a larger one so injected faults below the epoch switch
 	// timeout never count as stalls).
 	WatchdogThreshold time.Duration
-	// Ops starts one loopback HTTP ops listener per server — /metrics,
-	// /healthz, /debug/stall|hotkeys|epochs|placement — the same surface
-	// aloha-server exposes, so clusterview can scrape the env. Implies
-	// Watchdog.
+	// Ops starts one loopback HTTP ops listener per server — the
+	// core.OpsHandler surface aloha-server exposes, /debug/obs included —
+	// so clusterview can scrape the env. Implies Watchdog.
 	Ops bool
 
 	// Timeseries attaches one metrics flight recorder per server (served
@@ -323,47 +320,23 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 	return env, nil
 }
 
-// startOps brings up one loopback ops listener per server, serving the
-// same endpoint set as aloha-server's -metrics-addr.
+// startOps brings up one loopback ops listener per server serving
+// core.OpsHandler, the surface aloha-server's -metrics-addr serves.
 func (e *Env) startOps(c *core.Cluster) error {
-	n := c.NumServers()
-	e.OpsAddrs = make([]string, n)
-	for i := 0; i < n; i++ {
-		srv := c.Server(i)
-		wd := e.Watchdogs[i]
-		gather := func() []metrics.Family {
-			fams := srv.MetricFamilies()
-			fams = append(fams, metrics.RuntimeFamilies()...)
-			fams = append(fams, wd.MetricFamilies()...)
-			if e.Skew != nil {
-				fams = append(fams, e.Skew.MetricFamilies()...)
-			}
-			if reb := c.Rebalancer(); reb != nil {
-				fams = append(fams, reb.MetricFamilies()...)
-			}
-			return fams
-		}
+	e.OpsAddrs = make([]string, c.NumServers())
+	for i := range e.OpsAddrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err
 		}
 		e.OpsAddrs[i] = ln.Addr().String()
-		opts := []metrics.OpsOption{
-			metrics.WithDebug("stall", wd.Handler()),
-			// Embedded cluster: the EM is in-process, so each server's
-			// /debug/epochs carries the EM mirror too (harmless duplication
-			// — the clusterview merge dedups EM records by epoch).
-			metrics.WithDebug("epochs", journal.DocHandler(srv.Journal(), c.EpochManager().Journal())),
-			metrics.WithDebug("placement", placement.Handler(srv.PlacementTable())),
-			metrics.WithHealth("watchdog", wd.Health),
-		}
-		if e.Skew != nil {
-			opts = append(opts, metrics.WithDebug("hotkeys", e.Skew.Handler()))
-		}
+		// The EM is in-process, so every server's document carries its
+		// journal mirror (the clusterview merge dedups EM records by epoch).
+		ops := core.Ops{Server: c.Server(i), EM: c.EpochManager(), Rebalancer: c.Rebalancer(), Net: e.Net}
 		if i < len(e.Recorders) {
-			opts = append(opts, metrics.WithDebug("timeseries", e.Recorders[i].Handler()))
+			ops.Recorder = e.Recorders[i]
 		}
-		hs := &http.Server{Handler: metrics.OpsHandler(gather, opts...)}
+		hs := &http.Server{Handler: core.OpsHandler(ops)}
 		e.httpSrvs = append(e.httpSrvs, hs)
 		go func() { _ = hs.Serve(ln) }()
 	}

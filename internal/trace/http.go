@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Handler serves the tracer's snapshots over HTTP. Mounted by
-// metrics.OpsHandler at /debug/traces:
+// Handler serves the tracer's snapshots over HTTP. Mounted at
+// /debug/traces by metrics.OpsHandler:
 //
 //	GET .../debug/traces            recent + slow traces as JSON
 //	  ?n=N      keep only the N most recent traces (per section)
@@ -19,21 +19,14 @@ import (
 //
 // Nil-safe: with a nil tracer every route answers 404 with a hint.
 func Handler(t *Tracer) http.Handler {
+	if t == nil {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "tracing disabled: set a sample rate or slow threshold", http.StatusNotFound)
+		})
+	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if t == nil {
-			http.Error(w, "tracing disabled: set a sample rate or slow threshold", http.StatusNotFound)
-			return
-		}
-		serveJSON(t, w, r)
-	})
-	mux.HandleFunc("/chrome", func(w http.ResponseWriter, r *http.Request) {
-		if t == nil {
-			http.Error(w, "tracing disabled: set a sample rate or slow threshold", http.StatusNotFound)
-			return
-		}
-		serveChrome(t, w, r)
-	})
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { serveJSON(t, w, r) })
+	mux.HandleFunc("/chrome", func(w http.ResponseWriter, r *http.Request) { serveChrome(t, w, r) })
 	return mux
 }
 

@@ -91,7 +91,7 @@ func (t *Tracer) SlowTraces() []Trace {
 }
 
 // Dropped reports how many sampled spans the recent ring has overwritten —
-// nonzero means snapshots are missing history and RingSize may need raising.
+// nonzero means snapshots are missing the oldest history.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0

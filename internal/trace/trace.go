@@ -118,16 +118,14 @@ type Config struct {
 	// SlowThreshold, when positive, always captures traces whose root span
 	// lasts at least this long, sampled or not.
 	SlowThreshold time.Duration
-	// RingSize bounds the recent-span ring (default 4096). The slow ring
-	// is a quarter of it (minimum 64).
-	RingSize int
 }
 
 // Enabled reports whether the configuration asks for any tracing at all.
 func (c Config) Enabled() bool { return c.SampleRate > 0 || c.SlowThreshold > 0 }
 
-// DefaultRingSize is the recent-span ring capacity when Config leaves it 0.
-const DefaultRingSize = 4096
+// ringSize is the recent-span ring capacity; the slow ring is a quarter of
+// it (minimum 64).
+const ringSize = 4096
 
 // Tracer owns the sampling decision and the span sinks. A nil *Tracer is a
 // valid, fully disabled tracer.
@@ -140,13 +138,13 @@ type Tracer struct {
 
 // New returns a tracer for cfg, or nil when cfg disables tracing — callers
 // can wire the result unconditionally.
-func New(cfg Config) *Tracer {
+func New(cfg Config) *Tracer { return newTracer(cfg, ringSize) }
+
+// newTracer is New with the recent-span ring sized by the caller (tests
+// force it to wrap).
+func newTracer(cfg Config, size int) *Tracer {
 	if !cfg.Enabled() {
 		return nil
-	}
-	size := cfg.RingSize
-	if size <= 0 {
-		size = DefaultRingSize
 	}
 	slowSize := size / 4
 	if slowSize < 64 {

@@ -221,7 +221,7 @@ func TestSlowCaptureJoinsSampledChildren(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	tr := New(Config{SampleRate: 1, RingSize: 8})
+	tr := newTracer(Config{SampleRate: 1}, 8)
 	nt := tr.ForNode(0)
 	for i := 0; i < 20; i++ {
 		_, span := nt.StartRoot(context.Background(), "r")

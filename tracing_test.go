@@ -223,7 +223,7 @@ func TestTracingDisabledByDefault(t *testing.T) {
 }
 
 // TestTraceViewerThroughOps drives the full operator path: cluster with
-// tracing on, OpsHandler with WithTraces, JSON and Chrome exports.
+// tracing on, OpsHandler with the trace viewer, JSON and Chrome exports.
 func TestTraceViewerThroughOps(t *testing.T) {
 	db := openTestDB(t, Config{
 		Servers: 2,
@@ -249,8 +249,7 @@ func TestTraceViewerThroughOps(t *testing.T) {
 	}
 	advance(t, db)
 
-	ops := metrics.OpsHandler(func() []MetricFamily { return db.Metrics() },
-		metrics.WithTraces(db.TraceHandler()))
+	ops := metrics.OpsHandler(func() []MetricFamily { return db.Metrics() }, nil, db.TraceHandler())
 
 	rec := httptest.NewRecorder()
 	ops.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
