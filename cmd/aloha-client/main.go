@@ -68,7 +68,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		resp := raw.(core.MsgClientGetResp)
+		resp, ok := raw.(core.MsgClientGetResp)
+		if !ok {
+			return fmt.Errorf("get: server answered with %T", raw)
+		}
 		if !resp.Found {
 			fmt.Println("(not found)")
 			return nil
@@ -106,7 +109,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		resp := raw.(core.MsgClientSubmitResp)
+		resp, ok := raw.(core.MsgClientSubmitResp)
+		if !ok {
+			return fmt.Errorf("%s: server answered with %T", cmd, raw)
+		}
 		if resp.Aborted {
 			fmt.Printf("aborted at %v: %s\n", resp.Version, resp.Reason)
 			return nil

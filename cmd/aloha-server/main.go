@@ -51,10 +51,6 @@ func run() error {
 		traceSample = flag.Float64("trace-sample", 0, "trace sample rate in [0,1] (0 disables sampling)")
 		traceSlow   = flag.Duration("trace-slow", 0, "always capture transactions slower than this (0 disables)")
 
-		flushBytes    = flag.Int("net-flush-bytes", 0, "transport per-peer buffered-write flush threshold in bytes (0 = default 64KiB)")
-		flushInterval = flag.Duration("net-flush-interval", 0, "transport flusher linger after the send queue drains (0 = flush immediately)")
-		batchWindow   = flag.Duration("read-batch-window", 0, "remote read/ensure combiner linger between batch dispatches (0 = combine without sleeping)")
-
 		placementMap = flag.String("placement-map", "", "JSON ownership map installed at boot (same format as /debug/placement; give every server the same file). Live rebalancing runs through the embedded Rebalancer in single-process clusters; multi-process servers adopt newer maps from WrongOwner responses as they coordinate.")
 
 		stallThreshold = flag.Duration("epoch-stall-threshold", 5*time.Second, "epoch watchdog: declare a stall when the visibility bound stops advancing this long (0 disables)")
@@ -76,9 +72,7 @@ func run() error {
 	}
 
 	core.RegisterMessages()
-	net := transport.NewTCPNetwork(addrs,
-		transport.WithFlushBytes(*flushBytes),
-		transport.WithFlushInterval(*flushInterval))
+	net := transport.NewTCPNetwork(addrs)
 	defer net.Close()
 
 	tracer := trace.New(trace.Config{SampleRate: *traceSample, SlowThreshold: *traceSlow})
@@ -87,13 +81,12 @@ func run() error {
 		skew = obs.NewSkew(obs.SkewConfig{SampleEvery: *skewSample, TopK: *skewTopK, Partitions: emID})
 	}
 	cfg := core.ServerConfig{
-		ID:              *id,
-		NumServers:      emID,
-		Registry:        functor.NewRegistry(),
-		Workers:         *workers,
-		Tracer:          tracer,
-		ReadBatchWindow: *batchWindow,
-		Skew:            skew,
+		ID:         *id,
+		NumServers: emID,
+		Registry:   functor.NewRegistry(),
+		Workers:    *workers,
+		Tracer:     tracer,
+		Skew:       skew,
 	}
 	var walLog *wal.Log
 	if *walPath != "" {

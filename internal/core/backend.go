@@ -23,14 +23,8 @@ func (s *Server) handleMessage(ctx context.Context, from transport.NodeID, msg a
 	switch m := msg.(type) {
 	case MsgInstall:
 		return s.handleInstall(ctx, m, nil, false), nil
-	case MsgAbort:
-		return nil, s.handleAbort(ctx, m)
-	case MsgRead:
-		return s.handleRead(ctx, m)
-	case MsgReadBatch:
-		return s.handleReadBatch(ctx, m)
-	case MsgEnsureBatch:
-		return s.handleEnsureBatch(ctx, m)
+	case MsgFetch:
+		return s.handleFetch(ctx, m)
 	case MsgAbortBatch:
 		for _, a := range m.Aborts {
 			if err := s.handleAbort(ctx, a); err != nil {
@@ -41,21 +35,6 @@ func (s *Server) handleMessage(ctx context.Context, from transport.NodeID, msg a
 	case MsgPush:
 		s.pushValue(m.Version, m.Key, readFromPush(m))
 		return nil, nil
-	case MsgEnsure:
-		return s.handleEnsure(ctx, m)
-	case MsgEnsureUpTo:
-		if !m.Fwd {
-			if o := s.owner(m.Key); o != s.id {
-				if _, err := s.conn.Call(s.engineCtx(ctx), transport.NodeID(o), MsgEnsureUpTo{Key: m.Key, Version: m.Version, Fwd: true}); err != nil {
-					return nil, err
-				}
-				return MsgEnsureUpToResp{}, nil
-			}
-		}
-		if err := s.computeKeyUpTo(s.engineCtx(ctx), m.Key, m.Version); err != nil {
-			return nil, err
-		}
-		return MsgEnsureUpToResp{}, nil
 	case MsgApplyDeferred:
 		s.handleApplyDeferred(ctx, m)
 		return nil, nil
@@ -281,7 +260,7 @@ func (s *Server) bufferWork(items []workItem) {
 // have been imported yet; those keys stash under stashMu and the import
 // applies them — the interlock that keeps an abort from racing past the
 // record it must mark.
-func (s *Server) handleAbort(ctx context.Context, m MsgAbort) error {
+func (s *Server) handleAbort(ctx context.Context, m AbortReq) error {
 	keys := m.Keys
 	if !m.Fwd {
 		e := m.Version.Epoch()
@@ -299,7 +278,7 @@ func (s *Server) handleAbort(ctx context.Context, m MsgAbort) error {
 		}
 		keys = local
 		for o, ks := range fwd {
-			if _, err := s.conn.Call(s.engineCtx(ctx), transport.NodeID(o), MsgAbort{Version: m.Version, Keys: ks, Fwd: true}); err != nil {
+			if _, err := s.conn.Call(s.engineCtx(ctx), transport.NodeID(o), MsgAbortBatch{Aborts: []AbortReq{{Version: m.Version, Keys: ks, Fwd: true}}}); err != nil {
 				return err
 			}
 		}
@@ -323,157 +302,35 @@ func (s *Server) handleAbort(ctx context.Context, m MsgAbort) error {
 	return nil
 }
 
-// handleRead serves a remote Get at the requested snapshot (Algorithm 1's
-// Get; computes functors on demand).
-func (s *Server) handleRead(ctx context.Context, m MsgRead) (MsgReadResp, error) {
-	ctx, span := s.tr.Start(ctx, "be.read")
-	span.SetAttr("key", string(m.Key))
-	defer span.End()
-	s.stats.readsServed.Add(1)
-	ectx := s.engineCtx(ctx)
-	// The key may have migrated away since the caller routed: forward one
-	// hop to the current owner (the second hop always serves locally — maps
-	// converge within an epoch, so one hop reaches the owner in practice,
-	// and bounding the hops keeps a map race from ping-ponging a request).
-	if !m.Fwd {
-		if o := s.owner(m.Key); o != s.id {
-			raw, err := s.conn.Call(ectx, transport.NodeID(o), MsgRead{Key: m.Key, Version: m.Version, Fwd: true})
-			if err != nil {
-				return MsgReadResp{}, err
-			}
-			return raw.(MsgReadResp), nil
-		}
-	}
-	// The requesting server already waited for this snapshot's epoch to
-	// commit, but the Committed broadcast reaches participants one at a
-	// time: this partition may not have sealed the epoch yet, and Latest
-	// only sees sealed records. Serving early would silently miss this
-	// epoch's writes — a torn read. Wait for local visibility first.
-	if err := s.waitVisible(ectx, m.Version); err != nil {
-		return MsgReadResp{}, err
-	}
-	r, err := s.localRead(ectx, m.Key, m.Version)
-	if err != nil {
-		return MsgReadResp{}, err
-	}
-	return MsgReadResp{Value: r.Value, Found: r.Found, Version: r.Version}, nil
-}
-
-// handleReadBatch serves a combined batch of remote Gets. Items run in
-// parallel: each read may trigger on-demand functor computation with its
+// handleFetch serves one MsgFetch: remote reads (Algorithm 1's Get,
+// computing functors on demand), ensures and ensure-up-tos (§IV-E). Items
+// run in parallel: each may trigger on-demand functor computation with its
 // own remote fan-out, so serializing them would stack those latencies.
-func (s *Server) handleReadBatch(ctx context.Context, m MsgReadBatch) (MsgReadBatchResp, error) {
-	ctx, span := s.tr.Start(ctx, "be.read.batch")
-	span.SetAttrInt("batch", int64(len(m.Reads)))
-	defer span.End()
-	s.stats.readsServed.Add(uint64(len(m.Reads)))
-	ectx := s.engineCtx(ctx)
-	// As in handleRead: don't serve snapshots from an epoch this partition
-	// hasn't sealed yet. One wait on the batch maximum covers every item.
-	maxV := m.Reads[0].Version
-	for _, r := range m.Reads[1:] {
-		if r.Version > maxV {
-			maxV = r.Version
-		}
-	}
-	if err := s.waitVisible(ectx, maxV); err != nil {
-		return MsgReadBatchResp{}, err
-	}
-	resp := MsgReadBatchResp{Results: make([]ReadResult, len(m.Reads))}
-	one := func(i int) ReadResult {
-		rd := m.Reads[i]
-		// Forward reads for keys that migrated away (single hop, as in
-		// handleRead); the batch was combined under an older map.
-		if !rd.Fwd {
-			if o := s.owner(rd.Key); o != s.id {
-				raw, err := s.conn.Call(ectx, transport.NodeID(o), MsgRead{Key: rd.Key, Version: rd.Version, Fwd: true})
-				if err != nil {
-					return ReadResult{Err: err.Error()}
-				}
-				return ReadResult{Resp: raw.(MsgReadResp)}
-			}
-		}
-		r, err := s.localRead(ectx, rd.Key, rd.Version)
-		return readResult(r, err)
-	}
-	if len(m.Reads) == 1 {
-		resp.Results[0] = one(0)
-		return resp, nil
-	}
-	var wg sync.WaitGroup
-	for i := range m.Reads {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp.Results[i] = one(i)
-		}(i)
-	}
-	wg.Wait()
-	return resp, nil
-}
-
-func readResult(r funcRead, err error) ReadResult {
-	if err != nil {
-		return ReadResult{Err: err.Error()}
-	}
-	return ReadResult{Resp: MsgReadResp{Value: r.Value, Found: r.Found, Version: r.Version}}
-}
-
-// handleEnsureBatch serves a combined batch of ensures, mixing the
-// MsgEnsure (resolution wanted) and MsgEnsureUpTo (watermark advance)
-// flavors. Items run in parallel like handleReadBatch.
-func (s *Server) handleEnsureBatch(ctx context.Context, m MsgEnsureBatch) (MsgEnsureBatchResp, error) {
-	ctx, span := s.tr.Start(ctx, "be.ensure.batch")
+func (s *Server) handleFetch(ctx context.Context, m MsgFetch) (MsgFetchResp, error) {
+	ctx, span := s.tr.Start(ctx, "be.fetch")
 	span.SetAttrInt("batch", int64(len(m.Reqs)))
 	defer span.End()
 	ectx := s.engineCtx(ctx)
-	// Ensures resolve records through the sealed view (resolveRecord walks
-	// the chain's View, and so does computeKeyUpTo): wait for local visibility
-	// of the highest requested version so the mid-broadcast window can't
-	// make them compute against a partial chain.
-	maxV := m.Reqs[0].Version
-	for _, r := range m.Reqs[1:] {
-		if r.Version > maxV {
-			maxV = r.Version
+	var maxV tstamp.Timestamp
+	for _, q := range m.Reqs {
+		maxV = max(maxV, q.Version)
+		if q.Kind == FetchRead {
+			s.stats.readsServed.Add(1)
 		}
 	}
+	// The requesting server already waited for the snapshot's epoch to
+	// commit, but the Committed broadcast reaches participants one at a
+	// time: this partition may not have sealed the epoch yet, and reads and
+	// ensures alike see only sealed records. Serving early would miss this
+	// epoch's writes — a torn read, or a watermark raised past a staged
+	// record that then never computes. One wait on the highest requested
+	// version covers every item.
 	if err := s.waitVisible(ectx, maxV); err != nil {
-		return MsgEnsureBatchResp{}, err
+		return MsgFetchResp{}, err
 	}
-	resp := MsgEnsureBatchResp{Results: make([]EnsureResult, len(m.Reqs))}
-	one := func(i int) EnsureResult {
-		req := m.Reqs[i]
-		// Forward ensures for keys that migrated away (single hop, as in
-		// handleRead); the batch was combined under an older map.
-		if !req.Fwd {
-			if o := s.owner(req.Key); o != s.id {
-				if req.UpTo {
-					if _, err := s.conn.Call(ectx, transport.NodeID(o), MsgEnsureUpTo{Key: req.Key, Version: req.Version, Fwd: true}); err != nil {
-						return EnsureResult{Err: err.Error()}
-					}
-					return EnsureResult{}
-				}
-				raw, err := s.conn.Call(ectx, transport.NodeID(o), MsgEnsure{Key: req.Key, Version: req.Version, Fwd: true})
-				if err != nil {
-					return EnsureResult{Err: err.Error()}
-				}
-				return EnsureResult{Resolution: raw.(MsgEnsureResp).Resolution}
-			}
-		}
-		if req.UpTo {
-			if err := s.computeKeyUpTo(ectx, req.Key, req.Version); err != nil {
-				return EnsureResult{Err: err.Error()}
-			}
-			return EnsureResult{}
-		}
-		res, err := s.ensureLocal(ectx, req.Key, req.Version)
-		if err != nil {
-			return EnsureResult{Err: err.Error()}
-		}
-		return EnsureResult{Resolution: res}
-	}
+	resp := MsgFetchResp{Results: make([]FetchResult, len(m.Reqs))}
 	if len(m.Reqs) == 1 {
-		resp.Results[0] = one(0)
+		resp.Results[0] = s.fetchOne(ectx, m.Reqs[0])
 		return resp, nil
 	}
 	var wg sync.WaitGroup
@@ -481,36 +338,50 @@ func (s *Server) handleEnsureBatch(ctx context.Context, m MsgEnsureBatch) (MsgEn
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp.Results[i] = one(i)
+			resp.Results[i] = s.fetchOne(ectx, m.Reqs[i])
 		}(i)
 	}
 	wg.Wait()
 	return resp, nil
 }
 
-// handleEnsure computes the determinate functor at (Key, Version) and
-// returns its resolution so the caller can resolve dependent-key markers.
-func (s *Server) handleEnsure(ctx context.Context, m MsgEnsure) (MsgEnsureResp, error) {
-	ctx, span := s.tr.Start(ctx, "be.ensure")
-	span.SetAttr("key", string(m.Key))
-	defer span.End()
-	if !m.Fwd {
-		if o := s.owner(m.Key); o != s.id {
-			raw, err := s.conn.Call(s.engineCtx(ctx), transport.NodeID(o), MsgEnsure{Key: m.Key, Version: m.Version, Fwd: true})
-			if err != nil {
-				return MsgEnsureResp{}, err
-			}
-			return raw.(MsgEnsureResp), nil
+// fetchOne serves one item of a MsgFetch. A key that migrated away since
+// the caller routed goes one hop to its current owner (the second hop
+// always serves locally — maps converge within an epoch, so one hop reaches
+// the owner in practice, and bounding the hops keeps a map race from
+// ping-ponging a request).
+func (s *Server) fetchOne(ctx context.Context, q FetchReq) FetchResult {
+	if o := s.owner(q.Key); o != s.id && !q.Fwd {
+		q.Fwd = true
+		raw, err := s.conn.Call(ctx, transport.NodeID(o), MsgFetch{Reqs: []FetchReq{q}})
+		if err != nil {
+			return FetchResult{Err: err.Error()}
 		}
+		if resp, ok := raw.(MsgFetchResp); ok && len(resp.Results) == 1 {
+			return resp.Results[0]
+		}
+		return FetchResult{Err: fmt.Sprintf("core: server %d answered a forwarded fetch of %q with %T", o, q.Key, raw)}
 	}
-	if err := s.waitVisible(s.engineCtx(ctx), m.Version); err != nil {
-		return MsgEnsureResp{}, err
+	var (
+		r   FetchResult
+		err error
+	)
+	switch q.Kind {
+	case FetchRead:
+		var fr funcRead
+		fr, err = s.localRead(ctx, q.Key, q.Version)
+		r = FetchResult{Value: fr.Value, Found: fr.Found, Version: fr.Version}
+	case FetchEnsure:
+		r.Resolution, err = s.ensureLocal(ctx, q.Key, q.Version)
+	case FetchUpTo:
+		err = s.computeKeyUpTo(ctx, q.Key, q.Version)
+	default:
+		err = fmt.Errorf("core: unknown fetch kind %d", q.Kind)
 	}
-	res, err := s.ensureLocal(s.engineCtx(ctx), m.Key, m.Version)
 	if err != nil {
-		return MsgEnsureResp{}, err
+		return FetchResult{Err: err.Error()}
 	}
-	return MsgEnsureResp{Resolution: res}, nil
+	return r
 }
 
 // handleApplyDeferred applies deferred writes from a determinate functor.

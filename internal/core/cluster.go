@@ -58,9 +58,6 @@ type ClusterConfig struct {
 	// spans carry the originating node so one cluster-wide snapshot shows
 	// cross-server traces whole. Nil disables tracing.
 	Tracer *trace.Tracer
-	// ReadBatchWindow configures each server's remote read/ensure combiner
-	// linger; see ServerConfig.ReadBatchWindow.
-	ReadBatchWindow time.Duration
 	// SwitchTimeout bounds how long the epoch manager waits for revoke
 	// acks before switching anyway (liveness escape hatch for crash-stop
 	// scenarios, §III-C); zero waits forever. Fault-injection tests set it
@@ -135,7 +132,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Durability:        hook,
 			DependencyRule:    cfg.DependencyRule,
 			Tracer:            cfg.Tracer,
-			ReadBatchWindow:   cfg.ReadBatchWindow,
 			AbortRetries:      cfg.AbortRetries,
 			AbortRetryBackoff: cfg.AbortRetryBackoff,
 			Skew:              cfg.Skew,

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
@@ -16,36 +15,28 @@ import (
 )
 
 // combiner merges concurrent remote reads and ensures destined for the
-// same owner into batch RPCs (MsgReadBatch / MsgEnsureBatch), extending the
-// paper's install convention — one message per involved partition (§V) —
-// to the functor hot path: under load, many functor computations read
-// single keys of the same remote partition at once, and each such read is
-// otherwise a full RPC.
+// same owner into one MsgFetch, extending the paper's install convention —
+// one message per involved partition (§V) — to the functor hot path: under
+// load, many functor computations read single keys of the same remote
+// partition at once, and each such read is otherwise a full RPC.
 //
 // Per owner, one former goroutine drains the op queue: the first op of an
-// idle owner dispatches immediately (the single-request fast path sends
-// the original MsgRead/MsgEnsure/MsgEnsureUpTo, so isolated requests keep
-// their latency and wire format), and ops that accumulate while the former
-// is active leave as one batch. Dispatches are asynchronous — the former
-// never waits for a response. Holding the owner slot across the RPC would
-// be the textbook combining window, but compute paths recurse across
-// partitions (a served read can trigger computations that read back), and
-// two owners waiting on each other's held slots would deadlock; forming
-// batches without bounding RPC concurrency keeps the merge and cannot
-// create a wait cycle.
+// idle owner leaves at once as a one-item MsgFetch, and ops that accumulate
+// while the former is active leave together. Dispatches are asynchronous —
+// the former never waits for a response. Holding the owner slot across the
+// RPC would be the textbook combining window, but compute paths recurse
+// across partitions (a served read can trigger computations that read
+// back), and two owners waiting on each other's held slots would deadlock;
+// forming batches without bounding RPC concurrency keeps the merge and
+// cannot create a wait cycle.
 type combiner struct {
 	s *Server
-	// window, when positive, is how long the former lingers between
-	// consecutive dispatches to accumulate a larger batch. It never delays
-	// an isolated request: the first dispatch of an idle owner is always
-	// immediate.
-	window time.Duration
 
 	mu     sync.Mutex
 	owners map[int]*ownerQueue
 }
 
-// maxCombine bounds ops per batch message so a deep queue becomes several
+// maxCombine bounds ops per MsgFetch so a deep queue becomes several
 // reasonably-sized RPCs instead of one giant envelope.
 const maxCombine = 128
 
@@ -55,18 +46,8 @@ type ownerQueue struct {
 	forming bool
 }
 
-type combKind uint8
-
-const (
-	combRead combKind = iota
-	combEnsure
-	combEnsureUpTo
-)
-
 type combOp struct {
-	kind    combKind
-	key     kv.Key
-	version tstamp.Timestamp
+	req FetchReq
 	// ctx is the caller's context: its trace labels the dispatch and its
 	// cancellation releases only this caller's wait, never the shared RPC.
 	ctx  context.Context
@@ -74,9 +55,8 @@ type combOp struct {
 }
 
 type combResult struct {
-	read funcRead
-	res  *functor.Resolution
-	err  error
+	r   FetchResult
+	err error
 }
 
 // combOpPool recycles ops together with their buffered result channels:
@@ -90,37 +70,27 @@ var combOpPool = sync.Pool{
 	New: func() any { return &combOp{done: make(chan combResult, 1)} },
 }
 
-func newCombOp(ctx context.Context, kind combKind, k kv.Key, v tstamp.Timestamp) *combOp {
-	op := combOpPool.Get().(*combOp)
-	op.kind, op.key, op.version, op.ctx = kind, k, v, ctx
-	return op
-}
-
-func (op *combOp) release() {
-	op.key, op.ctx = "", nil
-	combOpPool.Put(op)
-}
-
-func newCombiner(s *Server, window time.Duration) *combiner {
-	return &combiner{s: s, window: window, owners: make(map[int]*ownerQueue)}
+func newCombiner(s *Server) *combiner {
+	return &combiner{s: s, owners: make(map[int]*ownerQueue)}
 }
 
 // read performs a remote read through the combiner.
 func (c *combiner) read(ctx context.Context, owner int, k kv.Key, v tstamp.Timestamp) (funcRead, error) {
-	r := c.do(ctx, owner, newCombOp(ctx, combRead, k, v))
-	return r.read, r.err
+	r, err := c.do(ctx, owner, FetchReq{Kind: FetchRead, Key: k, Version: v})
+	return funcRead{Value: r.Value, Found: r.Found, Version: r.Version}, err
 }
 
-// ensure performs a remote MsgEnsure through the combiner.
+// ensure computes the functor at (k, v) on its owner and returns the
+// resolution.
 func (c *combiner) ensure(ctx context.Context, owner int, k kv.Key, v tstamp.Timestamp) (*functor.Resolution, error) {
-	r := c.do(ctx, owner, newCombOp(ctx, combEnsure, k, v))
-	return r.res, r.err
+	r, err := c.do(ctx, owner, FetchReq{Kind: FetchEnsure, Key: k, Version: v})
+	return r.Resolution, err
 }
 
-// ensureUpTo performs a remote MsgEnsureUpTo through the combiner.
+// ensureUpTo settles k up to v on its owner (FetchUpTo).
 func (c *combiner) ensureUpTo(ctx context.Context, owner int, k kv.Key, v tstamp.Timestamp) error {
-	r := c.do(ctx, owner, newCombOp(ctx, combEnsureUpTo, k, v))
-	return r.err
+	_, err := c.do(ctx, owner, FetchReq{Kind: FetchUpTo, Key: k, Version: v})
+	return err
 }
 
 func (c *combiner) queue(owner int) *ownerQueue {
@@ -159,7 +129,9 @@ func (c *combiner) occupancy() []obs.OwnerQueue {
 	return out
 }
 
-func (c *combiner) do(ctx context.Context, owner int, op *combOp) combResult {
+func (c *combiner) do(ctx context.Context, owner int, req FetchReq) (FetchResult, error) {
+	op := combOpPool.Get().(*combOp)
+	op.req, op.ctx = req, ctx
 	q := c.queue(owner)
 	q.mu.Lock()
 	q.ops = append(q.ops, op)
@@ -171,20 +143,20 @@ func (c *combiner) do(ctx context.Context, owner int, op *combOp) combResult {
 	}
 	select {
 	case r := <-op.done:
-		op.release()
-		return r
+		op.req, op.ctx = FetchReq{}, nil
+		combOpPool.Put(op)
+		return r.r, r.err
 	case <-ctx.Done():
 		// The shared dispatch proceeds for the other waiters; only this
 		// caller gives up (done is buffered, so the late send never blocks,
 		// and the abandoned op stays out of the pool).
-		return combResult{err: ctx.Err()}
+		return FetchResult{}, ctx.Err()
 	}
 }
 
 // formLoop drains one owner's queue: grab whatever is queued, dispatch it
-// asynchronously, briefly yield (or linger for the configured window) so
-// concurrent producers can publish the next batch, and exit once the queue
-// stays empty.
+// asynchronously, briefly yield so concurrent producers can publish the
+// next batch, and exit once the queue stays empty.
 func (c *combiner) formLoop(owner int, q *ownerQueue) {
 	yields := 0
 	for {
@@ -209,175 +181,52 @@ func (c *combiner) formLoop(owner int, q *ownerQueue) {
 		q.mu.Unlock()
 		yields = 0
 		go c.dispatch(owner, ops)
-		if c.window > 0 {
-			time.Sleep(c.window)
-		} else {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 	}
 }
 
-// dispatch sends one formed batch. A single op keeps the original wire
-// message and span; a real batch splits into at most one MsgReadBatch and
-// one MsgEnsureBatch, sent concurrently.
+// fetchVerb names an item's operation in its caller's error.
+var fetchVerb = [...]string{FetchRead: "remote read", FetchEnsure: "ensure", FetchUpTo: "ensure up to"}
+
+// dispatch sends what the former took off one owner's queue as one
+// MsgFetch and hands each waiter its own item's result.
 func (c *combiner) dispatch(owner int, ops []*combOp) {
+	s := c.s
+	msg := MsgFetch{Reqs: make([]FetchReq, len(ops))}
+	reads := 0
+	for i, op := range ops {
+		msg.Reqs[i] = op.req
+		if op.req.Kind == FetchRead {
+			reads++
+		}
+	}
+	if reads > 0 {
+		s.stats.recordReadBatch(reads)
+	}
+	if ensures := len(ops) - reads; ensures > 0 {
+		s.stats.recordEnsureBatch(ensures)
+	}
+	ctx, span := s.tr.Start(s.engineCtx(ops[0].ctx), "fetch.remote")
 	if len(ops) == 1 {
-		c.dispatchSingle(owner, ops[0])
-		return
+		span.SetAttr("key", string(ops[0].req.Key))
 	}
-	// Homogeneous batches (the common case: a burst of remote reads) go
-	// out as-is; only mixed batches pay for the split.
-	nReads := 0
-	for _, op := range ops {
-		if op.kind == combRead {
-			nReads++
-		}
-	}
-	switch nReads {
-	case len(ops):
-		c.dispatchReads(owner, ops)
-		return
-	case 0:
-		c.dispatchEnsures(owner, ops)
-		return
-	}
-	reads := make([]*combOp, 0, nReads)
-	ensures := make([]*combOp, 0, len(ops)-nReads)
-	for _, op := range ops {
-		if op.kind == combRead {
-			reads = append(reads, op)
-		} else {
-			ensures = append(ensures, op)
-		}
-	}
-	if len(reads) > 0 && len(ensures) > 0 {
-		go c.dispatchEnsures(owner, ensures)
-		c.dispatchReads(owner, reads)
-		return
-	}
-	if len(reads) > 0 {
-		c.dispatchReads(owner, reads)
-	}
-	if len(ensures) > 0 {
-		c.dispatchEnsures(owner, ensures)
-	}
-}
-
-func (c *combiner) dispatchSingle(owner int, op *combOp) {
-	s := c.s
-	ctx := s.engineCtx(op.ctx)
-	switch op.kind {
-	case combRead:
-		s.stats.recordReadBatch(1)
-		rctx, span := s.tr.Start(ctx, "read.remote")
-		span.SetAttr("key", string(op.key))
-		span.SetAttrInt("owner", int64(owner))
-		resp, err := s.conn.Call(rctx, transport.NodeID(owner), MsgRead{Key: op.key, Version: op.version})
-		span.End()
-		if err != nil {
-			op.done <- combResult{err: fmt.Errorf("core: remote read %q@%v: %w", op.key, op.version, err)}
-			return
-		}
-		r, ok := resp.(MsgReadResp)
-		if !ok {
-			op.done <- combResult{err: fmt.Errorf("core: remote read %q: unexpected response %T", op.key, resp)}
-			return
-		}
-		op.done <- combResult{read: funcRead{Value: r.Value, Found: r.Found, Version: r.Version}}
-
-	case combEnsure:
-		s.stats.recordEnsureBatch(1)
-		rctx, span := s.tr.Start(ctx, "functor.ensure")
-		span.SetAttr("key", string(op.key))
-		resp, err := s.conn.Call(rctx, transport.NodeID(owner), MsgEnsure{Key: op.key, Version: op.version})
-		span.End()
-		if err != nil {
-			op.done <- combResult{err: fmt.Errorf("core: ensure %q@%v: %w", op.key, op.version, err)}
-			return
-		}
-		r, ok := resp.(MsgEnsureResp)
-		if !ok {
-			op.done <- combResult{err: fmt.Errorf("core: ensure %q: unexpected response %T", op.key, resp)}
-			return
-		}
-		op.done <- combResult{res: r.Resolution}
-
-	case combEnsureUpTo:
-		s.stats.recordEnsureBatch(1)
-		if _, err := s.conn.Call(ctx, transport.NodeID(owner), MsgEnsureUpTo{Key: op.key, Version: op.version}); err != nil {
-			op.done <- combResult{err: fmt.Errorf("core: ensure %q up to %v: %w", op.key, op.version, err)}
-			return
-		}
-		op.done <- combResult{}
-	}
-}
-
-func (c *combiner) dispatchReads(owner int, ops []*combOp) {
-	s := c.s
-	s.stats.recordReadBatch(len(ops))
-	ctx, span := s.tr.Start(s.engineCtx(ops[0].ctx), "read.remote.batch")
 	span.SetAttrInt("owner", int64(owner))
 	span.SetAttrInt("batch", int64(len(ops)))
-	msg := MsgReadBatch{Reads: make([]MsgRead, len(ops))}
-	for i, op := range ops {
-		msg.Reads[i] = MsgRead{Key: op.key, Version: op.version}
-	}
 	raw, err := s.conn.Call(ctx, transport.NodeID(owner), msg)
 	span.End()
-	if err != nil {
-		for _, op := range ops {
-			op.done <- combResult{err: fmt.Errorf("core: remote read %q@%v: %w", op.key, op.version, err)}
-		}
-		return
-	}
-	resp, ok := raw.(MsgReadBatchResp)
-	if !ok || len(resp.Results) != len(ops) {
-		for _, op := range ops {
-			op.done <- combResult{err: fmt.Errorf("core: remote read %q: malformed batch response %T", op.key, raw)}
-		}
-		return
+	resp, ok := raw.(MsgFetchResp)
+	if err == nil && (!ok || len(resp.Results) != len(ops)) {
+		err = fmt.Errorf("malformed response %T", raw)
 	}
 	for i, op := range ops {
-		r := resp.Results[i]
-		if r.Err != "" {
-			op.done <- combResult{err: fmt.Errorf("core: remote read %q@%v: %s", op.key, op.version, r.Err)}
-			continue
+		q := op.req
+		switch {
+		case err != nil:
+			op.done <- combResult{err: fmt.Errorf("core: %s %q@%v: %w", fetchVerb[q.Kind], q.Key, q.Version, err)}
+		case resp.Results[i].Err != "":
+			op.done <- combResult{err: fmt.Errorf("core: %s %q@%v: %s", fetchVerb[q.Kind], q.Key, q.Version, resp.Results[i].Err)}
+		default:
+			op.done <- combResult{r: resp.Results[i]}
 		}
-		op.done <- combResult{read: funcRead{Value: r.Resp.Value, Found: r.Resp.Found, Version: r.Resp.Version}}
-	}
-}
-
-func (c *combiner) dispatchEnsures(owner int, ops []*combOp) {
-	s := c.s
-	s.stats.recordEnsureBatch(len(ops))
-	ctx, span := s.tr.Start(s.engineCtx(ops[0].ctx), "ensure.remote.batch")
-	span.SetAttrInt("owner", int64(owner))
-	span.SetAttrInt("batch", int64(len(ops)))
-	msg := MsgEnsureBatch{Reqs: make([]EnsureReq, len(ops))}
-	for i, op := range ops {
-		msg.Reqs[i] = EnsureReq{Key: op.key, Version: op.version, UpTo: op.kind == combEnsureUpTo}
-	}
-	raw, err := s.conn.Call(ctx, transport.NodeID(owner), msg)
-	span.End()
-	if err != nil {
-		for _, op := range ops {
-			op.done <- combResult{err: fmt.Errorf("core: ensure %q@%v: %w", op.key, op.version, err)}
-		}
-		return
-	}
-	resp, ok := raw.(MsgEnsureBatchResp)
-	if !ok || len(resp.Results) != len(ops) {
-		for _, op := range ops {
-			op.done <- combResult{err: fmt.Errorf("core: ensure %q: malformed batch response %T", op.key, raw)}
-		}
-		return
-	}
-	for i, op := range ops {
-		r := resp.Results[i]
-		if r.Err != "" {
-			op.done <- combResult{err: fmt.Errorf("core: ensure %q@%v: %s", op.key, op.version, r.Err)}
-			continue
-		}
-		op.done <- combResult{res: r.Resolution}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,12 +18,16 @@ import (
 
 // captureNetwork wraps another transport and counts outbound Call messages
 // by concrete type, so tests can assert which wire messages the combiner
-// actually sends.
+// actually sends. It can also hold Calls at the sender (hold), so a test
+// can act while requests are in flight.
 type captureNetwork struct {
 	inner transport.Network
 
 	mu    sync.Mutex
 	calls map[string]int
+	// fetchItems is the item count of every MsgFetch, in send order.
+	fetchItems []int
+	gate       chan struct{}
 }
 
 func newCaptureNetwork(inner transport.Network) *captureNetwork {
@@ -38,10 +44,15 @@ func (n *captureNetwork) Node(id transport.NodeID, h transport.Handler) (transpo
 
 func (n *captureNetwork) Close() error { return n.inner.Close() }
 
-func (n *captureNetwork) record(req any) {
+// record counts req and returns the gate it must wait for, if any.
+func (n *captureNetwork) record(req any) chan struct{} {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.calls[fmt.Sprintf("%T", req)]++
-	n.mu.Unlock()
+	if m, ok := req.(MsgFetch); ok {
+		n.fetchItems = append(n.fetchItems, len(m.Reqs))
+	}
+	return n.gate
 }
 
 // count returns how many Calls carried the given message type.
@@ -51,20 +62,47 @@ func (n *captureNetwork) count(sample any) int {
 	return n.calls[fmt.Sprintf("%T", sample)]
 }
 
+// items returns the item count of every MsgFetch sent so far.
+func (n *captureNetwork) items() []int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]int(nil), n.fetchItems...)
+}
+
+// hold makes every Call from now on wait at the sender until release runs.
+func (n *captureNetwork) hold() (release func()) {
+	gate := make(chan struct{})
+	n.mu.Lock()
+	n.gate = gate
+	n.mu.Unlock()
+	return func() {
+		n.mu.Lock()
+		n.gate = nil
+		n.mu.Unlock()
+		close(gate)
+	}
+}
+
 type captureConn struct {
 	transport.Conn
 	net *captureNetwork
 }
 
 func (c *captureConn) Call(ctx context.Context, to transport.NodeID, req any) (any, error) {
-	c.net.record(req)
+	if gate := c.net.record(req); gate != nil {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	return c.Conn.Call(ctx, to, req)
 }
 
 // newCombinerCluster builds a two-server manual-epoch cluster over a
 // capture network; keys starting with "a" live on server 0, everything
 // else on server 1.
-func newCombinerCluster(t *testing.T, window time.Duration) (*Cluster, *captureNetwork) {
+func newCombinerCluster(t *testing.T) (*Cluster, *captureNetwork) {
 	t.Helper()
 	capture := newCaptureNetwork(transport.NewMemNetwork())
 	c, err := NewCluster(ClusterConfig{
@@ -78,7 +116,6 @@ func newCombinerCluster(t *testing.T, window time.Duration) (*Cluster, *captureN
 			}
 			return 1
 		}),
-		ReadBatchWindow: window,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +124,37 @@ func newCombinerCluster(t *testing.T, window time.Duration) (*Cluster, *captureN
 	return c, capture
 }
 
-// TestCombinerSingleReadFastPath proves an isolated remote read keeps the
-// original single-request wire protocol: one MsgRead, no batch envelope,
-// so single-key latency cannot regress through the combiner.
-func TestCombinerSingleReadFastPath(t *testing.T) {
-	c, capture := newCombinerCluster(t, 0)
+// parkOwner makes s's ops for owner queue up as if a former were busy with
+// them; the returned start waits until want ops are queued and then runs a
+// former over them, so they leave together whatever the scheduler does.
+func parkOwner(t *testing.T, s *Server, owner int) (start func(want int)) {
+	t.Helper()
+	q := s.comb.queue(owner)
+	q.mu.Lock()
+	q.forming = true
+	q.mu.Unlock()
+	return func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			q.mu.Lock()
+			n := len(q.ops)
+			q.mu.Unlock()
+			if n == want {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d ops queued for owner %d, want %d", n, owner, want)
+			}
+		}
+		go s.comb.formLoop(owner, q)
+	}
+}
+
+// TestCombinerIsolatedOpLeavesAtOnce proves an op that finds its owner idle
+// leaves at once, as a one-item MsgFetch: there is one message shape and no
+// linger, whatever the load.
+func TestCombinerIsolatedOpLeavesAtOnce(t *testing.T) {
+	c, capture := newCombinerCluster(t)
 	if err := c.Load([]kv.Pair{{Key: "remote-key", Value: kv.Value("v")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +165,62 @@ func TestCombinerSingleReadFastPath(t *testing.T) {
 	if err != nil || !found || string(v) != "v" {
 		t.Fatalf("remote read = %q found=%v err=%v", v, found, err)
 	}
-	if got := capture.count(MsgRead{}); got != 1 {
-		t.Errorf("MsgRead calls = %d, want 1", got)
+	if got := capture.items(); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("MsgFetch item counts = %v, want one message of one item", got)
 	}
-	if got := capture.count(MsgReadBatch{}); got != 0 {
-		t.Errorf("isolated read sent MsgReadBatch (%d), want the single-request fast path", got)
+	if st := c.Server(0).Stats(); st.ReadBatches != 1 || st.BatchedReads != 1 || st.EnsureBatches != 0 {
+		t.Errorf("stats: %d reads in %d dispatches, %d ensure dispatches; want 1 in 1, 0",
+			st.BatchedReads, st.ReadBatches, st.EnsureBatches)
 	}
 }
 
-// TestCombinerBatchesConcurrentReads proves concurrent remote reads to one
-// owner share RPCs: N reads arrive in far fewer than N read Calls, with at
-// least one multi-op MsgReadBatch on the wire.
+// TestCombinerOneFetchPerOwner proves a read and an ensure queued together
+// for one owner leave as exactly one MsgFetch — there is no read/ensure
+// split — and that each caller gets its own item's result.
+func TestCombinerOneFetchPerOwner(t *testing.T) {
+	c, capture := newCombinerCluster(t)
+	if err := c.Load([]kv.Pair{{Key: "b-read", Value: kv.Value("r")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	h := mustSubmit(t, c, 0, Txn{Writes: []Write{{Key: "b-det", Functor: functor.Value(kv.Value("d"))}}})
+	mustAdvance(t, c)
+	s := c.Server(0)
+	start := parkOwner(t, s, 1)
+	var (
+		wg         sync.WaitGroup
+		read       funcRead
+		res        *functor.Resolution
+		rerr, eerr error
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); read, rerr = s.comb.read(ctx, 1, "b-read", s.VisibleBound().Prev()) }()
+	go func() { defer wg.Done(); res, eerr = s.comb.ensure(ctx, 1, "b-det", h.Version()) }()
+	start(2)
+	wg.Wait()
+	if rerr != nil || !read.Found || string(read.Value) != "r" {
+		t.Errorf("read b-read = %q found=%v err=%v", read.Value, read.Found, rerr)
+	}
+	if eerr != nil || res == nil || res.Kind != functor.Resolved {
+		t.Errorf("ensure b-det = %+v err=%v, want a resolved record", res, eerr)
+	}
+	if got := capture.items(); !reflect.DeepEqual(got, []int{2}) {
+		t.Errorf("MsgFetch item counts = %v, want one message carrying both", got)
+	}
+	if st := s.Stats(); st.ReadBatches != 1 || st.BatchedReads != 1 || st.EnsureBatches != 1 {
+		t.Errorf("stats: %d reads in %d dispatches, %d ensure dispatches; want 1 in 1, 1",
+			st.BatchedReads, st.ReadBatches, st.EnsureBatches)
+	}
+}
+
+// TestCombinerBatchesConcurrentReads proves remote reads queued while the
+// owner's former is busy share one RPC, and that the combiner stats account
+// for every read exactly once.
 func TestCombinerBatchesConcurrentReads(t *testing.T) {
-	c, capture := newCombinerCluster(t, 2*time.Millisecond)
+	c, capture := newCombinerCluster(t)
 	const n = 32
 	pairs := make([]kv.Pair, n)
 	for i := range pairs {
@@ -126,15 +232,13 @@ func TestCombinerBatchesConcurrentReads(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-
-	start := make(chan struct{})
+	start := parkOwner(t, c.Server(0), 1)
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
 			_, found, err := c.Server(0).GetCommitted(context.Background(), pairs[i].Key)
 			if err == nil && !found {
 				err = fmt.Errorf("key %q not found", pairs[i].Key)
@@ -144,29 +248,18 @@ func TestCombinerBatchesConcurrentReads(t *testing.T) {
 			}
 		}(i)
 	}
-	close(start)
+	start(n)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-
-	reads := capture.count(MsgRead{})
-	batches := capture.count(MsgReadBatch{})
-	if batches == 0 {
-		t.Errorf("no MsgReadBatch sent for %d concurrent remote reads", n)
+	if got := capture.items(); !reflect.DeepEqual(got, []int{n}) {
+		t.Errorf("MsgFetch item counts = %v, want one message of %d", got, n)
 	}
-	if total := reads + batches; total >= n {
-		t.Errorf("read RPCs = %d (singles=%d batches=%d), want fewer than %d reads", total, reads, batches, n)
-	}
-	// The combiner stats must account for every read exactly once: the
-	// dispatch-size histogram records fast-path singles as size-1 batches.
 	st := c.Server(0).Stats()
-	if st.BatchedReads != n {
-		t.Errorf("stats: batched reads = %d, want %d", st.BatchedReads, n)
-	}
-	if st.ReadBatches != uint64(reads+batches) {
-		t.Errorf("stats: dispatches = %d, want %d singles + %d batches", st.ReadBatches, reads, batches)
+	if st.BatchedReads != n || st.ReadBatches != 1 {
+		t.Errorf("stats: %d reads in %d dispatches, want %d in 1", st.BatchedReads, st.ReadBatches, n)
 	}
 }
 
@@ -174,7 +267,7 @@ func TestCombinerBatchesConcurrentReads(t *testing.T) {
 // failed transactions' aborts toward one owner into a single MsgAbortBatch,
 // and that the batched aborts still roll the installs back.
 func TestCombinerAbortBatch(t *testing.T) {
-	c, capture := newCombinerCluster(t, 0)
+	c, capture := newCombinerCluster(t)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +290,6 @@ func TestCombinerAbortBatch(t *testing.T) {
 	if got := capture.count(MsgAbortBatch{}); got != 1 {
 		t.Errorf("MsgAbortBatch calls = %d, want 1", got)
 	}
-	if got := capture.count(MsgAbort{}); got != 0 {
-		t.Errorf("MsgAbort calls = %d, want 0 (all aborts batched)", got)
-	}
 	mustAdvance(t, c)
 	ctx := context.Background()
 	for _, k := range []kv.Key{"b1", "b2", "b3"} {
@@ -209,13 +299,40 @@ func TestCombinerAbortBatch(t *testing.T) {
 	}
 }
 
+// TestCombinerLoneAbortIsBatch proves one failed transaction's rollback
+// travels as a one-item MsgAbortBatch — aborts have one message shape too —
+// and still rolls the install back.
+func TestCombinerLoneAbortIsBatch(t *testing.T) {
+	c, capture := newCombinerCluster(t)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := c.Server(0).SubmitBatch(context.Background(), []Txn{{
+		Writes:   []Write{{Key: "b-only", Functor: functor.Value(kv.Value("1"))}},
+		Requires: []kv.Key{"a-nope"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !results[0].Aborted {
+		t.Fatal("transaction with missing requirement did not abort")
+	}
+	if got := capture.count(MsgAbortBatch{}); got != 1 {
+		t.Errorf("MsgAbortBatch calls = %d, want 1 for a lone abort", got)
+	}
+	mustAdvance(t, c)
+	if _, found, _ := c.Server(0).GetCommitted(context.Background(), "b-only"); found {
+		t.Error("aborted write \"b-only\" visible")
+	}
+}
+
 // TestCombinerCancellationReleasesCaller proves a caller whose context is
-// cancelled while its op sits in the batching window gets released
-// immediately with context.Canceled, while the shared dispatch proceeds
-// and the other waiters in the same window still get their values.
+// cancelled while its op is in flight gets released immediately with
+// context.Canceled, while the shared dispatch proceeds and the other
+// waiters still get their values.
 func TestCombinerCancellationReleasesCaller(t *testing.T) {
 	const window = 60 * time.Millisecond
-	c, _ := newCombinerCluster(t, window)
+	c, capture := newCombinerCluster(t)
 	if err := c.Load([]kv.Pair{
 		{Key: "b-warm", Value: kv.Value("w")},
 		{Key: "b-canceled", Value: kv.Value("x")},
@@ -227,11 +344,11 @@ func TestCombinerCancellationReleasesCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Warm read: immediate dispatch, former now lingers for the window, so
-	// the two reads below are queued behind it.
 	if _, _, err := c.Server(0).GetCommitted(ctx, "b-warm"); err != nil {
 		t.Fatalf("warm read: %v", err)
 	}
+	// From here every fetch waits at the sender until released.
+	release := capture.hold()
 
 	actx, acancel := context.WithCancel(ctx)
 	defer acancel()
@@ -249,8 +366,8 @@ func TestCombinerCancellationReleasesCaller(t *testing.T) {
 		bDone <- err
 	}()
 
-	// Cancel A while both ops are still queued; A must return well before
-	// the window would have dispatched it.
+	// Cancel A while both ops are still in flight; A must return at once,
+	// without waiting for the held dispatch.
 	time.Sleep(5 * time.Millisecond)
 	cancelAt := time.Now()
 	acancel()
@@ -265,7 +382,8 @@ func TestCombinerCancellationReleasesCaller(t *testing.T) {
 	case <-time.After(window / 2):
 		t.Error("cancelled caller still blocked at half the batching window")
 	}
-	// B rides the window out normally.
+	// B rides its dispatch out normally.
+	release()
 	select {
 	case err := <-bDone:
 		if err != nil {
@@ -276,60 +394,41 @@ func TestCombinerCancellationReleasesCaller(t *testing.T) {
 	}
 }
 
-// TestCombinerWindowSingleOpKeepsFastPath proves a positive batching
-// window never changes the wire format of isolated reads: ops that find
-// the owner idle dispatch immediately as the original MsgRead, and a
-// window that drains with one op collapses to the single-request message.
-func TestCombinerWindowSingleOpKeepsFastPath(t *testing.T) {
-	const window = 30 * time.Millisecond
-	c, capture := newCombinerCluster(t, window)
-	if err := c.Load([]kv.Pair{
-		{Key: "b-one", Value: kv.Value("1")},
-		{Key: "b-two", Value: kv.Value("2")},
+// TestFetchForwardChecksReplyType: an owner that answers a forwarded fetch
+// with a message of the wrong type fails that item with an error naming
+// what came back — no panic in the handler — and the other items of the
+// same MsgFetch are served as usual.
+func TestFetchForwardChecksReplyType(t *testing.T) {
+	c, capture := newCombinerCluster(t)
+	if err := c.Load([]kv.Pair{{Key: "a-local", Value: kv.Value("l")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Replace server 1 on the mesh by a node that answers anything with a
+	// client-protocol reply.
+	if err := c.Server(1).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capture.inner.Node(1, func(context.Context, transport.NodeID, any) (any, error) {
+		return MsgClientGetResp{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, k := range []kv.Key{"b-one", "b-two"} {
-		if _, _, err := c.Server(0).GetCommitted(ctx, k); err != nil {
-			t.Fatalf("read %q: %v", k, err)
-		}
-		// Let the former's window lapse and the loop exit so the next read
-		// finds an idle owner again.
-		time.Sleep(3 * window)
-	}
-	if got := capture.count(MsgRead{}); got != 2 {
-		t.Errorf("MsgRead calls = %d, want 2", got)
-	}
-	if got := capture.count(MsgReadBatch{}); got != 0 {
-		t.Errorf("sequential isolated reads sent %d MsgReadBatch, want 0", got)
-	}
-}
-
-// TestCombinerSingleAbortFastPath proves one failed transaction still
-// aborts with the original single MsgAbort message.
-func TestCombinerSingleAbortFastPath(t *testing.T) {
-	c, capture := newCombinerCluster(t, 0)
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := c.Server(0).SubmitBatch(context.Background(), []Txn{{
-		Writes:   []Write{{Key: "b-only", Functor: functor.Value(kv.Value("1"))}},
-		Requires: []kv.Key{"a-nope"},
+	s := c.Server(0)
+	v := s.VisibleBound().Prev()
+	resp, err := s.handleFetch(context.Background(), MsgFetch{Reqs: []FetchReq{
+		{Kind: FetchRead, Key: "b-moved", Version: v},
+		{Kind: FetchRead, Key: "a-local", Version: v},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !results[0].Aborted {
-		t.Fatal("transaction with missing requirement did not abort")
+	if got := resp.Results[0].Err; !strings.Contains(got, "MsgClientGetResp") {
+		t.Errorf("forwarded item: Err = %q, want an error naming the reply type", got)
 	}
-	if got := capture.count(MsgAbort{}); got != 1 {
-		t.Errorf("MsgAbort calls = %d, want 1", got)
-	}
-	if got := capture.count(MsgAbortBatch{}); got != 0 {
-		t.Errorf("MsgAbortBatch calls = %d, want 0 for a lone abort", got)
+	if r := resp.Results[1]; r.Err != "" || !r.Found || string(r.Value) != "l" {
+		t.Errorf("local item = %+v, want \"l\" found", r)
 	}
 }

@@ -66,8 +66,8 @@ func (s *Server) getLocal(ctx context.Context, k kv.Key, v tstamp.Timestamp) (fu
 }
 
 // read returns the value of k at snapshot v, routing to the owning
-// partition (local call, or a remote MsgRead through the per-owner
-// combiner, which merges concurrent reads into MsgReadBatch RPCs).
+// partition (local call, or a remote read through the per-owner combiner,
+// which merges concurrent reads and ensures into one MsgFetch per owner).
 func (s *Server) read(ctx context.Context, k kv.Key, v tstamp.Timestamp) (funcRead, error) {
 	if owner := s.owner(k); owner != s.id {
 		s.stats.remoteReads.Add(1)
@@ -97,7 +97,7 @@ func (s *Server) localRead(ctx context.Context, k kv.Key, v tstamp.Timestamp) (f
 
 // ensureUpTo forces every functor of k at or below v to its final state —
 // including synchronous distribution of deferred writes — and advances k's
-// value watermark to v, locally or via MsgEnsureUpTo.
+// value watermark to v, locally or via a remote FetchUpTo.
 func (s *Server) ensureUpTo(ctx context.Context, k kv.Key, v tstamp.Timestamp) error {
 	if owner := s.owner(k); owner != s.id {
 		return s.comb.ensureUpTo(ctx, owner, k, v)
@@ -419,7 +419,8 @@ func (s *Server) gatherReads(ctx context.Context, k kv.Key, rec *mvstore.Record,
 }
 
 // ensureComputed forces the functor at (k, version) — a determinate key —
-// to its final state and returns its resolution, locally or via MsgEnsure.
+// to its final state and returns its resolution, locally or via a remote
+// FetchEnsure.
 func (s *Server) ensureComputed(ctx context.Context, k kv.Key, version tstamp.Timestamp) (*functor.Resolution, error) {
 	if owner := s.owner(k); owner != s.id {
 		return s.comb.ensure(ctx, owner, k, version)
@@ -551,8 +552,8 @@ func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, ve
 		}
 		if _, err := s.conn.Call(ctx, transport.NodeID(owner), *m); err != nil {
 			// The partition is unreachable (shutdown or crash). Readers of
-			// statically-declared markers still resolve on demand via
-			// MsgEnsure; dynamically-named rows are re-created when the
+			// statically-declared markers still resolve on demand via a
+			// remote ensure; dynamically-named rows are re-created when the
 			// dependency rule re-forces this computation after recovery.
 			continue
 		}

@@ -228,7 +228,7 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 	// have installed them, one message per involved partition — a failed
 	// batch can abort many transactions on the same peer, so their per-txn
 	// aborts combine into one MsgAbortBatch.
-	var abortsByOwner map[int][]MsgAbort
+	var abortsByOwner map[int][]AbortReq
 	var abortTxnsByOwner map[int][]int
 	for i := range txns {
 		if !results[i].Aborted {
@@ -244,10 +244,10 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 				keys[wi] = w.Key
 			}
 			if abortsByOwner == nil {
-				abortsByOwner = make(map[int][]MsgAbort)
+				abortsByOwner = make(map[int][]AbortReq)
 				abortTxnsByOwner = make(map[int][]int)
 			}
-			abortsByOwner[wa.owner] = append(abortsByOwner[wa.owner], MsgAbort{Version: versions[i], Keys: keys})
+			abortsByOwner[wa.owner] = append(abortsByOwner[wa.owner], AbortReq{Version: versions[i], Keys: keys})
 			abortTxnsByOwner[wa.owner] = append(abortTxnsByOwner[wa.owner], i)
 		}
 	}
@@ -264,18 +264,14 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 			}
 			continue
 		}
-		// A single abort keeps the original wire message. Either way the
-		// call rides ctx — the root-bearing context, so the abort round's
-		// RPCs stay inside the transaction's trace — and is synchronous and
-		// retried: the in-flight slot must outlive the rollback so the
-		// epoch cannot commit with the transaction half-installed, and a
-		// transiently unreachable partition (dropped request, healing
-		// partition) usually acknowledges within the retry budget.
-		var msg any = MsgAbortBatch{Aborts: aborts}
-		if len(aborts) == 1 {
-			msg = aborts[0]
-		}
-		if !s.callAbortRetry(ctx, owner, msg) {
+		// The call rides ctx — the root-bearing context, so the abort
+		// round's RPCs stay inside the transaction's trace — and is
+		// synchronous and retried: the in-flight slot must outlive the
+		// rollback so the epoch cannot commit with the transaction
+		// half-installed, and a transiently unreachable partition (dropped
+		// request, healing partition) usually acknowledges within the retry
+		// budget.
+		if !s.callAbortRetry(ctx, owner, MsgAbortBatch{Aborts: aborts}) {
 			// The partition stayed unreachable. Unless crash recovery
 			// replays the abort from its log, the installs may surface
 			// when the epoch commits; surface the uncertainty to the
@@ -493,7 +489,7 @@ func (s *Server) retryWrongOwner(ctx context.Context, pending []installSlice, re
 // callAbortRetry delivers one second-round abort message, retrying with
 // exponential backoff while the partition is unreachable. It returns false
 // when the budget is exhausted without an acknowledged delivery.
-func (s *Server) callAbortRetry(ctx context.Context, owner int, msg any) bool {
+func (s *Server) callAbortRetry(ctx context.Context, owner int, msg MsgAbortBatch) bool {
 	backoff := s.abortBackoff
 	for attempt := 0; attempt < s.abortRetries; attempt++ {
 		if attempt > 0 {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/placement"
+	"alohadb/internal/tstamp"
 )
 
 // TestDynamicDependentKeys exercises the TPC-C order-id pattern: a
@@ -173,7 +175,8 @@ func TestDependencyRuleWithAbortedAllocator(t *testing.T) {
 // TestReadCreatesNoKey: a dependency-rule read settles the determinate key
 // up to the snapshot, and when nobody ever wrote that key there is nothing
 // to settle — the read must not leave an empty chain behind for scans, key
-// counts, exports and checkpoints to find. Locally and over MsgEnsureUpTo.
+// counts, exports and checkpoints to find. Locally and over a remote
+// ensure-up-to (FetchUpTo).
 func TestReadCreatesNoKey(t *testing.T) {
 	for _, servers := range []int{1, 2} {
 		c, err := NewCluster(ClusterConfig{
@@ -216,5 +219,76 @@ func TestReadCreatesNoKey(t *testing.T) {
 				t.Errorf("%d servers: server %d holds %d keys after a read, \"seq\" exportable: %v", servers, i, store.Len(), ok)
 			}
 		}
+	}
+}
+
+// TestEnsureUpToWaitsForOwnerCommit: the Committed broadcast reaches the
+// dependent key's server before the determinate key's owner. A dependency
+// rule read there must not settle the determinate key up to a snapshot its
+// owner has not sealed yet: the allocator's record is still staged and
+// invisible, and a watermark raised past it would skip it for good, so the
+// row it writes would never appear.
+func TestEnsureUpToWaitsForOwnerCommit(t *testing.T) {
+	reg := functor.NewRegistry()
+	reg.MustRegister("alloc-order", func(ctx *functor.Context) (*functor.Resolution, error) {
+		return &functor.Resolution{
+			Kind:            functor.Resolved,
+			Value:           kv.EncodeInt64(1),
+			DependentWrites: []functor.DependentWrite{{Key: "order:1", Value: ctx.Arg}},
+		}, nil
+	})
+	c, err := NewCluster(ClusterConfig{
+		Servers:      2,
+		ManualEpochs: true,
+		Registry:     reg,
+		Workers:      -1,
+		Router: placement.NewStatic(2, func(k kv.Key, n int) int {
+			if strings.HasPrefix(string(k), "order:") {
+				return 1
+			}
+			return 0
+		}),
+		DependencyRule: func(k kv.Key) (kv.Key, bool) {
+			if strings.HasPrefix(string(k), "order:") {
+				return "seq", true
+			}
+			return "", false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	h, err := c.Server(0).Submit(ctx, Txn{Writes: []Write{
+		{Key: "seq", Functor: functor.User("alloc-order", []byte("p1"), nil)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Switch the epoch by hand, delivering Committed to server 1 only.
+	e := h.Version().Epoch()
+	for i := 0; i < 2; i++ {
+		acked := make(chan struct{})
+		c.Server(i).Revoke(e, func() { close(acked) })
+		<-acked
+	}
+	c.Server(1).Committed(e)
+	snap := tstamp.End(e).Prev()
+
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	_, _, _ = c.Server(1).GetAt(short, "order:1", snap)
+	if chain, _, _ := c.Server(0).Store().Read("seq", snap); chain == nil || chain.Watermark() >= snap {
+		t.Error("a read on server 1 settled seq past a record its owner has not committed")
+	}
+
+	c.Server(0).Committed(e)
+	v, found, err := c.Server(1).GetAt(ctx, "order:1", snap)
+	if err != nil || !found || string(v) != "p1" {
+		t.Errorf("order:1 = %q found=%v err=%v, want \"p1\"", v, found, err)
 	}
 }

@@ -224,7 +224,7 @@ func runHandoffModel(t *testing.T, workers int, seed int64) {
 				// Second round: one transaction of the batch failed elsewhere.
 				txn := txns[rng.Intn(len(txns))]
 				k := txn.Writes[0].Key
-				if err := s.handleAbort(ctx, MsgAbort{Version: txn.Version, Keys: []kv.Key{k}}); err != nil {
+				if err := s.handleAbort(ctx, AbortReq{Version: txn.Version, Keys: []kv.Key{k}}); err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range model[k] {

@@ -12,7 +12,7 @@ import (
 
 // markerCluster builds a two-partition cluster with no asynchronous
 // processors, so dependent-key markers can only resolve through the
-// on-demand path: read marker -> MsgEnsure to the determinate partition ->
+// on-demand path: read marker -> ensure to the determinate partition ->
 // derive the marker's resolution from the determinate functor's.
 func markerCluster(t *testing.T, handler string, h functor.Handler) *Cluster {
 	t.Helper()
@@ -59,7 +59,7 @@ func TestMarkerOnDemandRemoteResolution(t *testing.T) {
 	}})
 	mustAdvance(t, c)
 	// The marker lives on partition 1; its only resolution path is the
-	// read-triggered MsgEnsure round trip to partition 0.
+	// read-triggered ensure round trip to partition 0.
 	v, found, err := c.Server(1).GetCommitted(ctx, "dep:row")
 	if err != nil {
 		t.Fatal(err)

@@ -66,10 +66,10 @@ type MsgInstallResp struct {
 	Placement *placement.Map
 }
 
-// MsgAbort is the coordinator's second round: mark the listed keys'
-// versions ABORTED on this partition because another partition failed the
-// transaction's phase-1 check.
-type MsgAbort struct {
+// AbortReq is the coordinator's second round for one transaction: mark the
+// listed keys' versions ABORTED on this partition because another partition
+// failed the transaction's phase-1 check.
+type AbortReq struct {
 	Version tstamp.Timestamp
 	Keys    []kv.Key
 	// Fwd marks a single-hop forward from a server whose ownership map says
@@ -79,44 +79,58 @@ type MsgAbort struct {
 	Fwd bool
 }
 
-// MsgRead asks the key's owner for the latest value at or below Version
-// (Algorithm 1's Get; computes functors on demand).
-type MsgRead struct {
+// FetchKind selects what a FetchReq asks of the key's owner.
+type FetchKind uint8
+
+const (
+	// FetchRead asks for the latest value at or below Version (Algorithm 1's
+	// Get; computes functors on demand).
+	FetchRead FetchKind = iota
+	// FetchEnsure asks the determinate key's owner to compute its functor at
+	// exactly Version and return the resolution, so the caller can resolve
+	// a dependent-key marker (paper §IV-E).
+	FetchEnsure
+	// FetchUpTo asks the owner to compute every functor of Key at or below
+	// Version — including synchronously distributing any deferred writes —
+	// and advance the key's value watermark to Version before answering:
+	// §IV-E's rule that a dependent key may be read at ts only once the
+	// determinate key's watermark is at least ts.
+	FetchUpTo
+)
+
+// FetchReq is one remote read or ensure inside MsgFetch.
+type FetchReq struct {
+	Kind    FetchKind
 	Key     kv.Key
 	Version tstamp.Timestamp
 	// Fwd marks a single-hop ownership forward; the receiver serves locally.
 	Fwd bool
 }
 
-// MsgReadResp answers MsgRead.
-type MsgReadResp struct {
-	Value kv.Value
-	Found bool
-	// Version is the version of the record that produced Value; optimistic
-	// validation compares it against the transaction's snapshot.
-	Version tstamp.Timestamp
+// MsgFetch carries every remote read and ensure one front-end has queued
+// for one owner in a single RPC, one item or many: the batching convention
+// §V applies to installs (one message per involved partition) extended to
+// the functor hot path.
+type MsgFetch struct {
+	Reqs []FetchReq
 }
 
-// MsgReadBatch carries several MsgRead requests for keys of one owner in a
-// single RPC. Front-ends combine concurrent functor computations' remote
-// reads per owner (the same batching convention §V applies to installs:
-// one message per involved partition), so a burst of single-key reads
-// costs one round trip instead of one per key.
-type MsgReadBatch struct {
-	Reads []MsgRead
+// FetchResult is one item's outcome inside MsgFetchResp. A read fills
+// Value, Found and Version (the version of the record that produced Value);
+// an ensure fills Resolution; an ensure-up-to only acknowledges. Err is set
+// instead of failing the whole message so one bad key cannot poison its
+// neighbors.
+type FetchResult struct {
+	Value      kv.Value
+	Found      bool
+	Version    tstamp.Timestamp
+	Resolution *functor.Resolution
+	Err        string
 }
 
-// ReadResult is one read's outcome inside MsgReadBatchResp; Err is set
-// instead of failing the whole batch so one bad key cannot poison its
-// neighbors' reads.
-type ReadResult struct {
-	Resp MsgReadResp
-	Err  string
-}
-
-// MsgReadBatchResp answers MsgReadBatch, aligned index-wise with Reads.
-type MsgReadBatchResp struct {
-	Results []ReadResult
+// MsgFetchResp answers MsgFetch, aligned index-wise with Reqs.
+type MsgFetchResp struct {
+	Results []FetchResult
 }
 
 // MsgPush proactively delivers the latest value of Key strictly below
@@ -133,71 +147,11 @@ type MsgPush struct {
 	ValueVersion tstamp.Timestamp
 }
 
-// MsgEnsure asks the determinate key's owner to compute its functor at
-// Version and return the resolution, so the caller can resolve a
-// dependent-key marker (paper §IV-E).
-type MsgEnsure struct {
-	Key     kv.Key
-	Version tstamp.Timestamp
-	// Fwd marks a single-hop ownership forward; the receiver serves locally.
-	Fwd bool
-}
-
-// MsgEnsureResp carries the determinate functor's resolution.
-type MsgEnsureResp struct {
-	Resolution *functor.Resolution
-}
-
-// MsgEnsureUpTo asks the key's owner to compute every functor of Key at or
-// below Version — including synchronously distributing any deferred writes
-// — and advance the key's value watermark to Version before answering.
-// This realizes §IV-E's rule that a dependent key may be read at ts only
-// once the determinate key's watermark is at least ts.
-type MsgEnsureUpTo struct {
-	Key     kv.Key
-	Version tstamp.Timestamp
-	// Fwd marks a single-hop ownership forward; the receiver serves locally.
-	Fwd bool
-}
-
-// MsgEnsureUpToResp acknowledges MsgEnsureUpTo.
-type MsgEnsureUpToResp struct{}
-
-// EnsureReq is one ensure inside MsgEnsureBatch: UpTo selects the
-// MsgEnsureUpTo semantics (compute everything at or below Version and
-// advance the watermark, ack only), otherwise the MsgEnsure semantics
-// (compute the functor at exactly Version and return its resolution).
-type EnsureReq struct {
-	Key     kv.Key
-	Version tstamp.Timestamp
-	UpTo    bool
-	// Fwd marks a single-hop ownership forward; the receiver serves locally.
-	Fwd bool
-}
-
-// MsgEnsureBatch combines several ensure requests for one owner in a
-// single RPC, mirroring MsgReadBatch for the dependent-key paths (§IV-E).
-type MsgEnsureBatch struct {
-	Reqs []EnsureReq
-}
-
-// EnsureResult is one ensure's outcome inside MsgEnsureBatchResp.
-// Resolution is nil for UpTo requests (they only acknowledge).
-type EnsureResult struct {
-	Resolution *functor.Resolution
-	Err        string
-}
-
-// MsgEnsureBatchResp answers MsgEnsureBatch, aligned index-wise with Reqs.
-type MsgEnsureBatchResp struct {
-	Results []EnsureResult
-}
-
-// MsgAbortBatch carries the second-round aborts of several transactions to
-// one partition in a single RPC (a failed batch can abort many
+// MsgAbortBatch carries the second-round aborts of one or more transactions
+// to one partition in a single RPC (a failed batch can abort many
 // transactions on the same peer at once).
 type MsgAbortBatch struct {
-	Aborts []MsgAbort
+	Aborts []AbortReq
 }
 
 // MsgApplyDeferred delivers deferred writes (or the lack thereof) from a

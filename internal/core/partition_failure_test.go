@@ -88,13 +88,12 @@ func TestDeadPartitionFailsFast(t *testing.T) {
 	}
 }
 
-// TestDeadPartitionFailsBatchedReadsFast: reads queued in the combiner's
-// batching window when their owner dies must all complete quickly with
-// errors — the batch dispatch fails once and fans the error to every
-// waiter, rather than each op hanging on its own timeout.
+// TestDeadPartitionFailsBatchedReadsFast: reads in flight in the combiner
+// when their owner dies must all complete quickly with errors — the
+// dispatch fails once and fans the error to every waiter, rather than each
+// op hanging on its own timeout.
 func TestDeadPartitionFailsBatchedReadsFast(t *testing.T) {
-	const window = 50 * time.Millisecond
-	c, capture := newCombinerCluster(t, window)
+	c, capture := newCombinerCluster(t)
 	const n = 8
 	pairs := make([]kv.Pair, n)
 	for i := range pairs {
@@ -109,12 +108,12 @@ func TestDeadPartitionFailsBatchedReadsFast(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	// A warm read dispatches immediately (idle owner) and leaves the former
-	// lingering for the window, so the reads below all queue mid-window
-	// instead of racing into the first dispatch.
 	if _, _, err := c.Server(0).GetCommitted(ctx, "bk0"); err != nil {
 		t.Fatalf("warm read: %v", err)
 	}
+	// The reads below leave their former and wait at the sender, so the
+	// owner dies while every one of them is in flight.
+	release := capture.hold()
 	start := time.Now()
 	type outcome struct{ err error }
 	outcomes := make([]outcome, n)
@@ -127,28 +126,29 @@ func TestDeadPartitionFailsBatchedReadsFast(t *testing.T) {
 			outcomes[i].err = err
 		}(i)
 	}
-	// Kill the owner mid-window, before the lingering batch dispatches.
+	// Kill the owner while the fetches are held.
 	time.Sleep(10 * time.Millisecond)
 	if err := c.Server(1).Close(); err != nil {
 		t.Fatal(err)
 	}
+	release()
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Fast: the batch fails at dispatch, so everything resolves in a couple
-	// of windows — nowhere near the 10 s caller budget.
+	// Fast: the fetch fails at dispatch, so everything resolves at once —
+	// nowhere near the 10 s caller budget.
 	if elapsed > 2*time.Second {
 		t.Errorf("queued reads took %v to resolve after owner death", elapsed)
 	}
-	// Every read was queued behind the lingering former when the owner
-	// died, so every one must have errored.
+	// Every read was in flight when the owner died, so every one must have
+	// errored.
 	for i, o := range outcomes {
 		if o.err == nil {
 			t.Errorf("read %d queued at owner death returned nil error", i)
 		}
 	}
-	if got := capture.count(MsgReadBatch{}); got == 0 {
-		t.Error("no MsgReadBatch dispatched — the window never formed a batch, test tested nothing")
+	if got := capture.count(MsgFetch{}); got < 2 {
+		t.Error("no MsgFetch dispatched while the owner died — test tested nothing")
 	}
 
 	// Ensures bound for the dead owner fail fast through the same path.

@@ -364,7 +364,7 @@ func (p *processor) process(item *workItem) {
 	}
 	// Dependent-key markers are resolved by their determinate functor's
 	// computation (directly when local, via MsgApplyDeferred when remote).
-	// Processing them here would issue a redundant synchronous MsgEnsure,
+	// Processing them here would issue a redundant synchronous ensure,
 	// so the processor skips markers that are not yet resolved; the
 	// watermark advances when the determinate side applies the write or
 	// when a read forces it.

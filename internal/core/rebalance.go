@@ -15,9 +15,8 @@ import (
 
 // Rebalancer orchestrates live range migration inside the epoch manager's
 // barrier (epoch.Manager.SetBarrier): callers enqueue moves with MoveRange
-// (or let EnableAuto derive them from the hot-key profiler) and the next
-// epoch switch executes them atomically, when no transaction of the sealing
-// epoch is in flight anywhere.
+// and the next epoch switch executes them atomically, when no transaction
+// of the sealing epoch is in flight anywhere.
 //
 // One move's handoff at the barrier sealing epoch e:
 //
@@ -53,9 +52,6 @@ type Rebalancer struct {
 	mu      sync.Mutex
 	queue   []*MoveTicket
 	retires []*retireJob
-	auto    AutoRebalanceConfig
-	autoOn  bool
-	autoAt  tstamp.Epoch // last epoch auto enqueued a move
 
 	rangesMoved     atomic.Uint64
 	keysStreamed    atomic.Uint64
@@ -109,17 +105,6 @@ const retireGrace = 2
 // correctness) rather than stalling the retire queue.
 const retireAttempts = 8
 
-// AutoRebalanceConfig tunes skew-driven automatic migration.
-type AutoRebalanceConfig struct {
-	// MinImbalance is the max/mean per-partition access ratio that triggers
-	// a move (default 1.5; 1.0 is perfectly even).
-	MinImbalance float64
-	// CooldownEpochs is the minimum number of epochs between automatic
-	// moves (default 8), giving the profiler time to observe the new
-	// placement before reacting again.
-	CooldownEpochs int
-}
-
 func newRebalancer(c *Cluster) *Rebalancer {
 	return &Rebalancer{c: c}
 }
@@ -146,34 +131,6 @@ func (r *Rebalancer) MoveKey(k kv.Key, to int) (*MoveTicket, error) {
 	return r.MoveRange(placement.KeyRange(k), to)
 }
 
-// EnableAuto turns on skew-driven migration: at each barrier the rebalancer
-// inspects the cluster's hot-key profiler and, when partition load is
-// imbalanced beyond cfg.MinImbalance, moves the hottest key of the most
-// loaded partition to the least loaded one. Requires ClusterConfig.Skew.
-func (r *Rebalancer) EnableAuto(cfg AutoRebalanceConfig) error {
-	if r.c.cfg.Skew == nil {
-		return fmt.Errorf("core: auto rebalance needs ClusterConfig.Skew")
-	}
-	if cfg.MinImbalance <= 1 {
-		cfg.MinImbalance = 1.5
-	}
-	if cfg.CooldownEpochs <= 0 {
-		cfg.CooldownEpochs = 8
-	}
-	r.mu.Lock()
-	r.auto = cfg
-	r.autoOn = true
-	r.mu.Unlock()
-	return nil
-}
-
-// DisableAuto turns skew-driven migration off.
-func (r *Rebalancer) DisableAuto() {
-	r.mu.Lock()
-	r.autoOn = false
-	r.mu.Unlock()
-}
-
 // barrier is the epoch manager's switch hook (epoch.Manager.SetBarrier): it
 // runs after every revoke ack of epoch e and before Committed(e)+Grant(e+1)
 // — the window where executing queued moves is race-free.
@@ -186,7 +143,6 @@ func (r *Rebalancer) barrier(e tstamp.Epoch) {
 		r.executeMove(t, e)
 	}
 	r.runRetirements(e)
-	r.maybeAutoMove(e)
 }
 
 // executeMove performs one handoff at the barrier sealing epoch e; see the
@@ -285,51 +241,6 @@ func (r *Rebalancer) runRetirements(e tstamp.Epoch) {
 		r.mu.Lock()
 		r.retires = append(r.retires, keep...)
 		r.mu.Unlock()
-	}
-}
-
-// maybeAutoMove inspects the skew profiler and enqueues a hot-key move for
-// the NEXT barrier when partition load is imbalanced enough. Enqueuing
-// (rather than executing immediately) keeps each barrier's work bounded and
-// lets the cooldown rate-limit reactions.
-func (r *Rebalancer) maybeAutoMove(e tstamp.Epoch) {
-	r.mu.Lock()
-	cfg, on, last := r.auto, r.autoOn, r.autoAt
-	r.mu.Unlock()
-	if !on || r.c.cfg.Skew == nil {
-		return
-	}
-	if last != 0 && e < last+tstamp.Epoch(cfg.CooldownEpochs) {
-		return
-	}
-	snap := r.c.cfg.Skew.Snapshot()
-	if snap.Imbalance < cfg.MinImbalance || len(snap.TopKeys) == 0 || len(snap.Partitions) == 0 {
-		return
-	}
-	// Coolest partition by access share; the hottest key not already there
-	// is the move candidate.
-	coolest, coolAcc := -1, uint64(0)
-	for _, p := range snap.Partitions {
-		if p.Partition < 0 || p.Partition >= len(r.c.servers) {
-			continue
-		}
-		if coolest == -1 || p.Accesses < coolAcc {
-			coolest, coolAcc = p.Partition, p.Accesses
-		}
-	}
-	if coolest == -1 {
-		return
-	}
-	for _, hk := range snap.TopKeys {
-		if int(r.c.table.Route(kv.Key(hk.Key), tstamp.MaxEpoch)) == coolest {
-			continue
-		}
-		if _, err := r.MoveKey(kv.Key(hk.Key), coolest); err == nil {
-			r.mu.Lock()
-			r.autoAt = e
-			r.mu.Unlock()
-		}
-		return
 	}
 }
 

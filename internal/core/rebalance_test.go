@@ -186,7 +186,7 @@ func TestForwardedAbortStashesUntilImport(t *testing.T) {
 	s1 := c.Server(1)
 	ts := tstamp.Make(1, 7, 0)
 	// A forwarded abort arrives before the migrated record: it must stash.
-	if err := s1.handleAbort(context.Background(), MsgAbort{Version: ts, Keys: []kv.Key{k}, Fwd: true}); err != nil {
+	if err := s1.handleAbort(context.Background(), AbortReq{Version: ts, Keys: []kv.Key{k}, Fwd: true}); err != nil {
 		t.Fatal(err)
 	}
 	// The import delivers the record; the stashed abort applies to it.

@@ -366,8 +366,9 @@ func runRetirementModel(t *testing.T, seed int64) {
 			for _, k := range only {
 				owner := tw.c.Server(0).Owner(k)
 				v := tw.c.Server(owner).VisibleBound().Prev()
-				if _, err := tw.inj.Call(ctx, transport.NodeID(owner), core.MsgEnsureUpTo{Key: k, Version: v}); err != nil {
-					t.Fatalf("%s: settle %s: %v", tw.name, k, err)
+				resp, err := tw.inj.Call(ctx, transport.NodeID(owner), core.MsgFetch{Reqs: []core.FetchReq{{Kind: core.FetchUpTo, Key: k, Version: v}}})
+				if r, ok := resp.(core.MsgFetchResp); err != nil || !ok || r.Results[0].Err != "" {
+					t.Fatalf("%s: settle %s: %v %+v", tw.name, k, err, resp)
 				}
 			}
 			for i := 0; i < modelServers && len(only) == 0; i++ {

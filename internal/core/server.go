@@ -57,12 +57,6 @@ type ServerConfig struct {
 	// Tracer, when set, records per-transaction lifecycle spans. Nil (the
 	// default) disables tracing at zero per-operation cost.
 	Tracer *trace.Tracer
-	// ReadBatchWindow is how long the per-owner request combiner lingers
-	// between consecutive batch dispatches to accumulate more remote
-	// reads/ensures. Zero (the default) still combines — ops queued while a
-	// dispatch forms leave as one batch — but never sleeps. An isolated
-	// request is never delayed either way.
-	ReadBatchWindow time.Duration
 	// AbortRetries bounds how many times a second-round abort message is
 	// redelivered when its call fails (default 4). The coordinator holds
 	// the transaction's in-flight epoch slot across the retries, so a
@@ -113,7 +107,7 @@ type Server struct {
 	durability DurabilityHook
 	depRule    func(k kv.Key) (kv.Key, bool)
 	tr         *trace.NodeTracer // nil when tracing is disabled
-	comb       *combiner         // per-owner remote read/ensure batcher
+	comb       *combiner         // per-owner remote fetch batcher
 	skew       *obs.Skew         // nil when hot-key profiling is disabled
 	journal    *journal.Journal  // per-epoch lifecycle journal, always on
 	wd         *obs.Watchdog     // nil when the watchdog is disabled
@@ -251,7 +245,7 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		abortBackoff: cfg.AbortRetryBackoff,
 	}
 	s.stats.init()
-	s.comb = newCombiner(s, cfg.ReadBatchWindow)
+	s.comb = newCombiner(s)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	conn, err := net.Node(transport.NodeID(cfg.ID), s.handleMessage)
 	if err != nil {

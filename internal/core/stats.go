@@ -142,9 +142,10 @@ type Stats struct {
 	ComputeTime  time.Duration
 	ComputeCount uint64
 
-	// Combiner effectiveness: outbound read/ensure RPC dispatches and the
-	// ops they carried. BatchedReads/ReadBatches is the read combining
-	// factor (1.0 = nothing combined).
+	// Combiner effectiveness: outbound MsgFetch dispatches carrying reads
+	// (ReadBatches) or ensures (EnsureBatches) and the ops of each kind
+	// they carried. BatchedReads/ReadBatches is the read combining factor
+	// (1.0 = nothing combined).
 	ReadBatches    uint64
 	BatchedReads   uint64
 	EnsureBatches  uint64

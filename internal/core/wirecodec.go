@@ -1,9 +1,9 @@
 // Binary wire codecs of the core messages (paper §V-A2). Every message a
-// caller hands to a transport — installs, read/ensure batches and their
-// responses, aborts, pushes, deferred-write delivery, epoch control,
-// watchdog pings, scans and the client protocol — gets an explicit
-// append/decode pair registered with internal/wire; a message without one
-// cannot be sent over TCP (TestEveryMessageHasCodec).
+// caller hands to a transport — installs, fetches (remote reads and
+// ensures) and their responses, aborts, pushes, deferred-write delivery,
+// epoch control, watchdog pings, scans and the client protocol — gets an
+// explicit append/decode pair registered with internal/wire; a message
+// without one cannot be sent over TCP (TestEveryMessageHasCodec).
 //
 // Layout conventions: uvarint for counts, timestamps, and epochs;
 // length-prefixed bytes/strings; one presence byte ahead of nullable
@@ -32,38 +32,32 @@ import (
 )
 
 // Wire kinds of the core messages, in core's range 1–63 (package wire).
-// The byte values are wire format: never renumber, only append.
+// The byte values are wire format: never renumber, only append. Retired,
+// never to be reused, and refused at decode: 3 (the standalone abort), 5–8
+// (single and batched reads) and 10–15 (single and batched ensures), all
+// replaced by MsgAbortBatch and MsgFetch.
 const (
-	wireKindInstall wire.Kind = iota + 1
-	wireKindInstallResp
-	wireKindAbort
-	wireKindAbortBatch
-	wireKindRead
-	wireKindReadResp
-	wireKindReadBatch
-	wireKindReadBatchResp
-	wireKindPush
-	wireKindEnsure
-	wireKindEnsureResp
-	wireKindEnsureUpTo
-	wireKindEnsureUpToResp
-	wireKindEnsureBatch
-	wireKindEnsureBatchResp
-	wireKindApplyDeferred
-	wireKindWaitComputed
-	wireKindWaitComputedResp
-	wireKindGrant
-	wireKindRevoke
-	wireKindRevokeAck
-	wireKindCommitted
-	wireKindPing
-	wireKindPong
-	wireKindScan
-	wireKindScanResp
-	wireKindClientSubmit
-	wireKindClientSubmitResp
-	wireKindClientGet
-	wireKindClientGetResp
+	wireKindInstall          wire.Kind = 1
+	wireKindInstallResp      wire.Kind = 2
+	wireKindAbortBatch       wire.Kind = 4
+	wireKindPush             wire.Kind = 9
+	wireKindApplyDeferred    wire.Kind = 16
+	wireKindWaitComputed     wire.Kind = 17
+	wireKindWaitComputedResp wire.Kind = 18
+	wireKindGrant            wire.Kind = 19
+	wireKindRevoke           wire.Kind = 20
+	wireKindRevokeAck        wire.Kind = 21
+	wireKindCommitted        wire.Kind = 22
+	wireKindPing             wire.Kind = 23
+	wireKindPong             wire.Kind = 24
+	wireKindScan             wire.Kind = 25
+	wireKindScanResp         wire.Kind = 26
+	wireKindClientSubmit     wire.Kind = 27
+	wireKindClientSubmitResp wire.Kind = 28
+	wireKindClientGet        wire.Kind = 29
+	wireKindClientGetResp    wire.Kind = 30
+	wireKindFetch            wire.Kind = 31
+	wireKindFetchResp        wire.Kind = 32
 )
 
 // sliceFor returns s resized to n elements, reusing capacity when it can.
@@ -310,93 +304,80 @@ func decodeMsgInstallRespInto(m *MsgInstallResp, r *wire.Reader) {
 	m.Placement = decodePlacementPtr(r)
 }
 
-// --- MsgAbort / MsgAbortBatch ---
-
-func appendMsgAbort(dst []byte, m *MsgAbort) []byte {
-	dst = appendUvarint(dst, uint64(m.Version))
-	dst = appendKeySet(dst, m.Keys)
-	return wire.AppendBool(dst, m.Fwd)
-}
-
-func decodeMsgAbortInto(m *MsgAbort, r *wire.Reader) {
-	m.Version = tstamp.Timestamp(r.Uvarint())
-	m.Keys = decodeKeySetInto(m.Keys, r)
-	m.Fwd = r.Bool()
-}
+// --- MsgAbortBatch ---
 
 func appendMsgAbortBatch(dst []byte, m *MsgAbortBatch) []byte {
 	dst = appendUvarint(dst, uint64(len(m.Aborts)))
 	for i := range m.Aborts {
-		dst = appendMsgAbort(dst, &m.Aborts[i])
+		a := &m.Aborts[i]
+		dst = appendUvarint(dst, uint64(a.Version))
+		dst = appendKeySet(dst, a.Keys)
+		dst = wire.AppendBool(dst, a.Fwd)
 	}
 	return dst
 }
 
 func decodeMsgAbortBatchInto(m *MsgAbortBatch, r *wire.Reader) {
-	n := r.Count(3)
-	m.Aborts = sliceFor(m.Aborts, n)
+	m.Aborts = sliceFor(m.Aborts, r.Count(3))
 	for i := range m.Aborts {
-		decodeMsgAbortInto(&m.Aborts[i], r)
+		a := &m.Aborts[i]
+		a.Version = tstamp.Timestamp(r.Uvarint())
+		a.Keys = decodeKeySetInto(a.Keys, r)
+		a.Fwd = r.Bool()
 	}
 }
 
-// --- MsgRead family ---
+// --- MsgFetch / MsgFetchResp ---
 
-func appendMsgRead(dst []byte, m *MsgRead) []byte {
-	dst = wire.AppendString(dst, string(m.Key))
-	dst = appendUvarint(dst, uint64(m.Version))
-	return wire.AppendBool(dst, m.Fwd)
-}
-
-func decodeMsgReadInto(m *MsgRead, r *wire.Reader) {
-	m.Key = kv.Key(r.String())
-	m.Version = tstamp.Timestamp(r.Uvarint())
-	m.Fwd = r.Bool()
-}
-
-func appendMsgReadResp(dst []byte, m *MsgReadResp) []byte {
-	dst = wire.AppendBytes(dst, m.Value)
-	dst = wire.AppendBool(dst, m.Found)
-	return appendUvarint(dst, uint64(m.Version))
-}
-
-func decodeMsgReadRespInto(m *MsgReadResp, r *wire.Reader) {
-	m.Value = r.Bytes()
-	m.Found = r.Bool()
-	m.Version = tstamp.Timestamp(r.Uvarint())
-}
-
-func appendMsgReadBatch(dst []byte, m *MsgReadBatch) []byte {
-	dst = appendUvarint(dst, uint64(len(m.Reads)))
-	for i := range m.Reads {
-		dst = appendMsgRead(dst, &m.Reads[i])
+func appendMsgFetch(dst []byte, m *MsgFetch) []byte {
+	dst = appendUvarint(dst, uint64(len(m.Reqs)))
+	for i := range m.Reqs {
+		q := &m.Reqs[i]
+		dst = append(dst, byte(q.Kind))
+		dst = wire.AppendString(dst, string(q.Key))
+		dst = appendUvarint(dst, uint64(q.Version))
+		dst = wire.AppendBool(dst, q.Fwd)
 	}
 	return dst
 }
 
-func decodeMsgReadBatchInto(m *MsgReadBatch, r *wire.Reader) {
-	n := r.Count(3)
-	m.Reads = sliceFor(m.Reads, n)
-	for i := range m.Reads {
-		decodeMsgReadInto(&m.Reads[i], r)
+func decodeMsgFetchInto(m *MsgFetch, r *wire.Reader) {
+	m.Reqs = sliceFor(m.Reqs, r.Count(4))
+	for i := range m.Reqs {
+		q := &m.Reqs[i]
+		q.Kind = FetchKind(r.Byte())
+		if r.Err() == nil && q.Kind > FetchUpTo {
+			r.Fail(fmt.Errorf("core: invalid fetch kind %d", q.Kind))
+			return
+		}
+		q.Key = kv.Key(r.String())
+		q.Version = tstamp.Timestamp(r.Uvarint())
+		q.Fwd = r.Bool()
 	}
 }
 
-func appendMsgReadBatchResp(dst []byte, m *MsgReadBatchResp) []byte {
+func appendMsgFetchResp(dst []byte, m *MsgFetchResp) []byte {
 	dst = appendUvarint(dst, uint64(len(m.Results)))
 	for i := range m.Results {
-		dst = appendMsgReadResp(dst, &m.Results[i].Resp)
-		dst = wire.AppendString(dst, m.Results[i].Err)
+		res := &m.Results[i]
+		dst = wire.AppendBytes(dst, res.Value)
+		dst = wire.AppendBool(dst, res.Found)
+		dst = appendUvarint(dst, uint64(res.Version))
+		dst = appendResolutionPtr(dst, res.Resolution)
+		dst = wire.AppendString(dst, res.Err)
 	}
 	return dst
 }
 
-func decodeMsgReadBatchRespInto(m *MsgReadBatchResp, r *wire.Reader) {
-	n := r.Count(4)
-	m.Results = sliceFor(m.Results, n)
+func decodeMsgFetchRespInto(m *MsgFetchResp, r *wire.Reader) {
+	m.Results = sliceFor(m.Results, r.Count(5))
 	for i := range m.Results {
-		decodeMsgReadRespInto(&m.Results[i].Resp, r)
-		m.Results[i].Err = r.String()
+		res := &m.Results[i]
+		res.Value = r.Bytes()
+		res.Found = r.Bool()
+		res.Version = tstamp.Timestamp(r.Uvarint())
+		decodeResolutionPtrInto(&res.Resolution, r)
+		res.Err = r.String()
 	}
 }
 
@@ -416,95 +397,6 @@ func decodeMsgPushInto(m *MsgPush, r *wire.Reader) {
 	m.Value = r.Bytes()
 	m.Found = r.Bool()
 	m.ValueVersion = tstamp.Timestamp(r.Uvarint())
-}
-
-// --- MsgEnsure family ---
-
-func appendMsgEnsure(dst []byte, m *MsgEnsure) []byte {
-	dst = wire.AppendString(dst, string(m.Key))
-	dst = appendUvarint(dst, uint64(m.Version))
-	return wire.AppendBool(dst, m.Fwd)
-}
-
-func decodeMsgEnsureInto(m *MsgEnsure, r *wire.Reader) {
-	m.Key = kv.Key(r.String())
-	m.Version = tstamp.Timestamp(r.Uvarint())
-	m.Fwd = r.Bool()
-}
-
-func appendMsgEnsureResp(dst []byte, m *MsgEnsureResp) []byte {
-	return appendResolutionPtr(dst, m.Resolution)
-}
-
-func decodeMsgEnsureRespInto(m *MsgEnsureResp, r *wire.Reader) {
-	decodeResolutionPtrInto(&m.Resolution, r)
-}
-
-func appendMsgEnsureUpTo(dst []byte, m *MsgEnsureUpTo) []byte {
-	dst = wire.AppendString(dst, string(m.Key))
-	dst = appendUvarint(dst, uint64(m.Version))
-	return wire.AppendBool(dst, m.Fwd)
-}
-
-func decodeMsgEnsureUpToInto(m *MsgEnsureUpTo, r *wire.Reader) {
-	m.Key = kv.Key(r.String())
-	m.Version = tstamp.Timestamp(r.Uvarint())
-	m.Fwd = r.Bool()
-}
-
-func appendEnsureReq(dst []byte, m *EnsureReq) []byte {
-	dst = wire.AppendString(dst, string(m.Key))
-	dst = appendUvarint(dst, uint64(m.Version))
-	var b byte
-	if m.UpTo {
-		b |= 1
-	}
-	if m.Fwd {
-		b |= 2
-	}
-	return append(dst, b)
-}
-
-func decodeEnsureReqInto(m *EnsureReq, r *wire.Reader) {
-	m.Key = kv.Key(r.String())
-	m.Version = tstamp.Timestamp(r.Uvarint())
-	b := r.Byte()
-	m.UpTo = b&1 != 0
-	m.Fwd = b&2 != 0
-}
-
-func appendMsgEnsureBatch(dst []byte, m *MsgEnsureBatch) []byte {
-	dst = appendUvarint(dst, uint64(len(m.Reqs)))
-	for i := range m.Reqs {
-		dst = appendEnsureReq(dst, &m.Reqs[i])
-	}
-	return dst
-}
-
-func decodeMsgEnsureBatchInto(m *MsgEnsureBatch, r *wire.Reader) {
-	n := r.Count(3)
-	m.Reqs = sliceFor(m.Reqs, n)
-	for i := range m.Reqs {
-		decodeEnsureReqInto(&m.Reqs[i], r)
-	}
-}
-
-func appendMsgEnsureBatchResp(dst []byte, m *MsgEnsureBatchResp) []byte {
-	dst = appendUvarint(dst, uint64(len(m.Results)))
-	for i := range m.Results {
-		dst = appendResolutionPtr(dst, m.Results[i].Resolution)
-		dst = wire.AppendString(dst, m.Results[i].Err)
-	}
-	return dst
-}
-
-func decodeMsgEnsureBatchRespInto(m *MsgEnsureBatchResp, r *wire.Reader) {
-	n := r.Count(2)
-	m.Results = sliceFor(m.Results, n)
-	for i := range m.Results {
-		decodeResolutionPtrInto(&m.Results[i].Resolution, r)
-		m.Results[i].Err = r.String()
-	}
 }
 
 // --- MsgApplyDeferred ---
@@ -628,14 +520,6 @@ func registerCodecs() {
 			decodeMsgInstallRespInto(&m, &r)
 			return m, r.Finish()
 		}, MsgInstallResp{})
-	codec(wireKindAbort,
-		func(dst []byte, msg any) []byte { m := msg.(MsgAbort); return appendMsgAbort(dst, &m) },
-		func(b []byte) (any, error) {
-			var m MsgAbort
-			r := wire.NewReader(b)
-			decodeMsgAbortInto(&m, &r)
-			return m, r.Finish()
-		}, MsgAbort{})
 	codec(wireKindAbortBatch,
 		func(dst []byte, msg any) []byte { m := msg.(MsgAbortBatch); return appendMsgAbortBatch(dst, &m) },
 		func(b []byte) (any, error) {
@@ -644,41 +528,22 @@ func registerCodecs() {
 			decodeMsgAbortBatchInto(&m, &r)
 			return m, r.Finish()
 		}, MsgAbortBatch{})
-	codec(wireKindRead,
-		func(dst []byte, msg any) []byte { m := msg.(MsgRead); return appendMsgRead(dst, &m) },
+	codec(wireKindFetch,
+		func(dst []byte, msg any) []byte { m := msg.(MsgFetch); return appendMsgFetch(dst, &m) },
 		func(b []byte) (any, error) {
-			var m MsgRead
+			var m MsgFetch
 			r := wire.NewReader(b)
-			decodeMsgReadInto(&m, &r)
+			decodeMsgFetchInto(&m, &r)
 			return m, r.Finish()
-		}, MsgRead{})
-	codec(wireKindReadResp,
-		func(dst []byte, msg any) []byte { m := msg.(MsgReadResp); return appendMsgReadResp(dst, &m) },
+		}, MsgFetch{})
+	codec(wireKindFetchResp,
+		func(dst []byte, msg any) []byte { m := msg.(MsgFetchResp); return appendMsgFetchResp(dst, &m) },
 		func(b []byte) (any, error) {
-			var m MsgReadResp
+			var m MsgFetchResp
 			r := wire.NewReader(b)
-			decodeMsgReadRespInto(&m, &r)
+			decodeMsgFetchRespInto(&m, &r)
 			return m, r.Finish()
-		}, MsgReadResp{})
-	codec(wireKindReadBatch,
-		func(dst []byte, msg any) []byte { m := msg.(MsgReadBatch); return appendMsgReadBatch(dst, &m) },
-		func(b []byte) (any, error) {
-			var m MsgReadBatch
-			r := wire.NewReader(b)
-			decodeMsgReadBatchInto(&m, &r)
-			return m, r.Finish()
-		}, MsgReadBatch{})
-	codec(wireKindReadBatchResp,
-		func(dst []byte, msg any) []byte {
-			m := msg.(MsgReadBatchResp)
-			return appendMsgReadBatchResp(dst, &m)
-		},
-		func(b []byte) (any, error) {
-			var m MsgReadBatchResp
-			r := wire.NewReader(b)
-			decodeMsgReadBatchRespInto(&m, &r)
-			return m, r.Finish()
-		}, MsgReadBatchResp{})
+		}, MsgFetchResp{})
 	codec(wireKindPush,
 		func(dst []byte, msg any) []byte { m := msg.(MsgPush); return appendMsgPush(dst, &m) },
 		func(b []byte) (any, error) {
@@ -687,57 +552,6 @@ func registerCodecs() {
 			decodeMsgPushInto(&m, &r)
 			return m, r.Finish()
 		}, MsgPush{})
-	codec(wireKindEnsure,
-		func(dst []byte, msg any) []byte { m := msg.(MsgEnsure); return appendMsgEnsure(dst, &m) },
-		func(b []byte) (any, error) {
-			var m MsgEnsure
-			r := wire.NewReader(b)
-			decodeMsgEnsureInto(&m, &r)
-			return m, r.Finish()
-		}, MsgEnsure{})
-	codec(wireKindEnsureResp,
-		func(dst []byte, msg any) []byte { m := msg.(MsgEnsureResp); return appendMsgEnsureResp(dst, &m) },
-		func(b []byte) (any, error) {
-			var m MsgEnsureResp
-			r := wire.NewReader(b)
-			decodeMsgEnsureRespInto(&m, &r)
-			return m, r.Finish()
-		}, MsgEnsureResp{})
-	codec(wireKindEnsureUpTo,
-		func(dst []byte, msg any) []byte { m := msg.(MsgEnsureUpTo); return appendMsgEnsureUpTo(dst, &m) },
-		func(b []byte) (any, error) {
-			var m MsgEnsureUpTo
-			r := wire.NewReader(b)
-			decodeMsgEnsureUpToInto(&m, &r)
-			return m, r.Finish()
-		}, MsgEnsureUpTo{})
-	codec(wireKindEnsureUpToResp,
-		func(dst []byte, msg any) []byte { return dst },
-		func(b []byte) (any, error) {
-			if len(b) != 0 {
-				return nil, fmt.Errorf("core: MsgEnsureUpToResp carries %d stray bytes", len(b))
-			}
-			return MsgEnsureUpToResp{}, nil
-		}, MsgEnsureUpToResp{})
-	codec(wireKindEnsureBatch,
-		func(dst []byte, msg any) []byte { m := msg.(MsgEnsureBatch); return appendMsgEnsureBatch(dst, &m) },
-		func(b []byte) (any, error) {
-			var m MsgEnsureBatch
-			r := wire.NewReader(b)
-			decodeMsgEnsureBatchInto(&m, &r)
-			return m, r.Finish()
-		}, MsgEnsureBatch{})
-	codec(wireKindEnsureBatchResp,
-		func(dst []byte, msg any) []byte {
-			m := msg.(MsgEnsureBatchResp)
-			return appendMsgEnsureBatchResp(dst, &m)
-		},
-		func(b []byte) (any, error) {
-			var m MsgEnsureBatchResp
-			r := wire.NewReader(b)
-			decodeMsgEnsureBatchRespInto(&m, &r)
-			return m, r.Finish()
-		}, MsgEnsureBatchResp{})
 	codec(wireKindApplyDeferred,
 		func(dst []byte, msg any) []byte {
 			m := msg.(MsgApplyDeferred)

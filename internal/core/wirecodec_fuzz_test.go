@@ -85,28 +85,15 @@ func FuzzMsgInstallResp(f *testing.F) {
 	})
 }
 
-func FuzzMsgReadBatch(f *testing.F) {
-	fuzzMessageCodec(f, wireKindReadBatch, []any{
-		benchReadBatch(), MsgReadBatch{},
+func FuzzMsgFetch(f *testing.F) {
+	fuzzMessageCodec(f, wireKindFetch, []any{
+		benchFetch(), MsgFetch{}, samples()[17], samples()[12],
 	})
 }
 
-func FuzzMsgReadBatchResp(f *testing.F) {
-	fuzzMessageCodec(f, wireKindReadBatchResp, []any{
-		samples()[10], MsgReadBatchResp{},
-	})
-}
-
-func FuzzMsgEnsureBatch(f *testing.F) {
-	fuzzMessageCodec(f, wireKindEnsureBatch, []any{
-		MsgEnsureBatch{Reqs: []EnsureReq{{Key: "d1", Version: 3, UpTo: true}}},
-		MsgEnsureBatch{},
-	})
-}
-
-func FuzzMsgEnsureBatchResp(f *testing.F) {
-	fuzzMessageCodec(f, wireKindEnsureBatchResp, []any{
-		MsgEnsureBatchResp{Results: []EnsureResult{{Err: "x"}, {}}},
+func FuzzMsgFetchResp(f *testing.F) {
+	fuzzMessageCodec(f, wireKindFetchResp, []any{
+		samples()[10], MsgFetchResp{}, samples()[18],
 	})
 }
 

@@ -72,43 +72,44 @@ func samples() []any {
 			Placement: pm,
 		},
 		MsgInstallResp{Results: []InstallResult{{OK: true}}},
-		MsgAbort{Version: ts, Keys: []kv.Key{"a", "b"}, Fwd: true},
-		MsgAbortBatch{Aborts: []MsgAbort{
+		MsgAbortBatch{Aborts: []AbortReq{{Version: ts, Keys: []kv.Key{"a", "b"}, Fwd: true}}},
+		MsgAbortBatch{Aborts: []AbortReq{
 			{Version: ts, Keys: []kv.Key{"a"}},
 			{Version: ts + 5, Keys: []kv.Key{"c", "d"}, Fwd: true},
 		}},
-		MsgRead{Key: "stock:3:42", Version: ts, Fwd: true},
-		MsgReadResp{Value: kv.Value("val"), Found: true, Version: ts},
-		MsgReadResp{},
-		MsgReadBatch{Reads: []MsgRead{
-			{Key: "k1", Version: ts},
-			{Key: "k2", Version: ts, Fwd: true},
+		MsgFetch{Reqs: []FetchReq{{Kind: FetchRead, Key: "stock:3:42", Version: ts, Fwd: true}}},
+		MsgFetchResp{Results: []FetchResult{{Value: kv.Value("val"), Found: true, Version: ts}}},
+		MsgFetchResp{Results: []FetchResult{{}}},
+		MsgFetch{Reqs: []FetchReq{
+			{Kind: FetchRead, Key: "k1", Version: ts},
+			{Kind: FetchRead, Key: "k2", Version: ts, Fwd: true},
 		}},
-		MsgReadBatchResp{Results: []ReadResult{
-			{Resp: MsgReadResp{Value: kv.Value("x"), Found: true, Version: ts}},
+		MsgFetchResp{Results: []FetchResult{
+			{Value: kv.Value("x"), Found: true, Version: ts},
 			{Err: "not owner"},
 		}},
 		MsgPush{Version: ts, Key: "k", Value: kv.Value("pushed"), Found: true, ValueVersion: ts - 1},
-		MsgEnsure{Key: "det", Version: ts},
-		MsgEnsureResp{Resolution: &functor.Resolution{
+		MsgFetch{Reqs: []FetchReq{{Kind: FetchEnsure, Key: "det", Version: ts}}},
+		MsgFetchResp{Results: []FetchResult{{Resolution: &functor.Resolution{
 			Kind:  functor.Resolved,
 			Value: kv.Value("r"),
 			DependentWrites: []functor.DependentWrite{
 				{Key: "dep1", Value: kv.Value("dv")},
 				{Key: "dep2", Delete: true},
 			},
+		}}}},
+		MsgFetchResp{},
+		MsgFetch{Reqs: []FetchReq{{Kind: FetchUpTo, Key: "det", Version: ts, Fwd: true}}},
+		MsgFetch{},
+		MsgFetch{Reqs: []FetchReq{
+			{Kind: FetchUpTo, Key: "d1", Version: ts},
+			{Kind: FetchEnsure, Key: "d2", Version: ts, Fwd: true},
+			{Kind: FetchRead, Key: "r1", Version: ts - 1},
 		}},
-		MsgEnsureResp{},
-		MsgEnsureUpTo{Key: "det", Version: ts, Fwd: true},
-		MsgEnsureUpToResp{},
-		MsgEnsureBatch{Reqs: []EnsureReq{
-			{Key: "d1", Version: ts, UpTo: true},
-			{Key: "d2", Version: ts, Fwd: true},
-		}},
-		MsgEnsureBatchResp{Results: []EnsureResult{
+		MsgFetchResp{Results: []FetchResult{
 			{Resolution: &functor.Resolution{Kind: functor.ResolvedAborted, Reason: "constraint"}},
 			{Err: "timeout"},
-			{},
+			{Value: kv.Value("y"), Found: true, Version: ts - 2},
 		}},
 		MsgApplyDeferred{
 			Version: ts,
@@ -251,24 +252,14 @@ func TestEveryMessageHasCodec(t *testing.T) {
 
 // TestWireKindsStable locks the kind bytes: they are wire format, and
 // core's stay inside its range 1–63 (package wire). Append new kinds,
-// never renumber.
+// never renumber, never reuse a retired one — and a frame carrying a retired
+// kind is refused with an error naming it.
 func TestWireKindsStable(t *testing.T) {
 	want := map[wire.Kind]wire.Kind{
 		wireKindInstall:          1,
 		wireKindInstallResp:      2,
-		wireKindAbort:            3,
 		wireKindAbortBatch:       4,
-		wireKindRead:             5,
-		wireKindReadResp:         6,
-		wireKindReadBatch:        7,
-		wireKindReadBatchResp:    8,
 		wireKindPush:             9,
-		wireKindEnsure:           10,
-		wireKindEnsureResp:       11,
-		wireKindEnsureUpTo:       12,
-		wireKindEnsureUpToResp:   13,
-		wireKindEnsureBatch:      14,
-		wireKindEnsureBatchResp:  15,
 		wireKindApplyDeferred:    16,
 		wireKindWaitComputed:     17,
 		wireKindWaitComputedResp: 18,
@@ -284,13 +275,27 @@ func TestWireKindsStable(t *testing.T) {
 		wireKindClientSubmitResp: 28,
 		wireKindClientGet:        29,
 		wireKindClientGetResp:    30,
+		wireKindFetch:            31,
+		wireKindFetchResp:        32,
 	}
+	// The standalone abort (3), single and batched reads (5–8) and single
+	// and batched ensures (10–15), replaced by MsgAbortBatch and MsgFetch.
+	retired := []wire.Kind{3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15}
 	for got, w := range want {
 		if got != w {
 			t.Errorf("kind constant renumbered: got %d, want %d", got, w)
 		}
 		if got < 1 || got > 63 {
 			t.Errorf("kind %d is outside core's range 1-63", got)
+		}
+	}
+	for _, k := range retired {
+		if _, live := want[k]; live {
+			t.Errorf("retired kind %d is in use again", k)
+		}
+		_, err := decodePayload(k, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("kind %d", k)) {
+			t.Errorf("frame of retired kind %d: err = %v, want a refusal naming the kind", k, err)
 		}
 	}
 }
@@ -304,17 +309,34 @@ func TestMessageGolden(t *testing.T) {
 		env  wire.Envelope
 		want []byte
 	}{
-		{"MsgRead", wire.Envelope{ID: 5, From: 2, Kind: 1, Msg: MsgRead{Key: "k1", Version: 9}}, []byte{
-			0x8a, 0x80, 0x80, 0x00, // frame len 10
+		{"MsgFetch", wire.Envelope{ID: 5, From: 2, Kind: 1, Msg: MsgFetch{Reqs: []FetchReq{
+			{Kind: FetchRead, Key: "k1", Version: 9},
+		}}}, []byte{
+			0x8c, 0x80, 0x80, 0x00, // frame len 12
 			0x01,     // envelope kind: request
 			0x05,     // id 5
 			0x02,     // from 2
 			0x00,     // flags: none
-			0x05,     // msgKind: wireKindRead
+			0x1f,     // msgKind: wireKindFetch (31)
+			0x01,     // one item
+			0x00,     // FetchRead
 			0x02,     // len("k1")
 			'k', '1', // key
 			0x09, // version 9
 			0x00, // fwd = false
+		}},
+		{"MsgFetchResp", wire.Envelope{ID: 5, From: 1, Kind: 2, Msg: MsgFetchResp{Results: []FetchResult{
+			{Value: kv.Value("v"), Found: true, Version: 9},
+		}}}, []byte{
+			0x8c, 0x80, 0x80, 0x00, // frame len 12
+			0x02, 0x05, 0x01, 0x00, // response, id 5, from 1, no flags
+			0x20,      // msgKind: wireKindFetchResp (32)
+			0x01,      // one result
+			0x01, 'v', // value
+			0x01, // found
+			0x09, // version 9
+			0x00, // no resolution
+			0x00, // no error
 		}},
 		{"MsgGrant", wire.Envelope{ID: 1, From: 6, Kind: 3, Msg: MsgGrant{E: 300}}, []byte{
 			0x87, 0x80, 0x80, 0x00, // frame len 7
@@ -399,15 +421,15 @@ func TestMessageGolden(t *testing.T) {
 	}
 }
 
-// Benchmark messages sized like a hot TPC-C steady state: a 16-read batch
+// Benchmark messages sized like a hot TPC-C steady state: a 16-read fetch
 // and a 2-txn install. The CI alloc guards grep these for "0 allocs/op";
 // encode appends into a reused buffer, decode fills a reused struct from a
 // stable byte slice — exactly the flusher's and reader's steady state.
 
-func benchReadBatch() MsgReadBatch {
-	m := MsgReadBatch{Reads: make([]MsgRead, 16)}
-	for i := range m.Reads {
-		m.Reads[i] = MsgRead{Key: kv.Key(fmt.Sprintf("stock:%d:%d", i%4, i)), Version: tstamp.Make(9, uint32(i), 1)}
+func benchFetch() MsgFetch {
+	m := MsgFetch{Reqs: make([]FetchReq, 16)}
+	for i := range m.Reqs {
+		m.Reqs[i] = FetchReq{Key: kv.Key(fmt.Sprintf("stock:%d:%d", i%4, i)), Version: tstamp.Make(9, uint32(i), 1)}
 	}
 	return m
 }
@@ -421,29 +443,29 @@ func benchInstall() MsgInstall {
 	}}
 }
 
-func BenchmarkWireEncodeMsgReadBatch(b *testing.B) {
-	m := benchReadBatch()
-	buf := appendMsgReadBatch(nil, &m)
+func BenchmarkWireEncodeMsgFetch(b *testing.B) {
+	m := benchFetch()
+	buf := appendMsgFetch(nil, &m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendMsgReadBatch(buf[:0], &m)
+		buf = appendMsgFetch(buf[:0], &m)
 	}
 	_ = buf
 }
 
-func BenchmarkWireDecodeMsgReadBatch(b *testing.B) {
-	src := benchReadBatch()
-	buf := appendMsgReadBatch(nil, &src)
-	var m MsgReadBatch
+func BenchmarkWireDecodeMsgFetch(b *testing.B) {
+	src := benchFetch()
+	buf := appendMsgFetch(nil, &src)
+	var m MsgFetch
 	// Warm up so the decode target's slices reach steady-state capacity.
 	r := wire.NewReader(buf)
-	decodeMsgReadBatchInto(&m, &r)
+	decodeMsgFetchInto(&m, &r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := wire.NewReader(buf)
-		decodeMsgReadBatchInto(&m, &r)
+		decodeMsgFetchInto(&m, &r)
 		if r.Err() != nil {
 			b.Fatal(r.Err())
 		}

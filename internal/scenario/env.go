@@ -45,9 +45,9 @@ type EnvConfig struct {
 	ManualEpochs  bool
 	SwitchTimeout time.Duration
 
-	// Registry, Router, DependencyRule, Workers, Tracer, ReadBatchWindow,
-	// AbortRetries, AbortRetryBackoff, Stores, StartEpoch,
-	// DurabilityFactory: see core.ClusterConfig.
+	// Registry, Router, DependencyRule, Workers, Tracer, AbortRetries,
+	// AbortRetryBackoff, Stores, StartEpoch, DurabilityFactory: see
+	// core.ClusterConfig.
 	AbortRetries      int
 	AbortRetryBackoff time.Duration
 	Workers           int
@@ -55,7 +55,6 @@ type EnvConfig struct {
 	Router            placement.Router
 	DependencyRule    func(k kv.Key) (kv.Key, bool)
 	Tracer            *trace.Tracer
-	ReadBatchWindow   time.Duration
 	Stores            []*mvstore.Store
 	StartEpoch        tstamp.Epoch
 	DurabilityFactory func(serverID int) (core.DurabilityHook, error)
@@ -260,7 +259,6 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 		StartEpoch:        cfg.StartEpoch,
 		DependencyRule:    cfg.DependencyRule,
 		Tracer:            cfg.Tracer,
-		ReadBatchWindow:   cfg.ReadBatchWindow,
 		SwitchTimeout:     cfg.SwitchTimeout,
 		AbortRetries:      cfg.AbortRetries,
 		AbortRetryBackoff: cfg.AbortRetryBackoff,

@@ -23,68 +23,16 @@ const (
 // envelope is the wire's own: queues and read loops hand it to the codec as is.
 type envelope = wire.Envelope
 
-// Write-path defaults. The flush threshold matches bufio's sweet spot for
-// loopback and data-center MTU trains; the queue bound provides
-// backpressure well before memory pressure.
+// Write-path constants. The flush threshold matches bufio's sweet spot for
+// loopback and data-center MTU trains: the flusher writes to the socket once
+// this many encoded bytes accumulate, or when the send queue drains,
+// whichever comes first. The per-peer send-queue bound provides backpressure
+// well before memory pressure.
 const (
-	defaultFlushBytes     = 64 << 10
-	defaultSendQueue      = 512
+	flushBytes            = 64 << 10
+	sendQueue             = 512
 	defaultInboundWorkers = 16
 )
-
-// tcpConfig holds the tunable knobs of the TCP mesh.
-type tcpConfig struct {
-	flushBytes     int
-	flushInterval  time.Duration
-	sendQueue      int
-	inboundWorkers int
-}
-
-// TCPOption configures a TCPNetwork.
-type TCPOption func(*tcpConfig)
-
-// WithFlushBytes sets the per-peer buffered-writer threshold: the flusher
-// writes to the socket once this many encoded bytes accumulate (or the
-// send queue drains, whichever comes first).
-func WithFlushBytes(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n > 0 {
-			c.flushBytes = n
-		}
-	}
-}
-
-// WithFlushInterval sets how long the flusher lingers for more envelopes
-// after the send queue momentarily drains, trading up to that much latency
-// for larger trains. Zero (the default) flushes as soon as the queue is
-// empty.
-func WithFlushInterval(d time.Duration) TCPOption {
-	return func(c *tcpConfig) {
-		if d > 0 {
-			c.flushInterval = d
-		}
-	}
-}
-
-// WithSendQueue sets the per-peer send-queue bound; senders block (
-// backpressure) when it fills.
-func WithSendQueue(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n > 0 {
-			c.sendQueue = n
-		}
-	}
-}
-
-// WithInboundWorkers sets the per-node worker-pool size for inbound
-// requests. Zero disables the pool (goroutine per request).
-func WithInboundWorkers(n int) TCPOption {
-	return func(c *tcpConfig) {
-		if n >= 0 {
-			c.inboundWorkers = n
-		}
-	}
-}
 
 // TCPNetwork is a mesh over TCP with a static address book. Each attached
 // node listens on its own address; peers dial lazily and keep one
@@ -94,8 +42,10 @@ func WithInboundWorkers(n int) TCPOption {
 // buffer per socket write.
 type TCPNetwork struct {
 	addrs   map[NodeID]string
-	cfg     tcpConfig
 	metrics *Metrics
+	// inboundWorkers is the per-node worker-pool size for inbound requests
+	// (a test shrinks it to saturate the pool).
+	inboundWorkers int
 
 	mu     sync.Mutex
 	nodes  []*tcpConn
@@ -103,20 +53,12 @@ type TCPNetwork struct {
 }
 
 // NewTCPNetwork returns a mesh using the given node address book.
-func NewTCPNetwork(addrs map[NodeID]string, opts ...TCPOption) *TCPNetwork {
+func NewTCPNetwork(addrs map[NodeID]string) *TCPNetwork {
 	book := make(map[NodeID]string, len(addrs))
 	for id, a := range addrs {
 		book[id] = a
 	}
-	cfg := tcpConfig{
-		flushBytes:     defaultFlushBytes,
-		sendQueue:      defaultSendQueue,
-		inboundWorkers: defaultInboundWorkers,
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &TCPNetwork{addrs: book, cfg: cfg, metrics: NewMetrics()}
+	return &TCPNetwork{addrs: book, metrics: NewMetrics(), inboundWorkers: defaultInboundWorkers}
 }
 
 // NetMetrics implements Instrumented.
@@ -222,8 +164,8 @@ func (n *TCPNetwork) Node(id NodeID, h Handler) (Conn, error) {
 	go c.acceptLoop()
 	// The bounded pool absorbs the steady-state request load; dispatch
 	// spills past it (see dispatchInbound) so it can never deadlock.
-	c.wg.Add(n.cfg.inboundWorkers)
-	for i := 0; i < n.cfg.inboundWorkers; i++ {
+	c.wg.Add(n.inboundWorkers)
+	for i := 0; i < n.inboundWorkers; i++ {
 		go c.inboundWorker()
 	}
 	return c, nil
@@ -263,10 +205,10 @@ type tcpPeer struct {
 	once  sync.Once
 }
 
-func newTCPPeer(conn net.Conn, queue int) *tcpPeer {
+func newTCPPeer(conn net.Conn) *tcpPeer {
 	return &tcpPeer{
 		conn:  conn,
-		sendq: make(chan *envelope, queue),
+		sendq: make(chan *envelope, sendQueue),
 		dead:  make(chan struct{}),
 	}
 }
@@ -332,7 +274,7 @@ func (c *tcpConn) acceptLoop() {
 		if err != nil {
 			return
 		}
-		out := newTCPPeer(conn, c.net.cfg.sendQueue)
+		out := newTCPPeer(conn)
 		c.inboundMu.Lock()
 		if c.inbound == nil {
 			c.inbound = make(map[net.Conn]*tcpPeer)
@@ -356,7 +298,7 @@ func (c *tcpConn) serveInbound(conn net.Conn, out *tcpPeer) {
 		delete(c.inbound, conn)
 		c.inboundMu.Unlock()
 	}()
-	dec, err := newFrameDecoder(conn, c.net.metrics, c.net.cfg.flushBytes)
+	dec, err := newFrameDecoder(conn, c.net.metrics, flushBytes)
 	if err != nil {
 		return
 	}
@@ -436,14 +378,13 @@ func (c *tcpConn) handleInbound(req inboundReq) {
 // flushLoop is the peer's dedicated writer: it drains the send queue
 // through the wire codec into a coalescing buffer and flushes many
 // envelopes per socket write. A flush happens when the queue momentarily
-// drains (plus an optional linger window) or when flushBytes of encoded
-// data accumulate. onErr, when non-nil, reports a write failure (outbound
-// peers drop the link and fail pending calls); inbound reply paths just
-// close the connection, which terminates the serve loop too.
+// drains or when flushBytes of encoded data accumulate. onErr, when
+// non-nil, reports a write failure (outbound peers drop the link and fail
+// pending calls); inbound reply paths just close the connection, which
+// terminates the serve loop too.
 func (c *tcpConn) flushLoop(p *tcpPeer, onErr func(error)) {
 	defer c.wg.Done()
-	cfg := c.net.cfg
-	enc := newFrameEncoder(countingWriter{w: p.conn, m: c.net.metrics}, c.net.metrics, cfg.flushBytes)
+	enc := newFrameEncoder(countingWriter{w: p.conn, m: c.net.metrics}, c.net.metrics, flushBytes)
 	for {
 		var env *envelope
 		select {
@@ -462,10 +403,8 @@ func (c *tcpConn) flushLoop(p *tcpPeer, onErr func(error)) {
 			}
 		}
 		encode(env)
-		var linger *time.Timer
 		yields := 0
-	drain:
-		for err == nil && enc.buffered() < cfg.flushBytes {
+		for err == nil && enc.buffered() < flushBytes {
 			select {
 			case e := <-p.sendq:
 				encode(e)
@@ -475,35 +414,16 @@ func (c *tcpConn) flushLoop(p *tcpPeer, onErr func(error)) {
 				return
 			default:
 			}
-			if cfg.flushInterval > 0 {
-				if linger == nil {
-					linger = time.NewTimer(cfg.flushInterval)
-				}
-				select {
-				case e := <-p.sendq:
-					encode(e)
-				case <-linger.C:
-					break drain
-				case <-p.dead:
-					linger.Stop()
-					return
-				}
-				continue
-			}
 			// The queue looks empty, but producers that will enqueue next
 			// are often already runnable (a burst of concurrent senders).
 			// Yielding the processor once or twice before paying the flush
 			// syscall lets them publish, multiplying envelopes per write at
 			// no cost when the transport is genuinely idle.
-			if yields < 2 {
-				yields++
-				runtime.Gosched()
-				continue
+			if yields == 2 {
+				break
 			}
-			break drain
-		}
-		if linger != nil {
-			linger.Stop()
+			yields++
+			runtime.Gosched()
 		}
 		buffered := int64(enc.buffered())
 		if err == nil {
@@ -524,7 +444,7 @@ func (c *tcpConn) flushLoop(p *tcpPeer, onErr func(error)) {
 // readResponses consumes responses arriving on an outbound connection.
 func (c *tcpConn) readResponses(to NodeID, conn net.Conn) {
 	defer c.wg.Done()
-	dec, err := newFrameDecoder(conn, c.net.metrics, c.net.cfg.flushBytes)
+	dec, err := newFrameDecoder(conn, c.net.metrics, flushBytes)
 	if err != nil {
 		c.dropPeer(to, err)
 		return
@@ -587,7 +507,7 @@ func (c *tcpConn) peerFor(to NodeID) (*tcpPeer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial node %d (%s): %w", to, addr, err)
 	}
-	p := newTCPPeer(conn, c.net.cfg.sendQueue)
+	p := newTCPPeer(conn)
 	c.peers[to] = p
 	c.wg.Add(2)
 	go c.readResponses(to, conn)

@@ -120,8 +120,8 @@ func TestInboundWorkerPoolLiveness(t *testing.T) {
 		}
 		return pong{N: msg.(ping).N}, nil
 	}
-	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"},
-		WithInboundWorkers(4))
+	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
+	n.inboundWorkers = 4
 	defer n.Close()
 	if _, err := n.Node(1, h); err != nil {
 		t.Fatal(err)
@@ -149,33 +149,9 @@ func TestInboundWorkerPoolLiveness(t *testing.T) {
 	}
 }
 
-// TestFlushIntervalDelivers sanity-checks the linger knob: with a non-zero
-// flush interval, calls still complete (just possibly later).
-func TestFlushIntervalDelivers(t *testing.T) {
-	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"},
-		WithFlushInterval(200*time.Microsecond), WithFlushBytes(32<<10), WithSendQueue(64))
-	defer n.Close()
-	if _, err := n.Node(1, echoHandler); err != nil {
-		t.Fatal(err)
-	}
-	c0, err := n.Node(0, echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		resp, err := c0.Call(context.Background(), 1, ping{N: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.(pong).N != i+1 {
-			t.Fatalf("resp = %#v", resp)
-		}
-	}
-}
-
-func benchTCPPair(b *testing.B, opts ...TCPOption) Conn {
+func benchTCPPair(b *testing.B) Conn {
 	b.Helper()
-	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"}, opts...)
+	n := NewTCPNetwork(map[NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
 	b.Cleanup(func() { n.Close() })
 	if _, err := n.Node(1, echoHandler); err != nil {
 		b.Fatal(err)

@@ -24,7 +24,7 @@ allocs() {
 	fi
 }
 zero() { allocs "$1" "$2" "$3" "$4" 0; }
-zero ./internal/core/ 'BenchmarkWire(Encode|Decode)Msg(ReadBatch|Install)$' 100000x 4
+zero ./internal/core/ 'BenchmarkWire(Encode|Decode)Msg(Fetch|Install)$' 100000x 4
 # The same install through the registry's wrappers, as the flusher and the
 # read loop run it: encoding allocates nothing, decoding the message it
 # returns (the value, its slices and functors: 8 objects) and nothing besides.
