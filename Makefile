@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-check commit-guard alloc-guard chaos-long figures figures-full examples scenarios soak trend-gate clean
+.PHONY: all build fmt-check vet test race bench bench-check commit-guard alloc-guard figures figures-full examples scenarios soak clean
 
 all: build test
 
@@ -14,12 +14,15 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # One codec: encoding/gob is the reference of the differential codec test
-# and may not come back into non-test code. One operator surface:
-# core.OpsHandler builds it; aloha-server and the scenario env assemble no
-# mux of their own, and no Prometheus text parser reads our own /metrics.
+# and may not come back into non-test code. One regression gate: the
+# performance ledger under bench/; the night-over-night trend rows and their
+# gate stay deleted. One operator surface: core.OpsHandler builds it;
+# aloha-server and the scenario env assemble no mux of their own, and no
+# Prometheus text parser reads our own /metrics.
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
+	@! grep -rlE --include='*.go' 'aloha-trend|GateTrend|TrendRow' .
 	@! grep -rlE --include='*.go' 'metrics\.OpsHandler\(|"net/http/pprof"' cmd/aloha-server internal/scenario | grep -v '_test\.go$$'
 	@! grep -rl --include='*.go' 'ParseMetrics' .
 
@@ -55,13 +58,8 @@ commit-guard:
 alloc-guard:
 	./scripts/alloc-guard.sh
 
-# Nightly-scale chaos sweep under the race detector (20+ seeds rotating
-# link chaos, crash recovery, and TCP).
-chaos-long:
-	$(GO) test -race -timeout 40m ./internal/chaos/ -run TestChaosLong -v -count=1 -args -chaos.long
-
 # Quick regeneration of every figure of the paper's evaluation: 400 ms per
-# parameter point, the points TREND_bench_quick.jsonl was taken at.
+# parameter point; the figures print their rows as text.
 figures:
 	$(GO) run ./cmd/aloha-bench run -window 1600ms bench
 
@@ -79,25 +77,13 @@ scenarios:
 
 # Nightly-scale soak: the soak-tagged scenarios share SOAK_DURATION (default
 # 20m), all at seed SEED — pass a different one per run (CI passes its run
-# number) or every night replays the same streams. A failure writes a
-# replayable artifact to SCENARIO_ARTIFACT when set; SCENARIO_TREND takes
-# the trend rows.
+# number) or every night replays the same streams. Each is gated on its p99
+# SLOs, zero stalls and the oracle; a failure writes a replayable artifact to
+# SCENARIO_ARTIFACT when set.
 SOAK_DURATION ?= 20m
 SCENARIO_ARTIFACT ?=
-SCENARIO_TREND ?=
 soak:
-	$(GO) run ./cmd/aloha-bench run -soak $(SOAK_DURATION) -seed $(SEED) $(if $(SCENARIO_ARTIFACT),-artifact $(SCENARIO_ARTIFACT)) $(if $(SCENARIO_TREND),-trend $(SCENARIO_TREND)) soak
-
-# Nightly trend gate: compare tonight's TREND_*.jsonl rows against the
-# previous night's file, failing on throughput / p99 / stall / anomaly
-# regressions beyond a loose tolerance (nightly numbers on shared runners
-# are noisy; tighten locally with TOLERANCE=0.15). First night (no previous
-# file) passes and seeds the baseline.
-TREND_PREV ?= TREND_prev.jsonl
-TREND_CUR ?= TREND_soak.jsonl
-TOLERANCE ?= 0.35
-trend-gate:
-	$(GO) run ./cmd/aloha-bench gate -tolerance $(TOLERANCE) $(TREND_PREV) $(TREND_CUR)
+	$(GO) run ./cmd/aloha-bench run -soak $(SOAK_DURATION) -seed $(SEED) $(if $(SCENARIO_ARTIFACT),-artifact $(SCENARIO_ARTIFACT)) soak
 
 examples:
 	$(GO) run ./examples/quickstart

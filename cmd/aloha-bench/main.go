@@ -10,7 +10,6 @@
 //	aloha-bench run -window 1600ms bench          # quick sweep of Figures 6-11
 //	aloha-bench run -full -window 8s figure-6     # paper-scale parameters
 //	aloha-bench run -seed 7 'chaos && !crash'     # any boolean expression over attributes and name globs
-//	aloha-bench gate prev.jsonl cur.jsonl         # compare two -trend files
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/scenario"
 	"alohadb/internal/scenario/catalog"
 	"alohadb/internal/trace"
@@ -63,8 +61,6 @@ func run(reg *scenario.Registry, args []string, out io.Writer) error {
 		return nil
 	case "run":
 		return runScenarios(reg, rest, out)
-	case "gate":
-		return gate(rest, out)
 	default:
 		return usageError(fmt.Sprintf("unknown verb %q", verb))
 	}
@@ -75,7 +71,6 @@ type runOptions struct {
 	seed         int64
 	window, soak time.Duration
 	artifact     string
-	trend        string
 	full         bool
 	traceSample  float64
 	traceSlowest int
@@ -84,21 +79,13 @@ type runOptions struct {
 func runFlags(o *runOptions) *flag.FlagSet {
 	fs := flag.NewFlagSet("aloha-bench run", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for every workload stream and fault schedule (recorded in the replay artifact and the trend rows)")
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for every workload stream and fault schedule (recorded in the replay artifact)")
 	fs.DurationVar(&o.window, "window", 0, "workload window per scenario (default 800ms); a figure measures each parameter point for a quarter of it")
 	fs.DurationVar(&o.soak, "soak", 0, "soak mode: divide this total budget across the selected scenarios and run each as a long-window soak gated on p99 SLOs and zero stalls")
 	fs.StringVar(&o.artifact, "artifact", "", "write a replay artifact (JSON: scenario, seed, window, the command that reruns it) here when a scenario fails")
-	fs.StringVar(&o.trend, "trend", "", "write the run's result rows (aloha-trend/v1 JSONL: one soak row per scenario, one bench row per figure point) here; the gate verb compares two such files")
 	fs.BoolVar(&o.full, "full", false, "paper-scale parameters for the figures (slow); default is the quick sweep")
 	fs.Float64Var(&o.traceSample, "trace-sample", 0, "trace sample rate in [0,1] for the ALOHA-DB clusters of the run")
 	fs.IntVar(&o.traceSlowest, "trace-slowest", 0, "after the run, dump the N slowest captured traces (needs -trace-sample)")
-	return fs
-}
-
-func gateFlags(tolerance *float64) *flag.FlagSet {
-	fs := flag.NewFlagSet("aloha-bench gate", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	fs.Float64Var(tolerance, "tolerance", 0.35, "fractional tolerance on throughput drops and p99 rises")
 	return fs
 }
 
@@ -106,14 +93,9 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   aloha-bench list
   aloha-bench run [flags] <expr>     expr: attributes and name globs joined by && || ! ( ), e.g. smoke, 'chaos && !crash', 'name:figure-*'
-  aloha-bench gate [-tolerance f] <prev.jsonl> <cur.jsonl>
 run flags:
 `)
 	fs := runFlags(&runOptions{})
-	fs.SetOutput(w)
-	fs.PrintDefaults()
-	fmt.Fprintln(w, "gate flags:")
-	fs = gateFlags(new(float64))
 	fs.SetOutput(w)
 	fs.PrintDefaults()
 }
@@ -154,7 +136,6 @@ func runScenarios(reg *scenario.Registry, args []string, out io.Writer) error {
 		Tracer:       tracer,
 		Out:          out,
 		ArtifactPath: o.artifact,
-		TrendPath:    o.trend,
 	})
 	if o.traceSlowest > 0 {
 		traces := tracer.Traces()
@@ -170,45 +151,4 @@ func runScenarios(reg *scenario.Registry, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "# %d scenario(s) passed in %s\n", len(scns), time.Since(start).Round(time.Millisecond))
 	return nil
-}
-
-// gate compares the current run's trend file against the previous run's,
-// matched by (kind, scenario), and fails listing every sustained
-// regression. A missing previous file is not an error — the first night
-// has no baseline.
-func gate(args []string, out io.Writer) error {
-	var tolerance float64
-	fs := gateFlags(&tolerance)
-	if err := fs.Parse(args); err != nil {
-		return usageError(err.Error())
-	}
-	if fs.NArg() != 2 {
-		return usageError("gate takes <prev.jsonl> <cur.jsonl>, after the flags")
-	}
-	if tolerance <= 0 {
-		return usageError("-tolerance must be positive")
-	}
-	prevPath, curPath := fs.Arg(0), fs.Arg(1)
-	cur, err := tsdb.ReadTrend(curPath)
-	if err != nil {
-		return fmt.Errorf("aloha-bench: gate: current %s: %w", curPath, err)
-	}
-	prev, err := tsdb.ReadTrend(prevPath)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(out, "# gate: no previous baseline at %s — %d current rows pass by default\n", prevPath, len(cur))
-			return nil
-		}
-		return fmt.Errorf("aloha-bench: gate: previous %s: %w", prevPath, err)
-	}
-	fails := tsdb.GateTrend(prev, cur, tsdb.GateConfig{Tolerance: tolerance})
-	fmt.Fprintf(out, "# gate: %d baseline rows vs %d current rows (tolerance %.0f%%)\n", len(prev), len(cur), 100*tolerance)
-	if len(fails) == 0 {
-		fmt.Fprintln(out, "# gate: no sustained regressions")
-		return nil
-	}
-	for _, f := range fails {
-		fmt.Fprintf(out, "REGRESSION %s\n", f)
-	}
-	return fmt.Errorf("aloha-bench: gate: %d sustained regression(s)", len(fails))
 }

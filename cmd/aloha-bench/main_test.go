@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/scenario"
 	"alohadb/internal/scenario/catalog"
 )
@@ -44,8 +43,7 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "smoke", "-seed", "3"},
 		{"run", "-no-such-flag", "smoke"},
 		{"run", "-trace-slowest", "3", "smoke"},
-		{"gate", "only-one.jsonl"},
-		{"gate", "-tolerance", "0", "a.jsonl", "b.jsonl"},
+		{"gate", "a.jsonl", "b.jsonl"},
 	} {
 		var ue usageError
 		if err := run(reg, args, &strings.Builder{}); !errors.As(err, &ue) {
@@ -113,39 +111,5 @@ func TestReplayCommandReplays(t *testing.T) {
 	}
 	if len(seen) != 2 || seen[0] != "seed=7 window=70ms" || seen[1] != seen[0] {
 		t.Errorf("runs saw %q, want the replay to repeat seed=7 window=70ms", seen)
-	}
-}
-
-func TestGate(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, throughput float64) string {
-		path := filepath.Join(dir, name)
-		rows := []tsdb.TrendRow{{Kind: tsdb.TrendKindBench, Scenario: "fig6/ALOHA/1W", Throughput: throughput, P99MS: 5}}
-		if err := tsdb.WriteTrend(path, rows); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	prev, same, halved := write("prev.jsonl", 1000), write("same.jsonl", 990), write("halved.jsonl", 500)
-	missing := filepath.Join(dir, "missing.jsonl")
-
-	var out strings.Builder
-	if err := run(nil, []string{"gate", missing, same}, &out); err != nil {
-		t.Errorf("missing baseline: %v, want a pass", err)
-	}
-	if err := run(nil, []string{"gate", prev, same}, &out); err != nil {
-		t.Errorf("steady row: %v, want a pass", err)
-	}
-	out.Reset()
-	if err := run(nil, []string{"gate", prev, halved}, &out); err == nil ||
-		!strings.Contains(out.String(), "REGRESSION bench/fig6/ALOHA/1W: throughput") {
-		t.Errorf("halved throughput: err = %v, output:\n%s", err, out.String())
-	}
-	// The same drop passes under a tolerance that allows it.
-	if err := run(nil, []string{"gate", "-tolerance", "0.6", prev, halved}, &out); err != nil {
-		t.Errorf("halved throughput at -tolerance 0.6: %v, want a pass", err)
-	}
-	if err := run(nil, []string{"gate", prev, missing}, &out); err == nil {
-		t.Error("missing current file passed the gate")
 	}
 }

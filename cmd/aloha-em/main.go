@@ -32,9 +32,7 @@ func run() error {
 	var (
 		peers    = flag.String("peers", "", "comma-separated server addresses, index-ordered")
 		emAddr   = flag.String("em", "", "this epoch manager's address")
-		duration = flag.Duration("epoch", epoch.DefaultDuration, "unified epoch duration (starting point when adaptive bounds are set)")
-		epochMin = flag.Duration("epoch-interval-min", 0, "adaptive epoch interval lower bound (with -epoch-interval-max; 0 disables the tuner)")
-		epochMax = flag.Duration("epoch-interval-max", 0, "adaptive epoch interval upper bound")
+		duration = flag.Duration("epoch", epoch.DefaultDuration, "unified epoch duration")
 		timeout  = flag.Duration("switch-timeout", time.Second, "straggler escape timeout per epoch switch")
 		start    = flag.Uint("start-epoch", 0, "first granted epoch (0 = 1); a restarted EM must start above the cluster's current epoch or the servers rightly refuse to regress (see aloha_server_epoch or /debug/stall on any server)")
 		opsAddr  = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /debug/obs, /debug/epochs, /debug/timeseries); empty disables")
@@ -62,8 +60,6 @@ func run() error {
 		Duration:      *duration,
 		SwitchTimeout: *timeout,
 		StartEpoch:    tstamp.Epoch(*start),
-		MinDuration:   *epochMin,
-		MaxDuration:   *epochMax,
 	})
 	if err != nil {
 		return err

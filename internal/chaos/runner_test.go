@@ -3,7 +3,6 @@ package chaos
 import (
 	"flag"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 )
@@ -11,7 +10,6 @@ import (
 var (
 	flagSeeds = flag.Int("chaos.seeds", 4, "seeds per quick chaos suite")
 	flagSeed  = flag.Int64("chaos.seed", 0, "run only this seed (replay a failure)")
-	flagLong  = flag.Bool("chaos.long", false, "run the long nightly chaos suite")
 )
 
 // runSeed executes one scenario and fails the test with a replayable
@@ -100,51 +98,6 @@ func TestChaosOverTCP(t *testing.T) {
 				OpsPerWriter:  30,
 				EpochDuration: 5 * time.Millisecond,
 			})
-		})
-	}
-}
-
-// TestChaosLong is the nightly suite: 20+ seeds mixing link chaos, crash
-// recovery, and TCP. Skipped unless -chaos.long. On failure the seed and
-// report are written to $CHAOS_ARTIFACT for CI to upload.
-func TestChaosLong(t *testing.T) {
-	if !*flagLong {
-		t.Skip("long chaos suite requires -chaos.long")
-	}
-	seeds := *flagSeeds
-	if seeds < 20 {
-		seeds = 20
-	}
-	if *flagSeed != 0 {
-		seeds = 1
-	}
-	artifact := os.Getenv("CHAOS_ARTIFACT")
-	for i := 0; i < seeds; i++ {
-		seed := int64(9000 + i)
-		if *flagSeed != 0 {
-			seed = *flagSeed
-		}
-		cfg := ScenarioConfig{Seed: seed, LinkChaos: true}
-		switch i % 3 {
-		case 1:
-			cfg.Crash = true
-			cfg.Dir = t.TempDir()
-		case 2:
-			cfg.TCP = true
-			cfg.LinkChaos = false
-			probs := DefaultProbabilities()
-			probs.DropCall, probs.DropSend = 0.01, 0.03
-			cfg.Probabilities = &probs
-			cfg.EpochDuration = 5 * time.Millisecond
-		}
-		name := fmt.Sprintf("seed-%d", seed)
-		t.Run(name, func(t *testing.T) {
-			rep := runSeed(t, cfg)
-			if t.Failed() && artifact != "" {
-				body := fmt.Sprintf("failing chaos seed: %d\nreplay: go test -race ./internal/chaos/ -run TestChaosLong -args -chaos.long -chaos.seed %d\n\n%s\n",
-					seed, seed, rep)
-				_ = os.WriteFile(artifact, []byte(body), 0o644)
-			}
 		})
 	}
 }

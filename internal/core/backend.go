@@ -536,7 +536,10 @@ func (s *Server) handleWaitComputed(ctx context.Context, m MsgWaitComputed) (Msg
 				if err != nil {
 					return MsgWaitComputedResp{}, err
 				}
-				return raw.(MsgWaitComputedResp), nil
+				if resp, ok := raw.(MsgWaitComputedResp); ok {
+					return resp, nil
+				}
+				return MsgWaitComputedResp{}, fmt.Errorf("core: server %d answered a forwarded wait on %q with %T", o, m.Key, raw)
 			}
 		}
 		return MsgWaitComputedResp{}, fmt.Errorf("core: server %d: record %q@%v not found", s.id, m.Key, m.Version)

@@ -187,8 +187,8 @@ func TestChaosHealRestoresService(t *testing.T) {
 }
 
 // TestChaosScenarioQuick runs full oracle-checked scenarios against the
-// cluster — the core-level entry point for the chaos suite (the long
-// nightly variant lives in internal/chaos with -chaos.long).
+// cluster — the core-level entry point for the chaos suite (the nightly
+// seed sweep runs the chaos-* scenarios through aloha-bench).
 func TestChaosScenarioQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos scenario skipped in -short mode")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"alohadb/internal/epoch"
@@ -286,31 +287,6 @@ func (c *Cluster) Stats() Stats {
 	return total
 }
 
-// InstallQuantile merges every server's cumulative install-stage
-// histogram (issue -> all functors installed) and returns the
-// cluster-wide q-quantile. The scenario runner's trend rows report it.
-func (c *Cluster) InstallQuantile(q float64) time.Duration {
-	return c.installSnapshot().QuantileDuration(q)
-}
-
-// InstallMean is the cluster-wide mean install-stage latency.
-func (c *Cluster) InstallMean() time.Duration {
-	return time.Duration(c.installSnapshot().Mean())
-}
-
-func (c *Cluster) installSnapshot() metrics.HistogramSnapshot {
-	var agg metrics.HistogramSnapshot
-	for _, srv := range c.servers {
-		snap := srv.stats.installHist.Snapshot()
-		if agg.Counts == nil {
-			agg = snap.Clone()
-			continue
-		}
-		agg.Merge(snap)
-	}
-	return agg
-}
-
 // Metrics returns the cluster's self-describing metric snapshot: every
 // server's families (one series per server, labeled server="i"), the
 // epoch manager's switch-duration histogram and current-epoch gauge, and
@@ -401,33 +377,41 @@ func (p *RemoteParticipant) Committed(e tstamp.Epoch) {
 	_ = p.conn.Send(context.Background(), p.node, MsgCommitted{E: e})
 }
 
-type ackKey struct {
-	e    tstamp.Epoch
-	node transport.NodeID
+// ackTable holds each node's outstanding revoke ack. Only the newest
+// revoke's ack is kept: the manager revokes e+1 only after epoch e's switch
+// ended, acked or timed out, so a node that never acks (crashed) costs one
+// entry, not one per epoch.
+type ackTable struct {
+	mu   sync.Mutex
+	acks map[transport.NodeID]pendingAck
 }
 
-type ackTable struct {
-	mu   chan struct{} // 1-slot semaphore; avoids importing sync here
-	acks map[ackKey]func()
+type pendingAck struct {
+	e   tstamp.Epoch
+	ack func()
 }
 
 func newAckTable() *ackTable {
-	t := &ackTable{mu: make(chan struct{}, 1), acks: make(map[ackKey]func())}
-	return t
+	return &ackTable{acks: make(map[transport.NodeID]pendingAck)}
 }
 
 func (t *ackTable) put(e tstamp.Epoch, node transport.NodeID, ack func()) {
-	t.mu <- struct{}{}
-	t.acks[ackKey{e: e, node: node}] = ack
-	<-t.mu
+	t.mu.Lock()
+	t.acks[node] = pendingAck{e: e, ack: ack}
+	t.mu.Unlock()
 }
 
+// take returns and forgets node's ack for epoch e; nil when the ack is not
+// outstanding (a duplicate, or superseded by a newer revoke).
 func (t *ackTable) take(e tstamp.Epoch, node transport.NodeID) func() {
-	t.mu <- struct{}{}
-	ack := t.acks[ackKey{e: e, node: node}]
-	delete(t.acks, ackKey{e: e, node: node})
-	<-t.mu
-	return ack
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p, ok := t.acks[node]
+	if !ok || p.e != e {
+		return nil
+	}
+	delete(t.acks, node)
+	return p.ack
 }
 
 // EMNode hosts the epoch manager on its own transport node, driving remote

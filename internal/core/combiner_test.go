@@ -432,3 +432,26 @@ func TestFetchForwardChecksReplyType(t *testing.T) {
 		t.Errorf("local item = %+v, want \"l\" found", r)
 	}
 }
+
+// TestWaitComputedForwardChecksReplyType: a wait on a record whose key
+// moved is forwarded to the owner; an owner answering with the wrong
+// message type yields an error naming that type, not a panic.
+func TestWaitComputedForwardChecksReplyType(t *testing.T) {
+	c, capture := newCombinerCluster(t)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Server(1).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capture.inner.Node(1, func(context.Context, transport.NodeID, any) (any, error) {
+		return MsgClientGetResp{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Server(0)
+	_, err := s.handleWaitComputed(context.Background(), MsgWaitComputed{Key: "b-moved", Version: s.VisibleBound().Prev()})
+	if err == nil || !strings.Contains(err.Error(), "MsgClientGetResp") {
+		t.Errorf("err = %v, want an error naming the reply type", err)
+	}
+}

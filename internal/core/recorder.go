@@ -153,10 +153,10 @@ func runtimeSources() []tsdb.Source {
 
 // NewEMRecorder builds the epoch manager's flight recorder, stamped with its
 // node ID: the cluster's heartbeat seen from the grantor's side — grant rate
-// (a stalled cluster flatlines here first), switch cost, the adaptive
-// tuner's interval — plus runtime health, in the rings and document the
-// servers use, so anomalies (grant-rate drop, switch-cost step-up) annotate
-// themselves with the epoch range. The caller owns Start/Stop.
+// (a stalled cluster flatlines here first) and switch cost — plus runtime
+// health, in the rings and document the servers use, so anomalies
+// (grant-rate drop, switch-cost step-up) annotate themselves with the epoch
+// range. The caller owns Start/Stop.
 func NewEMRecorder(m *epoch.Manager, node int, interval time.Duration) *tsdb.Recorder {
 	return tsdb.New(tsdb.Config{
 		Server:   node,
@@ -166,8 +166,6 @@ func NewEMRecorder(m *epoch.Manager, node int, interval time.Duration) *tsdb.Rec
 			{Name: "epoch_grant_rate", Unit: "epochs/s", Kind: tsdb.KindRate,
 				Value:  func() float64 { return float64(m.Current()) },
 				Detect: tsdb.Detect{DropFrac: 0.5, MinBaseline: 1}},
-			{Name: "epoch_interval", Unit: "seconds", Kind: tsdb.KindGauge,
-				Value: func() float64 { return m.Interval().Seconds() }},
 			{Name: "switch_mean", Unit: "seconds", Kind: tsdb.KindGauge,
 				Value: func() float64 {
 					n, total := m.SwitchStats()

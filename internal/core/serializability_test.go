@@ -313,6 +313,40 @@ func TestRemoteEpochManager(t *testing.T) {
 	}
 }
 
+// TestEMNodeDeadServerKeepsOneAck advances a remote epoch manager 200 times
+// past a server that never acks: its outstanding revoke acks must not pile
+// up one per epoch.
+func TestEMNodeDeadServerKeepsOneAck(t *testing.T) {
+	RegisterMessages()
+	memNet := transport.NewMemNetwork()
+	defer memNet.Close()
+	live, err := NewServer(ServerConfig{ID: 0, NumServers: 2}, memNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	// Node 1 never attaches: its revokes go nowhere.
+	em, err := NewEMNode(memNet, 2, []transport.NodeID{0, 1}, epoch.Config{SwitchTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer em.Close()
+	if err := em.Manager.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := em.Manager.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	em.acks.mu.Lock()
+	n := len(em.acks.acks)
+	em.acks.mu.Unlock()
+	if n > 2 {
+		t.Errorf("%d outstanding revoke acks after 200 switches, want at most one per server", n)
+	}
+}
+
 // TestSelfReadThroughPredecessorRun extends the equivalence property to
 // what a functor reads below itself on its own key: every order of an
 // ABORTED, a SKIPPED, a DELETED and a VALUE record, all of one epoch and

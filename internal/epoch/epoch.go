@@ -47,9 +47,9 @@ type Participant interface {
 
 // Config tunes a Manager.
 type Config struct {
-	// Duration is the epoch length for the timer-driven Run loop. The
-	// paper's default deployment uses 25 ms. With MinDuration/MaxDuration
-	// set it is only the starting point of the adaptive interval.
+	// Duration is the epoch length for the timer-driven Run loop: the next
+	// switch starts Duration after the previous one ends. The paper's
+	// default deployment uses 25 ms.
 	Duration time.Duration
 	// SwitchTimeout bounds how long the manager waits for revoke acks
 	// before proceeding anyway (crash-stop straggler escape hatch).
@@ -59,26 +59,6 @@ type Config struct {
 	// restarts a cluster at the epoch after the last durably committed
 	// one; every epoch up to StartEpoch-1 is announced as committed.
 	StartEpoch tstamp.Epoch
-
-	// MinDuration and MaxDuration, when both set (0 < Min <= Max), enable
-	// the adaptive epoch interval: after every switch, Run's next interval
-	// is retuned from an EMA of observed switch durations so the switch
-	// overhead stays near TargetSwitchFraction of the epoch, clamped to
-	// [MinDuration, MaxDuration]. A slow cluster (long ack waits) gets
-	// longer epochs — lower commit-latency overhead per transaction — and
-	// a fast one converges down toward MinDuration for fresher visibility.
-	MinDuration time.Duration
-	MaxDuration time.Duration
-	// TargetSwitchFraction is the switch-duration share of the epoch the
-	// tuner aims for; default 0.05 (the switch costs at most ~5% of the
-	// epoch). Only meaningful with MinDuration/MaxDuration.
-	TargetSwitchFraction float64
-	// CommitCount, when set, returns the cluster's cumulative committed
-	// transaction count. The tuner uses it for idle detection: an epoch
-	// that committed nothing drifts the interval toward MaxDuration,
-	// halving switch churn on quiet clusters; the first busy epoch snaps
-	// it back to the EMA target.
-	CommitCount func() uint64
 }
 
 // DefaultDuration is the paper's default unified epoch duration (§V-A2).
@@ -106,14 +86,6 @@ type Manager struct {
 	// (revoke broadcast through the Committed+Grant broadcast), the
 	// manager-side view of epoch-switch jitter.
 	switchHist *metrics.Histogram
-
-	// adaptive-interval state. intervalNs is the Run loop's next epoch
-	// length, retuned after every switch when adaptive is set; emaSwitch
-	// and lastCommits are touched only by the (serialized) Advance path.
-	adaptive    bool
-	intervalNs  atomic.Int64
-	emaSwitchNs float64
-	lastCommits uint64
 
 	// tr, when set, records each Advance as an epoch.switch trace root with
 	// the ack-wait broken out. The Participant interface carries no context,
@@ -160,28 +132,12 @@ func New(cfg Config) *Manager {
 	if cfg.StartEpoch == 0 {
 		cfg.StartEpoch = 1
 	}
-	if cfg.TargetSwitchFraction <= 0 {
-		cfg.TargetSwitchFraction = 0.05
-	}
-	m := &Manager{
+	return &Manager{
 		cfg:        cfg,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		switchHist: metrics.NewHistogram(metrics.LatencyBounds()),
 	}
-	m.adaptive = cfg.MinDuration > 0 && cfg.MaxDuration >= cfg.MinDuration
-	m.intervalNs.Store(int64(clampDuration(cfg.Duration, cfg.MinDuration, cfg.MaxDuration)))
-	return m
-}
-
-func clampDuration(d, lo, hi time.Duration) time.Duration {
-	if lo > 0 && d < lo {
-		return lo
-	}
-	if hi > 0 && d > hi {
-		return hi
-	}
-	return d
 }
 
 // Register attaches a participant. All participants must be registered
@@ -255,26 +211,27 @@ func (m *Manager) Advance() (tstamp.Epoch, error) {
 	ctx, span := m.tr.StartRoot(context.Background(), "epoch.switch")
 	span.SetAttrInt("epoch", int64(e))
 	defer span.End()
-	var wg sync.WaitGroup
-	wg.Add(len(parts))
+	// The acks count down; the last one closes acked. A late ack after a
+	// timed-out switch only decrements a counter nobody waits on.
+	acked := make(chan struct{})
+	var left atomic.Int64
+	left.Store(int64(len(parts)))
+	if len(parts) == 0 {
+		close(acked)
+	}
 	for i, p := range parts {
 		i := i
 		p.Revoke(e, func() {
 			// The ack's arrival instant at the EM, journaled before the
-			// WaitGroup releases the switch.
+			// count releases the switch.
 			jr.Ack(uint64(e), i, time.Now())
-			wg.Done()
+			if left.Add(-1) == 0 {
+				close(acked)
+			}
 		})
 	}
 	_, ackSpan := m.tr.Start(ctx, "epoch.ackwait")
-	if !m.waitAcks(&wg) {
-		// Timed out waiting for a straggler's ack. The straggler
-		// optimization (§III-C) means FEs already moved on to no-auth
-		// mode; proceeding is safe because any transaction the straggler
-		// still starts draws epoch e+1 timestamps.
-		// Fall through.
-		_ = parts
-	}
+	m.waitAcks(acked)
 	ackSpan.End()
 	if barrier != nil {
 		barrier(e)
@@ -287,7 +244,6 @@ func (m *Manager) Advance() (tstamp.Epoch, error) {
 	}
 	elapsed := time.Since(begin)
 	m.switchHist.ObserveDuration(elapsed)
-	m.retune(elapsed)
 	m.mu.Lock()
 	m.current = next
 	m.switching = false
@@ -295,61 +251,21 @@ func (m *Manager) Advance() (tstamp.Epoch, error) {
 	return next, nil
 }
 
-// retune adapts the Run loop's next epoch interval from switch feedback.
-// Called on the (serialized) Advance path before the switching flag
-// clears, so the unsynchronized EMA state is safe: the flag's mutex
-// handoff orders successive calls.
-func (m *Manager) retune(switchDur time.Duration) {
-	if !m.adaptive {
+// waitAcks waits for every revoke ack (acked closes), bounded by
+// SwitchTimeout. On a timeout the switch proceeds without the straggler:
+// the straggler optimization (§III-C) means FEs already moved on to
+// no-auth mode, and any transaction the straggler still starts draws
+// epoch e+1 timestamps.
+func (m *Manager) waitAcks(acked <-chan struct{}) {
+	if m.cfg.SwitchTimeout <= 0 {
+		<-acked
 		return
 	}
-	// EMA over switch durations (alpha 0.25): responsive to load shifts,
-	// damped against one straggler's outlier ack.
-	if m.emaSwitchNs == 0 {
-		m.emaSwitchNs = float64(switchDur)
-	} else {
-		m.emaSwitchNs = 0.25*float64(switchDur) + 0.75*m.emaSwitchNs
-	}
-	target := time.Duration(m.emaSwitchNs / m.cfg.TargetSwitchFraction)
-	if m.cfg.CommitCount != nil {
-		commits := m.cfg.CommitCount()
-		idle := commits == m.lastCommits
-		m.lastCommits = commits
-		if idle {
-			// Nothing committed this epoch: no one is waiting on
-			// visibility, so drift toward MaxDuration to halve the
-			// switch churn of a quiet cluster.
-			if doubled := 2 * time.Duration(m.intervalNs.Load()); doubled > target {
-				target = doubled
-			}
-		}
-	}
-	m.intervalNs.Store(int64(clampDuration(target, m.cfg.MinDuration, m.cfg.MaxDuration)))
-}
-
-// Interval returns the Run loop's next epoch interval: the adaptive
-// tuner's current value, or the fixed configured Duration.
-func (m *Manager) Interval() time.Duration {
-	return time.Duration(m.intervalNs.Load())
-}
-
-// waitAcks waits for all revoke acks, bounded by SwitchTimeout. Returns
-// false on timeout.
-func (m *Manager) waitAcks(wg *sync.WaitGroup) bool {
-	if m.cfg.SwitchTimeout <= 0 {
-		wg.Wait()
-		return true
-	}
-	ch := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(ch)
-	}()
+	timer := time.NewTimer(m.cfg.SwitchTimeout)
+	defer timer.Stop()
 	select {
-	case <-ch:
-		return true
-	case <-time.After(m.cfg.SwitchTimeout):
-		return false
+	case <-acked:
+	case <-timer.C:
 	}
 }
 
@@ -371,9 +287,9 @@ func (m *Manager) Run() error {
 	}
 	go func() {
 		defer close(m.done)
-		// A resettable timer instead of a ticker: the adaptive tuner may
-		// pick a different interval after every switch.
-		timer := time.NewTimer(m.Interval())
+		// A resettable timer instead of a ticker: the next epoch starts
+		// Duration after a switch ends, however long the switch took.
+		timer := time.NewTimer(m.cfg.Duration)
 		defer timer.Stop()
 		for {
 			select {
@@ -381,7 +297,7 @@ func (m *Manager) Run() error {
 				if _, err := m.Advance(); err != nil {
 					return
 				}
-				timer.Reset(m.Interval())
+				timer.Reset(m.cfg.Duration)
 			case <-m.stop:
 				return
 			}
@@ -419,9 +335,6 @@ const (
 	FamSwitch = "aloha_em_switch_seconds"
 	// FamCurrentEpoch is the currently granted epoch number.
 	FamCurrentEpoch = "aloha_epoch_current"
-	// FamEpochInterval is the Run loop's next epoch interval in seconds —
-	// constant when fixed, moving when the adaptive tuner is active.
-	FamEpochInterval = "aloha_epoch_interval_seconds"
 )
 
 // MetricFamilies returns the manager's metric snapshot: the epoch-switch
@@ -439,12 +352,6 @@ func (m *Manager) MetricFamilies() []metrics.Family {
 			Help:   "Currently granted epoch.",
 			Kind:   metrics.KindGauge,
 			Series: []metrics.Series{metrics.GaugeSeries(int64(m.Current()))},
-		},
-		{
-			Name: FamEpochInterval,
-			Help: "Next epoch interval of the Run loop (adaptive when min/max are set).",
-			Kind: metrics.KindGauge, Unit: metrics.UnitSeconds,
-			Series: []metrics.Series{{Value: m.Interval().Seconds()}},
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,85 +299,24 @@ func TestConcurrentAdvanceRejected(t *testing.T) {
 	<-done
 }
 
-func TestAdaptiveInterval(t *testing.T) {
-	var commits atomic.Uint64
-	m := New(Config{
-		Duration:    10 * time.Millisecond,
-		MinDuration: 5 * time.Millisecond,
-		MaxDuration: 80 * time.Millisecond,
-		CommitCount: func() uint64 { return commits.Load() },
-	})
-	if err := m.Register(&fakeParticipant{}); err != nil {
+// TestSwitchTimeoutLeaksNoGoroutine times out 200 switches on a
+// participant that never acks: the goroutine count must not grow with the
+// switches (a waiter per timed-out switch would add 200).
+func TestSwitchTimeoutLeaksNoGoroutine(t *testing.T) {
+	m := New(Config{SwitchTimeout: time.Millisecond})
+	if err := m.Register(&fakeParticipant{holdAck: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Interval(); got != 10*time.Millisecond {
-		t.Fatalf("initial interval = %v, want the configured duration", got)
-	}
-	// Idle epochs (no commits between switches) drift the interval toward
-	// the max bound, doubling each switch: 10 -> 20 -> 40 -> 80 -> 80.
-	for i, want := range []time.Duration{20, 40, 80, 80} {
-		if _, err := m.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Interval(); got != want*time.Millisecond {
-			t.Fatalf("idle switch %d: interval = %v, want %v", i+1, got, want*time.Millisecond)
-		}
-	}
-	// A busy epoch snaps back to the EMA target. Acks return instantly
-	// here, so the switch EMA is far below min*fraction and the clamp
-	// floors the interval at MinDuration.
-	commits.Add(100)
-	if _, err := m.Advance(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Interval(); got != 5*time.Millisecond {
-		t.Fatalf("busy switch: interval = %v, want the 5ms floor", got)
-	}
-}
-
-func TestAdaptiveIntervalDisabled(t *testing.T) {
-	m := New(Config{Duration: 10 * time.Millisecond})
-	if err := m.Register(&fakeParticipant{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
 		if _, err := m.Advance(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Interval(); got != 10*time.Millisecond {
-		t.Errorf("fixed interval moved to %v", got)
-	}
-}
-
-func TestAdaptiveIntervalTracksSlowSwitches(t *testing.T) {
-	// Acks arriving after ~2ms make the switch EMA ~2ms; at the default
-	// 5% target fraction the tuner should settle near 40ms, inside the
-	// [1ms, 200ms] window rather than at either clamp.
-	m := New(Config{
-		Duration:    time.Millisecond,
-		MinDuration: time.Millisecond,
-		MaxDuration: 200 * time.Millisecond,
-	})
-	if err := m.Register(&fakeParticipant{ackDelay: 2 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := m.Advance(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.Interval()
-	if got < 20*time.Millisecond || got > 200*time.Millisecond {
-		t.Errorf("interval = %v, want ~40ms (2ms switch / 5%% target)", got)
+	if after := runtime.NumGoroutine(); after > before+5 {
+		t.Errorf("goroutines %d -> %d over 200 timed-out switches", before, after)
 	}
 }

@@ -159,7 +159,6 @@ func (r *Recorder) detect(s *series, nowMS int64, epoch uint64) {
 	}
 	a.GatingStage = r.gating(a.FromEpoch, epoch)
 	s.open = a
-	r.annTotal++
 	r.anns = append(r.anns, a)
 	if len(r.anns) > r.cfg.Detector.MaxAnnotations {
 		r.anns = r.anns[len(r.anns)-r.cfg.Detector.MaxAnnotations:]

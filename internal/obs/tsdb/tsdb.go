@@ -133,7 +133,6 @@ type Recorder struct {
 	n          int      // ticks taken; slot for tick t is t % retention
 	lastTickMS int64
 	anns       []*Annotation // bounded, newest last
-	annTotal   int           // annotations opened since start (ring trims)
 
 	stop chan struct{}
 	done chan struct{}
@@ -301,17 +300,6 @@ func deltaInto(dst *metrics.HistogramSnapshot, cur, prev metrics.HistogramSnapsh
 		dst.Count += d
 	}
 	dst.Sum = cur.Sum - prev.Sum
-}
-
-// AnomalyCount returns the number of anomaly windows opened since start
-// (including windows since trimmed from the annotation ring). Nil-safe.
-func (r *Recorder) AnomalyCount() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.annTotal
 }
 
 // Annotations returns a copy of the annotation ring, oldest first.

@@ -149,7 +149,6 @@ type Watchdog struct {
 	active      bool
 	activeSince time.Time
 	stalls      uint64
-	stallTime   time.Duration    // closed episodes only; see StallTime
 	snaps       []*StallSnapshot // ring, newest last
 	events      []Event          // ring, newest last
 }
@@ -225,7 +224,6 @@ func (w *Watchdog) check(now time.Time) {
 			return
 		}
 		w.active = false
-		w.stallTime += now.Sub(w.activeSince)
 		ev := Event{Kind: EventStallCleared, At: now, Epoch: cur, Age: now.Sub(w.activeSince)}
 		w.pushEvent(ev)
 		w.mu.Unlock()
@@ -316,22 +314,6 @@ func (w *Watchdog) Stalls() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.stalls
-}
-
-// StallTime returns the cumulative wall time spent inside stall episodes,
-// including the open one. Nil-safe; feeds the trend rows' stall-seconds
-// column.
-func (w *Watchdog) StallTime() time.Duration {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	total := w.stallTime
-	if w.active {
-		total += time.Since(w.activeSince)
-	}
-	return total
 }
 
 // Health returns (ok, reason) for readiness probes: not ok while a stall

@@ -7,7 +7,6 @@ import (
 
 	"alohadb/internal/calvin"
 	"alohadb/internal/core"
-	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/scenario"
 	"alohadb/internal/workload/tpcc"
 	"alohadb/internal/workload/ycsb"
@@ -39,8 +38,7 @@ var (
 const figureWorkers = 8
 
 // figureScenario wraps one figure sweep as a bench scenario. The sweep
-// prints its text rows to env.Out; its results go, as bench-kind trend
-// rows, through env.Report into the run's -trend file.
+// prints its text rows to env.Out.
 func figureScenario(n, summary string, sweep func(*scenario.Env, scale) ([]Result, error)) *scenario.Scenario {
 	return &scenario.Scenario{
 		Name:    "figure-" + n,
@@ -52,8 +50,7 @@ func figureScenario(n, summary string, sweep func(*scenario.Env, scale) ([]Resul
 			if env.Full {
 				sc = fullScale
 			}
-			rows, err := sweep(env, sc)
-			env.Report(trendRows(n, rows)...)
+			_, err := sweep(env, sc)
 			return err
 		},
 	}
@@ -77,36 +74,6 @@ func pointWindow(env *scenario.Env) time.Duration {
 // and engine. Client i draws from base+i.
 func streamSeed(env *scenario.Env, salt int) int64 {
 	return env.Seed*1_000_003 + int64(salt)
-}
-
-// trendRows converts figure results into bench-kind trend rows, the same
-// aloha-trend/v1 schema the scenario soak emits, so bench and soak
-// trajectories flow through one gate. Scenario keys are
-// "fig<N>/<engine>/<label>"; labels that repeat within a figure (e.g.
-// Figure 6's client sweep reuses the config label) get a deterministic
-// "#<n>" suffix in sweep order.
-func trendRows(fig string, results []Result) []tsdb.TrendRow {
-	seen := make(map[string]int, len(results))
-	rows := make([]tsdb.TrendRow, 0, len(results))
-	for _, r := range results {
-		base := "fig" + fig + "/" + r.Engine + "/" + r.Label
-		key := base
-		if n := seen[base]; n > 0 {
-			key = fmt.Sprintf("%s#%d", base, n+1)
-		}
-		seen[base]++
-		rows = append(rows, tsdb.TrendRow{
-			Kind:       tsdb.TrendKindBench,
-			Scenario:   key,
-			WindowS:    r.Duration.Seconds(),
-			Throughput: r.Throughput,
-			P99MS:      float64(r.Latency.P99) / float64(time.Millisecond),
-			MeanMS:     float64(r.Latency.Mean) / float64(time.Millisecond),
-			Commits:    r.Txns,
-			Aborts:     r.Aborts,
-		})
-	}
-	return rows
 }
 
 func (sc scale) tpccConfig(scaled bool, perHost int) tpcc.Config {

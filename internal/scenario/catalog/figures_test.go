@@ -10,7 +10,6 @@ import (
 	"alohadb/internal/core"
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
-	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/scenario"
 	"alohadb/internal/workload/tpcc"
 	"alohadb/internal/workload/ycsb"
@@ -173,20 +172,6 @@ func TestFigureRunnersQuick(t *testing.T) {
 		// 4 configs x 2 client points x 2 engines.
 		if len(rows) != 16 {
 			t.Errorf("rows = %d, want 16", len(rows))
-		}
-		// The rows a `run -trend` writes keep the checked-in file's keys.
-		want, err := tsdb.ReadTrend("../../../TREND_bench_quick.jsonl")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := trendRows("6", rows)
-		if len(got) != len(want) {
-			t.Fatalf("trend rows = %d, TREND_bench_quick.jsonl has %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Kind != want[i].Kind || got[i].Scenario != want[i].Scenario {
-				t.Errorf("trend row %d = %s/%s, want %s/%s", i, got[i].Kind, got[i].Scenario, want[i].Kind, want[i].Scenario)
-			}
 		}
 	})
 	t.Run("fig7", func(t *testing.T) {

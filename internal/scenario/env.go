@@ -81,7 +81,7 @@ type EnvConfig struct {
 
 	// Timeseries attaches one metrics flight recorder per server (served
 	// at /debug/timeseries when Ops is also set). Implies Watchdog — the
-	// recorder's stall source reads it. Soak runs force this on.
+	// recorder's stall source reads it.
 	Timeseries bool
 	// TimeseriesInterval overrides the recorder sample interval (default
 	// 500ms; fault-injection scenarios use a faster clock so short
@@ -131,14 +131,6 @@ type Env struct {
 
 	httpSrvs []*http.Server
 	logf     func(format string, args ...any)
-	reported []tsdb.TrendRow
-}
-
-// Report adds result rows to the run's trend file (RunOptions.TrendPath):
-// the machine-readable form of what a body prints to Out. The runner
-// stamps each row's time and seed and writes them with the soak rows.
-func (e *Env) Report(rows ...tsdb.TrendRow) {
-	e.reported = append(e.reported, rows...)
 }
 
 // Logf writes one line of run output through the runner's writer.
@@ -159,26 +151,6 @@ func (e *Env) StallsTotal() uint64 {
 	var n uint64
 	for _, wd := range e.Watchdogs {
 		n += wd.Status().StallsTotal
-	}
-	return n
-}
-
-// StallSeconds sums cumulative stalled wall-clock across every watchdog —
-// the trend rows report it so a soak that limped (stalled but recovered)
-// looks different from one that cruised.
-func (e *Env) StallSeconds() float64 {
-	var d time.Duration
-	for _, wd := range e.Watchdogs {
-		d += wd.StallTime()
-	}
-	return d.Seconds()
-}
-
-// AnomaliesTotal sums every recorder's lifetime annotation count.
-func (e *Env) AnomaliesTotal() int {
-	var n int
-	for _, rec := range e.Recorders {
-		n += rec.AnomalyCount()
 	}
 	return n
 }

@@ -9,7 +9,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/trace"
 )
 
@@ -36,11 +35,6 @@ type RunOptions struct {
 	// ArtifactPath names the replay artifact written when any scenario
 	// fails (empty: none).
 	ArtifactPath string
-	// TrendPath names the trend JSONL written at the end of the run: one
-	// soak-kind tsdb.TrendRow per shaped scenario plus whatever rows the
-	// bodies Report — the file `aloha-bench gate` compares against the
-	// previous run's (empty: none).
-	TrendPath string
 }
 
 // Artifact is the replayable record of one failing scenario run: the
@@ -95,22 +89,14 @@ func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, err
 	var (
 		outcomes  []Outcome
 		artifacts []Artifact
-		trend     []tsdb.TrendRow
 	)
 	for _, s := range scns {
 		p := Params{Seed: opts.Seed, Window: window, Soak: opts.Soak > 0, Full: opts.Full}
 		fmt.Fprintf(out, "=== scenario %s (seed %d, window %s)\n", s.Name, p.Seed, window.Round(time.Millisecond))
 		start := time.Now()
-		stalls, rows, err := runOne(ctx, s, p, opts.Tracer, out)
+		stalls, err := runOne(ctx, s, p, opts.Tracer, out)
 		oc := Outcome{Name: s.Name, Elapsed: time.Since(start), Stalls: stalls, Err: err}
 		outcomes = append(outcomes, oc)
-		if err == nil {
-			for _, row := range rows {
-				row.At = start.UTC().Format(time.RFC3339)
-				row.Seed = p.Seed
-				trend = append(trend, row)
-			}
-		}
 		if err != nil {
 			fmt.Fprintf(out, "--- FAIL %s (%s): %v\n", s.Name, oc.Elapsed.Round(time.Millisecond), err)
 			artifacts = append(artifacts, Artifact{
@@ -125,14 +111,6 @@ func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, err
 			})
 		} else {
 			fmt.Fprintf(out, "--- ok %s (%s)\n", s.Name, oc.Elapsed.Round(time.Millisecond))
-		}
-	}
-
-	if opts.TrendPath != "" && len(trend) > 0 {
-		if werr := tsdb.WriteTrend(opts.TrendPath, trend); werr != nil {
-			fmt.Fprintf(out, "scenario: write trend %s: %v\n", opts.TrendPath, werr)
-		} else {
-			fmt.Fprintf(out, "scenario: trend summary (%d rows) written to %s\n", len(trend), opts.TrendPath)
 		}
 	}
 
@@ -168,24 +146,17 @@ func replayCommand(name string, p Params) string {
 }
 
 // runOne builds the env, runs the body under its deadline, and applies
-// the runner-level gates (zero stall episodes, oracle verdict). The
-// returned trend rows are the body's own (Env.Report) followed, for a
-// shaped scenario, by the soak row summarizing its cluster's run.
-func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, out io.Writer) (stalls uint64, rows []tsdb.TrendRow, err error) {
+// the runner-level gates (zero stall episodes, oracle verdict).
+func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, out io.Writer) (stalls uint64, err error) {
 	var env *Env
 	if s.Shape != nil {
 		cfg := s.Shape(p)
 		if tracer != nil {
 			cfg.Tracer = tracer
 		}
-		if p.Soak {
-			// Soak runs always fly the recorder: the trend row's anomaly
-			// count and the /debug/timeseries forensics depend on it.
-			cfg.Timeseries = true
-		}
 		env, err = BuildEnv(cfg)
 		if err != nil {
-			return 0, nil, fmt.Errorf("build env: %w", err)
+			return 0, fmt.Errorf("build env: %w", err)
 		}
 	} else {
 		env = &Env{}
@@ -209,17 +180,6 @@ func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, ou
 	rctx, cancel := context.WithTimeout(ctx, p.Window+slack)
 	defer cancel()
 
-	// Baseline counters before the body: scenario preloads (cfg.Load)
-	// already committed transactions the throughput row must not claim.
-	var base struct {
-		commits, aborts uint64
-	}
-	if env.Cluster != nil {
-		st := env.Cluster.Stats()
-		base.commits, base.aborts = st.TxnsCommitted, st.TxnsAborted
-	}
-	bodyStart := time.Now()
-
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -230,26 +190,6 @@ func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, ou
 	}()
 
 	stalls = env.StallsTotal()
-	rows = env.reported
-	if env.Cluster != nil {
-		elapsed := time.Since(bodyStart).Seconds()
-		st := env.Cluster.Stats()
-		row := tsdb.TrendRow{
-			Kind:      tsdb.TrendKindSoak,
-			Scenario:  s.Name,
-			WindowS:   elapsed,
-			Commits:   st.TxnsCommitted - base.commits,
-			Aborts:    st.TxnsAborted - base.aborts,
-			P99MS:     env.Cluster.InstallQuantile(0.99).Seconds() * 1e3,
-			MeanMS:    env.Cluster.InstallMean().Seconds() * 1e3,
-			StallS:    env.StallSeconds(),
-			Anomalies: env.AnomaliesTotal(),
-		}
-		if elapsed > 0 {
-			row.Throughput = float64(row.Commits) / elapsed
-		}
-		rows = append(rows, row)
-	}
 	if err == nil && stalls > 0 {
 		err = fmt.Errorf("watchdog recorded %d stall episode(s)", stalls)
 	}
@@ -261,7 +201,7 @@ func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, ou
 			err = fmt.Errorf("oracle found %d violation(s)", len(vs))
 		}
 	}
-	return stalls, rows, err
+	return stalls, err
 }
 
 func writeArtifact(path string, arts []Artifact) error {
