@@ -22,6 +22,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
+	@# One runner: internal/chaos is the fault injector alone; workloads are catalog scenarios.
+	@! $(GO) list -deps ./internal/chaos | grep -xE 'alohadb/internal/(core|scenario|wal|chaos/oracle)'
 	@! grep -rlE --include='*.go' 'aloha-trend|GateTrend|TrendRow' .
 	@! grep -rlE --include='*.go' 'metrics\.OpsHandler\(|"net/http/pprof"' cmd/aloha-server internal/scenario | grep -v '_test\.go$$'
 	@! grep -rl --include='*.go' 'ParseMetrics' .
@@ -70,6 +72,9 @@ figures-full:
 # Scenario matrix: every scenario the expression selects from the registry
 # (`aloha-bench list` shows it), oracle-checked. The default is CI's per-PR
 # smoke matrix; EXPR='chaos && !crash', EXPR=migrate-recover, ... pick others.
+# The four chaos suites are scenarios like any other (EXPR='name:chaos-*'); a
+# failure prints the `aloha-bench run -seed N -window W name:<scenario>` line
+# that replays it.
 EXPR ?= smoke
 SEED ?= 1
 scenarios:

@@ -14,7 +14,9 @@
 //     subset of a committed transaction's writes across the keys it read,
 //     and never observes a version above its snapshot;
 //   - at-most-once evaluation (§IV): no tag appears twice in any value —
-//     re-invoked handlers are legal, re-applied effects are not;
+//     re-invoked handlers are legal, re-applied effects are not — and a
+//     handler wrapped by Witness returns the same result every time it is
+//     invoked for one functor;
 //   - monotonic reads: per client, snapshots are non-decreasing and each
 //     key's observed tag list extends (is prefixed by) the previous one;
 //   - durability of the visible (§III-B at the WAL boundary): transactions
@@ -30,10 +32,12 @@ package oracle
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
 
+	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/tstamp"
 )
@@ -95,7 +99,7 @@ func (t *Txn) writes(k kv.Key) bool {
 type Violation struct {
 	// Kind labels the broken invariant: lost-write, aborted-visible,
 	// discarded-visible, duplicate-tag, order, future-read, torn-txn,
-	// non-monotonic-read, unknown-tag, pending-tag.
+	// non-monotonic-read, unknown-tag, pending-tag, nondeterministic-compute.
 	Kind   string
 	Detail string
 }
@@ -120,16 +124,72 @@ type History struct {
 	seqs   map[int]int
 	finals map[kv.Key][]string
 	fseen  map[kv.Key]bool
+	// computes holds the fingerprint of the first result of every functor
+	// a Witness-wrapped handler evaluated.
+	computes   map[computeID]uint64
+	recomputed int
+	divergent  []Violation
+}
+
+// computeID names one functor: the key it writes and its version.
+type computeID struct {
+	key     kv.Key
+	version tstamp.Timestamp
 }
 
 // New creates an empty history.
 func New() *History {
 	return &History{
-		txns:   make(map[string]*Txn),
-		seqs:   make(map[int]int),
-		finals: make(map[kv.Key][]string),
-		fseen:  make(map[kv.Key]bool),
+		txns:     make(map[string]*Txn),
+		seqs:     make(map[int]int),
+		finals:   make(map[kv.Key][]string),
+		fseen:    make(map[kv.Key]bool),
+		computes: make(map[computeID]uint64),
 	}
+}
+
+// Witness wraps a workload handler so the history sees every invocation.
+// A functor may be invoked more than once — by concurrent on-demand
+// readers or by replay after a crash — but every invocation must produce
+// the same result, so the resolution CAS installs one effect (§IV). Each
+// re-invocation whose result differs from the first is reported by Check
+// as a nondeterministic-compute violation.
+func (h *History) Witness(fn functor.Handler) functor.Handler {
+	return func(fc *functor.Context) (*functor.Resolution, error) {
+		res, err := fn(fc)
+		fp, id := fingerprint(res, err), computeID{fc.Key, fc.Version}
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if first, seen := h.computes[id]; !seen {
+			h.computes[id] = fp
+		} else if h.recomputed++; first != fp {
+			h.divergent = append(h.divergent, Violation{Kind: "nondeterministic-compute", Detail: fmt.Sprintf(
+				"%s@%v: a re-invocation returned a different result than the first (fingerprint %x vs %x)",
+				fc.Key, fc.Version, fp, first)})
+		}
+		return res, err
+	}
+}
+
+// fingerprint hashes a handler's outcome: its error, or the resolution's
+// kind and value. Values grow with the history, so only the hash is kept.
+func fingerprint(res *functor.Resolution, err error) uint64 {
+	f := fnv.New64a()
+	if err != nil {
+		f.Write([]byte(err.Error()))
+	} else if res != nil {
+		f.Write([]byte{byte(res.Kind)})
+		f.Write(res.Value)
+	}
+	return f.Sum64()
+}
+
+// Recomputed counts the extra invocations of Witness-wrapped functors:
+// legal, since at-most-once is an effect guarantee, not an invocation count.
+func (h *History) Recomputed() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.recomputed
 }
 
 // Begin records a transaction about to be submitted.
@@ -291,7 +351,7 @@ func (h *History) Check() []Violation {
 
 	// Monotonic reads per client.
 	vs = append(vs, h.checkMonotonic()...)
-	return vs
+	return append(vs, h.divergent...)
 }
 
 // checkList validates one observed tag list: known tags only, no

@@ -3,8 +3,8 @@ package core_test
 // Chaos wiring for the core cluster: these tests drive a real cluster
 // through a fault-injecting transport (internal/chaos) and assert the
 // engine's behavior at the API surface — fail-fast aborts under severed
-// links, clean recovery after healing, and full oracle-checked scenarios.
-// They live in package core_test because internal/chaos imports core.
+// links and clean recovery after healing. The oracle-checked chaos
+// scenarios are the catalog's chaos-* (internal/scenario/catalog).
 
 import (
 	"context"
@@ -183,33 +183,5 @@ func TestChaosHealRestoresService(t *testing.T) {
 	}
 	if got := string(v); got != "after;" {
 		t.Fatalf("s1:h = %q, want %q", got, "after;")
-	}
-}
-
-// TestChaosScenarioQuick runs full oracle-checked scenarios against the
-// cluster — the core-level entry point for the chaos suite (the nightly
-// seed sweep runs the chaos-* scenarios through aloha-bench).
-func TestChaosScenarioQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos scenario skipped in -short mode")
-	}
-	for _, seed := range []int64{7001, 7002} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rep, err := chaos.RunScenario(chaos.ScenarioConfig{
-				Seed:         seed,
-				LinkChaos:    true,
-				Writers:      4,
-				OpsPerWriter: 40,
-			})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			t.Logf("%s", rep)
-			if !rep.OK() {
-				t.Errorf("seed %d: %s", seed, rep)
-			}
-		})
 	}
 }

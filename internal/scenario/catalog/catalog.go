@@ -4,8 +4,9 @@
 // Calvin baseline (figure6.go … figure11.go over the shared sweep helpers
 // in figures.go, the closed-loop drivers in loop.go, their result types in
 // stats.go and the cluster builders in setup.go), the oracle-checked chaos
-// suites (chaos.go), the observability boot (obsview.go) and the live
-// migration checks (migrate.go). It is the one package allowed to import
+// scenarios with the tag-append load they share with feed-fanout
+// (chaos.go), the observability boot (obsview.go) and the live migration
+// checks (migrate.go). It is the one package allowed to import
 // both the scenario runtime and the chaos injector; the runtime itself
 // stays injector-free via EnvConfig.WrapNet.
 package catalog
@@ -66,9 +67,9 @@ func lightProbs() chaos.Probabilities {
 
 // wrapChaos is the EnvConfig.WrapNet hook that puts the fault injector
 // between the cluster and its transport.
-func wrapChaos(seed int64) func(transport.Network) transport.Network {
+func wrapChaos(seed int64, probs chaos.Probabilities) func(transport.Network) transport.Network {
 	return func(inner transport.Network) transport.Network {
-		return chaos.Wrap(inner, chaos.Config{Seed: seed, Probabilities: lightProbs(), LogCap: -1})
+		return chaos.Wrap(inner, chaos.Config{Seed: seed, Probabilities: probs, LogCap: -1})
 	}
 }
 
@@ -85,7 +86,7 @@ func chaosEnv(servers int, seed int64) scenario.EnvConfig {
 		AbortRetryBackoff: 2 * time.Millisecond,
 		Watchdog:          true,
 		WatchdogThreshold: 5 * time.Second,
-		WrapNet:           wrapChaos(seed),
+		WrapNet:           wrapChaos(seed, lightProbs()),
 	}
 }
 

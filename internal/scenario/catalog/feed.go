@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
-	"alohadb/internal/core"
-	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/scenario"
 )
@@ -32,10 +29,7 @@ func registerFeed(r *scenario.Registry) {
 		Summary: "read-heavy social-feed fanout with hot celebrity timelines under light chaos",
 		Attrs:   []string{"contention", "chaos", "soak", "smoke"},
 		Shape: func(p scenario.Params) scenario.EnvConfig {
-			reg := functor.NewRegistry()
-			reg.MustRegister("feed-append", appendTag)
 			cfg := chaosEnv(3, p.Seed)
-			cfg.Registry = reg
 			cfg.Retention = 16
 			return cfg
 		},
@@ -64,104 +58,34 @@ func pickCeleb(rng *rand.Rand) int {
 	return a
 }
 
-func runFeedFanout(ctx context.Context, env *scenario.Env) error {
+// feedLoad is the fanout on the shared tag-append load: one post appends
+// to a celebrity timeline plus two distinct follower timelines, and a read
+// covers a celebrity and two followers.
+func feedLoad() *appendLoad {
 	celebs, users, all := feedKeys()
-	lat := newLatencies()
-	deadline := time.Now().Add(env.Window)
-
-	var (
-		tagMu  sync.Mutex
-		tagSeq int
-	)
-	nextTag := func() string {
-		tagMu.Lock()
-		defer tagMu.Unlock()
-		tagSeq++
-		return fmt.Sprintf("f%d", tagSeq)
+	return &appendLoad{
+		keys:    all,
+		writers: feedWriters,
+		readers: feedReaders,
+		writeKeys: func(rng *rand.Rand) []kv.Key {
+			u1 := rng.Intn(feedUsers)
+			u2 := (u1 + 1 + rng.Intn(feedUsers-1)) % feedUsers
+			return []kv.Key{celebs[pickCeleb(rng)], users[u1], users[u2]}
+		},
+		readKeys: func(rng *rand.Rand) []kv.Key {
+			return []kv.Key{celebs[pickCeleb(rng)], users[rng.Intn(feedUsers)], users[rng.Intn(feedUsers)]}
+		},
 	}
+}
 
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < feedReaders; r++ {
-		readers.Add(1)
-		go func(r int) {
-			defer readers.Done()
-			rng := rand.New(rand.NewSource(env.Seed*7919 + int64(r)))
-			srv := env.Cluster.Server(r % env.Cluster.NumServers())
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				time.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
-				rkeys := []kv.Key{
-					celebs[pickCeleb(rng)],
-					users[rng.Intn(feedUsers)],
-					users[rng.Intn(feedUsers)],
-				}
-				rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				vals, snap, err := srv.ReadMany(rctx, rkeys)
-				cancel()
-				if err != nil {
-					continue
-				}
-				env.Oracle.Observe(r, snap, rkeys, vals)
-			}
-		}(r)
-	}
-
-	var writers sync.WaitGroup
-	for w := 0; w < feedWriters; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(env.Seed*1000003 + int64(w)))
-			srv := env.Cluster.Server(w % env.Cluster.NumServers())
-			for time.Now().Before(deadline) && ctx.Err() == nil {
-				time.Sleep(time.Duration(rng.Intn(1500)) * time.Microsecond)
-				tag := nextTag()
-				// One post fans out to the celebrity timeline plus two
-				// distinct follower timelines.
-				u1 := rng.Intn(feedUsers)
-				u2 := (u1 + 1 + rng.Intn(feedUsers-1)) % feedUsers
-				wkeys := []kv.Key{celebs[pickCeleb(rng)], users[u1], users[u2]}
-				txn := core.Txn{}
-				for _, k := range wkeys {
-					txn.Writes = append(txn.Writes, core.Write{
-						Key:     k,
-						Functor: functor.User("feed-append", []byte(tag+";"), nil),
-					})
-				}
-				env.Oracle.Begin(tag, wkeys)
-				sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				start := time.Now()
-				results, _, err := srv.SubmitBatch(sctx, []core.Txn{txn})
-				lat.observe(time.Since(start))
-				cancel()
-				var res core.TxnResult
-				if err == nil {
-					res = results[0]
-				}
-				finishSubmit(env.Oracle, tag, res, err)
-			}
-		}(w)
-	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
-
-	if err := settle(ctx, env); err != nil {
+func runFeedFanout(ctx context.Context, env *scenario.Env) error {
+	d := feedLoad()
+	if err := d.run(ctx, env, 0); err != nil {
 		return err
 	}
-	if err := observeFinals(ctx, env, all); err != nil {
-		return err
-	}
-	total, committed, aborted, indeterminate, _ := env.Oracle.Counts()
-	env.Logf("posts: %d (%d committed, %d aborted, %d indeterminate); reads: %d",
-		total, committed, aborted, indeterminate, env.Oracle.Reads())
-	if committed == 0 {
+	env.Logf("posts: %s", d.summary(env.Oracle))
+	if _, committed, _, _, _ := env.Oracle.Counts(); committed == 0 {
 		return fmt.Errorf("no post committed in a %s window", env.Window)
 	}
-	return requireP99(env, "post", lat, 400*time.Millisecond)
+	return requireP99(env, "post", d.lat, 400*time.Millisecond)
 }

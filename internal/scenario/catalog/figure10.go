@@ -28,24 +28,24 @@ func figure10(env *scenario.Env, sc scale) ([]StageBreakdown, error) {
 	for _, ci := range []float64{0.0001, 0.1} {
 		cfg := sc.ycsbConfig(ci)
 		seedBase := streamSeed(env, 10)
-		ac, err := NewAlohaYCSB(cfg, 0, figureWorkers, env.Tracer)
+		ae, err := NewAlohaYCSB(cfg, 0, figureWorkers, env.Tracer)
 		if err != nil {
 			return out, err
 		}
 		_, err = RunAloha(AlohaRun{
-			Cluster:       ac,
+			Cluster:       ae.Cluster,
 			NewTxn:        alohaYCSBStream(cfg, seedBase),
 			Clients:       2, // light load (paper: 5% of peak)
 			Duration:      pointWindow(env),
 			SampleLatency: true,
 		})
 		if err != nil {
-			ac.Close()
+			ae.Close()
 			return out, err
 		}
-		stats := ac.Stats()
-		fams := ac.Metrics()
-		ac.Close()
+		stats := ae.Cluster.Stats()
+		fams := ae.Cluster.Metrics()
+		ae.Close()
 		b := alohaBreakdown(stats, fmt.Sprintf("CI=%g", ci))
 		stagePercentiles(&b, fams)
 		fmt.Fprintln(env.Out, b)

@@ -169,13 +169,13 @@ func withSeed(cfg ycsb.Config, seed int64) ycsb.Config {
 // mode used for peak-throughput figures.
 func runAlohaTPCC(env *scenario.Env, cfg tpcc.Config, label string, clients int, sample bool,
 	stream func(tpcc.Config, int64) func(int) func() core.Txn) (Result, error) {
-	c, err := NewAlohaTPCC(cfg, 0, figureWorkers, env.Tracer)
+	ae, err := NewAlohaTPCC(cfg, 0, figureWorkers, env.Tracer)
 	if err != nil {
 		return Result{}, err
 	}
-	defer c.Close()
+	defer ae.Close()
 	res, err := RunAloha(AlohaRun{
-		Cluster:       c,
+		Cluster:       ae.Cluster,
 		NewTxn:        stream(cfg, streamSeed(env, clients*101)),
 		Clients:       clients,
 		BatchSize:     16,
@@ -235,12 +235,12 @@ type ycsbPoint struct {
 func runYCSBPoint(env *scenario.Env, sc scale, p ycsbPoint) (Result, Result, error) {
 	cfg := sc.ycsbConfig(p.ci)
 	seedBase := streamSeed(env, p.clients*107)
-	ac, err := NewAlohaYCSB(cfg, p.epoch, figureWorkers, env.Tracer)
+	ae, err := NewAlohaYCSB(cfg, p.epoch, figureWorkers, env.Tracer)
 	if err != nil {
 		return Result{}, Result{}, err
 	}
 	ares, err := RunAloha(AlohaRun{
-		Cluster:       ac,
+		Cluster:       ae.Cluster,
 		NewTxn:        alohaYCSBStream(cfg, seedBase),
 		Clients:       p.clients,
 		BatchSize:     16,
@@ -248,7 +248,7 @@ func runYCSBPoint(env *scenario.Env, sc scale, p ycsbPoint) (Result, Result, err
 		SampleLatency: p.sample,
 		PaceJitter:    p.jitter,
 	})
-	ac.Close()
+	ae.Close()
 	if err != nil {
 		return Result{}, Result{}, err
 	}

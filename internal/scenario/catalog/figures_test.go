@@ -2,7 +2,11 @@ package catalog
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -56,13 +60,13 @@ func TestLatencyMerge(t *testing.T) {
 
 func TestRunAlohaYCSBSmoke(t *testing.T) {
 	cfg := ycsb.Config{Partitions: 2, KeysPerPartition: 1000, ContentionIndex: 0.1, Distributed: true}
-	c, err := NewAlohaYCSB(cfg, 5*time.Millisecond, 2, nil)
+	ae, err := NewAlohaYCSB(cfg, 5*time.Millisecond, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer ae.Close()
 	res, err := RunAloha(AlohaRun{
-		Cluster:       c,
+		Cluster:       ae.Cluster,
 		NewTxn:        alohaYCSBStream(cfg, 0),
 		Clients:       2,
 		BatchSize:     2,
@@ -115,13 +119,13 @@ func TestRunCalvinYCSBSmoke(t *testing.T) {
 
 func TestTPCCSetupsServeTransactions(t *testing.T) {
 	cfg := tpcc.Config{Servers: 2, Items: 100, CustomersPerDistrict: 5, AbortRate: 0.01}
-	a, err := NewAlohaTPCC(cfg, 5*time.Millisecond, 2, nil)
+	ae, err := NewAlohaTPCC(cfg, 5*time.Millisecond, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
+	defer ae.Close()
 	res, err := RunAloha(AlohaRun{
-		Cluster:       a,
+		Cluster:       ae.Cluster,
 		NewTxn:        alohaNewOrderStream(cfg, 1),
 		Clients:       2,
 		Duration:      150 * time.Millisecond,
@@ -150,6 +154,48 @@ func TestTPCCSetupsServeTransactions(t *testing.T) {
 	}
 	if cres.Txns == 0 {
 		t.Error("calvin TPC-C run produced no transactions")
+	}
+}
+
+// TestFigureBuildersCloseTheirMesh: closing what a figure cluster builder
+// returns closes its mesh as well, so a sweep leaves no descriptor (the
+// mesh's delay line sleeps on a timerfd) for the collector to find. GC is
+// off, so a finalizer cannot hide a leak.
+func TestFigureBuildersCloseTheirMesh(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count descriptors in")
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := ycsb.Config{Partitions: 2, KeysPerPartition: 100, ContentionIndex: 0.1, Distributed: true}
+	gen, err := ycsb.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		ae, err := NewAlohaYCSB(cfg, 2*time.Millisecond, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ae.Close()
+		if _, err := ae.Cluster.Server(0).Submit(context.Background(), ycsb.Aloha(gen.Next())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	cycle() // whatever the runtime opens once (its poller) is open now
+	before := openFDs()
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("16 build/submit/close cycles left %d descriptors open (%d before, %d after)", after-before, before, after)
 	}
 }
 

@@ -17,13 +17,13 @@ func TestPaceJitterSpreadsArrivals(t *testing.T) {
 	const epochDur = 20 * time.Millisecond
 	cfg := ycsb.Config{Partitions: 2, KeysPerPartition: 10_000, ContentionIndex: 0.01, Distributed: true}
 	measure := func(jitter time.Duration) time.Duration {
-		c, err := NewAlohaYCSB(cfg, epochDur, 2, nil)
+		ae, err := NewAlohaYCSB(cfg, epochDur, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
+		defer ae.Close()
 		res, err := RunAloha(AlohaRun{
-			Cluster:       c,
+			Cluster:       ae.Cluster,
 			NewTxn:        alohaYCSBStream(cfg, 1),
 			Clients:       2,
 			Duration:      400 * time.Millisecond,
@@ -55,13 +55,13 @@ func TestPaceJitterSpreadsArrivals(t *testing.T) {
 // not report throughput until installed functors are fully computed.
 func TestSaturationModeDrains(t *testing.T) {
 	cfg := ycsb.Config{Partitions: 2, KeysPerPartition: 5000, ContentionIndex: 0.01, Distributed: true}
-	c, err := NewAlohaYCSB(cfg, 5*time.Millisecond, 2, nil)
+	ae, err := NewAlohaYCSB(cfg, 5*time.Millisecond, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer ae.Close()
 	res, err := RunAloha(AlohaRun{
-		Cluster:  c,
+		Cluster:  ae.Cluster,
 		NewTxn:   alohaYCSBStream(cfg, 1),
 		Clients:  4,
 		Duration: 200 * time.Millisecond,
@@ -73,7 +73,7 @@ func TestSaturationModeDrains(t *testing.T) {
 		t.Fatal("no transactions")
 	}
 	// After the run returns, the processor queues are drained.
-	s := c.Stats()
+	s := ae.Cluster.Stats()
 	if s.FunctorsComputed < s.FunctorsInstalled*9/10 {
 		t.Errorf("computed %d of %d installed functors after drain", s.FunctorsComputed, s.FunctorsInstalled)
 	}

@@ -27,12 +27,9 @@ func registerMigrate(r *scenario.Registry) {
 		Summary: "profiler-guided live split of a hot key, oracle-checked across the handoff",
 		Attrs:   []string{"migration", "smoke", "obs"},
 		Shape: func(p scenario.Params) scenario.EnvConfig {
-			reg := functor.NewRegistry()
-			reg.MustRegister("mg-append", appendTag)
 			return scenario.EnvConfig{
 				Servers:           3,
 				EpochDuration:     2 * time.Millisecond,
-				Registry:          reg,
 				Retention:         8,
 				Skew:              &obs.SkewConfig{SampleEvery: 1, TopK: 8},
 				Watchdog:          true,
@@ -293,28 +290,18 @@ func runMigrateSplit(ctx context.Context, env *scenario.Env) error {
 	}
 	hot := keys[0]
 	rng := rand.New(rand.NewSource(env.Seed))
-	tagSeq := 0
+	// Zipf-ish: most writes land on the hot key.
+	load := &appendLoad{writeKeys: func(rng *rand.Rand) []kv.Key {
+		if rng.Float64() > 0.7 {
+			return []kv.Key{keys[1+rng.Intn(len(keys)-1)]}
+		}
+		return []kv.Key{hot}
+	}}
+	load.register(env.Registry, env.Oracle)
 	drive := func(until time.Time) error {
-		for time.Now().Before(until) && ctx.Err() == nil {
-			// Zipf-ish: most writes land on the hot key.
-			k := hot
-			if rng.Float64() > 0.7 {
-				k = keys[1+rng.Intn(len(keys)-1)]
-			}
-			tagSeq++
-			tag := fmt.Sprintf("g%d", tagSeq)
-			env.Oracle.Begin(tag, []kv.Key{k})
-			sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			results, _, err := env.Cluster.Server(tagSeq%env.Cluster.NumServers()).SubmitBatch(sctx, []core.Txn{{
-				Writes: []core.Write{{Key: k, Functor: functor.User("mg-append", []byte(tag+";"), nil)}},
-			}})
-			cancel()
-			var res core.TxnResult
-			if err == nil {
-				res = results[0]
-			}
-			finishSubmit(env.Oracle, tag, res, err)
-			time.Sleep(300 * time.Microsecond)
+		for ; time.Now().Before(until) && ctx.Err() == nil; time.Sleep(300 * time.Microsecond) {
+			n := int(load.tags.Load() + 1)
+			load.write(ctx, env.Cluster.Server(n%env.Cluster.NumServers()), rng, env.Oracle)
 		}
 		return ctx.Err()
 	}
@@ -361,7 +348,7 @@ func runMigrateSplit(ctx context.Context, env *scenario.Env) error {
 		return err
 	}
 	_, committed, _, _, _ := env.Oracle.Counts()
-	env.Logf("migration survived %d txns (%d committed)", tagSeq, committed)
+	env.Logf("migration survived %d txns (%d committed)", load.tags.Load(), committed)
 	if committed == 0 {
 		return fmt.Errorf("no transaction committed in a %s window", env.Window)
 	}

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"alohadb/internal/core"
-	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/obs"
 	"alohadb/internal/obs/clusterview"
@@ -26,12 +24,9 @@ func registerObsView(r *scenario.Registry) {
 		Summary: "full observability stack boot, asserted through the merged cluster view aloha-top renders; prints the slowest epochs",
 		Attrs:   []string{"smoke", "obs"},
 		Shape: func(p scenario.Params) scenario.EnvConfig {
-			reg := functor.NewRegistry()
-			reg.MustRegister("obs-append", appendTag)
 			return scenario.EnvConfig{
 				Servers:       3,
 				EpochDuration: 3 * time.Millisecond,
-				Registry:      reg,
 				Skew:          &obs.SkewConfig{SampleEvery: 4, TopK: 16},
 				Ops:           true,
 				// Fast recorder clock so even the quick matrix's window
@@ -48,25 +43,13 @@ func runObsView(ctx context.Context, env *scenario.Env) error {
 	servers := env.Cluster.NumServers()
 	env.Logf("ops listeners: aloha-top -servers %s", strings.Join(env.OpsAddrs, ","))
 	rng := rand.New(rand.NewSource(env.Seed))
-	n := 0
+	load := &appendLoad{writeKeys: func(rng *rand.Rand) []kv.Key {
+		return []kv.Key{kv.Key(fmt.Sprintf("obs:k%02d", rng.Intn(16)))}
+	}}
+	load.register(env.Registry, env.Oracle)
 	drive := func(d time.Duration) {
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) && ctx.Err() == nil {
-			k := kv.Key(fmt.Sprintf("obs:k%02d", rng.Intn(16)))
-			tag := fmt.Sprintf("o%d", n)
-			n++
-			env.Oracle.Begin(tag, []kv.Key{k})
-			sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			results, _, err := env.Cluster.Server(n%servers).SubmitBatch(sctx, []core.Txn{{
-				Writes: []core.Write{{Key: k, Functor: functor.User("obs-append", []byte(tag+";"), nil)}},
-			}})
-			cancel()
-			var res core.TxnResult
-			if err == nil {
-				res = results[0]
-			}
-			finishSubmit(env.Oracle, tag, res, err)
-			time.Sleep(500 * time.Microsecond)
+		for deadline := time.Now().Add(d); time.Now().Before(deadline) && ctx.Err() == nil; time.Sleep(500 * time.Microsecond) {
+			load.write(ctx, env.Cluster.Server(int(load.tags.Load()+1)%servers), rng, env.Oracle)
 		}
 	}
 
@@ -81,7 +64,7 @@ func runObsView(ctx context.Context, env *scenario.Env) error {
 	}
 	snap := clusterview.Delta(prev, env.Scraper().Scrape(ctx))
 	env.Logf("obs: %d txns; scrape: %d servers, frontier %d..%d, %.0f commits/s, %d epoch paths, %d series",
-		n, snap.ReachableServers, snap.MinCommittedEpoch, snap.MaxCommittedEpoch, snap.AggTxnRate,
+		load.tags.Load(), snap.ReachableServers, snap.MinCommittedEpoch, snap.MaxCommittedEpoch, snap.AggTxnRate,
 		len(snap.EpochPaths), len(snap.Timeseries))
 	if snap.ReachableServers != servers {
 		return fmt.Errorf("scrape reached %d of %d servers", snap.ReachableServers, servers)

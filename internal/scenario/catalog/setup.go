@@ -34,14 +34,15 @@ const (
 )
 
 // NewAlohaTPCC assembles a started ALOHA-DB cluster loaded with the TPC-C
-// database for the configuration. tracer may be nil (tracing off).
-func NewAlohaTPCC(cfg tpcc.Config, epochDur time.Duration, workers int, tracer *trace.Tracer) (*core.Cluster, error) {
+// database for the configuration. tracer may be nil (tracing off). The
+// caller closes the env, which closes the cluster and its mesh.
+func NewAlohaTPCC(cfg tpcc.Config, epochDur time.Duration, workers int, tracer *trace.Tracer) (*scenario.Env, error) {
 	reg := functor.NewRegistry()
 	tpcc.RegisterAlohaHandlers(reg)
 	if epochDur <= 0 {
 		epochDur = AlohaEpoch
 	}
-	env, err := scenario.BuildEnv(scenario.EnvConfig{
+	return scenario.BuildEnv(scenario.EnvConfig{
 		Servers:        cfg.Servers,
 		NetLatency:     SimLatency,
 		NetJitter:      SimJitter,
@@ -57,10 +58,6 @@ func NewAlohaTPCC(cfg tpcc.Config, epochDur time.Duration, workers int, tracer *
 			})
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return env.Cluster, nil
 }
 
 // NewCalvinTPCC assembles a started Calvin cluster loaded with the TPC-C
@@ -96,12 +93,13 @@ func NewCalvinTPCC(cfg tpcc.Config, epochDur time.Duration, workers int) (*calvi
 // NewAlohaYCSB assembles a started ALOHA-DB cluster for the
 // microbenchmark. No preload is needed: ADD functors treat an absent key
 // as a zero counter, so untouched keys cost nothing (the paper's 1M-key
-// partitions are realized lazily). tracer may be nil (tracing off).
-func NewAlohaYCSB(cfg ycsb.Config, epochDur time.Duration, workers int, tracer *trace.Tracer) (*core.Cluster, error) {
+// partitions are realized lazily). tracer may be nil (tracing off). The
+// caller closes the env, which closes the cluster and its mesh.
+func NewAlohaYCSB(cfg ycsb.Config, epochDur time.Duration, workers int, tracer *trace.Tracer) (*scenario.Env, error) {
 	if epochDur <= 0 {
 		epochDur = AlohaEpoch
 	}
-	env, err := scenario.BuildEnv(scenario.EnvConfig{
+	return scenario.BuildEnv(scenario.EnvConfig{
 		Servers:       cfg.Partitions,
 		NetLatency:    SimLatency,
 		NetJitter:     SimJitter,
@@ -110,10 +108,6 @@ func NewAlohaYCSB(cfg ycsb.Config, epochDur time.Duration, workers int, tracer *
 		Router:        placement.NewStatic(cfg.Partitions, ycsb.Partitioner),
 		Tracer:        tracer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return env.Cluster, nil
 }
 
 // NewCalvinYCSB assembles a started Calvin cluster for the microbenchmark.

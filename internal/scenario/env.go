@@ -108,6 +108,10 @@ type Env struct {
 	Cluster *core.Cluster
 	// Net is the cluster's transport, after WrapNet decoration.
 	Net transport.Network
+	// Registry is the cluster's handler registry (EnvConfig.Registry, or a
+	// fresh one). A body may register handlers on it before it submits work
+	// that names them — ones that must close over Oracle, for instance.
+	Registry *functor.Registry
 	// Skew is the shared profiler (nil unless configured).
 	Skew *obs.Skew
 	// Watchdogs holds one started watchdog per server (empty unless
@@ -120,7 +124,8 @@ type Env struct {
 	// unless Timeseries was configured).
 	Recorders []*tsdb.Recorder
 	// Oracle is a fresh history oracle; bodies that run tag-append
-	// workloads record into it and the runner reports its verdict.
+	// workloads record into it and the runner reports its verdict (for a
+	// nil Shape too, so bodies that build their own clusters use it).
 	Oracle *oracle.History
 	// Out receives scenario-body reporting (figure rows, progress lines).
 	Out io.Writer
@@ -217,13 +222,17 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 		skew = obs.NewSkew(sc)
 	}
 	env.Skew = skew
+	env.Registry = cfg.Registry
+	if env.Registry == nil {
+		env.Registry = functor.NewRegistry()
+	}
 
 	c, err := core.NewCluster(core.ClusterConfig{
 		Servers:           cfg.Servers,
 		EpochDuration:     cfg.EpochDuration,
 		ManualEpochs:      cfg.ManualEpochs,
 		Router:            cfg.Router,
-		Registry:          cfg.Registry,
+		Registry:          env.Registry,
 		Workers:           cfg.Workers,
 		Network:           netw,
 		DurabilityFactory: cfg.DurabilityFactory,
@@ -313,45 +322,29 @@ func (e *Env) startOps(c *core.Cluster) error {
 	return nil
 }
 
-// WaitCommitted blocks until every server has committed the epoch that
-// was current when the call was made — the epoch-progress signal that
-// replaces "sleep a few epoch durations and hope" quiesce waits: any
-// transaction submitted before the call drew a timestamp at or below that
-// epoch, so once the commit frontier passes it the transaction's effects
-// are visible everywhere. Returns an error if the frontier does not reach
-// the target within the timeout (wedged manager, manual epochs).
-func WaitCommitted(c *core.Cluster, timeout time.Duration) error {
-	target := c.CurrentEpoch()
-	deadline := time.Now().Add(timeout)
+// Quiesce settles the env's cluster: it waits until every server has
+// committed the epoch that was current at the call — any transaction
+// submitted before drew a timestamp at or below it, so past that frontier
+// its effects are visible everywhere — and then drains the functor
+// processors. It gives up after 10 s or at ctx's end (a wedged manager).
+// Bodies call it before final-state checks.
+func (e *Env) Quiesce(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	target := e.Cluster.CurrentEpoch()
 	for {
 		frontier := tstamp.MaxEpoch
-		for i := 0; i < c.NumServers(); i++ {
-			if e := c.Server(i).CommittedEpoch(); e < frontier {
-				frontier = e
-			}
+		for i := 0; i < e.Cluster.NumServers(); i++ {
+			frontier = min(frontier, e.Cluster.Server(i).CommittedEpoch())
 		}
 		if frontier >= target {
-			return nil
+			break
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("scenario: commit frontier stuck at %d, want >= %d after %v", frontier, target, timeout)
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("scenario: commit frontier stuck at %d, want >= %d: %w", frontier, target, ctx.Err())
+		case <-time.After(time.Millisecond):
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// Quiesce settles the env's cluster: waits for the commit frontier to
-// pass every in-flight epoch, then drains the functor processors. Bodies
-// call it before final-state checks.
-func (e *Env) Quiesce(ctx context.Context) error {
-	timeout := 10 * time.Second
-	if d, ok := ctx.Deadline(); ok {
-		if until := time.Until(d); until < timeout {
-			timeout = until
-		}
-	}
-	if err := WaitCommitted(e.Cluster, timeout); err != nil {
-		return err
 	}
 	e.Cluster.DrainProcessors()
 	return nil

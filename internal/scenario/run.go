@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"alohadb/internal/chaos/oracle"
 	"alohadb/internal/trace"
 )
 
@@ -159,7 +160,7 @@ func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, ou
 			return 0, fmt.Errorf("build env: %w", err)
 		}
 	} else {
-		env = &Env{}
+		env = &Env{Oracle: oracle.New()}
 	}
 	defer env.Close()
 	env.Name = s.Name

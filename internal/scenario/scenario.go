@@ -53,9 +53,9 @@ type Scenario struct {
 	// slack); the runner cancels the body's context when it expires.
 	Timeout time.Duration
 	// Shape builds the environment config for one run. Nil means the body
-	// constructs its own world (the figure sweeps and chaos suites build
+	// constructs its own world (the figure sweeps and chaos-crash build
 	// several clusters per run); it still receives an Env for seed, window,
-	// tracer, output and Report.
+	// tracer, output and the oracle the runner checks.
 	Shape func(p Params) EnvConfig
 	// Run drives the workload. A non-nil error fails the scenario; the
 	// runner additionally fails it on watchdog stall episodes.
