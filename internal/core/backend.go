@@ -544,7 +544,7 @@ func (s *Server) handleWaitComputed(ctx context.Context, m MsgWaitComputed) (Msg
 		}
 		return MsgWaitComputedResp{}, fmt.Errorf("core: server %d: record %q@%v not found", s.id, m.Key, m.Version)
 	}
-	if err := s.waitRecordFinal(s.engineCtx(ctx), rec); err != nil {
+	if err := s.waitRecordFinal(ctx, rec); err != nil {
 		return MsgWaitComputedResp{}, err
 	}
 	kind, _, ext := rec.Outcome()

@@ -92,11 +92,11 @@ func (s *Server) SubmitBatch(ctx context.Context, txns []Txn) ([]TxnResult, []*T
 	root.SetAttrInt("txns", int64(len(txns)))
 	defer root.End()
 	rootSC := trace.FromContext(ctx)
-	_, done, err := s.beginTxn(len(txns))
+	e, err := s.beginTxn(len(txns))
 	if err != nil {
 		return nil, nil, err
 	}
-	defer done()
+	defer s.endTxn(e)
 
 	results := make([]TxnResult, len(txns))
 	handles := make([]*TxnHandle, len(txns))

@@ -108,11 +108,13 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 		}
 	}
 
-	// Unacked in-flight epochs: a revoked epoch still listed here means
+	// Epochs with open reservations: a revoked epoch still listed here means
 	// this server itself is the revoked-but-unacked FE (§III-B).
 	s.mu.Lock()
-	for e := range s.inflight {
-		snap.InflightEpochs = append(snap.InflightEpochs, uint64(e))
+	for e, sl := range s.slots {
+		if sl.open > 0 {
+			snap.InflightEpochs = append(snap.InflightEpochs, uint64(e))
+		}
 	}
 	s.mu.Unlock()
 	sort.Slice(snap.InflightEpochs, func(i, j int) bool { return snap.InflightEpochs[i] < snap.InflightEpochs[j] })
