@@ -289,7 +289,13 @@ func (j *Journal) Visible(e uint64, now time.Time, migrationSeals int, stallActi
 	s.r.stallActive = stallActive
 	var stages [numStages]int64
 	stages[StageInstall] = stageSpan(s.r.firstInstallNS, s.r.lastInstallNS)
-	stages[StageAckWait] = stageSpan(s.r.ackStartNS, s.r.ackEndNS)
+	// A revoke whose ack was never sent (the switch went on without it under
+	// the manager's SwitchTimeout) waited until the Committed receipt.
+	ackEnd := s.r.ackEndNS
+	if ackEnd == 0 {
+		ackEnd = s.r.committedNS
+	}
+	stages[StageAckWait] = stageSpan(s.r.ackStartNS, ackEnd)
 	stages[StageBroadcast] = stageSpan(s.r.ackEndNS, s.r.committedNS)
 	stages[StageSeal] = stageSpan(s.r.committedNS, s.r.sealNS)
 	stages[StageFsync] = s.r.fsyncNS

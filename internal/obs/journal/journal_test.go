@@ -120,6 +120,31 @@ func TestJournalSkippedStagesNotObserved(t *testing.T) {
 	}
 }
 
+func TestJournalAckWaitWithoutAck(t *testing.T) {
+	// A revoke the switch went on without acking waited until the Committed
+	// receipt; there was no broadcast stage to time.
+	j := New(Config{Ring: 4})
+	j.AckWaitStart(4, at(0))
+	j.CommittedRecv(4, at(25))
+	j.Visible(4, at(26), 0, false)
+	for _, c := range []struct {
+		stage int
+		count uint64
+		sum   time.Duration
+	}{
+		{StageAckWait, 1, 25 * time.Millisecond},
+		{StageBroadcast, 0, 0},
+	} {
+		h := j.StageHist(c.stage).Snapshot()
+		if h.Count != c.count || time.Duration(h.Sum) != c.sum {
+			t.Errorf("stage %s: count %d sum %v, want %d and %v", StageNames[c.stage], h.Count, time.Duration(h.Sum), c.count, c.sum)
+		}
+	}
+	if g := j.Snapshot()[0].LocalGatingStage; g != "ack-wait" {
+		t.Errorf("local gating stage = %q, want ack-wait", g)
+	}
+}
+
 func TestJournalTruncatesLongKeys(t *testing.T) {
 	j := New(Config{Ring: 4})
 	long := strings.Repeat("k", keyCap+20)
