@@ -14,7 +14,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # One codec: encoding/gob is the reference of the differential codec test
-# and may not come back into non-test code. One regression gate: the
+# and may not come back into non-test code, and only internal/wire (and the
+# TPC-C argument parsers) read a varint by hand. One regression gate: the
 # performance ledger under bench/; the night-over-night trend rows and their
 # gate stay deleted. One operator surface: core.OpsHandler builds it;
 # aloha-server and the scenario env assemble no mux of their own, and no
@@ -22,6 +23,7 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
+	@! grep -rl --include='*.go' 'binary\.Uvarint(' . | grep -v '_test\.go$$' | grep -vE '^\./internal/(wire|workload/tpcc)/'
 	@# One runner: internal/chaos is the fault injector alone; workloads are catalog scenarios.
 	@! $(GO) list -deps ./internal/chaos | grep -xE 'alohadb/internal/(core|scenario|wal|chaos/oracle)'
 	@! grep -rlE --include='*.go' 'aloha-trend|GateTrend|TrendRow' .

@@ -180,7 +180,8 @@ type Config struct {
 	DependencyRule func(k Key) (Key, bool)
 	// Preload streams initial data, loaded at epoch 0 before serving.
 	Preload func(emit func(Pair) error) error
-	// Workers is the per-server functor processor pool size (default 2).
+	// Workers is the per-server functor processor pool size (default
+	// max(2, GOMAXPROCS)).
 	Workers int
 	// Trace enables per-transaction distributed tracing. The zero value
 	// disables it with no overhead on the transaction path.
@@ -372,7 +373,7 @@ func (db *DB) SlowTraces() []TraceData { return db.cluster.SlowTraces() }
 // TraceHandler returns the /debug/traces HTTP handler for this DB's
 // tracer, ready to hand to metrics.OpsHandler (or any mux). Safe to call
 // when tracing is disabled: routes answer 404 with a hint.
-func (db *DB) TraceHandler() http.Handler { return trace.Handler(db.cluster.Tracer()) }
+func (db *DB) TraceHandler() http.Handler { return metrics.TraceHandler(db.cluster.Tracer()) }
 
 // NumServers returns the cluster size.
 func (db *DB) NumServers() int { return db.cluster.NumServers() }

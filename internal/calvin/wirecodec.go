@@ -90,12 +90,8 @@ func RegisterMessages() {
 func appendWireTxn(dst []byte, t *wireTxn) []byte {
 	dst = binary.AppendUvarint(dst, t.ID)
 	dst = binary.AppendUvarint(dst, uint64(t.Origin))
-	for _, keys := range [][]kv.Key{t.ReadSet, t.WriteSet} {
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, k := range keys {
-			dst = wire.AppendString(dst, string(k))
-		}
-	}
+	dst = wire.AppendStrings(dst, t.ReadSet)
+	dst = wire.AppendStrings(dst, t.WriteSet)
 	dst = wire.AppendString(dst, t.Proc)
 	dst = wire.AppendBytes(dst, t.Args)
 	var nanos int64
@@ -108,14 +104,8 @@ func appendWireTxn(dst []byte, t *wireTxn) []byte {
 func decodeWireTxnInto(t *wireTxn, r *wire.Reader) {
 	t.ID = r.Uvarint()
 	t.Origin = transport.NodeID(r.Uvarint())
-	for _, keys := range []*[]kv.Key{&t.ReadSet, &t.WriteSet} {
-		if n := r.Count(1); n > 0 {
-			*keys = make([]kv.Key, n)
-			for i := range *keys {
-				(*keys)[i] = kv.Key(r.String())
-			}
-		}
-	}
+	t.ReadSet = wire.ReadStrings(r, t.ReadSet)
+	t.WriteSet = wire.ReadStrings(r, t.WriteSet)
 	t.Proc = r.String()
 	t.Args = r.Bytes()
 	if nanos := int64(r.U64()); nanos != 0 {

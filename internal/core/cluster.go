@@ -35,7 +35,8 @@ type ClusterConfig struct {
 	Router placement.Router
 	// Registry holds user-defined functor handlers, shared by all servers.
 	Registry *functor.Registry
-	// Workers is the per-server processor pool size (default 2).
+	// Workers is the per-server processor pool size (default
+	// max(2, GOMAXPROCS)).
 	Workers int
 	// Network overrides the transport (default: in-memory, zero latency).
 	Network transport.Network

@@ -13,7 +13,6 @@ import (
 	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/placement"
-	"alohadb/internal/trace"
 	"alohadb/internal/transport"
 )
 
@@ -88,7 +87,7 @@ type ObsDoc struct {
 func OpsHandler(o Ops) http.Handler {
 	var traces http.Handler
 	if o.Server != nil {
-		traces = trace.Handler(o.Server.tr.Tracer())
+		traces = metrics.TraceHandler(o.Server.tr.Tracer())
 	}
 	mux := metrics.OpsHandler(o.families, o.health, traces)
 	if o.Server != nil {

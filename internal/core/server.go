@@ -441,7 +441,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 			if it.chain.Seal(tstamp.End(e)) > 0 && retaining {
 				sealed = append(sealed, it.chain)
 			}
-			if s.journal != nil && !it.installed.IsZero() {
+			if !it.installed.IsZero() {
 				if w := now.Sub(it.installed); slow == nil || w > slowWait {
 					slow, slowWait = it, w
 				}
@@ -470,16 +470,14 @@ func (s *Server) Committed(e tstamp.Epoch) {
 			// uncommitted, which is the correct conservative outcome.
 			_ = err
 		}
-		if s.journal != nil {
-			total := time.Since(dstart)
-			var fsync time.Duration
-			if src, ok := s.durability.(interface{ LastSyncDuration() (time.Duration, bool) }); ok {
-				if d, ok := src.LastSyncDuration(); ok {
-					fsync = d
-				}
+		total := time.Since(dstart)
+		var fsync time.Duration
+		if src, ok := s.durability.(interface{ LastSyncDuration() (time.Duration, bool) }); ok {
+			if d, ok := src.LastSyncDuration(); ok {
+				fsync = d
 			}
-			s.journal.Durable(uint64(e), total, fsync)
 		}
+		s.journal.Durable(uint64(e), total, fsync)
 		dspan.End()
 	}
 	// The hand-off counts as busy from before the epoch shows as committed
@@ -504,15 +502,13 @@ func (s *Server) Committed(e tstamp.Epoch) {
 			break
 		}
 	}
-	if s.journal != nil {
-		// Finalize after visibility published, stamping the interference
-		// markers sampled at this instant: migration range seals in force
-		// and whether a stall episode is open.
-		s.moveMu.RLock()
-		migSeals := len(s.sealedRanges)
-		s.moveMu.RUnlock()
-		s.journal.Visible(uint64(e), time.Now(), migSeals, s.wd.Active())
-	}
+	// Finalize after visibility published, stamping the interference
+	// markers sampled at this instant: migration range seals in force and
+	// whether a stall episode is open.
+	s.moveMu.RLock()
+	migSeals := len(s.sealedRanges)
+	s.moveMu.RUnlock()
+	s.journal.Visible(uint64(e), time.Now(), migSeals, s.wd.Active())
 	// Sealed, then visible, then computable: only now do the workers get the
 	// epoch's segments.
 	s.proc.handoff(segs)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
@@ -12,6 +11,7 @@ import (
 	"alohadb/internal/kv"
 	"alohadb/internal/mvstore"
 	"alohadb/internal/tstamp"
+	"alohadb/internal/wire"
 )
 
 // A checkpoint captures, for every key, the latest final value (or
@@ -23,7 +23,7 @@ import (
 
 const (
 	_ckptMagic   = 0x414c4348 // "ALCH"
-	_ckptVersion = 1
+	_ckptVersion = 2          // v2: rows in the log's record frame
 )
 
 // WriteCheckpoint scans the store and writes every key's latest readable
@@ -94,25 +94,15 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 	return f.Sync()
 }
 
+// writeCkptRecord writes one row, framed as a log record of kind
+// kindCheckpointRow: version(8, big-endian) | key(str) | kind(1) | value(bytes).
 func writeCkptRecord(w io.Writer, k kv.Key, v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) error {
 	payload := make([]byte, 0, 32+len(k)+len(value))
 	payload = binary.BigEndian.AppendUint64(payload, uint64(v))
-	payload = binary.AppendUvarint(payload, uint64(len(k)))
-	payload = append(payload, k...)
+	payload = wire.AppendString(payload, string(k))
 	payload = append(payload, byte(kind))
-	payload = binary.AppendUvarint(payload, uint64(len(value)))
-	payload = append(payload, value...)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(payload)
-	binary.BigEndian.PutUint32(hdr[:4], crc.Sum32())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	payload = wire.AppendBytes(payload, value)
+	return writeFrame(w, kindCheckpointRow, payload)
 }
 
 // LoadCheckpoint restores a store from a checkpoint file, returning the
@@ -137,26 +127,15 @@ func LoadCheckpoint(path string) (*mvstore.Store, tstamp.Timestamp, error) {
 	bound := tstamp.Timestamp(binary.BigEndian.Uint64(hdr[8:]))
 	store := mvstore.New()
 	for {
-		var rhdr [8]byte
-		if _, err := io.ReadFull(r, rhdr[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, 0, fmt.Errorf("%w: torn checkpoint record", ErrCorrupt)
+		kind, payload, err := readFrame(r)
+		if err == io.EOF {
+			break
 		}
-		size := binary.BigEndian.Uint32(rhdr[4:])
-		if size > 1<<24 {
-			return nil, 0, fmt.Errorf("%w: implausible checkpoint record", ErrCorrupt)
+		if err != nil {
+			return nil, 0, fmt.Errorf("wal: checkpoint record: %w", err)
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, 0, fmt.Errorf("%w: torn checkpoint record", ErrCorrupt)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(rhdr[4:])
-		crc.Write(payload)
-		if crc.Sum32() != binary.BigEndian.Uint32(rhdr[:4]) {
-			return nil, 0, fmt.Errorf("%w: checkpoint crc", ErrCorrupt)
+		if kind != kindCheckpointRow {
+			return nil, 0, fmt.Errorf("%w: checkpoint record of kind %d", ErrCorrupt, kind)
 		}
 		if err := loadCkptRecord(store, payload); err != nil {
 			return nil, 0, err
@@ -166,27 +145,17 @@ func LoadCheckpoint(path string) (*mvstore.Store, tstamp.Timestamp, error) {
 }
 
 func loadCkptRecord(store *mvstore.Store, payload []byte) error {
-	if len(payload) < 9 {
+	if len(payload) < 8 {
 		return fmt.Errorf("%w: short checkpoint record", ErrCorrupt)
 	}
 	v := tstamp.Timestamp(binary.BigEndian.Uint64(payload))
-	rest := payload[8:]
-	klen, n := binary.Uvarint(rest)
-	if n <= 0 || klen > uint64(len(rest)-n) {
-		return fmt.Errorf("%w: checkpoint key", ErrCorrupt)
+	r := wire.NewReader(payload[8:])
+	k := kv.Key(r.String())
+	kind := functor.ResolutionKind(r.Byte())
+	val := kv.Value(r.Bytes())
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("%w: checkpoint record: %v", ErrCorrupt, err)
 	}
-	k := kv.Key(rest[n : n+int(klen)])
-	rest = rest[n+int(klen):]
-	if len(rest) < 1 {
-		return fmt.Errorf("%w: checkpoint kind", ErrCorrupt)
-	}
-	kind := functor.ResolutionKind(rest[0])
-	rest = rest[1:]
-	vlen, n := binary.Uvarint(rest)
-	if n <= 0 || vlen > uint64(len(rest)-n) {
-		return fmt.Errorf("%w: checkpoint value", ErrCorrupt)
-	}
-	val := kv.Value(rest[n : n+int(vlen)])
 	switch kind {
 	case functor.Resolved:
 	case functor.ResolvedDeleted:
@@ -194,8 +163,9 @@ func loadCkptRecord(store *mvstore.Store, payload []byte) error {
 	default:
 		return fmt.Errorf("%w: checkpoint resolution kind %d", ErrCorrupt, kind)
 	}
-	// One final value per key, nothing older to come: the store copies it
-	// into a row (payload is this record's own, should it be kept instead).
+	// One final value per key, nothing older to come: the store copies key
+	// and value into a row (payload is this record's own, should a chain
+	// keep them instead).
 	if _, fresh := store.PutFinal(k, v, kind, val, true); !fresh {
 		return mvstore.ErrVersionExists
 	}

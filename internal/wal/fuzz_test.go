@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
+	"alohadb/internal/mvstore"
+	"alohadb/internal/tstamp"
 )
 
 // FuzzReplay hardens log replay against arbitrary file contents: lenient
@@ -55,6 +58,49 @@ func FuzzReplay(f *testing.F) {
 		// Recovery over arbitrary bytes must not panic either.
 		if _, _, err := Recover(path); err != nil {
 			t.Fatalf("recover errored on lenient-replayable log: %v", err)
+		}
+	})
+}
+
+// FuzzLoadCheckpoint hardens the checkpoint loader, which parses an
+// untrusted file: every input must either load or fail cleanly, and a store
+// that loads must write a checkpoint that loads again at the same bound.
+func FuzzLoadCheckpoint(f *testing.F) {
+	src := mvstore.New()
+	src.PutFinal("a", ts(1, 1), functor.Resolved, kv.Value("v"), true)
+	src.PutFinal("gone", ts(1, 2), functor.ResolvedDeleted, nil, true)
+	src.PutFinal("empty", ts(1, 3), functor.Resolved, nil, true)
+	seedPath := filepath.Join(f.TempDir(), "seed")
+	if err := WriteCheckpoint(src, tstamp.End(1), seedPath); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i <= len(seed); i++ {
+		f.Add(seed[:i])
+	}
+	flipped := bytes.Clone(seed)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, bound, err := LoadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		again := filepath.Join(dir, "again")
+		if err := WriteCheckpoint(store, bound, again); err != nil {
+			t.Fatalf("rewriting a loaded checkpoint: %v", err)
+		}
+		if _, got, err := LoadCheckpoint(again); err != nil || got != bound {
+			t.Fatalf("reloading a rewritten checkpoint: bound %v (want %v), err %v", got, bound, err)
 		}
 	})
 }

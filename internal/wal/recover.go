@@ -14,14 +14,7 @@ var _abortedByPeer = functor.AbortResolution("aborted: peer partition failed pha
 // and abort whose epoch is durably committed, discard everything newer (an
 // epoch without its committed marker never became visible), and return the
 // last committed epoch so the cluster can restart at the next one.
-func Recover(path string) (*mvstore.Store, tstamp.Epoch, error) {
-	store := mvstore.New()
-	last, err := replayCommitted(store, path, tstamp.Zero)
-	if err != nil {
-		return nil, 0, err
-	}
-	return store, last, nil
-}
+func Recover(path string) (*mvstore.Store, tstamp.Epoch, error) { return RecoverFull("", path) }
 
 // replayCommitted applies the log's committed-epoch entries above floor (a
 // checkpoint's bound; Zero without one) to store and returns the last

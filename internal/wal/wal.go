@@ -24,6 +24,7 @@ import (
 	"alohadb/internal/kv"
 	"alohadb/internal/metrics"
 	"alohadb/internal/tstamp"
+	"alohadb/internal/wire"
 )
 
 // EntryKind tags one log record.
@@ -36,6 +37,9 @@ const (
 	KindAbort
 	// KindEpochCommitted marks an epoch fully committed (synced).
 	KindEpochCommitted
+	// kindCheckpointRow frames one row of a checkpoint file; it never
+	// appears in a log.
+	kindCheckpointRow
 )
 
 // Entry is one decoded log record.
@@ -126,16 +130,11 @@ func AppendEntry(dst []byte, e Entry) []byte {
 	switch e.Kind {
 	case KindInstall:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Version))
-		dst = binary.AppendUvarint(dst, uint64(len(e.Key)))
-		dst = append(dst, e.Key...)
+		dst = wire.AppendString(dst, string(e.Key))
 		dst = functor.AppendFunctor(dst, e.Functor)
 	case KindAbort:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Version))
-		dst = binary.AppendUvarint(dst, uint64(len(e.Keys)))
-		for _, k := range e.Keys {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
-		}
+		dst = wire.AppendStrings(dst, e.Keys)
 	case KindEpochCommitted:
 		dst = binary.BigEndian.AppendUint32(dst, uint32(e.Epoch))
 	}
@@ -163,26 +162,60 @@ func (l *Log) LogEpochCommitted(ctx context.Context, e tstamp.Epoch) error {
 	return l.Sync()
 }
 
-// append frames one record: crc32(kind|len|payload) kind len payload.
+// append frames one record and buffers it.
 func (l *Log) append(e Entry) error {
 	payload := AppendEntry(make([]byte, 0, 64), e)
-	var hdr [9]byte
-	hdr[4] = byte(e.Kind)
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(payload)
-	binary.BigEndian.PutUint32(hdr[:4], crc.Sum32())
-	l.appendHist.Observe(int64(len(hdr) + len(payload)))
+	l.appendHist.Observe(int64(frameHeaderSize + len(payload)))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if err := writeFrame(l.w, e.Kind, payload); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	return nil
+}
+
+// frameHeaderSize is the record frame's header: crc(4) | kind(1) | len(4).
+const frameHeaderSize = 9
+
+// writeFrame writes one record, crc32(kind|len|payload) | kind | len |
+// payload, the fixed fields big-endian. Log entries and checkpoint rows
+// share it.
+func writeFrame(w io.Writer, kind EntryKind, payload []byte) error {
+	var hdr [frameHeaderSize]byte
+	hdr[4] = byte(kind)
+	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, payload)
+	binary.BigEndian.PutUint32(hdr[:4], crc)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// readFrame reads one record writeFrame wrote. A clean end of input is
+// io.EOF; a torn header or payload, an implausible size or a CRC mismatch
+// is ErrCorrupt.
+func readFrame(r *bufio.Reader) (EntryKind, []byte, error) {
+	var hdr [frameHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return 0, nil, fmt.Errorf("%w: torn header", ErrCorrupt)
+		}
+		return 0, nil, err
+	}
+	size := binary.BigEndian.Uint32(hdr[5:])
+	if size > 1<<24 {
+		return 0, nil, fmt.Errorf("%w: implausible size %d", ErrCorrupt, size)
+	}
+	payload := make([]byte, size)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("%w: torn payload", ErrCorrupt)
+	}
+	if crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, payload) != binary.BigEndian.Uint32(hdr[:4]) {
+		return 0, nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+	}
+	return EntryKind(hdr[4]), payload, nil
 }
 
 // Sync flushes buffered records and fsyncs the file.
@@ -270,78 +303,44 @@ func replay(path string, fn func(Entry) error, strict bool) error {
 }
 
 func readEntry(r *bufio.Reader) (Entry, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Entry{}, fmt.Errorf("%w: torn header", ErrCorrupt)
-		}
+	kind, payload, err := readFrame(r)
+	if err != nil {
 		return Entry{}, err
-	}
-	kind := EntryKind(hdr[4])
-	size := binary.BigEndian.Uint32(hdr[5:])
-	if size > 1<<24 {
-		return Entry{}, fmt.Errorf("%w: implausible size %d", ErrCorrupt, size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Entry{}, fmt.Errorf("%w: torn payload", ErrCorrupt)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(hdr[:4]) {
-		return Entry{}, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	return DecodeEntry(kind, payload)
 }
 
 // DecodeEntry decodes one record payload of the given kind, as written by
-// AppendEntry. The functor's argument aliases payload.
+// AppendEntry: a big-endian version or epoch, then wire-encoded fields. The
+// key, the abort keys and the functor's handler, argument and keys alias
+// payload, so the caller hands payload to the entry and never reuses it
+// (wire.DecodeEnvelope's ownership rule).
 func DecodeEntry(kind EntryKind, payload []byte) (Entry, error) {
+	e := Entry{Kind: kind}
 	switch kind {
-	case KindInstall:
+	case KindInstall, KindAbort:
 		if len(payload) < 8 {
-			return Entry{}, fmt.Errorf("%w: short install", ErrCorrupt)
+			return Entry{}, fmt.Errorf("%w: short record of kind %d", ErrCorrupt, kind)
 		}
-		e := Entry{Kind: kind, Version: tstamp.Timestamp(binary.BigEndian.Uint64(payload))}
-		rest := payload[8:]
-		klen, n := binary.Uvarint(rest)
-		if n <= 0 || klen > uint64(len(rest)-n) {
-			return Entry{}, fmt.Errorf("%w: install key", ErrCorrupt)
+		e.Version = tstamp.Timestamp(binary.BigEndian.Uint64(payload))
+		r := wire.NewReader(payload[8:])
+		if kind == KindInstall {
+			e.Key = kv.Key(r.String())
+			e.Functor = new(functor.Functor)
+			functor.ReadFunctor(&r, e.Functor)
+		} else {
+			e.Keys = wire.ReadStrings(&r, e.Keys)
 		}
-		e.Key = kv.Key(rest[n : n+int(klen)])
-		fn, _, err := functor.DecodeFunctor(rest[n+int(klen):])
-		if err != nil {
-			return Entry{}, fmt.Errorf("%w: install functor: %v", ErrCorrupt, err)
+		if err := r.Finish(); err != nil {
+			return Entry{}, fmt.Errorf("%w: record of kind %d: %v", ErrCorrupt, kind, err)
 		}
-		e.Functor = fn
-		return e, nil
-	case KindAbort:
-		if len(payload) < 8 {
-			return Entry{}, fmt.Errorf("%w: short abort", ErrCorrupt)
-		}
-		e := Entry{Kind: kind, Version: tstamp.Timestamp(binary.BigEndian.Uint64(payload))}
-		rest := payload[8:]
-		count, n := binary.Uvarint(rest)
-		if n <= 0 || count > uint64(len(rest)) {
-			return Entry{}, fmt.Errorf("%w: abort count", ErrCorrupt)
-		}
-		rest = rest[n:]
-		for i := uint64(0); i < count; i++ {
-			klen, n := binary.Uvarint(rest)
-			if n <= 0 || klen > uint64(len(rest)-n) {
-				return Entry{}, fmt.Errorf("%w: abort key", ErrCorrupt)
-			}
-			e.Keys = append(e.Keys, kv.Key(rest[n:n+int(klen)]))
-			rest = rest[n+int(klen):]
-		}
-		return e, nil
 	case KindEpochCommitted:
 		if len(payload) != 4 {
 			return Entry{}, fmt.Errorf("%w: bad epoch marker", ErrCorrupt)
 		}
-		return Entry{Kind: kind, Epoch: tstamp.Epoch(binary.BigEndian.Uint32(payload))}, nil
+		e.Epoch = tstamp.Epoch(binary.BigEndian.Uint32(payload))
 	default:
 		return Entry{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
+	return e, nil
 }
