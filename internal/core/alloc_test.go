@@ -17,7 +17,7 @@ import (
 // zero" guard (internal/trace) to the two engine functions that run per
 // functor: with no tracer configured, span attributes must cost nothing —
 // not a formatted count in handleInstall, not a formatted wait in
-// processor.process.
+// processor.process — and an arithmetic functor costs its value alone.
 func TestUntracedHotPathAllocs(t *testing.T) {
 	c := newTestCluster(t, 1, -1) // no workers: the test drives process itself
 	if err := c.Start(); err != nil {
@@ -37,24 +37,49 @@ func TestUntracedHotPathAllocs(t *testing.T) {
 		t.Errorf("untraced processor.process allocates %v objects per functor, want 0", n)
 	}
 
+	// An arithmetic functor resolves straight into its record: what it
+	// allocates is the eight bytes of its value. Each run computes the next
+	// version of the key.
+	const runs = 200
+	adds := make([]Txn, runs+2)
+	for i := range adds {
+		adds[i] = Txn{Writes: []Write{{Key: "a", Functor: functor.Add(1)}}}
+	}
+	_, handles, err := s.SubmitBatch(context.Background(), adds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdvance(t, c)
+	chain = s.store.Chain("a")
+	next := 1
+	if n := testing.AllocsPerRun(runs, func() {
+		add := &workItem{key: "a", chain: chain, rec: chain.At(handles[next].Version()), installed: time.Now()}
+		next++
+		s.proc.process(add)
+		if kind, _, _ := add.rec.Outcome(); kind != functor.Resolved {
+			t.Fatalf("process left the ADD functor at %v", kind)
+		}
+	}); n != 1 {
+		t.Errorf("untraced processor.process of an ADD functor allocates %v objects, want 1 (its value)", n)
+	}
+
 	// A user functor with a local two-key read set: the call frame (the
 	// Context and its Reads map) is recycled, so what is left is what the
 	// handler returns — here a shared resolution, so nothing. Each run
 	// computes the next version of the key.
-	const runs = 200
 	shared := functor.ValueResolution(kv.Value("v"))
 	s.registry.MustRegister("shared", func(*functor.Context) (*functor.Resolution, error) { return shared, nil })
 	txns := []Txn{{Writes: []Write{{Key: "r1", Functor: functor.Value(kv.Value("1"))}, {Key: "r2", Functor: functor.Value(kv.Value("2"))}}}}
 	for len(txns) < runs+2 {
 		txns = append(txns, Txn{Writes: []Write{{Key: "u", Functor: functor.User("shared", nil, []kv.Key{"r1", "r2"})}}})
 	}
-	_, handles, err := s.SubmitBatch(context.Background(), txns)
+	_, handles, err = s.SubmitBatch(context.Background(), txns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustAdvance(t, c)
 	chain = s.store.Chain("u")
-	next := 1
+	next = 1
 	if n := testing.AllocsPerRun(runs, func() {
 		user := &workItem{key: "u", chain: chain, rec: chain.At(handles[next].Version()), installed: time.Now()}
 		next++
@@ -87,9 +112,11 @@ func liveHeapObjects() uint64 {
 // TestStoreObjectBudget pins what a key written once keeps alive — nothing
 // of its own: key, version and value are bytes in a row log, and all that
 // lives is the key's share of the slabs and the index — on the two paths
-// that build most of a TPC-C store: the bulk load and deferred writes. Every
-// object here would be one the collector marks again on every cycle for as
-// long as the version lives (a chain cost three).
+// that build most of a TPC-C store, the bulk load and deferred writes, and
+// on the one that builds most of a YCSB store: an ADD installed, computed
+// and folded back into a row. Every object here would be one the collector
+// marks again on every cycle for as long as the version lives (a chain cost
+// three; a computed key that kept its chain for good cost two and a half).
 func TestStoreObjectBudget(t *testing.T) {
 	const (
 		n      = 100_000
@@ -98,8 +125,13 @@ func TestStoreObjectBudget(t *testing.T) {
 	pair := func(i int) (kv.Key, kv.Value) {
 		return kv.Key(fmt.Sprintf("row:%07d", i)), kv.EncodeInt64(int64(i))
 	}
-	measure := func(name string, build func(c *Cluster)) {
-		c := newTestCluster(t, 1, -1)
+	measure := func(name string, workers int, build func(c *Cluster)) {
+		c := newTestCluster(t, 1, workers)
+		if workers > 0 {
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		before := liveHeapObjects()
 		build(c)
 		per := float64(liveHeapObjects()-before) / n
@@ -114,7 +146,7 @@ func TestStoreObjectBudget(t *testing.T) {
 			t.Errorf("%s: %d rows and %d chains, want every key a row", name, st.Rows, st.Chains)
 		}
 	}
-	measure("Cluster.Load", func(c *Cluster) {
+	measure("Cluster.Load", -1, func(c *Cluster) {
 		pairs := make([]kv.Pair, n)
 		for i := range pairs {
 			pairs[i].Key, pairs[i].Value = pair(i)
@@ -123,7 +155,7 @@ func TestStoreObjectBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	measure("deferred writes", func(c *Cluster) {
+	measure("deferred writes", -1, func(c *Cluster) {
 		// Ten rows per determinate functor, as a NewOrder writes them.
 		s, ctx := c.Server(0), context.Background()
 		for i := 0; i < n; i += 10 {
@@ -133,6 +165,27 @@ func TestStoreObjectBudget(t *testing.T) {
 			}
 			s.handleApplyDeferred(ctx, MsgApplyDeferred{Version: tstamp.Make(1, uint32(i+1), 0), Writes: writes, Fwd: true})
 		}
+	})
+	measure("computed ADD installs", 1, func(c *Cluster) {
+		// Ten keys per transaction, as ycsb-hot writes its cold keys, a
+		// hundred transactions an epoch; then every functor is computed.
+		s, ctx, add := c.Server(0), context.Background(), functor.Add(1)
+		for i := 0; i < n; i += 1000 {
+			txns := make([]Txn, 100)
+			for j := range txns {
+				txns[j].Writes = make([]Write, 10)
+				for w := range txns[j].Writes {
+					txns[j].Writes[w].Key, _ = pair(i + 10*j + w)
+					txns[j].Writes[w].Functor = add
+				}
+			}
+			if _, _, err := s.SubmitBatch(ctx, txns); err != nil {
+				t.Fatal(err)
+			}
+			mustAdvance(t, c)
+		}
+		mustAdvance(t, c)
+		c.DrainProcessors()
 	})
 }
 
@@ -241,9 +294,11 @@ func TestSubmitBatchLeavesCallerSlicesAlone(t *testing.T) {
 	}
 }
 
-// TestStoreTierMetrics: the three families that say how much of the store is
-// still rows follow a load, an install on a loaded key (which thaws it) and a
-// read (which does not).
+// TestStoreTierMetrics: the four families that say how much of the store is
+// rows follow a load, an install on a loaded key (which thaws it), an
+// install on a fresh key (a chain until it is computed, then folded back into
+// a row), a read and an Await on the folded key (which move nothing);
+// /debug/obs carries the two counters.
 func TestStoreTierMetrics(t *testing.T) {
 	c := newTestCluster(t, 1, 1)
 	if err := c.Load([]kv.Pair{{Key: "a", Value: kv.EncodeInt64(1)}, {Key: "b", Value: kv.EncodeInt64(2)}, {Key: "c", Value: kv.EncodeInt64(3)}}); err != nil {
@@ -252,8 +307,13 @@ func TestStoreTierMetrics(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	mustSubmit(t, c, 0, Txn{Writes: []Write{{Key: "a", Functor: functor.Add(1)}}})
+	h := mustSubmit(t, c, 0, Txn{Writes: []Write{{Key: "d", Functor: functor.Add(4)}, {Key: "a", Functor: functor.Add(1)}}})
 	mustAdvance(t, c)
+	mustAdvance(t, c)
+	c.DrainProcessors()
+	if committed, _, err := h.Await(context.Background()); err != nil || !committed { // waits on "d"
+		t.Fatalf("Await on a folded key: committed=%v err=%v", committed, err)
+	}
 	if v, found, err := c.Server(0).GetCommitted(context.Background(), "b"); err != nil || !found || len(v) != 8 {
 		t.Fatalf("read of a loaded row: %x found=%v err=%v", v, found, err)
 	}
@@ -269,10 +329,13 @@ func TestStoreTierMetrics(t *testing.T) {
 			got[name] = s.Value
 		}
 	}
-	for name, want := range map[string]float64{FamStoreKeys + "/row": 2, FamStoreKeys + "/chain": 1, FamStoreThaws: 1} {
+	for name, want := range map[string]float64{FamStoreKeys + "/row": 3, FamStoreKeys + "/chain": 1, FamStoreThaws: 1, FamStoreFolds: 1} {
 		if got[name] != want {
 			t.Errorf("%s = %v, want %v", name, got[name], want)
 		}
+	}
+	if sum := summarize(c.Server(0).MetricFamilies()); sum.StoreThaws != 1 || sum.StoreFolds != 1 {
+		t.Errorf("/debug/obs has %v thaws and %v folds, want 1 and 1", sum.StoreThaws, sum.StoreFolds)
 	}
 	if got[FamStoreRowBytes] < 3*(13+1+8) {
 		t.Errorf("%s = %v, want the three loaded rows' bytes", FamStoreRowBytes, got[FamStoreRowBytes])

@@ -115,8 +115,7 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall, routed *placem
 		failed := false
 		nf, nb := 0, 0
 		for _, w := range txn.Writes {
-			c := s.store.ChainOrCreate(w.Key)
-			rec, err := c.Put(txn.Version, w.Functor)
+			c, rec, err := s.store.Stage(w.Key, txn.Version, w.Functor)
 			if err == mvstore.ErrVersionExists {
 				// Retransmitted install: idempotent.
 				continue
@@ -527,8 +526,17 @@ func (s *Server) handleClientGet(ctx context.Context, m MsgClientGet) (MsgClient
 // handleWaitComputed blocks until the record reaches a final state. Used by
 // clients choosing the "acknowledge after functor computing" option.
 func (s *Server) handleWaitComputed(ctx context.Context, m MsgWaitComputed) (MsgWaitComputedResp, error) {
-	rec, ok := s.store.At(m.Key, m.Version)
-	if !ok {
+	// A record that has been folded into its key's row is final, and the row
+	// says how: reading it there keeps the key a row.
+	c, row, isRow := s.store.Read(m.Key, m.Version)
+	if isRow && row.Version == m.Version {
+		return MsgWaitComputedResp{Kind: row.Kind}, nil
+	}
+	var rec *mvstore.Record
+	if c != nil {
+		rec = c.At(m.Version)
+	}
+	if rec == nil {
 		// The record may have migrated away; chase it one hop.
 		if !m.Fwd {
 			if o := s.owner(m.Key); o != s.id {

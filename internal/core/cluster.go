@@ -222,8 +222,8 @@ func (c *Cluster) loadOne(k kv.Key, t functor.Type, arg []byte, fn *functor.Func
 	}
 	// Bulk loads seal immediately: epoch 0 commits at Start, and load
 	// order is ascending per key, so each seal publishes in place.
-	chain := srv.store.ChainOrCreate(k)
-	if _, err := chain.Put(ts, fn); err != nil {
+	chain, _, err := srv.store.Stage(k, ts, fn)
+	if err != nil {
 		return fmt.Errorf("core: load %q: %w", k, err)
 	}
 	chain.Seal(tstamp.End(0))

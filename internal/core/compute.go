@@ -259,13 +259,15 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, view []*mvstore.Recor
 		rec.ResolveValue(mvstore.FinalOutcome(fn))
 
 	case fn.Type.Arithmetic():
-		res, err := functor.EvalArithmetic(fn.Type, fn.Arg, readBelow(view, idx))
+		// The value goes straight into the record: no Resolution to carry it.
+		v, err := functor.Arithmetic(fn.Type, fn.Arg, readBelow(view, idx))
 		if err != nil {
 			// A malformed argument is a logic error: the transaction
 			// aborts, which ECC permits (unlike deterministic systems).
-			res = functor.AbortResolution(err.Error())
+			rec.Resolve(functor.AbortResolution(err.Error()))
+			break
 		}
-		rec.Resolve(res)
+		rec.ResolveValue(functor.Resolved, v)
 
 	case fn.Type == functor.TypeDepMarker:
 		det := fn.DeterminateKey()

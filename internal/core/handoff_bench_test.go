@@ -83,8 +83,7 @@ func BenchmarkHandoffSteadyState(b *testing.B) {
 	items := make([]workItem, n)
 	for i := range items {
 		k := kv.Key(fmt.Sprintf("key:%04d", i))
-		chain := s.store.ChainOrCreate(k)
-		rec, err := chain.Put(tstamp.Make(e, uint32(i+1), 0), functor.Add(1))
+		chain, rec, err := s.store.Stage(k, tstamp.Make(e, uint32(i+1), 0), functor.Add(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -61,6 +61,12 @@ type ObsSummary struct {
 	P99Wait    float64 `json:"p99_wait_seconds"`
 	P99Compute float64 `json:"p99_compute_seconds"`
 
+	// Keys moved between the store's tiers, ever (DESIGN §4, Rows): rows
+	// thawed into chains, chains folded back into rows. Both climbing
+	// together is churn.
+	StoreThaws float64 `json:"store_thaws,omitempty"`
+	StoreFolds float64 `json:"store_folds,omitempty"`
+
 	Goroutines float64 `json:"goroutines,omitempty"`
 	HeapBytes  float64 `json:"heap_bytes,omitempty"`
 }
@@ -208,6 +214,8 @@ func summarize(fams []metrics.Family) ObsSummary {
 		P99Install:           p99(FamStageInstall),
 		P99Wait:              p99(FamStageWait),
 		P99Compute:           p99(FamStageCompute),
+		StoreThaws:           total(FamStoreThaws),
+		StoreFolds:           total(FamStoreFolds),
 		Goroutines:           total(metrics.FamRuntimeGoroutines),
 		HeapBytes:            total(metrics.FamRuntimeHeapBytes),
 	}

@@ -345,7 +345,8 @@ func (p *processor) worker(sh *procShard) {
 
 // process handles one queued functor: record queueing delay, proactively
 // push values to recipient partitions, compute every pending functor of the
-// key up to the queued version, and advance the value watermark.
+// key up to the queued version, advance the value watermark, and fold the
+// key back into a row if the version is now its whole history.
 func (p *processor) process(item *workItem) {
 	s := p.s
 	wait := time.Since(item.installed)
@@ -377,6 +378,7 @@ func (p *processor) process(item *workItem) {
 	// Fast path: an earlier chain walk (hot key) already settled this
 	// record and the watermark.
 	if item.rec.Final() && item.chain.Watermark() >= item.rec.Version {
+		s.store.Fold(item.key, item.chain)
 		return
 	}
 	if err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
@@ -397,6 +399,9 @@ func (p *processor) process(item *workItem) {
 		return
 	}
 	item.chain.AdvanceWatermark(item.rec.Version)
+	// A key written once (most of a YCSB store, every Payment history row)
+	// is now one final version: a row, which the collector never walks.
+	s.store.Fold(item.key, item.chain)
 }
 
 // pushToRecipients sends the latest value of the functor's key strictly

@@ -298,7 +298,7 @@ func (s *Server) MetricFamilies() []metrics.Family {
 	st := s.store.Stats()
 	fams = append(fams,
 		metrics.Family{
-			Name: FamStoreKeys, Help: "Keys in this partition's store by tier: row (one version, born final, no heap object) or chain.",
+			Name: FamStoreKeys, Help: "Keys in this partition's store by tier: row (one final version, no heap object) or chain.",
 			Kind: metrics.KindGauge,
 			Series: []metrics.Series{
 				metrics.GaugeSeries(int64(st.Rows), metrics.Label{Key: "tier", Value: "row"}),
@@ -306,14 +306,19 @@ func (s *Server) MetricFamilies() []metrics.Family {
 			},
 		},
 		metrics.Family{
-			Name: FamStoreRowBytes, Help: "Bytes in the store's row logs, thawed and dropped rows included (not reclaimed).",
+			Name: FamStoreRowBytes, Help: "Bytes in the store's row logs, entries of dropped and folded keys included (not reclaimed).",
 			Kind:   metrics.KindGauge,
 			Series: []metrics.Series{metrics.GaugeSeries(st.RowBytes)},
 		},
 		metrics.Family{
-			Name: FamStoreThaws, Help: "Rows turned into chains because something needed a record of the key.",
+			Name: FamStoreThaws, Help: "Rows (one final version) turned into chains because something needed a record of the key or wrote it.",
 			Kind:   metrics.KindCounter,
 			Series: []metrics.Series{metrics.CounterSeries(st.Thaws)},
+		},
+		metrics.Family{
+			Name: FamStoreFolds, Help: "Chains turned back into rows because their whole history was one computed final version.",
+			Kind:   metrics.KindCounter,
+			Series: []metrics.Series{metrics.CounterSeries(st.Folds)},
 		})
 	if src, ok := s.durability.(interface{ MetricFamilies() []metrics.Family }); ok {
 		fams = append(fams, src.MetricFamilies()...)

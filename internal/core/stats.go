@@ -230,6 +230,7 @@ const (
 	FamStoreKeys         = "aloha_store_keys"
 	FamStoreRowBytes     = "aloha_store_row_bytes"
 	FamStoreThaws        = "aloha_store_thaws_total"
+	FamStoreFolds        = "aloha_store_folds_total"
 )
 
 // families builds the unlabeled family list; the server tags each series

@@ -103,10 +103,19 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// EvalArithmetic computes the built-in numeric f-types given the previous
+// EvalArithmetic is Arithmetic with its value wrapped in a Resolution.
+func EvalArithmetic(t Type, arg []byte, prev Read) (*Resolution, error) {
+	v, err := Arithmetic(t, arg, prev)
+	if err != nil {
+		return nil, err
+	}
+	return ValueResolution(v), nil
+}
+
+// Arithmetic computes the built-in numeric f-types given the previous
 // value of the functor's key. A missing or malformed previous value is
 // treated as zero, the natural initial state of a counter.
-func EvalArithmetic(t Type, arg []byte, prev Read) (*Resolution, error) {
+func Arithmetic(t Type, arg []byte, prev Read) (kv.Value, error) {
 	cur := int64(0)
 	if prev.Found {
 		if n, ok := kv.DecodeInt64(prev.Value); ok {
@@ -133,5 +142,5 @@ func EvalArithmetic(t Type, arg []byte, prev Read) (*Resolution, error) {
 	default:
 		return nil, fmt.Errorf("functor: %v is not arithmetic", t)
 	}
-	return ValueResolution(kv.EncodeInt64(cur)), nil
+	return kv.EncodeInt64(cur), nil
 }

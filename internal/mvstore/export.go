@@ -52,18 +52,21 @@ func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 func (s *Store) ExportKey(k kv.Key) (recs []ExportedRecord, watermark tstamp.Timestamp, ok bool) {
 	sh, m := s.locate(k)
 	sh.mu.RLock()
-	c := sh.chains[k]
-	if c == nil {
-		if pos, row := sh.rows.find(k, m); pos >= 0 {
-			r := rowOf(row)
-			recs = []ExportedRecord{{Version: r.Version, Functor: finalPlaceholder(r.Kind), Resolution: &functor.Resolution{Kind: r.Kind, Value: r.Value}}}
-			watermark, ok = rowWatermark(row), true
-		}
+	pos, e := sh.rows.find(k, m)
+	switch {
+	case pos < 0:
 		sh.mu.RUnlock()
-		return recs, watermark, ok
+		return nil, 0, false
+	case isChain(e):
+		c := sh.chain(e)
+		sh.mu.RUnlock()
+		recs, watermark = c.export()
+		return recs, watermark, true
 	}
+	r := rowOf(e)
+	recs = []ExportedRecord{{Version: r.Version, Functor: finalPlaceholder(r.Kind), Resolution: &functor.Resolution{Kind: r.Kind, Value: r.Value}}}
+	watermark = rowWatermark(e)
 	sh.mu.RUnlock()
-	recs, watermark = c.export()
 	return recs, watermark, true
 }
 
@@ -95,13 +98,13 @@ func (s *Store) Drop(k kv.Key) bool {
 	sh, m := s.locate(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.chains[k]; ok {
-		delete(sh.chains, k)
-		return true
+	pos, e := sh.rows.find(k, m)
+	if pos < 0 {
+		return false
 	}
-	pos, row := sh.rows.find(k, m)
-	if pos >= 0 {
-		sh.rows.remove(pos, row)
+	if isChain(e) {
+		sh.release(e)
 	}
-	return pos >= 0
+	sh.rows.remove(pos, e)
+	return true
 }

@@ -75,20 +75,20 @@ func TestExportMatchingAndDrop(t *testing.T) {
 // functor, a second-round abort, a staged straggler, the watermark.
 func TestExportImportRoundTrip(t *testing.T) {
 	src := New()
-	c := src.ChainOrCreate("k")
-	c.PutResolved(tstamp.Make(1, 1, 0), functor.Resolved, []byte("deferred"))
-	aborted, _ := c.Put(tstamp.Make(1, 2, 0), functor.Value([]byte("rolled back")))
+	src.PutFinal("k", tstamp.Make(1, 1, 0), functor.Resolved, []byte("deferred"), false)
+	c, aborted, _ := src.Stage("k", tstamp.Make(1, 2, 0), functor.Value([]byte("rolled back"))) // thaws the row
 	aborted.Resolve(functor.AbortResolution("second round"))
-	c.Put(tstamp.Make(1, 3, 0), functor.Add(1))
+	src.Put("k", tstamp.Make(1, 3, 0), functor.Add(1))
 	c.Seal(tstamp.End(1))
-	c.Put(tstamp.Make(2, 1, 0), functor.Add(2)) // staged at export time
+	src.Put("k", tstamp.Make(2, 1, 0), functor.Add(2)) // staged at export time
 	c.AdvanceWatermark(tstamp.Make(1, 2, 0))
 
 	recs, wm, _ := src.ExportKey("k")
 	dst := New()
-	d := dst.ChainOrCreate("k")
+	var d *Chain
 	for _, er := range recs {
-		rec, _ := d.Put(er.Version, er.Functor)
+		var rec *Record
+		d, rec, _ = dst.Stage("k", er.Version, er.Functor)
 		if er.Resolution != nil {
 			rec.Resolve(er.Resolution)
 			d.Seal(er.Version + 1)

@@ -120,6 +120,9 @@ type chainModel struct {
 	recs      map[tstamp.Timestamp]*modelRec
 	watermark tstamp.Timestamp
 	row       bool
+	// owed is the epoch of the bound of the last compaction the watermark
+	// cut short, zero when none did (Chain.Owed).
+	owed tstamp.Epoch
 	// ptrs is the record the store handed back for each live version; its
 	// address must never change.
 	ptrs map[tstamp.Timestamp]*Record
@@ -167,6 +170,12 @@ func (m *chainModel) advance(v tstamp.Timestamp) {
 }
 
 func (m *chainModel) compact(bound tstamp.Timestamp) int {
+	if !m.row { // Store.Compact walks the chains
+		m.owed = 0
+		if bound > m.watermark {
+			m.owed = bound.Epoch()
+		}
+	}
 	if bound > m.watermark {
 		bound = m.watermark
 	}
@@ -184,6 +193,21 @@ func (m *chainModel) compact(bound tstamp.Timestamp) int {
 		delete(m.ptrs, v)
 	}
 	return keepFrom
+}
+
+// foldable says whether Store.Fold must make k, a chain, a row: its whole
+// history is one sealed version whose outcome is a plain value or tombstone,
+// at or below the watermark, and small enough for a row; nothing is owed.
+func (m *chainModel) foldable(k kv.Key) bool {
+	if m.row || len(m.recs) != 1 || m.owed != 0 {
+		return false
+	}
+	for v, r := range m.recs {
+		return r.sealed && v <= m.watermark && r.won != nil && keptBehindExt(r.won) == nil &&
+			(r.won.Kind == functor.Resolved || r.won.Kind == functor.ResolvedDeleted) &&
+			len(k)+len(r.won.Value) <= _maxRow
+	}
+	return false
 }
 
 // modelHarness applies each operation to a store and to the model of every
@@ -220,10 +244,12 @@ func (h *modelHarness) on(k kv.Key) *modelHarness {
 }
 
 // chained records that the step just taken left k with a chain: created if
-// the key was new, thawed if it was a row.
+// the key was new, thawed if it was a row. A thawed chain owes nothing.
 func (h *modelHarness) chained() {
 	h.keys[h.k] = h.m
-	h.m.row = false
+	if h.m.row {
+		h.m.row, h.m.owed = false, 0
+	}
 }
 
 func (h *modelHarness) put(v tstamp.Timestamp, fn *functor.Functor) {
@@ -251,7 +277,7 @@ func (h *modelHarness) saw(v tstamp.Timestamp, rec *Record) {
 
 func (h *modelHarness) putResolved(v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) {
 	h.t.Helper()
-	rec, fresh := h.s.ChainOrCreate(h.k).PutResolved(v, kind, value)
+	rec, fresh := h.s.testChain(h.k).putResolved(v, kind, value)
 	h.chained()
 	h.saw(v, rec)
 	h.tookFinal(v, fresh, kind, value, false)
@@ -327,6 +353,30 @@ func (h *modelHarness) advance(v tstamp.Timestamp) {
 	}
 }
 
+// fold asks the store to fold k's chain into a row, and requires it to
+// exactly when the model says the chain is one row's worth of history. A
+// folded key's watermark is its version, and the record the next thaw builds
+// for it is a new one.
+func (h *modelHarness) fold() {
+	h.t.Helper()
+	c, _, _ := h.s.Read(h.k, 0) // the chain, without thawing a row
+	want := c != nil && h.m.foldable(h.k)
+	if got := c != nil && h.s.Fold(h.k, c); got != want {
+		h.t.Fatalf("Fold(%q) = %v, model %v (%d records, watermark %v, owed %v)", h.k, got, want, len(h.m.recs), h.m.watermark, h.m.owed)
+	}
+	if want {
+		for v := range h.m.recs {
+			h.m.watermark = v
+		}
+		h.m.row = true
+		clear(h.m.ptrs)
+		if h.s.Fold(h.k, c) {
+			h.t.Fatalf("Fold(%q) folded a chain the store had let go", h.k)
+		}
+	}
+	h.check()
+}
+
 func (h *modelHarness) compact(bound tstamp.Timestamp) {
 	h.t.Helper()
 	want := 0
@@ -398,25 +448,29 @@ func (h *modelHarness) checkAll() {
 	h.checkStore()
 }
 
-// tier reports where the store keeps k, and fails if that is both places.
+// tier reports where the store keeps k: the chain its entry names, or the
+// row its entry is.
 func (h *modelHarness) tier(k kv.Key) (chain *Chain, row []byte) {
 	h.t.Helper()
 	sh, m := h.s.locate(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	chain = sh.chains[k]
-	if pos, b := sh.rows.find(k, m); pos >= 0 {
-		row = b
-	}
-	if chain != nil && row != nil {
-		h.t.Fatalf("%q is in the chain map and in the row index", k)
+	switch pos, e := sh.rows.find(k, m); {
+	case pos < 0:
+	case isChain(e):
+		if chain = sh.chain(e); chain == nil {
+			h.t.Fatalf("the entry of %q names chain %d, which is free", k, entryWord(e))
+		}
+	default:
+		row = e
 	}
 	return chain, row
 }
 
 // checkStore compares the key set (Len, RangeKeys) and walks every shard's
-// row log: every live row is indexed, none has a chain too, and the index
-// keeps the room its probes rely on.
+// row log: every live entry is the one its key's probe finds, no key has two,
+// every chain entry names a chain no other entry names, and the index keeps
+// the room its probes rely on.
 func (h *modelHarness) checkStore() {
 	h.t.Helper()
 	for _, hv := range h.held {
@@ -438,20 +492,34 @@ func (h *modelHarness) checkStore() {
 	if n != len(h.keys) {
 		h.t.Fatalf("RangeKeys yields %d keys, model %d", n, len(h.keys))
 	}
-	rows := 0
+	rows, seen := 0, map[kv.Key]bool{}
 	for i := range h.s.shards {
-		l, live := &h.s.shards[i].rows, 0
-		l.each(func(row []byte) {
+		sh, live, chains := &h.s.shards[i], 0, map[uint64]bool{}
+		l := &sh.rows
+		l.each(func(e []byte) {
 			live++
-			if m := h.keys[rowKey(row)]; m == nil || !m.row {
-				h.t.Fatalf("the row of %q is live, model: %+v", rowKey(row), m)
+			k := rowKey(e)
+			if m := h.keys[k]; m == nil || m.row == isChain(e) || seen[k] {
+				h.t.Fatalf("the entry of %q is live (a chain: %v, again: %v), model: %+v", k, isChain(e), seen[k], m)
 			}
-			h.tier(rowKey(row))
+			seen[k] = true
+			if _, found := l.find(k, mix(kv.Hash(k))); &found[0] != &e[0] {
+				h.t.Fatalf("the live entry of %q is not the one its index slot names", k)
+			}
+			if !isChain(e) {
+				rows++
+			} else if num := entryWord(e); chains[num] || sh.chains[num] == nil {
+				h.t.Fatalf("the entry of %q names chain %d, which is free or named twice", k, num)
+			} else {
+				chains[num] = true
+			}
 		})
 		if live != l.live || l.used < l.live || l.used*4 > len(l.index)*3 {
-			h.t.Fatalf("shard %d: %d live rows, index counts %d live, %d used of %d", i, live, l.live, l.used, len(l.index))
+			h.t.Fatalf("shard %d: %d live entries, index counts %d live, %d used of %d", i, live, l.live, l.used, len(l.index))
 		}
-		rows += live
+		if len(chains) != len(sh.chains)-len(sh.free) {
+			h.t.Fatalf("shard %d: %d chain entries, %d chains of which %d free", i, len(chains), len(sh.chains), len(sh.free))
+		}
 	}
 	want := 0
 	for _, m := range h.keys {

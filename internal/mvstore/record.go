@@ -3,7 +3,9 @@
 // record couples a version number with a functor and, once computed, its
 // immutable outcome, held in the record itself. A per-key value watermark
 // marks the prefix of versions that are final: reads below the watermark
-// need no synchronization at all.
+// need no synchronization at all. A key whose whole history is one final
+// version needs no record either: it is a row, bytes in its shard's row log
+// beside the entries that name the other keys' chains (see rows.go).
 //
 // Concurrency design: a key's sealed versions are the prefix of an array
 // whose length is published atomically, so readers are lock-free; inserts

@@ -9,29 +9,39 @@ import (
 	"alohadb/internal/tstamp"
 )
 
-// A row is the whole history of a key whose only version was born final — a
-// bulk-loaded or checkpointed value, a deferred write — and has not been
-// touched since. Below a key's watermark every version is immutable and read
-// without synchronization (paper §III-D), and such a version is born there:
-// it needs no record to resolve, no array to grow and no mutex, so it is not
-// a heap object at all. It is bytes in its shard's row log,
+// Every key of a store shard has one entry in the shard's row log, and the
+// log's index is the only way to find a key. An entry is either a row or the
+// name of a chain:
 //
-//	version u64 | flags u8 | klen u16 | vlen u16 | key | value
+//	word u64 | flags u8 | klen u16 | vlen u16 | key | value
 //
-// found through an open-addressing index of 8-byte slots. Neither the slabs
-// nor the index hold a pointer, so the collector never looks inside them:
-// 200 k rows are a few hundred objects where 200 k chains are 600 k.
+// A row is the whole history of a key whose only version is final — a
+// bulk-loaded or checkpointed value, a deferred write, or a computed version
+// folded back (see Store.Fold). Below a key's watermark every version is
+// immutable and read without synchronization (paper §III-D): such a version
+// needs no record to resolve, no array to grow and no mutex, so it is not a
+// heap object at all. Its word is its version, and its value follows the key.
 //
-// A key lives in its shard's chain map or in its row index, never in both,
-// and only ever moves from the index to the map: the first caller that needs
-// a *Chain or a *Record of the key thaws the row (see shard.thaw). The bytes
-// of a row never change once written — readers keep the value they were
-// handed without holding a lock — except its dead flag, which only code
-// holding the shard lock reads.
+// Any other key has a chain, and its entry's word is the chain's number in
+// the shard's chains. A chain thawed from a row keeps the row's entry: thaw
+// rewrites word and flags in place, and the record it builds reads its value
+// where the row left it. A key longer than 65 535 bytes is over the row cap
+// and only ever a chain; its entry spends both length fields on the key.
+//
+// The index is open addressing over 8-byte slots. Neither the slabs nor the
+// index hold a pointer, so the collector never looks inside them: 200 k rows
+// are a few hundred objects where 200 k chains are 600 k.
+//
+// A key moves both ways between the tiers, always under the shard's write
+// lock: a row becomes a chain when something needs a *Chain or a *Record of
+// it (shard.thaw), and a chain whose history has shrunk to one plain final
+// version becomes a row again (Store.Fold). Key and value bytes never change
+// once written — readers keep the ones they were handed without holding a
+// lock — and the header only under the write lock.
 const (
 	_rowHeader = 13
 	// _maxRow is the most key and value bytes a row holds; a larger
-	// born-final write takes the chain path.
+	// final version stays a chain.
 	_maxRow = 16 << 10
 
 	// Slabs start at 4 KB and double to 1 MB; a slot names one in 16 bits.
@@ -40,17 +50,22 @@ const (
 	_maxSlabs      = 1 << 16
 
 	_rowKindMask = 0x07
+	// _entryLongKey: klen and vlen are one u32 key length; there is no value.
+	_entryLongKey = 0x10
+	// _entryChain: the word is a chain number, not a version.
+	_entryChain = 0x20
 	// _rowSettled: nothing older than the row can arrive (a load, a
-	// checkpoint), so the key's watermark stands at the row's version.
+	// checkpoint, a fold), so the key's watermark stands at the row's version.
 	_rowSettled = 0x40
-	// _rowDead: thawed or dropped; the index no longer points here.
+	// _rowDead: dropped, or left behind by a fold; the index no longer
+	// points here.
 	_rowDead = 0x80
 
 	_slotEmpty = 0
 	_slotTomb  = 1
 )
 
-// rowLog is one shard's rows, guarded by the shard's mutex.
+// rowLog is one shard's entries, guarded by the shard's mutex.
 type rowLog struct {
 	// slabs are append-only and never reallocated: 4 KB doubling to 1 MB.
 	slabs [][]byte
@@ -58,8 +73,8 @@ type rowLog struct {
 	// probed linearly from the key's mixed hash. Tags are never zero, so no
 	// slot reads as empty or as a tombstone.
 	index []uint64
-	live  int // rows the index points at
-	used  int // slots not empty: live rows and tombstones
+	live  int // entries the index points at, rows and chains
+	used  int // slots not empty: live entries and tombstones
 }
 
 // mix finishes kv.Hash for the index: the shard was chosen by the hash's low
@@ -82,12 +97,21 @@ func (l *rowLog) row(slot uint64) []byte {
 	return l.slabs[slot>>32&0xffff][uint32(slot):]
 }
 
-func rowVersion(row []byte) tstamp.Timestamp {
-	return tstamp.Timestamp(binary.LittleEndian.Uint64(row))
-}
+func entryWord(e []byte) uint64 { return binary.LittleEndian.Uint64(e) }
+
+func isChain(e []byte) bool { return e[8]&_entryChain != 0 }
+
+func rowVersion(row []byte) tstamp.Timestamp { return tstamp.Timestamp(entryWord(row)) }
 
 func rowKind(row []byte) functor.ResolutionKind {
 	return functor.ResolutionKind(row[8] & _rowKindMask)
+}
+
+func rowFlags(kind functor.ResolutionKind, settled bool) byte {
+	if settled {
+		return byte(kind) | _rowSettled
+	}
+	return byte(kind)
 }
 
 // rowWatermark is the watermark the key's chain would have.
@@ -98,18 +122,21 @@ func rowWatermark(row []byte) tstamp.Timestamp {
 	return 0
 }
 
-func rowLens(row []byte) (klen, vlen int) {
-	return int(binary.LittleEndian.Uint16(row[9:])), int(binary.LittleEndian.Uint16(row[11:]))
+func rowLens(e []byte) (klen, vlen int) {
+	if e[8]&_entryLongKey != 0 {
+		return int(binary.LittleEndian.Uint32(e[9:])), 0
+	}
+	return int(binary.LittleEndian.Uint16(e[9:])), int(binary.LittleEndian.Uint16(e[11:]))
 }
 
-// rowKey returns the row's key aliasing the slab, which is never rewritten.
-func rowKey(row []byte) kv.Key {
-	klen, _ := rowLens(row)
-	return kv.Key(unsafe.String(unsafe.SliceData(row[_rowHeader:]), klen))
+// rowKey returns the entry's key aliasing the slab, which is never rewritten.
+func rowKey(e []byte) kv.Key {
+	klen, _ := rowLens(e)
+	return kv.Key(unsafe.String(unsafe.SliceData(e[_rowHeader:]), klen))
 }
 
 // rowValue returns the row's value aliasing the slab, capped so that an
-// append through it cannot reach the next row. An empty value is nil.
+// append through it cannot reach the next entry. An empty value is nil.
 func rowValue(row []byte) kv.Value {
 	klen, vlen := rowLens(row)
 	if vlen == 0 {
@@ -123,7 +150,7 @@ func rowOf(row []byte) Row {
 	return Row{Version: rowVersion(row), Kind: rowKind(row), Value: rowValue(row)}
 }
 
-// find returns k's index position and row, or -1. m is mix(kv.Hash(k)).
+// find returns k's index position and entry, or -1. m is mix(kv.Hash(k)).
 func (l *rowLog) find(k kv.Key, m uint64) (int, []byte) {
 	if l.live == 0 {
 		return -1, nil
@@ -138,43 +165,54 @@ func (l *rowLog) find(k kv.Key, m uint64) (int, []byte) {
 		if slot>>48 != tag {
 			continue
 		}
-		if row := l.row(slot); rowKey(row) == k {
-			return int(i), row
+		if e := l.row(slot); rowKey(e) == k {
+			return int(i), e
 		}
 	}
 }
 
-// put appends a row for k, which the caller has found to have neither a row
-// nor a chain, and indexes it; key and value are copied. It reports false
-// when the log has run out of slab numbers.
-func (l *rowLog) put(k kv.Key, m uint64, version tstamp.Timestamp, kind functor.ResolutionKind, settled bool, value kv.Value) bool {
-	flags := byte(kind)
-	if settled {
-		flags |= _rowSettled
+// put appends an entry for k, which the caller has found to have none, and
+// indexes it; key and value are copied. It reports false when the log has
+// run out of slab numbers.
+func (l *rowLog) put(k kv.Key, m, word uint64, flags byte, value kv.Value) bool {
+	slot, ok := l.append(k, m, word, flags, value)
+	if !ok {
+		return false
 	}
+	if (l.used+1)*4 > len(l.index)*3 {
+		l.rehash()
+	}
+	l.insert(m, slot)
+	return true
+}
+
+// append writes an entry to the newest slab, or a new one, and returns the
+// slot that names it without indexing it. A key too long for klen must come
+// without a value: only a chain's entry has such a key.
+func (l *rowLog) append(k kv.Key, m, word uint64, flags byte, value kv.Value) (uint64, bool) {
 	size := _rowHeader + len(k) + len(value)
 	last := len(l.slabs) - 1
 	if last < 0 || cap(l.slabs[last])-len(l.slabs[last]) < size {
 		if len(l.slabs) == _maxSlabs {
-			return false
+			return 0, false
 		}
 		l.slabs = append(l.slabs, make([]byte, 0, max(_minSlab<<min(len(l.slabs), _slabDoublings), size)))
 		last++
 	}
 	slab := l.slabs[last]
 	off := len(slab)
-	slab = binary.LittleEndian.AppendUint64(slab, uint64(version))
-	slab = append(slab, flags)
-	slab = binary.LittleEndian.AppendUint16(slab, uint16(len(k)))
-	slab = binary.LittleEndian.AppendUint16(slab, uint16(len(value)))
+	slab = binary.LittleEndian.AppendUint64(slab, word)
+	if len(k) > 0xffff {
+		slab = append(slab, flags|_entryLongKey)
+		slab = binary.LittleEndian.AppendUint32(slab, uint32(len(k)))
+	} else {
+		slab = append(slab, flags)
+		slab = binary.LittleEndian.AppendUint16(slab, uint16(len(k)))
+		slab = binary.LittleEndian.AppendUint16(slab, uint16(len(value)))
+	}
 	slab = append(slab, k...)
 	l.slabs[last] = append(slab, value...)
-
-	if (l.used+1)*4 > len(l.index)*3 {
-		l.rehash()
-	}
-	l.insert(m, slotTag(m)<<48|uint64(last)<<32|uint64(off))
-	return true
+	return slotTag(m)<<48 | uint64(last)<<32 | uint64(off), true
 }
 
 // insert files slot at the first free position of m's probe sequence.
@@ -192,8 +230,8 @@ func (l *rowLog) insert(m, slot uint64) {
 }
 
 // rehash rebuilds the index without its tombstones, at twice the size when
-// the live rows alone would fill half of it. It rehashes every row's key:
-// O(rows of the shard) under the shard lock.
+// the live entries alone would fill half of it. It rehashes every entry's
+// key: O(keys of the shard) under the shard lock.
 func (l *rowLog) rehash() {
 	size := max(len(l.index), 16)
 	for (l.live+1)*2 > size {
@@ -208,29 +246,29 @@ func (l *rowLog) rehash() {
 	}
 }
 
-// remove forgets the row at index position pos. Its bytes stay where they
-// are: a thawed record's value lives on in them.
-func (l *rowLog) remove(pos int, row []byte) {
+// remove forgets the entry at index position pos. Its bytes stay where they
+// are: a thawed record's value may live on in them.
+func (l *rowLog) remove(pos int, e []byte) {
 	l.index[pos] = _slotTomb
-	row[8] |= _rowDead
+	e[8] |= _rowDead
 	l.live--
 }
 
-// each calls fn for every live row in the order they were written.
-func (l *rowLog) each(fn func(row []byte)) {
+// each calls fn for every live entry in the order they were written.
+func (l *rowLog) each(fn func(e []byte)) {
 	for _, slab := range l.slabs {
 		for off := 0; off < len(slab); {
-			row := slab[off:]
-			klen, vlen := rowLens(row)
-			if row[8]&_rowDead == 0 {
-				fn(row)
+			e := slab[off:]
+			klen, vlen := rowLens(e)
+			if e[8]&_rowDead == 0 {
+				fn(e)
 			}
 			off += _rowHeader + klen + vlen
 		}
 	}
 }
 
-// bytes is what the slabs hold, dead rows included.
+// bytes is what the slabs hold, dead entries included.
 func (l *rowLog) bytes() int {
 	n := 0
 	for _, slab := range l.slabs {
@@ -254,16 +292,49 @@ func finalPlaceholder(kind functor.ResolutionKind) *functor.Functor {
 	return _finalValue
 }
 
-// thaw turns the row at index position pos into the chain it stands for —
-// the embedded first record carrying the row's version and outcome, its
-// value still in the slab — and moves the key from the index to the map.
-// Callers hold sh.mu for writing.
-func (sh *shard) thaw(pos int, row []byte) *Chain {
+// chain returns the chain a chain entry names.
+func (sh *shard) chain(e []byte) *Chain { return sh.chains[entryWord(e)] }
+
+// number files c under a chain number, a freed one first.
+func (sh *shard) number(c *Chain) uint64 {
+	if n := len(sh.free); n > 0 {
+		num := sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		sh.chains[num] = c
+		return uint64(num)
+	}
+	sh.chains = append(sh.chains, c)
+	return uint64(len(sh.chains) - 1)
+}
+
+// release frees the number of the chain entry e names.
+func (sh *shard) release(e []byte) {
+	num := entryWord(e)
+	sh.chains[num] = nil
+	sh.free = append(sh.free, uint32(num))
+}
+
+// create gives k, which has no entry, an empty chain. Callers hold sh.mu for
+// writing.
+func (sh *shard) create(k kv.Key, m uint64) *Chain {
 	c := new(Chain)
-	c.PutResolved(rowVersion(row), rowKind(row), rowValue(row))
-	c.AdvanceWatermark(rowWatermark(row))
-	sh.chains[rowKey(row)] = c
-	sh.rows.remove(pos, row)
+	if !sh.rows.put(k, m, sh.number(c), _entryChain, nil) {
+		// Of 65 536 slabs all but the first eight hold 1 MB or more: the
+		// process runs out of memory long before a shard runs out of slabs.
+		panic("mvstore: a store shard has run out of slabs")
+	}
+	return c
+}
+
+// thaw turns the row e into the chain it stands for — the embedded first
+// record carrying the row's version and outcome, its value still in the slab
+// — and rewrites the entry to name the chain. Callers hold sh.mu for writing.
+func (sh *shard) thaw(e []byte) *Chain {
+	c := new(Chain)
+	c.putResolved(rowVersion(e), rowKind(e), rowValue(e))
+	c.AdvanceWatermark(rowWatermark(e))
+	binary.LittleEndian.PutUint64(e, sh.number(c))
+	e[8] = _entryChain
 	sh.thaws++
 	return c
 }
@@ -272,8 +343,34 @@ func (sh *shard) thaw(pos int, row []byte) *Chain {
 func (sh *shard) thawAll() {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.rows.each(func(row []byte) {
-		pos, _ := sh.rows.find(rowKey(row), mix(kv.Hash(rowKey(row))))
-		sh.thaw(pos, row)
+	sh.rows.each(func(e []byte) {
+		if !isChain(e) {
+			sh.thaw(e)
+		}
 	})
+}
+
+// fold replaces the chain entry at index position pos, whose chain c is one
+// plain final version at or below its watermark, with a settled row of that
+// version. Callers hold sh.mu for writing; fold takes c.mu.
+func (sh *shard) fold(pos int, e []byte, k kv.Key, m uint64, c *Chain) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec := c.single()
+	if rec == nil || c.staged != 0 {
+		return false
+	}
+	kind, value, _ := rec.Outcome()
+	if len(k)+len(value) > _maxRow {
+		return false
+	}
+	slot, ok := sh.rows.append(k, m, uint64(rec.Version), rowFlags(kind, true), value)
+	if !ok {
+		return false
+	}
+	sh.rows.index[pos] = slot
+	e[8] |= _rowDead
+	sh.release(e)
+	sh.folds++
+	return true
 }

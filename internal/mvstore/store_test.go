@@ -13,6 +13,16 @@ import (
 	"alohadb/internal/tstamp"
 )
 
+// testChain gives k a chain the way Stage finds one — the key's own, its row
+// thawed, or a new one — without staging anything: for tests that write
+// through the chain itself, which nothing outside a test may do.
+func (s *Store) testChain(k kv.Key) *Chain {
+	sh, m := s.locate(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.chainFor(k, m)
+}
+
 func ts(epoch tstamp.Epoch, seq uint32, server uint16) tstamp.Timestamp {
 	return tstamp.Make(epoch, seq, server)
 }
@@ -160,7 +170,7 @@ func TestWatermark(t *testing.T) {
 	if s.Chain("k") != nil || s.Len() != 0 {
 		t.Fatal("AdvanceWatermark created a key nobody wrote")
 	}
-	c := s.ChainOrCreate("k")
+	c, _, _ := s.Stage("k", ts(1, 1, 0), functor.Add(1))
 	s.AdvanceWatermark("k", ts(1, 5, 0))
 	if c.Watermark() != ts(1, 5, 0) {
 		t.Error("watermark not advanced")

@@ -43,8 +43,7 @@ func replayCommitted(store *mvstore.Store, path string, floor tstamp.Timestamp) 
 			if skip(e.Version) {
 				return nil // uncommitted epoch, or covered by the checkpoint
 			}
-			c := store.ChainOrCreate(e.Key)
-			if _, err := c.Put(e.Version, e.Functor); err == nil {
+			if c, _, err := store.Stage(e.Key, e.Version, e.Functor); err == nil {
 				touched = append(touched, c)
 			}
 		case KindAbort:
