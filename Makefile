@@ -29,6 +29,8 @@ vet:
 	@! grep -rlE --include='*.go' 'aloha-trend|GateTrend|TrendRow' .
 	@! grep -rlE --include='*.go' 'metrics\.OpsHandler\(|"net/http/pprof"' cmd/aloha-server internal/scenario | grep -v '_test\.go$$'
 	@! grep -rl --include='*.go' 'ParseMetrics' .
+	@# One durability path: the write-ahead log is the only DurabilityHook.
+	@! grep -rlE --include='*.go' 'func \([^)]*\) LogEpochCommitted\(' . | grep -v '_test\.go$$' | grep -v '^\./internal/wal/'
 
 test:
 	$(GO) test ./...

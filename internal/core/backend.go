@@ -286,7 +286,7 @@ func (s *Server) handleAbort(ctx context.Context, m AbortReq) error {
 	var stash []kv.Key
 	for _, k := range keys {
 		if rec, ok := s.store.At(k, m.Version); ok {
-			rec.Resolve(_abortResolutionPeer)
+			rec.Resolve(functor.AbortedByPeer)
 		} else if m.Fwd {
 			stash = append(stash, k)
 		}

@@ -50,14 +50,13 @@ func newChaosCluster(t *testing.T) (*core.Cluster, *chaos.Network) {
 	// Sever/Heal only.
 	net := chaos.Wrap(transport.NewMemNetwork(), chaos.Config{Seed: 1})
 	c, err := core.NewCluster(core.ClusterConfig{
-		Servers:           3,
-		EpochDuration:     5 * time.Millisecond,
-		Registry:          appendReg(),
-		Network:           net,
-		Router:            placement.NewStatic(3, prefixPartitioner),
-		AbortRetries:      3,
-		AbortRetryBackoff: time.Millisecond,
-		SwitchTimeout:     time.Second,
+		Servers:       3,
+		EpochDuration: 5 * time.Millisecond,
+		Registry:      appendReg(),
+		Network:       net,
+		Router:        placement.NewStatic(3, prefixPartitioner),
+		AbortRetries:  3,
+		SwitchTimeout: time.Second,
 	})
 	if err != nil {
 		net.Close()

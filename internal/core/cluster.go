@@ -45,10 +45,10 @@ type ClusterConfig struct {
 	NetLatency time.Duration
 	NetJitter  time.Duration
 	// DurabilityFactory, when set, builds the durability hook for each
-	// server (write-ahead log, replication shipper, or both).
+	// server: its write-ahead log (wal.Open).
 	DurabilityFactory func(serverID int) (DurabilityHook, error)
 	// Stores, when set, seeds each server with a pre-populated store
-	// (crash recovery or replica promotion). Length must equal Servers.
+	// (crash recovery). Length must equal Servers.
 	Stores []*mvstore.Store
 	// StartEpoch is the first served epoch (default 1). Recovery restarts
 	// at the epoch after the last durably committed one.
@@ -65,10 +65,9 @@ type ClusterConfig struct {
 	// scenarios, §III-C); zero waits forever. Fault-injection tests set it
 	// so a wedged server cannot stall epochs for the whole cluster.
 	SwitchTimeout time.Duration
-	// AbortRetries / AbortRetryBackoff tune the second-round abort
-	// redelivery budget; see ServerConfig.
-	AbortRetries      int
-	AbortRetryBackoff time.Duration
+	// AbortRetries bounds the second-round abort redelivery; see
+	// ServerConfig.
+	AbortRetries int
 	// Skew, when set, is the shared hot-key profiler sampled by every
 	// server's install and local-read paths; its families join Metrics().
 	// Nil disables profiling (see ServerConfig.Skew).
@@ -126,17 +125,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			}
 		}
 		srv, err := NewServer(ServerConfig{
-			ID:                i,
-			NumServers:        cfg.Servers,
-			Router:            cfg.Router,
-			Registry:          cfg.Registry,
-			Workers:           cfg.Workers,
-			Durability:        hook,
-			DependencyRule:    cfg.DependencyRule,
-			Tracer:            cfg.Tracer,
-			AbortRetries:      cfg.AbortRetries,
-			AbortRetryBackoff: cfg.AbortRetryBackoff,
-			Skew:              cfg.Skew,
+			ID:             i,
+			NumServers:     cfg.Servers,
+			Router:         cfg.Router,
+			Registry:       cfg.Registry,
+			Workers:        cfg.Workers,
+			Durability:     hook,
+			DependencyRule: cfg.DependencyRule,
+			Tracer:         cfg.Tracer,
+			AbortRetries:   cfg.AbortRetries,
+			Skew:           cfg.Skew,
 		}, c.net)
 		if err != nil {
 			c.Close()

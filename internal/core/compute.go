@@ -20,7 +20,6 @@ type funcRead = functor.Read
 
 // Shared immutable resolutions, allocated once.
 var (
-	_abortResolutionPeer     = functor.AbortResolution("aborted: peer partition failed phase 1")
 	_abortResolutionDeferred = functor.AbortResolution("aborted: determinate functor aborted")
 	_skipResolutionShared    = functor.SkipResolution()
 )

@@ -486,11 +486,15 @@ func (s *Server) retryWrongOwner(ctx context.Context, pending []installSlice, re
 	}
 }
 
+// abortRetryBackoff is the pause before the first second-round abort
+// redelivery; it doubles per attempt up to 50 ms.
+const abortRetryBackoff = 2 * time.Millisecond
+
 // callAbortRetry delivers one second-round abort message, retrying with
 // exponential backoff while the partition is unreachable. It returns false
 // when the budget is exhausted without an acknowledged delivery.
 func (s *Server) callAbortRetry(ctx context.Context, owner int, msg MsgAbortBatch) bool {
-	backoff := s.abortBackoff
+	backoff := abortRetryBackoff
 	for attempt := 0; attempt < s.abortRetries; attempt++ {
 		if attempt > 0 {
 			timer := time.NewTimer(backoff)

@@ -169,9 +169,9 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 		sort.Slice(snap.SendQueues, func(i, j int) bool { return snap.SendQueues[i].Peer < snap.SendQueues[j].Peer })
 	}
 
-	// WAL fsync age, when the durability hook exposes it.
-	if src, ok := s.durability.(interface{ LastSyncAge() (time.Duration, bool) }); ok {
-		if age, ok := src.LastSyncAge(); ok {
+	// WAL fsync age, when the server is durable.
+	if s.durability != nil {
+		if age, ok := s.durability.LastSyncAge(); ok {
 			snap.WALFsyncAge = age
 		}
 	}

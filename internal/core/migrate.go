@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/mvstore"
 	"alohadb/internal/tstamp"
@@ -133,7 +134,7 @@ func (s *Server) drainAbortStash() {
 		remaining := keys[:0]
 		for _, k := range keys {
 			if rec, ok := s.store.At(k, ts); ok {
-				rec.Resolve(_abortResolutionPeer)
+				rec.Resolve(functor.AbortedByPeer)
 			} else {
 				remaining = append(remaining, k)
 			}

@@ -186,8 +186,8 @@ func (o Ops) health() []string {
 	if ok, reason := s.wd.Health(); !ok {
 		failing = append(failing, "watchdog: "+reason)
 	}
-	if src, ok := s.durability.(interface{ LastSyncAge() (time.Duration, bool) }); ok && o.FsyncMaxAge > 0 {
-		if age, ok := src.LastSyncAge(); ok && age > o.FsyncMaxAge {
+	if s.durability != nil && o.FsyncMaxAge > 0 {
+		if age, ok := s.durability.LastSyncAge(); ok && age > o.FsyncMaxAge {
 			failing = append(failing, fmt.Sprintf("wal: last fsync %s ago (max %s): commits are not reaching disk",
 				age.Round(time.Millisecond), o.FsyncMaxAge))
 		}

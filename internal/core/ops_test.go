@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"alohadb/internal/kv"
 	"alohadb/internal/obs"
 	"alohadb/internal/obs/clusterview"
+	"alohadb/internal/obs/journal"
 	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/trace"
 	"alohadb/internal/transport"
@@ -179,6 +181,83 @@ func TestOpsSurface(t *testing.T) {
 	}
 	if sv := snap.Servers[0]; !sv.Reachable || sv.Healthy || sv.CommittedEpoch != doc.CommittedEpoch || len(sv.HotKeys) == 0 {
 		t.Errorf("scraped row = %+v", sv)
+	}
+}
+
+// TestDurableMarkerJournaled pins the hook-to-journal wiring on WAL-backed
+// servers: every committed epoch's record times the whole durable marker
+// as its fsync stage, and the stage histograms have no other durable stage.
+func TestDurableMarkerJournaled(t *testing.T) {
+	dir := t.TempDir()
+	var logs []*wal.Log
+	c, err := core.NewCluster(core.ClusterConfig{
+		Servers:      2,
+		ManualEpochs: true,
+		DurabilityFactory: func(id int) (core.DurabilityHook, error) {
+			l, err := wal.Open(wal.LogPath(dir, id))
+			if err == nil {
+				logs = append(logs, l)
+			}
+			return l, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		c.Close()
+		for _, l := range logs {
+			l.Close()
+		}
+	}()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const epochs = 3
+	for i := 0; i < epochs; i++ {
+		h, err := c.Server(i%2).Submit(ctx, core.Txn{Writes: []core.Write{
+			{Key: kv.Key("a"), Functor: functor.Add(1)}, {Key: kv.Key("b"), Functor: functor.Add(1)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AdvanceEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if ok, reason, err := h.Await(ctx); !ok || err != nil {
+			t.Fatalf("txn %d: %v %q %v", i, ok, reason, err)
+		}
+	}
+	for id := 0; id < 2; id++ {
+		committed := 0
+		for _, r := range c.Server(id).Journal().Snapshot() {
+			if !r.Complete() {
+				continue
+			}
+			committed++
+			if r.FsyncNS <= 0 {
+				t.Errorf("server %d epoch %d: wal_fsync_ns = %d, want > 0", id, r.Epoch, r.FsyncNS)
+			}
+		}
+		if committed < epochs {
+			t.Errorf("server %d: %d committed epochs journaled, want >= %d", id, committed, epochs)
+		}
+	}
+	var stages []string
+	for _, f := range c.Metrics() {
+		if f.Name != journal.FamEpochStage {
+			continue
+		}
+		for _, s := range f.Series {
+			for _, l := range s.Labels {
+				if l.Key == "stage" {
+					stages = append(stages, l.Value)
+				}
+			}
+		}
+	}
+	if !slices.Contains(stages, "fsync") || slices.Contains(stages, "ship") {
+		t.Errorf("%s stages = %v, want fsync and no ship", journal.FamEpochStage, stages)
 	}
 }
 

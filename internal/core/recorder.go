@@ -123,7 +123,7 @@ func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Record
 			Detect: tsdb.Detect{RiseFactor: 4, MinBaseline: 32},
 		})
 	}
-	if hook, ok := s.durability.(interface{ LastSyncAge() (time.Duration, bool) }); ok {
+	if hook := s.durability; hook != nil {
 		src = append(src, tsdb.Source{
 			Name: "wal_fsync_age", Unit: "seconds", Kind: tsdb.KindGauge,
 			Value: func() float64 {

@@ -43,9 +43,9 @@ type ServerConfig struct {
 	// on-demand (read-triggered) computation path deterministically.
 	Workers int
 	// Durability, when set, receives the server's durable-state stream
-	// (installs, second-round aborts, epoch commits). internal/wal and
-	// internal/replica implement it. Fault tolerance is disabled by
-	// default, following the paper's evaluation convention (§V-A2).
+	// (installs, second-round aborts, epoch commits). internal/wal's Log
+	// implements it. Fault tolerance is disabled by default, following the
+	// paper's evaluation convention (§V-A2).
 	Durability DurabilityHook
 	// DependencyRule declares schema-level key dependencies for dependent
 	// transactions (§IV-E): if it maps key k to a determinate key A, every
@@ -64,9 +64,6 @@ type ServerConfig struct {
 	// before the epoch commits; when the budget is exhausted the result is
 	// flagged AbortIncomplete instead of silently dropped.
 	AbortRetries int
-	// AbortRetryBackoff is the pause before the first abort redelivery
-	// (default 2 ms), doubling per attempt up to 50 ms.
-	AbortRetryBackoff time.Duration
 	// Skew, when set, samples per-key accesses on the install and local
 	// read paths into the hot-key profiler (internal/obs). Nil (the
 	// default) disables profiling at zero per-operation cost, the same
@@ -84,11 +81,15 @@ type DurabilityHook interface {
 	// LogAbort records a second-round abort of the given keys.
 	LogAbort(version tstamp.Timestamp, keys []kv.Key) error
 	// LogEpochCommitted records that epoch e is fully committed; the hook
-	// should make everything up to e durable (fsync, ship to backup). ctx
-	// is the server's lifetime context carrying the epoch-commit trace:
-	// shutdown cancels in-flight shipping, and the fsync/ship cost shows up
-	// as a span under the server's epoch.commit trace.
+	// makes everything up to e durable before it returns. ctx is the
+	// server's lifetime context carrying the epoch-commit trace: the call
+	// shows up as a span under the server's epoch.commit trace, and the
+	// epoch journal times it as the fsync stage.
 	LogEpochCommitted(ctx context.Context, e tstamp.Epoch) error
+	// LastSyncAge reports the time since everything logged last reached
+	// disk; ok is false before the first time. Stall snapshots, the flight
+	// recorder and the readiness probe read it.
+	LastSyncAge() (age time.Duration, ok bool)
 }
 
 // Server is one ALOHA-DB node: a front-end (transaction coordinator) and a
@@ -122,7 +123,6 @@ type Server struct {
 
 	// Second-round abort redelivery budget (see ServerConfig.AbortRetries).
 	abortRetries int
-	abortBackoff time.Duration
 
 	// Epoch admission (§III-B/C): mu guards slots and every retarget of gen,
 	// so a reservation, a revoke and the release that acks it each happen
@@ -213,9 +213,6 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 	if cfg.AbortRetries <= 0 {
 		cfg.AbortRetries = 4
 	}
-	if cfg.AbortRetryBackoff <= 0 {
-		cfg.AbortRetryBackoff = 2 * time.Millisecond
-	}
 	s := &Server{
 		id:         cfg.ID,
 		n:          cfg.NumServers,
@@ -236,7 +233,6 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		journal:    journal.New(journal.Config{Server: cfg.ID}),
 
 		abortRetries: cfg.AbortRetries,
-		abortBackoff: cfg.AbortRetryBackoff,
 	}
 	s.stats.init()
 	s.comb = newCombiner(s)
@@ -475,14 +471,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 			// uncommitted, which is the correct conservative outcome.
 			_ = err
 		}
-		total := time.Since(dstart)
-		var fsync time.Duration
-		if src, ok := s.durability.(interface{ LastSyncDuration() (time.Duration, bool) }); ok {
-			if d, ok := src.LastSyncDuration(); ok {
-				fsync = d
-			}
-		}
-		s.journal.Durable(uint64(e), total, fsync)
+		s.journal.Durable(uint64(e), time.Since(dstart))
 		dspan.End()
 	}
 	// The hand-off counts as busy from before the epoch shows as committed

@@ -20,7 +20,7 @@ import (
 //	kind(1) | value(bytes) | reason(str) | depWrites(count, {key(str) value(bytes) delete(1)}...)
 //
 // ReadFunctor and ReadResolution are the one decoder of each layout: the
-// log, the replica link and core's messages all read through them.
+// log and core's messages both read through them.
 
 // AppendFunctor appends the encoding of f to dst and returns the result.
 func AppendFunctor(dst []byte, f *Functor) []byte {

@@ -75,6 +75,12 @@ func AbortResolution(reason string) *Resolution {
 	return &Resolution{Kind: ResolvedAborted, Reason: reason}
 }
 
+// AbortedByPeer is the outcome of a version rolled back by the second
+// round because another partition of its transaction failed phase 1. The
+// coordinator's abort and the log's replay both resolve with it, so a
+// replayed abort is the live one. Shared and immutable.
+var AbortedByPeer = AbortResolution("aborted: peer partition failed phase 1")
+
 // DeleteResolution returns a ResolvedDeleted outcome.
 func DeleteResolution() *Resolution { return &Resolution{Kind: ResolvedDeleted} }
 

@@ -245,8 +245,8 @@ func (s *Store) Seal(k kv.Key, bound tstamp.Timestamp) {
 	}
 }
 
-// SealAll seals every key up to bound; recovery and replica promotion use
-// it to publish a rebuilt store in one sweep.
+// SealAll seals every key up to bound; recovery uses it to publish a
+// rebuilt store in one sweep.
 func (s *Store) SealAll(bound tstamp.Timestamp) {
 	s.RangeChains(func(_ kv.Key, c *Chain) bool {
 		c.Seal(bound)

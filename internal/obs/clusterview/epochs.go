@@ -173,7 +173,7 @@ func attribute(epoch uint64, group []journal.Record, em journal.EMRecord) (Epoch
 	}
 
 	// The visibility straggler: the server whose publication closed the
-	// epoch. Its post-barrier stages (broadcast, seal, fsync, ship) are the
+	// epoch. Its post-barrier stages (broadcast, seal, fsync) are the
 	// other critical-path candidates.
 	var gv journal.Record
 	for _, r := range group {
@@ -209,9 +209,6 @@ func attribute(epoch uint64, group []journal.Record, em journal.EMRecord) (Epoch
 	}
 	if gv.FsyncNS > 0 {
 		cands = append(cands, cand{gv.Server, journal.StageNames[journal.StageFsync], gv.FsyncNS})
-	}
-	if gv.ShipNS > 0 {
-		cands = append(cands, cand{gv.Server, journal.StageNames[journal.StageShip], gv.ShipNS})
 	}
 	if len(cands) == 0 {
 		return EpochPath{}, false

@@ -10,8 +10,8 @@
 // A server record covers the whole close-out pipeline in arrival order:
 // install (first/last install of the epoch, count and bytes), ack-wait
 // (revoke arrival to revoke-ack, the §III-B quiescence), the
-// Committed-broadcast receipt, seal, WAL fsync, epoch ship, and the
-// visibility publication — plus interference markers (active migration
+// Committed-broadcast receipt, seal, the durable marker (WAL append, flush
+// and fsync), and the visibility publication — plus interference markers (active migration
 // seals, an open stall episode, and the slowest pending functor with its
 // trace cross-link). The EM mirror records the switch decision time,
 // every server's ack arrival, and the commit broadcast, which is what
@@ -54,8 +54,7 @@ const (
 	StageAckWait          // revoke arrival -> revoke ack (in-flight drain)
 	StageBroadcast        // revoke ack -> Committed receipt (EM barrier + broadcast)
 	StageSeal             // Committed receipt -> all epoch versions sealed
-	StageFsync            // WAL flush+fsync inside the durable marker
-	StageShip             // durable-marker remainder (epoch ship to backups)
+	StageFsync            // the durable marker: WAL marker append, flush and fsync
 	numStages
 )
 
@@ -66,12 +65,11 @@ var StageNames = [numStages]string{
 	StageBroadcast: "broadcast",
 	StageSeal:      "seal",
 	StageFsync:     "fsync",
-	StageShip:      "ship",
 }
 
 // rec is the fixed-size in-ring record. All times are UnixNano wall-clock
 // stamps (comparable across servers on one host or NTP-close hosts) except
-// fsyncNS/shipNS which are durations.
+// fsyncNS, which is a duration.
 type rec struct {
 	epoch uint64
 
@@ -87,7 +85,6 @@ type rec struct {
 	committedNS int64
 	sealNS      int64
 	fsyncNS     int64 // duration
-	shipNS      int64 // duration
 	visibleNS   int64
 
 	drained        int
@@ -251,11 +248,9 @@ func (j *Journal) Slowest(e uint64, key, ftype string, wait time.Duration, trace
 	s.mu.Unlock()
 }
 
-// Durable records the durable-marker cost: total is the whole
-// LogEpochCommitted call (fsync plus epoch ship), fsync the WAL flush+fsync
-// portion when the hook reports it (zero otherwise — the remainder is
-// attributed to ship).
-func (j *Journal) Durable(e uint64, total, fsync time.Duration) {
+// Durable records the durable-marker cost d: the whole LogEpochCommitted
+// call (marker append, flush and fsync), the fsync stage.
+func (j *Journal) Durable(e uint64, d time.Duration) {
 	if j == nil {
 		return
 	}
@@ -263,11 +258,7 @@ func (j *Journal) Durable(e uint64, total, fsync time.Duration) {
 	if s == nil {
 		return
 	}
-	if fsync > total {
-		fsync = total
-	}
-	s.r.fsyncNS = int64(fsync)
-	s.r.shipNS = int64(total - fsync)
+	s.r.fsyncNS = int64(d)
 	s.mu.Unlock()
 }
 
@@ -299,7 +290,6 @@ func (j *Journal) Visible(e uint64, now time.Time, migrationSeals int, stallActi
 	stages[StageBroadcast] = stageSpan(s.r.ackEndNS, s.r.committedNS)
 	stages[StageSeal] = stageSpan(s.r.committedNS, s.r.sealNS)
 	stages[StageFsync] = s.r.fsyncNS
-	stages[StageShip] = s.r.shipNS
 	gating := int8(-1)
 	var max int64
 	for i, d := range stages {
@@ -392,7 +382,6 @@ type Record struct {
 	CommittedNS int64 `json:"committed_unix_ns,omitempty"`
 	SealNS      int64 `json:"seal_done_unix_ns,omitempty"`
 	FsyncNS     int64 `json:"wal_fsync_ns,omitempty"`
-	ShipNS      int64 `json:"ship_ns,omitempty"`
 	VisibleNS   int64 `json:"visible_unix_ns,omitempty"`
 
 	FunctorsCommitted int  `json:"functors_committed,omitempty"`
@@ -443,7 +432,6 @@ func (j *Journal) Snapshot() []Record {
 			CommittedNS:       r.committedNS,
 			SealNS:            r.sealNS,
 			FsyncNS:           r.fsyncNS,
-			ShipNS:            r.shipNS,
 			VisibleNS:         r.visibleNS,
 			FunctorsCommitted: r.drained,
 			MigrationSeals:    r.migrationSeals,
@@ -507,7 +495,7 @@ func (j *Journal) MetricFamilies() []metrics.Family {
 	}
 	return []metrics.Family{
 		{
-			Name: FamEpochStage, Help: "Epoch close-out stage durations (install tail, ack-wait, broadcast, seal, fsync, ship).",
+			Name: FamEpochStage, Help: "Epoch close-out stage durations (install tail, ack-wait, broadcast, seal, fsync).",
 			Kind: metrics.KindHistogram, Unit: metrics.UnitSeconds,
 			Series: stageSeries,
 		},

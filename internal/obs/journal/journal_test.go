@@ -24,7 +24,7 @@ func TestJournalLifecycle(t *testing.T) {
 	j.CommittedRecv(5, at(33))
 	j.SealDone(5, at(35), 4)
 	j.Slowest(5, "warehouse:7", "ADD", 9*time.Millisecond, 0xabcd)
-	j.Durable(5, 5*time.Millisecond, 2*time.Millisecond)
+	j.Durable(5, 5*time.Millisecond)
 	j.Visible(5, at(41), 1, true)
 
 	recs := j.Snapshot()
@@ -44,8 +44,8 @@ func TestJournalLifecycle(t *testing.T) {
 	if got := r.AckWaitEndNS - r.AckWaitStartNS; got != int64(20*time.Millisecond) {
 		t.Errorf("ack wait = %d, want 20ms", got)
 	}
-	if r.FsyncNS != int64(2*time.Millisecond) || r.ShipNS != int64(3*time.Millisecond) {
-		t.Errorf("durable split: fsync=%d ship=%d", r.FsyncNS, r.ShipNS)
+	if r.FsyncNS != int64(5*time.Millisecond) {
+		t.Errorf("durable marker: fsync=%d, want 5ms", r.FsyncNS)
 	}
 	if r.FunctorsCommitted != 4 || r.MigrationSeals != 1 || !r.StallActive {
 		t.Errorf("markers: %+v", r)
@@ -58,7 +58,7 @@ func TestJournalLifecycle(t *testing.T) {
 		t.Error("record should be complete")
 	}
 	// Ack wait (20ms) dominates install tail (4ms), broadcast (3ms),
-	// seal (2ms), fsync (2ms), ship (3ms).
+	// seal (2ms), fsync (5ms).
 	if r.LocalGatingStage != "ack-wait" {
 		t.Errorf("local gating stage = %q, want ack-wait", r.LocalGatingStage)
 	}
@@ -86,7 +86,7 @@ func TestJournalNilSafe(t *testing.T) {
 	j.CommittedRecv(1, at(0))
 	j.SealDone(1, at(0), 0)
 	j.Slowest(1, "k", "VALUE", 0, 0)
-	j.Durable(1, 0, 0)
+	j.Durable(1, 0)
 	j.Visible(1, at(0), 0, false)
 	if j.Snapshot() != nil || j.Doc().Stale != 0 || j.MetricFamilies() != nil {
 		t.Fatal("nil journal must be empty")

@@ -83,7 +83,6 @@ func chaosEnv(servers int, seed int64) scenario.EnvConfig {
 		EpochDuration:     2 * time.Millisecond,
 		SwitchTimeout:     time.Second,
 		AbortRetries:      10,
-		AbortRetryBackoff: 2 * time.Millisecond,
 		Watchdog:          true,
 		WatchdogThreshold: 5 * time.Second,
 		WrapNet:           wrapChaos(seed, lightProbs()),

@@ -46,10 +46,8 @@ type EnvConfig struct {
 	SwitchTimeout time.Duration
 
 	// Registry, Router, DependencyRule, Workers, Tracer, AbortRetries,
-	// AbortRetryBackoff, Stores, StartEpoch, DurabilityFactory: see
-	// core.ClusterConfig.
+	// Stores, StartEpoch, DurabilityFactory: see core.ClusterConfig.
 	AbortRetries      int
-	AbortRetryBackoff time.Duration
 	Workers           int
 	Registry          *functor.Registry
 	Router            placement.Router
@@ -242,7 +240,6 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 		Tracer:            cfg.Tracer,
 		SwitchTimeout:     cfg.SwitchTimeout,
 		AbortRetries:      cfg.AbortRetries,
-		AbortRetryBackoff: cfg.AbortRetryBackoff,
 		Skew:              skew,
 	})
 	if err != nil {

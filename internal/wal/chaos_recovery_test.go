@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"alohadb/internal/chaos/oracle"
 	"alohadb/internal/core"
@@ -64,6 +65,8 @@ func (h *crashingHook) LogEpochCommitted(ctx context.Context, e tstamp.Epoch) er
 	}
 	return h.inner.LogEpochCommitted(ctx, e)
 }
+
+func (h *crashingHook) LastSyncAge() (time.Duration, bool) { return h.inner.LastSyncAge() }
 
 func appendRegistry() *functor.Registry {
 	reg := functor.NewRegistry()

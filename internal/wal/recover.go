@@ -6,10 +6,6 @@ import (
 	"alohadb/internal/tstamp"
 )
 
-// _abortedByPeer mirrors the resolution the coordinator's second round
-// installs; replaying it restores the exact pre-crash state.
-var _abortedByPeer = functor.AbortResolution("aborted: peer partition failed phase 1")
-
 // Recover rebuilds one server's store from its log: replay every install
 // and abort whose epoch is durably committed, discard everything newer (an
 // epoch without its committed marker never became visible), and return the
@@ -52,7 +48,7 @@ func replayCommitted(store *mvstore.Store, path string, floor tstamp.Timestamp) 
 			}
 			for _, k := range e.Keys {
 				if rec, ok := store.At(k, e.Version); ok {
-					rec.Resolve(_abortedByPeer)
+					rec.Resolve(functor.AbortedByPeer)
 				}
 			}
 		case KindEpochCommitted:

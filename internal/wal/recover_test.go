@@ -41,7 +41,7 @@ func recoverReference(t *testing.T, path string) (*mvstore.Store, tstamp.Epoch) 
 		case KindAbort:
 			for _, k := range e.Keys {
 				if rec, ok := store.At(k, e.Version); ok {
-					rec.Resolve(_abortedByPeer)
+					rec.Resolve(functor.AbortedByPeer)
 				}
 			}
 		}

@@ -68,11 +68,6 @@ type Log struct {
 	appendHist *metrics.Histogram // framed record sizes in bytes
 	fsyncHist  *metrics.Histogram // Sync (flush+fsync) latency
 
-	// lastSyncDur is the duration of the last completed Sync (flush+fsync);
-	// zero until the first. The epoch journal splits the durable-marker
-	// cost into fsync vs epoch ship with it.
-	lastSyncDur atomic.Int64
-
 	// lastSync is the wall time (UnixNano) of the last completed Sync;
 	// zero until the first. Readiness probes alert on its age: an epoch
 	// switch fsyncs once per epoch, so a stale fsync means commits stopped
@@ -123,10 +118,9 @@ func (l *Log) MetricFamilies() []metrics.Family {
 // Path returns the log file path.
 func (l *Log) Path() string { return l.path }
 
-// AppendEntry appends e's record payload to dst: what Log frames behind
-// e.Kind on disk and what a primary ships to its backup
-// (replica.MsgShipEpoch), one format for both. DecodeEntry is its inverse.
-func AppendEntry(dst []byte, e Entry) []byte {
+// appendEntry appends e's record payload to dst: what Log frames behind
+// e.Kind on disk. decodeEntry is its inverse.
+func appendEntry(dst []byte, e Entry) []byte {
 	switch e.Kind {
 	case KindInstall:
 		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Version))
@@ -164,7 +158,7 @@ func (l *Log) LogEpochCommitted(ctx context.Context, e tstamp.Epoch) error {
 
 // append frames one record and buffers it.
 func (l *Log) append(e Entry) error {
-	payload := AppendEntry(make([]byte, 0, 64), e)
+	payload := appendEntry(make([]byte, 0, 64), e)
 	l.appendHist.Observe(int64(frameHeaderSize + len(payload)))
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -230,27 +224,14 @@ func (l *Log) Sync() error {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.fsyncHist.ObserveDuration(time.Since(start))
-	l.lastSyncDur.Store(int64(time.Since(start)))
 	l.lastSync.Store(time.Now().UnixNano())
 	return nil
 }
 
-// LastSyncDuration reports how long the last completed Sync took; ok is
-// false before the first. core.Server detects this method on its
-// durability hook to split the epoch journal's durable-marker cost into
-// fsync vs epoch ship.
-func (l *Log) LastSyncDuration() (time.Duration, bool) {
-	ns := l.lastSyncDur.Load()
-	if ns == 0 {
-		return 0, false
-	}
-	return time.Duration(ns), true
-}
-
-// LastSyncAge reports the time since the last completed Sync; ok is false
-// before the first. core.Server detects this method on its durability hook
-// for stall snapshots, and aloha-server's readiness probe alerts when the
-// age exceeds its threshold.
+// LastSyncAge implements core.DurabilityHook: the time since the last
+// completed Sync; ok is false before the first. The server reads it for
+// stall snapshots and the flight recorder, and aloha-server's readiness
+// probe alerts when the age exceeds its threshold.
 func (l *Log) LastSyncAge() (time.Duration, bool) {
 	ns := l.lastSync.Load()
 	if ns == 0 {
@@ -307,15 +288,15 @@ func readEntry(r *bufio.Reader) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	return DecodeEntry(kind, payload)
+	return decodeEntry(kind, payload)
 }
 
-// DecodeEntry decodes one record payload of the given kind, as written by
-// AppendEntry: a big-endian version or epoch, then wire-encoded fields. The
+// decodeEntry decodes one record payload of the given kind, as written by
+// appendEntry: a big-endian version or epoch, then wire-encoded fields. The
 // key, the abort keys and the functor's handler, argument and keys alias
 // payload, so the caller hands payload to the entry and never reuses it
 // (wire.DecodeEnvelope's ownership rule).
-func DecodeEntry(kind EntryKind, payload []byte) (Entry, error) {
+func decodeEntry(kind EntryKind, payload []byte) (Entry, error) {
 	e := Entry{Kind: kind}
 	switch kind {
 	case KindInstall, KindAbort:

@@ -34,7 +34,7 @@
 //	0        reserved: never a payload, rejected at decode
 //	1–63     internal/core
 //	64–79    internal/calvin
-//	80–95    internal/replica
+//	80–95    retired (the backup link's; never reuse)
 //	200–254  tests
 //	255      KindNone: an absent payload
 package wire
