@@ -19,7 +19,8 @@ fmt-check:
 # performance ledger under bench/; the night-over-night trend rows and their
 # gate stay deleted. One operator surface: core.OpsHandler builds it;
 # aloha-server and the scenario env assemble no mux of their own, and no
-# Prometheus text parser reads our own /metrics.
+# Prometheus text parser reads our own /metrics. One ring buffer: the
+# instruments keep their histories in internal/ring.
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
@@ -31,6 +32,8 @@ vet:
 	@! grep -rl --include='*.go' 'ParseMetrics' .
 	@# One durability path: the write-ahead log is the only DurabilityHook.
 	@! grep -rlE --include='*.go' 'func \([^)]*\) LogEpochCommitted\(' . | grep -v '_test\.go$$' | grep -v '^\./internal/wal/'
+	@# One ring buffer: the instruments' histories are internal/ring, not slots indexed by hand.
+	@! grep -rnE --include='*.go' '%[[:space:]]*(uint64\()?len\(|% r\.cfg\.retention' internal/obs internal/trace | grep -v '_test\.go:'
 
 test:
 	$(GO) test ./...
@@ -60,7 +63,7 @@ commit-guard:
 # Object budgets and zero-allocation paths, the block CI runs: what a key
 # written once keeps alive (core.TestStoreObjectBudget), the chain and record
 # size classes, the untraced install/compute path, the TPC-C NewOrder pins,
-# and the wire/hand-off/trace/skew/journal/recorder benchmarks at 0 allocs/op.
+# and the wire/hand-off/ring/trace/skew/journal/recorder benchmarks at 0 allocs/op.
 alloc-guard:
 	./scripts/alloc-guard.sh
 

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -12,27 +11,10 @@ import (
 	"alohadb/internal/transport"
 )
 
-// eventLog collects watchdog events across goroutines.
-type eventLog struct {
-	mu     sync.Mutex
-	events []obs.Event
-}
-
-func (l *eventLog) add(ev obs.Event) {
-	l.mu.Lock()
-	l.events = append(l.events, ev)
-	l.mu.Unlock()
-}
-
-func (l *eventLog) snapshot() []obs.Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]obs.Event(nil), l.events...)
-}
-
-func (l *eventLog) count(kind string) int {
+// countEvents counts the watchdog's retained events of one kind.
+func countEvents(wd *obs.Watchdog, kind string) int {
 	n := 0
-	for _, ev := range l.snapshot() {
+	for _, ev := range wd.Status().Events {
 		if ev.Kind == kind {
 			n++
 		}
@@ -83,12 +65,7 @@ func TestChaosWatchdogStall(t *testing.T) {
 	}
 	defer em.Close()
 
-	var log eventLog
-	wd := srvs[0].NewWatchdog(obs.WatchdogConfig{
-		Threshold: threshold,
-		Poll:      10 * time.Millisecond,
-		OnEvent:   log.add,
-	})
+	wd := srvs[0].NewWatchdog(obs.WatchdogConfig{Threshold: threshold})
 	if wd == nil {
 		t.Fatal("NewWatchdog returned nil")
 	}
@@ -104,7 +81,7 @@ func TestChaosWatchdogStall(t *testing.T) {
 		end := time.Now().Add(deadline)
 		for !cond() {
 			if time.Now().After(end) {
-				t.Fatalf("timed out waiting for %s (events: %+v)", what, log.snapshot())
+				t.Fatalf("timed out waiting for %s (events: %+v)", what, wd.Status().Events)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -126,9 +103,9 @@ func TestChaosWatchdogStall(t *testing.T) {
 	// The next epoch switch wedges on node 2's ack; node 0's watchdog must
 	// fire within one threshold period of the progress age crossing it
 	// (generous deadline for loaded CI machines).
-	waitFor("stall detection", 5*time.Second, func() bool { return log.count(obs.EventStallDetected) > 0 })
+	waitFor("stall detection", 5*time.Second, func() bool { return countEvents(wd, obs.EventStallDetected) > 0 })
 
-	snaps := wd.Snapshots()
+	snaps := wd.Status().Snapshots
 	if len(snaps) == 0 {
 		t.Fatal("stall detected but no snapshot captured")
 	}
@@ -153,19 +130,20 @@ func TestChaosWatchdogStall(t *testing.T) {
 	// stay cleared without restarting anything.
 	net.HealAll()
 	waitFor("stall cleared", 5*time.Second, func() bool {
-		return log.count(obs.EventStallCleared) > 0 && !wd.Active()
+		return countEvents(wd, obs.EventStallCleared) > 0 && !wd.Active()
 	})
 
 	// Quiet period: detect/clear may flap while severed (each switch stalls
 	// for SwitchTimeout, then progress jumps); after healing it must go
 	// quiet. Require several consecutive healthy samples with advancing
-	// commits and no new detections.
+	// commits and no new detections (the episode count, since the event
+	// ring keeps only the newest events).
 	waitFor("post-heal quiet period", 10*time.Second, func() bool {
-		detectedBefore := log.count(obs.EventStallDetected)
+		detectedBefore := wd.Stalls()
 		epochBefore := srvs[0].CommittedEpoch()
 		for i := 0; i < 3; i++ {
 			time.Sleep(50 * time.Millisecond)
-			if wd.Active() || log.count(obs.EventStallDetected) != detectedBefore {
+			if wd.Active() || wd.Stalls() != detectedBefore {
 				return false
 			}
 		}

@@ -57,7 +57,7 @@ func (rs *runtimeSampler) gcCycles() float64 {
 }
 
 // NewRecorder builds this server's flight recorder: the caller sets the
-// cadence (Interval/Detector) and owns Start/Stop; the curated
+// cadence (Interval) and owns Start/Stop; the curated
 // sources, the committed-epoch sample clock, and the journal gating
 // cross-link are wired here. Extra sources (e.g. the cluster-singleton
 // migration gauge) are appended after the curated set. Wire the watchdog

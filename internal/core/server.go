@@ -230,7 +230,7 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		depRule:    cfg.DependencyRule,
 		tr:         cfg.Tracer.ForNode(cfg.ID),
 		skew:       cfg.Skew,
-		journal:    journal.New(journal.Config{Server: cfg.ID}),
+		journal:    journal.New(cfg.ID),
 
 		abortRetries: cfg.AbortRetries,
 	}

@@ -173,7 +173,7 @@ func (m *Manager) Start() error {
 	parts := m.participants
 	// Participant index doubles as the server ID (the address-book
 	// convention registers servers in ID order).
-	m.journal = journal.NewEM(len(parts), 0)
+	m.journal = journal.NewEM(len(parts))
 	m.mu.Unlock()
 	for _, p := range parts {
 		p.Committed(first - 1)

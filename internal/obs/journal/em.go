@@ -2,8 +2,9 @@ package journal
 
 import (
 	"sort"
-	"sync"
 	"time"
+
+	"alohadb/internal/ring"
 )
 
 // EMRecord is the epoch manager's mirror of one epoch switch: when the EM
@@ -21,52 +22,29 @@ type EMRecord struct {
 	CommitNS int64   `json:"commit_unix_ns,omitempty"`
 }
 
-type emSlot struct {
-	mu       sync.Mutex
-	epoch    uint64
+// emRec is the EM's in-ring record of one epoch.
+type emRec struct {
 	decideNS int64
 	commitNS int64
-	ackNS    []int64 // by server ID, preallocated
+	ackNS    []int64 // by server ID, reused across the epochs of a slot
 }
 
 // EM is the epoch manager's journal ring. A nil *EM is valid and inert.
 type EM struct {
 	servers int
-	ring    []emSlot
+	ring    *ring.Ring[emRec]
 }
 
-// NewEM builds an EM journal for a cluster of servers participants; ring
-// as in Config.Ring (<=0 takes the default — the EM journal is always on,
-// so there is no disable sentinel).
-func NewEM(servers, ring int) *EM {
-	if ring <= 0 {
-		ring = DefaultRing
-	}
-	em := &EM{servers: servers, ring: make([]emSlot, ring)}
-	for i := range em.ring {
-		em.ring[i].ackNS = make([]int64, servers)
-	}
-	return em
-}
-
-// at locks epoch e's slot, claiming it from an older epoch; nil (unlocked)
-// for a stale event, as in Journal.at.
-func (em *EM) at(e uint64) *emSlot {
-	s := &em.ring[e%uint64(len(em.ring))]
-	s.mu.Lock()
-	switch {
-	case s.epoch == e:
-		return s
-	case s.epoch < e:
-		s.epoch, s.decideNS, s.commitNS = e, 0, 0
-		for i := range s.ackNS {
-			s.ackNS[i] = 0
+// NewEM builds the EM journal of a cluster of servers participants (always
+// on, so there is no disable sentinel).
+func NewEM(servers int) *EM {
+	return &EM{servers: servers, ring: ring.New(depth, func(r *emRec) {
+		if r.ackNS == nil {
+			r.ackNS = make([]int64, servers)
 		}
-		return s
-	default:
-		s.mu.Unlock()
-		return nil
-	}
+		r.decideNS, r.commitNS = 0, 0
+		clear(r.ackNS)
+	})}
 }
 
 // Decide records the switch decision: the EM is advancing past epoch e and
@@ -75,9 +53,9 @@ func (em *EM) Decide(e uint64, now time.Time) {
 	if em == nil {
 		return
 	}
-	if s := em.at(e); s != nil {
-		s.decideNS = now.UnixNano()
-		s.mu.Unlock()
+	if s := em.ring.Lock(e); s != nil {
+		s.Val.decideNS = now.UnixNano()
+		s.Unlock()
 	}
 }
 
@@ -86,9 +64,9 @@ func (em *EM) Ack(e uint64, server int, now time.Time) {
 	if em == nil || server < 0 || server >= em.servers {
 		return
 	}
-	if s := em.at(e); s != nil {
-		s.ackNS[server] = now.UnixNano()
-		s.mu.Unlock()
+	if s := em.ring.Lock(e); s != nil {
+		s.Val.ackNS[server] = now.UnixNano()
+		s.Unlock()
 	}
 }
 
@@ -97,9 +75,9 @@ func (em *EM) Commit(e uint64, now time.Time) {
 	if em == nil {
 		return
 	}
-	if s := em.at(e); s != nil {
-		s.commitNS = now.UnixNano()
-		s.mu.Unlock()
+	if s := em.ring.Lock(e); s != nil {
+		s.Val.commitNS = now.UnixNano()
+		s.Unlock()
 	}
 }
 
@@ -109,21 +87,14 @@ func (em *EM) Snapshot() []EMRecord {
 	if em == nil {
 		return nil
 	}
-	out := make([]EMRecord, 0, len(em.ring))
-	for i := range em.ring {
-		s := &em.ring[i]
-		s.mu.Lock()
-		if s.epoch == 0 {
-			s.mu.Unlock()
-			continue
-		}
-		r := EMRecord{
-			Epoch:    s.epoch,
-			DecideNS: s.decideNS,
-			CommitNS: s.commitNS,
-			AckNS:    append([]int64(nil), s.ackNS...),
-		}
-		s.mu.Unlock()
+	var out []EMRecord
+	em.ring.Each(func(e uint64, r *emRec) {
+		out = append(out, EMRecord{Epoch: e, DecideNS: r.decideNS, CommitNS: r.commitNS,
+			AckNS: append([]int64(nil), r.ackNS...)})
+	})
+	sort.Slice(out, func(a, b int) bool { return out[a].Epoch < out[b].Epoch })
+	for i := range out {
+		r := &out[i]
 		for sv, ns := range r.AckNS {
 			if ns > 0 {
 				r.AckOrder = append(r.AckOrder, sv)
@@ -132,8 +103,6 @@ func (em *EM) Snapshot() []EMRecord {
 		sort.Slice(r.AckOrder, func(a, b int) bool {
 			return r.AckNS[r.AckOrder[a]] < r.AckNS[r.AckOrder[b]]
 		})
-		out = append(out, r)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Epoch < out[b].Epoch })
 	return out
 }

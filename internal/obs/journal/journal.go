@@ -1,6 +1,6 @@
 // Package journal is the per-epoch lifecycle flight recorder: an
-// always-on, ring-buffered journal holding one fixed-size record per epoch
-// per server, plus the epoch manager's mirror record. Where the stage
+// always-on journal holding one fixed-size record per epoch per server,
+// plus the epoch manager's mirror record. Where the stage
 // histograms (internal/metrics) aggregate and the tracer (internal/trace)
 // samples per transaction, the journal answers the question neither can:
 // "why was epoch E slow, and which stage gated it?" — the epoch is the
@@ -18,26 +18,29 @@
 // cluster-wide critical-path attribution (internal/obs/clusterview) needs
 // to name the ack straggler.
 //
+// Both keep their records in a ring (internal/ring) of depth epochs; an
+// event for an epoch already overwritten is refused and counted as stale.
+//
 // The package follows the repo's observability convention (trace, obs):
 // a nil *Journal is valid and inert, and every enabled hot-path record
-// call is allocation-free (fixed-size slots behind per-slot mutexes;
-// CI benchmarks guard both properties).
+// call is one slot lock and allocation-free (CI benchmarks guard both
+// properties).
 package journal
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"alohadb/internal/metrics"
+	"alohadb/internal/ring"
 )
 
-// DefaultRing is the default journal depth in epochs. At the paper's 25 ms
-// default epoch it covers ~13 s of history — several scrape intervals —
-// for ~100 KiB of fixed memory.
-const DefaultRing = 512
+// depth is the journal depth in epochs, of servers and the EM alike. At the
+// paper's 25 ms default epoch it covers ~13 s of history — several scrape
+// intervals — for ~100 KiB of fixed memory.
+const depth = 512
 
 // keyCap bounds the slowest-pending key bytes kept inline in a record
 // (longer keys truncate); fixed so the hot path never allocates.
@@ -69,10 +72,8 @@ var StageNames = [numStages]string{
 
 // rec is the fixed-size in-ring record. All times are UnixNano wall-clock
 // stamps (comparable across servers on one host or NTP-close hosts) except
-// fsyncNS, which is a duration.
+// fsyncNS, which is a duration. Its epoch is the ring slot's seq.
 type rec struct {
-	epoch uint64
-
 	installTxns     uint64
 	installFunctors uint64
 	installBytes    uint64
@@ -101,60 +102,23 @@ type rec struct {
 	gating int8 // local gating stage index, -1 until finalized
 }
 
-type slot struct {
-	mu sync.Mutex
-	r  rec
-}
-
-// Config configures a server journal.
-type Config struct {
-	// Server is the owning server's ID, stamped on snapshots.
-	Server int
-	// Ring is the journal depth in epochs (default DefaultRing).
-	Ring int
-}
-
 // Journal is one server's epoch lifecycle ring. A nil *Journal is valid
 // and records nothing at zero cost, mirroring trace.Tracer and obs.Skew.
 type Journal struct {
 	server int
-	ring   []slot
+	ring   *ring.Ring[rec]
 
 	stageHists [numStages]*metrics.Histogram
 	gating     [numStages]atomic.Uint64
-	stale      atomic.Uint64 // events for epochs already overwritten
 }
 
-// New builds a journal. A non-positive Ring takes the default.
-func New(cfg Config) *Journal {
-	if cfg.Ring <= 0 {
-		cfg.Ring = DefaultRing
-	}
-	j := &Journal{server: cfg.Server, ring: make([]slot, cfg.Ring)}
+// New builds the journal of server.
+func New(server int) *Journal {
+	j := &Journal{server: server, ring: ring.New(depth, func(r *rec) { *r = rec{gating: -1} })}
 	for i := range j.stageHists {
 		j.stageHists[i] = metrics.NewHistogram(metrics.LatencyBounds())
 	}
 	return j
-}
-
-// at locks epoch e's slot, resetting it when e supersedes the previous
-// occupant (ring overwrite). It returns nil — with no lock held — for a
-// stale event: an epoch already overwritten by a newer one can only
-// produce a torn record, so late events are counted and dropped.
-func (j *Journal) at(e uint64) *slot {
-	s := &j.ring[e%uint64(len(j.ring))]
-	s.mu.Lock()
-	switch {
-	case s.r.epoch == e:
-		return s
-	case s.r.epoch < e:
-		s.r = rec{epoch: e, gating: -1}
-		return s
-	default:
-		s.mu.Unlock()
-		j.stale.Add(1)
-		return nil
-	}
 }
 
 // Install records one installed transaction: functors functor versions
@@ -164,21 +128,21 @@ func (j *Journal) Install(e uint64, functors, bytes int, now time.Time) {
 	if j == nil {
 		return
 	}
-	s := j.at(e)
+	s := j.ring.Lock(e)
 	if s == nil {
 		return
 	}
 	ns := now.UnixNano()
-	s.r.installTxns++
-	s.r.installFunctors += uint64(functors)
-	s.r.installBytes += uint64(bytes)
-	if s.r.firstInstallNS == 0 || ns < s.r.firstInstallNS {
-		s.r.firstInstallNS = ns
+	s.Val.installTxns++
+	s.Val.installFunctors += uint64(functors)
+	s.Val.installBytes += uint64(bytes)
+	if s.Val.firstInstallNS == 0 || ns < s.Val.firstInstallNS {
+		s.Val.firstInstallNS = ns
 	}
-	if ns > s.r.lastInstallNS {
-		s.r.lastInstallNS = ns
+	if ns > s.Val.lastInstallNS {
+		s.Val.lastInstallNS = ns
 	}
-	s.mu.Unlock()
+	s.Unlock()
 }
 
 // AckWaitStart records the revoke arrival: the server stops starting
@@ -187,9 +151,9 @@ func (j *Journal) AckWaitStart(e uint64, now time.Time) {
 	if j == nil {
 		return
 	}
-	if s := j.at(e); s != nil {
-		s.r.ackStartNS = now.UnixNano()
-		s.mu.Unlock()
+	if s := j.ring.Lock(e); s != nil {
+		s.Val.ackStartNS = now.UnixNano()
+		s.Unlock()
 	}
 }
 
@@ -199,9 +163,9 @@ func (j *Journal) AckWaitEnd(e uint64, now time.Time) {
 	if j == nil {
 		return
 	}
-	if s := j.at(e); s != nil {
-		s.r.ackEndNS = now.UnixNano()
-		s.mu.Unlock()
+	if s := j.ring.Lock(e); s != nil {
+		s.Val.ackEndNS = now.UnixNano()
+		s.Unlock()
 	}
 }
 
@@ -210,9 +174,9 @@ func (j *Journal) CommittedRecv(e uint64, now time.Time) {
 	if j == nil {
 		return
 	}
-	if s := j.at(e); s != nil {
-		s.r.committedNS = now.UnixNano()
-		s.mu.Unlock()
+	if s := j.ring.Lock(e); s != nil {
+		s.Val.committedNS = now.UnixNano()
+		s.Unlock()
 	}
 }
 
@@ -222,10 +186,10 @@ func (j *Journal) SealDone(e uint64, now time.Time, drained int) {
 	if j == nil {
 		return
 	}
-	if s := j.at(e); s != nil {
-		s.r.sealNS = now.UnixNano()
-		s.r.drained = drained
-		s.mu.Unlock()
+	if s := j.ring.Lock(e); s != nil {
+		s.Val.sealNS = now.UnixNano()
+		s.Val.drained = drained
+		s.Unlock()
 	}
 }
 
@@ -237,15 +201,15 @@ func (j *Journal) Slowest(e uint64, key, ftype string, wait time.Duration, trace
 	if j == nil {
 		return
 	}
-	s := j.at(e)
+	s := j.ring.Lock(e)
 	if s == nil {
 		return
 	}
-	s.r.slowWaitNS = int64(wait)
-	s.r.slowTrace = traceID
-	s.r.slowKeyLen = uint8(copy(s.r.slowKey[:], key))
-	s.r.slowTypeLen = uint8(copy(s.r.slowType[:], ftype))
-	s.mu.Unlock()
+	s.Val.slowWaitNS = int64(wait)
+	s.Val.slowTrace = traceID
+	s.Val.slowKeyLen = uint8(copy(s.Val.slowKey[:], key))
+	s.Val.slowTypeLen = uint8(copy(s.Val.slowType[:], ftype))
+	s.Unlock()
 }
 
 // Durable records the durable-marker cost d: the whole LogEpochCommitted
@@ -254,12 +218,12 @@ func (j *Journal) Durable(e uint64, d time.Duration) {
 	if j == nil {
 		return
 	}
-	s := j.at(e)
+	s := j.ring.Lock(e)
 	if s == nil {
 		return
 	}
-	s.r.fsyncNS = int64(d)
-	s.mu.Unlock()
+	s.Val.fsyncNS = int64(d)
+	s.Unlock()
 }
 
 // Visible finalizes the record at visibility publication: epoch-e versions
@@ -271,25 +235,25 @@ func (j *Journal) Visible(e uint64, now time.Time, migrationSeals int, stallActi
 	if j == nil {
 		return
 	}
-	s := j.at(e)
+	s := j.ring.Lock(e)
 	if s == nil {
 		return
 	}
-	s.r.visibleNS = now.UnixNano()
-	s.r.migrationSeals = migrationSeals
-	s.r.stallActive = stallActive
+	s.Val.visibleNS = now.UnixNano()
+	s.Val.migrationSeals = migrationSeals
+	s.Val.stallActive = stallActive
 	var stages [numStages]int64
-	stages[StageInstall] = stageSpan(s.r.firstInstallNS, s.r.lastInstallNS)
+	stages[StageInstall] = stageSpan(s.Val.firstInstallNS, s.Val.lastInstallNS)
 	// A revoke whose ack was never sent (the switch went on without it under
 	// the manager's SwitchTimeout) waited until the Committed receipt.
-	ackEnd := s.r.ackEndNS
+	ackEnd := s.Val.ackEndNS
 	if ackEnd == 0 {
-		ackEnd = s.r.committedNS
+		ackEnd = s.Val.committedNS
 	}
-	stages[StageAckWait] = stageSpan(s.r.ackStartNS, ackEnd)
-	stages[StageBroadcast] = stageSpan(s.r.ackEndNS, s.r.committedNS)
-	stages[StageSeal] = stageSpan(s.r.committedNS, s.r.sealNS)
-	stages[StageFsync] = s.r.fsyncNS
+	stages[StageAckWait] = stageSpan(s.Val.ackStartNS, ackEnd)
+	stages[StageBroadcast] = stageSpan(s.Val.ackEndNS, s.Val.committedNS)
+	stages[StageSeal] = stageSpan(s.Val.committedNS, s.Val.sealNS)
+	stages[StageFsync] = s.Val.fsyncNS
 	gating := int8(-1)
 	var max int64
 	for i, d := range stages {
@@ -297,8 +261,8 @@ func (j *Journal) Visible(e uint64, now time.Time, migrationSeals int, stallActi
 			max, gating = d, int8(i)
 		}
 	}
-	s.r.gating = gating
-	s.mu.Unlock()
+	s.Val.gating = gating
+	s.Unlock()
 	for i, d := range stages {
 		if d > 0 {
 			j.stageHists[i].Observe(d)
@@ -340,18 +304,12 @@ func (j *Journal) GatingBetween(from, to uint64) string {
 	}
 	var counts [numStages]int
 	found := false
-	for i := range j.ring {
-		s := &j.ring[i]
-		s.mu.Lock()
-		e, g := s.r.epoch, s.r.gating
-		complete := s.r.committedNS > 0 && s.r.visibleNS > 0
-		s.mu.Unlock()
-		if e < from || e > to || !complete || g < 0 {
-			continue
+	j.ring.Each(func(e uint64, r *rec) {
+		if e >= from && e <= to && r.committedNS > 0 && r.visibleNS > 0 && r.gating >= 0 {
+			counts[r.gating]++
+			found = true
 		}
-		counts[g]++
-		found = true
-	}
+	})
 	if !found {
 		return ""
 	}
@@ -410,17 +368,10 @@ func (j *Journal) Snapshot() []Record {
 	if j == nil {
 		return nil
 	}
-	out := make([]Record, 0, len(j.ring))
-	for i := range j.ring {
-		s := &j.ring[i]
-		s.mu.Lock()
-		r := s.r
-		s.mu.Unlock()
-		if r.epoch == 0 {
-			continue
-		}
+	var out []Record
+	j.ring.Each(func(e uint64, r *rec) {
 		rec := Record{
-			Epoch:             r.epoch,
+			Epoch:             e,
 			Server:            j.server,
 			InstallTxns:       r.installTxns,
 			InstallFunctors:   r.installFunctors,
@@ -447,7 +398,7 @@ func (j *Journal) Snapshot() []Record {
 			rec.LocalGatingStage = StageNames[r.gating]
 		}
 		out = append(out, rec)
-	}
+	})
 	sort.Slice(out, func(a, b int) bool { return out[a].Epoch < out[b].Epoch })
 	return out
 }
@@ -468,7 +419,7 @@ func (j *Journal) Doc() Doc {
 	if j == nil {
 		return Doc{}
 	}
-	return Doc{Server: j.server, Ring: len(j.ring), Stale: j.stale.Load(), Records: j.Snapshot()}
+	return Doc{Server: j.server, Ring: depth, Stale: j.ring.Stale(), Records: j.Snapshot()}
 }
 
 // Metric family names exported by the journal.

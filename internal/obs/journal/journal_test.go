@@ -15,7 +15,7 @@ func at(ms int) time.Time {
 }
 
 func TestJournalLifecycle(t *testing.T) {
-	j := New(Config{Server: 2, Ring: 8})
+	j := New(2)
 
 	j.Install(5, 3, 100, at(0))
 	j.Install(5, 1, 50, at(4))
@@ -65,15 +65,15 @@ func TestJournalLifecycle(t *testing.T) {
 }
 
 func TestJournalRingWrapAndStale(t *testing.T) {
-	j := New(Config{Ring: 4})
+	j := New(0)
 	j.Install(1, 1, 1, at(0))
-	j.Install(5, 1, 1, at(1)) // same slot as epoch 1, newer: overwrites
-	j.Install(1, 1, 1, at(2)) // stale: dropped
+	j.Install(1+depth, 1, 1, at(1)) // same slot as epoch 1, newer: overwrites
+	j.Install(1, 1, 1, at(2))       // stale: dropped
 	if got := j.Doc().Stale; got != 1 {
 		t.Fatalf("stale = %d, want 1", got)
 	}
 	recs := j.Snapshot()
-	if len(recs) != 1 || recs[0].Epoch != 5 || recs[0].InstallTxns != 1 {
+	if len(recs) != 1 || recs[0].Epoch != 1+depth || recs[0].InstallTxns != 1 {
 		t.Fatalf("after wrap: %+v", recs)
 	}
 }
@@ -99,7 +99,7 @@ func TestJournalNilSafe(t *testing.T) {
 func TestJournalSkippedStagesNotObserved(t *testing.T) {
 	// An epoch with no installs and no ack wait must not record
 	// wall-clock-sized garbage into those stage histograms.
-	j := New(Config{Ring: 4})
+	j := New(0)
 	j.CommittedRecv(3, at(0))
 	j.SealDone(3, at(1), 0)
 	j.Visible(3, at(2), 0, false)
@@ -123,7 +123,7 @@ func TestJournalSkippedStagesNotObserved(t *testing.T) {
 func TestJournalAckWaitWithoutAck(t *testing.T) {
 	// A revoke the switch went on without acking waited until the Committed
 	// receipt; there was no broadcast stage to time.
-	j := New(Config{Ring: 4})
+	j := New(0)
 	j.AckWaitStart(4, at(0))
 	j.CommittedRecv(4, at(25))
 	j.Visible(4, at(26), 0, false)
@@ -146,7 +146,7 @@ func TestJournalAckWaitWithoutAck(t *testing.T) {
 }
 
 func TestJournalTruncatesLongKeys(t *testing.T) {
-	j := New(Config{Ring: 4})
+	j := New(0)
 	long := strings.Repeat("k", keyCap+20)
 	j.Slowest(9, long, "USER", time.Millisecond, 1)
 	recs := j.Snapshot()
@@ -156,7 +156,7 @@ func TestJournalTruncatesLongKeys(t *testing.T) {
 }
 
 func TestJournalMetricFamilies(t *testing.T) {
-	j := New(Config{Ring: 4})
+	j := New(0)
 	j.AckWaitStart(2, at(0))
 	j.AckWaitEnd(2, at(20))
 	j.CommittedRecv(2, at(21))
@@ -177,7 +177,7 @@ func TestJournalMetricFamilies(t *testing.T) {
 }
 
 func TestEMJournal(t *testing.T) {
-	em := NewEM(3, 8)
+	em := NewEM(3)
 	em.Decide(4, at(0))
 	em.Ack(4, 1, at(5))
 	em.Ack(4, 0, at(9))
@@ -206,15 +206,38 @@ func TestEMJournal(t *testing.T) {
 	}
 }
 
+// TestEMRingWrap checks the EM mirror keeps the newest depth epochs, oldest
+// first, and ignores an ack for an epoch it has overwritten.
+func TestEMRingWrap(t *testing.T) {
+	em := NewEM(2)
+	for e := uint64(1); e <= depth+1; e++ {
+		em.Decide(e, at(int(e)))
+		em.Ack(e, 0, at(int(e)+1))
+	}
+	em.Ack(1, 1, at(0)) // epoch 1's slot now holds depth+1: stale
+	recs := em.Snapshot()
+	if len(recs) != depth {
+		t.Fatalf("em ring holds %d records, want %d", len(recs), depth)
+	}
+	for i, r := range recs {
+		if r.Epoch != uint64(i)+2 {
+			t.Fatalf("record %d is epoch %d, want %d (oldest first)", i, r.Epoch, i+2)
+		}
+	}
+	if last := recs[depth-1]; last.AckNS[1] != 0 || len(last.AckOrder) != 1 || last.AckOrder[0] != 0 {
+		t.Fatalf("stale ack landed on epoch %d: %+v", last.Epoch, last)
+	}
+}
+
 // TestDocRoundTrip pins the /debug/epochs document: a server's records
 // plus the co-located EM's mirror survive the JSON round trip an operator
 // tool makes, and an absent journal still yields a valid document.
 func TestDocRoundTrip(t *testing.T) {
-	j := New(Config{Server: 1, Ring: 4})
+	j := New(1)
 	j.Install(7, 2, 10, at(0))
 	j.CommittedRecv(7, at(5))
 	j.Visible(7, at(6), 0, false)
-	em := NewEM(2, 4)
+	em := NewEM(2)
 	em.Decide(7, at(1))
 	em.Commit(7, at(4))
 
@@ -228,7 +251,7 @@ func TestDocRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("decode: %v\n%s", err, b)
 	}
-	if doc.Server != 1 || doc.Ring != 4 || len(doc.Records) != 1 || len(doc.EM) != 1 {
+	if doc.Server != 1 || doc.Ring != depth || len(doc.Records) != 1 || len(doc.EM) != 1 {
 		t.Fatalf("doc: %+v", doc)
 	}
 	if doc.Records[0].Epoch != 7 || doc.EM[0].Epoch != 7 {
@@ -255,7 +278,7 @@ func BenchmarkJournalDisabledInstall(b *testing.B) {
 // BenchmarkJournalEnabledInstall guards the enabled hot path: ring slots
 // are fixed-size, so recording must be 0 allocs/op, CI-enforced.
 func BenchmarkJournalEnabledInstall(b *testing.B) {
-	j := New(Config{Ring: 512})
+	j := New(0)
 	now := time.Now()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -29,36 +29,15 @@ func (d Detect) enabled() bool {
 	return d.DropFrac > 0 || d.RiseFactor > 0 || d.Onset
 }
 
-// DetectorConfig tunes the shared detection windows.
-type DetectorConfig struct {
-	// Recent is the window whose mean is tested (default 3 samples, so a
-	// single noisy tick cannot open a window).
-	Recent int
-	// Baseline is the trailing window preceding Recent (default 24).
-	Baseline int
-	// MinSamples suppresses detection until this many ticks exist
-	// (cold-start suppression; default Recent+Baseline, i.e. a full pair
-	// of windows).
-	MinSamples int
-	// MaxAnnotations bounds the annotation ring (default 64).
-	MaxAnnotations int
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Recent <= 0 {
-		c.Recent = 3
-	}
-	if c.Baseline <= 0 {
-		c.Baseline = 24
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = c.Recent + c.Baseline
-	}
-	if c.MaxAnnotations <= 0 {
-		c.MaxAnnotations = 64
-	}
-	return c
-}
+// The detection windows, in ticks: the mean of the recent window (3, so a
+// single noisy tick cannot open an anomaly) is tested against the mean of
+// the baseline window before it, once both are full (cold-start
+// suppression). maxAnnotations bounds the annotation ring.
+const (
+	recentWindow   = 3
+	baselineWindow = 24
+	maxAnnotations = 64
+)
 
 // Annotation kinds.
 const (
@@ -93,16 +72,15 @@ type Annotation struct {
 	GatingStage string `json:"gating_stage,omitempty"`
 }
 
-// detect runs the level-shift test for one series after a tick. Called
-// with r.mu held, after r.n was advanced.
-func (r *Recorder) detect(s *series, nowMS int64, epoch uint64) {
+// detect runs the level-shift test for series i after a tick. Called with
+// r.mu held, after r.n was advanced.
+func (r *Recorder) detect(i int, s *series, nowMS int64, epoch uint64) {
 	d := s.src.Detect
-	if !d.enabled() || r.n < r.cfg.Detector.MinSamples {
+	if !d.enabled() || r.n < recentWindow+baselineWindow {
 		return
 	}
-	dc := r.cfg.Detector
-	recent, rok := r.windowMean(s, 0, dc.Recent)
-	baseline, bok := r.windowMean(s, dc.Recent, dc.Baseline)
+	recent, rok := r.windowMean(i, 0, recentWindow)
+	baseline, bok := r.windowMean(i, recentWindow, baselineWindow)
 	if !rok || !bok {
 		return
 	}
@@ -145,45 +123,37 @@ func (r *Recorder) detect(s *series, nowMS int64, epoch uint64) {
 	}
 	// The window opened: its start is the first tick of the recent
 	// window, both on the wall clock and the epoch frontier.
-	startSlot := (r.n - dc.Recent) % r.cfg.retention
+	start, _ := r.ticks.Get(r.n - recentWindow + 1)
 	a := &Annotation{
 		Series:    s.src.Name,
 		Kind:      kind,
 		Active:    true,
-		StartMS:   r.ticks[startSlot],
+		StartMS:   start.ms,
 		EndMS:     nowMS,
 		Baseline:  baseline,
 		Observed:  recent,
-		FromEpoch: r.epochs[startSlot],
+		FromEpoch: start.epoch,
 		ToEpoch:   epoch,
 	}
 	a.GatingStage = r.gating(a.FromEpoch, epoch)
 	s.open = a
-	r.anns = append(r.anns, a)
-	if len(r.anns) > r.cfg.Detector.MaxAnnotations {
-		r.anns = r.anns[len(r.anns)-r.cfg.Detector.MaxAnnotations:]
-	}
+	r.anns.Add(a)
 }
 
-// windowMean averages the n ring samples ending `skip` ticks before the
-// newest, ignoring NaN gaps; ok is false when fewer than half the window
-// is present (detection on mostly-gap windows would be noise).
-func (r *Recorder) windowMean(s *series, skip, n int) (mean float64, ok bool) {
+// windowMean averages series i over the n ticks ending skip ticks before
+// the newest, ignoring NaN gaps; ok is false when fewer than half the
+// window is present (detection on mostly-gap windows would be noise).
+func (r *Recorder) windowMean(i int, skip, n uint64) (mean float64, ok bool) {
 	var sum float64
 	var cnt int
-	oldest := r.n - min(r.n, r.cfg.retention)
-	for t := r.n - 1 - skip; t >= r.n-skip-n; t-- {
-		if t < oldest {
-			break
+	for seq := r.n - skip; seq > r.n-skip-n; seq-- {
+		t, _ := r.ticks.Get(seq) // held: the windows are shorter than the ring
+		if v := t.vals[i]; !math.IsNaN(v) {
+			sum += v
+			cnt++
 		}
-		v := s.ring[t%r.cfg.retention]
-		if math.IsNaN(v) {
-			continue
-		}
-		sum += v
-		cnt++
 	}
-	if cnt < (n+1)/2 {
+	if cnt < int(n+1)/2 {
 		return 0, false
 	}
 	return sum / float64(cnt), true

@@ -1,17 +1,19 @@
 // Package tsdb is ALOHA-DB's in-process metrics flight recorder: a
 // fixed-memory time-series store that samples a curated set of signals
 // (commit/abort throughput, per-stage epoch quantiles, visibility lag,
-// stall count, queue depths, WAL fsync age, runtime health) into
-// per-series ring buffers on one shared tick. Where /metrics answers
-// "what is the server doing right now", the recorder answers "what was
-// it doing two minutes ago, and when did it change" — the question every
-// post-hoc slowdown investigation starts with.
+// stall count, queue depths, WAL fsync age, runtime health) on one shared
+// tick into one ring (internal/ring) of tick rows: the wall clock, the
+// committed-epoch frontier and one value per series. Where /metrics
+// answers "what is the server doing right now", the recorder answers
+// "what was it doing two minutes ago, and when did it change" — the
+// question every post-hoc slowdown investigation starts with.
 //
-// Alongside the wall clock, every tick samples the committed-epoch
-// frontier, so each ring slot maps to a window of the epoch protocol's
-// own time base. That mapping is what lets an anomaly window (detect.go)
-// be cross-linked to the epoch journal's gating attribution: "throughput
-// dropped between epochs 410 and 460, and the journal blames ack-wait".
+// Because every row carries the committed-epoch frontier, each tick maps
+// to a window of the epoch protocol's own time base. That mapping is what
+// lets an anomaly window (detect.go) be cross-linked to the epoch
+// journal's gating attribution: "throughput dropped between epochs 410
+// and 460, and the journal blames ack-wait". Retention, the detection
+// windows and the annotation ring are constants.
 //
 // The recorder follows the package's observability contract: a nil
 // *Recorder is valid and inert, and the steady-state Sample path
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"alohadb/internal/metrics"
+	"alohadb/internal/ring"
 )
 
 // Kind discriminates how a source's readings become ring samples.
@@ -88,10 +91,6 @@ type Config struct {
 	Server int
 	// Interval is the sample cadence (default 500ms).
 	Interval time.Duration
-	// retention is the ring length in samples: 240, two minutes at the
-	// default interval (tests shrink it). Memory is retention x 8B per
-	// series plus the shared tick and epoch rings.
-	retention int
 	// Epoch, when set, samples the committed-epoch frontier alongside the
 	// wall clock so every ring slot maps to an epoch window. Must not
 	// allocate.
@@ -100,15 +99,24 @@ type Config struct {
 	// over an epoch range; annotations carry it as their local critical-
 	// path attribution. Called only when an anomaly opens or closes.
 	Gating func(from, to uint64) string
-	// Detector tunes the shared anomaly-detection windows.
-	Detector DetectorConfig
 	// Sources are the recorded series.
 	Sources []Source
 }
 
+// retention is the ring length in ticks: two minutes at the default
+// interval, for 8 B per series and 16 B of stamps per tick.
+const retention = 240
+
+// tick is one ring row: the wall clock, the committed-epoch frontier, and
+// each series' value (NaN for a gap), in Config.Sources order.
+type tick struct {
+	ms    int64
+	epoch uint64
+	vals  []float64
+}
+
 type series struct {
-	src  Source
-	ring []float64 // parallel to Recorder.ticks; gaps are NaN
+	src Source
 
 	// Rate state: previous cumulative reading.
 	lastRaw  float64
@@ -121,18 +129,17 @@ type series struct {
 	open *Annotation // open anomaly window, nil when healthy
 }
 
-// Recorder samples its sources on a fixed cadence into ring buffers. A
+// Recorder samples its sources on a fixed cadence into a ring of ticks. A
 // nil *Recorder is valid and inert.
 type Recorder struct {
 	cfg Config
 
 	mu         sync.Mutex
 	series     []*series
-	ticks      []int64  // unix ms per tick, ring
-	epochs     []uint64 // committed epoch per tick, ring
-	n          int      // ticks taken; slot for tick t is t % retention
+	ticks      *ring.Ring[tick]
+	n          uint64 // ticks taken: the newest tick's seq
 	lastTickMS int64
-	anns       []*Annotation // bounded, newest last
+	anns       *ring.Ring[*Annotation]
 
 	stop chan struct{}
 	done chan struct{}
@@ -148,23 +155,21 @@ func New(cfg Config) *Recorder {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
-	if cfg.retention <= 0 {
-		cfg.retention = 240
-	}
-	cfg.Detector = cfg.Detector.withDefaults()
 	r := &Recorder{
-		cfg:    cfg,
-		ticks:  make([]int64, cfg.retention),
-		epochs: make([]uint64, cfg.retention),
+		cfg: cfg,
+		// Each slot's row of values is made once, here, and reused.
+		ticks: ring.New(retention, func(t *tick) {
+			if t.vals == nil {
+				t.vals = make([]float64, len(cfg.Sources))
+			}
+		}),
+		anns: ring.New[*Annotation](maxAnnotations, nil),
 	}
 	for _, src := range cfg.Sources {
 		if src.Scale == 0 {
 			src.Scale = 1
 		}
-		r.series = append(r.series, &series{
-			src:  src,
-			ring: make([]float64, cfg.retention),
-		})
+		r.series = append(r.series, &series{src: src})
 	}
 	return r
 }
@@ -209,7 +214,7 @@ func (r *Recorder) loop() {
 	}
 }
 
-// Sample takes one tick: reads every source, advances the rings, and
+// Sample takes one tick: reads every source into the ring's next row, and
 // runs anomaly detection. Exported so simulators and tests can drive the
 // recorder on their own clock. Nil-safe; zero allocations once the
 // histogram scratch buffers are warm and no anomaly window opens.
@@ -228,16 +233,17 @@ func (r *Recorder) Sample(now time.Time) {
 	if r.n == 0 || dt <= 0 {
 		dt = r.cfg.Interval.Seconds()
 	}
-	idx := r.n % r.cfg.retention
-	r.ticks[idx] = ms
-	r.epochs[idx] = e
-	for _, s := range r.series {
-		s.ring[idx] = r.sampleOne(s, dt)
-	}
 	r.n++
+	slot := r.ticks.Lock(r.n)
+	t := &slot.Val
+	t.ms, t.epoch = ms, e
+	for i, s := range r.series {
+		t.vals[i] = r.sampleOne(s, dt)
+	}
+	slot.Unlock()
 	r.lastTickMS = ms
-	for _, s := range r.series {
-		r.detect(s, ms, e)
+	for i, s := range r.series {
+		r.detect(i, s, ms, e)
 	}
 }
 
@@ -302,20 +308,8 @@ func deltaInto(dst *metrics.HistogramSnapshot, cur, prev metrics.HistogramSnapsh
 	dst.Sum = cur.Sum - prev.Sum
 }
 
-// Annotations returns a copy of the annotation ring, oldest first.
-// Nil-safe.
-func (r *Recorder) Annotations() []Annotation {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Annotation, len(r.anns))
-	for i, a := range r.anns {
-		out[i] = *a
-	}
-	return out
-}
+// Annotations returns the annotation ring, oldest first. Nil-safe.
+func (r *Recorder) Annotations() []Annotation { return r.Doc().Annotations }
 
 // Samples is a series' ring exported oldest-to-newest. Ticks where the
 // series had no reading (first rate tick, empty quantile window) marshal
@@ -387,33 +381,30 @@ func (r *Recorder) Doc() Doc {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	ticks, _ := r.ticks.Snapshot()
+	anns, _ := r.anns.Snapshot()
 	doc := Doc{
-		Server:     r.cfg.Server,
-		IntervalMS: r.cfg.Interval.Milliseconds(),
-		Retention:  r.cfg.retention,
+		Server:      r.cfg.Server,
+		IntervalMS:  r.cfg.Interval.Milliseconds(),
+		Retention:   retention,
+		Ticks:       make([]int64, len(ticks)),
+		Epochs:      make([]uint64, len(ticks)),
+		Series:      make([]SeriesDoc, len(r.series)),
+		Annotations: make([]Annotation, len(anns)),
 	}
-	valid := min(r.n, r.cfg.retention)
-	doc.Ticks = make([]int64, valid)
-	doc.Epochs = make([]uint64, valid)
-	for i := 0; i < valid; i++ {
-		slot := (r.n - valid + i) % r.cfg.retention
-		doc.Ticks[i] = r.ticks[slot]
-		doc.Epochs[i] = r.epochs[slot]
+	for i, a := range anns {
+		doc.Annotations[i] = *a // open windows update theirs under r.mu
 	}
-	doc.Series = make([]SeriesDoc, len(r.series))
+	for i, t := range ticks {
+		doc.Ticks[i], doc.Epochs[i] = t.ms, t.epoch
+	}
 	for si, s := range r.series {
 		sd := SeriesDoc{Name: s.src.Name, Kind: s.src.Kind.String(), Unit: s.src.Unit}
-		sd.Samples = make(Samples, valid)
-		for i := 0; i < valid; i++ {
-			sd.Samples[i] = s.ring[(r.n-valid+i)%r.cfg.retention]
+		sd.Samples = make(Samples, len(ticks))
+		for i, t := range ticks {
+			sd.Samples[i] = t.vals[si]
 		}
 		doc.Series[si] = sd
-	}
-	if len(r.anns) > 0 {
-		doc.Annotations = make([]Annotation, len(r.anns))
-		for i, a := range r.anns {
-			doc.Annotations[i] = *a
-		}
 	}
 	return doc
 }

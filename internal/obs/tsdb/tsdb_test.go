@@ -39,10 +39,9 @@ func TestRecorderRingsAndDoc(t *testing.T) {
 	var ctr atomic.Uint64
 	var epoch atomic.Uint64
 	r := New(Config{
-		Server:    2,
-		Interval:  100 * time.Millisecond,
-		retention: 8,
-		Epoch:     epoch.Load,
+		Server:   2,
+		Interval: 100 * time.Millisecond,
+		Epoch:    epoch.Load,
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Unit: "txn/s",
 				Value: func() float64 { return float64(ctr.Load()) }},
@@ -51,20 +50,20 @@ func TestRecorderRingsAndDoc(t *testing.T) {
 		},
 	})
 	now := time.Unix(1000, 0)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < retention+4; i++ {
 		ctr.Add(50) // 50 per 100ms tick = 500/s
 		epoch.Add(3)
 		r.Sample(now)
 		now = now.Add(100 * time.Millisecond)
 	}
-	if got := len(r.Doc().Ticks); got != 8 {
-		t.Fatalf("Len = %d, want retention 8", got)
+	if got := len(r.Doc().Ticks); got != retention {
+		t.Fatalf("Len = %d, want retention %d", got, retention)
 	}
 	doc := r.Doc()
-	if doc.Server != 2 || doc.IntervalMS != 100 || doc.Retention != 8 {
+	if doc.Server != 2 || doc.IntervalMS != 100 || doc.Retention != retention {
 		t.Fatalf("doc header = %+v", doc)
 	}
-	if len(doc.Ticks) != 8 || len(doc.Epochs) != 8 || len(doc.Series) != 2 {
+	if len(doc.Ticks) != retention || len(doc.Epochs) != retention || len(doc.Series) != 2 {
 		t.Fatalf("doc shape: ticks=%d epochs=%d series=%d", len(doc.Ticks), len(doc.Epochs), len(doc.Series))
 	}
 	for i := 1; i < len(doc.Ticks); i++ {
@@ -88,8 +87,7 @@ func TestRecorderRingsAndDoc(t *testing.T) {
 func TestQuantileWindowedNotLifetime(t *testing.T) {
 	h := metrics.NewHistogram(metrics.LatencyBounds())
 	r := New(Config{
-		Interval:  100 * time.Millisecond,
-		retention: 32,
+		Interval: 100 * time.Millisecond,
 		Sources: []Source{
 			{Name: "p99", Kind: KindQuantile, Hist: h, Q: 0.99, Scale: 1e-9, Unit: "seconds"},
 		},
@@ -126,21 +124,19 @@ func TestDetectorLevelShiftDetected(t *testing.T) {
 	var epoch atomic.Uint64
 	gateFrom, gateTo := uint64(0), uint64(0)
 	r := New(Config{
-		Interval:  100 * time.Millisecond,
-		retention: 64,
-		Epoch:     epoch.Load,
+		Interval: 100 * time.Millisecond,
+		Epoch:    epoch.Load,
 		Gating: func(from, to uint64) string {
 			gateFrom, gateTo = from, to
 			return "ack-wait"
 		},
-		Detector: DetectorConfig{Recent: 3, Baseline: 10},
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Detect: Detect{DropFrac: 0.25, MinBaseline: 10},
 				Value: func() float64 { return float64(ctr.Load()) }},
 		},
 	})
 	now := time.Unix(1000, 0)
-	for i := 0; i < 20; i++ { // healthy baseline: 1000/s
+	for i := 0; i < recentWindow+baselineWindow; i++ { // healthy baseline: 1000/s
 		ctr.Add(100)
 		epoch.Add(5)
 		r.Sample(now)
@@ -193,9 +189,7 @@ func TestDetectorNoiseNotFlagged(t *testing.T) {
 	var ctr atomic.Uint64
 	i := 0
 	r := New(Config{
-		Interval:  100 * time.Millisecond,
-		retention: 64,
-		Detector:  DetectorConfig{Recent: 3, Baseline: 10},
+		Interval: 100 * time.Millisecond,
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Detect: Detect{DropFrac: 0.25, MinBaseline: 10},
 				Value: func() float64 { return float64(ctr.Load()) }},
@@ -218,9 +212,7 @@ func TestDetectorColdStartSuppressed(t *testing.T) {
 	var v atomic.Uint64
 	v.Store(100)
 	r := New(Config{
-		Interval:  100 * time.Millisecond,
-		retention: 64,
-		Detector:  DetectorConfig{Recent: 3, Baseline: 10},
+		Interval: 100 * time.Millisecond,
 		Sources: []Source{
 			// A gauge that collapses immediately: without cold-start
 			// suppression the first few ticks would look like a drop.
@@ -244,9 +236,7 @@ func TestDetectorRiseAndOnset(t *testing.T) {
 	lat.Store(1) // ms
 	var stalls atomic.Uint64
 	r := New(Config{
-		Interval:  100 * time.Millisecond,
-		retention: 64,
-		Detector:  DetectorConfig{Recent: 3, Baseline: 10},
+		Interval: 100 * time.Millisecond,
 		Sources: []Source{
 			{Name: "p99", Kind: KindGauge, Detect: Detect{RiseFactor: 2, MinBaseline: 0.5},
 				Value: func() float64 { return float64(lat.Load()) }},
@@ -254,7 +244,7 @@ func TestDetectorRiseAndOnset(t *testing.T) {
 				Value: func() float64 { return float64(stalls.Load()) }},
 		},
 	})
-	now := drive(r, time.Unix(1000, 0), 20)
+	now := drive(r, time.Unix(1000, 0), recentWindow+baselineWindow)
 	lat.Store(5) // x5 the baseline
 	stalls.Add(1)
 	now = drive(r, now, 4)
@@ -267,6 +257,50 @@ func TestDetectorRiseAndOnset(t *testing.T) {
 	}
 	if kinds["stalls"] != AnomalyOnset {
 		t.Fatalf("stall onset not flagged: %+v", r.Annotations())
+	}
+}
+
+// TestAnnotationRingBound checks the annotation ring keeps the newest
+// maxAnnotations windows, oldest first, and that an open window keeps
+// updating until it closes.
+func TestAnnotationRingBound(t *testing.T) {
+	// One-tick blips on an idle gauge, each once the previous one has left
+	// the baseline window: every blip opens an onset window, which closes
+	// once the blip leaves the recent window.
+	const period = recentWindow + baselineWindow + 1
+	const blips = maxAnnotations + 5
+	var v, epoch atomic.Uint64
+	r := New(Config{
+		Interval: 100 * time.Millisecond,
+		Epoch:    epoch.Load,
+		Sources: []Source{{Name: "blips", Kind: KindGauge, Detect: Detect{Onset: true},
+			Value: func() float64 { return float64(v.Load()) }}},
+	})
+	now := time.Unix(1000, 0)
+	for tick := uint64(1); tick <= blips*period+recentWindow; tick++ {
+		v.Store(0)
+		if tick%period == 0 {
+			v.Store(1)
+		}
+		epoch.Store(tick)
+		r.Sample(now)
+		if tick%period == 1 && tick > period {
+			anns := r.Annotations()
+			if a := anns[len(anns)-1]; !a.Active || a.ToEpoch != tick || a.EndMS != now.UnixMilli() {
+				t.Fatalf("tick %d: open window not updated: %+v", tick, a)
+			}
+		}
+		now = now.Add(100 * time.Millisecond)
+	}
+	anns := r.Annotations()
+	if len(anns) != maxAnnotations {
+		t.Fatalf("annotation ring holds %d, want %d", len(anns), maxAnnotations)
+	}
+	for i, a := range anns {
+		blip := uint64(blips-maxAnnotations+1+i) * period
+		if a.Active || a.Kind != AnomalyOnset || a.FromEpoch != blip-recentWindow+1 || a.ToEpoch != blip+recentWindow {
+			t.Fatalf("annotation %d = %+v, want the closed window of the blip at epoch %d", i, a, blip)
+		}
 	}
 }
 
@@ -319,9 +353,8 @@ func BenchmarkRecorderSample(b *testing.B) {
 		h.ObserveDuration(time.Millisecond)
 	}
 	r := New(Config{
-		Interval:  100 * time.Millisecond,
-		retention: 240,
-		Epoch:     epoch.Load,
+		Interval: 100 * time.Millisecond,
+		Epoch:    epoch.Load,
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Detect: Detect{DropFrac: 0.25, MinBaseline: 10},
 				Value: func() float64 { return float64(ctr.Load()) }},

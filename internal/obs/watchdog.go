@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alohadb/internal/metrics"
+	"alohadb/internal/ring"
 )
 
 // Event kinds emitted by the watchdog.
@@ -115,21 +116,25 @@ type Event struct {
 type WatchdogConfig struct {
 	// Server is the owning server's ID, stamped on snapshots.
 	Server int
-	// Threshold is the maximum progress age before a stall is declared.
-	// Required (Watchdog returns nil without it).
+	// Threshold is the maximum progress age before a stall is declared,
+	// checked every Threshold/4 (at least every millisecond). Required
+	// (Watchdog returns nil without it).
 	Threshold time.Duration
-	// Poll is the check cadence (default Threshold/4, min 1ms).
-	Poll time.Duration
 	// Progress returns a monotonically advancing value — ALOHA-DB uses the
 	// visibility bound, so any committed epoch is progress. Required.
 	Progress func() uint64
 	// Capture builds the stall snapshot (peer probes, queue depths, …).
 	// Called once per stall episode, outside the watchdog lock. Optional.
 	Capture func(ctx context.Context) *StallSnapshot
-	// OnEvent receives stall.detected / stall.cleared transitions
-	// (optional; events are also kept in the ring).
-	OnEvent func(Event)
 }
+
+// The watchdog's ring sizes, and the goroutine profile bytes attached to
+// each snapshot.
+const (
+	stallRing    = 16
+	eventRing    = 64
+	profileBytes = 16 << 10
+)
 
 // Watchdog tracks one server's epoch progress and records stalls. A nil
 // *Watchdog is valid and inert, mirroring the tracer's disabled path.
@@ -138,10 +143,8 @@ type Watchdog struct {
 	stop chan struct{}
 	done chan struct{}
 
-	// ring bounds the snapshot ring and profileBytes the goroutine profile
-	// attached to each snapshot (0 attaches none); tests shrink both.
-	ring         int
-	profileBytes int
+	snaps  *ring.Ring[*StallSnapshot]
+	events *ring.Ring[Event]
 
 	mu          sync.Mutex
 	lastVal     uint64
@@ -149,11 +152,7 @@ type Watchdog struct {
 	active      bool
 	activeSince time.Time
 	stalls      uint64
-	snaps       []*StallSnapshot // ring, newest last
-	events      []Event          // ring, newest last
 }
-
-const watchdogEventRing = 64
 
 // NewWatchdog builds a stopped watchdog; call Start to begin polling.
 // Returns nil (inert) when Threshold or Progress is unset.
@@ -161,13 +160,7 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Threshold <= 0 || cfg.Progress == nil {
 		return nil
 	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = cfg.Threshold / 4
-	}
-	if cfg.Poll < time.Millisecond {
-		cfg.Poll = time.Millisecond
-	}
-	return &Watchdog{cfg: cfg, ring: 16, profileBytes: 16 << 10}
+	return &Watchdog{cfg: cfg, snaps: ring.New[*StallSnapshot](stallRing, nil), events: ring.New[Event](eventRing, nil)}
 }
 
 // Start begins the polling loop. Nil-safe no-op.
@@ -199,7 +192,7 @@ func (w *Watchdog) Stop() {
 
 func (w *Watchdog) loop() {
 	defer close(w.done)
-	t := time.NewTicker(w.cfg.Poll)
+	t := time.NewTicker(max(w.cfg.Threshold/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -219,15 +212,11 @@ func (w *Watchdog) check(now time.Time) {
 	if cur != w.lastVal {
 		w.lastVal = cur
 		w.lastChange = now
-		if !w.active {
-			w.mu.Unlock()
-			return
+		if w.active {
+			w.active = false
+			w.events.Add(Event{Kind: EventStallCleared, At: now, Epoch: cur, Age: now.Sub(w.activeSince)})
 		}
-		w.active = false
-		ev := Event{Kind: EventStallCleared, At: now, Epoch: cur, Age: now.Sub(w.activeSince)}
-		w.pushEvent(ev)
 		w.mu.Unlock()
-		w.emit(ev)
 		return
 	}
 	age := now.Sub(w.lastChange)
@@ -238,18 +227,11 @@ func (w *Watchdog) check(now time.Time) {
 	w.active = true
 	w.activeSince = now
 	w.stalls++
-	ev := Event{Kind: EventStallDetected, At: now, Epoch: cur, Age: age}
-	w.pushEvent(ev)
 	w.mu.Unlock()
-
-	snap := w.capture(now, age, cur)
-	w.mu.Lock()
-	w.snaps = append(w.snaps, snap)
-	if len(w.snaps) > w.ring {
-		w.snaps = w.snaps[len(w.snaps)-w.ring:]
-	}
-	w.mu.Unlock()
-	w.emit(ev)
+	// The snapshot goes in before the event that announces it. Only the
+	// loop calls check, so the episode's cleared event comes after both.
+	w.snaps.Add(w.capture(now, age, cur))
+	w.events.Add(Event{Kind: EventStallDetected, At: now, Epoch: cur, Age: age})
 }
 
 // capture runs the configured capture hook (outside the lock — it probes
@@ -273,25 +255,12 @@ func (w *Watchdog) capture(now time.Time, age time.Duration, progress uint64) *S
 	if snap.Goroutines == 0 {
 		snap.Goroutines = runtime.NumGoroutine()
 	}
-	if snap.GoroutineProfile == "" && w.profileBytes > 0 {
-		buf := make([]byte, w.profileBytes)
+	if snap.GoroutineProfile == "" {
+		buf := make([]byte, profileBytes)
 		n := runtime.Stack(buf, true)
 		snap.GoroutineProfile = string(buf[:n])
 	}
 	return snap
-}
-
-func (w *Watchdog) pushEvent(ev Event) {
-	w.events = append(w.events, ev)
-	if len(w.events) > watchdogEventRing {
-		w.events = w.events[len(w.events)-watchdogEventRing:]
-	}
-}
-
-func (w *Watchdog) emit(ev Event) {
-	if w.cfg.OnEvent != nil {
-		w.cfg.OnEvent(ev)
-	}
 }
 
 // Active reports whether a stall episode is open. Nil-safe.
@@ -331,18 +300,6 @@ func (w *Watchdog) Health() (bool, string) {
 		" (threshold " + w.cfg.Threshold.String() + ")"
 }
 
-// Snapshots returns the flight-recorder ring, oldest first. Nil-safe.
-func (w *Watchdog) Snapshots() []*StallSnapshot {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]*StallSnapshot, len(w.snaps))
-	copy(out, w.snaps)
-	return out
-}
-
 // StallStatus is the /debug/stall JSON document.
 type StallStatus struct {
 	Active bool `json:"active"`
@@ -363,7 +320,6 @@ func (w *Watchdog) Status() StallStatus {
 		return StallStatus{}
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	st := StallStatus{
 		Active:      w.active,
 		StallsTotal: w.stalls,
@@ -372,10 +328,9 @@ func (w *Watchdog) Status() StallStatus {
 	if !w.lastChange.IsZero() {
 		st.ProgressAge = time.Since(w.lastChange)
 	}
-	st.Snapshots = make([]*StallSnapshot, len(w.snaps))
-	copy(st.Snapshots, w.snaps)
-	st.Events = make([]Event, len(w.events))
-	copy(st.Events, w.events)
+	w.mu.Unlock()
+	st.Snapshots, _ = w.snaps.Snapshot()
+	st.Events, _ = w.events.Snapshot()
 	return st
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,13 +28,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 func TestWatchdogDetectAndClear(t *testing.T) {
 	var progress atomic.Uint64
 	var captured atomic.Int32
-	var mu sync.Mutex
-	var events []Event
 
 	w := NewWatchdog(WatchdogConfig{
 		Server:    7,
 		Threshold: 30 * time.Millisecond,
-		Poll:      5 * time.Millisecond,
 		Progress:  progress.Load,
 		Capture: func(ctx context.Context) *StallSnapshot {
 			captured.Add(1)
@@ -44,11 +40,6 @@ func TestWatchdogDetectAndClear(t *testing.T) {
 				CurrentEpoch:     5,
 				UnreachablePeers: []int{2},
 			}
-		},
-		OnEvent: func(ev Event) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
 		},
 	})
 	w.Start()
@@ -72,7 +63,7 @@ func TestWatchdogDetectAndClear(t *testing.T) {
 	if got := captured.Load(); got != 1 {
 		t.Fatalf("captured %d snapshots for one episode", got)
 	}
-	snaps := w.Snapshots()
+	snaps := w.Status().Snapshots
 	if len(snaps) != 1 {
 		t.Fatalf("snapshot ring has %d entries", len(snaps))
 	}
@@ -95,8 +86,7 @@ func TestWatchdogDetectAndClear(t *testing.T) {
 	if ok, _ := w.Health(); !ok {
 		t.Fatal("unhealthy after clear")
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	events := w.Status().Events
 	if len(events) != 2 || events[0].Kind != EventStallDetected || events[1].Kind != EventStallCleared {
 		t.Fatalf("events = %+v", events)
 	}
@@ -105,33 +95,55 @@ func TestWatchdogDetectAndClear(t *testing.T) {
 	}
 }
 
-// TestWatchdogRingBound checks the flight-recorder ring stays bounded
-// across many episodes.
+// TestWatchdogRingBound checks the flight-recorder rings stay bounded
+// across many episodes, keeping the newest snapshots and events oldest
+// first. It drives check on a synthetic clock, without Start.
 func TestWatchdogRingBound(t *testing.T) {
+	const episodes = eventRing
 	var progress atomic.Uint64
 	w := NewWatchdog(WatchdogConfig{
 		Threshold: 5 * time.Millisecond,
-		Poll:      time.Millisecond,
 		Progress:  progress.Load,
 	})
-	w.ring, w.profileBytes = 3, 0 // keep the test cheap
-	w.Start()
-	defer w.Stop()
-	for i := 0; i < 6; i++ {
-		if !waitFor(t, time.Second, w.Active) {
+	now := time.Unix(1000, 0)
+	w.check(now) // progress 0 at the start of the clock
+	for i := 0; i < episodes; i++ {
+		now = now.Add(5 * time.Millisecond)
+		w.check(now)
+		if !w.Active() {
 			t.Fatalf("episode %d never detected", i)
 		}
 		progress.Add(1)
-		if !waitFor(t, time.Second, func() bool { return !w.Active() }) {
+		now = now.Add(time.Millisecond)
+		w.check(now)
+		if w.Active() {
 			t.Fatalf("episode %d never cleared", i)
 		}
 	}
-	if n := len(w.Snapshots()); n != 3 {
-		t.Fatalf("ring has %d snapshots, want 3", n)
+	snaps := w.Status().Snapshots
+	if n := len(snaps); n != stallRing {
+		t.Fatalf("ring has %d snapshots, want %d", n, stallRing)
+	}
+	if last := snaps[stallRing-1].DetectedAt; !last.Equal(now.Add(-time.Millisecond)) {
+		t.Fatalf("newest snapshot detected at %v, want the last episode's %v", last, now.Add(-time.Millisecond))
 	}
 	st := w.Status()
-	if st.StallsTotal != 6 {
-		t.Fatalf("stalls_total = %d, want 6", st.StallsTotal)
+	if st.StallsTotal != episodes {
+		t.Fatalf("stalls_total = %d, want %d", st.StallsTotal, episodes)
+	}
+	// Two events per episode: the ring holds the newest eventRing, the last
+	// eventRing/2 episodes, detected and cleared in turn.
+	if len(st.Events) != eventRing {
+		t.Fatalf("event ring has %d events, want %d", len(st.Events), eventRing)
+	}
+	for i, ev := range st.Events {
+		kind, epoch := EventStallDetected, uint64(episodes-eventRing/2+i/2)
+		if i%2 == 1 {
+			kind, epoch = EventStallCleared, epoch+1
+		}
+		if ev.Kind != kind || ev.Epoch != epoch {
+			t.Fatalf("event %d = %s at epoch %d, want %s at %d", i, ev.Kind, ev.Epoch, kind, epoch)
+		}
 	}
 }
 
@@ -141,13 +153,11 @@ func TestWatchdogStatusJSON(t *testing.T) {
 	w := NewWatchdog(WatchdogConfig{
 		Server:    3,
 		Threshold: 10 * time.Millisecond,
-		Poll:      2 * time.Millisecond,
 		Progress:  progress.Load,
 	})
-	w.profileBytes = 0
 	w.Start()
 	defer w.Stop()
-	if !waitFor(t, time.Second, w.Active) {
+	if !waitFor(t, time.Second, func() bool { return len(w.Status().Events) > 0 }) {
 		t.Fatal("stall never detected")
 	}
 
@@ -181,7 +191,7 @@ func TestWatchdogNil(t *testing.T) {
 	if ok, _ := w.Health(); !ok {
 		t.Fatal("nil watchdog unhealthy")
 	}
-	if w.Snapshots() != nil || w.Status().Events != nil || w.MetricFamilies() != nil {
+	if w.Status().Snapshots != nil || w.Status().Events != nil || w.MetricFamilies() != nil {
 		t.Fatal("nil watchdog returned data")
 	}
 	if NewWatchdog(WatchdogConfig{}) != nil {

@@ -60,7 +60,8 @@ func (t *Tracer) Traces() []Trace {
 	if t == nil {
 		return nil
 	}
-	return group(t.recent.snapshot())
+	spans, _ := t.recent.Snapshot()
+	return group(spans)
 }
 
 // SlowTraces returns the traces captured by the slow-transaction policy,
@@ -71,7 +72,7 @@ func (t *Tracer) SlowTraces() []Trace {
 	if t == nil {
 		return nil
 	}
-	roots := t.slow.snapshot()
+	roots, _ := t.slow.Snapshot()
 	if len(roots) == 0 {
 		return nil
 	}
@@ -80,7 +81,8 @@ func (t *Tracer) SlowTraces() []Trace {
 		want[sd.Trace] = true
 	}
 	spans := roots
-	for _, sd := range t.recent.snapshot() {
+	recent, _ := t.recent.Snapshot()
+	for _, sd := range recent {
 		// The sampled slow root is in both rings; keep the slow-ring copy
 		// (it carries Slow=true).
 		if want[sd.Trace] && sd.Parent != 0 {
@@ -96,7 +98,8 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.recent.dropped()
+	_, dropped := t.recent.Snapshot()
+	return dropped
 }
 
 // group buckets spans by TraceID, sorts each trace's spans by start time,

@@ -18,9 +18,9 @@
 //     when the head-based sampler dropped the trace — so tail-latency
 //     outliers are never lost to sampling. (For unsampled traces only the
 //     root is available; its children were never recorded anywhere.)
-//  4. Lock-cheap sinks: completed spans land in a fixed-size ring buffer
-//     behind a mutex held for one slot copy; recording never allocates
-//     after the span itself.
+//  4. Lock-cheap sinks: completed spans land in a fixed-size ring
+//     (internal/ring) under the lock of the one slot they are copied into;
+//     recording never allocates after the span itself.
 //
 // Trace context crosses nodes through transport.Conn: the in-memory mesh
 // carries it as a context.Context value, the TCP mesh as a flag-gated
@@ -33,8 +33,9 @@ import (
 	"math"
 	"math/rand/v2"
 	"strconv"
-	"sync"
 	"time"
+
+	"alohadb/internal/ring"
 )
 
 // TraceID identifies one distributed trace (one transaction lifecycle).
@@ -124,7 +125,7 @@ type Config struct {
 func (c Config) Enabled() bool { return c.SampleRate > 0 || c.SlowThreshold > 0 }
 
 // ringSize is the recent-span ring capacity; the slow ring is a quarter of
-// it (minimum 64).
+// it.
 const ringSize = 4096
 
 // Tracer owns the sampling decision and the span sinks. A nil *Tracer is a
@@ -132,28 +133,20 @@ const ringSize = 4096
 type Tracer struct {
 	sampleBound uint64 // sampled iff rand.Uint64() < sampleBound
 	slowNanos   int64
-	recent      *ring
-	slow        *ring
+	recent      *ring.Ring[SpanData]
+	slow        *ring.Ring[SpanData]
 }
 
 // New returns a tracer for cfg, or nil when cfg disables tracing — callers
 // can wire the result unconditionally.
-func New(cfg Config) *Tracer { return newTracer(cfg, ringSize) }
-
-// newTracer is New with the recent-span ring sized by the caller (tests
-// force it to wrap).
-func newTracer(cfg Config, size int) *Tracer {
+func New(cfg Config) *Tracer {
 	if !cfg.Enabled() {
 		return nil
 	}
-	slowSize := size / 4
-	if slowSize < 64 {
-		slowSize = 64
-	}
 	t := &Tracer{
 		slowNanos: int64(cfg.SlowThreshold),
-		recent:    newRing(size),
-		slow:      newRing(slowSize),
+		recent:    ring.New[SpanData](ringSize, nil),
+		slow:      ring.New[SpanData](ringSize/4, nil),
 	}
 	switch {
 	case cfg.SampleRate >= 1:
@@ -329,56 +322,11 @@ func (s *Span) End() {
 	s.data.Start = s.start.UnixNano()
 	s.data.Dur = int64(d)
 	if s.sampled {
-		s.t.recent.add(s.data)
+		s.t.recent.Add(s.data)
 	}
 	if s.data.Parent == 0 && s.t.slowNanos > 0 && int64(d) >= s.t.slowNanos {
 		sd := s.data
 		sd.Slow = true
-		s.t.slow.add(sd)
+		s.t.slow.Add(sd)
 	}
-}
-
-// ring is a fixed-size overwrite-oldest span sink. The mutex is held for
-// one slot copy per add; snapshots copy out under the same lock.
-type ring struct {
-	mu    sync.Mutex
-	buf   []SpanData
-	total uint64 // spans ever added
-}
-
-func newRing(size int) *ring { return &ring{buf: make([]SpanData, size)} }
-
-func (r *ring) add(sd SpanData) {
-	r.mu.Lock()
-	r.buf[r.total%uint64(len(r.buf))] = sd
-	r.total++
-	r.mu.Unlock()
-}
-
-// snapshot returns the retained spans, oldest first.
-func (r *ring) snapshot() []SpanData {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.total
-	size := uint64(len(r.buf))
-	if n > size {
-		out := make([]SpanData, 0, size)
-		for i := uint64(0); i < size; i++ {
-			out = append(out, r.buf[(n+i)%size])
-		}
-		return out
-	}
-	out := make([]SpanData, n)
-	copy(out, r.buf[:n])
-	return out
-}
-
-// dropped reports how many spans the ring has overwritten.
-func (r *ring) dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total <= uint64(len(r.buf)) {
-		return 0
-	}
-	return r.total - uint64(len(r.buf))
 }

@@ -72,6 +72,19 @@ func BenchmarkDisabledSpan(b *testing.B) {
 	}
 }
 
+// BenchmarkSampledSpanEnd prices the enabled sink: parallel writers each
+// end a sampled span, copying it into the recent ring.
+func BenchmarkSampledSpanEnd(b *testing.B) {
+	nt := New(Config{SampleRate: 1}).ForNode(0)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		_, span := nt.StartRoot(context.Background(), "txn.submit")
+		for pb.Next() {
+			span.End()
+		}
+	})
+}
+
 func TestSamplingAlwaysAndNever(t *testing.T) {
 	always := New(Config{SampleRate: 1}).ForNode(0)
 	for i := 0; i < 50; i++ {
@@ -219,9 +232,9 @@ func TestSlowCaptureJoinsSampledChildren(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	tr := newTracer(Config{SampleRate: 1}, 8)
+	tr := New(Config{SampleRate: 1})
 	nt := tr.ForNode(0)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < ringSize+12; i++ {
 		_, span := nt.StartRoot(context.Background(), "r")
 		span.End()
 	}
@@ -229,8 +242,8 @@ func TestRingWrap(t *testing.T) {
 	for _, trc := range tr.Traces() {
 		total += len(trc.Spans)
 	}
-	if total != 8 {
-		t.Errorf("retained %d spans, want ring size 8", total)
+	if total != ringSize {
+		t.Errorf("retained %d spans, want ring size %d", total, ringSize)
 	}
 	if d := tr.Dropped(); d != 12 {
 		t.Errorf("Dropped() = %d, want 12", d)

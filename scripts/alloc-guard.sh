@@ -34,6 +34,7 @@ zero ./internal/core/ 'BenchmarkHandoffSteadyState$' 200x 1
 # A born-final write to a fresh key and the read of a row, slabs and index
 # pre-grown: a slab or an index doubling now and then rounds to nothing.
 zero ./internal/mvstore/ 'BenchmarkStoreRow(Put|Read)$' 100000x 2
+zero ./internal/ring/ 'BenchmarkRing(Lock|Add)$' 100000x 2
 zero ./internal/trace/ 'BenchmarkDisabledSpan' 100000x 1
 zero ./internal/obs/ 'BenchmarkSkew(Disabled|SampledOut)Observe' 100000x 2
 zero ./internal/obs/journal/ 'BenchmarkJournal(Disabled|Enabled)Install' 100000x 2
