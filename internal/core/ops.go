@@ -66,6 +66,10 @@ type ObsSummary struct {
 	// together is churn.
 	StoreThaws float64 `json:"store_thaws,omitempty"`
 	StoreFolds float64 `json:"store_folds,omitempty"`
+	// Chain versions below the watermark held as bytes (frozen runs) and
+	// the bytes they take (DESIGN §4, Frozen history).
+	StoreFrozen      float64 `json:"store_frozen_versions,omitempty"`
+	StoreFrozenBytes float64 `json:"store_frozen_bytes,omitempty"`
 
 	Goroutines float64 `json:"goroutines,omitempty"`
 	HeapBytes  float64 `json:"heap_bytes,omitempty"`
@@ -216,6 +220,8 @@ func summarize(fams []metrics.Family) ObsSummary {
 		P99Compute:           p99(FamStageCompute),
 		StoreThaws:           total(FamStoreThaws),
 		StoreFolds:           total(FamStoreFolds),
+		StoreFrozen:          total(FamStoreFrozen),
+		StoreFrozenBytes:     total(FamStoreFrozenBytes),
 		Goroutines:           total(metrics.FamRuntimeGoroutines),
 		HeapBytes:            total(metrics.FamRuntimeHeapBytes),
 	}

@@ -315,6 +315,16 @@ func (s *Server) MetricFamilies() []metrics.Family {
 			Name: FamStoreFolds, Help: "Chains turned back into rows because their whole history was one computed final version.",
 			Kind:   metrics.KindCounter,
 			Series: []metrics.Series{metrics.CounterSeries(st.Folds)},
+		},
+		metrics.Family{
+			Name: FamStoreFrozen, Help: "Chain versions below the watermark held in frozen runs, as bytes rather than records.",
+			Kind:   metrics.KindGauge,
+			Series: []metrics.Series{metrics.GaugeSeries(st.FrozenVersions)},
+		},
+		metrics.Family{
+			Name: FamStoreFrozenBytes, Help: "Bytes the frozen runs' live versions take.",
+			Kind:   metrics.KindGauge,
+			Series: []metrics.Series{metrics.GaugeSeries(st.FrozenBytes)},
 		})
 	if src, ok := s.durability.(interface{ MetricFamilies() []metrics.Family }); ok {
 		fams = append(fams, src.MetricFamilies()...)

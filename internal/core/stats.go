@@ -231,6 +231,8 @@ const (
 	FamStoreRowBytes     = "aloha_store_row_bytes"
 	FamStoreThaws        = "aloha_store_thaws_total"
 	FamStoreFolds        = "aloha_store_folds_total"
+	FamStoreFrozen       = "aloha_store_frozen_versions"
+	FamStoreFrozenBytes  = "aloha_store_frozen_bytes"
 )
 
 // families builds the unlabeled family list; the server tags each series

@@ -68,6 +68,16 @@ func AppendResolution(dst []byte, r *Resolution) []byte {
 	return AppendDependentWrites(dst, r.DependentWrites)
 }
 
+// ResolutionLen is how many bytes AppendResolution writes for r, for a
+// caller that sizes its buffer before it encodes.
+func ResolutionLen(r *Resolution) int {
+	n := 1 + wire.BytesLen(len(r.Value)) + wire.BytesLen(len(r.Reason)) + wire.UvarintLen(uint64(len(r.DependentWrites)))
+	for _, w := range r.DependentWrites {
+		n += wire.BytesLen(len(w.Key)) + wire.BytesLen(len(w.Value)) + 1
+	}
+	return n
+}
+
 // ReadResolution decodes one resolution from r into res, reusing its
 // dependent-write capacity. Value, reason and keys alias r's buffer. A
 // resolution kind out of range fails r.

@@ -37,7 +37,8 @@ func FuzzDecodeFunctor(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResolution does the same for resolution encodings.
+// FuzzDecodeResolution does the same for resolution encodings, and holds
+// ResolutionLen to the length of every encoding.
 func FuzzDecodeResolution(f *testing.F) {
 	f.Add(AppendResolution(nil, ValueResolution(kv.Value("v"))))
 	f.Add(AppendResolution(nil, AbortResolution("reason")))
@@ -46,6 +47,11 @@ func FuzzDecodeResolution(f *testing.F) {
 		Value:           kv.Value("x"),
 		DependentWrites: []DependentWrite{{Key: "k", Value: kv.Value("v")}, {Key: "d", Delete: true}},
 	}))
+	long := &Resolution{Kind: ResolvedAborted, Reason: string(bytes.Repeat([]byte{'r'}, 200))}
+	for i := 0; i < 130; i++ {
+		long.DependentWrites = append(long.DependentWrites, DependentWrite{Key: kv.Key(bytes.Repeat([]byte{'k'}, i)), Value: bytes.Repeat([]byte{'v'}, 2*i)})
+	}
+	f.Add(AppendResolution(nil, long)) // lengths and a count over one uvarint byte
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -57,6 +63,9 @@ func FuzzDecodeResolution(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		re := AppendResolution(nil, res)
+		if got := ResolutionLen(res); got != len(re) {
+			t.Fatalf("ResolutionLen = %d, the encoding is %d bytes", got, len(re))
+		}
 		res2, _, err := DecodeResolution(re)
 		if err != nil {
 			t.Fatalf("re-encoded resolution failed to decode: %v", err)

@@ -6,21 +6,25 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"alohadb/internal/functor"
 	"alohadb/internal/kv"
 	"alohadb/internal/tstamp"
 )
 
-// Chain holds the version records of a single key — the paper's Figure 4
-// "linked list of arrays", with both of its categories in one array:
+// Chain holds the versions of a single key — the paper's Figure 4 "linked
+// list of arrays", with both of its categories in one array, behind the
+// frozen run of the history below the watermark (frozen.go):
 //
+//	run:  [ frozen: final, at or below the watermark, bytes ]
 //	recs: [ sealed, sorted, immutable ....... | staged, unsorted ... | free ]
 //	       0                                  n                      n+staged
 //
 // Out-epoch records, those of committed epochs, are recs[:n], ascending by
-// version. Readers load the block pointer and its n atomically and read the
-// prefix without locks; a published slot is never written again.
+// version and above every frozen version. Readers load the block pointer,
+// and with it the run and its n atomically, and read both without locks
+// (History); a published slot or run byte is never written again.
 //
 // In-epoch records, those of epochs still being written, are
 // recs[n:n+staged] in arrival order (decentralized timestamps interleave
@@ -56,14 +60,36 @@ type Chain struct {
 }
 
 // block is one array of a chain. recs never changes after the block is
-// published; n only grows.
+// published; n only grows. A block that carries a frozen run is the head of
+// a frozenBlock: the chain's embedded block, whose chain has one version,
+// never does, so a key written once stays in its size class.
 type block struct {
-	n    atomic.Int64
-	recs []*Record
+	n      atomic.Int32
+	frozen bool
+	recs   []*Record
+}
+
+// frozenBlock publishes a record array and the run it follows together. A
+// frozen chain's records are mostly its newest version and what is staged
+// behind it, so the block has room for two inline.
+type frozenBlock struct {
+	block
+	run   run
+	slots [2]*Record
+}
+
+// run returns the frozen run published with b.
+func (b *block) run() run {
+	if !b.frozen {
+		return run{}
+	}
+	return (*frozenBlock)(unsafe.Pointer(b)).run
 }
 
 // View returns the current immutable snapshot of the sealed (out-epoch)
-// version list, sorted ascending by version. Callers must not mutate it.
+// records, sorted ascending by version: the key's history above its frozen
+// run, which always ends with the newest sealed version. Callers must not
+// mutate it.
 func (c *Chain) View() []*Record {
 	b := c.cur.Load()
 	if b == nil {
@@ -131,12 +157,12 @@ func (c *Chain) putResolved(version tstamp.Timestamp, kind functor.ResolutionKin
 }
 
 // single returns the chain's one record when the chain is a row's worth of
-// history: one sealed version, its outcome a plain value or tombstone, at or
-// below the watermark, with no compaction owed. Whether anything is staged
-// behind it is for a caller holding c.mu to check.
+// history: one sealed version and nothing frozen, its outcome a plain value
+// or tombstone, at or below the watermark, with no compaction owed. Whether
+// anything is staged behind it is for a caller holding c.mu to check.
 func (c *Chain) single() *Record {
 	b := c.cur.Load()
-	if b == nil || b.n.Load() != 1 || c.owed.Load() != 0 {
+	if b == nil || b.frozen || b.n.Load() != 1 || c.owed.Load() != 0 {
 		return nil
 	}
 	rec := b.recs[0]
@@ -166,24 +192,36 @@ func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor) *Record {
 	n := int(b.n.Load())
 	live := n + int(c.staged)
 	if live == len(b.recs) {
-		b = c.replace(b.recs[:live], n)
+		b = c.replace(b.recs[:live], n, b.run())
 	}
 	b.recs[live] = rec
 	c.staged++
 	return rec
 }
 
-// newBlock returns an unpublished block with room for twice live records.
-func newBlock(live int) *block {
-	return &block{recs: make([]*Record, 2*max(live, 1))}
+// newBlock returns an unpublished block with room for size records that
+// carries r.
+func newBlock(size int, r run) *block {
+	if r.len() == 0 {
+		return &block{recs: make([]*Record, size)}
+	}
+	fb := &frozenBlock{run: r}
+	fb.frozen = true
+	if size <= len(fb.slots) {
+		fb.recs = fb.slots[:size]
+	} else {
+		fb.recs = make([]*Record, size)
+	}
+	return &fb.block
 }
 
-// replace publishes a fresh block holding live (n sealed records, then the
-// staged ones) and returns it. Callers hold c.mu.
-func (c *Chain) replace(live []*Record, n int) *block {
-	b := newBlock(len(live))
+// replace publishes a fresh block with room for twice live, holding live (n
+// sealed records, then the staged ones) behind the run r, and returns it.
+// Callers hold c.mu.
+func (c *Chain) replace(live []*Record, n int, r run) *block {
+	b := newBlock(2*max(len(live), 1), r)
 	copy(b.recs, live)
-	b.n.Store(int64(n))
+	b.n.Store(int32(n))
 	c.cur.Store(b)
 	return b
 }
@@ -219,45 +257,54 @@ func (c *Chain) seal(bound tstamp.Timestamp) int {
 	if n == 0 || b.recs[n-1].Version < staged[0].Version {
 		// Committed epochs only grow the high end of the version space:
 		// the sorted prefix already sits where it belongs.
-		b.n.Store(int64(n + k))
+		b.n.Store(int32(n + k))
 		return k
 	}
 	// A straggler sealed late sorts below a record sealed earlier. Slots
 	// readers may be scanning cannot be rewritten, so merge into a fresh
-	// block.
-	nb := newBlock(n + len(staged))
+	// block. One that sorts below frozen history (the engine raises no
+	// watermark over an open epoch, so none does there) takes the run back
+	// into records to merge with.
+	r, sealed := b.run(), b.recs[:n]
+	if r.len() > 0 && staged[0].Version < r.newest() {
+		r, sealed = run{}, append(r.records(), sealed...)
+		n = len(sealed)
+	}
+	nb := newBlock(2*(n+len(staged)), r)
 	i, j, w := 0, 0, 0
 	for ; i < n && j < k; w++ {
-		if b.recs[i].Version < staged[j].Version {
-			nb.recs[w] = b.recs[i]
+		if sealed[i].Version < staged[j].Version {
+			nb.recs[w] = sealed[i]
 			i++
 		} else {
 			nb.recs[w] = staged[j]
 			j++
 		}
 	}
-	w += copy(nb.recs[w:], b.recs[i:n])
+	w += copy(nb.recs[w:], sealed[i:n])
 	copy(nb.recs[w:], staged[j:])
-	nb.n.Store(int64(n + k))
+	nb.n.Store(int32(n + k))
 	c.cur.Store(nb)
 	return k
 }
 
-// Latest returns the newest sealed record with Version <= max, or nil.
-// Staged (in-epoch) records are invisible by design: reads only ever run
-// at snapshots whose epochs have committed and sealed.
+// Latest returns the newest sealed record with Version <= max, or nil; a
+// fresh final one when that version is frozen. Staged (in-epoch) records
+// are invisible by design: reads only ever run at snapshots whose epochs
+// have committed and sealed.
 func (c *Chain) Latest(max tstamp.Timestamp) *Record {
-	view := c.View()
-	i := sort.Search(len(view), func(i int) bool { return view[i].Version > max })
+	h := c.History()
+	i := h.Search(max)
 	if i == 0 {
 		return nil
 	}
-	return view[i-1]
+	return h.materialize(i - 1)
 }
 
 // At returns the record with exactly the given version, sealed or staged,
-// or nil. The second-round abort and deferred-write paths address records
-// by version before their epoch commits.
+// or nil; a fresh final one when the version is frozen. The second-round
+// abort and deferred-write paths address records by version before their
+// epoch commits.
 func (c *Chain) At(v tstamp.Timestamp) *Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -278,6 +325,11 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 		if b.recs[i].Version == v {
 			return b.recs[i]
 		}
+		if r := b.run(); i == 0 && r.len() > 0 {
+			if j := r.search(v) - 1; j >= 0 && r.version(j) == v {
+				return r.record(j)
+			}
+		}
 	}
 	for _, r := range b.recs[n : n+int(c.staged)] {
 		if r.Version == v {
@@ -287,17 +339,18 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 	return nil
 }
 
-// Compact drops sealed records whose versions are strictly below bound,
-// keeping the newest *visible* such record so reads at old-but-live
-// snapshots still resolve. Aborted and skipped records are invisible to
+// Compact drops sealed versions strictly below bound, frozen or records,
+// keeping the newest *visible* such version so reads at old-but-live
+// snapshots still resolve. Aborted and skipped versions are invisible to
 // reads — collapsing the history onto one of them would erase the key's
 // latest surviving value, turning a fully committed key into not-found —
-// so the retained record is the newest below bound whose resolution a
-// read would return (any aborted records above it inside the bound are
-// retained with it). When everything below bound is invisible the whole
-// prefix is dropped: reads there found nothing before and still find
-// nothing. Only final records below the watermark may be dropped. Returns
-// the number of records removed.
+// so the retained version is the newest below bound whose outcome a read
+// would return (any aborted versions above it inside the bound are retained
+// with it). When everything below bound is invisible the whole prefix is
+// dropped: reads there found nothing before and still find nothing. Only
+// final versions below the watermark may be dropped. Returns the number of
+// versions removed. A cut inside the frozen run drops a prefix of the run
+// and leaves the records as they are.
 //
 // A call the watermark cuts short leaves the epoch of its bound with the
 // chain (see Owed), so whoever advances the watermark later can finish it.
@@ -316,17 +369,18 @@ func (c *Chain) Compact(bound tstamp.Timestamp) int {
 		c.owed.Store(0)
 	}
 	b := c.cur.Load()
-	if b == nil {
+	if b == nil || bound == 0 {
 		return 0
 	}
 	n := int(b.n.Load())
-	i := sort.Search(n, func(i int) bool { return b.recs[i].Version >= bound })
+	h := History{run: b.run(), recs: b.recs[:n]}
+	i := h.Search(bound - 1)
 	if i < 1 {
 		return 0
 	}
-	keepFrom := i // if no record below bound is visible, drop them all
+	keepFrom := i // if no version below bound is visible, drop them all
 	for j := i - 1; j >= 0; j-- {
-		kind, _, _ := b.recs[j].Outcome()
+		kind, _ := h.Outcome(j)
 		// An unresolved record below the watermark is a lazily-resolved
 		// final functor (VALUE/DELETED placeholders resolve on first read);
 		// treat it as visible.
@@ -338,9 +392,15 @@ func (c *Chain) Compact(bound tstamp.Timestamp) int {
 	if keepFrom == 0 {
 		return 0
 	}
-	// Readers may hold the old prefix, so the survivors move to a fresh
-	// block (staged records ride along).
-	c.replace(b.recs[keepFrom:n+int(c.staged)], n-keepFrom)
+	// Readers may hold the old block, so the survivors are published in a
+	// fresh one (staged records ride along).
+	if f := h.Frozen(); keepFrom < f {
+		nb := &frozenBlock{block: block{frozen: true, recs: b.recs}, run: h.run.drop(keepFrom)}
+		nb.n.Store(int32(n))
+		c.cur.Store(&nb.block)
+	} else {
+		c.replace(b.recs[keepFrom-f:n+int(c.staged)], n-(keepFrom-f), run{})
+	}
 	return keepFrom
 }
 

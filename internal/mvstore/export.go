@@ -27,18 +27,27 @@ type KeyExport struct {
 	Watermark tstamp.Timestamp
 }
 
-// export snapshots the chain — sealed view plus staged records — under the
-// chain mutex, so no concurrently staged record is missed. Callers
-// serialize against new inserts themselves (the migration barrier runs
-// when no install is in flight).
+// export snapshots the chain — frozen run, sealed records and staged ones —
+// under the chain mutex, so no concurrently staged record is missed. A
+// frozen version goes out as a row does: the shared placeholder of its kind
+// and its outcome, reason and dependent writes included. Callers serialize
+// against new inserts themselves (the migration barrier runs when no install
+// is in flight).
 func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var live []*Record
+	var (
+		r    run
+		live []*Record
+	)
 	if b := c.cur.Load(); b != nil {
-		live = b.recs[:int(b.n.Load())+int(c.staged)]
+		r, live = b.run(), b.recs[:int(b.n.Load())+int(c.staged)]
 	}
-	out := make([]ExportedRecord, 0, len(live))
+	out := make([]ExportedRecord, 0, r.len()+len(live))
+	for i := 0; i < r.len(); i++ {
+		res := r.resolution(i)
+		out = append(out, ExportedRecord{Version: r.version(i), Functor: finalPlaceholder(res.Kind), Resolution: res})
+	}
 	for _, r := range live {
 		out = append(out, ExportedRecord{Version: r.Version, Functor: r.Functor, Resolution: r.Resolution()})
 	}

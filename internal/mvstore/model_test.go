@@ -123,8 +123,12 @@ type chainModel struct {
 	// owed is the epoch of the bound of the last compaction the watermark
 	// cut short, zero when none did (Chain.Owed).
 	owed tstamp.Epoch
-	// ptrs is the record the store handed back for each live version; its
-	// address must never change.
+	// frozen is how many of the oldest sealed versions are in the chain's
+	// frozen run.
+	frozen int
+	// ptrs is the record the store handed back for each live version that
+	// is a record; its address must never change. A frozen version has
+	// none: the store hands out a fresh one each time.
 	ptrs map[tstamp.Timestamp]*Record
 }
 
@@ -135,6 +139,9 @@ func newChainModel() *chainModel {
 type modelRec struct {
 	sealed bool
 	won    *functor.Resolution // the outcome installed first; nil while unresolved
+	// decoded: the version has been frozen, so what the store holds of its
+	// outcome is a copy decoded from the run, equal to won but not won.
+	decoded bool
 }
 
 func (r *modelRec) kind() functor.ResolutionKind {
@@ -156,11 +163,54 @@ func (m *chainModel) sorted(sealedOnly bool) []tstamp.Timestamp {
 }
 
 func (m *chainModel) seal(bound tstamp.Timestamp) {
+	newest := m.newestFrozen()
 	for v, r := range m.recs {
-		if v < bound {
+		if v < bound && !r.sealed {
 			r.sealed = true
+			if v < newest {
+				// A straggler below frozen history: the run goes back to
+				// records to merge with it.
+				m.frozen = 0
+			}
 		}
 	}
+}
+
+// newestFrozen is the newest frozen version, zero when none is.
+func (m *chainModel) newestFrozen() tstamp.Timestamp {
+	if m.frozen == 0 {
+		return 0
+	}
+	return m.sorted(true)[m.frozen-1]
+}
+
+// isFrozen says whether v is a version in the frozen run.
+func (m *chainModel) isFrozen(v tstamp.Timestamp) bool {
+	return m.frozen > 0 && m.recs[v] != nil && m.recs[v].sealed && v <= m.newestFrozen()
+}
+
+// freeze is Chain.Freeze: the oldest sealed records that are final and at
+// or below the watermark, all but the newest sealed one, move into the run
+// when they are at least _freezeMin and half the sealed records.
+func (m *chainModel) freeze() int {
+	if m.row {
+		return 0
+	}
+	sealed := m.sorted(true)
+	recs := sealed[m.frozen:]
+	k := 0
+	for k < len(recs)-1 && recs[k] <= m.watermark && m.recs[recs[k]].won != nil {
+		k++
+	}
+	if k < max(_freezeMin, len(recs)/2) {
+		return 0
+	}
+	for _, v := range recs[:k] {
+		delete(m.ptrs, v)
+		m.recs[v].decoded = true
+	}
+	m.frozen += k
+	return k
 }
 
 func (m *chainModel) advance(v tstamp.Timestamp) {
@@ -192,6 +242,7 @@ func (m *chainModel) compact(bound tstamp.Timestamp) int {
 		delete(m.recs, v)
 		delete(m.ptrs, v)
 	}
+	m.frozen = max(0, m.frozen-keepFrom)
 	return keepFrom
 }
 
@@ -269,6 +320,9 @@ func (h *modelHarness) put(v tstamp.Timestamp, fn *functor.Functor) {
 // saw compares rec with the record seen at version v before, if any.
 func (h *modelHarness) saw(v tstamp.Timestamp, rec *Record) {
 	h.t.Helper()
+	if h.m.isFrozen(v) {
+		return
+	}
 	if p, ok := h.m.ptrs[v]; ok && p != rec {
 		h.t.Fatalf("%q@%v is record %p, was %p", h.k, v, rec, p)
 	}
@@ -387,6 +441,37 @@ func (h *modelHarness) compact(bound tstamp.Timestamp) {
 		h.t.Fatalf("Compact(%v) removed %d records, model %d", bound, got, want)
 	}
 	h.check()
+}
+
+// freeze asks k's chain, if it has one, to freeze its history below the
+// watermark, and requires it to move exactly what the model says.
+func (h *modelHarness) freeze() int {
+	h.t.Helper()
+	c, _, _ := h.s.Read(h.k, 0) // the chain, without thawing a row
+	got, want := 0, 0
+	if c != nil {
+		got, want = c.Freeze(), h.m.freeze()
+	}
+	if got != want {
+		h.t.Fatalf("Freeze(%q) moved %d versions, model %d", h.k, got, want)
+	}
+	h.check()
+	return got
+}
+
+// compute resolves k's sealed, unresolved versions in ascending order, as
+// the processor does, each with an outcome drawn from res by pick, and raises
+// the watermark over the resolved sealed prefix.
+func (h *modelHarness) compute(res []*functor.Resolution, pick func() int) {
+	h.t.Helper()
+	var wm tstamp.Timestamp
+	for _, v := range h.m.sorted(true) {
+		if h.m.recs[v].won == nil {
+			h.resolve(v, res[pick()%len(res)])
+		}
+		wm = v
+	}
+	h.advance(wm)
 }
 
 // hold keeps the current view the way a reader in the middle of a chain
@@ -527,8 +612,13 @@ func (h *modelHarness) checkStore() {
 			want++
 		}
 	}
-	if st := h.s.Stats(); rows != want || st.Rows != want || st.Chains != len(h.keys)-want {
-		h.t.Fatalf("%d rows, Stats %+v, model %d rows of %d keys", rows, st, want, len(h.keys))
+	frozen := 0
+	for _, m := range h.keys {
+		frozen += m.frozen
+	}
+	if st := h.s.Stats(); rows != want || st.Rows != want || st.Chains != len(h.keys)-want || st.FrozenVersions != int64(frozen) ||
+		(frozen == 0) != (st.FrozenBytes == 0) {
+		h.t.Fatalf("%d rows, Stats %+v, model %d rows of %d keys, %d versions frozen", rows, st, want, len(h.keys), frozen)
 	}
 }
 
@@ -557,7 +647,7 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 	for i, er := range recs {
 		won := m.recs[all[i]].won
 		if er.Version != all[i] || er.Functor == nil || (er.Resolution == nil) != (won == nil) ||
-			(won != nil && (er.Resolution.Kind != won.Kind || !bytes.Equal(er.Resolution.Value, won.Value))) {
+			(won != nil && !sameOutcome(er.Resolution, won)) {
 			h.t.Fatalf("ExportKey(%q)[%d] = %v %+v, model %v %+v", k, i, er.Version, er.Resolution, all[i], won)
 		}
 	}
@@ -593,13 +683,29 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 	if got := versionsOf(view); !slices.Equal(got, sealed) {
 		h.t.Fatalf("view = %v, model %v", got, sealed)
 	}
+	// Both tiers through the one accessor: the frozen prefix, then the
+	// records, every outcome the model's.
+	hist := chain.History()
+	if hist.Len() != len(sealed) || hist.Frozen() != m.frozen || len(chain.View()) != len(sealed)-m.frozen {
+		h.t.Fatalf("History of %q: %d versions, %d frozen, %d records; model %d sealed, %d frozen", k, hist.Len(), hist.Frozen(), len(chain.View()), len(sealed), m.frozen)
+	}
+	for i, v := range sealed {
+		kind, value := hist.Outcome(i)
+		if hist.Version(i) != v || kind != m.recs[v].kind() || (kind != 0 && !bytes.Equal(value, m.recs[v].won.Value)) ||
+			(hist.Record(i) == nil) != (i < m.frozen) || hist.Search(v) != i+1 || hist.Search(v.Prev()) != i {
+			h.t.Fatalf("History(%q)[%d] = %v %v %q, model %v %v", k, i, hist.Version(i), kind, value, v, m.recs[v].kind())
+		}
+	}
 	for _, v := range all {
 		rec, ok := h.s.At(k, v)
-		if p, seen := m.ptrs[v]; !ok || rec.Version != v || (seen && rec != p) {
+		frozen := m.isFrozen(v)
+		if p, seen := m.ptrs[v]; !ok || rec.Version != v || (seen && rec != p) || (frozen && seen) {
 			h.t.Fatalf("At(%v) = %p ok=%v, the store returned %p before", v, rec, ok, p)
 		}
-		m.ptrs[v] = rec
-		h.checkOutcome(rec, m.recs[v].won)
+		if !frozen {
+			m.ptrs[v] = rec
+		}
+		h.checkOutcome(rec, m.recs[v].won, m.recs[v].decoded)
 		// Latest just below, at, and just above each version.
 		for _, max := range []tstamp.Timestamp{v.Prev(), v, v + 1} {
 			i := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
@@ -620,8 +726,10 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 // checkOutcome compares both accessors of rec with the outcome the model
 // says won it: Outcome is the winner's kind and value, with the winner's own
 // Resolution behind ext exactly when it carries a reason or dependent
-// writes; Resolution() is that object, or an equal one made on the spot.
-func (h *modelHarness) checkOutcome(rec *Record, won *functor.Resolution) {
+// writes; Resolution() is that object, or an equal one made on the spot. A
+// record made from the frozen run holds an equal Resolution decoded from it
+// instead of the winner's own.
+func (h *modelHarness) checkOutcome(rec *Record, won *functor.Resolution, decoded bool) {
 	h.t.Helper()
 	kind, value, ext := rec.Outcome()
 	res := rec.Resolution()
@@ -632,12 +740,35 @@ func (h *modelHarness) checkOutcome(rec *Record, won *functor.Resolution) {
 		return
 	}
 	wantExt := keptBehindExt(won)
+	if decoded {
+		if kind != won.Kind || !bytes.Equal(value, won.Value) || (ext == nil) != (wantExt == nil) || !rec.Final() ||
+			res == nil || !sameOutcome(res, won) || (ext != nil && res != ext) {
+			h.t.Fatalf("frozen record %v: Outcome = %v %q ext %+v, Resolution() = %+v, model %+v", rec.Version, kind, value, ext, res, won)
+		}
+		return
+	}
 	if kind != won.Kind || !bytes.Equal(value, won.Value) || ext != wantExt || !rec.Final() {
 		h.t.Fatalf("record %v: Outcome = %v %q ext %p, model %v %q ext %p", rec.Version, kind, value, ext, won.Kind, won.Value, wantExt)
 	}
 	if res == nil || (wantExt != nil && res != wantExt) || !reflect.DeepEqual(res, won) {
 		h.t.Fatalf("record %v: Resolution() = %+v, model %+v", rec.Version, res, won)
 	}
+}
+
+// sameOutcome compares two resolutions byte for byte: kind, value, reason
+// and every dependent write.
+func sameOutcome(got, want *functor.Resolution) bool {
+	if got.Kind != want.Kind || !bytes.Equal(got.Value, want.Value) || got.Reason != want.Reason ||
+		len(got.DependentWrites) != len(want.DependentWrites) {
+		return false
+	}
+	for i, w := range want.DependentWrites {
+		g := got.DependentWrites[i]
+		if g.Key != w.Key || !bytes.Equal(g.Value, w.Value) || g.Delete != w.Delete {
+			return false
+		}
+	}
+	return true
 }
 
 var (
@@ -759,10 +890,13 @@ func TestLayoutAgainstModel(t *testing.T) {
 
 // TestLayoutRandomOpsAgainstModel drives random puts, pre-resolved
 // installs, seals at random bounds (so stragglers both stay staged and
-// merge below sealed records), resolutions and compactions through the
-// harness while readers walk the chain concurrently; run under -race it
-// also shows that no published slot is ever rewritten.
+// merge below sealed records, frozen ones included), resolutions, computes
+// in version order with every shape of outcome, watermark advances,
+// freezes and compactions through the harness while readers walk the chain
+// concurrently; run under -race it also shows that no published slot or run
+// byte is ever rewritten.
 func TestLayoutRandomOpsAgainstModel(t *testing.T) {
+	froze := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := newModelHarness(t)
@@ -787,13 +921,30 @@ func TestLayoutRandomOpsAgainstModel(t *testing.T) {
 						rec.Resolution()
 					}
 					h.s.Latest("k", tstamp.Max)
+					if c, _, _ := h.s.Read("k", 0); c != nil {
+						hist := c.History()
+						for i := 0; i < hist.Len(); i++ {
+							kind, _ := hist.Outcome(i)
+							if (i > 0 && hist.Version(i-1) >= hist.Version(i)) || (i < hist.Frozen() && kind == 0) {
+								t.Errorf("seed %d: reader saw version %v (%v) at %d of a history with %d frozen", seed, hist.Version(i), kind, i, hist.Frozen())
+								return
+							}
+						}
+					}
 				}
 			}()
 		}
 		epochs := 4
+		outcomes := []*functor.Resolution{valueRes, valueRes, abortRes, writesRes, functor.DeleteResolution(), functor.SkipResolution()}
 		for i := 0; i < 400; i++ {
 			v := ts(tstamp.Epoch(rng.Intn(epochs)+1), uint32(rng.Intn(40)+1), uint16(rng.Intn(3)))
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(22); {
+			case op >= 20:
+				// Compute the sealed history in order, as the processor
+				// does, then freeze what is below the watermark.
+				h.compute(outcomes, rng.Int)
+				froze += h.freeze()
+				continue
 			case op < 9:
 				h.put(v, functor.Add(1))
 			case op < 11:
@@ -824,5 +975,9 @@ func TestLayoutRandomOpsAgainstModel(t *testing.T) {
 		h.seal(tstamp.Max)
 		close(stop)
 		readers.Wait()
+	}
+	t.Logf("%d versions frozen", froze)
+	if froze == 0 {
+		t.Fatal("the random ops no longer freeze anything")
 	}
 }

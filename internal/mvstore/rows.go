@@ -26,7 +26,11 @@ import (
 // the shard's chains. A chain thawed from a row keeps the row's entry: thaw
 // rewrites word and flags in place, and the record it builds reads its value
 // where the row left it. A key longer than 65 535 bytes is over the row cap
-// and only ever a chain; its entry spends both length fields on the key.
+// and only ever a chain; its entry spends both length fields on the key. A
+// chain keeps its history below the watermark as bytes too, in the frozen
+// run it publishes with its records (frozen.go), not here: a growing history
+// would be appended again at every freeze, and these slabs are never
+// reclaimed.
 //
 // The index is open addressing over 8-byte slots. Neither the slabs nor the
 // index hold a pointer, so the collector never looks inside them: 200 k rows
@@ -277,17 +281,22 @@ func (l *rowLog) bytes() int {
 	return n
 }
 
-// The two final placeholders every record made from a known outcome points
-// at: its value lives in the record, so one functor of each f-type serves
-// them all.
+// The final placeholders every record made from a known outcome points at —
+// a row thawed, a deferred write, a frozen version handed out as a record:
+// its outcome lives in the record, so one functor of each f-type serves them
+// all. An aborted or skipped version is read through either way.
 var (
 	_finalValue   = functor.Value(nil)
 	_finalDeleted = functor.Deleted()
+	_finalAborted = functor.Aborted()
 )
 
 func finalPlaceholder(kind functor.ResolutionKind) *functor.Functor {
-	if kind == functor.ResolvedDeleted {
+	switch kind {
+	case functor.ResolvedDeleted:
 		return _finalDeleted
+	case functor.ResolvedAborted, functor.ResolvedSkipped:
+		return _finalAborted
 	}
 	return _finalValue
 }

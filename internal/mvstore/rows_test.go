@@ -320,13 +320,15 @@ var rowOpKeys = sync.OnceValue(func() []kv.Key {
 
 // runRowOps reads data three bytes at a time — operation, key, argument —
 // and applies each to a one-shard store and to the model, comparing every
-// key after every step. It returns the store's Stats at the end.
-func runRowOps(t *testing.T, data []byte) Stats {
+// key after every step. It returns the store's Stats at the end and how many
+// versions the ops froze.
+func runRowOps(t *testing.T, data []byte) (Stats, int) {
 	h := newModelHarness(t)
 	h.s = NewWithShards(1)
 	keys := rowOpKeys()
+	froze := 0
 	for ; len(data) >= 3; data = data[3:] {
-		op, arg := data[0]%17, data[2]
+		op, arg := data[0]%18, data[2]
 		h.on(keys[int(data[1])%len(keys)])
 		v := ts(tstamp.Epoch(arg%3+1), uint32(arg/3%8+1), 0)
 		value := kv.Value(fmt.Sprintf("%s=%d", h.k[:min(len(h.k), 8)], arg))
@@ -373,24 +375,38 @@ func runRowOps(t *testing.T, data []byte) Stats {
 			h.chain()
 		case 16:
 			h.fold()
+		case 17:
+			// History: ten versions of one epoch (on a server of their
+			// own, so they may land below versions sealed earlier),
+			// computed in order with every shape of outcome, then frozen.
+			e := tstamp.Epoch(arg%3 + 1)
+			for seq := uint32(1); seq <= 10; seq++ {
+				h.put(ts(e, seq, 1), functor.Add(1))
+			}
+			h.seal(tstamp.End(e))
+			res := []*functor.Resolution{valueRes, abortRes, writesRes, functor.DeleteResolution(), functor.SkipResolution(), functor.ValueResolution(value)}
+			next := int(arg)
+			h.compute(res, func() int { next++; return next })
+			froze += h.freeze()
 		}
 		h.checkAll()
 	}
-	return h.s.Stats()
+	return h.s.Stats(), froze
 }
 
 // TestStoreRowsRandomOps drives the harness from seeded random bytes.
 func TestStoreRowsRandomOps(t *testing.T) {
 	var st Stats
+	froze := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		data := make([]byte, 3*500)
 		rand.New(rand.NewSource(seed)).Read(data)
-		s := runRowOps(t, data)
-		st.Thaws, st.Folds = st.Thaws+s.Thaws, st.Folds+s.Folds
+		s, f := runRowOps(t, data)
+		st.Thaws, st.Folds, froze = st.Thaws+s.Thaws, st.Folds+s.Folds, froze+f
 	}
-	t.Logf("%d thaws, %d folds", st.Thaws, st.Folds)
-	if st.Thaws == 0 || st.Folds == 0 {
-		t.Fatalf("the random ops no longer move keys both ways: %+v", st)
+	t.Logf("%d thaws, %d folds, %d versions frozen", st.Thaws, st.Folds, froze)
+	if st.Thaws == 0 || st.Folds == 0 || froze == 0 {
+		t.Fatalf("the random ops no longer move keys both ways and freeze history: %+v, %d frozen", st, froze)
 	}
 }
 
@@ -398,6 +414,9 @@ func TestStoreRowsRandomOps(t *testing.T) {
 func FuzzStoreRows(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 5, 3, 1, 8, 3, 0, 0, 3, 7, 10, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 8, 0, 0, 6, 1, 1, 0, 0, 9, 14, 1, 0})
+	// History frozen, a second epoch frozen above it, one sealed below it,
+	// and compactions into it.
+	f.Add([]byte{17, 3, 1, 17, 3, 2, 13, 3, 4, 17, 3, 0, 13, 3, 8, 6, 3, 1})
 	seeded := make([]byte, 3*200)
 	rand.New(rand.NewSource(1)).Read(seeded)
 	f.Add(seeded)

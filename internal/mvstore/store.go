@@ -282,13 +282,14 @@ func (s *Store) At(k kv.Key, version tstamp.Timestamp) (*Record, bool) {
 	return r, r != nil
 }
 
-// View returns the immutable ascending version snapshot of k, or nil.
+// View returns k's whole history as an ascending snapshot of records, or
+// nil: the chain's records behind a fresh final one for each frozen version.
 func (s *Store) View(k kv.Key) []*Record {
 	c := s.Chain(k)
 	if c == nil {
 		return nil
 	}
-	return c.View()
+	return c.History().all()
 }
 
 // AdvanceWatermark raises k's value watermark to at least v. A key never
@@ -356,14 +357,21 @@ func (s *Store) RangeKeys(fn func(k kv.Key) bool) {
 	}
 }
 
-// Len returns the number of keys in the store.
+// Len returns the number of keys in the store: each has one entry.
 func (s *Store) Len() int {
-	st := s.Stats()
-	return st.Chains + st.Rows
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		n += sh.rows.live
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
-// Stats is how much of the store is rows: the number that explains a
-// regression in what the store costs the collector.
+// Stats is how much of the store is rows, and how much of its chains'
+// history is frozen: the numbers that explain a regression in what the
+// store costs the collector.
 type Stats struct {
 	Chains int // keys that have a chain
 	Rows   int // keys that are a row: one final version
@@ -372,9 +380,13 @@ type Stats struct {
 	RowBytes int64
 	Thaws    uint64 // rows that became chains, ever
 	Folds    uint64 // chains that became rows, ever
+	// FrozenVersions are the chains' versions held in frozen runs, as bytes
+	// rather than records; FrozenBytes is what those entries take.
+	FrozenVersions int64
+	FrozenBytes    int64
 }
 
-// Stats walks the shards once.
+// Stats walks the shards and their chains once.
 func (s *Store) Stats() Stats {
 	var st Stats
 	for i := range s.shards {
@@ -386,6 +398,16 @@ func (s *Store) Stats() Stats {
 		st.RowBytes += int64(sh.rows.bytes())
 		st.Thaws += sh.thaws
 		st.Folds += sh.folds
+		for _, c := range sh.chains {
+			if c == nil {
+				continue
+			}
+			if b := c.cur.Load(); b != nil && b.frozen {
+				r := b.run()
+				st.FrozenVersions += int64(r.len())
+				st.FrozenBytes += int64(r.bytes())
+			}
+		}
 		sh.mu.RUnlock()
 	}
 	return st

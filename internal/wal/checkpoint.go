@@ -61,23 +61,20 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 			}
 			return scanErr == nil
 		}
-		view := c.View()
-		// Latest readable resolution at or below bound: skip aborted and
-		// skipped versions, stop at a value or tombstone.
-		for i := len(view) - 1; i >= 0; i-- {
-			rec := view[i]
-			if rec.Version > bound {
-				continue
-			}
-			kind, value, _ := rec.Outcome()
+		// Latest readable resolution at or below bound, in either tier of
+		// the history: skip aborted and skipped versions, stop at a value or
+		// tombstone.
+		h := c.History()
+		for i := h.Search(bound) - 1; i >= 0; i-- {
+			kind, value := h.Outcome(i)
 			if kind == 0 {
-				scanErr = fmt.Errorf("wal: checkpoint: %q@%v not computed", k, rec.Version)
+				scanErr = fmt.Errorf("wal: checkpoint: %q@%v not computed", k, h.Version(i))
 				return false
 			}
 			if kind != functor.Resolved && kind != functor.ResolvedDeleted {
 				continue
 			}
-			if werr := writeCkptRecord(w, k, rec.Version, kind, value); werr != nil {
+			if werr := writeCkptRecord(w, k, h.Version(i), kind, value); werr != nil {
 				scanErr = werr
 				return false
 			}

@@ -441,6 +441,19 @@ func AppendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// UvarintLen is how many bytes binary.AppendUvarint writes for v.
+func UvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// BytesLen is how many bytes AppendBytes or AppendString writes for n bytes:
+// the length prefix and the bytes.
+func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
+
 // AppendString appends a length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))

@@ -6,10 +6,12 @@
 set -eu
 
 # Object counts and size classes: the untraced install/compute path, what a
-# key written once keeps alive (nothing: it is a row), the version-chain and
-# row budgets, and the TPC-C workload's keys, router and handler.
+# key written once keeps alive (nothing: it is a row) and what a key with a
+# long history does (a handful: below the watermark it is bytes), the
+# version-chain and row budgets, a frozen run's types (no pointer the
+# collector would scan), and the TPC-C workload's keys, router and handler.
 go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget|TestLoadAllocatesNoFunctorPerPair)$'
-go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass)$'
+go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass|TestFrozenRunHoldsNoPointer)$'
 go test -count=1 ./internal/workload/tpcc/ -run '^(TestNewOrderAllocations|TestRouterMatchesReferenceAndAllocatesNothing)$'
 go test -count=1 ./internal/trace/ -run '^TestDisabledPathAllocs$'
 
