@@ -20,7 +20,8 @@ fmt-check:
 # gate stay deleted. One operator surface: core.OpsHandler builds it;
 # aloha-server and the scenario env assemble no mux of their own, and no
 # Prometheus text parser reads our own /metrics. One ring buffer: the
-# instruments keep their histories in internal/ring.
+# instruments keep their histories in internal/ring. One sampler per server:
+# the flight recorder's tick also runs the stall rule.
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
@@ -34,6 +35,8 @@ vet:
 	@! grep -rlE --include='*.go' 'func \([^)]*\) LogEpochCommitted\(' . | grep -v '_test\.go$$' | grep -v '^\./internal/wal/'
 	@# One ring buffer: the instruments' histories are internal/ring, not slots indexed by hand.
 	@! grep -rnE --include='*.go' '%[[:space:]]*(uint64\()?len\(|% r\.cfg\.retention' internal/obs internal/trace | grep -v '_test\.go:'
+	@# One sampler per server: stall detection is a rule of the flight recorder, not a watchdog of its own.
+	@! grep -rnE --include='*.go' 'NewWatchdog|WatchdogConfig|obs\.Watchdog' .
 
 test:
 	$(GO) test ./...

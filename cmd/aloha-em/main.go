@@ -36,11 +36,14 @@ func run() error {
 		timeout  = flag.Duration("switch-timeout", time.Second, "straggler escape timeout per epoch switch")
 		start    = flag.Uint("start-epoch", 0, "first granted epoch (0 = 1); a restarted EM must start above the cluster's current epoch or the servers rightly refuse to regress (see aloha_server_epoch or /debug/stall on any server)")
 		opsAddr  = flag.String("metrics-addr", "", "ops HTTP listener (/metrics, /debug/obs, /debug/epochs, /debug/timeseries); empty disables")
-		tsEvery  = flag.Duration("timeseries-interval", 500*time.Millisecond, "flight recorder sample interval (0 disables the recorder)")
+		tsEvery  = flag.Duration("timeseries-interval", 500*time.Millisecond, "flight recorder sample interval (must be positive)")
 	)
 	flag.Parse()
 	if *peers == "" || *emAddr == "" {
 		return fmt.Errorf("missing -peers or -em")
+	}
+	if *tsEvery <= 0 {
+		return fmt.Errorf("aloha-em: -timeseries-interval must be positive, got %s", *tsEvery)
 	}
 	list := strings.Split(*peers, ",")
 	book := make(map[transport.NodeID]string, len(list)+1)
@@ -67,7 +70,7 @@ func run() error {
 	defer em.Close()
 
 	var rec *tsdb.Recorder
-	if *opsAddr != "" && *tsEvery > 0 {
+	if *opsAddr != "" {
 		rec = core.NewEMRecorder(em.Manager, int(emID), *tsEvery)
 		rec.Start()
 		defer rec.Stop()

@@ -53,14 +53,17 @@ func run() error {
 
 		placementMap = flag.String("placement-map", "", "JSON ownership map installed at boot (same format as /debug/placement; give every server the same file). Live rebalancing runs through the embedded Rebalancer in single-process clusters; multi-process servers adopt newer maps from WrongOwner responses as they coordinate.")
 
-		stallThreshold = flag.Duration("epoch-stall-threshold", 5*time.Second, "epoch watchdog: declare a stall when the visibility bound stops advancing this long (0 disables)")
+		stallThreshold = flag.Duration("epoch-stall-threshold", 5*time.Second, "flight recorder stall rule: declare a stall when the committed epoch stops advancing this long (0 turns the rule off)")
 		skewSample     = flag.Int("skew-sample", 0, "hot-key profiler: sample every Nth key access (0 disables profiling)")
 		skewTopK       = flag.Int("skew-topk", 0, "hot-key profiler: tracked heavy-hitter count (0 = default)")
 		walMaxFsyncAge = flag.Duration("wal-fsync-max-age", 0, "readiness: fail /healthz when the last WAL fsync is older than this (0 disables; needs -wal)")
 
-		tsInterval = flag.Duration("timeseries-interval", 500*time.Millisecond, "metrics flight recorder sample interval, served at /debug/timeseries (0 disables)")
+		tsInterval = flag.Duration("timeseries-interval", 500*time.Millisecond, "metrics flight recorder sample interval, served at /debug/timeseries (at most a quarter of -epoch-stall-threshold; must be positive)")
 	)
 	flag.Parse()
+	if *tsInterval <= 0 {
+		return fmt.Errorf("aloha-server: -timeseries-interval must be positive, got %s", *tsInterval)
+	}
 
 	addrs, emID, err := buildAddressBook(*peers, *emAddr)
 	if err != nil {
@@ -113,22 +116,13 @@ func run() error {
 			*id, m.Gen, len(m.Moves))
 	}
 
+	// The recorder samples sources the two setters fill, so it is built
+	// after them.
 	srv.SetQueueDepthSource(net.SendQueueDepths)
-	var wd *obs.Watchdog
-	if *stallThreshold > 0 {
-		wd = srv.NewWatchdog(obs.WatchdogConfig{Threshold: *stallThreshold})
-		wd.Start()
-		defer wd.Stop()
-	}
-	// The recorder samples sources the two setters above fill, so it is
-	// built after them (tsdb.Recorder is nil-safe when disabled).
-	var rec *tsdb.Recorder
-	if *tsInterval > 0 {
-		srv.SetMaxQueueDepthSource(net.MaxSendQueueDepth)
-		rec = srv.NewRecorder(tsdb.Config{Interval: *tsInterval})
-		rec.Start()
-		defer rec.Stop()
-	}
+	srv.SetMaxQueueDepthSource(net.MaxSendQueueDepth)
+	rec := srv.NewRecorder(tsdb.Config{Interval: *tsInterval, StallThreshold: *stallThreshold})
+	rec.Start()
+	defer rec.Stop()
 	fmt.Printf("aloha-server %d listening on %s (epoch manager at %s)\n",
 		*id, addrs[transport.NodeID(*id)], *emAddr)
 

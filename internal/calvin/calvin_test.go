@@ -2,6 +2,7 @@ package calvin
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -417,5 +418,46 @@ func TestConservationUnderConcurrency(t *testing.T) {
 	}
 	if total != accounts*1000 {
 		t.Errorf("total = %d, want %d", total, accounts*1000)
+	}
+}
+
+// TestRemoteSubmitViaSequencerMessage drives the sequencer through its
+// message interface (the path remote front-ends would use).
+func TestRemoteSubmitViaSequencerMessage(t *testing.T) {
+	c := newTestCluster(t, 1)
+	if err := c.Load([]kv.Pair{{Key: "k", Value: kv.EncodeInt64(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	// Hand-register the handle as Submit would, then deliver the
+	// transaction via MsgSubmit instead of the embedded fast path.
+	id := c.seq.nextID(0)
+	h := &Handle{done: make(chan struct{}), issuedAt: time.Now(), remaining: 1}
+	p := c.partitions[0]
+	p.doneMu.Lock()
+	p.pending[id] = h
+	p.doneMu.Unlock()
+	if _, err := c.seq.handle(context.Background(), 0, MsgSubmit{Txn: wireTxn{
+		ID:       id,
+		Origin:   0,
+		ReadSet:  []kv.Key{"k"},
+		WriteSet: []kv.Key{"k"},
+		Proc:     "incr",
+		IssuedAt: time.Now(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	c.AdvanceEpoch()
+	select {
+	case <-h.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("message-submitted transaction never completed")
+	}
+	v, _ := c.Get("k")
+	if n, _ := kv.DecodeInt64(v); n != 1 {
+		t.Errorf("k = %d, want 1", n)
+	}
+	// Unknown messages are rejected.
+	if _, err := c.seq.handle(context.Background(), 0, MsgDone{}); err == nil {
+		t.Error("sequencer accepted an unexpected message type")
 	}
 }

@@ -7,15 +7,16 @@ import (
 	"alohadb/internal/core"
 	"alohadb/internal/epoch"
 	"alohadb/internal/functor"
-	"alohadb/internal/obs"
+	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/transport"
 )
 
-// countEvents counts the watchdog's retained events of one kind.
-func countEvents(wd *obs.Watchdog, kind string) int {
+// countEpisodes counts the recorder's retained stall episodes: all of
+// them, or only the closed ones.
+func countEpisodes(rec *tsdb.Recorder, closed bool) int {
 	n := 0
-	for _, ev := range wd.Status().Events {
-		if ev.Kind == kind {
+	for _, a := range rec.Annotations() {
+		if a.Kind == tsdb.AnomalyStall && (!closed || !a.Active) {
 			n++
 		}
 	}
@@ -26,11 +27,11 @@ func countEvents(wd *obs.Watchdog, kind string) int {
 // a 3-server cluster driven by a remote epoch manager, with node 2 severed
 // from everyone mid-run. The epoch manager blocks each switch on node 2's
 // revoke ack until SwitchTimeout, so node 0's visibility bound stops
-// advancing — its watchdog must detect the stall within the threshold
-// period and the captured snapshot must name node 2 as the unreachable
-// peer. After HealAll the stall must clear and stay cleared, without any
-// restart. Deterministic: fixed seed, no probabilistic faults — the only
-// injected fault is the explicit partition.
+// advancing — its recorder's stall rule must detect the stall within the
+// threshold period and the captured snapshot must name node 2 as the
+// unreachable peer. After HealAll the stall must clear and stay cleared,
+// without any restart. Deterministic: fixed seed, no probabilistic faults
+// — the only injected fault is the explicit partition.
 func TestChaosWatchdogStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
@@ -43,7 +44,7 @@ func TestChaosWatchdogStall(t *testing.T) {
 	const (
 		epochDuration = 10 * time.Millisecond
 		// SwitchTimeout is the EM's straggler escape hatch: each severed
-		// switch stalls this long, comfortably past the watchdog threshold,
+		// switch stalls this long, comfortably past the stall threshold,
 		// before the EM proceeds without node 2's ack.
 		switchTimeout = 300 * time.Millisecond
 		threshold     = 100 * time.Millisecond
@@ -65,12 +66,12 @@ func TestChaosWatchdogStall(t *testing.T) {
 	}
 	defer em.Close()
 
-	wd := srvs[0].NewWatchdog(obs.WatchdogConfig{Threshold: threshold})
-	if wd == nil {
-		t.Fatal("NewWatchdog returned nil")
+	rec := srvs[0].NewRecorder(tsdb.Config{StallThreshold: threshold})
+	if rec.StallStatus() == nil {
+		t.Fatal("NewRecorder built no stall rule")
 	}
-	wd.Start()
-	defer wd.Stop()
+	rec.Start()
+	defer rec.Stop()
 
 	if err := em.Manager.Run(); err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestChaosWatchdogStall(t *testing.T) {
 		end := time.Now().Add(deadline)
 		for !cond() {
 			if time.Now().After(end) {
-				t.Fatalf("timed out waiting for %s (events: %+v)", what, wd.Status().Events)
+				t.Fatalf("timed out waiting for %s (annotations: %+v)", what, rec.Annotations())
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -89,8 +90,8 @@ func TestChaosWatchdogStall(t *testing.T) {
 
 	// Healthy phase: epochs commit on the 10ms timer, no stall.
 	waitFor("initial progress", 5*time.Second, func() bool { return srvs[0].CommittedEpoch() >= 3 })
-	if wd.Active() {
-		t.Fatal("watchdog active while the cluster is healthy")
+	if rec.StallActive() {
+		t.Fatal("stall active while the cluster is healthy")
 	}
 
 	// Partition node 2 from every other node, both directions (the EM is
@@ -100,12 +101,12 @@ func TestChaosWatchdogStall(t *testing.T) {
 		net.Sever(peer, 2)
 	}
 
-	// The next epoch switch wedges on node 2's ack; node 0's watchdog must
+	// The next epoch switch wedges on node 2's ack; node 0's recorder must
 	// fire within one threshold period of the progress age crossing it
 	// (generous deadline for loaded CI machines).
-	waitFor("stall detection", 5*time.Second, func() bool { return countEvents(wd, obs.EventStallDetected) > 0 })
+	waitFor("stall detection", 5*time.Second, func() bool { return countEpisodes(rec, false) > 0 })
 
-	snaps := wd.Status().Snapshots
+	snaps := rec.StallStatus().Snapshots
 	if len(snaps) == 0 {
 		t.Fatal("stall detected but no snapshot captured")
 	}
@@ -130,29 +131,29 @@ func TestChaosWatchdogStall(t *testing.T) {
 	// stay cleared without restarting anything.
 	net.HealAll()
 	waitFor("stall cleared", 5*time.Second, func() bool {
-		return countEvents(wd, obs.EventStallCleared) > 0 && !wd.Active()
+		return countEpisodes(rec, true) > 0 && !rec.StallActive()
 	})
 
 	// Quiet period: detect/clear may flap while severed (each switch stalls
 	// for SwitchTimeout, then progress jumps); after healing it must go
 	// quiet. Require several consecutive healthy samples with advancing
-	// commits and no new detections (the episode count, since the event
-	// ring keeps only the newest events).
+	// commits and no new detections (the episode count, since the
+	// annotation ring keeps only the newest episodes).
 	waitFor("post-heal quiet period", 10*time.Second, func() bool {
-		detectedBefore := wd.Stalls()
+		detectedBefore := rec.StallStatus().StallsTotal
 		epochBefore := srvs[0].CommittedEpoch()
 		for i := 0; i < 3; i++ {
 			time.Sleep(50 * time.Millisecond)
-			if wd.Active() || wd.Stalls() != detectedBefore {
+			if rec.StallActive() || rec.StallStatus().StallsTotal != detectedBefore {
 				return false
 			}
 		}
 		return srvs[0].CommittedEpoch() > epochBefore
 	})
 
-	status := wd.Status()
+	status := rec.StallStatus()
 	if status.Active {
-		t.Error("watchdog still active after heal")
+		t.Error("stall still active after heal")
 	}
 	if status.StallsTotal == 0 {
 		t.Error("StallsTotal not incremented")

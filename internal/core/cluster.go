@@ -448,8 +448,8 @@ func (n *EMNode) handle(_ context.Context, from transport.NodeID, msg any) (any,
 		}
 		return nil, nil
 	case MsgPing:
-		// Watchdog peer probe (see Server.ProbePeers): the EM reports the
-		// epoch it currently grants in both positions.
+		// Stall-capture peer probe (see Server.ProbePeers): the EM reports
+		// the epoch it currently grants in both positions.
 		e := uint64(n.Manager.Current())
 		return MsgPong{Node: int(n.conn.Local()), CommittedEpoch: e, CurrentEpoch: e}, nil
 	default:

@@ -13,12 +13,13 @@ import (
 	"alohadb/internal/tstamp"
 )
 
-// This file is the server side of the epoch watchdog (internal/obs): the
-// progress signal, the peer probes, and the stall-snapshot capture that
-// gathers every queue the epoch-switch protocol can wedge on — unacked
-// in-flight epochs (a revoked-but-unacked FE), buffered installs waiting
-// for commit, processor and combiner queues (a lagging functor compute),
-// and transport send queues (a backed-up or severed link).
+// This file is the server side of the flight recorder's stall rule
+// (internal/obs/tsdb): the progress signal, the peer probes, and the
+// stall-snapshot capture that gathers every queue the epoch-switch
+// protocol can wedge on — unacked in-flight epochs (a revoked-but-unacked
+// FE), buffered installs waiting for commit, processor and combiner queues
+// (a lagging functor compute), and transport send queues (a backed-up or
+// severed link).
 
 // CommittedEpoch returns the last epoch whose versions are visible on this
 // server (zero before the first commit).
@@ -31,7 +32,7 @@ func (s *Server) CommittedEpoch() tstamp.Epoch {
 
 // SetQueueDepthSource installs a callback reporting per-peer transport
 // send-queue depths for stall snapshots (the TCP network exposes one; the
-// in-memory mesh has no queues). Set before the watchdog starts.
+// in-memory mesh has no queues). Set before the recorder starts.
 func (s *Server) SetQueueDepthSource(fn func() map[transport.NodeID]int) {
 	s.queueDepths = fn
 }
@@ -90,8 +91,9 @@ func (s *Server) handlePing() MsgPong {
 	}
 }
 
-// StallCapture builds a stall snapshot of this server; the watchdog calls
-// it once per stall episode. ctx bounds the peer probes.
+// StallCapture builds a stall snapshot of this server; the flight
+// recorder's stall rule calls it once per episode. ctx bounds the peer
+// probes.
 func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 	snap := &obs.StallSnapshot{
 		Server:         s.id,
@@ -189,23 +191,4 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 
 	snap.OldestPending = oldest
 	return snap
-}
-
-// NewWatchdog builds this server's epoch-progress watchdog: progress is
-// the visibility bound (any committed epoch advances it) and the capture
-// is StallCapture. Caller-set Progress/Capture/Server are preserved so
-// tests can substitute signals. Returns nil (inert) when cfg.Threshold is
-// zero; the caller owns Start/Stop.
-func (s *Server) NewWatchdog(cfg obs.WatchdogConfig) *obs.Watchdog {
-	cfg.Server = s.id
-	if cfg.Progress == nil {
-		cfg.Progress = s.visible.Load
-	}
-	if cfg.Capture == nil {
-		cfg.Capture = s.StallCapture
-	}
-	// Remember the watchdog so the epoch journal can stamp its stall marker
-	// (Active is nil-safe, so a zero-threshold watchdog costs nothing).
-	s.wd = obs.NewWatchdog(cfg)
-	return s.wd
 }

@@ -293,9 +293,10 @@ type (
 	MsgCommitted struct{ E tstamp.Epoch }
 )
 
-// Diagnosis messages, used by the epoch watchdog's peer probes
-// (internal/obs): a stall snapshot names unreachable peers by pinging every
-// node and reporting who failed to answer within the probe deadline.
+// Diagnosis messages, used by the stall capture's peer probes
+// (Server.StallCapture): a stall snapshot names unreachable peers by
+// pinging every node and reporting who failed to answer within the probe
+// deadline.
 type (
 	// MsgPing asks a peer for its epoch positions.
 	MsgPing struct{}

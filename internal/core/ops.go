@@ -20,7 +20,7 @@ import (
 // in the epoch-manager process; every field is optional.
 type Ops struct {
 	// Server contributes its families and epoch journal, and — when
-	// attached — its watchdog, hot-key profiler, tracer and placement table.
+	// attached — its hot-key profiler, tracer and placement table.
 	Server *Server
 	// EM is a co-located epoch manager: its families join /metrics and its
 	// journal mirror joins the epoch journal.
@@ -29,7 +29,8 @@ type Ops struct {
 	Rebalancer *Rebalancer
 	// Net adds the transport's families when it is instrumented.
 	Net transport.Network
-	// Recorder is the metrics flight recorder.
+	// Recorder is the metrics flight recorder; its stall rule, when set,
+	// serves /debug/stall, the stall gauges and a /healthz check.
 	Recorder *tsdb.Recorder
 	// FsyncMaxAge fails readiness while the server's WAL has not fsynced
 	// for longer than this (zero never does).
@@ -136,10 +137,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 func (o Ops) doc() ObsDoc {
 	d := ObsDoc{ObsSummary: summarize(o.families()), Health: o.health()}
 	if s := o.Server; s != nil {
-		if s.wd != nil {
-			st := s.wd.Status()
-			d.Stall = &st
-		}
 		if s.skew != nil {
 			sk := s.skew.Snapshot()
 			d.Hotkeys = &sk
@@ -157,6 +154,7 @@ func (o Ops) doc() ObsDoc {
 	if o.Recorder != nil {
 		ts := o.Recorder.Doc()
 		d.Timeseries = &ts
+		d.Stall = o.Recorder.StallStatus()
 	}
 	return d
 }
@@ -165,8 +163,9 @@ func (o Ops) doc() ObsDoc {
 func (o Ops) families() []metrics.Family {
 	groups := [][]metrics.Family{metrics.RuntimeFamilies()}
 	if s := o.Server; s != nil {
-		groups = append(groups, s.MetricFamilies(), s.wd.MetricFamilies(), s.skew.MetricFamilies())
+		groups = append(groups, s.MetricFamilies(), s.skew.MetricFamilies())
 	}
+	groups = append(groups, o.Recorder.MetricFamilies())
 	if o.EM != nil {
 		groups = append(groups, o.EM.MetricFamilies())
 	}
@@ -182,15 +181,11 @@ func (o Ops) families() []metrics.Family {
 // health lists the failing readiness checks: an open stall episode, and a
 // WAL whose last fsync is older than FsyncMaxAge.
 func (o Ops) health() []string {
-	s := o.Server
-	if s == nil {
-		return nil
-	}
 	var failing []string
-	if ok, reason := s.wd.Health(); !ok {
-		failing = append(failing, "watchdog: "+reason)
+	if ok, reason := o.Recorder.Health(); !ok {
+		failing = append(failing, "stall: "+reason)
 	}
-	if s.durability != nil && o.FsyncMaxAge > 0 {
+	if s := o.Server; s != nil && s.durability != nil && o.FsyncMaxAge > 0 {
 		if age, ok := s.durability.LastSyncAge(); ok && age > o.FsyncMaxAge {
 			failing = append(failing, fmt.Sprintf("wal: last fsync %s ago (max %s): commits are not reaching disk",
 				age.Round(time.Millisecond), o.FsyncMaxAge))

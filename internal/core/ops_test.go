@@ -27,9 +27,9 @@ import (
 
 // TestOpsSurface is the table over the one builder of the operator
 // surface, on a server carrying every instrument: a tracer, a WAL whose
-// fsync is older than the readiness limit, the skew profiler, a flight
-// recorder and a watchdog. The watchdog is not started and the recorder is
-// sampled by hand, so two requests see the same documents.
+// fsync is older than the readiness limit, the skew profiler, and a flight
+// recorder with its stall rule. The recorder is not started but sampled by
+// hand, so two requests see the same documents.
 func TestOpsSurface(t *testing.T) {
 	dir := t.TempDir()
 	var logs []*wal.Log
@@ -59,8 +59,7 @@ func TestOpsSurface(t *testing.T) {
 		}
 	}()
 	srv := c.Server(0)
-	srv.NewWatchdog(obs.WatchdogConfig{Threshold: time.Hour})
-	rec := srv.NewRecorder(tsdb.Config{})
+	rec := srv.NewRecorder(tsdb.Config{StallThreshold: time.Hour})
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +180,116 @@ func TestOpsSurface(t *testing.T) {
 	}
 	if sv := snap.Servers[0]; !sv.Reachable || sv.Healthy || sv.CommittedEpoch != doc.CommittedEpoch || len(sv.HotKeys) == 0 {
 		t.Errorf("scraped row = %+v", sv)
+	}
+}
+
+// TestOpsHealthzStall drives a server's recorder on a synthetic clock
+// through a stall and its clear and reads it through the operator
+// surface: /healthz is 503 naming the stall while the episode is open and
+// 200 once the frontier moves, and the stall gauges, /debug/stall and the
+// epoch journal's stall marker agree.
+func TestOpsHealthzStall(t *testing.T) {
+	c, err := core.NewCluster(core.ClusterConfig{Servers: 2, ManualEpochs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := c.Server(0)
+	const threshold = time.Second
+	rec := srv.NewRecorder(tsdb.Config{StallThreshold: threshold})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(core.OpsHandler(core.Ops{Server: srv, Recorder: rec}))
+	defer hs.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	now := time.Unix(1000, 0)
+	rec.Sample(now)
+	if code, body := get("/healthz"); code != 200 {
+		t.Fatalf("/healthz before the threshold = %d %q", code, body)
+	}
+	rec.Sample(now.Add(threshold))
+	code, body := get("/healthz")
+	if code != 503 || !strings.HasPrefix(body, "stall: no epoch progress for 1s") {
+		t.Fatalf("/healthz during the stall = %d %q", code, body)
+	}
+	if _, m := get("/metrics"); !strings.Contains(m, "\naloha_stall_active 1\n") || !strings.Contains(m, "\naloha_stalls_total 1\n") {
+		t.Errorf("/metrics during the stall lacks the stall gauges:\n%s", m)
+	}
+	_, js := get("/debug/stall")
+	var st obs.StallStatus
+	if err := json.Unmarshal([]byte(js), &st); err != nil {
+		t.Fatalf("/debug/stall: %v\n%s", err, js)
+	}
+	if !st.Active || st.StallsTotal != 1 || len(st.Snapshots) != 1 || st.Snapshots[0].Server != 0 ||
+		len(st.Snapshots[0].Peers) == 0 {
+		t.Fatalf("/debug/stall during the stall = %s", js)
+	}
+
+	// The epoch committed during the episode carries the stall marker.
+	e, err := c.AdvanceEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := srv.CommittedEpoch()
+	if committed == 0 {
+		t.Fatalf("no epoch committed after advancing to %d", e)
+	}
+	marked := false
+	for _, r := range srv.Journal().Snapshot() {
+		if r.Epoch == uint64(committed) {
+			marked = r.StallActive
+		}
+	}
+	if !marked {
+		t.Errorf("journal record of epoch %d lacks the stall marker", committed)
+	}
+
+	rec.Sample(now.Add(threshold + time.Millisecond))
+	if code, body := get("/healthz"); code != 200 || strings.TrimSpace(body) != "ok" {
+		t.Fatalf("/healthz after the clear = %d %q", code, body)
+	}
+	if _, m := get("/metrics"); !strings.Contains(m, "\naloha_stall_active 0\n") {
+		t.Errorf("/metrics after the clear: stall still active")
+	}
+}
+
+// TestNewRecorderOnRunningServer builds a server's recorder while its
+// epochs commit, as aloha-server does when the epoch manager is already
+// up: under -race, the build and Committed's stall-marker read must not
+// race.
+func TestNewRecorderOnRunningServer(t *testing.T) {
+	c, err := core.NewCluster(core.ClusterConfig{Servers: 2, EpochDuration: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	srv := c.Server(0)
+	for srv.CommittedEpoch() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	rec := srv.NewRecorder(tsdb.Config{StallThreshold: time.Hour})
+	for e := srv.CommittedEpoch(); srv.CommittedEpoch() < e+3; {
+		time.Sleep(time.Millisecond)
+	}
+	if rec.StallActive() {
+		t.Fatal("stall active on a committing server")
 	}
 }
 

@@ -264,8 +264,8 @@ func (p *processor) drainWait() {
 
 // queueDepths reports how many functors each shard has yet to compute, the
 // batch in progress included, for stall snapshots; when consider is non-nil
-// each is offered to it (the watchdog uses this to find the oldest pending
-// functor, which is the one a stuck worker is blocked on).
+// each is offered to it (the stall capture uses this to find the oldest
+// pending functor, which is the one a stuck worker is blocked on).
 func (p *processor) queueDepths(consider func(*workItem)) []int {
 	depths := make([]int, len(p.shards))
 	for i, sh := range p.shards {

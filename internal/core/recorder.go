@@ -14,9 +14,10 @@ import (
 // This file is the server side of the metrics flight recorder
 // (internal/obs/tsdb): the curated source set every deployment records —
 // commit/abort throughput, the abort-reason taxonomy, per-stage epoch
-// close-out quantiles from the journal, visibility lag, stall count,
-// send-queue depth, WAL fsync age, and runtime health — each with the
-// anomaly thresholds the soak gates care about.
+// close-out quantiles from the journal, visibility lag, send-queue depth,
+// WAL fsync age, and runtime health — each with the anomaly thresholds the
+// soak gates care about — plus the stall rule on the committed-epoch
+// frontier, whose capture is StallCapture.
 
 // SetMaxQueueDepthSource installs an allocation-free callback reporting
 // the deepest outbound transport send queue, sampled by the flight
@@ -56,13 +57,15 @@ func (rs *runtimeSampler) gcCycles() float64 {
 	return float64(rs.samples[1].Value.Uint64())
 }
 
-// NewRecorder builds this server's flight recorder: the caller sets the
-// cadence (Interval) and owns Start/Stop; the curated
-// sources, the committed-epoch sample clock, and the journal gating
-// cross-link are wired here. Extra sources (e.g. the cluster-singleton
-// migration gauge) are appended after the curated set. Wire the watchdog
-// and queue-depth source before starting the recorder — their sources
-// read the fields the setters fill.
+// NewRecorder builds this server's flight recorder, the one its epoch
+// journal's stall marker reads: the caller sets the cadence (Interval) and
+// the stall threshold, and owns Start/Stop; the curated sources, the
+// committed-epoch sample clock, the stall capture and the journal gating
+// cross-link are wired here (caller-set Epoch, Gating and StallCapture are
+// kept, so tests can substitute them). Extra sources (e.g. the
+// cluster-singleton migration gauge) are appended after the curated set.
+// Set the queue-depth sources before building the recorder — its sources
+// and capture read the fields the setters fill.
 func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Recorder {
 	cfg.Server = s.id
 	if cfg.Epoch == nil {
@@ -70,6 +73,9 @@ func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Record
 	}
 	if cfg.Gating == nil {
 		cfg.Gating = s.journal.GatingBetween
+	}
+	if cfg.StallCapture == nil {
+		cfg.StallCapture = s.StallCapture
 	}
 
 	src := []tsdb.Source{
@@ -87,9 +93,6 @@ func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Record
 		{Name: "visibility_lag_epochs", Unit: "epochs", Kind: tsdb.KindGauge,
 			Value:  func() float64 { return float64(s.gen.Epoch()) - float64(s.CommittedEpoch()) },
 			Detect: tsdb.Detect{RiseFactor: 3, MinBaseline: 3}},
-		{Name: "stalls", Unit: "stalls/s", Kind: tsdb.KindRate,
-			Value:  func() float64 { return float64(s.wd.Stalls()) },
-			Detect: tsdb.Detect{Onset: true}},
 	}
 	for i := 0; i < numAbortReasons; i++ {
 		i := i
@@ -137,7 +140,9 @@ func (s *Server) NewRecorder(cfg tsdb.Config, extra ...tsdb.Source) *tsdb.Record
 	}
 	src = append(src, runtimeSources()...)
 	cfg.Sources = append(src, extra...)
-	return tsdb.New(cfg)
+	rec := tsdb.New(cfg)
+	s.rec.Store(rec)
+	return rec
 }
 
 // runtimeSources are the runtime-health series every recorder carries.

@@ -14,6 +14,7 @@ import (
 	"alohadb/internal/mvstore"
 	"alohadb/internal/obs"
 	"alohadb/internal/obs/journal"
+	"alohadb/internal/obs/tsdb"
 	"alohadb/internal/placement"
 	"alohadb/internal/trace"
 	"alohadb/internal/transport"
@@ -111,7 +112,9 @@ type Server struct {
 	comb       *combiner         // per-owner remote fetch batcher
 	skew       *obs.Skew         // nil when hot-key profiling is disabled
 	journal    *journal.Journal  // per-epoch lifecycle journal, always on
-	wd         *obs.Watchdog     // nil when the watchdog is disabled
+	// rec is the flight recorder NewRecorder built, nil before; atomic
+	// because a running server may commit epochs while it is built.
+	rec atomic.Pointer[tsdb.Recorder]
 
 	// queueDepths, when set, reports per-peer transport send-queue depths
 	// for stall snapshots (see SetQueueDepthSource).
@@ -512,7 +515,7 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	s.moveMu.RLock()
 	migSeals := len(s.sealedRanges)
 	s.moveMu.RUnlock()
-	s.journal.Visible(uint64(e), time.Now(), migSeals, s.wd.Active())
+	s.journal.Visible(uint64(e), time.Now(), migSeals, s.rec.Load().StallActive())
 	// Sealed, then visible, then computable: only now do the workers get the
 	// epoch's segments.
 	s.proc.handoff(segs)

@@ -1,7 +1,7 @@
 // Binary wire codecs of the core messages (paper §V-A2). Every message a
 // caller hands to a transport — installs, fetches (remote reads and
 // ensures) and their responses, aborts, pushes, deferred-write delivery,
-// epoch control, watchdog pings, scans and the client protocol — gets an
+// epoch control, stall-capture pings, scans and the client protocol — gets an
 // explicit append/decode pair registered with internal/wire; a message
 // without one cannot be sent over TCP (TestEveryMessageHasCodec).
 //

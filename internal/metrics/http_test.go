@@ -95,7 +95,7 @@ func TestOpsHandlerReadiness(t *testing.T) {
 	stalled := false
 	h := OpsHandler(opsGather, func() []string {
 		if stalled {
-			return []string{"watchdog: epoch stall: no progress for 2s"}
+			return []string{"stall: no epoch progress for 2s"}
 		}
 		return nil
 	}, nil)
@@ -112,7 +112,7 @@ func TestOpsHandlerReadiness(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("stalled healthz = %d, want 503", rec.Code)
 	}
-	if want := "watchdog: epoch stall: no progress for 2s\n"; rec.Body.String() != want {
+	if want := "stall: no epoch progress for 2s\n"; rec.Body.String() != want {
 		t.Errorf("stalled healthz body = %q, want %q", rec.Body.String(), want)
 	}
 	if rec := get("/livez"); rec.Code != 200 || rec.Body.String() != "ok\n" {

@@ -54,7 +54,7 @@ type ServerStatus struct {
 	// snapshot (see Delta).
 	TxnRate float64 `json:"txn_rate,omitempty"`
 
-	// Stall roll-up (absent when the watchdog is off).
+	// Stall roll-up (absent when the recorder's stall rule is off).
 	StallActive      bool   `json:"stall_active"`
 	StallsTotal      uint64 `json:"stalls_total,omitempty"`
 	UnreachablePeers []int  `json:"unreachable_peers,omitempty"`
@@ -79,7 +79,7 @@ type ClusterSnapshot struct {
 	AggTxnsCommitted float64 `json:"agg_txns_committed"`
 	AggTxnRate       float64 `json:"agg_txn_rate,omitempty"`
 
-	// ActiveStalls counts servers whose watchdog currently declares a
+	// ActiveStalls counts servers whose recorder currently declares a
 	// stall; unreachable servers are counted separately above.
 	ActiveStalls int `json:"active_stalls"`
 
@@ -200,7 +200,9 @@ func (s *Scraper) scrapeOne(ctx context.Context, addr string) ServerStatus {
 	if stall := doc.Stall; stall != nil {
 		st.StallActive = stall.Active
 		st.StallsTotal = stall.StallsTotal
-		if n := len(stall.Snapshots); n > 0 {
+		// Only the open episode's capture names peers down now; a cleared
+		// one's peers may have healed since.
+		if n := len(stall.Snapshots); stall.Active && n > 0 {
 			st.UnreachablePeers = stall.Snapshots[n-1].UnreachablePeers
 		}
 	}

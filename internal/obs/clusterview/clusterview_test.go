@@ -3,6 +3,7 @@ package clusterview
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -78,7 +79,7 @@ func fixedDocs() []core.ObsDoc {
 		Series: "commit_rate", Kind: tsdb.AnomalyDrop, Active: true,
 		StartMS: 2000, Baseline: 95, Observed: 10, FromEpoch: 6, ToEpoch: 8,
 	}}
-	docs[2].Health = []string{"watchdog: epoch stall: simulated"}
+	docs[2].Health = []string{"stall: simulated"}
 	docs[2].Stall = &obs.StallStatus{Active: true, StallsTotal: 1,
 		Snapshots: []*obs.StallSnapshot{{Server: 2, UnreachablePeers: []int{0}}}}
 	return docs
@@ -142,7 +143,7 @@ func TestScrapeMergesCluster(t *testing.T) {
 	if len(sv.HotKeys) == 0 || sv.HotKeys[0].Key != "hotkey" {
 		t.Errorf("hot keys = %+v", sv.HotKeys)
 	}
-	if s2 := snap.Servers[2]; s2.Healthy || s2.HealthReason != "watchdog: epoch stall: simulated" || !s2.StallActive {
+	if s2 := snap.Servers[2]; s2.Healthy || s2.HealthReason != "stall: simulated" || !s2.StallActive {
 		t.Errorf("stalled server = %+v", s2)
 	}
 	if snap.ActiveStalls != 1 || len(snap.EpochPaths) != 1 || snap.EpochPaths[0].GatingServer != 2 {
@@ -177,7 +178,7 @@ const goldenFrame = `cluster: 3/3 up  min-epoch 7  max-epoch 9  commits 2700  ST
 server                 state  epoch    commit   gen        txns      txn/s aborts          p99-install     p99-wait  p99-compute gating          notes
 s0                     up     11       9        2          1000          0 12 (chaos-)           509µs       8.11ms      2.038ms -               hot "hotkey" ×9
 s1                     up     11       8        2           900          0 -                     509µs       8.11ms      2.038ms -               migrating ×2 (last handoff 2 epochs ago)
-s2                     stall  11       7        2           800          0 -                     509µs       8.11ms      2.038ms 1×ack-wait      watchdog: epoch stall: simulated; unreachable peers [0]
+s2                     stall  11       7        2           800          0 -                     509µs       8.11ms      2.038ms 1×ack-wait      stall: simulated; unreachable peers [0]
 commit/s █▇▁ 30.00
 anomaly [ACTIVE] server 1 commit_rate drop: baseline 95.00 -> 10.00 (epochs 6-8, gating server 2 ack-wait)
 `
@@ -195,6 +196,32 @@ func TestRenderGolden(t *testing.T) {
 	Render(&sb, snap)
 	if got := sb.String(); got != goldenFrame {
 		t.Errorf("frame drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, goldenFrame)
+	}
+}
+
+// TestScrapeClearedStallNamesNoPeers serves a server whose one stall
+// episode has cleared, its capture still naming a peer it could not reach:
+// the peer has healed since, so the row is up and its notes are empty.
+func TestScrapeClearedStallNamesNoPeers(t *testing.T) {
+	d := fixedDocs()[2]
+	d.Health = nil
+	d.Timeseries = nil
+	d.Stall = &obs.StallStatus{StallsTotal: 1,
+		Snapshots: []*obs.StallSnapshot{{Server: 2, UnreachablePeers: []int{0}}}}
+	snap := (&Scraper{Addrs: []string{serve(t, d, nil)}}).Scrape(context.Background())
+	sv := snap.Servers[0]
+	if sv.StallActive || sv.StallsTotal != 1 || len(sv.UnreachablePeers) != 0 {
+		t.Fatalf("server after a cleared stall = %+v", sv)
+	}
+	var sb strings.Builder
+	Render(&sb, snap)
+	lines := strings.Split(sb.String(), "\n")
+	gating := "-"
+	if sv.GatingEpochs > 0 {
+		gating = fmt.Sprintf("%d×%s", sv.GatingEpochs, sv.GatingStage)
+	}
+	if row := strings.TrimRight(lines[2], " "); !strings.Contains(row, " up ") || !strings.HasSuffix(row, " "+gating) {
+		t.Fatalf("row of a server whose stall cleared has notes:\n%s", sb.String())
 	}
 }
 

@@ -1,10 +1,11 @@
-// Package obs is ALOHA-DB's progress-oriented diagnosis layer: an epoch
-// watchdog with a stall flight recorder (paper §III-B — one laggard FE ack
-// or severed link stalls visibility for every transaction in the epoch)
-// and a hot-key/partition skew profiler that makes the paper's key-level
-// concurrency control visible. Both follow internal/trace's convention:
-// the disabled path is nil-receiver safe and allocation-free, so the
-// engine hooks stay unconditional.
+// Package obs is ALOHA-DB's progress-oriented diagnosis layer: the stall
+// documents the flight recorder's stall rule captures (internal/obs/tsdb;
+// paper §III-B — one laggard FE ack or severed link stalls visibility for
+// every transaction in the epoch) and a hot-key/partition skew profiler
+// that makes the paper's key-level concurrency control visible. The
+// profiler follows internal/trace's convention: the disabled path is
+// nil-receiver safe and allocation-free, so the engine hooks stay
+// unconditional.
 package obs
 
 import (

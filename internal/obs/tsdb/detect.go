@@ -1,14 +1,18 @@
 package tsdb
 
-import "math"
+import (
+	"math"
+
+	"alohadb/internal/obs"
+)
 
 // Detect configures per-series anomaly detection: a level-shift test
 // comparing the mean of a short recent window against the mean of the
 // trailing baseline window before it. It deliberately models only the
 // failure shapes the soak gates care about — a sustained throughput
-// collapse, a sustained tail blow-up, a stall starting — and accepts a
-// shifted level as the new baseline once the trailing window slides past
-// the transition (the annotation records the transition itself).
+// collapse, a sustained tail blow-up — and accepts a shifted level as the
+// new baseline once the trailing window slides past the transition (the
+// annotation records the transition itself).
 type Detect struct {
 	// DropFrac flags a recent mean below baseline*(1-DropFrac), e.g. 0.25
 	// flags a 25% throughput drop. Zero disables the drop test.
@@ -16,9 +20,6 @@ type Detect struct {
 	// RiseFactor flags a recent mean above max(baseline, MinBaseline) *
 	// RiseFactor, e.g. 2 flags a doubled p99. Zero disables the rise test.
 	RiseFactor float64
-	// Onset flags any recent activity on a series whose baseline is zero
-	// (stall count going 0 -> nonzero).
-	Onset bool
 	// MinBaseline is the noise floor: drop tests are suppressed below it,
 	// and rise tests measure against at least it, so a 100µs -> 300µs
 	// wiggle on an idle series does not page anyone.
@@ -26,7 +27,7 @@ type Detect struct {
 }
 
 func (d Detect) enabled() bool {
-	return d.DropFrac > 0 || d.RiseFactor > 0 || d.Onset
+	return d.DropFrac > 0 || d.RiseFactor > 0
 }
 
 // The detection windows, in ticks: the mean of the recent window (3, so a
@@ -39,11 +40,12 @@ const (
 	maxAnnotations = 64
 )
 
-// Annotation kinds.
+// Annotation kinds: a level shift on a series, or a stall episode of the
+// committed-epoch frontier (stall.go).
 const (
 	AnomalyDrop  = "drop"
 	AnomalyRise  = "rise"
-	AnomalyOnset = "onset"
+	AnomalyStall = "stall"
 )
 
 // Annotation marks a window where a series departed its trailing
@@ -54,13 +56,14 @@ const (
 // ack-wait".
 type Annotation struct {
 	Series string `json:"series"`
-	Kind   string `json:"kind"` // drop | rise | onset
+	Kind   string `json:"kind"` // drop | rise | stall
 	// Active is true while the window is still open.
 	Active  bool  `json:"active"`
 	StartMS int64 `json:"start_unix_ms"`
 	EndMS   int64 `json:"end_unix_ms,omitempty"`
 	// Baseline is the trailing-window mean when the anomaly opened;
-	// Observed is the worst recent-window mean seen while open.
+	// Observed is the worst recent-window mean seen while open. For a
+	// stall they are the threshold and the frontier's age, in seconds.
 	Baseline float64 `json:"baseline"`
 	Observed float64 `json:"observed"`
 	// FromEpoch/ToEpoch bound the window on the epoch frontier (0 when
@@ -70,6 +73,9 @@ type Annotation struct {
 	// GatingStage is the journal's dominant gating stage across the
 	// epoch window (empty when no journal is wired).
 	GatingStage string `json:"gating_stage,omitempty"`
+	// Stall is a stall episode's capture. /debug/stall serves it, so the
+	// timeseries document does not repeat it.
+	Stall *obs.StallSnapshot `json:"-"`
 }
 
 // detect runs the level-shift test for series i after a tick. Called with
@@ -86,8 +92,6 @@ func (r *Recorder) detect(i int, s *series, nowMS int64, epoch uint64) {
 	}
 	kind := ""
 	switch {
-	case d.Onset && baseline <= 0 && recent > 0:
-		kind = AnomalyOnset
 	case d.DropFrac > 0 && baseline >= d.MinBaseline && baseline > 0 &&
 		recent < baseline*(1-d.DropFrac):
 		kind = AnomalyDrop

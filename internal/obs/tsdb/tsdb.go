@@ -1,12 +1,12 @@
 // Package tsdb is ALOHA-DB's in-process metrics flight recorder: a
 // fixed-memory time-series store that samples a curated set of signals
 // (commit/abort throughput, per-stage epoch quantiles, visibility lag,
-// stall count, queue depths, WAL fsync age, runtime health) on one shared
-// tick into one ring (internal/ring) of tick rows: the wall clock, the
-// committed-epoch frontier and one value per series. Where /metrics
-// answers "what is the server doing right now", the recorder answers
-// "what was it doing two minutes ago, and when did it change" — the
-// question every post-hoc slowdown investigation starts with.
+// queue depths, WAL fsync age, runtime health) on one shared tick into one
+// ring (internal/ring) of tick rows: the wall clock, the committed-epoch
+// frontier and one value per series. Where /metrics answers "what is the
+// server doing right now", the recorder answers "what was it doing two
+// minutes ago, and when did it change" — the question every post-hoc
+// slowdown investigation starts with.
 //
 // Because every row carries the committed-epoch frontier, each tick maps
 // to a window of the epoch protocol's own time base. That mapping is what
@@ -15,6 +15,12 @@
 // and 460, and the journal blames ack-wait". Retention, the detection
 // windows and the annotation ring are constants.
 //
+// The same tick is the server's one stall detector (stall.go): when the
+// frontier has not moved for a threshold, the recorder captures a stall
+// snapshot once and annotates the episode until the frontier moves again.
+// /healthz, the stall gauges, /debug/stall and the epoch journal's stall
+// marker all read that rule.
+//
 // The recorder follows the package's observability contract: a nil
 // *Recorder is valid and inert, and the steady-state Sample path
 // performs zero allocations (CI-guarded by BenchmarkRecorderSample).
@@ -22,13 +28,16 @@ package tsdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alohadb/internal/metrics"
+	"alohadb/internal/obs"
 	"alohadb/internal/ring"
 )
 
@@ -89,7 +98,8 @@ type Source struct {
 type Config struct {
 	// Server stamps the /debug/timeseries document.
 	Server int
-	// Interval is the sample cadence (default 500ms).
+	// Interval is the sample cadence (default 500ms). With a stall rule the
+	// tick is min(Interval, StallThreshold/4), at least 1ms.
 	Interval time.Duration
 	// Epoch, when set, samples the committed-epoch frontier alongside the
 	// wall clock so every ring slot maps to an epoch window. Must not
@@ -101,6 +111,14 @@ type Config struct {
 	Gating func(from, to uint64) string
 	// Sources are the recorded series.
 	Sources []Source
+	// StallThreshold turns on the stall rule: an episode opens when the
+	// Epoch sample has not changed for this long. Zero (or no Epoch) turns
+	// it off.
+	StallThreshold time.Duration
+	// StallCapture builds an episode's snapshot (peer probes, queue
+	// depths, …). Called once per episode, outside the recorder's lock,
+	// with a context bounded by the threshold. Optional.
+	StallCapture func(ctx context.Context) *obs.StallSnapshot
 }
 
 // retention is the ring length in ticks: two minutes at the default
@@ -140,6 +158,8 @@ type Recorder struct {
 	n          uint64 // ticks taken: the newest tick's seq
 	lastTickMS int64
 	anns       *ring.Ring[*Annotation]
+	stall      stallRule
+	stalled    atomic.Bool // a published episode is open
 
 	stop chan struct{}
 	done chan struct{}
@@ -154,6 +174,12 @@ func New(cfg Config) *Recorder {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
+	}
+	if cfg.Epoch == nil {
+		cfg.StallThreshold = 0
+	}
+	if cfg.StallThreshold > 0 {
+		cfg.Interval = max(min(cfg.Interval, cfg.StallThreshold/4), time.Millisecond)
 	}
 	r := &Recorder{
 		cfg: cfg,
@@ -215,15 +241,15 @@ func (r *Recorder) loop() {
 }
 
 // Sample takes one tick: reads every source into the ring's next row, and
-// runs anomaly detection. Exported so simulators and tests can drive the
-// recorder on their own clock. Nil-safe; zero allocations once the
-// histogram scratch buffers are warm and no anomaly window opens.
+// runs anomaly detection and the stall rule. Exported so simulators and
+// tests can drive the recorder on their own clock. Nil-safe; zero
+// allocations once the histogram scratch buffers are warm and no anomaly
+// window or stall episode opens.
 func (r *Recorder) Sample(now time.Time) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	var e uint64
 	if r.cfg.Epoch != nil {
 		e = r.cfg.Epoch()
@@ -244,6 +270,11 @@ func (r *Recorder) Sample(now time.Time) {
 	r.lastTickMS = ms
 	for i, s := range r.series {
 		r.detect(i, s, ms, e)
+	}
+	opened, age := r.checkStall(now, e)
+	r.mu.Unlock()
+	if opened != nil {
+		r.publishStall(opened, now, age)
 	}
 }
 

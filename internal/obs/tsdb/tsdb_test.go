@@ -231,22 +231,25 @@ func TestDetectorColdStartSuppressed(t *testing.T) {
 	}
 }
 
+// TestDetectorRiseAndOnset checks the rise test on a series with a
+// baseline and on one idle at zero that turns nonzero (an onset): the
+// MinBaseline floor is what the idle one is measured against.
 func TestDetectorRiseAndOnset(t *testing.T) {
 	lat := atomic.Uint64{}
 	lat.Store(1) // ms
-	var stalls atomic.Uint64
+	var errs atomic.Uint64
 	r := New(Config{
 		Interval: 100 * time.Millisecond,
 		Sources: []Source{
 			{Name: "p99", Kind: KindGauge, Detect: Detect{RiseFactor: 2, MinBaseline: 0.5},
 				Value: func() float64 { return float64(lat.Load()) }},
-			{Name: "stalls", Kind: KindRate, Detect: Detect{Onset: true},
-				Value: func() float64 { return float64(stalls.Load()) }},
+			{Name: "errors", Kind: KindRate, Detect: Detect{RiseFactor: 2, MinBaseline: 0.5},
+				Value: func() float64 { return float64(errs.Load()) }},
 		},
 	})
 	now := drive(r, time.Unix(1000, 0), recentWindow+baselineWindow)
 	lat.Store(5) // x5 the baseline
-	stalls.Add(1)
+	errs.Add(1)  // 10/s for one tick after a zero baseline
 	now = drive(r, now, 4)
 	kinds := map[string]string{}
 	for _, a := range r.Annotations() {
@@ -255,8 +258,8 @@ func TestDetectorRiseAndOnset(t *testing.T) {
 	if kinds["p99"] != AnomalyRise {
 		t.Fatalf("rise not flagged: %+v", r.Annotations())
 	}
-	if kinds["stalls"] != AnomalyOnset {
-		t.Fatalf("stall onset not flagged: %+v", r.Annotations())
+	if kinds["errors"] != AnomalyRise {
+		t.Fatalf("onset from a zero baseline not flagged: %+v", r.Annotations())
 	}
 }
 
@@ -265,7 +268,7 @@ func TestDetectorRiseAndOnset(t *testing.T) {
 // updating until it closes.
 func TestAnnotationRingBound(t *testing.T) {
 	// One-tick blips on an idle gauge, each once the previous one has left
-	// the baseline window: every blip opens an onset window, which closes
+	// the baseline window: every blip opens a rise window, which closes
 	// once the blip leaves the recent window.
 	const period = recentWindow + baselineWindow + 1
 	const blips = maxAnnotations + 5
@@ -273,14 +276,14 @@ func TestAnnotationRingBound(t *testing.T) {
 	r := New(Config{
 		Interval: 100 * time.Millisecond,
 		Epoch:    epoch.Load,
-		Sources: []Source{{Name: "blips", Kind: KindGauge, Detect: Detect{Onset: true},
+		Sources: []Source{{Name: "blips", Kind: KindGauge, Detect: Detect{RiseFactor: 2, MinBaseline: 0.5},
 			Value: func() float64 { return float64(v.Load()) }}},
 	})
 	now := time.Unix(1000, 0)
 	for tick := uint64(1); tick <= blips*period+recentWindow; tick++ {
 		v.Store(0)
 		if tick%period == 0 {
-			v.Store(1)
+			v.Store(10)
 		}
 		epoch.Store(tick)
 		r.Sample(now)
@@ -298,7 +301,7 @@ func TestAnnotationRingBound(t *testing.T) {
 	}
 	for i, a := range anns {
 		blip := uint64(blips-maxAnnotations+1+i) * period
-		if a.Active || a.Kind != AnomalyOnset || a.FromEpoch != blip-recentWindow+1 || a.ToEpoch != blip+recentWindow {
+		if a.Active || a.Kind != AnomalyRise || a.FromEpoch != blip-recentWindow+1 || a.ToEpoch != blip+recentWindow {
 			t.Fatalf("annotation %d = %+v, want the closed window of the blip at epoch %d", i, a, blip)
 		}
 	}
@@ -344,7 +347,7 @@ func TestRecorderStartStop(t *testing.T) {
 
 // BenchmarkRecorderSample is the CI allocation guard for the always-on
 // sample path: gauge, rate, and windowed-quantile sources plus detection
-// must not allocate at steady state.
+// and the stall rule must not allocate at steady state.
 func BenchmarkRecorderSample(b *testing.B) {
 	var ctr atomic.Uint64
 	var epoch atomic.Uint64
@@ -353,8 +356,9 @@ func BenchmarkRecorderSample(b *testing.B) {
 		h.ObserveDuration(time.Millisecond)
 	}
 	r := New(Config{
-		Interval: 100 * time.Millisecond,
-		Epoch:    epoch.Load,
+		Interval:       100 * time.Millisecond,
+		Epoch:          epoch.Load,
+		StallThreshold: time.Second,
 		Sources: []Source{
 			{Name: "commit_rate", Kind: KindRate, Detect: Detect{DropFrac: 0.25, MinBaseline: 10},
 				Value: func() float64 { return float64(ctr.Load()) }},

@@ -1,7 +1,7 @@
 // Package ring is the one fixed-memory history buffer behind the repo's
-// instruments: the tracer's span sinks, the watchdog's stall snapshots and
-// events, the epoch journal and its EM mirror, and the flight recorder's
-// ticks and annotations. Each value is stamped with a sequence number — an
+// instruments: the tracer's span sinks, the epoch journal and its EM
+// mirror, and the flight recorder's ticks and annotations (stall episodes
+// among them). Each value is stamped with a sequence number — an
 // epoch, a tick, or an arrival count — and lives in slot seq % n under that
 // slot's own mutex, so writers to different slots never contend. A newer
 // seq claims its slot from the occupant (an overwrite); an older one is

@@ -75,17 +75,17 @@ func wrapChaos(seed int64, probs chaos.Probabilities) func(transport.Network) tr
 
 // chaosEnv is the base shape for the fault-injected workloads: short
 // epochs so a window crosses many commit boundaries, a bounded abort
-// retry budget, and a watchdog threshold well above the switch timeout
+// retry budget, and a stall threshold well above the switch timeout
 // so injected faults never register as stall episodes.
 func chaosEnv(servers int, seed int64) scenario.EnvConfig {
 	return scenario.EnvConfig{
-		Servers:           servers,
-		EpochDuration:     2 * time.Millisecond,
-		SwitchTimeout:     time.Second,
-		AbortRetries:      10,
-		Watchdog:          true,
-		WatchdogThreshold: 5 * time.Second,
-		WrapNet:           wrapChaos(seed, lightProbs()),
+		Servers:        servers,
+		EpochDuration:  2 * time.Millisecond,
+		SwitchTimeout:  time.Second,
+		AbortRetries:   10,
+		Timeseries:     true,
+		StallThreshold: 5 * time.Second,
+		WrapNet:        wrapChaos(seed, lightProbs()),
 	}
 }
 

@@ -412,7 +412,7 @@ func runChaosCrash(ctx context.Context, env *scenario.Env) error {
 	env.Logf("%s; 1 crash, recovered at epoch %d (gray band %d); faults: %v before the crash, %v after",
 		d.summary(env.Oracle), maxLast, maxLast-minLast, before, ph.Net.(*chaos.Network).Stats())
 	if stalls += ph.StallsTotal(); stalls > 0 {
-		return fmt.Errorf("watchdog recorded %d stall episode(s)", stalls)
+		return fmt.Errorf("flight recorders recorded %d stall episode(s)", stalls)
 	}
 	return nil
 }

@@ -28,12 +28,12 @@ func registerMigrate(r *scenario.Registry) {
 		Attrs:   []string{"migration", "smoke", "obs"},
 		Shape: func(p scenario.Params) scenario.EnvConfig {
 			return scenario.EnvConfig{
-				Servers:           3,
-				EpochDuration:     2 * time.Millisecond,
-				Retention:         8,
-				Skew:              &obs.SkewConfig{SampleEvery: 1, TopK: 8},
-				Watchdog:          true,
-				WatchdogThreshold: 5 * time.Second,
+				Servers:        3,
+				EpochDuration:  2 * time.Millisecond,
+				Retention:      8,
+				Skew:           &obs.SkewConfig{SampleEvery: 1, TopK: 8},
+				Timeseries:     true,
+				StallThreshold: 5 * time.Second,
 			}
 		},
 		Run: runMigrateSplit,

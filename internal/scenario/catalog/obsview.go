@@ -14,7 +14,7 @@ import (
 )
 
 // registerObsView registers the observability boot: a cluster with the
-// full stack (ops listeners, watchdogs, skew profiler, flight recorder),
+// full stack (ops listeners, skew profiler, flight recorders),
 // a light workload, then assertions over the same scrape surface
 // aloha-top renders. With a long -window it is also the live target for
 // `aloha-top -servers <the logged addresses>`.

@@ -65,26 +65,23 @@ type EnvConfig struct {
 	// Skew, when set, attaches a shared hot-key profiler (Partitions
 	// defaults to Servers).
 	Skew *obs.SkewConfig
-	// Watchdog attaches one epoch-progress watchdog per server; the
-	// runner's zero-stall gate and the /debug/stall endpoint need it.
-	Watchdog bool
-	// WatchdogThreshold overrides the stall threshold (default 2s; chaos
+	// Timeseries attaches one started metrics flight recorder per server,
+	// with its stall rule on: the runner's zero-stall gate reads it, and
+	// with Ops it serves /debug/timeseries and /debug/stall.
+	Timeseries bool
+	// StallThreshold is the recorders' stall threshold (default 2s; chaos
 	// shapes use a larger one so injected faults below the epoch switch
 	// timeout never count as stalls).
-	WatchdogThreshold time.Duration
+	StallThreshold time.Duration
+	// TimeseriesInterval overrides the recorder sample interval (default
+	// 500ms, and at most a quarter of StallThreshold; fault-injection
+	// scenarios use a faster clock so short degraded windows clear the
+	// detector's baseline).
+	TimeseriesInterval time.Duration
 	// Ops starts one loopback HTTP ops listener per server — the
 	// core.OpsHandler surface aloha-server exposes, /debug/obs included —
-	// so clusterview can scrape the env. Implies Watchdog.
+	// so clusterview can scrape the env. Implies Timeseries.
 	Ops bool
-
-	// Timeseries attaches one metrics flight recorder per server (served
-	// at /debug/timeseries when Ops is also set). Implies Watchdog — the
-	// recorder's stall source reads it.
-	Timeseries bool
-	// TimeseriesInterval overrides the recorder sample interval (default
-	// 500ms; fault-injection scenarios use a faster clock so short
-	// degraded windows clear the detector's baseline).
-	TimeseriesInterval time.Duration
 
 	// Load runs between construction and Start, while bulk Load is still
 	// legal; scenario preloads (TPC-C tables, account balances) go here.
@@ -112,14 +109,11 @@ type Env struct {
 	Registry *functor.Registry
 	// Skew is the shared profiler (nil unless configured).
 	Skew *obs.Skew
-	// Watchdogs holds one started watchdog per server (empty unless
-	// configured).
-	Watchdogs []*obs.Watchdog
 	// OpsAddrs lists the per-server ops listener addresses (empty unless
 	// Ops was set).
 	OpsAddrs []string
 	// Recorders holds one started flight recorder per server (empty
-	// unless Timeseries was configured).
+	// unless Timeseries or Ops was configured).
 	Recorders []*tsdb.Recorder
 	// Oracle is a fresh history oracle; bodies that run tag-append
 	// workloads record into it and the runner reports its verdict (for a
@@ -148,27 +142,23 @@ func (e *Env) Scraper() *clusterview.Scraper {
 	return &clusterview.Scraper{Addrs: e.OpsAddrs}
 }
 
-// StallsTotal sums stall episodes across every watchdog; the runner gates
+// StallsTotal sums stall episodes across every recorder; the runner gates
 // soak and smoke runs on it staying zero.
 func (e *Env) StallsTotal() uint64 {
 	var n uint64
-	for _, wd := range e.Watchdogs {
-		n += wd.Status().StallsTotal
+	for _, rec := range e.Recorders {
+		n += rec.StallStatus().StallsTotal
 	}
 	return n
 }
 
-// Close tears the env down: recorders, watchdogs, ops listeners, cluster
-// and network. Safe to call more than once.
+// Close tears the env down: recorders, ops listeners, cluster and network.
+// Safe to call more than once.
 func (e *Env) Close() {
 	for _, rec := range e.Recorders {
 		rec.Stop()
 	}
 	e.Recorders = nil
-	for _, wd := range e.Watchdogs {
-		wd.Stop()
-	}
-	e.Watchdogs = nil
 	for _, hs := range e.httpSrvs {
 		hs.Close()
 	}
@@ -257,27 +247,19 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 		}
 	}
 
-	if cfg.Watchdog || cfg.Ops || cfg.Timeseries {
-		threshold := cfg.WatchdogThreshold
+	if cfg.Timeseries || cfg.Ops {
+		threshold := cfg.StallThreshold
 		if threshold <= 0 {
 			threshold = 2 * time.Second
 		}
-		for i := 0; i < cfg.Servers; i++ {
-			wd := c.Server(i).NewWatchdog(obs.WatchdogConfig{Threshold: threshold})
-			wd.Start()
-			env.Watchdogs = append(env.Watchdogs, wd)
-		}
-	}
-	if cfg.Timeseries {
-		// Recorders after watchdogs: the stall source reads the watchdog
-		// the setter above installed. The migration gauge is a cluster
-		// singleton, attached to server 0 so merged rings don't multiply it.
+		// The migration gauge is a cluster singleton, attached to server 0
+		// so merged rings don't multiply it.
 		for i := 0; i < cfg.Servers; i++ {
 			var extra []tsdb.Source
 			if i == 0 {
 				extra = append(extra, c.MigrationSource())
 			}
-			rec := c.Server(i).NewRecorder(tsdb.Config{Interval: cfg.TimeseriesInterval}, extra...)
+			rec := c.Server(i).NewRecorder(tsdb.Config{Interval: cfg.TimeseriesInterval, StallThreshold: threshold}, extra...)
 			rec.Start()
 			env.Recorders = append(env.Recorders, rec)
 		}

@@ -53,7 +53,7 @@ func TestBuildEnvMem(t *testing.T) {
 	}
 }
 
-// TestBuildEnvOps verifies the full observability shape: watchdogs, skew,
+// TestBuildEnvOps verifies the full observability shape: recorders, skew,
 // per-server ops listeners, and a clusterview scrape that sees every
 // server with an advancing commit frontier.
 func TestBuildEnvOps(t *testing.T) {
@@ -67,8 +67,8 @@ func TestBuildEnvOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	if len(env.Watchdogs) != 3 {
-		t.Fatalf("got %d watchdogs, want 3 (Ops implies Watchdog)", len(env.Watchdogs))
+	if len(env.Recorders) != 3 {
+		t.Fatalf("got %d recorders, want 3 (Ops implies Timeseries)", len(env.Recorders))
 	}
 	if len(env.OpsAddrs) != 3 {
 		t.Fatalf("got %d ops listeners, want 3", len(env.OpsAddrs))

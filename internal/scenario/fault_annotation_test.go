@@ -41,7 +41,7 @@ func TestFaultAnnotation(t *testing.T) {
 				// many ticks beyond the detector's cold-start floor.
 				Timeseries:         true,
 				TimeseriesInterval: 50 * time.Millisecond,
-				WatchdogThreshold:  10 * time.Second,
+				StallThreshold:     10 * time.Second,
 				WrapNet: func(inner transport.Network) transport.Network {
 					// Probability-free wrap: the body schedules the only
 					// fault (deterministic link delays) itself.

@@ -23,7 +23,7 @@ type RunOptions struct {
 	Window time.Duration
 	// Soak, when non-zero, is the total soak budget: the matrix divides it
 	// evenly across the selected scenarios and runs each with chaos,
-	// watchdog, oracle, and journal on, gated on p99 SLOs and zero stall
+	// flight recorder, oracle, and journal on, gated on p99 SLOs and zero stall
 	// episodes.
 	Soak time.Duration
 	// Full is handed to every scenario as Params.Full.
@@ -66,7 +66,7 @@ const defaultWindow = 800 * time.Millisecond
 // Run executes the scenarios sequentially and returns an error if any
 // failed. Each scenario gets a fresh environment built from its shape, a
 // context bounded by window+timeout, and a zero-stall gate over its
-// watchdogs; a failure writes a replay artifact (all failures, one JSON
+// recorders; a failure writes a replay artifact (all failures, one JSON
 // document) to opts.ArtifactPath.
 func Run(ctx context.Context, scns []*Scenario, opts RunOptions) ([]Outcome, error) {
 	if len(scns) == 0 {
@@ -192,7 +192,7 @@ func runOne(ctx context.Context, s *Scenario, p Params, tracer *trace.Tracer, ou
 
 	stalls = env.StallsTotal()
 	if err == nil && stalls > 0 {
-		err = fmt.Errorf("watchdog recorded %d stall episode(s)", stalls)
+		err = fmt.Errorf("flight recorders recorded %d stall episode(s)", stalls)
 	}
 	if err == nil && env.Oracle != nil {
 		if vs := env.Oracle.Check(); len(vs) > 0 {

@@ -2,8 +2,8 @@
 // scenario registers a name, a set of attributes (smoke, soak, chaos,
 // contention, migration, bench, obs), a cluster shape, and a Run body
 // that receives a pre-wired environment: a started cluster, a history
-// oracle, per-server watchdogs, and (when the shape asks for them) ops
-// HTTP listeners a clusterview scraper can poll. The matrix runner
+// oracle, and (when the shape asks for them) per-server flight recorders
+// and ops HTTP listeners a clusterview scraper can poll. The matrix runner
 // selects scenarios by attribute expression ("smoke", "soak && !tcp",
 // "name:auction-*") and runs them as one suite — the same bodies power
 // the quick per-PR smoke matrix, the nightly soak, and ad-hoc replays
@@ -58,7 +58,7 @@ type Scenario struct {
 	// tracer, output and the oracle the runner checks.
 	Shape func(p Params) EnvConfig
 	// Run drives the workload. A non-nil error fails the scenario; the
-	// runner additionally fails it on watchdog stall episodes.
+	// runner additionally fails it on stall episodes.
 	Run func(ctx context.Context, env *Env) error
 }
 

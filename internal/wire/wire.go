@@ -33,7 +33,7 @@
 //
 //	0        reserved: never a payload, rejected at decode
 //	1–63     internal/core
-//	64–79    internal/calvin
+//	64–79    retired (Calvin's, which runs only on the in-memory mesh; never reuse)
 //	80–95    retired (the backup link's; never reuse)
 //	200–254  tests
 //	255      KindNone: an absent payload
