@@ -57,16 +57,20 @@ bench-check:
 # BenchmarkEpochCommitRetention at 200 k keys within 3x of 1 k keys), and the
 # hand-off of its functors to the processor not more than linearly with what
 # it wrote (ns/functor of BenchmarkEpochHandoff at 256 k items within 2x of
-# 16 k). And a hop of the simulated mesh must cost what it was configured for
-# (median round trip of BenchmarkMemHop at 100 us +- 40 us each way under
-# 700 us from 1 caller and from 64).
+# 16 k). A slow commit must not stretch the epoch (median switch-to-switch
+# period of BenchmarkEpochCadence, 10 ms Duration and a 4 ms Committed, at
+# most 11 ms). And a hop of the simulated mesh must cost what it was
+# configured for (median round trip of BenchmarkMemHop at 100 us +- 40 us
+# each way under 700 us from 1 caller and from 64).
 commit-guard:
 	./scripts/commit-guard.sh
 
 # Object budgets and zero-allocation paths, the block CI runs: what a key
 # written once keeps alive (core.TestStoreObjectBudget), the chain and record
 # size classes, the untraced install/compute path, the TPC-C NewOrder pins,
-# and the wire/hand-off/ring/trace/skew/journal/recorder benchmarks at 0 allocs/op.
+# a bulk load with and without a log, and the
+# wire/hand-off/ring/trace/skew/journal/recorder/WAL-append benchmarks at 0
+# allocs/op.
 alloc-guard:
 	./scripts/alloc-guard.sh
 

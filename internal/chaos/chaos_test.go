@@ -12,6 +12,22 @@ import (
 	"alohadb/internal/transport"
 )
 
+// Crash takes the node down: every message to or from it fails until
+// Restart. In-flight deliveries are not recalled, matching a real
+// crash-stop where packets already in the receive buffer get processed.
+func (n *Network) Crash(id transport.NodeID) {
+	n.mu.Lock()
+	n.crashed[id] = true
+	n.mu.Unlock()
+}
+
+// Restart brings a crashed node back.
+func (n *Network) Restart(id transport.NodeID) {
+	n.mu.Lock()
+	delete(n.crashed, id)
+	n.mu.Unlock()
+}
+
 type countMsg struct{ N int }
 type otherMsg struct{ N int }
 

@@ -85,6 +85,10 @@ type Cluster struct {
 	em      *epoch.Manager
 	started bool
 	loadSeq []uint32
+	// loadFn is the functor a loaded value is logged as, reused across
+	// pairs: loads run on one goroutine before Start, and a durability
+	// hook encodes what it is handed before it returns.
+	loadFn functor.Functor
 	// table is the cluster's own routing view (base placement plus newest
 	// ownership map); Load and the rebalancer route through it instead of
 	// peeking at a server's internals.
@@ -179,18 +183,9 @@ func (c *Cluster) Load(pairs []kv.Pair) error {
 	return nil
 }
 
-// LoadFunctor bulk-inserts one arbitrary functor at epoch 0 (tests use this
-// to pre-seed non-VALUE states).
-func (c *Cluster) LoadFunctor(k kv.Key, fn *functor.Functor) error {
-	if c.started {
-		return fmt.Errorf("core: Load after Start")
-	}
-	return c.loadOne(k, fn.Type, fn.Arg, fn)
-}
-
 // loadOne installs one epoch-0 write of f-type t and argument arg. fn is the
-// functor when the caller holds one; a plain value comes without, and gets
-// one built only for a durability hook to log.
+// functor when the caller holds one; a plain value comes without, and a
+// durability hook is handed c.loadFn to log it.
 func (c *Cluster) loadOne(k kv.Key, t functor.Type, arg []byte, fn *functor.Functor) error {
 	// Loads are epoch-0 writes: route them at epoch 0 through the cluster's
 	// own table rather than through some server's current-owner view (which
@@ -201,7 +196,8 @@ func (c *Cluster) loadOne(k kv.Key, t functor.Type, arg []byte, fn *functor.Func
 	ts := tstamp.Make(0, c.loadSeq[owner], uint16(owner))
 	if srv.durability != nil {
 		if fn == nil {
-			fn = functor.Value(arg)
+			c.loadFn = functor.Functor{Type: t, Arg: arg}
+			fn = &c.loadFn
 		}
 		if err := srv.durability.LogInstall(ts, k, fn); err != nil {
 			return fmt.Errorf("core: load %q: %w", k, err)

@@ -70,6 +70,15 @@ func xferInArg(src kv.Key, amt int64) []byte {
 	return []byte(string(src) + "|" + string(kv.EncodeInt64(amt)))
 }
 
+// LoadFunctor bulk-inserts one arbitrary functor at epoch 0, as Load does a
+// value: tests pre-seed non-VALUE states with it.
+func (c *Cluster) LoadFunctor(k kv.Key, fn *functor.Functor) error {
+	if c.started {
+		return fmt.Errorf("core: Load after Start")
+	}
+	return c.loadOne(k, fn.Type, fn.Arg, fn)
+}
+
 // newTestCluster builds a manual-epoch cluster.
 func newTestCluster(t *testing.T, servers, workers int) *Cluster {
 	t.Helper()

@@ -47,9 +47,10 @@ type Participant interface {
 
 // Config tunes a Manager.
 type Config struct {
-	// Duration is the epoch length for the timer-driven Run loop: the next
-	// switch starts Duration after the previous one ends. The paper's
-	// default deployment uses 25 ms.
+	// Duration is the epoch length for the timer-driven Run loop: switches
+	// start on a fixed grid, the k-th at Run's start + k·Duration, whatever
+	// each took (a switch that overruns skips the grid points it missed).
+	// The paper's default deployment uses 25 ms.
 	Duration time.Duration
 	// SwitchTimeout bounds how long the manager waits for revoke acks
 	// before proceeding anyway (crash-stop straggler escape hatch).
@@ -270,7 +271,9 @@ func (m *Manager) waitAcks(acked <-chan struct{}) {
 }
 
 // Run drives epoch switches on the configured duration until Stop. It
-// calls Start if the manager has not started yet.
+// calls Start if the manager has not started yet. Switches start on a fixed
+// grid, one every Duration from Run's start (nextSwitch), so the epoch
+// period is Duration and not Duration plus the switch plus timer slop.
 func (m *Manager) Run() error {
 	m.mu.Lock()
 	started := m.started
@@ -287,9 +290,10 @@ func (m *Manager) Run() error {
 	}
 	go func() {
 		defer close(m.done)
-		// A resettable timer instead of a ticker: the next epoch starts
-		// Duration after a switch ends, however long the switch took.
-		timer := time.NewTimer(m.cfg.Duration)
+		d := m.cfg.Duration
+		origin := time.Now()
+		due := d // the grid point of the next switch, from origin
+		timer := time.NewTimer(d)
 		defer timer.Stop()
 		for {
 			select {
@@ -297,13 +301,27 @@ func (m *Manager) Run() error {
 				if _, err := m.Advance(); err != nil {
 					return
 				}
-				timer.Reset(m.cfg.Duration)
+				now := time.Since(origin)
+				due = nextSwitch(due, now, d)
+				timer.Reset(due - now)
 			case <-m.stop:
 				return
 			}
 		}
 	}()
 	return nil
+}
+
+// nextSwitch returns the grid point, as an offset from the grid's origin,
+// at which the switch after the one due at due starts, given that the
+// latter ended at now: due + d if that is still ahead, else the first
+// multiple of d after now. A switch that overruns skips the grid points it
+// missed instead of starting the next one back to back.
+func nextSwitch(due, now, d time.Duration) time.Duration {
+	if next := due + d; next > now {
+		return next
+	}
+	return (now/d + 1) * d
 }
 
 // Stop terminates the Run loop and waits for it to exit. Safe to call

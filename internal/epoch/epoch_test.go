@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -319,4 +320,83 @@ func TestSwitchTimeoutLeaksNoGoroutine(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before+5 {
 		t.Errorf("goroutines %d -> %d over 200 timed-out switches", before, after)
 	}
+}
+
+// TestNextSwitchOnGrid: Run's switches start on the grid origin + k·d. A
+// switch that ends before the next grid point leaves it in place, however
+// late it started; one that overruns skips every point it passed and never
+// starts the next switch back to back.
+func TestNextSwitchOnGrid(t *testing.T) {
+	const d = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name           string
+		due, now, want time.Duration
+	}{
+		{"on time", 3 * d, 3 * d, 4 * d},
+		{"switch took part of the epoch", 3 * d, 3*d + 4*time.Millisecond, 4 * d},
+		{"late by less than d", 3 * d, 4*d - time.Microsecond, 4 * d},
+		{"ended on the next grid point", 3 * d, 4 * d, 5 * d},
+		{"overran one grid point", 3 * d, 4*d + 5*time.Millisecond, 5 * d},
+		{"overran two grid points", 3 * d, 5*d + 5*time.Millisecond, 6 * d},
+	} {
+		if got := nextSwitch(tc.due, tc.now, d); got != tc.want {
+			t.Errorf("%s: nextSwitch(%v, %v, %v) = %v, want %v", tc.name, tc.due, tc.now, d, got, tc.want)
+		}
+	}
+}
+
+// slowCommitter acks at once and takes commit to handle Committed, as a
+// server that seals, fsyncs and hands off does; it records when each grant
+// arrives.
+type slowCommitter struct {
+	commit time.Duration
+	mu     sync.Mutex
+	grants []time.Time
+}
+
+func (p *slowCommitter) Grant(tstamp.Epoch) {
+	p.mu.Lock()
+	p.grants = append(p.grants, time.Now())
+	p.mu.Unlock()
+}
+
+func (p *slowCommitter) Revoke(_ tstamp.Epoch, ack func()) { ack() }
+
+func (p *slowCommitter) Committed(tstamp.Epoch) { time.Sleep(p.commit) }
+
+func (p *slowCommitter) count() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.grants)
+}
+
+// BenchmarkEpochCadence runs b.N timer-driven switches at a 10 ms Duration
+// against one participant whose Committed takes 4 ms, and reports the
+// median switch-to-switch period (p50-period-us). On the grid it is the
+// Duration; a timer re-armed after each switch adds the switch to it
+// (~15 ms). make commit-guard holds it to 1.1 × Duration.
+func BenchmarkEpochCadence(b *testing.B) {
+	p := &slowCommitter{commit: 4 * time.Millisecond}
+	m := New(Config{Duration: 10 * time.Millisecond})
+	if err := m.Register(p); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	if err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	// Start grants the first epoch; each switch grants one more.
+	for p.count() < b.N+2 {
+		time.Sleep(time.Millisecond)
+	}
+	m.Stop()
+	b.StopTimer()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	periods := make([]time.Duration, 0, len(p.grants))
+	for i := 2; i < len(p.grants); i++ {
+		periods = append(periods, p.grants[i].Sub(p.grants[i-1]))
+	}
+	sort.Slice(periods, func(i, j int) bool { return periods[i] < periods[j] })
+	b.ReportMetric(float64(periods[len(periods)/2].Microseconds()), "p50-period-us")
 }

@@ -51,13 +51,21 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 	}
 
 	var scanErr error
+	// Every row is framed into one reused buffer, as Log frames its
+	// records.
+	var frame []byte
+	writeRow := func(k kv.Key, v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) error {
+		frame = appendCkptRecord(frame[:0], k, v, kind, value)
+		_, err := w.Write(frame)
+		return err
+	}
 	// Keys, not chains: a row is written from where it lies, and the store
 	// keeps the shape it has.
 	store.RangeKeys(func(k kv.Key) bool {
 		c, row, ok := store.Read(k, bound)
 		if c == nil {
 			if ok && (row.Kind == functor.Resolved || row.Kind == functor.ResolvedDeleted) {
-				scanErr = writeCkptRecord(w, k, row.Version, row.Kind, row.Value)
+				scanErr = writeRow(k, row.Version, row.Kind, row.Value)
 			}
 			return scanErr == nil
 		}
@@ -74,7 +82,7 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 			if kind != functor.Resolved && kind != functor.ResolvedDeleted {
 				continue
 			}
-			if werr := writeCkptRecord(w, k, h.Version(i), kind, value); werr != nil {
+			if werr := writeRow(k, h.Version(i), kind, value); werr != nil {
 				scanErr = werr
 				return false
 			}
@@ -91,15 +99,15 @@ func WriteCheckpoint(store *mvstore.Store, bound tstamp.Timestamp, path string) 
 	return f.Sync()
 }
 
-// writeCkptRecord writes one row, framed as a log record of kind
+// appendCkptRecord appends one row to dst, framed as a log record of kind
 // kindCheckpointRow: version(8, big-endian) | key(str) | kind(1) | value(bytes).
-func writeCkptRecord(w io.Writer, k kv.Key, v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) error {
-	payload := make([]byte, 0, 32+len(k)+len(value))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(v))
-	payload = wire.AppendString(payload, string(k))
-	payload = append(payload, byte(kind))
-	payload = wire.AppendBytes(payload, value)
-	return writeFrame(w, kindCheckpointRow, payload)
+func appendCkptRecord(dst []byte, k kv.Key, v tstamp.Timestamp, kind functor.ResolutionKind, value kv.Value) []byte {
+	frame := beginFrame(dst, kindCheckpointRow)
+	frame = binary.BigEndian.AppendUint64(frame, uint64(v))
+	frame = wire.AppendString(frame, string(k))
+	frame = append(frame, byte(kind))
+	frame = wire.AppendBytes(frame, value)
+	return endFrame(frame)
 }
 
 // LoadCheckpoint restores a store from a checkpoint file, returning the

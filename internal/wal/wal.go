@@ -60,10 +60,23 @@ var ErrCorrupt = errors.New("wal: corrupt entry")
 // buffered; Sync flushes and fsyncs. All methods are safe for concurrent
 // use.
 type Log struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	path string
+	// mu orders appends: it guards w and frame. A Sync holds it only to
+	// flush, never across the fsync.
+	mu sync.Mutex
+	// syncMu serializes the flush+fsync of Sync with another Sync and
+	// with Close, so Close waits for an fsync in flight. It is taken
+	// before mu, never after.
+	syncMu sync.Mutex
+	f      *os.File
+	w      *bufio.Writer
+	path   string
+	// frame is the scratch buffer every record is framed into under mu:
+	// it grows to the largest record appended and is reused, so an append
+	// allocates nothing.
+	frame []byte
+	// fsync makes what was flushed durable; it is f.Sync but for tests
+	// that hold a Sync inside its fsync.
+	fsync func() error
 
 	appendHist *metrics.Histogram // framed record sizes in bytes
 	fsyncHist  *metrics.Histogram // Sync (flush+fsync) latency
@@ -82,7 +95,7 @@ func Open(path string) (*Log, error) {
 		return nil, fmt.Errorf("wal: open: %w", err)
 	}
 	return &Log{
-		f: f, w: bufio.NewWriterSize(f, 1<<16), path: path,
+		f: f, w: bufio.NewWriterSize(f, 1<<16), path: path, fsync: f.Sync,
 		appendHist: metrics.NewHistogram(metrics.SizeBounds()),
 		fsyncHist:  metrics.NewHistogram(metrics.LatencyBounds()),
 	}, nil
@@ -156,40 +169,47 @@ func (l *Log) LogEpochCommitted(ctx context.Context, e tstamp.Epoch) error {
 	return l.Sync()
 }
 
-// append frames one record and buffers it.
+// append frames one record and buffers it. The record is encoded once,
+// header and payload together, into l.frame, which only grows: in the
+// steady state an append allocates nothing and copies the record once,
+// into the bufio.Writer.
 func (l *Log) append(e Entry) error {
-	payload := appendEntry(make([]byte, 0, 64), e)
-	l.appendHist.Observe(int64(frameHeaderSize + len(payload)))
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := writeFrame(l.w, e.Kind, payload); err != nil {
+	l.frame = endFrame(appendEntry(beginFrame(l.frame[:0], e.Kind), e))
+	n := len(l.frame)
+	_, err := l.w.Write(l.frame)
+	l.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	l.appendHist.Observe(int64(n))
 	return nil
 }
 
 // frameHeaderSize is the record frame's header: crc(4) | kind(1) | len(4).
 const frameHeaderSize = 9
 
-// writeFrame writes one record, crc32(kind|len|payload) | kind | len |
-// payload, the fixed fields big-endian. Log entries and checkpoint rows
-// share it.
-func writeFrame(w io.Writer, kind EntryKind, payload []byte) error {
-	var hdr [frameHeaderSize]byte
-	hdr[4] = byte(kind)
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	crc := crc32.Update(crc32.ChecksumIEEE(hdr[4:]), crc32.IEEETable, payload)
-	binary.BigEndian.PutUint32(hdr[:4], crc)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// beginFrame appends the header of a record of the given kind to dst, its
+// crc and length still zero; the caller appends the payload behind it and
+// calls endFrame. Log entries and checkpoint rows share the frame:
+// crc32(kind|len|payload) | kind | len | payload, the fixed fields
+// big-endian.
+func beginFrame(dst []byte, kind EntryKind) []byte {
+	return append(dst, 0, 0, 0, 0, byte(kind), 0, 0, 0, 0)
 }
 
-// readFrame reads one record writeFrame wrote. A clean end of input is
-// io.EOF; a torn header or payload, an implausible size or a CRC mismatch
-// is ErrCorrupt.
+// endFrame fills in the length and crc of frame, one record from its
+// header on, and returns it. kind, length and payload lie side by side, so
+// one crc32 call covers them.
+func endFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame[5:frameHeaderSize], uint32(len(frame)-frameHeaderSize))
+	binary.BigEndian.PutUint32(frame[:4], crc32.ChecksumIEEE(frame[4:]))
+	return frame
+}
+
+// readFrame reads one record beginFrame and endFrame framed. A clean end
+// of input is io.EOF; a torn header or payload, an implausible size or a
+// CRC mismatch is ErrCorrupt.
 func readFrame(r *bufio.Reader) (EntryKind, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -212,15 +232,20 @@ func readFrame(r *bufio.Reader) (EntryKind, []byte, error) {
 	return EntryKind(hdr[4]), payload, nil
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync flushes buffered records and fsyncs the file. It holds the append
+// lock only for the flush: records appended during the fsync belong to the
+// next epoch and ride the next Sync.
 func (l *Log) Sync() error {
 	start := time.Now()
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
+	err := l.w.Flush()
+	l.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.fsync(); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
 	l.fsyncHist.ObserveDuration(time.Since(start))
@@ -240,8 +265,10 @@ func (l *Log) LastSyncAge() (time.Duration, bool) {
 	return time.Since(time.Unix(0, ns)), true
 }
 
-// Close flushes and closes the log.
+// Close flushes and closes the log, after any Sync in flight.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.w.Flush(); err != nil {
@@ -250,15 +277,13 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Replay streams every intact entry of the log at path to fn, stopping at
-// the first corrupt/torn record (which it reports via ErrCorrupt only if
-// strict is requested through ReplayStrict; plain Replay treats a torn tail
-// as end-of-log).
+// Replay streams every intact entry of the log at path to fn. The first
+// corrupt or torn record ends the log and is not an error: a crash tears
+// the tail.
 func Replay(path string, fn func(Entry) error) error { return replay(path, fn, false) }
 
-// ReplayStrict is Replay but fails on any corrupt record.
-func ReplayStrict(path string, fn func(Entry) error) error { return replay(path, fn, true) }
-
+// replay is Replay; with strict set it returns a corrupt or torn record's
+// ErrCorrupt instead of stopping quietly.
 func replay(path string, fn func(Entry) error, strict bool) error {
 	f, err := os.Open(path)
 	if err != nil {

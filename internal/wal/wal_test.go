@@ -18,6 +18,10 @@ import (
 
 func ts(e tstamp.Epoch, seq uint32) tstamp.Timestamp { return tstamp.Make(e, seq, 0) }
 
+// ReplayStrict is Replay but fails on any corrupt record, a torn tail
+// included.
+func ReplayStrict(path string, fn func(Entry) error) error { return replay(path, fn, true) }
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, err := Open(path)

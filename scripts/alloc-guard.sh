@@ -9,11 +9,14 @@ set -eu
 # key written once keeps alive (nothing: it is a row) and what a key with a
 # long history does (a handful: below the watermark it is bytes), the
 # version-chain and row budgets, a frozen run's types (no pointer the
-# collector would scan), and the TPC-C workload's keys, router and handler.
+# collector would scan), the TPC-C workload's keys, router and handler, and
+# a bulk load, with a log and without.
 go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget|TestLoadAllocatesNoFunctorPerPair)$'
 go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass|TestFrozenRunHoldsNoPointer)$'
 go test -count=1 ./internal/workload/tpcc/ -run '^(TestNewOrderAllocations|TestRouterMatchesReferenceAndAllocatesNothing)$'
 go test -count=1 ./internal/trace/ -run '^TestDisabledPathAllocs$'
+# A bulk load through a log allocates what one without a hook does.
+go test -count=1 ./internal/wal/ -run '^TestLoggedLoadAllocatesNoFunctorPerPair$'
 
 # allocs PKG BENCH ITERATIONS ROWS N: every one of ROWS benchmark rows
 # reports N allocs/op. zero is allocs with N = 0.
@@ -41,4 +44,7 @@ zero ./internal/trace/ 'BenchmarkDisabledSpan' 100000x 1
 zero ./internal/obs/ 'BenchmarkSkew(Disabled|SampledOut)Observe' 100000x 2
 zero ./internal/obs/journal/ 'BenchmarkJournal(Disabled|Enabled)Install' 100000x 2
 zero ./internal/obs/tsdb/ 'BenchmarkRecorderSample' 10000x 1
+# A NewOrder-sized install appended to the log: framed into the log's one
+# reused buffer, with one crc over it.
+zero ./internal/wal/ 'BenchmarkLogInstall$' 100000x 1
 echo "alloc-guard: ok"

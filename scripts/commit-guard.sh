@@ -1,8 +1,9 @@
 #!/bin/sh
 # Commit-cost guard, shared by `make commit-guard` and CI. Two things an
 # epoch commit must not scale with, each a pair of benchmark rows compared
-# best of three, and the cost of the simulated hop every commit latency
-# measured over the in-memory mesh is made of.
+# best of three, the epoch period a slow commit must not stretch, and the
+# cost of the simulated hop every commit latency measured over the
+# in-memory mesh is made of.
 #
 # The store: an epoch commit with retention on must cost what the epoch
 # wrote, not what the store holds. Runs BenchmarkEpochCommitRetention (100 keys written per epoch,
@@ -40,6 +41,23 @@ echo "$out" | awk '
 		if (!small || !large) { print "commit-guard: benchmark rows missing" > "/dev/stderr"; exit 1 }
 		printf "commit-guard: %d ns/functor at 16k items, %d ns/functor at 256k items (ratio %.2f, limit 2)\n", small, large, large / small
 		if (large > 2 * small) { print "commit-guard: the processor hand-off is quadratic in what an epoch wrote" > "/dev/stderr"; exit 1 }
+	}'
+
+# The epoch period: switches start on a fixed grid, so a commit that takes
+# part of the epoch does not lengthen it. Runs BenchmarkEpochCadence (10 ms
+# Duration, one participant whose Committed takes 4 ms, 30 switches), takes
+# the best of three median switch-to-switch periods and fails above 11 ms,
+# 1.1 x Duration. A timer re-armed after each switch, which this guards
+# against, reads 15 ms; the grid reads 10.
+out="$(go test ./internal/epoch/ -run '^$' -bench 'BenchmarkEpochCadence' -benchtime 30x -count 3)"
+echo "$out"
+echo "$out" | awk '
+	{ for (i = 2; i < NF; i++) if ($(i + 1) == "p50-period-us") v = $i }
+	/^BenchmarkEpochCadence/ { if (!best || v < best) best = v }
+	END {
+		if (!best) { print "commit-guard: benchmark rows missing" > "/dev/stderr"; exit 1 }
+		printf "commit-guard: median epoch period %d us at a 10000 us Duration (limit 11000)\n", best
+		if (best > 11000) { print "commit-guard: a slow commit stretches the epoch beyond its Duration" > "/dev/stderr"; exit 1 }
 	}'
 
 # The simulated hop: a Call over a mesh configured like the benchmark's
