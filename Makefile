@@ -21,7 +21,10 @@ fmt-check:
 # aloha-server and the scenario env assemble no mux of their own, and no
 # Prometheus text parser reads our own /metrics. One ring buffer: the
 # instruments keep their histories in internal/ring. One sampler per server:
-# the flight recorder's tick also runs the stall rule.
+# the flight recorder's tick also runs the stall rule. No dead code: every
+# function of the module is linked into a binary it ships (cmd/*, examples/*,
+# the bench module) or is the root package's API (scripts/deadcode, which
+# prints each offender as file:line).
 vet:
 	$(GO) vet ./...
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'
@@ -37,6 +40,8 @@ vet:
 	@! grep -rnE --include='*.go' '%[[:space:]]*(uint64\()?len\(|% r\.cfg\.retention' internal/obs internal/trace | grep -v '_test\.go:'
 	@# One sampler per server: stall detection is a rule of the flight recorder, not a watchdog of its own.
 	@! grep -rnE --include='*.go' 'NewWatchdog|WatchdogConfig|obs\.Watchdog' .
+	@# No dead code: a function only tests call lives in its package's export_test.go.
+	$(GO) run ./scripts/deadcode
 
 test:
 	$(GO) test ./...

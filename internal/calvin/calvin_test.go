@@ -97,15 +97,15 @@ func TestSinglePartitionIncrement(t *testing.T) {
 	}
 	var handles []*Handle
 	for i := 0; i < 5; i++ {
-		h, err := c.Submit(0, Txn{
+		hs, err := c.SubmitMany(0, []Txn{{
 			ReadSet:  []kv.Key{"ctr"},
 			WriteSet: []kv.Key{"ctr"},
 			Proc:     "incr",
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
 	}
 	c.AdvanceEpoch()
 	waitAll(t, handles)
@@ -140,15 +140,16 @@ func TestDistributedTransfer(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Submit(0, Txn{
+	hs, err := c.SubmitMany(0, []Txn{{
 		ReadSet:  []kv.Key{"a", "b"},
 		WriteSet: []kv.Key{"a", "b"},
 		Proc:     "transfer",
 		Args:     kv.EncodeInt64(30),
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := hs[0]
 	c.AdvanceEpoch()
 	waitAll(t, []*Handle{h})
 	if h.Latency() <= 0 {
@@ -201,16 +202,17 @@ func TestDeterministicOrderEquivalence(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				key := keys[(w+i)%len(keys)]
 				arg := byte('a' + (w*40+i)%26)
-				h, err := c.Submit(w%partitions, Txn{
+				hs, err := c.SubmitMany(w%partitions, []Txn{{
 					ReadSet:  []kv.Key{key},
 					WriteSet: []kv.Key{key},
 					Proc:     "appendArg",
 					Args:     []byte{arg},
-				})
+				}})
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
+				h := hs[0]
 				hmu.Lock()
 				allHandles = append(allHandles, h)
 				hmu.Unlock()
@@ -282,16 +284,15 @@ func TestSharedReadLocksDoNotConflict(t *testing.T) {
 	}
 	// Two transactions read the same hot item but write different keys:
 	// shared locks must let both proceed in the same batch.
-	h1, err := c.Submit(0, Txn{ReadSet: []kv.Key{"item", "a"}, WriteSet: []kv.Key{"a"}, Proc: "incr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := c.Submit(0, Txn{ReadSet: []kv.Key{"item", "b"}, WriteSet: []kv.Key{"b"}, Proc: "incr"})
+	hs, err := c.SubmitMany(0, []Txn{
+		{ReadSet: []kv.Key{"item", "a"}, WriteSet: []kv.Key{"a"}, Proc: "incr"},
+		{ReadSet: []kv.Key{"item", "b"}, WriteSet: []kv.Key{"b"}, Proc: "incr"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceEpoch()
-	waitAll(t, []*Handle{h1, h2})
+	waitAll(t, hs)
 	stats := c.Stats()
 	if stats.LockWaits != 0 {
 		t.Errorf("LockWaits = %d, want 0 (shared read locks should not conflict)", stats.LockWaits)
@@ -305,11 +306,11 @@ func TestExclusiveLocksSerialize(t *testing.T) {
 	}
 	var handles []*Handle
 	for i := 0; i < 10; i++ {
-		h, err := c.Submit(0, Txn{ReadSet: []kv.Key{"hot"}, WriteSet: []kv.Key{"hot"}, Proc: "incr"})
+		hs, err := c.SubmitMany(0, []Txn{{ReadSet: []kv.Key{"hot"}, WriteSet: []kv.Key{"hot"}, Proc: "incr"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
 	}
 	c.AdvanceEpoch()
 	waitAll(t, handles)
@@ -338,10 +339,11 @@ func TestTimerDrivenSequencer(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Submit(1, Txn{ReadSet: []kv.Key{"k"}, WriteSet: []kv.Key{"k"}, Proc: "incr"})
+	hs, err := c.SubmitMany(1, []Txn{{ReadSet: []kv.Key{"k"}, WriteSet: []kv.Key{"k"}, Proc: "incr"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := hs[0]
 	select {
 	case <-h.Done():
 	case <-time.After(5 * time.Second):
@@ -389,16 +391,17 @@ func TestConservationUnderConcurrency(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				h, err := c.Submit(w%partitions, Txn{
+				hs, err := c.SubmitMany(w%partitions, []Txn{{
 					ReadSet:  []kv.Key{src, dst},
 					WriteSet: []kv.Key{src, dst},
 					Proc:     "transfer",
 					Args:     kv.EncodeInt64(7),
-				})
+				}})
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
+				h := hs[0]
 				hmu.Lock()
 				handles = append(handles, h)
 				hmu.Unlock()

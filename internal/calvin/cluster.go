@@ -41,14 +41,8 @@ type Handle struct {
 	remaining  int
 }
 
-// Wait blocks until the transaction finished on every participant.
-func (h *Handle) Wait() { <-h.done }
-
 // Done returns a channel closed at completion.
 func (h *Handle) Done() <-chan struct{} { return h.done }
-
-// Latency returns issue-to-completion time (valid after Wait).
-func (h *Handle) Latency() time.Duration { return h.finishedAt.Sub(h.issuedAt) }
 
 // Cluster is an embedded Calvin deployment: N partitions plus a sequencer
 // node, mirroring core.Cluster's shape so the benchmark harness drives
@@ -125,19 +119,6 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// AdvanceEpoch flushes the sequencer's current batch (manual mode).
-func (c *Cluster) AdvanceEpoch() { c.seq.flush() }
-
-// Submit enqueues one transaction from origin node's clients and returns a
-// handle that completes when every participant finished.
-func (c *Cluster) Submit(origin int, txn Txn) (*Handle, error) {
-	handles, err := c.SubmitMany(origin, []Txn{txn})
-	if err != nil {
-		return nil, err
-	}
-	return handles[0], nil
-}
-
 // SubmitMany enqueues a batch of transactions (one RPC to the sequencer,
 // matching the batching convention of §V-A2).
 func (c *Cluster) SubmitMany(origin int, txns []Txn) ([]*Handle, error) {
@@ -195,8 +176,11 @@ func (c *Cluster) NumPartitions() int { return len(c.partitions) }
 // Get reads a key directly from its partition's store (after transactions
 // quiesce; Calvin has no multi-versioning, so there is no snapshot read).
 func (c *Cluster) Get(k kv.Key) (kv.Value, bool) {
-	owner := c.cfg.Partitioner(k, c.cfg.Partitions)
-	return c.partitions[owner].get(k)
+	p := c.partitions[c.cfg.Partitioner(k, c.cfg.Partitions)]
+	p.storeMu.RLock()
+	defer p.storeMu.RUnlock()
+	v, ok := p.store[k]
+	return v, ok
 }
 
 // Stats aggregates all partitions' counters.

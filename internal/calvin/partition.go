@@ -552,14 +552,6 @@ func (p *partition) completeOne(txnID uint64) {
 	}
 }
 
-// get reads a key directly from the single-version store (tests/loader).
-func (p *partition) get(k kv.Key) (kv.Value, bool) {
-	p.storeMu.RLock()
-	defer p.storeMu.RUnlock()
-	v, ok := p.store[k]
-	return v, ok
-}
-
 func (p *partition) load(k kv.Key, v kv.Value) {
 	p.storeMu.Lock()
 	p.store[k] = v

@@ -85,11 +85,11 @@ func TestLockQueueAgainstReference(t *testing.T) {
 				ks = append(ks, k)
 			}
 		}
-		h, err := c.Submit(0, Txn{ReadSet: ks, WriteSet: ks, Proc: "incr"})
+		hs, err := c.SubmitMany(0, []Txn{{ReadSet: ks, WriteSet: ks, Proc: "incr"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
 		for _, k := range ks {
 			model[k]++
 		}
@@ -147,16 +147,15 @@ func TestPassiveParticipantReleasesEarly(t *testing.T) {
 	// Reads "ro" (partition 0, passive), writes "rw" (partition 1,
 	// active). Then a second transaction takes "ro" exclusively: if the
 	// passive participant failed to release its shared lock, this hangs.
-	h1, err := c.Submit(0, Txn{ReadSet: []kv.Key{"ro", "rw"}, WriteSet: []kv.Key{"rw"}, Proc: "incr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := c.Submit(0, Txn{ReadSet: []kv.Key{"ro"}, WriteSet: []kv.Key{"ro"}, Proc: "incr"})
+	hs, err := c.SubmitMany(0, []Txn{
+		{ReadSet: []kv.Key{"ro", "rw"}, WriteSet: []kv.Key{"rw"}, Proc: "incr"},
+		{ReadSet: []kv.Key{"ro"}, WriteSet: []kv.Key{"ro"}, Proc: "incr"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceEpoch()
-	waitAll(t, []*Handle{h1, h2})
+	waitAll(t, hs)
 	v, _ := c.Get("ro")
 	if n, _ := kv.DecodeInt64(v); n != 6 {
 		t.Errorf("ro = %d, want 6", n)
@@ -174,16 +173,16 @@ func TestSequencerBatchOrderStable(t *testing.T) {
 	c := newTestCluster(t, 1)
 	var handles []*Handle
 	for i := 0; i < 50; i++ {
-		h, err := c.Submit(0, Txn{
+		hs, err := c.SubmitMany(0, []Txn{{
 			ReadSet:  []kv.Key{"log"},
 			WriteSet: []kv.Key{"log"},
 			Proc:     "appendArg",
 			Args:     []byte{byte('a' + i%26)},
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
 		if i%11 == 0 {
 			c.AdvanceEpoch()
 		}

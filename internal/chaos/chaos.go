@@ -131,8 +131,8 @@ type Config struct {
 	// injects nothing (links can still be severed explicitly).
 	Probabilities Probabilities
 	// Protect exempts matching messages from probabilistic faults (they
-	// still respect severed links and crashed nodes). Useful to keep e.g.
-	// the epoch protocol alive while data traffic degrades.
+	// still respect severed links). Useful to keep e.g. the epoch protocol
+	// alive while data traffic degrades.
 	Protect func(msg any) bool
 	// LogCap bounds the decision log (default 8192, -1 disables logging).
 	LogCap int
@@ -147,7 +147,7 @@ type Stats struct {
 	DropsSend  uint64
 	Duplicates uint64
 	Delays     uint64
-	LinkDenied uint64 // messages rejected by severed links / crashed nodes
+	LinkDenied uint64 // messages rejected by severed links
 }
 
 // Injected returns the total number of injected faults.
@@ -173,7 +173,6 @@ type Network struct {
 	enabled bool
 	severed map[link]bool
 	delayed map[link]time.Duration
-	crashed map[transport.NodeID]bool
 	log     []Decision
 	dropLog uint64 // decisions discarded once the log hit LogCap
 
@@ -199,7 +198,6 @@ func Wrap(inner transport.Network, cfg Config) *Network {
 		enabled: true,
 		severed: make(map[link]bool),
 		delayed: make(map[link]time.Duration),
-		crashed: make(map[transport.NodeID]bool),
 	}
 }
 
@@ -266,12 +264,11 @@ func (n *Network) DelayLink(from, to transport.NodeID, d time.Duration) {
 	n.mu.Unlock()
 }
 
-// HealAll clears every severed link, link delay, and crashed node.
+// HealAll clears every severed link and link delay.
 func (n *Network) HealAll() {
 	n.mu.Lock()
 	n.severed = make(map[link]bool)
 	n.delayed = make(map[link]time.Duration)
-	n.crashed = make(map[transport.NodeID]bool)
 	n.mu.Unlock()
 }
 
@@ -289,15 +286,6 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// Log returns a copy of the decision log (the fault schedule so far).
-func (n *Network) Log() []Decision {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Decision, len(n.log))
-	copy(out, n.log)
-	return out
-}
-
 // decide draws this message's fault vector. Exactly five uniform draws per
 // enabled, unprotected message — a fixed consumption rate, so the schedule
 // depends only on the seed and the order messages reach the injector, not
@@ -312,7 +300,7 @@ func (n *Network) decide(isCall bool, from, to transport.NodeID, msg any) Decisi
 	defer n.mu.Unlock()
 	n.seq++
 	d := Decision{Seq: n.seq, Call: isCall, From: from, To: to, Msg: fmt.Sprintf("%T", msg)}
-	down := n.crashed[from] || n.crashed[to] || n.severed[link{from, to}]
+	down := n.severed[link{from, to}]
 	if n.enabled && (n.cfg.Protect == nil || !n.cfg.Protect(msg)) {
 		p := n.cfg.Probabilities
 		vec := [5]float64{n.rng.Float64(), n.rng.Float64(), n.rng.Float64(), n.rng.Float64(), n.rng.Float64()}

@@ -12,22 +12,6 @@ import (
 	"alohadb/internal/transport"
 )
 
-// Crash takes the node down: every message to or from it fails until
-// Restart. In-flight deliveries are not recalled, matching a real
-// crash-stop where packets already in the receive buffer get processed.
-func (n *Network) Crash(id transport.NodeID) {
-	n.mu.Lock()
-	n.crashed[id] = true
-	n.mu.Unlock()
-}
-
-// Restart brings a crashed node back.
-func (n *Network) Restart(id transport.NodeID) {
-	n.mu.Lock()
-	delete(n.crashed, id)
-	n.mu.Unlock()
-}
-
 type countMsg struct{ N int }
 type otherMsg struct{ N int }
 
@@ -118,25 +102,6 @@ func TestSeverIsDirectional(t *testing.T) {
 	net.Heal(0, 1)
 	if _, err := c0.Call(ctx, 1, countMsg{}); err != nil {
 		t.Fatalf("healed link: %v", err)
-	}
-}
-
-func TestCrashRestart(t *testing.T) {
-	net, c0, c1, _ := twoNodes(t, Config{Seed: 1})
-	ctx := context.Background()
-	net.Crash(1)
-	if _, err := c0.Call(ctx, 1, countMsg{}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("call to crashed node: got %v, want ErrInjected", err)
-	}
-	if _, err := c1.Call(ctx, 0, countMsg{}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("call from crashed node: got %v, want ErrInjected", err)
-	}
-	net.Restart(1)
-	if _, err := c0.Call(ctx, 1, countMsg{}); err != nil {
-		t.Fatalf("restarted node: %v", err)
-	}
-	if s := net.Stats(); s.LinkDenied != 2 {
-		t.Fatalf("LinkDenied = %d, want 2", s.LinkDenied)
 	}
 }
 

@@ -1,0 +1,10 @@
+package chaos
+
+// Log returns a copy of the decision log (the fault schedule so far).
+func (n *Network) Log() []Decision {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]Decision, len(n.log))
+	copy(out, n.log)
+	return out
+}

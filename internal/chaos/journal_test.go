@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -87,7 +89,7 @@ func TestChaosAckDelayCriticalPath(t *testing.T) {
 
 	docs := make([]journal.Doc, 0, servers+1)
 	for _, s := range srvs {
-		docs = append(docs, s.Journal().Doc())
+		docs = append(docs, epochsDoc(t, s))
 	}
 	docs = append(docs, journal.Doc{EM: em.Manager.Journal().Snapshot()})
 	paths := clusterview.MergeEpochs(docs...)
@@ -114,4 +116,17 @@ func TestChaosAckDelayCriticalPath(t *testing.T) {
 			t.Errorf("epoch %d ack order %v: delayed server 2 should ack last", r.Epoch, r.AckOrder)
 		}
 	}
+}
+
+// epochsDoc reads a server's epoch journal off its operator surface, as
+// aloha-top does.
+func epochsDoc(t *testing.T, s *core.Server) journal.Doc {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	core.OpsHandler(core.Ops{Server: s}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/epochs", nil))
+	var d journal.Doc
+	if err := json.Unmarshal(rec.Body.Bytes(), &d); err != nil {
+		t.Fatalf("/debug/epochs: %v (%d %q)", err, rec.Code, rec.Body.String())
+	}
+	return d
 }

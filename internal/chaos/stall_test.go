@@ -15,7 +15,7 @@ import (
 // them, or only the closed ones.
 func countEpisodes(rec *tsdb.Recorder, closed bool) int {
 	n := 0
-	for _, a := range rec.Annotations() {
+	for _, a := range rec.Doc().Annotations {
 		if a.Kind == tsdb.AnomalyStall && (!closed || !a.Active) {
 			n++
 		}
@@ -82,7 +82,7 @@ func TestChaosWatchdogStall(t *testing.T) {
 		end := time.Now().Add(deadline)
 		for !cond() {
 			if time.Now().After(end) {
-				t.Fatalf("timed out waiting for %s (annotations: %+v)", what, rec.Annotations())
+				t.Fatalf("timed out waiting for %s (annotations: %+v)", what, rec.Doc().Annotations)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -306,9 +306,6 @@ func (c *Cluster) Metrics() []metrics.Family {
 	return metrics.Merge(groups...)
 }
 
-// Skew returns the cluster's shared hot-key profiler (nil when disabled).
-func (c *Cluster) Skew() *obs.Skew { return c.cfg.Skew }
-
 // Rebalancer exposes the cluster's live-migration orchestrator.
 func (c *Cluster) Rebalancer() *Rebalancer { return c.reb }
 

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"alohadb/internal/obs/journal"
+	"alohadb/internal/tstamp"
+)
+
 // RetireLists reports how many per-epoch retirement lists the server holds
 // (the external model test bounds it by retention + 2).
 func (s *Server) RetireLists() int {
@@ -7,3 +12,14 @@ func (s *Server) RetireLists() int {
 	defer s.retiring.mu.Unlock()
 	return len(s.retiring.lists)
 }
+
+// VisibleBound returns the exclusive upper bound of committed, readable
+// versions (the end of the last committed epoch).
+func (s *Server) VisibleBound() tstamp.Timestamp { return s.visibleBound() }
+
+// CurrentEpoch returns the epoch the server currently issues timestamps
+// in (zero before the first grant arrives).
+func (s *Server) CurrentEpoch() tstamp.Epoch { return s.gen.Epoch() }
+
+// Journal exposes the server's epoch lifecycle journal.
+func (s *Server) Journal() *journal.Journal { return s.journal }

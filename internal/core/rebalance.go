@@ -70,9 +70,6 @@ type MoveTicket struct {
 	err     error
 }
 
-// Range returns the range the ticket moves.
-func (t *MoveTicket) Range() placement.Range { return t.rng }
-
 // Wait blocks until the move's barrier has executed and returns the handoff
 // epoch: versions in epochs ≤ handoff stay with the old owner, later ones
 // belong to the new owner.

@@ -151,25 +151,6 @@ func (s *Server) payOwed(c *mvstore.Chain) {
 	}
 }
 
-// VisibleBound returns the exclusive upper bound of committed, readable
-// versions (the end of the last committed epoch).
-func (s *Server) VisibleBound() tstamp.Timestamp { return s.visibleBound() }
-
-// SettleUpTo forces every functor at or below bound on this partition to
-// its final state (checkpointing requires a fully settled prefix). Only a
-// chain holds functors; a row is settled by construction.
-func (s *Server) SettleUpTo(bound tstamp.Timestamp) error {
-	var err error
-	s.store.RangeChains(func(k kv.Key, _ *mvstore.Chain) bool {
-		if e := s.computeKeyUpTo(s.ctx, k, bound); e != nil {
-			err = e
-			return false
-		}
-		return true
-	})
-	return err
-}
-
 // ScanPrefix reads every key with the given prefix at one consistent
 // snapshot, assembling a serializable read-only analytic transaction
 // across all partitions. The snapshot may be historical (served
@@ -179,9 +160,9 @@ func (s *Server) SettleUpTo(bound tstamp.Timestamp) error {
 // created dynamically by determinate functors (deferred writes to keys
 // named during computation, §IV-E) become enumerable once the determinate
 // functor computes — which the asynchronous processors do shortly after
-// each epoch commits; a caller needing a hard guarantee settles the
-// determinate keys first (SettleUpTo) or reads them through the
-// dependency rule.
+// each epoch commits; a caller needing a hard guarantee reads the
+// determinate keys at the snapshot first, which computes them, or reads
+// through the dependency rule.
 func (s *Server) ScanPrefix(ctx context.Context, prefix kv.Key, snapshot tstamp.Timestamp) (map[kv.Key]kv.Value, error) {
 	if err := s.waitVisible(ctx, snapshot); err != nil {
 		return nil, err

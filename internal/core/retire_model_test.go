@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -359,9 +360,15 @@ func runRetirementModel(t *testing.T, seed int64) {
 	}
 	// settle raises watermarks to the visible bound through the on-demand
 	// path (the ensure a dependency rule sends), after the chains were
-	// visited with theirs behind: of the keys named, or of every key.
+	// visited with theirs behind: of the keys named, or of every key written.
 	settle := func(only ...kv.Key) {
 		t.Helper()
+		if len(only) == 0 {
+			for k := range keys {
+				only = append(only, k)
+			}
+			slices.Sort(only)
+		}
 		for _, tw := range twins {
 			for _, k := range only {
 				owner := tw.c.Server(0).Owner(k)
@@ -369,12 +376,6 @@ func runRetirementModel(t *testing.T, seed int64) {
 				resp, err := tw.inj.Call(ctx, transport.NodeID(owner), core.MsgFetch{Reqs: []core.FetchReq{{Kind: core.FetchUpTo, Key: k, Version: v}}})
 				if r, ok := resp.(core.MsgFetchResp); err != nil || !ok || r.Results[0].Err != "" {
 					t.Fatalf("%s: settle %s: %v %+v", tw.name, k, err, resp)
-				}
-			}
-			for i := 0; i < modelServers && len(only) == 0; i++ {
-				srv := tw.c.Server(i)
-				if err := srv.SettleUpTo(srv.VisibleBound().Prev()); err != nil {
-					t.Fatalf("%s: settle: %v", tw.name, err)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -149,6 +150,9 @@ type Server struct {
 	visible   atomic.Uint64
 	visibleMu sync.Mutex
 	visibleCh chan struct{}
+	// markerFailed is set once a durable epoch marker failed: from that
+	// epoch on, Committed publishes, hands off and retires nothing.
+	markerFailed atomic.Bool
 
 	// Migration state. moveMu interlocks installs against the barrier-time
 	// range seal: installs hold the read side across the ownership check and
@@ -249,13 +253,6 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 	return s, nil
 }
 
-// ID returns the server's index.
-func (s *Server) ID() int { return s.id }
-
-// CurrentEpoch returns the epoch the server currently issues timestamps
-// in (zero before the first grant arrives).
-func (s *Server) CurrentEpoch() tstamp.Epoch { return s.gen.Epoch() }
-
 // Owner returns the server index currently owning key k under this
 // server's routing table (base placement plus the newest ownership map).
 func (s *Server) Owner(k kv.Key) int { return s.owner(k) }
@@ -336,10 +333,6 @@ func (s *Server) MetricFamilies() []metrics.Family {
 	return metrics.WithLabel(fams, "server", strconv.Itoa(s.id))
 }
 
-// Journal exposes the server's epoch lifecycle journal; its Doc feeds
-// /debug/epochs and the clusterview critical-path merge.
-func (s *Server) Journal() *journal.Journal { return s.journal }
-
 // Store exposes the partition's multi-version store to tests and tools.
 func (s *Server) Store() *mvstore.Store { return s.store }
 
@@ -352,10 +345,6 @@ func (s *Server) Close() error {
 	s.proc.stop()
 	return s.conn.Close()
 }
-
-// baseCtx returns the server's lifetime context, used for internal remote
-// calls and waits so Close unblocks them.
-func (s *Server) baseCtx() context.Context { return s.ctx }
 
 // engineCtx returns the context for engine-internal remote calls and waits
 // reached from ctx: the server's lifetime context (so Close, not the
@@ -409,6 +398,9 @@ func (s *Server) Revoke(e tstamp.Epoch, ack func()) {
 // visible and its buffered functor metadata flows to the processor.
 func (s *Server) Committed(e tstamp.Epoch) {
 	s.journal.CommittedRecv(uint64(e), time.Now())
+	if s.markerFailed.Load() {
+		return
+	}
 	// Take the epoch's slot. An ack still parked in it is dropped: the
 	// switch went on without it (SwitchTimeout), and the journal ends its
 	// ack wait at the Committed receipt.
@@ -479,10 +471,15 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		dctx, dspan := s.tr.Start(ctx, "wal.commit")
 		dstart := time.Now()
 		if err := s.durability.LogEpochCommitted(dctx, e); err != nil {
-			// Durability of the boundary marker failed; the epoch's data
-			// entries are still logged, and recovery treats the epoch as
-			// uncommitted, which is the correct conservative outcome.
-			_ = err
+			// Recovery rolls back an epoch without its marker, so publishing
+			// e would make observable what is not recoverable. A log's write
+			// error is sticky, so no later marker can succeed either: the
+			// server stops committing here, and the flight recorder's stall
+			// rule names the frozen frontier.
+			s.markerFailed.Store(true)
+			dspan.End()
+			log.Printf("core: server %d: epoch %d commit marker: %v; no later epoch becomes visible", s.id, e, err)
+			return
 		}
 		s.journal.Durable(uint64(e), time.Since(dstart))
 		dspan.End()

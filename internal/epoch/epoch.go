@@ -373,6 +373,3 @@ func (m *Manager) MetricFamilies() []metrics.Family {
 		},
 	}
 }
-
-// Duration returns the configured epoch duration.
-func (m *Manager) Duration() time.Duration { return m.cfg.Duration }

@@ -92,17 +92,6 @@ func (r *Registry) Lookup(name string) (Handler, bool) {
 	return h, ok
 }
 
-// Names returns the registered handler names, for diagnostics.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.handlers))
-	for n := range r.handlers {
-		out = append(out, n)
-	}
-	return out
-}
-
 // EvalArithmetic is Arithmetic with its value wrapped in a Resolution.
 func EvalArithmetic(t Type, arg []byte, prev Read) (*Resolution, error) {
 	v, err := Arithmetic(t, arg, prev)

@@ -339,9 +339,6 @@ func deltaInto(dst *metrics.HistogramSnapshot, cur, prev metrics.HistogramSnapsh
 	dst.Sum = cur.Sum - prev.Sum
 }
 
-// Annotations returns the annotation ring, oldest first. Nil-safe.
-func (r *Recorder) Annotations() []Annotation { return r.Doc().Annotations }
-
 // Samples is a series' ring exported oldest-to-newest. Ticks where the
 // series had no reading (first rate tick, empty quantile window) marshal
 // as JSON nulls so consumers never see fabricated points.

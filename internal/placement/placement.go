@@ -16,7 +16,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"alohadb/internal/kv"
@@ -42,14 +41,6 @@ func (r Range) Contains(k kv.Key) bool {
 
 // Empty reports whether the range can contain no key.
 func (r Range) Empty() bool { return r.End != "" && r.End <= r.Start }
-
-// Overlaps reports whether the two ranges share any key.
-func (r Range) Overlaps(o Range) bool {
-	if r.Empty() || o.Empty() {
-		return false
-	}
-	return (r.End == "" || o.Start < r.End) && (o.End == "" || r.Start < o.End)
-}
 
 func (r Range) String() string {
 	if r.End == "" {
@@ -191,19 +182,4 @@ func (t *Table) Generation() Generation {
 		return m.Gen
 	}
 	return 0
-}
-
-// Owners returns the distinct owners the table would route the given keys
-// to at epoch e, sorted. A convenience for loaders and tests.
-func (t *Table) Owners(keys []kv.Key, e tstamp.Epoch) []transport.NodeID {
-	seen := map[transport.NodeID]struct{}{}
-	for _, k := range keys {
-		seen[t.Route(k, e)] = struct{}{}
-	}
-	out := make([]transport.NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -32,7 +32,7 @@ func TestChaosScenarios(t *testing.T) {
 		{"chaos-tcp", []int64{3000}},
 		{"chaos-migrate", []int64{4000, 4001, 4002, 4003, 5000, 5001}},
 	} {
-		s := scenario.Default().Find(tc.name)
+		s := find(t, scenario.Default(), tc.name)
 		if s == nil {
 			t.Fatalf("%s is not registered", tc.name)
 		}

@@ -59,7 +59,7 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("Select(%q) matched nothing", expr)
 		}
 	}
-	if s := r.Find("feed-fanout"); s == nil || !s.HasAttr("contention") {
+	if s := find(t, r, "feed-fanout"); s == nil || !s.HasAttr("contention") {
 		t.Error("feed-fanout missing or lost its contention attr")
 	}
 	// The soak family must be exactly the four end-to-end workloads: soak
@@ -91,10 +91,24 @@ func TestRegistryShape(t *testing.T) {
 	}
 	// The hot-spot recovery run is registered but too long for the smoke
 	// matrix; the netbench suite is gone (the ledger under bench/ has its rows).
-	if s := r.Find("migrate-recover"); s == nil || !s.HasAttr("migration") || s.HasAttr("smoke") {
+	if s := find(t, r, "migrate-recover"); s == nil || !s.HasAttr("migration") || s.HasAttr("smoke") {
 		t.Error("migrate-recover missing, lost its migration attr, or joined the smoke matrix")
 	}
-	if r.Find("netbench") != nil {
+	if find(t, r, "netbench") != nil {
 		t.Error("netbench is still registered")
 	}
+}
+
+// find returns the scenario registered under name, or nil, through the
+// selection the runner uses.
+func find(t *testing.T, r *scenario.Registry, name string) *scenario.Scenario {
+	t.Helper()
+	scns, err := r.Select("name:" + name)
+	if err != nil {
+		t.Fatalf("Select(name:%s): %v", name, err)
+	}
+	if len(scns) != 1 {
+		return nil
+	}
+	return scns[0]
 }

@@ -21,9 +21,6 @@ func (l *LatencySample) Add(d time.Duration) { l.samples = append(l.samples, d) 
 // Merge folds another sample set into l.
 func (l *LatencySample) Merge(o *LatencySample) { l.samples = append(l.samples, o.samples...) }
 
-// N returns the number of observations.
-func (l *LatencySample) N() int { return len(l.samples) }
-
 // Latency summarizes a sample set.
 type Latency struct {
 	N                  int

@@ -87,7 +87,7 @@ func TestFaultAnnotation(t *testing.T) {
 			err := env.Quiesce(ctx)
 
 			for _, rec := range env.Recorders {
-				annotated = append(annotated, rec.Annotations()...)
+				annotated = append(annotated, rec.Doc().Annotations...)
 			}
 			// The merged cluster view must carry the same anomalies,
 			// cross-linked to the merged epoch critical paths.

@@ -142,13 +142,6 @@ func (r *Registry) All() []*Scenario {
 	return out
 }
 
-// Find returns the named scenario, or nil.
-func (r *Registry) Find(name string) *Scenario {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[name]
-}
-
 // Select returns the scenarios matching the attribute expression, sorted
 // by name. See CompileExpr for the grammar.
 func (r *Registry) Select(expr string) ([]*Scenario, error) {
@@ -169,12 +162,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the package-level registry the catalog populates.
 func Default() *Registry { return defaultRegistry }
-
-// Register adds a scenario to the default registry.
-func Register(s *Scenario) error { return defaultRegistry.Register(s) }
-
-// MustRegister adds a scenario to the default registry, panicking on error.
-func MustRegister(s *Scenario) { defaultRegistry.MustRegister(s) }
 
 // AttrsString renders the attribute list for tables and artifacts.
 func AttrsString(attrs []string) string { return strings.Join(attrs, ",") }

@@ -169,9 +169,6 @@ func (t *Tracer) ForNode(node int) *NodeTracer {
 	return &NodeTracer{t: t, node: node}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // nonzero64 draws a random nonzero 64-bit ID.
 func nonzero64() uint64 {
 	for {
@@ -188,9 +185,6 @@ type NodeTracer struct {
 	t    *Tracer
 	node int
 }
-
-// Enabled reports whether spans will be recorded.
-func (nt *NodeTracer) Enabled() bool { return nt != nil }
 
 // Tracer returns the underlying tracer (nil for a nil handle).
 func (nt *NodeTracer) Tracer() *Tracer {

@@ -52,10 +52,6 @@ func (t *lineTimer) close() {
 	}
 }
 
-// exact reports whether sleeps end on the microsecond on an idle scheduler
-// too; meaningful once the timer has been slept on.
-func (t *lineTimer) exact() bool { return t.err == nil }
-
 var warnInexact sync.Once
 
 // sleepUntil blocks until at.

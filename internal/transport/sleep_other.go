@@ -11,7 +11,3 @@ type lineTimer struct{}
 
 func (lineTimer) sleepUntil(at time.Time) { time.Sleep(time.Until(at)) }
 func (lineTimer) close()                  {}
-
-// exact reports whether sleeps end on the microsecond on an idle scheduler
-// too.
-func (lineTimer) exact() bool { return false }

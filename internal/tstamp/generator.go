@@ -35,9 +35,6 @@ func NewGenerator(server uint16) *Generator {
 	return &Generator{server: server}
 }
 
-// Server returns the server ID the generator stamps into timestamps.
-func (g *Generator) Server() uint16 { return g.server }
-
 // Epoch returns the epoch the generator currently draws from.
 func (g *Generator) Epoch() Epoch {
 	return Epoch(g.state.Load() >> 32)

@@ -106,6 +106,3 @@ func End(e Epoch) Timestamp {
 	}
 	return Start(e + 1)
 }
-
-// Contains reports whether t belongs to epoch e's validity interval.
-func Contains(e Epoch, t Timestamp) bool { return t.Epoch() == e }

@@ -70,9 +70,14 @@ func TestFullDeploymentOverTCP(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	// Wait for the first grant to reach all servers.
+	// Wait for the first grant to reach all servers: until then a snapshot
+	// names epoch 0.
+	granted := func(s *core.Server) bool {
+		ts, err := s.Snapshot()
+		return err == nil && ts.Epoch() != 0
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srvs[0].CurrentEpoch() == 0 || srvs[2].CurrentEpoch() == 0 {
+	for !granted(srvs[0]) || !granted(srvs[2]) {
 		if time.Now().After(deadline) {
 			t.Fatal("servers never received an epoch grant")
 		}

@@ -498,8 +498,3 @@ func AppendBool(dst []byte, v bool) []byte {
 	}
 	return append(dst, 0)
 }
-
-// AppendU64 appends a fixed-width 8-byte little-endian integer.
-func AppendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}

@@ -51,10 +51,10 @@ func newCalvinCluster(t *testing.T, cfg Config) *calvin.Cluster {
 	procs := calvin.NewProcRegistry()
 	RegisterCalvinProcs(procs)
 	c, err := calvin.NewCluster(calvin.Config{
-		Partitions:   cfg.Servers,
-		ManualEpochs: true,
-		Procs:        procs,
-		Partitioner:  calvin.Partitioner(cfg.Partitioner()),
+		Partitions:    cfg.Servers,
+		EpochDuration: 3 * time.Millisecond,
+		Procs:         procs,
+		Partitioner:   calvin.Partitioner(cfg.Partitioner()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,15 +259,14 @@ func TestEnginesAgreeOnNewOrder(t *testing.T) {
 	}
 
 	cal := newCalvinCluster(t, cfg)
-	var handles []*calvin.Handle
+	var txns []calvin.Txn
 	for _, no := range orders {
-		h, err := cal.Submit(0, CalvinNewOrder(cfg, no))
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, h)
+		txns = append(txns, CalvinNewOrder(cfg, no))
 	}
-	cal.AdvanceEpoch()
+	handles, err := cal.SubmitMany(0, txns)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, h := range handles {
 		select {
 		case <-h.Done():
@@ -351,13 +350,12 @@ func TestScaledNewOrderBothEngines(t *testing.T) {
 	cal := newCalvinCluster(t, cfg)
 	var handles []*calvin.Handle
 	for i, no := range orders {
-		h, err := cal.Submit(i%cfg.Servers, CalvinNewOrder(cfg, no))
+		hs, err := cal.SubmitMany(i%cfg.Servers, []calvin.Txn{CalvinNewOrder(cfg, no)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
 	}
-	cal.AdvanceEpoch()
 	for _, h := range handles {
 		select {
 		case <-h.Done():

@@ -194,11 +194,11 @@ func TestEnginesAgree(t *testing.T) {
 	}
 	var handles []*calvin.Handle
 	for i, txn := range txns {
-		h, err := cal.Submit(i%partitions, Calvin(txn))
+		hs, err := cal.SubmitMany(i%partitions, []calvin.Txn{Calvin(txn)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		handles = append(handles, hs...)
 	}
 	for _, h := range handles {
 		select {
