@@ -114,12 +114,6 @@ type Stats struct {
 	ProcessingN    uint64
 }
 
-// String renders a compact operator-facing summary.
-func (s Stats) String() string {
-	return fmt.Sprintf("txns=%d locks=%d waits=%d seq-n=%d lockread-n=%d proc-n=%d",
-		s.TxnsExecuted, s.LocksGranted, s.LockWaits, s.SequencingN, s.LockReadN, s.ProcessingN)
-}
-
 // Add accumulates another snapshot.
 func (s *Stats) Add(o Stats) {
 	s.TxnsExecuted += o.TxnsExecuted

@@ -65,15 +65,14 @@ func testProcs(t *testing.T) *ProcRegistry {
 func newTestCluster(t *testing.T, partitions int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(Config{
-		Partitions:   partitions,
-		ManualEpochs: true,
-		Procs:        testProcs(t),
+		Partitions: partitions,
+		Procs:      testProcs(t),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if err := c.Start(); err != nil {
+	if err := c.startManual(); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -117,9 +116,8 @@ func TestSinglePartitionIncrement(t *testing.T) {
 
 func TestDistributedTransfer(t *testing.T) {
 	c, err := NewCluster(Config{
-		Partitions:   2,
-		ManualEpochs: true,
-		Procs:        testProcs(t),
+		Partitions: 2,
+		Procs:      testProcs(t),
 		Partitioner: func(k kv.Key, n int) int {
 			if k == "a" {
 				return 0
@@ -137,7 +135,7 @@ func TestDistributedTransfer(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
+	if err := c.startManual(); err != nil {
 		t.Fatal(err)
 	}
 	hs, err := c.SubmitMany(0, []Txn{{

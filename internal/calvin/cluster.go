@@ -20,8 +20,6 @@ type Config struct {
 	Partitions int
 	// EpochDuration is the sequencer batching interval (default 20 ms).
 	EpochDuration time.Duration
-	// ManualEpochs disables the timer; batches flush via AdvanceEpoch.
-	ManualEpochs bool
 	// Workers is the execution pool size per partition (default 4).
 	Workers int
 	// Partitioner places keys (default: hash).
@@ -107,15 +105,14 @@ func (c *Cluster) Load(pairs []kv.Pair) error {
 	return nil
 }
 
-// Start begins sequencing (timer-driven unless ManualEpochs).
+// Start begins sequencing: the sequencer flushes a batch every
+// EpochDuration.
 func (c *Cluster) Start() error {
 	if c.started {
 		return fmt.Errorf("calvin: cluster already started")
 	}
 	c.started = true
-	if !c.cfg.ManualEpochs {
-		c.seq.run()
-	}
+	c.seq.run()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package calvin
 
 import (
+	"fmt"
 	"time"
 
 	"alohadb/internal/kv"
@@ -12,7 +13,17 @@ func (h *Handle) Wait() { <-h.done }
 // Latency returns issue-to-completion time (valid after Wait).
 func (h *Handle) Latency() time.Duration { return h.finishedAt.Sub(h.issuedAt) }
 
-// AdvanceEpoch flushes the sequencer's current batch (manual mode).
+// startManual is Start without the sequencer's timer: batches flush only
+// through AdvanceEpoch, so a test decides what each batch holds.
+func (c *Cluster) startManual() error {
+	if c.started {
+		return fmt.Errorf("calvin: cluster already started")
+	}
+	c.started = true
+	return nil
+}
+
+// AdvanceEpoch flushes the sequencer's current batch.
 func (c *Cluster) AdvanceEpoch() { c.seq.flush() }
 
 // get reads a key directly from the single-version store.

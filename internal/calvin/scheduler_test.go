@@ -121,9 +121,8 @@ func TestLockQueueAgainstReference(t *testing.T) {
 func TestPassiveParticipantReleasesEarly(t *testing.T) {
 	procs := testProcs(t)
 	c, err := NewCluster(Config{
-		Partitions:   2,
-		ManualEpochs: true,
-		Procs:        procs,
+		Partitions: 2,
+		Procs:      procs,
 		Partitioner: func(k kv.Key, n int) int {
 			if k == "ro" {
 				return 0
@@ -141,7 +140,7 @@ func TestPassiveParticipantReleasesEarly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
+	if err := c.startManual(); err != nil {
 		t.Fatal(err)
 	}
 	// Reads "ro" (partition 0, passive), writes "rw" (partition 1,

@@ -7,8 +7,9 @@
 //
 // Every per-message decision is drawn from a single seeded PRNG as a
 // fixed-size vector, so the fault schedule is a pure function of the seed
-// and the message arrival order: a failing run replays by seed, and the
-// decision log (Log) lets tests assert bit-for-bit identical schedules.
+// and the message arrival order: a failing run replays by seed, and a
+// decision log, which the package's tests turn on, lets them assert
+// bit-for-bit identical schedules.
 //
 // The injector mirrors what a real network can do to each traffic class.
 // Calls behave like RPCs over TCP: a dropped request or dropped response
@@ -84,7 +85,7 @@ type Decision struct {
 	Call   bool // Call traffic (false: Send)
 	From   transport.NodeID
 	To     transport.NodeID
-	Msg    string // message type, %T
+	Msg    string // message type (%T), kept only while the log records
 	Faults []Fault
 	Delay  time.Duration
 }
@@ -134,8 +135,6 @@ type Config struct {
 	// still respect severed links). Useful to keep e.g. the epoch protocol
 	// alive while data traffic degrades.
 	Protect func(msg any) bool
-	// LogCap bounds the decision log (default 8192, -1 disables logging).
-	LogCap int
 }
 
 // Stats counts injected faults; all fields are cumulative.
@@ -173,8 +172,9 @@ type Network struct {
 	enabled bool
 	severed map[link]bool
 	delayed map[link]time.Duration
-	log     []Decision
-	dropLog uint64 // decisions discarded once the log hit LogCap
+	// recording turns the decision log on; only the package's tests do.
+	recording bool
+	log       []Decision
 
 	calls      atomic.Uint64
 	sends      atomic.Uint64
@@ -188,9 +188,6 @@ type Network struct {
 
 // Wrap builds a chaos network around inner. Injection starts enabled.
 func Wrap(inner transport.Network, cfg Config) *Network {
-	if cfg.LogCap == 0 {
-		cfg.LogCap = 8192
-	}
 	return &Network{
 		inner:   inner,
 		cfg:     cfg,
@@ -299,7 +296,7 @@ func (n *Network) decide(isCall bool, from, to transport.NodeID, msg any) Decisi
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.seq++
-	d := Decision{Seq: n.seq, Call: isCall, From: from, To: to, Msg: fmt.Sprintf("%T", msg)}
+	d := Decision{Seq: n.seq, Call: isCall, From: from, To: to}
 	down := n.severed[link{from, to}]
 	if n.enabled && (n.cfg.Protect == nil || !n.cfg.Protect(msg)) {
 		p := n.cfg.Probabilities
@@ -320,7 +317,10 @@ func (n *Network) decide(isCall bool, from, to transport.NodeID, msg any) Decisi
 			d.Faults = append(d.Faults, FaultDelay)
 			d.Delay = time.Duration(n.rng.Int63n(int64(p.MaxDelay))) + 1
 		}
-		n.record(d)
+		if n.recording {
+			d.Msg = fmt.Sprintf("%T", msg)
+			n.log = append(n.log, d)
+		}
 	}
 	if down {
 		// Link state overrides the drawn faults but does not change PRNG
@@ -336,17 +336,6 @@ func (n *Network) decide(isCall bool, from, to transport.NodeID, msg any) Decisi
 		d.Delay = fixed
 	}
 	return d
-}
-
-func (n *Network) record(d Decision) {
-	if n.cfg.LogCap < 0 {
-		return
-	}
-	if len(n.log) >= n.cfg.LogCap {
-		n.dropLog++
-		return
-	}
-	n.log = append(n.log, d)
 }
 
 type conn struct {

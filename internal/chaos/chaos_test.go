@@ -21,6 +21,7 @@ func scriptRun(t *testing.T, seed int64) []Decision {
 	t.Helper()
 	net := Wrap(transport.NewMemNetwork(), Config{Seed: seed, Probabilities: DefaultProbabilities()})
 	defer net.Close()
+	net.Record()
 	for id := 0; id < 2; id++ {
 		if _, err := net.Node(transport.NodeID(id)+10, func(ctx context.Context, from transport.NodeID, msg any) (any, error) {
 			return msg, nil
@@ -168,6 +169,7 @@ func TestProtectExemptsMessages(t *testing.T) {
 
 func TestDisabledDrawsNothing(t *testing.T) {
 	net, c0, _, _ := twoNodes(t, Config{Seed: 1, Probabilities: Probabilities{DropCall: 1}})
+	net.Record()
 	net.SetEnabled(false)
 	for i := 0; i < 10; i++ {
 		if _, err := c0.Call(context.Background(), 1, countMsg{N: i}); err != nil {

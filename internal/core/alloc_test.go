@@ -192,7 +192,77 @@ func TestStoreObjectBudget(t *testing.T) {
 		mustAdvance(t, c)
 		c.DrainProcessors()
 	})
+	t.Run("short history", storeShortHistoryObjectBudget)
 	t.Run("history", storeHistoryObjectBudget)
+}
+
+// storeShortHistoryObjectBudget is TestStoreObjectBudget's short history
+// case, the shape of a TPC-C stock table: loaded rows, each written one to
+// six times, an ADD an epoch, and computed. Every version is then final and
+// at or below the watermark, so each key folds into a history: one buffer of
+// bytes, which the collector never scans. The rows are loaded before the
+// count starts, so their share of the row log is paid, as in the history
+// case.
+func storeShortHistoryObjectBudget(t *testing.T) {
+	const (
+		n      = 20_000
+		writes = 6
+		perKey = 1.5
+	)
+	pair := func(i int) (kv.Key, kv.Value) {
+		return kv.Key(fmt.Sprintf("stock:%07d", i)), kv.EncodeInt64(int64(i))
+	}
+	c := newTestCluster(t, 1, 1)
+	pairs := make([]kv.Pair, n)
+	for i := range pairs {
+		pairs[i].Key, pairs[i].Value = pair(i)
+	}
+	if err := c.Load(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s, ctx, add := c.Server(0), context.Background(), functor.Add(1)
+	before := liveHeapObjects()
+	// Key i is written i%6 + 1 times, in the first rounds; ten keys a
+	// transaction, as a NewOrder writes its stock rows.
+	for round := 0; round < writes; round++ {
+		var txns []Txn
+		var ws []Write
+		for i := 0; i < n; i++ {
+			if i%writes < round {
+				continue
+			}
+			k, _ := pair(i)
+			if ws = append(ws, Write{Key: k, Functor: add}); len(ws) == 10 {
+				txns, ws = append(txns, Txn{Writes: ws}), nil
+			}
+		}
+		if len(ws) > 0 {
+			txns = append(txns, Txn{Writes: ws})
+		}
+		if _, _, err := s.SubmitBatch(ctx, txns); err != nil {
+			t.Fatal(err)
+		}
+		mustAdvance(t, c)
+		c.DrainProcessors()
+	}
+	per := (float64(liveHeapObjects()) - float64(before)) / n
+	st := s.store.Stats()
+	t.Logf("short history: %.2f live heap objects per key; %+v", per, st)
+	if st.Histories != n || st.Chains != 0 {
+		t.Errorf("short history: %d histories and %d chains, want every key a history", st.Histories, st.Chains)
+	}
+	for i := 0; i < n; i += 997 {
+		k, _ := pair(i)
+		if got, want := len(s.store.View(k)), i%writes+2; got != want {
+			t.Fatalf("%q holds %d versions, want %d", k, got, want)
+		}
+	}
+	if per > perKey {
+		t.Errorf("short history leaves %.2f live heap objects per key, budget %.1f", per, perKey)
+	}
 }
 
 // storeHistoryObjectBudget is TestStoreObjectBudget's history case: what a
@@ -415,11 +485,12 @@ func TestSubmitBatchLeavesCallerSlicesAlone(t *testing.T) {
 	}
 }
 
-// TestStoreTierMetrics: the four families that say how much of the store is
-// rows follow a load, an install on a loaded key (which thaws it), an
-// install on a fresh key (a chain until it is computed, then folded back into
-// a row), a read and an Await on the folded key (which move nothing);
-// /debug/obs carries the two counters.
+// TestStoreTierMetrics: the families that say how much of the store is rows
+// and histories follow a load, an install on a loaded key (which thaws it;
+// computed, its two versions fold into a history), an install on a fresh key
+// (a chain until it is computed, then folded back into a row), a read and an
+// Await on the folded key (which move nothing); /debug/obs carries the
+// counters and the histories.
 func TestStoreTierMetrics(t *testing.T) {
 	c := newTestCluster(t, 1, 1)
 	if err := c.Load([]kv.Pair{{Key: "a", Value: kv.EncodeInt64(1)}, {Key: "b", Value: kv.EncodeInt64(2)}, {Key: "c", Value: kv.EncodeInt64(3)}}); err != nil {
@@ -450,13 +521,13 @@ func TestStoreTierMetrics(t *testing.T) {
 			got[name] = s.Value
 		}
 	}
-	for name, want := range map[string]float64{FamStoreKeys + "/row": 3, FamStoreKeys + "/chain": 1, FamStoreThaws: 1, FamStoreFolds: 1} {
+	for name, want := range map[string]float64{FamStoreKeys + "/row": 3, FamStoreKeys + "/chain": 0, FamStoreHistories: 1, FamStoreThaws: 1, FamStoreFolds: 2} {
 		if got[name] != want {
 			t.Errorf("%s = %v, want %v", name, got[name], want)
 		}
 	}
-	if sum := summarize(c.Server(0).MetricFamilies()); sum.StoreThaws != 1 || sum.StoreFolds != 1 {
-		t.Errorf("/debug/obs has %v thaws and %v folds, want 1 and 1", sum.StoreThaws, sum.StoreFolds)
+	if sum := summarize(c.Server(0).MetricFamilies()); sum.StoreThaws != 1 || sum.StoreFolds != 2 || sum.StoreHistories != 1 {
+		t.Errorf("/debug/obs has %v thaws, %v folds and %v histories, want 1, 2 and 1", sum.StoreThaws, sum.StoreFolds, sum.StoreHistories)
 	}
 	if got[FamStoreRowBytes] < 3*(13+1+8) {
 		t.Errorf("%s = %v, want the three loaded rows' bytes", FamStoreRowBytes, got[FamStoreRowBytes])

@@ -526,15 +526,20 @@ func (s *Server) handleClientGet(ctx context.Context, m MsgClientGet) (MsgClient
 // handleWaitComputed blocks until the record reaches a final state. Used by
 // clients choosing the "acknowledge after functor computing" option.
 func (s *Server) handleWaitComputed(ctx context.Context, m MsgWaitComputed) (MsgWaitComputedResp, error) {
-	// A record that has been folded into its key's row is final, and the row
-	// says how: reading it there keeps the key a row.
+	// A record that has been folded into its key's row or history is final,
+	// and the row says how: reading it there keeps the key as it is.
 	c, row, isRow := s.store.Read(m.Key, m.Version)
 	if isRow && row.Version == m.Version {
 		return MsgWaitComputedResp{Kind: row.Kind}, nil
 	}
 	var rec *mvstore.Record
-	if c != nil {
+	switch {
+	case c != nil:
 		rec = c.At(m.Version)
+	case isRow:
+		// A version of a history that a read passes over, aborted or
+		// skipped: a fresh final record of it, its reason included.
+		rec, _ = s.store.At(m.Key, m.Version)
 	}
 	if rec == nil {
 		// The record may have migrated away; chase it one hop.

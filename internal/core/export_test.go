@@ -1,9 +1,26 @@
 package core
 
 import (
+	"alohadb/internal/kv"
+	"alohadb/internal/mvstore"
 	"alohadb/internal/obs/journal"
 	"alohadb/internal/tstamp"
 )
+
+// FoldSettled folds every chain of the server's store that has settled, as
+// the processor does after it computes a key: the external model test folds
+// keys wherever its schedule stands, not only where a computation ends.
+func (s *Server) FoldSettled() {
+	var keys []kv.Key
+	var chains []*mvstore.Chain
+	s.store.RangeChains(func(k kv.Key, c *mvstore.Chain) bool {
+		keys, chains = append(keys, k), append(chains, c)
+		return true
+	})
+	for i, k := range keys {
+		s.fold(k, chains[i])
+	}
+}
 
 // RetireLists reports how many per-epoch retirement lists the server holds
 // (the external model test bounds it by retention + 2).

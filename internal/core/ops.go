@@ -63,14 +63,16 @@ type ObsSummary struct {
 	P99Compute float64 `json:"p99_compute_seconds"`
 
 	// Keys moved between the store's tiers, ever (DESIGN §4, Rows): rows
-	// thawed into chains, chains folded back into rows. Both climbing
-	// together is churn.
+	// and histories thawed into chains, chains folded into rows or
+	// histories. Both climbing together is churn.
 	StoreThaws float64 `json:"store_thaws,omitempty"`
 	StoreFolds float64 `json:"store_folds,omitempty"`
-	// Chain versions below the watermark held as bytes (frozen runs) and
-	// the bytes they take (DESIGN §4, Frozen history).
+	// Versions below the watermark held as bytes (frozen runs), the bytes
+	// they take, and the keys that are a history, a frozen run with no
+	// chain (DESIGN §4, Frozen history).
 	StoreFrozen      float64 `json:"store_frozen_versions,omitempty"`
 	StoreFrozenBytes float64 `json:"store_frozen_bytes,omitempty"`
+	StoreHistories   float64 `json:"store_histories,omitempty"`
 
 	Goroutines float64 `json:"goroutines,omitempty"`
 	HeapBytes  float64 `json:"heap_bytes,omitempty"`
@@ -217,6 +219,7 @@ func summarize(fams []metrics.Family) ObsSummary {
 		StoreFolds:           total(FamStoreFolds),
 		StoreFrozen:          total(FamStoreFrozen),
 		StoreFrozenBytes:     total(FamStoreFrozenBytes),
+		StoreHistories:       total(FamStoreHistories),
 		Goroutines:           total(metrics.FamRuntimeGoroutines),
 		HeapBytes:            total(metrics.FamRuntimeHeapBytes),
 	}

@@ -349,7 +349,7 @@ func (p *processor) worker(sh *procShard) {
 // process handles one queued functor: record queueing delay, proactively
 // push values to recipient partitions, compute every pending functor of the
 // key up to the queued version, advance the value watermark, and fold the
-// key back into a row if the version is now its whole history.
+// key into a row or a history if the version settled it.
 func (p *processor) process(item *workItem) {
 	s := p.s
 	wait := time.Since(item.installed)
@@ -381,7 +381,7 @@ func (p *processor) process(item *workItem) {
 	// Fast path: an earlier chain walk (hot key) already settled this
 	// record and the watermark.
 	if item.rec.Final() && item.chain.Watermark() >= item.rec.Version {
-		s.store.Fold(item.key, item.chain)
+		s.fold(item.key, item.chain)
 		return
 	}
 	if err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
@@ -406,8 +406,25 @@ func (p *processor) process(item *workItem) {
 	}
 	item.chain.AdvanceWatermark(item.rec.Version)
 	// A key written once (most of a YCSB store, every Payment history row)
-	// is now one final version: a row, which the collector never walks.
-	s.store.Fold(item.key, item.chain)
+	// is now one final version: a row, which the collector never walks. A
+	// key whose every version is now final (a TPC-C stock row between its
+	// writes) is a history: one buffer of bytes.
+	s.fold(item.key, item.chain)
+}
+
+// fold folds k's chain c if it has settled (mvstore.Store.Fold). Under
+// retention a history of more than one version is not folded: retirement
+// compacts the chains it filed, and a history is none. Retention turned on
+// while the fold ran may have seeded its lists past k already; then the key
+// is thawed and filed as the seed would have.
+func (s *Server) fold(k kv.Key, c *mvstore.Chain) {
+	history := s.retention.Load() == 0
+	if !s.store.Fold(k, c, history) || !history || s.retention.Load() == 0 {
+		return
+	}
+	if c := s.store.Chain(k); c != nil {
+		s.sealedIn(s.CommittedEpoch(), c)
+	}
 }
 
 // pushToRecipients sends the latest value of the functor's key strictly

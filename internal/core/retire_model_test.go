@@ -411,6 +411,20 @@ func runRetirementModel(t *testing.T, seed int64) {
 		}
 	}
 
+	// foldAll folds every settled key of both twins wherever the schedule
+	// stands, not only where the processor finished a computation: with
+	// retention on, keys of one version; off, histories, which a sweep
+	// must still find nothing to retire in once retention is back on.
+	foldAll := func() {
+		t.Helper()
+		drain()
+		for _, tw := range twins {
+			for i := 0; i < modelServers; i++ {
+				tw.c.Server(i).FoldSettled()
+			}
+		}
+	}
+
 	// swept quiesces, commits retention + 1 further epochs and runs the
 	// sweep the lists replaced: it must find nothing left.
 	swept := func(when string) {
@@ -489,6 +503,9 @@ func runRetirementModel(t *testing.T, seed int64) {
 		}
 		if rng.Intn(2) == 0 {
 			drain()
+		}
+		if round%4 == 1 {
+			foldAll()
 		}
 		if round%6 == 5 {
 			sameReads(fmt.Sprintf("round %d", round))

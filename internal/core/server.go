@@ -307,17 +307,17 @@ func (s *Server) MetricFamilies() []metrics.Family {
 			Series: []metrics.Series{metrics.GaugeSeries(st.RowBytes)},
 		},
 		metrics.Family{
-			Name: FamStoreThaws, Help: "Rows (one final version) turned into chains because something needed a record of the key or wrote it.",
+			Name: FamStoreThaws, Help: "Rows and histories turned into chains because something wrote the key or needed its chain.",
 			Kind:   metrics.KindCounter,
 			Series: []metrics.Series{metrics.CounterSeries(st.Thaws)},
 		},
 		metrics.Family{
-			Name: FamStoreFolds, Help: "Chains turned back into rows because their whole history was one computed final version.",
+			Name: FamStoreFolds, Help: "Chains turned into rows or histories because every version of theirs was final and below the watermark.",
 			Kind:   metrics.KindCounter,
 			Series: []metrics.Series{metrics.CounterSeries(st.Folds)},
 		},
 		metrics.Family{
-			Name: FamStoreFrozen, Help: "Chain versions below the watermark held in frozen runs, as bytes rather than records.",
+			Name: FamStoreFrozen, Help: "Versions below the watermark held in frozen runs, chains' and histories', as bytes rather than records.",
 			Kind:   metrics.KindGauge,
 			Series: []metrics.Series{metrics.GaugeSeries(st.FrozenVersions)},
 		},
@@ -325,6 +325,11 @@ func (s *Server) MetricFamilies() []metrics.Family {
 			Name: FamStoreFrozenBytes, Help: "Bytes the frozen runs' live versions take.",
 			Kind:   metrics.KindGauge,
 			Series: []metrics.Series{metrics.GaugeSeries(st.FrozenBytes)},
+		},
+		metrics.Family{
+			Name: FamStoreHistories, Help: "Keys held as a history: a settled history of more than a row holds, one frozen run and no chain.",
+			Kind:   metrics.KindGauge,
+			Series: []metrics.Series{metrics.GaugeSeries(int64(st.Histories))},
 		})
 	if src, ok := s.durability.(interface{ MetricFamilies() []metrics.Family }); ok {
 		fams = append(fams, src.MetricFamilies()...)

@@ -233,6 +233,7 @@ const (
 	FamStoreFolds        = "aloha_store_folds_total"
 	FamStoreFrozen       = "aloha_store_frozen_versions"
 	FamStoreFrozenBytes  = "aloha_store_frozen_bytes"
+	FamStoreHistories    = "aloha_store_histories"
 )
 
 // families builds the unlabeled family list; the server tags each series

@@ -175,6 +175,27 @@ func (c *Chain) single() *Record {
 	return rec
 }
 
+// settled returns the chain's current block and how many versions it holds
+// when its history is settled: every version final and at or below the
+// watermark — the newest sealed one is, so all below it are — and no
+// compaction owed. Otherwise n is zero. A frozen run is always followed by
+// at least one sealed record. Whether anything is staged is for a caller
+// holding c.mu to check.
+func (c *Chain) settled() (b *block, n int) {
+	b = c.cur.Load()
+	if b == nil || c.owed.Load() != 0 {
+		return nil, 0
+	}
+	sealed := int(b.n.Load())
+	if sealed == 0 {
+		return nil, 0
+	}
+	if rec := b.recs[sealed-1]; !rec.Final() || rec.Version > c.Watermark() {
+		return nil, 0
+	}
+	return b, b.run().len() + sealed
+}
+
 // stage appends a record to the staged region, growing the array when it is
 // full. Callers hold c.mu and have ruled out a duplicate.
 func (c *Chain) stage(version tstamp.Timestamp, fn *functor.Functor) *Record {
@@ -374,21 +395,7 @@ func (c *Chain) Compact(bound tstamp.Timestamp) int {
 	}
 	n := int(b.n.Load())
 	h := History{run: b.run(), recs: b.recs[:n]}
-	i := h.Search(bound - 1)
-	if i < 1 {
-		return 0
-	}
-	keepFrom := i // if no version below bound is visible, drop them all
-	for j := i - 1; j >= 0; j-- {
-		kind, _ := h.Outcome(j)
-		// An unresolved record below the watermark is a lazily-resolved
-		// final functor (VALUE/DELETED placeholders resolve on first read);
-		// treat it as visible.
-		if kind == 0 || kind == functor.Resolved || kind == functor.ResolvedDeleted {
-			keepFrom = j
-			break
-		}
-	}
+	keepFrom := h.keepFrom(bound)
 	if keepFrom == 0 {
 		return 0
 	}
@@ -402,6 +409,23 @@ func (c *Chain) Compact(bound tstamp.Timestamp) int {
 		c.replace(b.recs[keepFrom-f:n+int(c.staged)], n-(keepFrom-f), run{})
 	}
 	return keepFrom
+}
+
+// keepFrom returns the index of the oldest version a compaction at bound
+// keeps: the newest visible version below bound, or the first at or above
+// it when none below is visible.
+func (h History) keepFrom(bound tstamp.Timestamp) int {
+	i := h.Search(bound - 1)
+	for j := i - 1; j >= 0; j-- {
+		kind, _ := h.Outcome(j)
+		// An unresolved record below the watermark is a lazily-resolved
+		// final functor (VALUE/DELETED placeholders resolve on first read);
+		// treat it as visible.
+		if kind == 0 || kind == functor.Resolved || kind == functor.ResolvedDeleted {
+			return j
+		}
+	}
+	return max(i, 0) // if no version below bound is visible, drop them all
 }
 
 // Owed returns the horizon of the last Compact that stopped at the

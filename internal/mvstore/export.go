@@ -43,11 +43,7 @@ func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 	if b := c.cur.Load(); b != nil {
 		r, live = b.run(), b.recs[:int(b.n.Load())+int(c.staged)]
 	}
-	out := make([]ExportedRecord, 0, r.len()+len(live))
-	for i := 0; i < r.len(); i++ {
-		res := r.resolution(i)
-		out = append(out, ExportedRecord{Version: r.version(i), Functor: finalPlaceholder(res.Kind), Resolution: res})
-	}
+	out := r.export(make([]ExportedRecord, 0, r.len()+len(live)))
 	for _, r := range live {
 		out = append(out, ExportedRecord{Version: r.Version, Functor: r.Functor, Resolution: r.Resolution()})
 	}
@@ -55,9 +51,20 @@ func (c *Chain) export() ([]ExportedRecord, tstamp.Timestamp) {
 	return out, tstamp.Timestamp(c.watermark.Load())
 }
 
-// ExportKey snapshots one key's chain for migration; a row is exported as
-// the chain it stands for, and stays a row. ok is false when the key has
-// never been written here.
+// export appends every entry of the run as a row is exported: the shared
+// placeholder of its kind and its outcome, reason and dependent writes
+// included.
+func (r run) export(out []ExportedRecord) []ExportedRecord {
+	for i := 0; i < r.len(); i++ {
+		res := r.resolution(i)
+		out = append(out, ExportedRecord{Version: r.version(i), Functor: finalPlaceholder(res.Kind), Resolution: res})
+	}
+	return out
+}
+
+// ExportKey snapshots one key's chain for migration; a row or a history is
+// exported as the chain it stands for, its watermark at its newest version,
+// and stays as it is. ok is false when the key has never been written here.
 func (s *Store) ExportKey(k kv.Key) (recs []ExportedRecord, watermark tstamp.Timestamp, ok bool) {
 	sh, m := s.locate(k)
 	sh.mu.RLock()
@@ -71,6 +78,10 @@ func (s *Store) ExportKey(k kv.Key) (recs []ExportedRecord, watermark tstamp.Tim
 		sh.mu.RUnlock()
 		recs, watermark = c.export()
 		return recs, watermark, true
+	case isHistory(e):
+		h := sh.history(e)
+		sh.mu.RUnlock()
+		return h.export(make([]ExportedRecord, 0, h.len())), h.newest(), true
 	}
 	r := rowOf(e)
 	recs = []ExportedRecord{{Version: r.Version, Functor: finalPlaceholder(r.Kind), Resolution: &functor.Resolution{Kind: r.Kind, Value: r.Value}}}
@@ -99,8 +110,8 @@ func (s *Store) ExportMatching(match func(kv.Key) bool) []KeyExport {
 	return out
 }
 
-// Drop removes a key's entire chain, or its row, reporting whether it
-// existed. The old owner retires migrated replicas with it once the handoff
+// Drop removes a key's entire chain, or its row or history, reporting
+// whether it existed. The old owner retires migrated replicas with it once the handoff
 // has settled; dropping a chain with unresolved records would lose functors,
 // so callers check finality first.
 func (s *Store) Drop(k kv.Key) bool {
@@ -111,8 +122,11 @@ func (s *Store) Drop(k kv.Key) bool {
 	if pos < 0 {
 		return false
 	}
-	if isChain(e) {
-		sh.release(e)
+	switch {
+	case isChain(e):
+		sh.chains.remove(entryWord(e))
+	case isHistory(e):
+		sh.histories.remove(entryWord(e))
 	}
 	sh.rows.remove(pos, e)
 	return true

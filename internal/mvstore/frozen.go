@@ -33,6 +33,13 @@ import (
 // never written again: a freeze appends past the published length, as a seal
 // does in the record array, and retention drops a frozen prefix by slicing
 // it off. Its bytes are reclaimed when the run next has to grow.
+//
+// A key whose whole history has settled keeps nothing but a run: a history
+// (rows.go), which Store.Fold makes by appending the chain's records to its
+// run, in place when there is room. A write thaws it into a chain again
+// whose block carries the run as it lies, cut before the newest version,
+// which becomes the chain's one record (shard.thaw); the next freeze or fold
+// appends past it, taking the newest version's entry back where it lies.
 type run struct {
 	ents []frozen
 	data []byte
@@ -81,6 +88,12 @@ func (r run) extra(i int) []byte {
 	return r.data[e.off+e.meta>>3 : end]
 }
 
+// holds says whether the run has an entry of version v.
+func (r run) holds(v tstamp.Timestamp) bool {
+	i := r.search(v) - 1
+	return i >= 0 && r.ents[i].version == v
+}
+
 // search returns how many entries have a version at or below max.
 func (r run) search(max tstamp.Timestamp) int {
 	return sort.Search(len(r.ents), func(i int) bool { return r.ents[i].version > max })
@@ -105,14 +118,39 @@ func (r run) resolution(i int) *functor.Resolution {
 // placeholder of its kind: the cold path of the readers that need a *Record
 // of a frozen version.
 func (r run) record(i int) *Record {
+	rec := new(Record)
+	r.fill(i, rec)
+	return rec
+}
+
+// fill makes rec, a record never published, entry i.
+func (r run) fill(i int, rec *Record) {
 	kind, value := r.outcome(i)
-	rec := &Record{Version: r.ents[i].version, Functor: finalPlaceholder(kind)}
+	rec.Version, rec.Functor = r.ents[i].version, finalPlaceholder(kind)
 	var ext *functor.Resolution
 	if len(r.extra(i)) > 0 {
 		ext = r.resolution(i)
 	}
 	rec.resolve(kind, value, ext)
-	return rec
+}
+
+// row returns entry i as a Row, its value aliasing the run.
+func (r run) row(i int) Row {
+	kind, value := r.outcome(i)
+	return Row{Version: r.ents[i].version, Kind: kind, Value: value}
+}
+
+// seen returns the index of the entry a read at max stops at: the newest at
+// or below max that is neither aborted nor skipped (Algorithm 1 reads
+// through those), else the newest at or below max; -1 when there is none.
+func (r run) seen(max tstamp.Timestamp) int {
+	n := r.search(max)
+	for i := n - 1; i >= 0; i-- {
+		if kind, _ := r.outcome(i); kind == functor.Resolved || kind == functor.ResolvedDeleted {
+			return i
+		}
+	}
+	return n - 1
 }
 
 // records returns every entry as a fresh final record, oldest first.
@@ -128,6 +166,16 @@ func (r run) records() []*Record {
 // Their bytes stay in data until the run next grows.
 func (r run) drop(k int) run { return run{ents: r.ents[k:], data: r.data} }
 
+// cut returns the run's first k entries, and only their data, with the
+// buffer's room behind them: a chain thawed from a history holds the rest
+// as a record, and takes it back in place at its next freeze or fold.
+func (r run) cut(k int) run {
+	if k == len(r.ents) {
+		return r
+	}
+	return run{ents: r.ents[:k], data: r.data[:r.ents[k].off]}
+}
+
 // bytes is what the run's live entries take: the entries and their data.
 func (r run) bytes() int {
 	if len(r.ents) == 0 {
@@ -141,15 +189,17 @@ func (r run) bytes() int {
 // took: all, unless a value is over _maxFrozenValue or the data would pass
 // 4 GB. It sizes what it appends first, so it writes past r's published
 // length in place or, when r has no room for it, into one fresh buffer.
+//
+// A version whose entry already lies in place past r's length — the same
+// version, offset and outcome — is taken as it lies and not written again:
+// r was cut from a longer run that holds it (a history thawed, or a chain
+// folded into one), and a reader of that run may be reading it. A version's
+// outcome is final, so the bytes there are the ones it would write.
 func (r run) appendRecords(recs []*Record) (run, int) {
 	need, k := 0, 0
 	for _, rec := range recs {
-		kind, value, ext := rec.Outcome()
-		size := len(value)
-		if ext != nil {
-			size += functor.ResolutionLen(extraOf(kind, ext))
-		}
-		if len(value) > _maxFrozenValue || len(r.data)+need+size > math.MaxUint32 {
+		size := outcomeLen(rec)
+		if _, value, _ := rec.Outcome(); len(value) > _maxFrozenValue || len(r.data)+need+size > math.MaxUint32 {
 			break
 		}
 		need += size
@@ -165,13 +215,27 @@ func (r run) appendRecords(recs []*Record) (run, int) {
 	for _, rec := range recs[:k] {
 		kind, value, ext := rec.Outcome()
 		off := len(data)
+		e := frozen{version: rec.Version, off: uint32(off), meta: uint32(len(value))<<3 | uint32(kind)}
+		if n := len(ents); ents[:n+1][n] == e {
+			ents, data = ents[:n+1], data[:off+outcomeLen(rec)]
+			continue
+		}
 		data = append(data, value...)
 		if ext != nil {
 			data = functor.AppendResolution(data, extraOf(kind, ext))
 		}
-		ents = append(ents, frozen{version: rec.Version, off: uint32(off), meta: uint32(len(value))<<3 | uint32(kind)})
+		ents = append(ents, e)
 	}
 	return run{ents: ents, data: data}, k
+}
+
+// outcomeLen is how many data bytes a run spends on rec's outcome.
+func outcomeLen(rec *Record) int {
+	kind, value, ext := rec.Outcome()
+	if ext == nil {
+		return len(value)
+	}
+	return len(value) + functor.ResolutionLen(extraOf(kind, ext))
 }
 
 // extraOf is what a run keeps of an outcome beyond its kind and value: ext

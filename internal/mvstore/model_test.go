@@ -113,18 +113,19 @@ func TestConcurrentModelEquivalence(t *testing.T) {
 // value watermark. Every mutation of the layout (embedded first record,
 // in-place seal, growth, merge, compaction, pre-resolved install) must leave
 // the key answering exactly like it — and so must the tier the key lives in:
-// row says the store is expected to hold the key as a row, which changes
-// nothing the model answers, only which accessors may be used to ask without
-// thawing it.
+// row and history say the store is expected to hold the key as a row or as a
+// history, which changes nothing the model answers, only which accessors may
+// be used to ask without thawing it.
 type chainModel struct {
 	recs      map[tstamp.Timestamp]*modelRec
 	watermark tstamp.Timestamp
 	row       bool
+	history   bool
 	// owed is the epoch of the bound of the last compaction the watermark
 	// cut short, zero when none did (Chain.Owed).
 	owed tstamp.Epoch
 	// frozen is how many of the oldest sealed versions are in the chain's
-	// frozen run.
+	// frozen run: every version of a history.
 	frozen int
 	// ptrs is the record the store handed back for each live version that
 	// is a record; its address must never change. A frozen version has
@@ -193,7 +194,7 @@ func (m *chainModel) isFrozen(v tstamp.Timestamp) bool {
 // or below the watermark, all but the newest sealed one, move into the run
 // when they are at least _freezeMin and half the sealed records.
 func (m *chainModel) freeze() int {
-	if m.row {
+	if m.row || m.history {
 		return 0
 	}
 	sealed := m.sorted(true)
@@ -220,7 +221,7 @@ func (m *chainModel) advance(v tstamp.Timestamp) {
 }
 
 func (m *chainModel) compact(bound tstamp.Timestamp) int {
-	if !m.row { // Store.Compact walks the chains
+	if !m.row && !m.history { // Store.Compact walks the chains; a history owes nothing
 		m.owed = 0
 		if bound > m.watermark {
 			m.owed = bound.Epoch()
@@ -246,19 +247,40 @@ func (m *chainModel) compact(bound tstamp.Timestamp) int {
 	return keepFrom
 }
 
-// foldable says whether Store.Fold must make k, a chain, a row: its whole
-// history is one sealed version whose outcome is a plain value or tombstone,
-// at or below the watermark, and small enough for a row; nothing is owed.
-func (m *chainModel) foldable(k kv.Key) bool {
-	if m.row || len(m.recs) != 1 || m.owed != 0 {
-		return false
+// thaw is what the store does to a row or a history that something writes
+// or asks a chain of: a chain, owing nothing, whose records hold a history's
+// newest version and whose run holds the rest.
+func (m *chainModel) thaw() {
+	if m.history {
+		m.frozen = len(m.recs) - 1
+	}
+	m.row, m.history, m.owed = false, false, 0
+}
+
+// foldable says what Store.Fold(k, c, history) must make k, a chain: a row
+// when its whole history is one sealed version whose outcome is a plain value
+// or tombstone, at or below the watermark, and small enough for a row; a
+// history when every version is sealed, final and at or below the
+// watermark, and there is one or history is set; else nothing. Nothing may
+// be owed.
+func (m *chainModel) foldable(k kv.Key, history bool) (row, hist bool) {
+	if m.row || m.history || m.owed != 0 || len(m.recs) == 0 || len(m.recs) > 1 && !history {
+		return false, false
 	}
 	for v, r := range m.recs {
-		return r.sealed && v <= m.watermark && r.won != nil && keptBehindExt(r.won) == nil &&
-			(r.won.Kind == functor.Resolved || r.won.Kind == functor.ResolvedDeleted) &&
-			len(k)+len(r.won.Value) <= _maxRow
+		if !r.sealed || v > m.watermark || r.won == nil {
+			return false, false
+		}
 	}
-	return false
+	if len(m.recs) == 1 && m.frozen == 0 {
+		for _, r := range m.recs {
+			if keptBehindExt(r.won) == nil && (r.won.Kind == functor.Resolved || r.won.Kind == functor.ResolvedDeleted) &&
+				len(k)+len(r.won.Value) <= _maxRow {
+				return true, false
+			}
+		}
+	}
+	return false, true
 }
 
 // modelHarness applies each operation to a store and to the model of every
@@ -273,6 +295,8 @@ type modelHarness struct {
 	// held are views readers took earlier with the versions they showed:
 	// whatever the chain does next, a held view must keep showing them.
 	held []heldView
+	// histories counts the folds into a history of more than one version.
+	histories int
 }
 
 type heldView struct {
@@ -295,11 +319,19 @@ func (h *modelHarness) on(k kv.Key) *modelHarness {
 }
 
 // chained records that the step just taken left k with a chain: created if
-// the key was new, thawed if it was a row. A thawed chain owes nothing.
+// the key was new, thawed if it was a row or a history.
 func (h *modelHarness) chained() {
 	h.keys[h.k] = h.m
-	if h.m.row {
-		h.m.row, h.m.owed = false, 0
+	if h.m.row || h.m.history {
+		h.m.thaw()
+	}
+}
+
+// asked records that the step just taken asked for a record of k: that
+// thaws a row, and hands out a fresh record of a history's version.
+func (h *modelHarness) asked() {
+	if !h.m.history {
+		h.chained()
 	}
 }
 
@@ -347,13 +379,13 @@ func (h *modelHarness) putFinal(v tstamp.Timestamp, kind functor.ResolutionKind,
 	switch _, dup := h.m.recs[v]; {
 	case !known && len(h.k)+len(value) <= _maxRow:
 		h.keys[h.k], h.m.row = h.m, true
-	case h.m.row && dup:
-		// a duplicate delivery leaves the row alone
+	case (h.m.row || h.m.history) && dup:
+		// a duplicate delivery leaves the row or history alone
 	default:
 		h.chained()
 	}
-	if (c == nil) != h.m.row {
-		h.t.Fatalf("PutFinal(%q@%v) returned chain %p, model row %v", h.k, v, c, h.m.row)
+	if (c == nil) != (h.m.row || h.m.history) {
+		h.t.Fatalf("PutFinal(%q@%v) returned chain %p, model row %v, history %v", h.k, v, c, h.m.row, h.m.history)
 	}
 	h.tookFinal(v, fresh, kind, value, settled)
 	h.check()
@@ -389,7 +421,7 @@ func (h *modelHarness) resolve(v tstamp.Timestamp, res *functor.Resolution) {
 	if !ok {
 		h.t.Fatalf("At(%v) missing", v)
 	}
-	h.chained()
+	h.asked()
 	h.saw(v, rec)
 	if won := rec.Resolve(res); won != (h.m.recs[v].won == nil) {
 		h.t.Fatalf("Resolve(%v) won = %v, model kind %v", v, won, h.m.recs[v].kind())
@@ -407,24 +439,37 @@ func (h *modelHarness) advance(v tstamp.Timestamp) {
 	}
 }
 
-// fold asks the store to fold k's chain into a row, and requires it to
-// exactly when the model says the chain is one row's worth of history. A
-// folded key's watermark is its version, and the record the next thaw builds
-// for it is a new one.
-func (h *modelHarness) fold() {
+// fold asks the store to fold k's chain, history or not, and requires it to
+// exactly when the model says the chain has settled into a row or a history.
+// A folded key's watermark is its newest version, what the store holds of a
+// history's outcomes is decoded from bytes, and the record the next thaw
+// builds for it is a new one.
+func (h *modelHarness) fold(history bool) {
 	h.t.Helper()
 	c, _, _ := h.s.Read(h.k, 0) // the chain, without thawing a row
-	want := c != nil && h.m.foldable(h.k)
-	if got := c != nil && h.s.Fold(h.k, c); got != want {
-		h.t.Fatalf("Fold(%q) = %v, model %v (%d records, watermark %v, owed %v)", h.k, got, want, len(h.m.recs), h.m.watermark, h.m.owed)
+	var row, hist bool
+	if c != nil {
+		row, hist = h.m.foldable(h.k, history)
 	}
-	if want {
-		for v := range h.m.recs {
-			h.m.watermark = v
+	if got := c != nil && h.s.Fold(h.k, c, history); got != (row || hist) {
+		h.t.Fatalf("Fold(%q, %v) = %v, model row %v, history %v (%d records, watermark %v, owed %v)", h.k, history, got, row, hist, len(h.m.recs), h.m.watermark, h.m.owed)
+	}
+	if row || hist {
+		var newest tstamp.Timestamp
+		for v, r := range h.m.recs {
+			newest = max(newest, v)
+			r.decoded = r.decoded || hist
 		}
-		h.m.row = true
+		h.m.watermark = newest
+		h.m.row, h.m.history = row, hist
+		if hist {
+			h.m.frozen = len(h.m.recs)
+			if h.m.frozen > 1 {
+				h.histories++
+			}
+		}
 		clear(h.m.ptrs)
-		if h.s.Fold(h.k, c) {
+		if h.s.Fold(h.k, c, true) {
 			h.t.Fatalf("Fold(%q) folded a chain the store had let go", h.k)
 		}
 	}
@@ -479,7 +524,7 @@ func (h *modelHarness) compute(res []*functor.Resolution, pick func() int) {
 func (h *modelHarness) hold() {
 	view := h.s.View(h.k)
 	if _, known := h.keys[h.k]; known {
-		h.chained()
+		h.asked()
 	}
 	h.held = append(h.held, heldView{view: view, versions: versionsOf(view)})
 }
@@ -512,7 +557,9 @@ func (h *modelHarness) rangeAll() {
 		h.t.Fatalf("Range yields %d keys, model %d", len(seen), len(h.keys))
 	}
 	for _, m := range h.keys {
-		m.row = false
+		if m.row || m.history {
+			m.thaw()
+		}
 	}
 	h.check()
 }
@@ -533,9 +580,9 @@ func (h *modelHarness) checkAll() {
 	h.checkStore()
 }
 
-// tier reports where the store keeps k: the chain its entry names, or the
-// row its entry is.
-func (h *modelHarness) tier(k kv.Key) (chain *Chain, row []byte) {
+// tier reports where the store keeps k: the chain its entry names, the
+// history it names, or the row its entry is.
+func (h *modelHarness) tier(k kv.Key) (chain *Chain, hist run, row []byte) {
 	h.t.Helper()
 	sh, m := h.s.locate(k)
 	sh.mu.RLock()
@@ -546,16 +593,20 @@ func (h *modelHarness) tier(k kv.Key) (chain *Chain, row []byte) {
 		if chain = sh.chain(e); chain == nil {
 			h.t.Fatalf("the entry of %q names chain %d, which is free", k, entryWord(e))
 		}
+	case isHistory(e):
+		if hist = sh.history(e); hist.len() == 0 {
+			h.t.Fatalf("the entry of %q names history %d, which is free", k, entryWord(e))
+		}
 	default:
 		row = e
 	}
-	return chain, row
+	return chain, hist, row
 }
 
 // checkStore compares the key set (Len, RangeKeys) and walks every shard's
 // row log: every live entry is the one its key's probe finds, no key has two,
-// every chain entry names a chain no other entry names, and the index keeps
-// the room its probes rely on.
+// every chain or history entry names a chain or history no other entry
+// names, and the index keeps the room its probes rely on.
 func (h *modelHarness) checkStore() {
 	h.t.Helper()
 	for _, hv := range h.held {
@@ -579,46 +630,52 @@ func (h *modelHarness) checkStore() {
 	}
 	rows, seen := 0, map[kv.Key]bool{}
 	for i := range h.s.shards {
-		sh, live, chains := &h.s.shards[i], 0, map[uint64]bool{}
+		sh, live := &h.s.shards[i], 0
+		chains, hists := map[uint64]bool{}, map[uint64]bool{}
 		l := &sh.rows
 		l.each(func(e []byte) {
 			live++
 			k := rowKey(e)
-			if m := h.keys[k]; m == nil || m.row == isChain(e) || seen[k] {
-				h.t.Fatalf("the entry of %q is live (a chain: %v, again: %v), model: %+v", k, isChain(e), seen[k], m)
+			if m := h.keys[k]; m == nil || m.row != isRow(e) || m.history != isHistory(e) || seen[k] {
+				h.t.Fatalf("the entry of %q is live (a chain: %v, a history: %v, again: %v), model: %+v", k, isChain(e), isHistory(e), seen[k], m)
 			}
 			seen[k] = true
 			if _, found := l.find(k, mix(kv.Hash(k))); &found[0] != &e[0] {
 				h.t.Fatalf("the live entry of %q is not the one its index slot names", k)
 			}
-			if !isChain(e) {
+			switch num := entryWord(e); {
+			case isRow(e):
 				rows++
-			} else if num := entryWord(e); chains[num] || sh.chains[num] == nil {
+			case isChain(e) && (chains[num] || sh.chains.items[num] == nil):
 				h.t.Fatalf("the entry of %q names chain %d, which is free or named twice", k, num)
-			} else {
+			case isHistory(e) && (hists[num] || sh.histories.items[num].elen == 0):
+				h.t.Fatalf("the entry of %q names history %d, which is free or named twice", k, num)
+			case isChain(e):
 				chains[num] = true
+			default:
+				hists[num] = true
 			}
 		})
 		if live != l.live || l.used < l.live || l.used*4 > len(l.index)*3 {
 			h.t.Fatalf("shard %d: %d live entries, index counts %d live, %d used of %d", i, live, l.live, l.used, len(l.index))
 		}
-		if len(chains) != len(sh.chains)-len(sh.free) {
-			h.t.Fatalf("shard %d: %d chain entries, %d chains of which %d free", i, len(chains), len(sh.chains), len(sh.free))
+		if len(chains) != sh.chains.len() || len(hists) != sh.histories.len() {
+			h.t.Fatalf("shard %d: %d chain and %d history entries, %d chains and %d histories numbered", i, len(chains), len(hists), sh.chains.len(), sh.histories.len())
 		}
 	}
-	want := 0
+	want, wantHists, frozen := 0, 0, 0
 	for _, m := range h.keys {
-		if m.row {
+		switch {
+		case m.row:
 			want++
+		case m.history:
+			wantHists++
 		}
-	}
-	frozen := 0
-	for _, m := range h.keys {
 		frozen += m.frozen
 	}
-	if st := h.s.Stats(); rows != want || st.Rows != want || st.Chains != len(h.keys)-want || st.FrozenVersions != int64(frozen) ||
-		(frozen == 0) != (st.FrozenBytes == 0) {
-		h.t.Fatalf("%d rows, Stats %+v, model %d rows of %d keys, %d versions frozen", rows, st, want, len(h.keys), frozen)
+	if st := h.s.Stats(); rows != want || st.Rows != want || st.Histories != wantHists || st.Chains != len(h.keys)-want-wantHists ||
+		st.FrozenVersions != int64(frozen) || (frozen == 0) != (st.FrozenBytes == 0) {
+		h.t.Fatalf("%d rows, Stats %+v, model %d rows and %d histories of %d keys, %d versions frozen", rows, st, want, wantHists, len(h.keys), frozen)
 	}
 }
 
@@ -628,17 +685,17 @@ func (h *modelHarness) checkStore() {
 func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 	h.t.Helper()
 	sealed, all := m.sorted(true), m.sorted(false)
-	chain, row := h.tier(k)
+	chain, held, row := h.tier(k)
 	recs, wm, ok := h.s.ExportKey(k)
 	if _, known := h.keys[k]; !known {
 		c, _, isRow := h.s.Read(k, tstamp.Max)
-		if chain != nil || row != nil || ok || c != nil || isRow || h.s.View(k) != nil {
+		if chain != nil || held.len() != 0 || row != nil || ok || c != nil || isRow || h.s.View(k) != nil {
 			h.t.Fatalf("%q was never written (or dropped) and the store knows it", k)
 		}
 		return
 	}
-	if (row != nil) != m.row || (chain != nil) == m.row {
-		h.t.Fatalf("%q: chain %p, row %v; model row %v", k, chain, row != nil, m.row)
+	if (row != nil) != m.row || (held.len() != 0) != m.history || (chain != nil) == (m.row || m.history) {
+		h.t.Fatalf("%q: chain %p, history of %d, row %v; model row %v, history %v", k, chain, held.len(), row != nil, m.row, m.history)
 	}
 	// The export is the same whichever tier holds the key.
 	if !ok || wm != m.watermark || len(recs) != len(all) {
@@ -671,9 +728,13 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 			h.t.Fatalf("Latest(%q, %v) found a record; the row is at %v", k, v.Prev(), v)
 		}
 		h.s.Seal(k, tstamp.Max)
-		if _, still := h.tier(k); still == nil {
+		if _, _, still := h.tier(k); still == nil {
 			h.t.Fatalf("a probe that misses thawed %q", k)
 		}
+		return
+	}
+	if m.history {
+		h.checkHistory(k, m, sealed)
 		return
 	}
 	if c != chain || isRow {
@@ -720,6 +781,62 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 	}
 	if got := chain.Watermark(); got != m.watermark {
 		h.t.Fatalf("watermark %v, model %v", got, m.watermark)
+	}
+}
+
+// checkHistory asks everything that can be asked of a history without
+// thawing it: Read at and between its versions, the version a read stops at;
+// At, Latest and View, fresh records with the model's outcomes; Seal, which
+// has nothing to do.
+func (h *modelHarness) checkHistory(k kv.Key, m *chainModel, sealed []tstamp.Timestamp) {
+	h.t.Helper()
+	if len(sealed) != len(m.recs) || m.watermark != sealed[len(sealed)-1] || m.frozen != len(sealed) {
+		h.t.Fatalf("model of the history %q: %d sealed of %d, watermark %v, %d frozen", k, len(sealed), len(m.recs), m.watermark, m.frozen)
+	}
+	// seen is the model's answer to Read(k, max): ok and the version a read
+	// at max stops at.
+	seen := func(max tstamp.Timestamp) (tstamp.Timestamp, bool) {
+		n := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
+		for i := n - 1; i >= 0; i-- {
+			if k := m.recs[sealed[i]].won.Kind; k == functor.Resolved || k == functor.ResolvedDeleted {
+				return sealed[i], true
+			}
+		}
+		if n == 0 {
+			return 0, false
+		}
+		return sealed[n-1], true
+	}
+	view := h.s.View(k)
+	if got := versionsOf(view); !slices.Equal(got, sealed) {
+		h.t.Fatalf("View of the history %q = %v, model %v", k, got, sealed)
+	}
+	for i, v := range sealed {
+		won := m.recs[v].won
+		h.checkOutcome(view[i], won, true)
+		rec, ok := h.s.At(k, v)
+		if !ok || rec.Version != v || rec == view[i] {
+			h.t.Fatalf("At(%q, %v) = %p ok=%v: not a fresh record of the version", k, v, rec, ok)
+		}
+		h.checkOutcome(rec, won, true)
+		for _, max := range []tstamp.Timestamp{v.Prev(), v, v + 1} {
+			c, r, isRow := h.s.Read(k, max)
+			want, wantOK := seen(max)
+			if wv := m.recs[want]; c != nil || isRow != wantOK || wantOK && (r.Version != want || r.Kind != wv.won.Kind || !bytes.Equal(r.Value, wv.won.Value)) {
+				h.t.Fatalf("Read(%q, %v) = %p %+v %v, model %v %v", k, max, c, r, isRow, want, wantOK)
+			}
+			j := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
+			if rec, ok := h.s.Latest(k, max); ok != (j > 0) || ok && rec.Version != sealed[j-1] {
+				h.t.Fatalf("Latest(%q, %v) = %v ok=%v, model sealed %v", k, max, rec, ok, sealed)
+			}
+		}
+	}
+	if _, ok := h.s.At(k, tstamp.Max); ok {
+		h.t.Fatal("At of a version never written found a record")
+	}
+	h.s.Seal(k, tstamp.Max)
+	if c, _, _ := h.tier(k); c != nil {
+		h.t.Fatalf("a reader thawed the history %q", k)
 	}
 }
 

@@ -6,10 +6,11 @@
 // need no synchronization at all, and such a version needs no record. A key
 // whose whole history is one final version is a row, bytes in its shard's
 // row log beside the entries that name the other keys' chains (see
-// rows.go); a chain's history below its watermark, its newest version
-// excepted, is frozen into a pointer-free run of bytes ahead of its records
-// (see frozen.go). Only what can still change, and the newest version, is a
-// record.
+// rows.go); a key whose whole history is final and at or below its
+// watermark is a history, a pointer-free run of bytes; a chain's history
+// below its watermark, its newest version excepted, is frozen into such a
+// run ahead of its records (see frozen.go). Only what can still change, and
+// the newest version, is a record.
 //
 // Concurrency design: a key's sealed versions are the prefix of an array
 // whose length is published atomically, so readers are lock-free; inserts

@@ -10,8 +10,8 @@ import (
 )
 
 // Every key of a store shard has one entry in the shard's row log, and the
-// log's index is the only way to find a key. An entry is either a row or the
-// name of a chain:
+// log's index is the only way to find a key. An entry is a row, or the name
+// of a history or of a chain:
 //
 //	word u64 | flags u8 | klen u16 | vlen u16 | key | value
 //
@@ -22,26 +22,32 @@ import (
 // needs no record to resolve, no array to grow and no mutex, so it is not a
 // heap object at all. Its word is its version, and its value follows the key.
 //
+// A history is the whole history of a settled key that a row cannot hold —
+// more than one version, an outcome with a reason or dependent writes, a
+// value over the row cap: every version final and at or below the
+// watermark, nothing staged. It is a frozen run (frozen.go), one
+// pointer-free buffer, and its entry's word is the run's number in the
+// shard's histories. It lives in a buffer of its own, not in these slabs: a
+// key written again appends to its history at the next fold, and the slabs
+// are never reclaimed, so every fold would leave the last copy behind.
+//
 // Any other key has a chain, and its entry's word is the chain's number in
 // the shard's chains. A chain thawed from a row keeps the row's entry: thaw
 // rewrites word and flags in place, and the record it builds reads its value
-// where the row left it. A key longer than 65 535 bytes is over the row cap
-// and only ever a chain; its entry spends both length fields on the key. A
-// chain keeps its history below the watermark as bytes too, in the frozen
-// run it publishes with its records (frozen.go), not here: a growing history
-// would be appended again at every freeze, and these slabs are never
-// reclaimed.
+// where the row left it; a history's entry is rewritten the same way, both
+// ways. A key longer than 65 535 bytes is over the row cap and never a row;
+// its entry spends both length fields on the key.
 //
 // The index is open addressing over 8-byte slots. Neither the slabs nor the
 // index hold a pointer, so the collector never looks inside them: 200 k rows
 // are a few hundred objects where 200 k chains are 600 k.
 //
-// A key moves both ways between the tiers, always under the shard's write
-// lock: a row becomes a chain when something needs a *Chain or a *Record of
-// it (shard.thaw), and a chain whose history has shrunk to one plain final
-// version becomes a row again (Store.Fold). Key and value bytes never change
-// once written — readers keep the ones they were handed without holding a
-// lock — and the header only under the write lock.
+// A key moves between the tiers always under the shard's write lock: a row
+// or a history becomes a chain when something needs to write it or needs a
+// *Chain of it (shard.thaw), and a chain whose history has settled becomes a
+// row or a history again (Store.Fold). Key and value bytes never change once
+// written — readers keep the ones they were handed without holding a lock —
+// and the header only under the write lock.
 const (
 	_rowHeader = 13
 	// _maxRow is the most key and value bytes a row holds; a larger
@@ -54,6 +60,8 @@ const (
 	_maxSlabs      = 1 << 16
 
 	_rowKindMask = 0x07
+	// _entryHistory: the word is a history number, not a version.
+	_entryHistory = 0x08
 	// _entryLongKey: klen and vlen are one u32 key length; there is no value.
 	_entryLongKey = 0x10
 	// _entryChain: the word is a chain number, not a version.
@@ -104,6 +112,18 @@ func (l *rowLog) row(slot uint64) []byte {
 func entryWord(e []byte) uint64 { return binary.LittleEndian.Uint64(e) }
 
 func isChain(e []byte) bool { return e[8]&_entryChain != 0 }
+
+func isHistory(e []byte) bool { return e[8]&_entryHistory != 0 }
+
+// isRow says whether the entry is a row: neither a chain's nor a history's.
+func isRow(e []byte) bool { return e[8]&(_entryChain|_entryHistory) == 0 }
+
+// rename makes the entry name number num of the kind flag says, keeping
+// how its lengths are laid out. Callers hold the shard's write lock.
+func rename(e []byte, num uint64, flag byte) {
+	binary.LittleEndian.PutUint64(e, num)
+	e[8] = flag | e[8]&_entryLongKey
+}
 
 func rowVersion(row []byte) tstamp.Timestamp { return tstamp.Timestamp(entryWord(row)) }
 
@@ -301,33 +321,79 @@ func finalPlaceholder(kind functor.ResolutionKind) *functor.Functor {
 	return _finalValue
 }
 
-// chain returns the chain a chain entry names.
-func (sh *shard) chain(e []byte) *Chain { return sh.chains[entryWord(e)] }
-
-// number files c under a chain number, a freed one first.
-func (sh *shard) number(c *Chain) uint64 {
-	if n := len(sh.free); n > 0 {
-		num := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.chains[num] = c
-		return uint64(num)
-	}
-	sh.chains = append(sh.chains, c)
-	return uint64(len(sh.chains) - 1)
+// table numbers what a shard's entries name: chains, or histories. A number
+// freed by a fold, a thaw or a drop is reused first.
+type table[T any] struct {
+	items []T
+	free  []uint32
 }
 
-// release frees the number of the chain entry e names.
-func (sh *shard) release(e []byte) {
-	num := entryWord(e)
-	sh.chains[num] = nil
-	sh.free = append(sh.free, uint32(num))
+// add files v under a number and returns it.
+func (t *table[T]) add(v T) uint64 {
+	if n := len(t.free); n > 0 {
+		num := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.items[num] = v
+		return uint64(num)
+	}
+	t.items = append(t.items, v)
+	return uint64(len(t.items) - 1)
+}
+
+// remove frees number num.
+func (t *table[T]) remove(num uint64) {
+	var zero T
+	t.items[num] = zero
+	t.free = append(t.free, uint32(num))
+}
+
+// len is how many numbers are in use.
+func (t *table[T]) len() int { return len(t.items) - len(t.free) }
+
+// chain returns the chain a chain entry names.
+func (sh *shard) chain(e []byte) *Chain { return sh.chains.items[entryWord(e)] }
+
+// history returns the run a history entry names.
+func (sh *shard) history(e []byte) run { return sh.histories.items[entryWord(e)].run() }
+
+// histRef is a history's run as the histories table keeps it, in 24 bytes
+// where a run's two slices take 48: a run's entries and data share one
+// buffer, its data starting where its entries' capacity ends (run.packed
+// lays it out so, and cut, drop and an append in place keep it so), so the
+// entries' pointer and four lengths name both. A history's run always has
+// an entry.
+type histRef struct {
+	ents       *frozen
+	elen, ecap uint32
+	dlen, dcap uint32
+}
+
+func refOf(r run) histRef {
+	h := histRef{ents: unsafe.SliceData(r.ents), elen: uint32(len(r.ents)), ecap: uint32(cap(r.ents)), dlen: uint32(len(r.data)), dcap: uint32(cap(r.data))}
+	if h.dcap > 0 && unsafe.SliceData(r.data) != h.dataStart() {
+		panic("mvstore: a run's data does not follow its entries")
+	}
+	return h
+}
+
+// dataStart is where the run's data begins: past the entries' capacity.
+func (h histRef) dataStart() *byte {
+	return (*byte)(unsafe.Add(unsafe.Pointer(h.ents), uintptr(h.ecap)*unsafe.Sizeof(frozen{})))
+}
+
+func (h histRef) run() run {
+	r := run{ents: unsafe.Slice(h.ents, h.ecap)[:h.elen]}
+	if h.dcap > 0 {
+		r.data = unsafe.Slice(h.dataStart(), h.dcap)[:h.dlen]
+	}
+	return r
 }
 
 // create gives k, which has no entry, an empty chain. Callers hold sh.mu for
 // writing.
 func (sh *shard) create(k kv.Key, m uint64) *Chain {
 	c := new(Chain)
-	if !sh.rows.put(k, m, sh.number(c), _entryChain, nil) {
+	if !sh.rows.put(k, m, sh.chains.add(c), _entryChain, nil) {
 		// Of 65 536 slabs all but the first eight hold 1 MB or more: the
 		// process runs out of memory long before a shard runs out of slabs.
 		panic("mvstore: a store shard has run out of slabs")
@@ -335,51 +401,94 @@ func (sh *shard) create(k kv.Key, m uint64) *Chain {
 	return c
 }
 
-// thaw turns the row e into the chain it stands for — the embedded first
-// record carrying the row's version and outcome, its value still in the slab
-// — and rewrites the entry to name the chain. Callers hold sh.mu for writing.
+// thaw turns the row or history e into the chain it stands for and
+// rewrites the entry to name the chain. Callers hold sh.mu for writing.
+//
+// A row becomes the embedded first record, carrying the row's version and
+// outcome, its value still in the slab. A history's newest version becomes
+// the first record and the rest is the chain's frozen run as it lies: the
+// run and the record share the history's buffer, which nothing writes
+// again (run.appendRecords takes the newest version's entry back where it
+// is), so no byte is copied and a reader still holding the history keeps
+// it whole.
 func (sh *shard) thaw(e []byte) *Chain {
 	c := new(Chain)
-	c.putResolved(rowVersion(e), rowKind(e), rowValue(e))
-	c.AdvanceWatermark(rowWatermark(e))
-	binary.LittleEndian.PutUint64(e, sh.number(c))
-	e[8] = _entryChain
+	if isRow(e) {
+		c.putResolved(rowVersion(e), rowKind(e), rowValue(e))
+		c.AdvanceWatermark(rowWatermark(e))
+	} else {
+		h := sh.history(e)
+		sh.histories.remove(entryWord(e))
+		last := h.len() - 1
+		rec := &c.first
+		h.fill(last, rec)
+		b := &c.blk
+		if rest := h.cut(last); rest.len() > 0 {
+			b = newBlock(2, rest)
+		} else {
+			b.recs = c.slot[:]
+		}
+		b.recs[0] = rec
+		b.n.Store(1)
+		c.cur.Store(b)
+		c.AdvanceWatermark(rec.Version)
+	}
+	rename(e, sh.chains.add(c), _entryChain)
 	sh.thaws++
 	return c
 }
 
-// thawAll thaws every row of the shard.
-func (sh *shard) thawAll() {
+// thawAll thaws every history of the shard with more than one version and,
+// when all is set, every row and every history.
+func (sh *shard) thawAll(all bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if !all && sh.histories.len() == 0 {
+		return
+	}
 	sh.rows.each(func(e []byte) {
-		if !isChain(e) {
+		if !isChain(e) && (all || isHistory(e) && sh.history(e).len() > 1) {
 			sh.thaw(e)
 		}
 	})
 }
 
-// fold replaces the chain entry at index position pos, whose chain c is one
-// plain final version at or below its watermark, with a settled row of that
-// version. Callers hold sh.mu for writing; fold takes c.mu.
-func (sh *shard) fold(pos int, e []byte, k kv.Key, m uint64, c *Chain) bool {
+// fold replaces the chain entry at index position pos, whose chain is c,
+// with a row or a history of c's settled history (Store.Fold); only a
+// history of one version when history is false. Callers hold sh.mu for
+// writing; fold takes c.mu.
+func (sh *shard) fold(pos int, e []byte, k kv.Key, m uint64, c *Chain, history bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec := c.single()
-	if rec == nil || c.staged != 0 {
+	b, n := c.settled()
+	if n == 0 || n > 1 && !history || c.staged != 0 {
 		return false
 	}
-	kind, value, _ := rec.Outcome()
-	if len(k)+len(value) > _maxRow {
+	num := entryWord(e)
+	if rec := c.single(); rec != nil {
+		kind, value, _ := rec.Outcome()
+		if len(k)+len(value) <= _maxRow {
+			if slot, ok := sh.rows.append(k, m, uint64(rec.Version), rowFlags(kind, true), value); ok {
+				sh.rows.index[pos] = slot
+				e[8] |= _rowDead
+				sh.chains.remove(num)
+				sh.folds++
+				return true
+			}
+		}
+	}
+	recs := b.recs[:b.n.Load()]
+	for _, rec := range recs {
+		if !rec.Final() {
+			return false
+		}
+	}
+	h, took := b.run().appendRecords(recs)
+	if took < len(recs) {
 		return false
 	}
-	slot, ok := sh.rows.append(k, m, uint64(rec.Version), rowFlags(kind, true), value)
-	if !ok {
-		return false
-	}
-	sh.rows.index[pos] = slot
-	e[8] |= _rowDead
-	sh.release(e)
+	rename(e, sh.histories.add(refOf(h)), _entryHistory)
+	sh.chains.remove(num)
 	sh.folds++
 	return true
 }

@@ -18,8 +18,9 @@ import (
 )
 
 // The steps below are the ones that can turn a row into a chain by asking
-// for a record of it; with put, putFinal, drop, rangeAll and fold
-// (model_test.go) they are every way a key changes tier.
+// for a record of it (a history hands out fresh ones); with put, putFinal,
+// drop, rangeAll, compact and fold (model_test.go) they are every way a key
+// changes tier.
 
 func (h *modelHarness) at(v tstamp.Timestamp) {
 	h.t.Helper()
@@ -28,7 +29,7 @@ func (h *modelHarness) at(v tstamp.Timestamp) {
 		h.t.Fatalf("At(%q, %v) ok = %v, model %v", h.k, v, ok, want)
 	}
 	if ok {
-		h.chained()
+		h.asked()
 		h.saw(v, rec)
 	}
 	h.check()
@@ -43,13 +44,14 @@ func (h *modelHarness) latest(max tstamp.Timestamp) {
 		h.t.Fatalf("Latest(%q, %v) = %v ok=%v, model sealed %v", h.k, max, rec, ok, sealed)
 	}
 	if ok {
-		h.chained()
+		h.asked()
 		h.saw(rec.Version, rec)
 	}
 	h.check()
 }
 
-// chain asks for the key's chain, which thaws a row and creates nothing.
+// chain asks for the key's chain, which thaws a row or a history and
+// creates nothing.
 func (h *modelHarness) chain() {
 	h.t.Helper()
 	_, known := h.keys[h.k]
@@ -206,13 +208,13 @@ func TestRowsAgainstModel(t *testing.T) {
 		h := newModelHarness(t)
 		v3 := ts(2, 1, 0)
 		h.on("sum").put(v1, functor.Add(1))
-		h.fold() // staged: no
+		h.fold(true) // staged: no
 		h.seal(tstamp.End(1))
-		h.fold() // not computed: no
+		h.fold(true) // not computed: no
 		h.resolve(v1, valueRes)
-		h.fold() // above the watermark: no
+		h.fold(true) // above the watermark: no
 		h.advance(v1)
-		h.fold()
+		h.fold(false)
 		if !h.m.row || h.s.Stats().Folds != 1 {
 			t.Fatalf("a computed single version did not fold: %+v", h.s.Stats())
 		}
@@ -220,44 +222,119 @@ func TestRowsAgainstModel(t *testing.T) {
 		h.seal(tstamp.End(1))
 		h.resolve(v2, valueRes)
 		h.advance(v2)
-		h.fold() // two versions: no
+		h.fold(false) // two versions, and no history asked for: no
 		h.compact(tstamp.End(1))
-		h.fold() // compacted to one: yes
+		h.fold(false) // compacted to one: yes
 		h.put(v3, functor.Add(1))
 		h.seal(tstamp.End(2))
 		h.resolve(v3, valueRes)
 		h.compact(tstamp.End(2)) // cut short by the watermark: owed
-		h.fold()
+		h.fold(true)
 		h.advance(tstamp.End(2))
 		h.compact(tstamp.End(2)) // paid, as core's payOwed would: the version below goes
-		h.fold()
+		h.fold(false)
 		if !h.m.row {
 			t.Fatal("a chain that paid its compaction did not fold")
 		}
 
-		// Outcomes a row cannot hold stay chains.
+		// Outcomes a row cannot hold fold into histories of one version.
 		for i, res := range []*functor.Resolution{abortRes, writesRes, functor.SkipResolution(), functor.DeleteResolution()} {
 			h.on(kv.Key(fmt.Sprintf("outcome:%d", i))).put(v1, functor.Add(1))
 			h.seal(tstamp.End(1))
 			h.resolve(v1, res)
 			h.advance(v1)
-			h.fold()
+			h.fold(false)
 		}
 		// A deferred write's chain folds too, with the value it was born with.
 		h.on("marker").put(v1, functor.DepMarker("det"))
 		h.putFinal(v1, functor.Resolved, kv.Value("deferred"), false)
 		h.seal(tstamp.End(1))
 		h.advance(v1)
-		h.fold()
-		// Too big for a row: stays a chain.
+		h.fold(false)
+		// Too big for a row: a history.
 		h.on("big").put(v1, functor.Add(1))
 		h.seal(tstamp.End(1))
 		h.resolve(v1, functor.ValueResolution(bytes.Repeat([]byte{'x'}, _maxRow)))
 		h.advance(v1)
-		h.fold()
-		if h.m.row {
-			t.Fatal("an over-cap value folded")
+		h.fold(false)
+		if h.m.row || !h.m.history {
+			t.Fatal("an over-cap value folded into a row")
 		}
+		h.checkAll()
+		h.rangeAll()
+		h.checkAll()
+	})
+
+	t.Run("a settled history folds, thaws without copying, and folds in place", func(t *testing.T) {
+		h := newModelHarness(t)
+		h.s = NewWithShards(1)
+		// runOf is the run k's history holds, or its chain's.
+		runOf := func(k kv.Key) run {
+			if c, hr, _ := h.tier(k); c != nil {
+				return c.cur.Load().run()
+			} else {
+				return hr
+			}
+		}
+		write := func(v tstamp.Timestamp, res *functor.Resolution) {
+			h.put(v, functor.Add(1))
+			h.seal(tstamp.Max)
+			h.resolve(v, res)
+			h.advance(v)
+		}
+		h.on("stock").putFinal(v1, functor.Resolved, kv.Value("loaded"), true)
+		write(ts(2, 1, 0), valueRes)
+		h.fold(false) // two versions, and no history asked for: no
+		h.fold(true)
+		if !h.m.history || h.s.Stats().Histories != 1 {
+			t.Fatalf("a settled chain of two versions did not fold into a history: %+v", h.s.Stats())
+		}
+		h.hold() // fresh records of the history, held across what follows
+		buffers, first := 1, runOf("stock")
+		for e := tstamp.Epoch(3); e <= 40; e++ {
+			before := runOf("stock")
+			res := valueRes
+			if e%5 == 0 {
+				res = abortRes // a read at the newest version falls through it
+			}
+			h.put(ts(e, 1, 0), functor.Add(1)) // thaws
+			if r := runOf("stock"); r.len() != before.len()-1 || &r.ents[0] != &before.ents[0] || &r.data[0] != &before.data[0] {
+				t.Fatalf("epoch %d: the thaw copied the history (%d entries at %p, was %d at %p)", e, r.len(), &r.ents[0], before.len(), &before.ents[0])
+			}
+			h.fold(true) // settled below a staged write: no
+			h.seal(tstamp.Max)
+			h.resolve(ts(e, 1, 0), res)
+			h.advance(ts(e, 1, 0))
+			h.fold(true)
+			if after := runOf("stock"); &after.ents[0] != &before.ents[0] {
+				buffers++
+			}
+		}
+		t.Logf("39 folds of a growing history took %d buffers", buffers)
+		if buffers > 12 {
+			t.Fatalf("39 folds of a growing history took %d buffers: it is copied at every fold", buffers)
+		}
+		if h.s.Stats().Folds < 39 || &first.ents[0] == &runOf("stock").ents[0] {
+			t.Fatalf("the history never grew out of its first buffer: %+v", h.s.Stats())
+		}
+		// A straggler sealed below the history takes the run back into
+		// records; settled again, the key folds again.
+		h.put(ts(39, 7, 1), functor.Add(1))
+		h.seal(tstamp.Max)
+		h.resolve(ts(39, 7, 1), writesRes)
+		h.advance(ts(40, 1, 0))
+		h.fold(true)
+		// A determinate key's history keeps every outcome's extras.
+		h.on("det")
+		for e := tstamp.Epoch(1); e <= 12; e++ {
+			write(ts(e, 2, 0), []*functor.Resolution{writesRes, abortRes, valueRes}[e%3])
+		}
+		h.freeze()
+		h.fold(true)
+		h.chain() // thawed by asking for the chain
+		h.fold(true)
+		h.compact(ts(6, 1, 0)) // a history is compacted where it lies
+		h.fold(true)
 		h.checkAll()
 		h.rangeAll()
 		h.checkAll()
@@ -277,7 +354,7 @@ func TestRowsAgainstModel(t *testing.T) {
 		h.resolve(v2, valueRes)
 		h.advance(v2)
 		h.compact(tstamp.End(1))
-		h.fold()                  // one final version, but no row holds the key
+		h.fold(true)              // one final version, but no row holds the key: a history
 		for i := 0; i < 40; i++ { // grow the index past the long key
 			h.on(kv.Key(fmt.Sprintf("k:%d", i))).putFinal(v1, functor.Resolved, nil, false)
 		}
@@ -320,15 +397,16 @@ var rowOpKeys = sync.OnceValue(func() []kv.Key {
 
 // runRowOps reads data three bytes at a time — operation, key, argument —
 // and applies each to a one-shard store and to the model, comparing every
-// key after every step. It returns the store's Stats at the end and how many
-// versions the ops froze.
-func runRowOps(t *testing.T, data []byte) (Stats, int) {
+// key after every step. It returns the store's Stats at the end, how many
+// versions the ops froze and how many histories of more than one version
+// they folded.
+func runRowOps(t *testing.T, data []byte) (Stats, int, int) {
 	h := newModelHarness(t)
 	h.s = NewWithShards(1)
 	keys := rowOpKeys()
 	froze := 0
 	for ; len(data) >= 3; data = data[3:] {
-		op, arg := data[0]%18, data[2]
+		op, arg := data[0]%19, data[2]
 		h.on(keys[int(data[1])%len(keys)])
 		v := ts(tstamp.Epoch(arg%3+1), uint32(arg/3%8+1), 0)
 		value := kv.Value(fmt.Sprintf("%s=%d", h.k[:min(len(h.k), 8)], arg))
@@ -374,7 +452,7 @@ func runRowOps(t *testing.T, data []byte) (Stats, int) {
 		case 15:
 			h.chain()
 		case 16:
-			h.fold()
+			h.fold(arg&1 == 0)
 		case 17:
 			// History: ten versions of one epoch (on a server of their
 			// own, so they may land below versions sealed earlier),
@@ -388,25 +466,34 @@ func runRowOps(t *testing.T, data []byte) (Stats, int) {
 			next := int(arg)
 			h.compute(res, func() int { next++; return next })
 			froze += h.freeze()
+		case 18:
+			// Settle: everything staged is sealed and computed in order,
+			// and the key folds, into a history when it has more than one
+			// version.
+			h.seal(tstamp.Max)
+			res := []*functor.Resolution{valueRes, abortRes, writesRes, functor.DeleteResolution(), functor.ValueResolution(value)}
+			next := int(arg)
+			h.compute(res, func() int { next++; return next })
+			h.fold(arg%4 != 3)
 		}
 		h.checkAll()
 	}
-	return h.s.Stats(), froze
+	return h.s.Stats(), froze, h.histories
 }
 
 // TestStoreRowsRandomOps drives the harness from seeded random bytes.
 func TestStoreRowsRandomOps(t *testing.T) {
 	var st Stats
-	froze := 0
+	froze, histories := 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
 		data := make([]byte, 3*500)
 		rand.New(rand.NewSource(seed)).Read(data)
-		s, f := runRowOps(t, data)
-		st.Thaws, st.Folds, froze = st.Thaws+s.Thaws, st.Folds+s.Folds, froze+f
+		s, f, n := runRowOps(t, data)
+		st.Thaws, st.Folds, froze, histories = st.Thaws+s.Thaws, st.Folds+s.Folds, froze+f, histories+n
 	}
-	t.Logf("%d thaws, %d folds, %d versions frozen", st.Thaws, st.Folds, froze)
-	if st.Thaws == 0 || st.Folds == 0 || froze == 0 {
-		t.Fatalf("the random ops no longer move keys both ways and freeze history: %+v, %d frozen", st, froze)
+	t.Logf("%d thaws, %d folds (%d into histories of more than one version), %d versions frozen", st.Thaws, st.Folds, histories, froze)
+	if st.Thaws == 0 || st.Folds == 0 || froze == 0 || histories == 0 {
+		t.Fatalf("the random ops no longer move keys both ways, fold histories and freeze history: %+v, %d histories, %d frozen", st, histories, froze)
 	}
 }
 
@@ -417,6 +504,11 @@ func FuzzStoreRows(f *testing.F) {
 	// History frozen, a second epoch frozen above it, one sealed below it,
 	// and compactions into it.
 	f.Add([]byte{17, 3, 1, 17, 3, 2, 13, 3, 4, 17, 3, 0, 13, 3, 8, 6, 3, 1})
+	// A loaded row written, settled into a history, read, written again
+	// (thawed without copying; a fold with the write staged must wait),
+	// settled again, a straggler below it, and settled once more; then
+	// compacted and walked.
+	f.Add([]byte{0, 5, 0, 5, 5, 4, 18, 5, 0, 6, 5, 4, 4, 5, 5, 5, 5, 7, 16, 5, 0, 18, 5, 1, 5, 5, 1, 18, 5, 2, 13, 5, 7, 10, 5, 0})
 	seeded := make([]byte, 3*200)
 	rand.New(rand.NewSource(1)).Read(seeded)
 	f.Add(seeded)
@@ -431,7 +523,8 @@ func FuzzStoreRows(f *testing.F) {
 // i%4:
 //
 //	0: an install thaws the row as soon as one delivery is in, racing the
-//	   duplicate; two versions, so the stand-in's fold is refused
+//	   duplicate; computed, its two versions fold into a history, racing the
+//	   duplicate too, and on every other key an install races the fold
 //	1: an install thaws the row once both deliveries are in; computed and
 //	   compacted to one version, it folds back into a row, and on every
 //	   other key an install races the fold
@@ -440,10 +533,11 @@ func FuzzStoreRows(f *testing.F) {
 //	   key, its fold
 //	3: the deliveries alone: a row
 //
-// A reader that knows a key has been written must find it — as the row, or
-// as the chain — never in neither place; exactly one delivery of each key is
-// fresh, and no install or delivery is lost to a fold. Run under -race it
-// also shows that slab bytes handed to a reader are never written again.
+// A reader that knows a key has been written must find it — as the row, the
+// history or the chain — never in none of them; exactly one delivery of each
+// key is fresh, and no install or delivery is lost to a fold. Run under
+// -race it also shows that slab and run bytes handed to a reader are never
+// written again.
 func TestRowsConcurrent(t *testing.T) {
 	const (
 		rounds = 20
@@ -551,22 +645,22 @@ func TestRowsConcurrent(t *testing.T) {
 					w.c.Compact(bound)
 				}
 				computing[w.i].Store(true)
-				if !s.Fold(keys[w.i], w.c) {
+				if !s.Fold(keys[w.i], w.c, true) {
 					continue
 				}
 				folded.Add(1)
-				switch {
-				case w.i%4 == 0:
-					t.Errorf("folded %q, which has two versions", keys[w.i])
-				case w.i%4 == 2:
+				if w.i%4 == 2 {
 					foldedFirst.Add(1)
 				}
 			}
 		}()
 		writers.Add(1)
-		go func() { // installs v3 on every other key of group 1, racing the folds
+		go func() { // installs v3 on every other key of groups 0 and 1, racing the folds
 			defer writers.Done()
-			for i := 1; i < nkeys; i += 8 {
+			for i := 1; i < nkeys; i++ {
+				if i%8 != 1 && i%8 != 4 {
+					continue
+				}
 				if !wait(installed[i].Load) {
 					return
 				}
@@ -640,11 +734,15 @@ func TestRowsConcurrent(t *testing.T) {
 				}
 				continue
 			}
-			if c == nil {
+			if i%8 == 0 { // nothing came after the fold: a history
+				if c != nil || !isRow || row.Version != v2 {
+					t.Fatalf("round %d: %q is %p %+v, want a history up to %v", round, k, c, row, v2)
+				}
+			} else if c == nil {
 				t.Fatalf("round %d: %q is the row %+v, want a chain", round, k, row)
 			}
 			for _, v := range []tstamp.Timestamp{v1, v2} {
-				rec := c.At(v)
+				rec, _ := s.At(k, v)
 				if rec == nil {
 					if i%4 == 1 && v == v1 {
 						continue // compacted
@@ -656,7 +754,7 @@ func TestRowsConcurrent(t *testing.T) {
 					t.Fatalf("round %d: %s", round, bad)
 				}
 			}
-			if i%8 == 1 && c.At(v3) == nil {
+			if (i%8 == 1 || i%8 == 4) && c.At(v3) == nil {
 				t.Fatalf("round %d: the install of %q@%v is lost", round, k, v3)
 			}
 		}
@@ -713,49 +811,165 @@ func BenchmarkStoreRowRead(b *testing.B) {
 // TestWriteHoldsOffFold pins what makes a fold safe, which TestRowsConcurrent
 // can only hit now and then: a writer that has found a key's chain and waits
 // for its mutex holds the shard's lock, so Fold cannot let the chain go
-// before the write is in, and finds a staged record or a second version
-// after it.
+// before the write is in. After it, the fold finds a staged record or a
+// version above the watermark and refuses, or — a settled load — folds the
+// chain with the write in it. The chain is one version or a settled history
+// of two, which a fold would make a row or a history.
 func TestWriteHoldsOffFold(t *testing.T) {
-	v1, v2 := ts(1, 1, 0), ts(2, 1, 0)
-	for _, tc := range []struct {
-		name  string
-		write func(s *Store)
-	}{
-		{"Stage", func(s *Store) { s.Stage("k", v2, functor.Add(1)) }},
-		{"PutFinal", func(s *Store) { s.PutFinal("k", v2, functor.Resolved, kv.Value("w"), false) }},
-	} {
-		s := NewWithShards(1)
-		c, rec, err := s.Stage("k", v1, functor.Add(1))
-		if err != nil {
-			t.Fatal(err)
+	v0, v1, v2 := ts(1, 1, 0), ts(1, 2, 0), ts(2, 1, 0)
+	for _, versions := range []int{1, 2} {
+		for _, tc := range []struct {
+			name    string
+			write   func(s *Store)
+			settles bool // the write leaves the chain settled: the fold may go ahead after it
+		}{
+			{"Stage", func(s *Store) { s.Stage("k", v2, functor.Add(1)) }, false},
+			{"PutFinal", func(s *Store) { s.PutFinal("k", v2, functor.Resolved, kv.Value("w"), false) }, false},
+			{"PutFinal settled", func(s *Store) { s.PutFinal("k", v2, functor.Resolved, kv.Value("w"), true) }, true},
+		} {
+			name := fmt.Sprintf("%s over %d versions", tc.name, versions)
+			s := NewWithShards(1)
+			var c *Chain
+			for _, v := range []tstamp.Timestamp{v0, v1}[2-versions:] {
+				ch, rec, err := s.Stage("k", v, functor.Add(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c = ch
+				c.Seal(v2)
+				rec.ResolveValue(functor.Resolved, kv.EncodeInt64(int64(v)))
+				c.AdvanceWatermark(v)
+			}
+			c.mu.Lock() // the chain is busy
+			wrote := make(chan struct{})
+			go func() {
+				tc.write(s)
+				close(wrote)
+			}()
+			// Wait until the writer holds the shard's lock for 100 ms on end.
+			sh := &s.shards[0]
+			for held, start := 0, time.Now(); held < 100; time.Sleep(time.Millisecond) {
+				if !sh.mu.TryLock() {
+					held++
+					continue
+				}
+				sh.mu.Unlock()
+				if held = 0; time.Since(start) > 10*time.Second {
+					t.Fatalf("%s: a writer waiting for the chain does not hold the shard's lock", name)
+				}
+			}
+			folded := make(chan bool)
+			go func() { folded <- s.Fold("k", c, true) }()
+			c.mu.Unlock()
+			<-wrote
+			if f := <-folded; f && !tc.settles || !f && (s.Chain("k") != c || c.At(v2) == nil) {
+				t.Fatalf("%s: a fold let the chain go under a write (folded %v): Stats %+v", name, f, s.Stats())
+			}
+			// A staged write is not readable yet; a born-final one is.
+			readable := versions + 1
+			if tc.name == "Stage" {
+				readable = versions
+			}
+			if _, ok := s.At("k", v2); !ok || len(s.View("k")) != readable {
+				t.Fatalf("%s: the write of %v is lost to the fold: %v", name, v2, versionsOf(s.View("k")))
+			}
 		}
-		c.Seal(v2)
-		rec.ResolveValue(functor.Resolved, kv.EncodeInt64(1))
-		c.AdvanceWatermark(v1)
-		c.mu.Lock() // the chain is busy
-		wrote := make(chan struct{})
+	}
+}
+
+// TestHistoryReadersRace has a stand-in for the processor write each key
+// once an epoch and fold it, freezing as it goes, so every write thaws the
+// history the fold before left, while readers hold what they were handed —
+// a row a history answered, the fresh records of a history's View, a chain
+// a reader thawed and its History — and check it again later: a held
+// version keeps its value, whatever the key has gone through since. Run
+// under -race it also shows that no run byte a reader was handed is written
+// again by a thaw, a freeze or a fold.
+func TestHistoryReadersRace(t *testing.T) {
+	const (
+		epochs = 300
+		held   = 64
+	)
+	keys := []kv.Key{"h:0", "h:1", "h:2", "h:3"}
+	s := NewWithShards(1)
+	valueOf := func(v tstamp.Timestamp) kv.Value { return kv.EncodeInt64(int64(v)) }
+	var done atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
 		go func() {
-			tc.write(s)
-			close(wrote)
+			defer readers.Done()
+			type version struct {
+				v     tstamp.Timestamp
+				value kv.Value
+			}
+			var kept []version
+			keep := func(v tstamp.Timestamp, value kv.Value) bool {
+				if !bytes.Equal(value, valueOf(v)) {
+					t.Errorf("%v reads %x, want %x", v, value, valueOf(v))
+					return false
+				}
+				if len(kept) < held {
+					kept = append(kept, version{v, value})
+				} else {
+					kept[int(v)%held] = version{v, value}
+				}
+				return true
+			}
+			for i := 0; !done.Load(); i++ {
+				for _, k := range keys {
+					if _, row, ok := s.Read(k, tstamp.Max); ok && !keep(row.Version, row.Value) {
+						return
+					}
+					for _, rec := range s.View(k) {
+						if kind, value, _ := rec.Outcome(); kind != 0 && !keep(rec.Version, value) {
+							return
+						}
+					}
+					if i%8 == 0 { // thaw it now and then, as a caller of Chain does
+						h := s.Chain(k).History()
+						for j := 0; j < h.Len(); j++ {
+							if kind, value := h.Outcome(j); kind != 0 && !keep(h.Version(j), value) {
+								return
+							}
+						}
+					}
+				}
+				for _, x := range kept {
+					if !bytes.Equal(x.value, valueOf(x.v)) {
+						t.Errorf("a held %v changed to %x", x.v, x.value)
+						return
+					}
+				}
+			}
 		}()
-		// Wait until the writer holds the shard's lock for 100 ms on end.
-		sh := &s.shards[0]
-		for held, start := 0, time.Now(); held < 100; time.Sleep(time.Millisecond) {
-			if !sh.mu.TryLock() {
-				held++
-				continue
+	}
+	var histories int
+	for e := tstamp.Epoch(1); e <= epochs && !t.Failed(); e++ {
+		for _, k := range keys {
+			v := ts(e, 1, 0)
+			c, rec, err := s.Stage(k, v, functor.Add(1))
+			if err != nil {
+				t.Fatal(err)
 			}
-			sh.mu.Unlock()
-			if held = 0; time.Since(start) > 10*time.Second {
-				t.Fatalf("%s: a writer waiting for the chain does not hold the shard's lock", tc.name)
+			c.Seal(tstamp.End(e))
+			rec.ResolveValue(functor.Resolved, valueOf(v))
+			c.AdvanceWatermark(v)
+			c.Freeze()
+			if s.Fold(k, c, true) {
+				histories++
 			}
 		}
-		folded := make(chan bool)
-		go func() { folded <- s.Fold("k", c) }()
-		c.mu.Unlock()
-		<-wrote
-		if <-folded || s.Chain("k") != c || c.At(v2) == nil {
-			t.Fatalf("%s: a fold let the chain go under a write: Stats %+v", tc.name, s.Stats())
+	}
+	done.Store(true)
+	readers.Wait()
+	for _, k := range keys {
+		if view := s.View(k); len(view) != epochs {
+			t.Fatalf("%q holds %d versions, want %d", k, len(view), epochs)
 		}
+	}
+	t.Logf("%d folds into a history of %d writes", histories, epochs*len(keys))
+	if histories < epochs*len(keys)/2 {
+		t.Fatalf("only %d of %d writes folded into a history", histories, epochs*len(keys))
 	}
 }

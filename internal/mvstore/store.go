@@ -22,27 +22,28 @@ const _defaultShards = 64
 // Store is one partition's multi-version table: hash shards, each of which
 // finds every key it holds through one index over its row log (rows.go). A
 // key's entry is a row — its whole history is one final version, held as
-// bytes — or names the key's version chain. Which of the two a key is shows
-// in nothing the store answers.
+// bytes — or names its history — a settled history of more, a frozen run
+// held as bytes too — or the key's version chain. Which of the three a key
+// is shows in nothing the store answers.
 type Store struct {
 	shards []shard
 }
 
-// shard holds each of its keys once, as a row or as a chain. Every writer
-// finds and stages under mu — the read lock when the key has a chain, the
-// write lock when it has to be given one — which is what lets Fold, under the
-// write lock, retire a chain: a write either lands before the fold looks, and
-// the fold refuses a chain with a staged record or a second version, or finds
-// the row the fold left.
+// shard holds each of its keys once, as a row, a history or a chain. Every
+// writer finds and stages under mu — the read lock when the key has a chain,
+// the write lock when it has to be given one — which is what lets Fold,
+// under the write lock, retire a chain: a write either lands before the fold
+// looks, and the fold refuses a chain with a staged record or a version
+// above the watermark, or finds the row or history the fold left.
 type shard struct {
 	mu   sync.RWMutex
 	rows rowLog
-	// chains are the shard's chains by the number their entries carry; free
-	// are the numbers of chains since folded or dropped.
-	chains []*Chain
-	free   []uint32
-	thaws  uint64
-	folds  uint64
+	// chains and histories are the shard's chains and histories by the
+	// number their entries carry.
+	chains    table[*Chain]
+	histories table[histRef]
+	thaws     uint64
+	folds     uint64
 }
 
 // New returns an empty store with the default shard count.
@@ -61,8 +62,8 @@ func (s *Store) locate(k kv.Key) (*shard, uint64) {
 	return &s.shards[h%uint64(len(s.shards))], mix(h)
 }
 
-// chainOf returns k's chain, thawing its row if it is one, or nil if the key
-// has never been written. Callers hold sh.mu for writing.
+// chainOf returns k's chain, thawing its row or history if it is one, or
+// nil if the key has never been written. Callers hold sh.mu for writing.
 func (sh *shard) chainOf(k kv.Key, m uint64) *Chain {
 	switch pos, e := sh.rows.find(k, m); {
 	case pos < 0:
@@ -74,6 +75,32 @@ func (sh *shard) chainOf(k kv.Key, m uint64) *Chain {
 	}
 }
 
+// entry is what one probe of a key finds, read under the shard's lock: its
+// chain, its history or its row, at most one of them.
+type entry struct {
+	c     *Chain
+	hist  run
+	row   Row
+	isRow bool
+}
+
+// probe finds k's entry under the shard's read lock.
+func (s *Store) probe(k kv.Key) (en entry) {
+	sh, m := s.locate(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	switch pos, e := sh.rows.find(k, m); {
+	case pos < 0:
+	case isChain(e):
+		en.c = sh.chain(e)
+	case isHistory(e):
+		en.hist = sh.history(e)
+	default:
+		en.row, en.isRow = rowOf(e), true
+	}
+	return en
+}
+
 // chainFor is chainOf that creates the chain of a key never written.
 func (sh *shard) chainFor(k kv.Key, m uint64) *Chain {
 	if c := sh.chainOf(k, m); c != nil {
@@ -82,10 +109,10 @@ func (sh *shard) chainFor(k kv.Key, m uint64) *Chain {
 	return sh.create(k, m)
 }
 
-// Chain returns the key's chain, or nil if the key has never been written.
-// A caller that touches one key more than once holds on to the chain instead
-// of addressing the store by key again; it reads through it, and writes
-// through the store.
+// Chain returns the key's chain, thawing its row or history, or nil if the
+// key has never been written. A caller that touches one key more than once
+// holds on to the chain instead of addressing the store by key again; it
+// reads through it, and writes through the store.
 func (s *Store) Chain(k kv.Key) *Chain {
 	sh, m := s.locate(k)
 	sh.mu.RLock()
@@ -105,13 +132,13 @@ func (s *Store) Chain(k kv.Key) *Chain {
 
 // Stage installs a functor as a new in-epoch version of key k (paper
 // Figure 4) and returns the chain it is staged in, creating the chain or
-// thawing the key's row as needed; the record stays invisible to reads until
-// Seal publishes it. A duplicate version returns the existing record and
-// ErrVersionExists.
+// thawing the key's row or history as needed; the record stays invisible to
+// reads until Seal publishes it. A duplicate version returns the existing
+// record and ErrVersionExists.
 //
-// The chain is the key's for as long as it holds a record that is staged,
-// not final or not the only one: until then Fold leaves it alone. A caller
-// writes the key's next version through the store again.
+// The chain is the key's for as long as it holds a record that is staged or
+// above the watermark: until then Fold leaves it alone. A caller writes the
+// key's next version through the store again.
 func (s *Store) Stage(k kv.Key, version tstamp.Timestamp, fn *functor.Functor) (*Chain, *Record, error) {
 	sh, m := s.locate(k)
 	sh.mu.RLock()
@@ -135,8 +162,8 @@ func (s *Store) Put(k kv.Key, version tstamp.Timestamp, fn *functor.Functor) (*R
 	return rec, err
 }
 
-// Row is the one version of a key that has no chain: final, and the key's
-// whole history. Value aliases the store and must not be written.
+// Row is a final version of a key that has no chain. Value aliases the
+// store and must not be written.
 type Row struct {
 	Version tstamp.Timestamp
 	Kind    functor.ResolutionKind
@@ -144,21 +171,22 @@ type Row struct {
 }
 
 // Read is the lookup that creates nothing: k's chain if it has one, else —
-// ok — the row that is its whole history, provided its version is at or
-// below max. A caller that only needs a final value answers from the row;
-// Chain is for one that needs the records.
+// ok — the version a read at max stops at, when there is one at or below
+// max. Of a row that is its one version; of a history the newest at or
+// below max that is neither aborted nor skipped, or, when every one is, the
+// newest of those. A caller that only needs a final value answers from the
+// row; Chain is for one that needs the records.
 func (s *Store) Read(k kv.Key, max tstamp.Timestamp) (c *Chain, row Row, ok bool) {
-	sh, m := s.locate(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	switch pos, e := sh.rows.find(k, m); {
-	case pos < 0:
-	case isChain(e):
-		c = sh.chain(e)
-	case rowVersion(e) <= max:
-		row, ok = rowOf(e), true
+	en := s.probe(k)
+	switch {
+	case en.hist.len() > 0:
+		if i := en.hist.seen(max); i >= 0 {
+			return nil, en.hist.row(i), true
+		}
+	case en.isRow && en.row.Version <= max:
+		return nil, en.row, true
 	}
-	return c, row, ok
+	return en.c, Row{}, false
 }
 
 // PutFinal installs a version of k that is born final — a deferred write, a
@@ -168,7 +196,8 @@ func (s *Store) Read(k kv.Key, max tstamp.Timestamp) (c *Chain, row Row, ok bool
 //
 // A key never written before becomes a row and costs no heap object: key and
 // value are copied into the shard's row log, and the chain returned is nil.
-// A key that is a row is thawed first; a key with a chain gets what the
+// A key that is a row or a history is thawed first, unless it holds the
+// version already (a duplicate delivery); a key with a chain gets what the
 // chain's putResolved does. A row over 16 KB takes the chain path.
 //
 // The key is probed once, under the shard's write lock, unless it has a
@@ -191,8 +220,10 @@ func (s *Store) PutFinal(k kv.Key, version tstamp.Timestamp, kind functor.Resolu
 	}
 	defer sh.mu.Unlock()
 	switch {
-	case pos >= 0 && rowVersion(e) == version:
+	case pos >= 0 && isRow(e) && rowVersion(e) == version:
 		return nil, false // a duplicate delivery
+	case pos >= 0 && isHistory(e) && sh.history(e).holds(version):
+		return nil, false
 	case pos >= 0:
 		c = sh.thaw(e)
 	case len(k)+len(value) <= _maxRow && sh.rows.put(k, m, uint64(version), rowFlags(kind, settled), value):
@@ -212,16 +243,23 @@ func putFinalIn(c *Chain, version tstamp.Timestamp, kind functor.ResolutionKind,
 	return c, fresh
 }
 
-// Fold makes k a row again when c is k's chain and its whole history is one
-// sealed version with a plain final outcome (a value or a tombstone) at or
-// below the watermark, with nothing staged and no compaction owed: the
-// version is written as a settled row and the chain is let go. It reports
-// whether it folded. A reader that still holds c, or a record of it, keeps
-// a consistent history — the chain is not changed, only no longer the
-// store's — and the next write of k thaws the row into a new chain.
-func (s *Store) Fold(k kv.Key, c *Chain) bool {
-	if c.single() == nil {
-		return false // the lock-free check: most chains are not one version
+// Fold lets c go when it is k's chain and its history has settled: every
+// version, the newest included, final and at or below the watermark, with
+// nothing staged and no compaction owed. One version with a plain outcome (a
+// value or a tombstone) that fits a row becomes a settled row; any other
+// settled history becomes a history, its versions appended to the chain's
+// frozen run — in place when the run has room, so a long history is not
+// copied again. With history false only a chain of one version folds: a
+// caller that retires old versions through the chains it filed (core's
+// retention) keeps the others, since a history is no chain to retire.
+//
+// It reports whether it folded. A reader that still holds c, or a record of
+// it, keeps a consistent history — the chain is not changed, only no longer
+// the store's — and the next write of k thaws the row or history into a new
+// chain.
+func (s *Store) Fold(k kv.Key, c *Chain, history bool) bool {
+	if _, n := c.settled(); n == 0 || n > 1 && !history {
+		return false // the lock-free check: most chains are not settled
 	}
 	sh, m := s.locate(k)
 	sh.mu.Lock()
@@ -230,12 +268,13 @@ func (s *Store) Fold(k kv.Key, c *Chain) bool {
 	if pos < 0 || !isChain(e) || sh.chain(e) != c {
 		return false
 	}
-	return sh.fold(pos, e, k, m, c)
+	return sh.fold(pos, e, k, m, c, history)
 }
 
 // The key-addressed forms below are one probe plus the Chain method of the
 // same name, for callers that touch a key once. They thaw a row only when
-// the answer is a record of it.
+// the answer is a record of it, and never a history: a version of a history
+// is handed out as a fresh final record, as a frozen version of a chain is.
 
 // Seal makes k's staged records with versions strictly below bound
 // readable.
@@ -256,14 +295,20 @@ func (s *Store) SealAll(bound tstamp.Timestamp) {
 
 // Latest returns the newest record of k with Version <= max.
 func (s *Store) Latest(k kv.Key, max tstamp.Timestamp) (*Record, bool) {
-	c, _, isRow := s.Read(k, max)
-	if isRow {
-		c = s.Chain(k)
+	en := s.probe(k)
+	switch {
+	case en.hist.len() > 0:
+		if i := en.hist.search(max); i > 0 {
+			return en.hist.record(i - 1), true
+		}
+		return nil, false
+	case en.isRow && en.row.Version <= max:
+		en.c = s.Chain(k)
 	}
-	if c == nil {
+	if en.c == nil {
 		return nil, false
 	}
-	r := c.Latest(max)
+	r := en.c.Latest(max)
 	return r, r != nil
 }
 
@@ -271,29 +316,42 @@ func (s *Store) Latest(k kv.Key, max tstamp.Timestamp) (*Record, bool) {
 // or still staged in-epoch (the second-round abort addresses uncommitted
 // records by version).
 func (s *Store) At(k kv.Key, version tstamp.Timestamp) (*Record, bool) {
-	c, row, ok := s.Read(k, version)
-	if ok && row.Version == version {
-		c = s.Chain(k)
+	en := s.probe(k)
+	switch {
+	case en.hist.len() > 0:
+		if i := en.hist.search(version) - 1; i >= 0 && en.hist.version(i) == version {
+			return en.hist.record(i), true
+		}
+		return nil, false
+	case en.isRow && en.row.Version == version:
+		en.c = s.Chain(k)
 	}
-	if c == nil {
+	if en.c == nil {
 		return nil, false
 	}
-	r := c.At(version)
+	r := en.c.At(version)
 	return r, r != nil
 }
 
 // View returns k's whole history as an ascending snapshot of records, or
-// nil: the chain's records behind a fresh final one for each frozen version.
+// nil: the chain's records behind a fresh final one for each frozen version,
+// or a fresh one for every version of a history.
 func (s *Store) View(k kv.Key) []*Record {
-	c := s.Chain(k)
-	if c == nil {
+	en := s.probe(k)
+	switch {
+	case en.hist.len() > 0:
+		return en.hist.records()
+	case en.isRow:
+		en.c = s.Chain(k)
+	}
+	if en.c == nil {
 		return nil
 	}
-	return c.History().all()
+	return en.c.History().all()
 }
 
-// AdvanceWatermark raises k's value watermark to at least v. A key never
-// written has no watermark to raise.
+// AdvanceWatermark raises k's value watermark to at least v, thawing a row
+// or a history. A key never written has no watermark to raise.
 func (s *Store) AdvanceWatermark(k kv.Key, v tstamp.Timestamp) {
 	if c := s.Chain(k); c != nil {
 		c.AdvanceWatermark(v)
@@ -301,33 +359,41 @@ func (s *Store) AdvanceWatermark(k kv.Key, v tstamp.Timestamp) {
 }
 
 // Range calls fn for every key in the store, with its chain, until fn
-// returns false; rows are thawed as their shard is reached, so what fn is
-// handed is the key's one live chain. The iteration order is unspecified.
-// Chains observed through fn are live: new versions may be inserted
-// concurrently, but each View() call returns a consistent snapshot.
-func (s *Store) Range(fn func(k kv.Key, c *Chain) bool) { s.rangeChains(true, fn) }
+// returns false; rows and histories are thawed as their shard is reached, so
+// what fn is handed is the key's one live chain. The iteration order is
+// unspecified. Chains observed through fn are live: new versions may be
+// inserted concurrently, but each View() call returns a consistent snapshot.
+func (s *Store) Range(fn func(k kv.Key, c *Chain) bool) { s.rangeChains(thawAll, fn) }
 
-// RangeChains is Range over the keys that have a chain, and thaws nothing:
-// for callers after what only a chain has — staged records to seal, history
-// to compact or retire.
-func (s *Store) RangeChains(fn func(k kv.Key, c *Chain) bool) { s.rangeChains(false, fn) }
+// RangeChains is Range over the keys that have a chain, for callers after
+// what only a chain has — staged records to seal, history to retire. It
+// thaws the histories of more than one version, which have history to
+// retire, and no row.
+func (s *Store) RangeChains(fn func(k kv.Key, c *Chain) bool) { s.rangeChains(thawHistories, fn) }
 
-func (s *Store) rangeChains(thaw bool, fn func(k kv.Key, c *Chain) bool) {
-	type entry struct {
+// What rangeChains thaws before it walks a shard's chains.
+const (
+	thawNothing = iota
+	thawHistories
+	thawAll
+)
+
+func (s *Store) rangeChains(thaw int, fn func(k kv.Key, c *Chain) bool) {
+	type keyed struct {
 		k kv.Key
 		c *Chain
 	}
-	var snap []entry
+	var snap []keyed
 	for i := range s.shards {
 		sh := &s.shards[i]
-		if thaw {
-			sh.thawAll()
+		if thaw != thawNothing {
+			sh.thawAll(thaw == thawAll)
 		}
 		sh.mu.RLock()
-		snap = slices.Grow(snap[:0], len(sh.chains)-len(sh.free))
+		snap = slices.Grow(snap[:0], sh.chains.len())
 		sh.rows.each(func(e []byte) {
 			if isChain(e) {
-				snap = append(snap, entry{rowKey(e), sh.chain(e)})
+				snap = append(snap, keyed{rowKey(e), sh.chain(e)})
 			}
 		})
 		sh.mu.RUnlock()
@@ -369,19 +435,21 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Stats is how much of the store is rows, and how much of its chains'
+// Stats is how much of the store is rows and histories, and how much of its
 // history is frozen: the numbers that explain a regression in what the
 // store costs the collector.
 type Stats struct {
-	Chains int // keys that have a chain
-	Rows   int // keys that are a row: one final version
+	Chains    int // keys that have a chain
+	Rows      int // keys that are a row: one final version
+	Histories int // keys that are a history: a frozen run and no chain
 	// RowBytes is what the row logs hold, the entries since dropped or left
 	// behind by a fold included: those bytes are not reclaimed.
 	RowBytes int64
-	Thaws    uint64 // rows that became chains, ever
-	Folds    uint64 // chains that became rows, ever
-	// FrozenVersions are the chains' versions held in frozen runs, as bytes
-	// rather than records; FrozenBytes is what those entries take.
+	Thaws    uint64 // rows and histories that became chains, ever
+	Folds    uint64 // chains that became rows or histories, ever
+	// FrozenVersions are the versions held in frozen runs, chains' and
+	// histories', as bytes rather than records; FrozenBytes is what those
+	// entries take.
 	FrozenVersions int64
 	FrozenBytes    int64
 }
@@ -392,21 +460,27 @@ func (s *Store) Stats() Stats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		chains := len(sh.chains) - len(sh.free)
+		chains, hists := sh.chains.len(), sh.histories.len()
 		st.Chains += chains
-		st.Rows += sh.rows.live - chains
+		st.Histories += hists
+		st.Rows += sh.rows.live - chains - hists
 		st.RowBytes += int64(sh.rows.bytes())
 		st.Thaws += sh.thaws
 		st.Folds += sh.folds
-		for _, c := range sh.chains {
+		frozen := func(r run) {
+			st.FrozenVersions += int64(r.len())
+			st.FrozenBytes += int64(r.bytes())
+		}
+		for _, c := range sh.chains.items {
 			if c == nil {
 				continue
 			}
-			if b := c.cur.Load(); b != nil && b.frozen {
-				r := b.run()
-				st.FrozenVersions += int64(r.len())
-				st.FrozenBytes += int64(r.bytes())
+			if b := c.cur.Load(); b != nil {
+				frozen(b.run())
 			}
+		}
+		for _, h := range sh.histories.items {
+			frozen(h.run())
 		}
 		sh.mu.RUnlock()
 	}
@@ -417,12 +491,29 @@ func (s *Store) Stats() Stats {
 // always retaining the newest record below bound so historical reads at
 // live snapshots still resolve. Returns the total number of records
 // removed. Compaction never touches unresolved records (it is capped at
-// each key's watermark).
+// each key's watermark). A history is compacted where it lies, as its chain
+// would be: its watermark is its newest version, so it owes nothing and
+// keeps that version.
 func (s *Store) Compact(bound tstamp.Timestamp) int {
 	total := 0
-	s.RangeChains(func(_ kv.Key, c *Chain) bool {
+	s.rangeChains(thawNothing, func(_ kv.Key, c *Chain) bool {
 		total += c.Compact(bound)
 		return true
 	})
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for num, ref := range sh.histories.items {
+			if ref.elen < 2 {
+				continue // free, or one version: nothing to drop
+			}
+			h := ref.run()
+			if k := (History{run: h}).keepFrom(min(bound, h.newest())); k > 0 {
+				sh.histories.items[num] = refOf(h.drop(k))
+				total += k
+			}
+		}
+		sh.mu.Unlock()
+	}
 	return total
 }

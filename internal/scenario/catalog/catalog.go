@@ -69,7 +69,7 @@ func lightProbs() chaos.Probabilities {
 // between the cluster and its transport.
 func wrapChaos(seed int64, probs chaos.Probabilities) func(transport.Network) transport.Network {
 	return func(inner transport.Network) transport.Network {
-		return chaos.Wrap(inner, chaos.Config{Seed: seed, Probabilities: probs, LogCap: -1})
+		return chaos.Wrap(inner, chaos.Config{Seed: seed, Probabilities: probs})
 	}
 }
 

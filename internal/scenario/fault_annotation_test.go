@@ -45,7 +45,7 @@ func TestFaultAnnotation(t *testing.T) {
 				WrapNet: func(inner transport.Network) transport.Network {
 					// Probability-free wrap: the body schedules the only
 					// fault (deterministic link delays) itself.
-					return chaos.Wrap(inner, chaos.Config{Seed: p.Seed, LogCap: -1})
+					return chaos.Wrap(inner, chaos.Config{Seed: p.Seed})
 				},
 			}
 		},

@@ -10,7 +10,6 @@ package tpcc
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -271,8 +270,4 @@ func (s Stock) Deduct(qty int64, remote bool) Stock {
 		s.RemoteCnt++
 	}
 	return s
-}
-
-func (s Stock) String() string {
-	return fmt.Sprintf("stock{qty=%d ytd=%d cnt=%d remote=%d}", s.Quantity, s.YTD, s.OrderCnt, s.RemoteCnt)
 }
