@@ -71,8 +71,9 @@ commit-guard:
 	./scripts/commit-guard.sh
 
 # Object budgets and zero-allocation paths, the block CI runs: what a key
-# written once keeps alive (core.TestStoreObjectBudget), the chain and record
-# size classes, the untraced install/compute path, the TPC-C NewOrder pins,
+# written once keeps alive (core.TestStoreObjectBudget), what a landed
+# determinate history costs in bytes (core.TestLandedHistoryBytesBudget),
+# the chain and record size classes, the untraced install/compute path, the TPC-C NewOrder pins,
 # a bulk load with and without a log, and the
 # wire/hand-off/ring/trace/skew/journal/recorder/WAL-append benchmarks at 0
 # allocs/op.

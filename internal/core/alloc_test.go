@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -377,6 +378,91 @@ func storeHistoryObjectBudget(t *testing.T) {
 		if per > perKey {
 			t.Errorf("%s: a history of %d versions leaves %.2f live heap objects per key, budget %d whatever its length", kind.name, versions, per, perKey)
 		}
+	}
+}
+
+// TestLandedHistoryBytesBudget pins what a determinate key's history costs
+// in bytes once its deferred writes have landed: the dependent keys' rows
+// hold the writes, so a frozen version is its entry and its value alone.
+// The key is a TPC-C district's next order id, written a thousand times,
+// each version with a NewOrder's dozen writes — the order, its new-order row
+// and ten order lines, keyed by the id it allocates. Where the writes did
+// not land (their owner's applies are dropped) each version keeps them,
+// about ten times the bytes: the budget would see them come back.
+func TestLandedHistoryBytesBudget(t *testing.T) {
+	const (
+		versions = 1000
+		perEpoch = 100
+		budget   = 32 // bytes a landed version may cost
+	)
+	reg := functor.NewRegistry()
+	reg.MustRegister("neworder", func(ctx *functor.Context) (*functor.Resolution, error) {
+		oid := int64(0)
+		if r := ctx.Reads[ctx.Key]; r.Found {
+			oid, _ = kv.DecodeInt64(r.Value)
+		}
+		oid++
+		writes := []functor.DependentWrite{
+			{Key: kv.Key(fmt.Sprintf("o:1:3:%d", oid)), Value: binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, uint64(oid)*7919), 1234), 10)},
+			{Key: kv.Key(fmt.Sprintf("no:1:3:%d", oid)), Value: kv.EncodeInt64(1)},
+		}
+		for line := 1; line <= 10; line++ {
+			v := binary.AppendUvarint(nil, uint64(oid*31+int64(line))%100_000)
+			v = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(v, 1), uint64(line%10+1)), uint64(line)*4999)
+			writes = append(writes, functor.DependentWrite{Key: kv.Key(fmt.Sprintf("ol:1:3:%d:%d", oid, line)), Value: v})
+		}
+		return &functor.Resolution{Kind: functor.Resolved, Value: kv.EncodeInt64(oid), DependentWrites: writes}, nil
+	})
+	// perVersion writes the history with the order rows on server rowsOn,
+	// whose applies are dropped when drop is set, and returns the frozen
+	// bytes per frozen version on server 0.
+	perVersion := func(rowsOn int, drop bool) float64 {
+		net := &dropApplies{Network: transport.NewMemNetwork()}
+		net.drop.Store(drop)
+		c, err := NewCluster(ClusterConfig{
+			Servers: 2, ManualEpochs: true, Registry: reg, Workers: 1, Network: net,
+			Router: placement.NewStatic(2, func(k kv.Key, n int) int {
+				if strings.HasPrefix(string(k), "doid:") {
+					return 0
+				}
+				return rowsOn
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { c.Close(); net.Close() }()
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		s, ctx := c.Server(0), context.Background()
+		txns := make([]Txn, perEpoch)
+		for i := range txns {
+			txns[i].Writes = []Write{{Key: "doid:1:3", Functor: functor.User("neworder", nil, nil)}}
+		}
+		for i := 0; i < versions; i += perEpoch {
+			if _, _, err := s.SubmitBatch(ctx, txns); err != nil {
+				t.Fatal(err)
+			}
+			mustAdvance(t, c)
+		}
+		c.DrainProcessors()
+		st := s.store.Stats()
+		if st.FrozenVersions < versions-1 {
+			t.Fatalf("doid:1:3 has %d of its %d versions frozen, want all but the newest at least", st.FrozenVersions, versions)
+		}
+		if got := c.Server(rowsOn).store.Len(); drop != (got < 12*versions) {
+			t.Fatalf("server %d holds %d keys after %d NewOrders (their writes dropped: %v)", rowsOn, got, versions, drop)
+		}
+		return float64(st.FrozenBytes) / float64(st.FrozenVersions)
+	}
+	landed, kept := perVersion(0, false), perVersion(1, true)
+	t.Logf("a frozen NewOrder version costs %.1f bytes with its writes landed, %.1f with its writes kept", landed, kept)
+	if landed > budget {
+		t.Errorf("a landed determinate version costs %.1f frozen bytes, budget %d", landed, budget)
+	}
+	if kept < 4*budget {
+		t.Errorf("a version whose writes did not land costs %.1f frozen bytes: it no longer keeps its writes", kept)
 	}
 }
 

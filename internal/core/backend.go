@@ -36,8 +36,7 @@ func (s *Server) handleMessage(ctx context.Context, from transport.NodeID, msg a
 		s.pushValue(m.Version, m.Key, readFromPush(m))
 		return nil, nil
 	case MsgApplyDeferred:
-		s.handleApplyDeferred(ctx, m)
-		return nil, nil
+		return nil, s.handleApplyDeferred(ctx, m)
 	case MsgWaitComputed:
 		return s.handleWaitComputed(ctx, m)
 	case MsgScan:
@@ -390,13 +389,26 @@ func (s *Server) fetchOne(ctx context.Context, q FetchReq) FetchResult {
 // here, born resolved and sealed — deferred writes happen after their epoch
 // committed, and readers (guarded by the dependency rule) see them at once.
 // Resolution happens once and record creation is idempotent, so duplicate
-// deliveries and races with on-demand marker resolution are harmless.
-func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
+// deliveries and races with on-demand marker resolution are harmless. The
+// local remainder is applied whatever happens to the forwards; the error
+// says that a forward failed, or that a key of the remainder was applied
+// where it may not stay (strandedKey), so the sender knows its writes did
+// not all land (see computeOne).
+func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) error {
 	_, span := s.tr.Start(ctx, "be.deferred")
 	span.SetAttrInt("writes", int64(len(m.Writes)))
 	defer span.End()
+	var err error
 	if !m.Fwd {
-		m = s.forwardDeferred(ctx, m)
+		m, err = s.forwardDeferred(ctx, m)
+	}
+	// Hold the move interlock's read side across the check and the applies,
+	// as an install does: a range's seal then waits them out, and its export
+	// carries what they wrote.
+	s.moveMu.RLock()
+	defer s.moveMu.RUnlock()
+	if k, ok := s.strandedKey(m); ok && err == nil {
+		err = fmt.Errorf("core: server %d: deferred write of %q at %v applied to a replica that is handed off or no longer owned", s.id, k, m.Version)
 	}
 	for _, w := range m.Writes {
 		kind, value := deferredOutcome(w)
@@ -418,6 +430,38 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 		}
 	}
 	s.notifyComputed()
+	return err
+}
+
+// strandedKey names a key of a deferred-write delivery that this server
+// applies without holding it for good: one inside a range sealed for a
+// handoff, whose export may have been taken already, or one the current
+// map routes to another server, moved since the sender routed it. Its
+// write reaches the replica that serves reads only through an ensure of the
+// determinate version, which must therefore keep it. Callers hold moveMu.R.
+func (s *Server) strandedKey(m MsgApplyDeferred) (kv.Key, bool) {
+	stranded := func(k kv.Key) bool {
+		if s.owner(k) != s.id {
+			return true
+		}
+		for _, r := range s.sealedRanges {
+			if r.Contains(k) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, w := range m.Writes {
+		if stranded(w.Key) {
+			return w.Key, true
+		}
+	}
+	for _, k := range m.Dissolve {
+		if stranded(k) {
+			return k, true
+		}
+	}
+	return "", false
 }
 
 // forwardDeferred splits a deferred-write delivery by current ownership:
@@ -425,8 +469,9 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) {
 // (Fwd set so the receiver applies locally), and the returned message keeps
 // only the still-local remainder. Deliveries are idempotent (resolution is
 // once, record creation tolerates duplicates), so a failed forward is
-// retried by nothing worse than the reader-side on-demand path.
-func (s *Server) forwardDeferred(ctx context.Context, m MsgApplyDeferred) MsgApplyDeferred {
+// retried by nothing worse than the reader-side on-demand path, and it is
+// reported: the error names the first forward that failed.
+func (s *Server) forwardDeferred(ctx context.Context, m MsgApplyDeferred) (MsgApplyDeferred, error) {
 	foreign := false
 	for _, w := range m.Writes {
 		if s.owner(w.Key) != s.id {
@@ -443,7 +488,7 @@ func (s *Server) forwardDeferred(ctx context.Context, m MsgApplyDeferred) MsgApp
 		}
 	}
 	if !foreign {
-		return m
+		return m, nil
 	}
 	var (
 		localW []functor.DependentWrite
@@ -473,11 +518,14 @@ func (s *Server) forwardDeferred(ctx context.Context, m MsgApplyDeferred) MsgApp
 		}
 	}
 	ectx := s.engineCtx(ctx)
+	var failed error
 	for o, f := range fwd {
-		_, _ = s.conn.Call(ectx, transport.NodeID(o), *f)
+		if _, err := s.conn.Call(ectx, transport.NodeID(o), *f); err != nil && failed == nil {
+			failed = fmt.Errorf("core: server %d: forwarding deferred writes of %v to server %d: %w", s.id, m.Version, o, err)
+		}
 	}
 	m.Writes, m.Dissolve = localW, localD
-	return m
+	return m, failed
 }
 
 // handleClientSubmit coordinates a remote client's transaction.

@@ -278,7 +278,10 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, h mvstore.History, id
 		rec.BeginDeferred()
 		defer rec.EndDeferred()
 	}
-	var computeStart time.Time
+	var (
+		computeStart time.Time
+		won          bool // this computation's Resolve installed the record's outcome
+	)
 	if !fn.Type.Final() {
 		computeStart = time.Now()
 		// Final f-types (VALUE/DELETE) resolve without computing; spans for
@@ -316,7 +319,7 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, h mvstore.History, id
 		if err != nil {
 			return err
 		}
-		rec.Resolve(res)
+		won = rec.Resolve(res)
 
 	default:
 		rec.Resolve(functor.AbortResolution(fmt.Sprintf("unknown f-type %d", fn.Type)))
@@ -334,13 +337,25 @@ func (s *Server) computeOne(ctx context.Context, k kv.Key, h mvstore.History, id
 	// been applied. The outcome installed may be that of a concurrent
 	// computation that won the record; use the installed one (a losing
 	// Resolve returns once it is readable) so all partitions agree.
+	// The winner marks its writes landed once every owner has applied them,
+	// before its EndDeferred: from then on the dependent keys' rows hold
+	// them, and frozen, the version is its value alone. A delivery that
+	// failed, or that reached a replica being handed off, leaves the mark
+	// off, so the version keeps its writes.
 	kind, _, ext := rec.Outcome()
 	var writes []functor.DependentWrite
 	if ext != nil {
 		writes = ext.DependentWrites
 	}
+	landed := true
 	if len(fn.DependentKeys) > 0 || len(writes) > 0 {
-		s.distributeDeferred(ctx, fn, rec.Version, kind == functor.ResolvedAborted, writes)
+		landed = s.distributeDeferred(ctx, fn, rec.Version, kind == functor.ResolvedAborted, writes)
+	}
+	switch {
+	case !landed:
+		s.stats.deferredUnlanded.Add(1)
+	case won && len(writes) > 0:
+		rec.Land()
 	}
 	s.notifyComputed()
 	return nil
@@ -519,8 +534,10 @@ func deferredOutcome(w functor.DependentWrite) (functor.ResolutionKind, kv.Value
 // Distribution is synchronous: the determinate key's watermark only
 // advances after this returns, which is exactly the promise the
 // DependencyRule relies on. All applications are idempotent resolve-once
-// installs.
-func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, version tstamp.Timestamp, aborted bool, writes []functor.DependentWrite) {
+// installs. It reports whether the writes landed: every owner's apply
+// returned, none of them failed a forward, and none applied a write to a
+// replica being handed off (strandedKey).
+func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, version tstamp.Timestamp, aborted bool, writes []functor.DependentWrite) bool {
 	ctx, span := s.tr.Start(ctx, "deferred.apply")
 	defer span.End()
 	// A determinate functor touches a handful of owners and a dozen-odd
@@ -579,21 +596,29 @@ func (s *Server) distributeDeferred(ctx context.Context, fn *functor.Functor, ve
 		m := msgFor(s.owner(dk))
 		m.Dissolve = append(m.Dissolve, dk)
 	}
+	landed := true
 	for _, om := range byOwner {
 		owner, m := om.owner, om.msg
 		if owner == s.id {
 			// Routed a moment ago: apply as is, without the receiving
-			// side's ownership split.
+			// side's ownership split; a key a move took meanwhile still
+			// reports the writes unlanded.
 			m.Fwd = true
-			s.handleApplyDeferred(ctx, *m)
+			if s.handleApplyDeferred(ctx, *m) != nil {
+				landed = false
+			}
 			continue
 		}
 		if _, err := s.conn.Call(ctx, transport.NodeID(owner), *m); err != nil {
-			// The partition is unreachable (shutdown or crash). Readers of
-			// statically-declared markers still resolve on demand via a
-			// remote ensure; dynamically-named rows are re-created when the
+			// The partition is unreachable (shutdown or crash), could not
+			// forward a write whose key had moved on, or applied one to a
+			// replica a move is handing off. The writes did not
+			// land, so the version keeps them, frozen too: readers of
+			// statically-declared markers resolve on demand through a remote
+			// ensure of it; dynamically-named rows are re-created when the
 			// dependency rule re-forces this computation after recovery.
-			continue
+			landed = false
 		}
 	}
+	return landed
 }

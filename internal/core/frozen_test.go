@@ -42,14 +42,18 @@ func detHistoryHandler(ctx *functor.Context) (*functor.Resolution, error) {
 
 // dropApplies is a network on which server 0's deferred writes to server 1
 // are lost while drop is set: a marker there then learns its value only by
-// asking for the determinate functor's outcome.
+// asking for the determinate functor's outcome. intercept, when set, takes
+// every other call: pass sends it on, to the server its sender chose or to
+// another, and intercept may hold it first or fail it instead.
 type dropApplies struct {
 	transport.Network
-	drop atomic.Bool
+	drop      atomic.Bool
+	intercept func(from, to transport.NodeID, req any, pass func(to transport.NodeID) (any, error)) (any, error)
 }
 
 type dropAppliesConn struct {
 	transport.Conn
+	id  transport.NodeID
 	net *dropApplies
 }
 
@@ -58,12 +62,15 @@ func (n *dropApplies) Node(id transport.NodeID, h transport.Handler) (transport.
 	if err != nil {
 		return nil, err
 	}
-	return &dropAppliesConn{Conn: c, net: n}, nil
+	return &dropAppliesConn{Conn: c, id: id, net: n}, nil
 }
 
 func (c *dropAppliesConn) Call(ctx context.Context, to transport.NodeID, req any) (any, error) {
 	if _, ok := req.(MsgApplyDeferred); ok && to == 1 && c.net.drop.Load() {
 		return nil, errors.New("deferred write dropped")
+	}
+	if c.net.intercept != nil {
+		return c.net.intercept(c.id, to, req, func(to transport.NodeID) (any, error) { return c.Conn.Call(ctx, to, req) })
 	}
 	return c.Conn.Call(ctx, to, req)
 }
@@ -258,6 +265,244 @@ func TestFrozenHistoryMigrates(t *testing.T) {
 			if r, w := after.reads[i], want.reads[i]; r.Found != w.Found || r.Version != w.Version || !bytes.Equal(r.Value, w.Value) {
 				t.Fatalf("%q read at %v: the new owner answers %+v, the old one answered %+v", k, v, r, w)
 			}
+		}
+	}
+}
+
+// detHistoryCluster starts a manual-epoch cluster of n servers that runs
+// detHistoryHandler, with "dep:" keys on server 1 and every other key on
+// server 0, over net.
+func detHistoryCluster(t *testing.T, n int, net *dropApplies) *Cluster {
+	t.Helper()
+	reg := functor.NewRegistry()
+	reg.MustRegister("det", detHistoryHandler)
+	c, err := NewCluster(ClusterConfig{
+		Servers:      n,
+		ManualEpochs: true,
+		Registry:     reg,
+		Workers:      1,
+		Network:      net,
+		Router: placement.NewStatic(n, func(k kv.Key, n int) int {
+			if strings.HasPrefix(string(k), "dep:") {
+				return 1
+			}
+			return 0
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); net.Close() })
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// submitDetHistory submits n versions of "det:seq" in the current epoch,
+// each declaring "dep:row" its dependent key, and returns their versions:
+// the i-th counts to i+1.
+func submitDetHistory(t *testing.T, c *Cluster, n int) []tstamp.Timestamp {
+	t.Helper()
+	var at []tstamp.Timestamp
+	for i := 0; i < n; i++ {
+		h := mustSubmit(t, c, 0, Txn{Writes: []Write{{Key: "det:seq", Functor: functor.User("det", nil, nil, functor.WithDependentKeys("dep:row"))}}})
+		at = append(at, h.Version())
+	}
+	return at
+}
+
+// TestUnlandedWritesStayInFrozenHistory writes a determinate key's history
+// on server 0 — each version with ten deferred writes, one of them to the
+// static dependent key "dep:row" on another server — in one epoch, lets the
+// processor compute, freeze and fold it, and then asks its frozen versions
+// for their outcomes. Where every delivery landed, the dependent keys hold
+// the writes and a frozen version is its value alone. Where the old owner
+// of "dep:row" could not forward the write after a move, the version keeps
+// its writes byte for byte, the failure is counted, and the marker resolves
+// to its written value through an ensure of the determinate functor. (An
+// apply the network drops is TestFrozenDeterminateHistoryAnswers.)
+func TestUnlandedWritesStayInFrozenHistory(t *testing.T) {
+	const versions = 16
+	errDropped := errors.New("deferred write dropped")
+	for _, tc := range []struct {
+		name string
+		// servers, and the one that holds "dep:row" when the functors run
+		servers, depOwner int
+		// move, when set, moves "dep:" from server 1 to server 2 at the
+		// barrier that seals the versions' epoch.
+		move      bool
+		intercept func(from, to transport.NodeID, req any, pass func(transport.NodeID) (any, error)) (any, error)
+		lands     bool
+	}{
+		{name: "landed", servers: 2, depOwner: 1, lands: true},
+		{name: "failed forward after a move", servers: 3, depOwner: 2, move: true,
+			// Server 0 sends as under the map before the move, to the old
+			// owner, which knows better and forwards; the forward fails.
+			intercept: func(from, to transport.NodeID, req any, pass func(transport.NodeID) (any, error)) (any, error) {
+				if m, ok := req.(MsgApplyDeferred); ok {
+					switch {
+					case from == 0 && to == 2 && !m.Fwd:
+						return pass(1)
+					case from == 1 && to == 2 && m.Fwd:
+						return nil, errDropped
+					}
+				}
+				return pass(to)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := detHistoryCluster(t, tc.servers, &dropApplies{Network: transport.NewMemNetwork(), intercept: tc.intercept})
+			at := submitDetHistory(t, c, versions)
+			var ticket *MoveTicket
+			if tc.move {
+				var err error
+				if ticket, err = c.Rebalancer().MoveRange(placement.Range{Start: "dep:", End: "dep;"}, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustAdvance(t, c)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if ticket != nil {
+				if _, err := ticket.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.DrainProcessors()
+			s0, dep := c.Server(0), c.Server(tc.depOwner)
+			if o := s0.Owner("dep:row"); o != tc.depOwner {
+				t.Fatalf("dep:row routes to server %d, want %d", o, tc.depOwner)
+			}
+			frozen := s0.store.Chain("det:seq").History().Frozen()
+			if frozen < versions/2 {
+				t.Fatalf("det:seq has %d of its %d versions frozen, want at least half", frozen, versions)
+			}
+			wantUnlanded := float64(versions)
+			if tc.lands {
+				wantUnlanded = 0
+			}
+			if got := summarize(s0.MetricFamilies()).DeferredUnlanded; got != wantUnlanded {
+				t.Fatalf("/debug/obs counts %v computations whose writes did not land, want %v", got, wantUnlanded)
+			}
+			for i := 1; i <= frozen; i++ {
+				v := at[i-1]
+				rec, ok := dep.store.At("dep:row", v)
+				if !ok || rec.Final() != tc.lands {
+					t.Fatalf("the marker of dep:row@%v on server %d is %v (found %v), want final %v", v, tc.depOwner, rec, ok, tc.lands)
+				}
+				res, err := dep.comb.ensure(ctx, 0, "det:seq", v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := &functor.Resolution{Kind: functor.Resolved, Value: kv.EncodeInt64(int64(i))}
+				if !tc.lands {
+					want.DependentWrites = detHistoryWrites(int64(i))
+				}
+				if !sameResolution(res, want) {
+					t.Fatalf("FetchEnsure(det:seq@%v) = %+v, want %+v", v, res, want)
+				}
+			}
+			// The markers read their written values: applied, or resolved
+			// on demand through the frozen outcomes.
+			for i := 1; i <= frozen; i++ {
+				v := at[i-1]
+				got, err := dep.read(ctx, "dep:row", v)
+				if want := detHistoryWrites(int64(i))[0].Value; err != nil || !got.Found || !bytes.Equal(got.Value, want) {
+					t.Fatalf("dep:row at %v = %q found=%v err=%v, want %q", v, got.Value, got.Found, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestApplyRacingHandoffStaysUnlanded delivers a determinate version's
+// deferred write to the old owner of "dep:row" after a move has exported
+// the range to server 2 and before it installs the new map, where the
+// write reaches a replica whose copy is already taken. The apply must
+// report the write unlanded, so the version keeps it when it freezes, and
+// server 2's imported marker — held back from resolving until then — must
+// read the written value through an ensure of the frozen version.
+func TestApplyRacingHandoffStaysUnlanded(t *testing.T) {
+	const versions = 8
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var (
+		held      atomic.Bool
+		inflight  = make(chan struct{}) // server 0's first apply to server 1 is on its way
+		release   = make(chan struct{}) // ... may reach server 1
+		delivered = make(chan struct{}) // ... and has returned
+		frozen    = make(chan struct{}) // server 2's ensures may reach server 0
+	)
+	wait := func(ch chan struct{}) error {
+		select {
+		case <-ch:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	net := &dropApplies{Network: transport.NewMemNetwork(),
+		intercept: func(from, to transport.NodeID, req any, pass func(transport.NodeID) (any, error)) (any, error) {
+			switch m := req.(type) {
+			case MsgApplyDeferred:
+				if from == 0 && to == 1 && !m.Fwd && held.CompareAndSwap(false, true) {
+					close(inflight)
+					if err := wait(release); err != nil {
+						return nil, err
+					}
+					defer close(delivered)
+				}
+			case MsgFetch:
+				if from == 2 && to == 0 {
+					if err := wait(frozen); err != nil {
+						return nil, err
+					}
+				}
+			}
+			return pass(to)
+		}}
+	c := detHistoryCluster(t, 3, net)
+	c.Rebalancer().afterExport = func() {
+		close(release)
+		_ = wait(delivered)
+	}
+	at := submitDetHistory(t, c, versions)
+	mustAdvance(t, c)
+	if err := wait(inflight); err != nil {
+		t.Fatal("server 0 never sent its first deferred write: ", err)
+	}
+	ticket, err := c.Rebalancer().MoveRange(placement.Range{Start: "dep:", End: "dep;"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdvance(t, c)
+	if _, err := ticket.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s0, s2 := c.Server(0), c.Server(2)
+	for s0.store.Chain("det:seq").History().Frozen() == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("det:seq never froze a version")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(frozen)
+	c.DrainProcessors()
+	if got := summarize(s0.MetricFamilies()).DeferredUnlanded; got < 1 {
+		t.Fatalf("/debug/obs counts %v computations whose writes did not land, want at least 1", got)
+	}
+	res, err := s2.comb.ensure(ctx, 0, "det:seq", at[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (&functor.Resolution{Kind: functor.Resolved, Value: kv.EncodeInt64(1), DependentWrites: detHistoryWrites(1)}); !sameResolution(res, want) {
+		t.Fatalf("FetchEnsure(det:seq@%v) = %+v, want %+v", at[0], res, want)
+	}
+	for i, v := range at[:s0.store.Chain("det:seq").History().Frozen()] {
+		got, err := s2.read(ctx, "dep:row", v)
+		if want := detHistoryWrites(int64(i + 1))[0].Value; err != nil || !got.Found || !bytes.Equal(got.Value, want) {
+			t.Fatalf("dep:row at %v on server 2 = %q found=%v err=%v, want %q", v, got.Value, got.Found, err, want)
 		}
 	}
 }

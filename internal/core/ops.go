@@ -73,6 +73,11 @@ type ObsSummary struct {
 	StoreFrozen      float64 `json:"store_frozen_versions,omitempty"`
 	StoreFrozenBytes float64 `json:"store_frozen_bytes,omitempty"`
 	StoreHistories   float64 `json:"store_histories,omitempty"`
+	// Determinate computations whose deferred writes did not all land (a
+	// failed apply or forward, or an apply to a replica being handed off);
+	// their versions keep the writes in frozen history, as imported and
+	// recovered versions do uncounted (DESIGN §4, Frozen history).
+	DeferredUnlanded float64 `json:"deferred_unlanded,omitempty"`
 
 	Goroutines float64 `json:"goroutines,omitempty"`
 	HeapBytes  float64 `json:"heap_bytes,omitempty"`
@@ -220,6 +225,7 @@ func summarize(fams []metrics.Family) ObsSummary {
 		StoreFrozen:          total(FamStoreFrozen),
 		StoreFrozenBytes:     total(FamStoreFrozenBytes),
 		StoreHistories:       total(FamStoreHistories),
+		DeferredUnlanded:     total(FamDeferredUnlanded),
 		Goroutines:           total(metrics.FamRuntimeGoroutines),
 		HeapBytes:            total(metrics.FamRuntimeHeapBytes),
 	}

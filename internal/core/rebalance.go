@@ -53,6 +53,11 @@ type Rebalancer struct {
 	queue   []*MoveTicket
 	retires []*retireJob
 
+	// afterExport, when set, runs in each move between streaming the range
+	// to its target and installing the new map: tests deliver traffic into
+	// that window through it.
+	afterExport func()
+
 	rangesMoved     atomic.Uint64
 	keysStreamed    atomic.Uint64
 	recordsStreamed atomic.Uint64
@@ -171,6 +176,9 @@ func (r *Rebalancer) executeMove(t *MoveTicket, e tstamp.Epoch) {
 		imp := target.handleRangeImport(context.Background(), MsgRangeImport{Keys: exp.Keys, Handoff: e})
 		r.keysStreamed.Add(uint64(imp.Keys))
 		r.recordsStreamed.Add(uint64(imp.Records))
+	}
+	if r.afterExport != nil {
+		r.afterExport()
 	}
 
 	// 4. Install the successor map: target first, then the rest, then the

@@ -70,6 +70,11 @@ type serverStats struct {
 	pushHits          atomic.Uint64
 	onDemandComputes  atomic.Uint64
 	versionsCompacted atomic.Uint64
+	// deferredUnlanded counts determinate computations whose deferred
+	// writes did not all land: each such version keeps its writes, frozen
+	// history included. Imported and recovered versions keep theirs too,
+	// and are not counted.
+	deferredUnlanded atomic.Uint64
 
 	installHist *metrics.Histogram // issue -> installed
 	waitHist    *metrics.Histogram // installed -> retrieved by processor
@@ -218,6 +223,7 @@ const (
 	FamPushHits          = "aloha_push_hits_total"
 	FamOnDemandComputes  = "aloha_on_demand_computes_total"
 	FamVersionsCompacted = "aloha_versions_compacted_total"
+	FamDeferredUnlanded  = "aloha_deferred_unlanded_total"
 	FamStageInstall      = "aloha_stage_install_seconds"
 	FamStageWait         = "aloha_stage_wait_seconds"
 	FamStageCompute      = "aloha_stage_compute_seconds"
@@ -272,6 +278,7 @@ func (s *serverStats) families() []metrics.Family {
 		counter(FamPushHits, "Computations served from the proactive-push cache.", s.pushHits.Load()),
 		counter(FamOnDemandComputes, "Functors computed on demand at read time.", s.onDemandComputes.Load()),
 		counter(FamVersionsCompacted, "Historical versions removed by retention.", s.versionsCompacted.Load()),
+		counter(FamDeferredUnlanded, "Determinate computations whose deferred writes did not all land (a failed apply or forward, or an apply to a replica being handed off); their versions keep the writes in frozen history.", s.deferredUnlanded.Load()),
 		hist(FamStageInstall, "Transaction issue to all functors installed (Figure 10 stage 1).", metrics.UnitSeconds, s.installHist),
 		hist(FamStageWait, "Functor install to processor dequeue (Figure 10 stage 2).", metrics.UnitSeconds, s.waitHist),
 		hist(FamStageCompute, "Functor handler run time (Figure 10 stage 3).", metrics.UnitSeconds, s.computeHist),

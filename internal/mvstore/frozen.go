@@ -23,10 +23,11 @@ import (
 //	      data [ value | resolution? ][ value | resolution? ] ...
 //
 // An entry's value is data[off:off+vlen]. An outcome that carries more than
-// a value — an abort reason, a determinate functor's dependent writes —
-// follows it, encoded with functor.AppendResolution (its value left out),
-// up to the next entry's off or the end of data; a plain outcome is its
-// value alone. Both arrays live in one buffer that holds no pointer (packed).
+// a value a reader may still ask for — an abort reason, a determinate
+// functor's dependent writes that did not land — follows it, encoded with
+// functor.AppendResolution (its value left out), up to the next entry's off
+// or the end of data; any other outcome is its value alone (frozenOutcome).
+// Both arrays live in one buffer that holds no pointer (packed).
 //
 // A run is published with the record array it replaces, in one block (see
 // Chain), so a lock-free reader holds a consistent pair. Published bytes are
@@ -213,7 +214,7 @@ func (r run) appendRecords(recs []*Record) (run, int) {
 	}
 	ents, data := r.ents, r.data
 	for _, rec := range recs[:k] {
-		kind, value, ext := rec.Outcome()
+		kind, value, extra, more := frozenOutcome(rec)
 		off := len(data)
 		e := frozen{version: rec.Version, off: uint32(off), meta: uint32(len(value))<<3 | uint32(kind)}
 		if n := len(ents); ents[:n+1][n] == e {
@@ -221,8 +222,8 @@ func (r run) appendRecords(recs []*Record) (run, int) {
 			continue
 		}
 		data = append(data, value...)
-		if ext != nil {
-			data = functor.AppendResolution(data, extraOf(kind, ext))
+		if more {
+			data = functor.AppendResolution(data, &extra)
 		}
 		ents = append(ents, e)
 	}
@@ -231,17 +232,29 @@ func (r run) appendRecords(recs []*Record) (run, int) {
 
 // outcomeLen is how many data bytes a run spends on rec's outcome.
 func outcomeLen(rec *Record) int {
-	kind, value, ext := rec.Outcome()
-	if ext == nil {
+	_, value, extra, more := frozenOutcome(rec)
+	if !more {
 		return len(value)
 	}
-	return len(value) + functor.ResolutionLen(extraOf(kind, ext))
+	return len(value) + functor.ResolutionLen(&extra)
 }
 
-// extraOf is what a run keeps of an outcome beyond its kind and value: ext
-// without its value, which the entry holds.
-func extraOf(kind functor.ResolutionKind, ext *functor.Resolution) *functor.Resolution {
-	return &functor.Resolution{Kind: kind, Reason: ext.Reason, DependentWrites: ext.DependentWrites}
+// frozenOutcome is what a run keeps of rec's outcome: its kind and value
+// and, when more is set, extra — the rest of the outcome without its value,
+// which the entry holds. A determinate functor's dependent writes that
+// landed (Record.Landed) live in the rows they wrote, so an outcome whose
+// writes landed and that has no reason is kept as its value alone, like a
+// plain one. Writes that did not land stay, byte for byte: a marker they
+// left unresolved learns its value from them through an ensure. The answer
+// is the same each time a version is encoded, as appendRecords' take-back
+// in place needs: the mark is set before the version can freeze, and a
+// record filled from a run has extra exactly when its entry had.
+func frozenOutcome(rec *Record) (kind functor.ResolutionKind, value kv.Value, extra functor.Resolution, more bool) {
+	kind, value, ext := rec.Outcome()
+	if ext == nil || ext.Reason == "" && rec.Landed() {
+		return kind, value, functor.Resolution{}, false
+	}
+	return kind, value, functor.Resolution{Kind: kind, Reason: ext.Reason, DependentWrites: ext.DependentWrites}, true
 }
 
 // packed returns the run's live part in one fresh buffer, entries first and

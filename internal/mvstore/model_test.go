@@ -2,6 +2,7 @@ package mvstore
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -141,8 +142,11 @@ type modelRec struct {
 	sealed bool
 	won    *functor.Resolution // the outcome installed first; nil while unresolved
 	// decoded: the version has been frozen, so what the store holds of its
-	// outcome is a copy decoded from the run, equal to won but not won.
+	// outcome is a copy decoded from the run, equal to kept() but not won.
 	decoded bool
+	// landed: won's dependent writes were marked landed (Record.Land) while
+	// the version was a record.
+	landed bool
 }
 
 func (r *modelRec) kind() functor.ResolutionKind {
@@ -150,6 +154,17 @@ func (r *modelRec) kind() functor.ResolutionKind {
 		return 0
 	}
 	return r.won.Kind
+}
+
+// kept is the outcome the store holds of the version: the one that won it,
+// without its dependent writes once it has been frozen with them landed and
+// no reason — the dependent keys' rows hold them, and the run keeps the
+// value alone.
+func (r *modelRec) kept() *functor.Resolution {
+	if r.decoded && r.landed && r.won.Reason == "" && len(r.won.DependentWrites) > 0 {
+		return &functor.Resolution{Kind: r.won.Kind, Value: r.won.Value}
+	}
+	return r.won
 }
 
 func (m *chainModel) sorted(sealedOnly bool) []tstamp.Timestamp {
@@ -274,7 +289,7 @@ func (m *chainModel) foldable(k kv.Key, history bool) (row, hist bool) {
 	}
 	if len(m.recs) == 1 && m.frozen == 0 {
 		for _, r := range m.recs {
-			if keptBehindExt(r.won) == nil && (r.won.Kind == functor.Resolved || r.won.Kind == functor.ResolvedDeleted) &&
+			if keptBehindExt(r.kept()) == nil && (r.won.Kind == functor.Resolved || r.won.Kind == functor.ResolvedDeleted) &&
 				len(k)+len(r.won.Value) <= _maxRow {
 				return true, false
 			}
@@ -297,6 +312,10 @@ type modelHarness struct {
 	held []heldView
 	// histories counts the folds into a history of more than one version.
 	histories int
+	// landed and kept count the frozen determinate versions the determinate
+	// step found answering with their value alone, their writes having
+	// landed, and with their writes, which had not.
+	landed, kept int
 }
 
 type heldView struct {
@@ -519,6 +538,74 @@ func (h *modelHarness) compute(res []*functor.Resolution, pick func() int) {
 	h.advance(wm)
 }
 
+// determinate writes versions of epoch e (on a server of their own) and
+// settles the key, as the processor does with a determinate key: everything
+// staged is sealed, every version not yet resolved is computed in order to a
+// value with dependent writes of its own, and the writes of those versions
+// land picks are marked landed, as the computation that won a record marks
+// them once every owner applied them; then the chain freezes and folds into
+// a history. Frozen, a landed version must answer At with its value alone
+// and any other with its writes; and a history thawed and folded again must
+// publish the very bytes it had, in the same buffer (run.appendRecords takes
+// back the newest version's entry where it lies, so its outcome must encode
+// as it did).
+func (h *modelHarness) determinate(e tstamp.Epoch, versions int, land func(v tstamp.Timestamp) bool) {
+	h.t.Helper()
+	for seq := uint32(1); seq <= uint32(versions); seq++ {
+		h.put(ts(e, seq, 2), functor.User("det", nil, nil))
+	}
+	h.seal(tstamp.Max)
+	var wm tstamp.Timestamp
+	for _, v := range h.m.sorted(true) {
+		if r := h.m.recs[v]; r.won == nil {
+			res := &functor.Resolution{Kind: functor.Resolved, Value: kv.Value(fmt.Sprintf("oid@%v", v)), DependentWrites: []functor.DependentWrite{
+				{Key: kv.Key(fmt.Sprintf("o:%v", v)), Value: kv.Value("order")},
+				{Key: kv.Key(fmt.Sprintf("ol:%v:1", v)), Value: kv.Value("line")},
+			}}
+			h.resolve(v, res)
+			if land(v) {
+				h.m.ptrs[v].Land()
+				r.landed = true
+			}
+		}
+		wm = v
+	}
+	h.advance(wm)
+	h.freeze()
+	h.fold(true)
+	if !h.m.history {
+		return
+	}
+	for v, r := range h.m.recs {
+		if len(r.won.DependentWrites) == 0 || r.won.Reason != "" {
+			continue
+		}
+		rec, _ := h.s.At(h.k, v)
+		res := rec.Resolution()
+		want := len(r.won.DependentWrites)
+		if r.landed {
+			want = 0
+			h.landed++
+		} else {
+			h.kept++
+		}
+		if len(res.DependentWrites) != want || !bytes.Equal(res.Value, r.won.Value) {
+			h.t.Fatalf("At(%q, %v) of the history = %+v, want its value and %d writes (landed %v)", h.k, v, res, want, r.landed)
+		}
+	}
+	_, was, _ := h.tier(h.k)
+	if was.len() < 2 {
+		return
+	}
+	ents, data := slices.Clone(was.ents), slices.Clone(was.data[was.ents[0].off:])
+	h.chain()
+	h.fold(true)
+	_, again, _ := h.tier(h.k)
+	if !slices.Equal(again.ents, ents) || !bytes.Equal(again.data[again.ents[0].off:], data) || &again.ents[0] != &was.ents[0] {
+		h.t.Fatalf("%q thawed and folded again publishes %v and %q, was %v and %q", h.k, again.ents, again.data[again.ents[0].off:], ents, data)
+	}
+}
+
 // hold keeps the current view the way a reader in the middle of a chain
 // walk does.
 func (h *modelHarness) hold() {
@@ -702,7 +789,7 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 		h.t.Fatalf("ExportKey(%q) = %d records, watermark %v, ok %v; model %v, watermark %v", k, len(recs), wm, ok, all, m.watermark)
 	}
 	for i, er := range recs {
-		won := m.recs[all[i]].won
+		won := m.recs[all[i]].kept()
 		if er.Version != all[i] || er.Functor == nil || (er.Resolution == nil) != (won == nil) ||
 			(won != nil && !sameOutcome(er.Resolution, won)) {
 			h.t.Fatalf("ExportKey(%q)[%d] = %v %+v, model %v %+v", k, i, er.Version, er.Resolution, all[i], won)
@@ -766,7 +853,7 @@ func (h *modelHarness) checkKey(k kv.Key, m *chainModel) {
 		if !frozen {
 			m.ptrs[v] = rec
 		}
-		h.checkOutcome(rec, m.recs[v].won, m.recs[v].decoded)
+		h.checkOutcome(rec, m.recs[v].kept(), m.recs[v].decoded)
 		// Latest just below, at, and just above each version.
 		for _, max := range []tstamp.Timestamp{v.Prev(), v, v + 1} {
 			i := sort.Search(len(sealed), func(i int) bool { return sealed[i] > max })
@@ -812,7 +899,7 @@ func (h *modelHarness) checkHistory(k kv.Key, m *chainModel, sealed []tstamp.Tim
 		h.t.Fatalf("View of the history %q = %v, model %v", k, got, sealed)
 	}
 	for i, v := range sealed {
-		won := m.recs[v].won
+		won := m.recs[v].kept()
 		h.checkOutcome(view[i], won, true)
 		rec, ok := h.s.At(k, v)
 		if !ok || rec.Version != v || rec == view[i] {

@@ -53,7 +53,8 @@ type Record struct {
 
 	state atomic.Uint32
 	// deferring counts computations of the record that may still be
-	// distributing its deferred writes; it fills the word state leaves.
+	// distributing its deferred writes, and its _landed bit says that the
+	// winning computation's writes landed; it fills the word state leaves.
 	deferring atomic.Int32
 	value     kv.Value
 	ext       *functor.Resolution
@@ -62,6 +63,9 @@ type Record struct {
 // _claimed is the state of a record between a Resolve winning it and that
 // Resolve publishing the outcome; no ResolutionKind has this value.
 const _claimed = ^uint32(0)
+
+// _landed is the bit of deferring that Land sets; the count stays below it.
+const _landed = 1 << 30
 
 // FinalOutcome derives the outcome of a final f-type (VALUE, ABORTED,
 // DELETED). Final functors skip the computing phase, but the live install
@@ -151,7 +155,17 @@ func (r *Record) resolve(kind functor.ResolutionKind, value kv.Value, ext *funct
 // the two. A record seen final while Deferring may have writes in flight.
 func (r *Record) BeginDeferred()  { r.deferring.Add(1) }
 func (r *Record) EndDeferred()    { r.deferring.Add(-1) }
-func (r *Record) Deferring() bool { return r.deferring.Load() != 0 }
+func (r *Record) Deferring() bool { return r.deferring.Load()&^_landed != 0 }
+
+// Land records that the deferred writes of the outcome the record holds
+// have been applied by every owner of a dependent key, which keeps them in
+// its own rows from then on: frozen, the version is its value alone (see
+// frozenOutcome). Only the computation that won the record calls it, before
+// its EndDeferred, so the mark is set before any watermark passes the
+// version and never changes after a freeze could have read it. Landed
+// reports the mark; a record made from bytes never carries it.
+func (r *Record) Land()        { r.deferring.Or(_landed) }
+func (r *Record) Landed() bool { return r.deferring.Load()&_landed != 0 }
 
 // Final reports whether the record has reached its final state.
 func (r *Record) Final() bool {

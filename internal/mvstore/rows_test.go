@@ -395,18 +395,25 @@ var rowOpKeys = sync.OnceValue(func() []kv.Key {
 	return append(keys, kv.Key(bytes.Repeat([]byte{'L'}, 300)))
 })
 
+// rowOps is what a run of runRowOps did: the store's Stats at the end, how
+// many versions the ops froze, how many histories of more than one version
+// they folded, and how many frozen determinate versions answered with their
+// value alone (their writes landed) and with their writes (kept).
+type rowOps struct {
+	st                             Stats
+	froze, histories, landed, kept int
+}
+
 // runRowOps reads data three bytes at a time — operation, key, argument —
 // and applies each to a one-shard store and to the model, comparing every
-// key after every step. It returns the store's Stats at the end, how many
-// versions the ops froze and how many histories of more than one version
-// they folded.
-func runRowOps(t *testing.T, data []byte) (Stats, int, int) {
+// key after every step.
+func runRowOps(t *testing.T, data []byte) rowOps {
 	h := newModelHarness(t)
 	h.s = NewWithShards(1)
 	keys := rowOpKeys()
 	froze := 0
 	for ; len(data) >= 3; data = data[3:] {
-		op, arg := data[0]%19, data[2]
+		op, arg := data[0]%20, data[2]
 		h.on(keys[int(data[1])%len(keys)])
 		v := ts(tstamp.Epoch(arg%3+1), uint32(arg/3%8+1), 0)
 		value := kv.Value(fmt.Sprintf("%s=%d", h.k[:min(len(h.k), 8)], arg))
@@ -475,25 +482,33 @@ func runRowOps(t *testing.T, data []byte) (Stats, int, int) {
 			next := int(arg)
 			h.compute(res, func() int { next++; return next })
 			h.fold(arg%4 != 3)
+		case 19:
+			// A determinate key settles: its versions' writes land on
+			// every other one, or on none (arg%3 == 2), frozen and folded
+			// into a history, thawed and folded again.
+			h.determinate(tstamp.Epoch(arg%3+1), int(arg%4)+2, func(v tstamp.Timestamp) bool {
+				return arg%3 != 2 && (uint32(v.Epoch())+uint32(arg)+uint32(v))%2 == 0
+			})
 		}
 		h.checkAll()
 	}
-	return h.s.Stats(), froze, h.histories
+	return rowOps{st: h.s.Stats(), froze: froze, histories: h.histories, landed: h.landed, kept: h.kept}
 }
 
 // TestStoreRowsRandomOps drives the harness from seeded random bytes.
 func TestStoreRowsRandomOps(t *testing.T) {
-	var st Stats
-	froze, histories := 0, 0
+	var sum rowOps
 	for seed := int64(1); seed <= 8; seed++ {
 		data := make([]byte, 3*500)
 		rand.New(rand.NewSource(seed)).Read(data)
-		s, f, n := runRowOps(t, data)
-		st.Thaws, st.Folds, froze, histories = st.Thaws+s.Thaws, st.Folds+s.Folds, froze+f, histories+n
+		r := runRowOps(t, data)
+		sum.st.Thaws, sum.st.Folds = sum.st.Thaws+r.st.Thaws, sum.st.Folds+r.st.Folds
+		sum.froze, sum.histories, sum.landed, sum.kept = sum.froze+r.froze, sum.histories+r.histories, sum.landed+r.landed, sum.kept+r.kept
 	}
-	t.Logf("%d thaws, %d folds (%d into histories of more than one version), %d versions frozen", st.Thaws, st.Folds, histories, froze)
-	if st.Thaws == 0 || st.Folds == 0 || froze == 0 || histories == 0 {
-		t.Fatalf("the random ops no longer move keys both ways, fold histories and freeze history: %+v, %d histories, %d frozen", st, histories, froze)
+	t.Logf("%d thaws, %d folds (%d into histories of more than one version), %d versions frozen; %d frozen determinate versions landed, %d kept their writes",
+		sum.st.Thaws, sum.st.Folds, sum.histories, sum.froze, sum.landed, sum.kept)
+	if sum.st.Thaws == 0 || sum.st.Folds == 0 || sum.froze == 0 || sum.histories == 0 || sum.landed == 0 || sum.kept == 0 {
+		t.Fatalf("the random ops no longer move keys both ways, fold histories, freeze history and freeze determinate versions landed and not: %+v", sum)
 	}
 }
 
@@ -509,6 +524,10 @@ func FuzzStoreRows(f *testing.F) {
 	// settled again, a straggler below it, and settled once more; then
 	// compacted and walked.
 	f.Add([]byte{0, 5, 0, 5, 5, 4, 18, 5, 0, 6, 5, 4, 4, 5, 5, 5, 5, 7, 16, 5, 0, 18, 5, 1, 5, 5, 1, 18, 5, 2, 13, 5, 7, 10, 5, 0})
+	// A determinate key settled with its writes landed on every other
+	// version, thawed and folded again; written once more with none landed,
+	// and settled again.
+	f.Add([]byte{19, 5, 0, 5, 5, 7, 19, 5, 2, 6, 5, 4})
 	seeded := make([]byte, 3*200)
 	rand.New(rand.NewSource(1)).Read(seeded)
 	f.Add(seeded)

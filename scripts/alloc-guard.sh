@@ -7,11 +7,13 @@ set -eu
 
 # Object counts and size classes: the untraced install/compute path, what a
 # key written once keeps alive (nothing: it is a row) and what a key with a
-# long history does (a handful: below the watermark it is bytes), the
-# version-chain and row budgets, a frozen run's types (no pointer the
-# collector would scan), the TPC-C workload's keys, router and handler, and
-# a bulk load, with a log and without.
-go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget|TestLoadAllocatesNoFunctorPerPair)$'
+# long history does (a handful: below the watermark it is bytes), what a
+# determinate key's history costs in bytes once its deferred writes landed
+# (a version is its value alone: at most 32 bytes, about 285 when it keeps a
+# NewOrder's writes), the version-chain and row budgets, a frozen run's
+# types (no pointer the collector would scan), the TPC-C workload's keys,
+# router and handler, and a bulk load, with a log and without.
+go test -count=1 ./internal/core/ -run '^(TestUntracedHotPathAllocs|TestStoreObjectBudget|TestLandedHistoryBytesBudget|TestLoadAllocatesNoFunctorPerPair)$'
 go test -count=1 ./internal/mvstore/ -run '^(TestAllocationBudgets|TestChainSizeClass|TestFrozenRunHoldsNoPointer)$'
 go test -count=1 ./internal/workload/tpcc/ -run '^(TestNewOrderAllocations|TestRouterMatchesReferenceAndAllocatesNothing)$'
 go test -count=1 ./internal/trace/ -run '^TestDisabledPathAllocs$'
