@@ -21,7 +21,8 @@ fmt-check:
 # aloha-server and the scenario env assemble no mux of their own, and no
 # Prometheus text parser reads our own /metrics. One ring buffer: the
 # instruments keep their histories in internal/ring. One sampler per server:
-# the flight recorder's tick also runs the stall rule. No dead code: every
+# the flight recorder's tick also runs the stall rule. One epoch record: a
+# server's per-epoch state is the epoch table's. No dead code: every
 # function of the module is linked into a binary it ships (cmd/*, examples/*,
 # the bench module) or is the root package's API (scripts/deadcode, which
 # prints each offender as file:line).
@@ -40,6 +41,8 @@ vet:
 	@! grep -rnE --include='*.go' '%[[:space:]]*(uint64\()?len\(|% r\.cfg\.retention' internal/obs internal/trace | grep -v '_test\.go:'
 	@# One sampler per server: stall detection is a rule of the flight recorder, not a watchdog of its own.
 	@! grep -rnE --include='*.go' 'NewWatchdog|WatchdogConfig|obs\.Watchdog' .
+	@# One epoch record: a server's per-epoch state lives in the epoch table (internal/core/epochs.go).
+	@! grep -rnE --include='*.go' 'map\[tstamp\.Epoch\]|\[\]\[\]\*mvstore\.Chain|\[\]epochRec\b' internal/core | grep -v '_test\.go:' | grep -v '^internal/core/epochs\.go:'
 	@# No dead code: a function only tests call lives in its package's export_test.go.
 	$(GO) run ./scripts/deadcode
 

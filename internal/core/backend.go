@@ -152,9 +152,9 @@ func (s *Server) handleInstall(ctx context.Context, m MsgInstall, routed *placem
 }
 
 // workItemsPool recycles handleInstall's scratch: a batch's items are built
-// outside every lock and then appended to their segments in one pendingMu
-// section, so an item is written twice — here, then its chunk — and never
-// copied after that.
+// outside every lock and then appended to their segments in one section of
+// the epoch table's lock, so an item is written twice — here, then its
+// chunk — and never copied after that.
 var workItemsPool = sync.Pool{New: func() any {
 	s := make([]workItem, 0, 64)
 	return &s
@@ -202,39 +202,15 @@ func (s *Server) checkRequires(keys []kv.Key) string {
 	return ""
 }
 
-// bufferWork appends functor metadata to its (epoch, shard) segment until
-// Committed takes the epoch. A batch may straddle an epoch switch (straggler
-// mode draws from the next epoch), so the segments are looked up per run of
-// one epoch; work for an epoch Committed already took is sealed here and
-// handed to the processor through a segment of its own. The drained check
-// happens under pendingMu — the same lock Committed takes the segments under
-// — so a late install can never append to a segment that was already handed
-// off (it would stay unsealed and unprocessed: a lost write).
+// bufferWork appends functor metadata to its (epoch, shard) segment until a
+// commit turn takes the epoch (epochTable.buffer). Work for an epoch already
+// taken comes back late: it is sealed here so the records are readable, and
+// handed to the processor through segments of its own.
 func (s *Server) bufferWork(items []workItem) {
-	var late, segs []segment
-	var cur tstamp.Epoch
-	s.pendingMu.Lock()
-	for i := range items {
-		if e := items[i].rec.Version.Epoch(); segs == nil || e != cur {
-			cur = e
-			if e <= s.drainedEpoch {
-				if late == nil {
-					late = s.proc.newSegments()
-				}
-				segs = late
-			} else if segs = s.pending[e]; segs == nil {
-				segs = s.proc.newSegments()
-				s.pending[e] = segs
-			}
-		}
-		s.proc.push(&segs[items[i].shard], &items[i])
-	}
-	s.pendingMu.Unlock()
+	late := s.epochs.buffer(items)
 	if late == nil {
 		return
 	}
-	// Late arrivals for already-committed epochs: seal immediately so the
-	// records are readable. The segments are this call's own until handed off.
 	for i := range late {
 		late[i].each(0, func(it *workItem) {
 			e := it.rec.Version.Epoch()

@@ -110,17 +110,6 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 		}
 	}
 
-	// Epochs with open reservations: a revoked epoch still listed here means
-	// this server itself is the revoked-but-unacked FE (§III-B).
-	s.mu.Lock()
-	for e, sl := range s.slots {
-		if sl.open > 0 {
-			snap.InflightEpochs = append(snap.InflightEpochs, uint64(e))
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(snap.InflightEpochs, func(i, j int) bool { return snap.InflightEpochs[i] < snap.InflightEpochs[j] })
-
 	// Buffered installs per epoch, and the oldest pending functor overall:
 	// its key, f-type, queue wait, and owning transaction's trace ID point
 	// the operator at the lagging compute.
@@ -143,17 +132,11 @@ func (s *Server) StallCapture(ctx context.Context) *obs.StallSnapshot {
 		}
 		oldest = pf
 	}
-	s.pendingMu.Lock()
-	for e, segs := range s.pending {
-		buffered := 0
-		for i := range segs {
-			buffered += segs[i].n
-			segs[i].each(0, consider)
-		}
-		snap.PendingEpochs = append(snap.PendingEpochs, obs.EpochBuffer{Epoch: uint64(e), Buffered: buffered})
-	}
-	s.pendingMu.Unlock()
-	sort.Slice(snap.PendingEpochs, func(i, j int) bool { return snap.PendingEpochs[i].Epoch < snap.PendingEpochs[j].Epoch })
+	// Epochs with open reservations — a revoked epoch still listed here
+	// means this server itself is the revoked-but-unacked FE (§III-B) — and
+	// the buffered installs, read from one snapshot of the epoch table, so
+	// an epoch that commits meanwhile is in both lists or in neither.
+	snap.InflightEpochs, snap.PendingEpochs = s.epochs.stall(consider)
 
 	// Processor shard queues (committed work awaiting compute, the batch a
 	// worker is in the middle of included).

@@ -25,9 +25,47 @@ func (s *Server) FoldSettled() {
 // RetireLists reports how many per-epoch retirement lists the server holds
 // (the external model test bounds it by retention + 2).
 func (s *Server) RetireLists() int {
-	s.retiring.mu.Lock()
-	defer s.retiring.mu.Unlock()
-	return len(s.retiring.lists)
+	t := s.epochs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for i := range t.recs {
+		if t.recs[i].retire != nil {
+			n = i + 1
+		}
+	}
+	return n
+}
+
+// records lists the epochs whose records hold anything, and of those the
+// ones still buffering installs.
+func (t *epochTable) records() (held, buffered []tstamp.Epoch) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.recs {
+		e := t.base + tstamp.Epoch(i)
+		if !t.recs[i].empty() {
+			held = append(held, e)
+		}
+		if t.recs[i].segs != nil {
+			buffered = append(buffered, e)
+		}
+	}
+	return held, buffered
+}
+
+// takeBuffered takes epoch e's buffered installs as a commit turn would,
+// leaving the rest of the table as it is.
+func (t *epochTable) takeBuffered(e tstamp.Epoch) []segment {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.find(e)
+	if r == nil {
+		return nil
+	}
+	segs := r.segs
+	r.segs = nil
+	return segs
 }
 
 // VisibleBound returns the exclusive upper bound of committed, readable

@@ -92,11 +92,7 @@ func BenchmarkHandoffSteadyState(b *testing.B) {
 	}
 	round := func() {
 		s.bufferWork(items)
-		s.pendingMu.Lock()
-		segs := s.pending[e]
-		delete(s.pending, e)
-		s.pendingMu.Unlock()
-		s.proc.handoff(segs)
+		s.proc.handoff(s.epochs.takeBuffered(e))
 		s.proc.drainWait()
 	}
 	round()

@@ -89,8 +89,8 @@ func checkFreeList(t *testing.T, s *Server) {
 			t.Errorf("shard %d is not empty after the drain: queue=%+v pos=%d", i, sh.queue, sh.pos)
 		}
 	}
-	if len(s.pending) != 0 {
-		t.Errorf("%d epochs still buffered after the last commit", len(s.pending))
+	if _, es := s.epochs.records(); len(es) != 0 {
+		t.Errorf("%d epochs still buffered after the last commit", len(es))
 	}
 	n := 0
 	for c := p.free; c != nil; c = c.next {

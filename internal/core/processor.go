@@ -33,7 +33,8 @@ type workItem struct {
 	// trace (zero when the transaction is untraced).
 	sc trace.SpanContext
 	// shard is the processor shard that computes the key, found where the
-	// item is built so that bufferWork, under pendingMu, only appends.
+	// item is built so that bufferWork, under the epoch table's lock, only
+	// appends.
 	shard   uint32
 	retried bool // compute failed once: wait and recipient pushes not repeated
 }
@@ -51,9 +52,9 @@ const (
 // workChunk is what the hand-off is built from: a fixed array of items,
 // written once where an install appends them and read in place by the worker,
 // so nothing between install and compute is re-grown or copied. A chunk has
-// one owner at a time: the segment it is filled in (under pendingMu), then
-// the shard queue it was linked onto (items and n frozen, next under sh.mu),
-// then the free list (every slot zero).
+// one owner at a time: the segment it is filled in (under the epoch table's
+// lock), then the shard queue it was linked onto (items and n frozen, next
+// under sh.mu), then the free list (every slot zero).
 type workChunk struct {
 	items [_chunkItems]workItem
 	n     int
@@ -65,6 +66,17 @@ type workChunk struct {
 type segment struct {
 	head, tail *workChunk
 	n          int
+}
+
+// link appends h's chunks to g's and leaves h empty: a pointer move however
+// many items h holds.
+func (g *segment) link(h *segment) {
+	if g.tail == nil {
+		*g = *h
+	} else {
+		g.tail.next, g.tail, g.n = h.head, h.tail, g.n+h.n
+	}
+	*h = segment{}
 }
 
 // each offers every item but the first from, in order.
@@ -89,15 +101,13 @@ type processor struct {
 	shards  []*procShard
 	wg      sync.WaitGroup
 	stopped atomic.Bool
-	// handoffs counts epoch commits between publishing the epoch as
-	// committed and linking its segments; drainWait treats them as busy.
-	handoffs atomic.Int32
 
 	// The free list is a stack, so the chunk a worker has just finished — still
 	// in cache — is the next one an install fills; and not a sync.Pool, which
 	// every collection empties (half of a saturated run is spent in one).
-	// freeMu is a leaf lock: taken under pendingMu to grow a segment, alone to
-	// release. spareSegs are the emptied per-epoch slices of handed-off epochs.
+	// freeMu is a leaf lock: taken under the epoch table's lock to grow a
+	// segment, alone to release. spareSegs are the emptied per-epoch slices
+	// of handed-off epochs.
 	freeMu    sync.Mutex
 	free      *workChunk
 	nfree     int
@@ -186,6 +196,32 @@ func (p *processor) push(g *segment, it *workItem) {
 	g.n++
 }
 
+// recycle keeps an emptied per-epoch segment slice for a later epoch.
+func (p *processor) recycle(segs []segment) {
+	p.freeMu.Lock()
+	p.spareSegs = append(p.spareSegs, segs)
+	p.freeMu.Unlock()
+}
+
+// discard releases the chunks of segments no worker will read.
+func (p *processor) discard(segs []segment) {
+	if segs != nil {
+		for i := range segs {
+			p.releaseAll(&segs[i])
+		}
+		p.recycle(segs)
+	}
+}
+
+func (p *processor) releaseAll(g *segment) {
+	for c := g.head; c != nil; {
+		next := c.next
+		p.release(c)
+		c = next
+	}
+	*g = segment{}
+}
+
 // release clears a chunk whose items are done with — a cleared chunk pins no
 // record, chain or key — and returns it to the free list.
 func (p *processor) release(c *workChunk) {
@@ -210,41 +246,29 @@ func (p *processor) handoff(segs []segment) {
 	}
 	for i := range segs {
 		g := &segs[i]
-		if g.head == nil {
-			continue
-		}
-		if len(p.shards) == 0 {
-			for c := g.head; c != nil; {
-				next := c.next
-				p.release(c)
-				c = next
-			}
-		} else {
+		switch {
+		case g.head == nil:
+		case len(p.shards) == 0:
+			p.releaseAll(g)
+		default:
 			sh := p.shards[i]
 			sh.mu.Lock()
-			if q := &sh.queue; q.tail == nil {
-				*q = *g
-			} else {
-				q.tail.next, q.tail, q.n = g.head, g.tail, q.n+g.n
-			}
+			sh.queue.link(g)
 			sh.mu.Unlock()
 			sh.cond.Signal()
 		}
-		*g = segment{}
 	}
-	p.freeMu.Lock()
-	p.spareSegs = append(p.spareSegs, segs)
-	p.freeMu.Unlock()
+	p.recycle(segs)
 }
 
 // drainWait blocks until every shard's queue is empty; used by tests and by
 // the saturation-mode benchmark barrier.
 func (p *processor) drainWait() {
 	for {
-		// Read before the queues: a hand-off this read misses has linked
-		// its segments already, or belongs to an epoch the caller has not
-		// seen committed.
-		empty := p.handoffs.Load() == 0
+		// Read before the queues: a commit turn this read misses has linked
+		// its segments already, or commits an epoch the caller has not seen
+		// committed.
+		empty := !p.s.epochs.busy()
 		for _, sh := range p.shards {
 			sh.mu.Lock()
 			if sh.queue.head != nil {
@@ -392,13 +416,7 @@ func (p *processor) process(item *workItem) {
 		// bound: one whose read stays unreachable is tried every epoch.
 		retry := *item
 		retry.retried = true
-		s.pendingMu.Lock()
-		e := s.drainedEpoch + 1
-		if s.pending[e] == nil {
-			s.pending[e] = p.newSegments()
-		}
-		p.push(&s.pending[e][item.shard], &retry)
-		s.pendingMu.Unlock()
+		s.epochs.retry(&retry)
 		return
 	}
 	if s.awaitDeferred(ctx, item.chain, item.chain.Watermark(), item.rec.Version) != nil {

@@ -32,7 +32,7 @@ func (c *Cluster) SetRetention(epochs tstamp.Epoch) {
 		was := srv.retention.Swap(uint32(epochs))
 		switch {
 		case epochs == 0:
-			srv.retiring.reset()
+			srv.epochs.dropRetire()
 		case was == 0 && c.started:
 			// Nothing was filed while everything was kept.
 			srv.seedRetirement()
@@ -40,68 +40,18 @@ func (c *Cluster) SetRetention(epochs tstamp.Epoch) {
 	}
 }
 
-// retireQueue is what makes an epoch commit cost what the epoch wrote: per
-// epoch, the chains that gained a readable version of that epoch. A version
-// of epoch x makes everything older on its key droppable once the horizon
-// has passed x, so the commit that moves the horizon past x visits list x —
-// those chains and no others.
-type retireQueue struct {
-	mu sync.Mutex
-	// lists[i] belongs to epoch base+i; every list below base has been
-	// handed out.
-	base  tstamp.Epoch
-	lists [][]*mvstore.Chain
-}
-
-// add files chains under epoch e. A version sealed after its epoch's list
-// was handed out (a straggler, a deferred write computed late, an import)
-// goes to the oldest list still held: the horizon it is visited under lies
-// above e all the same.
-func (q *retireQueue) add(e tstamp.Epoch, chains ...*mvstore.Chain) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.lists) == 0 && e > q.base {
-		q.base = e
-	}
-	i := 0
-	if e > q.base {
-		i = int(e - q.base)
-	}
-	for len(q.lists) <= i {
-		q.lists = append(q.lists, nil)
-	}
-	q.lists[i] = append(q.lists[i], chains...)
-}
-
-// next hands out the oldest list if its epoch is below limit, else nil.
-func (q *retireQueue) next(limit tstamp.Epoch) []*mvstore.Chain {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.lists) > 0 && q.base < limit {
-		list := q.lists[0]
-		n := copy(q.lists, q.lists[1:])
-		q.lists[n] = nil
-		q.lists = q.lists[:n]
-		q.base++
-		if len(list) > 0 {
-			return list
-		}
-	}
-	return nil
-}
-
-func (q *retireQueue) reset() {
-	q.mu.Lock()
-	q.lists = nil
-	q.mu.Unlock()
-}
+// Retirement is what makes an epoch commit cost what the epoch wrote: per
+// epoch, the epoch table files the chains that gained a readable version of
+// that epoch (epochRec.retire). A version of epoch x makes everything older
+// on its key droppable once the horizon has passed x, so the commit that
+// moves the horizon past x visits list x — those chains and no others.
 
 // sealedIn is called wherever the live path makes a version of epoch e
 // readable on chains: the commit's seal loop, a straggler's seal, a
 // deferred write and a range import.
 func (s *Server) sealedIn(e tstamp.Epoch, chains ...*mvstore.Chain) {
 	if len(chains) > 0 && s.retention.Load() != 0 {
-		s.retiring.add(e, chains...)
+		s.epochs.file(e, chains)
 	}
 }
 
@@ -131,7 +81,7 @@ func (s *Server) retire(committed tstamp.Epoch) {
 	limit := committed - retention
 	horizon := tstamp.Start(limit)
 	removed := 0
-	for list := s.retiring.next(limit); list != nil; list = s.retiring.next(limit) {
+	for list := s.epochs.retireBelow(limit); list != nil; list = s.epochs.retireBelow(limit) {
 		for _, c := range list {
 			removed += c.Compact(horizon)
 		}

@@ -128,31 +128,9 @@ type Server struct {
 	// Second-round abort redelivery budget (see ServerConfig.AbortRetries).
 	abortRetries int
 
-	// Epoch admission (§III-B/C): mu guards slots and every retarget of gen,
-	// so a reservation, a revoke and the release that acks it each happen
-	// in one critical section. Committed takes an epoch's slot.
-	mu        sync.Mutex
-	slots     map[tstamp.Epoch]*epochSlot
-	pendingMu sync.Mutex
-	// pending holds each open epoch's buffered functor metadata, one segment
-	// per processor shard (one in all without workers). Lock order:
-	// pendingMu, then a shard's mu or the processor's freeMu.
-	pending map[tstamp.Epoch][]segment
-	// drainedEpoch is the highest epoch whose segments Committed has taken
-	// (guarded by pendingMu). bufferWork routes installs at or below it
-	// straight to seal+processor: deciding under the same lock as the take
-	// means a straggler install can never land in a segment that was
-	// already handed to the processor (which would orphan it unsealed).
-	drainedEpoch tstamp.Epoch
-
-	// visible is the exclusive upper bound of readable versions:
-	// Start(e+1) once epoch e committed.
-	visible   atomic.Uint64
-	visibleMu sync.Mutex
-	visibleCh chan struct{}
-	// markerFailed is set once a durable epoch marker failed: from that
-	// epoch on, Committed publishes, hands off and retires nothing.
-	markerFailed atomic.Bool
+	// epochs is the server's epoch lifecycle: admission, buffered installs,
+	// retire lists and the commit frontier under one lock (epochs.go).
+	epochs *epochTable
 
 	// Migration state. moveMu interlocks installs against the barrier-time
 	// range seal: installs hold the read side across the ownership check and
@@ -181,10 +159,10 @@ type Server struct {
 	computedCh      chan struct{}
 	computedWaiters atomic.Int32
 
-	// retention is the history horizon in epochs (0 = keep everything);
-	// retiring holds the chains each recent epoch wrote (see retention.go).
+	// retention is the history horizon in epochs (0 = keep everything); the
+	// epoch table's retire lists hold the chains each recent epoch wrote
+	// (see retention.go).
 	retention atomic.Uint32
-	retiring  retireQueue
 
 	// ctx is cancelled on Close, releasing blocked remote calls/waiters.
 	ctx    context.Context
@@ -227,11 +205,8 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 		registry:   cfg.Registry,
 		store:      mvstore.New(),
 		gen:        tstamp.NewGenerator(uint16(cfg.ID)),
-		slots:      make(map[tstamp.Epoch]*epochSlot),
-		pending:    make(map[tstamp.Epoch][]segment),
 		abortStash: make(map[tstamp.Timestamp][]kv.Key),
 		pushCache:  make(map[pushKey]functor.Read),
-		visibleCh:  make(chan struct{}),
 		computedCh: make(chan struct{}),
 		durability: cfg.Durability,
 		depRule:    cfg.DependencyRule,
@@ -250,6 +225,7 @@ func NewServer(cfg ServerConfig, net transport.Network) (*Server, error) {
 	}
 	s.conn = conn
 	s.proc = newProcessor(s, cfg.Workers)
+	s.epochs = newEpochTable(s.gen, s.proc)
 	return s, nil
 }
 
@@ -373,50 +349,45 @@ func (s *Server) ownerAt(k kv.Key, e tstamp.Epoch) int { return int(s.table.Rout
 // --- epoch.Participant ---------------------------------------------------
 
 // Grant implements epoch.Participant: the server may start transactions in
-// epoch e. SetEpoch is a no-op if the straggler path already targeted e.
-func (s *Server) Grant(e tstamp.Epoch) {
-	s.mu.Lock()
-	s.gen.SetEpoch(e)
-	s.mu.Unlock()
-}
+// epoch e. It is a no-op if the straggler path already targeted e.
+func (s *Server) Grant(e tstamp.Epoch) { s.epochs.grant(e) }
 
 // Revoke implements epoch.Participant: switch the generator to straggler
 // mode in e+1 and ack once no reservation of e is open — at once, or from
 // the release that closes the last one.
 func (s *Server) Revoke(e tstamp.Epoch, ack func()) {
 	s.journal.AckWaitStart(uint64(e), time.Now())
-	s.mu.Lock()
-	// Straggler optimization (§III-C): transactions may start immediately
-	// without authorization, drawing timestamps from epoch e+1, which the
-	// packed-timestamp scheme bounds below epoch e+1's finish timestamp.
-	s.gen.SetEpoch(e + 1)
-	if sl := s.slots[e]; sl != nil && sl.open > 0 {
-		sl.ack, ack = ack, nil
-	}
-	s.mu.Unlock()
-	if ack != nil {
+	if ack = s.epochs.revoke(e, ack); ack != nil {
 		s.sendAck(e, ack)
 	}
 }
 
-// Committed implements epoch.Participant: epoch e's versions become
-// visible and its buffered functor metadata flows to the processor.
+// Committed implements epoch.Participant: every epoch up to e becomes
+// visible and its buffered functor metadata flows to the processor. One
+// commit turn runs at a time; a Committed that arrives during one raises
+// its target, and a duplicate or an older one changes nothing. So a lost or
+// reordered Committed neither strands an epoch's installs nor publishes an
+// epoch before the ones below it are sealed.
 func (s *Server) Committed(e tstamp.Epoch) {
-	s.journal.CommittedRecv(uint64(e), time.Now())
-	if s.markerFailed.Load() {
-		return
+	news, turn, ok := s.epochs.commit(e)
+	if news {
+		// An ack still parked is dropped with the epoch's record: the
+		// switch went on without it (SwitchTimeout), and the journal ends
+		// its ack wait at the Committed receipt.
+		s.journal.CommittedRecv(uint64(e), time.Now())
 	}
-	// Take the epoch's slot. An ack still parked in it is dropped: the
-	// switch went on without it (SwitchTimeout), and the journal ends its
-	// ack wait at the Committed receipt.
-	var txns uint64
-	s.mu.Lock()
-	if sl := s.slots[e]; sl != nil {
-		txns = sl.txns
-		delete(s.slots, e)
+	for ; ok; turn, ok = s.epochs.next() {
+		if !s.commitTurn(turn) {
+			return
+		}
 	}
-	s.mu.Unlock()
-	s.stats.txnsPerEpoch.Observe(int64(txns))
+}
+
+// commitTurn seals, logs, publishes and hands off one turn's epochs, and
+// reports false if the durable marker failed.
+func (s *Server) commitTurn(turn commitTurn) bool {
+	e := turn.e
+	s.stats.txnsPerEpoch.Observe(int64(turn.txns))
 	// Each server's commit work is its own trace root: the manager-side
 	// epoch.switch span cannot parent it without widening the Participant
 	// interface, and the commit path (durability flush + seal + hand-off) is
@@ -424,22 +395,11 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	ctx, commitSpan := s.tr.StartRoot(s.ctx, "epoch.commit")
 	commitSpan.SetAttrInt("epoch", int64(e))
 	defer commitSpan.End()
-	// Take the epoch's buffered functor metadata and record the take under
-	// one lock: a straggler install racing this commit either appends to a
-	// segment before the take or observes drainedEpoch and seals directly in
-	// bufferWork — never a third option where it lands in a segment nobody
-	// will ever hand to the processor.
-	s.pendingMu.Lock()
-	segs := s.pending[e]
-	delete(s.pending, e)
-	if e > s.drainedEpoch {
-		s.drainedEpoch = e
-	}
-	s.pendingMu.Unlock()
-	// Seal the epoch's versions (in-epoch -> out-epoch, Figure 4) before
+	// Seal the epochs' versions (in-epoch -> out-epoch, Figure 4) before
 	// advancing visibility: a reader that wakes on the visibility broadcast
 	// must find every version of the epoch already reachable. A key written
 	// twice in the epoch is sealed twice; the second finds nothing staged.
+	segs := turn.segs
 	now := time.Now()
 	var slow *workItem
 	var slowWait time.Duration
@@ -473,6 +433,8 @@ func (s *Server) Committed(e tstamp.Epoch) {
 		s.journal.Slowest(uint64(e), string(slow.key), ftype, slowWait, uint64(slow.sc.Trace))
 	}
 	if s.durability != nil {
+		// One marker covers every epoch of the turn: recovery takes the
+		// highest marker as the frontier.
 		dctx, dspan := s.tr.Start(ctx, "wal.commit")
 		dstart := time.Now()
 		if err := s.durability.LogEpochCommitted(dctx, e); err != nil {
@@ -481,36 +443,19 @@ func (s *Server) Committed(e tstamp.Epoch) {
 			// error is sticky, so no later marker can succeed either: the
 			// server stops committing here, and the flight recorder's stall
 			// rule names the frozen frontier.
-			s.markerFailed.Store(true)
+			s.epochs.fail(turn)
 			dspan.End()
 			log.Printf("core: server %d: epoch %d commit marker: %v; no later epoch becomes visible", s.id, e, err)
-			return
+			return false
 		}
 		s.journal.Durable(uint64(e), time.Since(dstart))
 		dspan.End()
 	}
-	// The hand-off counts as busy from before the epoch shows as committed
-	// until its last segment is linked: whoever sees CommittedEpoch() >= e
-	// and then drains the processors waits for every functor of e.
-	s.proc.handoffs.Add(1)
-	// Advance visibility to Start(e+1) — after the seal and after the
-	// durable marker, so observable implies recoverable: a crash right
-	// after a reader saw epoch e can never roll e back (§III-B's atomic
-	// visibility extended to the durability boundary).
-	bound := uint64(tstamp.End(e))
-	for {
-		cur := s.visible.Load()
-		if cur >= bound {
-			break
-		}
-		if s.visible.CompareAndSwap(cur, bound) {
-			s.visibleMu.Lock()
-			close(s.visibleCh)
-			s.visibleCh = make(chan struct{})
-			s.visibleMu.Unlock()
-			break
-		}
-	}
+	// Advance visibility to End(e) — after the seal and after the durable
+	// marker, so observable implies recoverable: a crash right after a
+	// reader saw epoch e can never roll e back (§III-B's atomic visibility
+	// extended to the durability boundary).
+	s.epochs.publish(e)
 	// Finalize after visibility published, stamping the interference
 	// markers sampled at this instant: migration range seals in force and
 	// whether a stall episode is open.
@@ -519,12 +464,12 @@ func (s *Server) Committed(e tstamp.Epoch) {
 	s.moveMu.RUnlock()
 	s.journal.Visible(uint64(e), time.Now(), migSeals, s.rec.Load().StallActive())
 	// Sealed, then visible, then computable: only now do the workers get the
-	// epoch's segments.
+	// epochs' segments.
 	s.proc.handoff(segs)
-	s.proc.handoffs.Add(-1)
 	s.evictPushCache(e)
 	s.evictAbortStash(e)
 	s.retire(e)
+	return true
 }
 
 // evictAbortStash drops stashed forwarded aborts whose epoch has committed:
@@ -544,7 +489,7 @@ func (s *Server) evictAbortStash(e tstamp.Epoch) {
 
 // visibleBound returns the exclusive upper bound of readable versions.
 func (s *Server) visibleBound() tstamp.Timestamp {
-	return tstamp.Timestamp(s.visible.Load())
+	return tstamp.Timestamp(s.epochs.visible.Load())
 }
 
 // waitVisible blocks until version ts is readable (its epoch committed).
@@ -561,9 +506,9 @@ func (s *Server) waitVisible(ctx context.Context, ts tstamp.Timestamp) error {
 		if ts < s.visibleBound() {
 			return nil
 		}
-		s.visibleMu.Lock()
-		ch := s.visibleCh
-		s.visibleMu.Unlock()
+		s.epochs.mu.Lock()
+		ch := s.epochs.visibleCh
+		s.epochs.mu.Unlock()
 		if ts < s.visibleBound() {
 			return nil
 		}
@@ -575,53 +520,19 @@ func (s *Server) waitVisible(ctx context.Context, ts tstamp.Timestamp) error {
 	}
 }
 
-// epochSlot is one epoch's admission record on this front-end.
-type epochSlot struct {
-	open int    // reservations not yet released
-	txns uint64 // transactions begun, observed into FamEpochTxns at commit
-	ack  func() // the revoke's ack, parked while reservations are open
-}
-
-// beginTxn opens a reservation in the epoch the generator targets and
-// returns that epoch; endTxn closes it. txns is the number of transactions
-// the reservation covers (a batch reserves once). Revoke retargets the
-// generator under the same lock, so a reservation either holds e's ack or
-// was taken in e+1.
-func (s *Server) beginTxn(txns int) (tstamp.Epoch, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.gen.Epoch()
-	if e == 0 {
-		return 0, fmt.Errorf("core: cluster not started")
-	}
-	sl := s.slots[e]
-	if sl == nil {
-		sl = &epochSlot{}
-		s.slots[e] = sl
-	}
-	sl.open++
-	sl.txns += uint64(txns)
-	return e, nil
-}
+// beginTxn opens a reservation for txns transactions and returns its epoch.
+func (s *Server) beginTxn(txns int) (tstamp.Epoch, error) { return s.epochs.begin(txns) }
 
 // endTxn closes a reservation of epoch e; closing the last one after e's
-// revoke sends the parked ack. Once Committed has taken the slot there is
-// nothing left to release.
+// revoke sends the parked ack.
 func (s *Server) endTxn(e tstamp.Epoch) {
-	var ack func()
-	s.mu.Lock()
-	if sl := s.slots[e]; sl != nil {
-		if sl.open--; sl.open == 0 {
-			ack, sl.ack = sl.ack, nil
-		}
-	}
-	s.mu.Unlock()
-	if ack != nil {
+	if ack := s.epochs.end(e); ack != nil {
 		s.sendAck(e, ack)
 	}
 }
 
-// sendAck stamps the end of e's ack wait and acks the revoke, outside s.mu.
+// sendAck stamps the end of e's ack wait and acks the revoke, outside the
+// epoch table's lock.
 func (s *Server) sendAck(e tstamp.Epoch, ack func()) {
 	s.journal.AckWaitEnd(uint64(e), time.Now())
 	ack()
