@@ -42,7 +42,7 @@ vet:
 	@# One sampler per server: stall detection is a rule of the flight recorder, not a watchdog of its own.
 	@! grep -rnE --include='*.go' 'NewWatchdog|WatchdogConfig|obs\.Watchdog' .
 	@# One epoch record: a server's per-epoch state lives in the epoch table (internal/core/epochs.go).
-	@! grep -rnE --include='*.go' 'map\[tstamp\.Epoch\]|\[\]\[\]\*mvstore\.Chain|\[\]epochRec\b' internal/core | grep -v '_test\.go:' | grep -v '^internal/core/epochs\.go:'
+	@! grep -rnE --include='*.go' 'map\[tstamp\.Epoch\]|\[\]\[\]kv\.Key|\[\]epochRec\b' internal/core | grep -v '_test\.go:' | grep -v '^internal/core/epochs\.go:'
 	@# No dead code: a function only tests call lives in its package's export_test.go.
 	$(GO) run ./scripts/deadcode
 

@@ -118,11 +118,13 @@ func liveHeapObjects() uint64 {
 // lives is the key's share of the slabs and the index — on the two paths
 // that build most of a TPC-C store, the bulk load and deferred writes, and
 // on the one that builds most of a YCSB store: an ADD installed, computed
-// and folded back into a row. Every object here would be one the collector
-// marks again on every cycle for as long as the version lives (a chain cost
-// three; a computed key that kept its chain for good cost two and a half).
-// Its history case pins a key that keeps a chain: a handful of objects,
-// however long its history.
+// and folded back into a row; and, with retention on, a key written twice
+// once retirement has passed its older version: the history it folded into
+// is compacted to one version where it lies, and is a row again. Every object
+// here would be one the collector marks again on every cycle for as long as
+// the version lives (a chain cost three; a computed key that kept its chain
+// for good cost two and a half). Its history case pins a key that keeps a
+// chain: a handful of objects, however long its history.
 func TestStoreObjectBudget(t *testing.T) {
 	const (
 		n      = 100_000
@@ -172,9 +174,10 @@ func TestStoreObjectBudget(t *testing.T) {
 			s.handleApplyDeferred(ctx, MsgApplyDeferred{Version: tstamp.Make(1, uint32(i+1), 0), Writes: writes, Fwd: true})
 		}
 	})
-	measure("computed ADD installs", 1, func(c *Cluster) {
-		// Ten keys per transaction, as ycsb-hot writes its cold keys, a
-		// hundred transactions an epoch; then every functor is computed.
+	// submitAdds installs an ADD on every key, ten keys per transaction, as
+	// ycsb-hot writes its cold keys, a hundred transactions a batch; with
+	// perBatch set each batch is an epoch of its own.
+	submitAdds := func(c *Cluster, perBatch bool) {
 		s, ctx, add := c.Server(0), context.Background(), functor.Add(1)
 		for i := 0; i < n; i += 1000 {
 			txns := make([]Txn, 100)
@@ -188,10 +191,25 @@ func TestStoreObjectBudget(t *testing.T) {
 			if _, _, err := s.SubmitBatch(ctx, txns); err != nil {
 				t.Fatal(err)
 			}
-			mustAdvance(t, c)
+			if perBatch {
+				mustAdvance(t, c)
+			}
 		}
 		mustAdvance(t, c)
+	}
+	measure("computed ADD installs", 1, func(c *Cluster) {
+		submitAdds(c, true)
 		c.DrainProcessors()
+	})
+	measure("retained keys written twice", 1, func(c *Cluster) {
+		// Every key written in two epochs under retention 1, computed, and
+		// retired past the older version.
+		c.SetRetention(1)
+		submitAdds(c, false)
+		submitAdds(c, false)
+		c.DrainProcessors()
+		mustAdvance(t, c)
+		mustAdvance(t, c)
 	})
 	t.Run("short history", storeShortHistoryObjectBudget)
 	t.Run("history", storeHistoryObjectBudget)

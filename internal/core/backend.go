@@ -215,7 +215,7 @@ func (s *Server) bufferWork(items []workItem) {
 		late[i].each(0, func(it *workItem) {
 			e := it.rec.Version.Epoch()
 			if it.chain.Seal(tstamp.End(e)) > 0 {
-				s.sealedIn(e, it.chain)
+				s.sealedIn(e, it.key)
 			}
 		})
 	}
@@ -392,7 +392,7 @@ func (s *Server) handleApplyDeferred(ctx context.Context, m MsgApplyDeferred) er
 			s.stats.functorsInstalled.Add(1)
 			// A row is its key's one version: nothing to retire.
 			if c != nil {
-				s.sealedIn(m.Version.Epoch(), c)
+				s.sealedIn(m.Version.Epoch(), w.Key)
 			}
 		}
 	}

@@ -79,11 +79,21 @@ func checkCommittedThrough(t *testing.T, c *Cluster, e tstamp.Epoch) {
 
 // TestCommittedCoversDroppedEpoch: a Committed(e) that never arrives is
 // covered by Committed(e+1), which seals and publishes e's installs with
-// its own, rather than stranding them.
+// its own, rather than stranding them, and stamps e's journal record as
+// committed, sealed, durable and visible.
 func TestCommittedCoversDroppedEpoch(t *testing.T) {
 	c, e := installTwoEpochs(t, failingMarker{failAt: tstamp.MaxEpoch})
 	c.Server(0).Committed(e + 1)
 	checkCommittedThrough(t, c, e+1)
+	complete := map[uint64]bool{}
+	for _, r := range c.Server(0).Journal().Snapshot() {
+		complete[r.Epoch] = r.Complete() && r.SealNS > 0
+	}
+	for _, ep := range []tstamp.Epoch{e, e + 1} {
+		if !complete[uint64(ep)] {
+			t.Errorf("epoch %d's journal record is not complete: %v", ep, complete)
+		}
+	}
 }
 
 // TestCommittedDuringTurnWaitsForIt: a Committed(e+1) that arrives while

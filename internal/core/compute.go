@@ -139,7 +139,7 @@ func (s *Server) computeKeyUpTo(ctx context.Context, k kv.Key, v tstamp.Timestam
 		return err
 	}
 	c.AdvanceWatermark(v)
-	s.payOwed(c)
+	s.payOwed(k, c)
 	return nil
 }
 

@@ -36,7 +36,7 @@ import (
 // plus its copies still buffered are one plus its retries, and at the end
 // an item of a taken epoch that was never retried was handed off once),
 // retirement (a list is compacted only once the horizon passes the epochs
-// of its chains) and bounded state (a taken epoch's record holds its retire
+// of its keys) and bounded state (a taken epoch's record holds its retire
 // list alone, and the window starts at one).
 func TestEpochModel(t *testing.T) {
 	m := &epochModel{t: t, p: &processor{}, store: mvstore.New(), seen: map[uint64]struct{}{}}
@@ -69,7 +69,7 @@ type epochModel struct {
 
 // item returns the work item of reservation n installing in epoch e.
 func (m *epochModel) item(n int, e tstamp.Epoch) workItem {
-	k := kv.Key(fmt.Sprint("item", n))
+	k := itemKey(n)
 	if m.recs[n][e] == nil {
 		c, r, err := m.store.Stage(k, tstamp.Make(e, 1, 0), functor.Add(1))
 		if err != nil {
@@ -80,8 +80,13 @@ func (m *epochModel) item(n int, e tstamp.Epoch) workItem {
 	return workItem{key: k, chain: m.chains[n], rec: m.recs[n][e]}
 }
 
-// itemNo is the reservation that installed it.
-func itemNo(it *workItem) int { return int(it.key[len(it.key)-1] - '0') }
+// itemKey is the key reservation n installs; keyNo is the reservation of a
+// key, and itemNo of an item.
+func itemKey(n int) kv.Key { return kv.Key(fmt.Sprint("item", n)) }
+
+func keyNo(k kv.Key) int { return int(k[len(k)-1] - '0') }
+
+func itemNo(it *workItem) int { return keyNo(it.key) }
 
 // resv is the client's reservation n, and what the model knows of the item
 // it installs on server n.
@@ -226,8 +231,8 @@ func (m *epochModel) key(w *modelWorld) uint64 {
 		for _, r := range t.recs {
 			h.add(uint64(r.open), r.txns, b2u(r.ack != nil), uint64(len(r.retire)))
 			h.segs(r.segs)
-			for _, c := range r.retire {
-				h.add(uint64(slices.Index(m.chains[:], c)))
+			for _, k := range r.retire {
+				h.add(uint64(keyNo(k)))
 			}
 		}
 	}
@@ -406,15 +411,20 @@ func (m *epochModel) send(w *modelWorld) error {
 
 // install buffers reservation n's item on server n; one of an epoch the
 // server's turns have taken already is late: sealed, filed and handed off
-// at once.
+// at once. Only a switch that went on without the install's ack
+// (SwitchTimeout) lets it come back late: the late path seals into an epoch
+// readers may already have seen complete.
 func (m *epochModel) install(w *modelWorld, n int) error {
 	r, t := &w.res[n], w.srv[n].t
 	r.installed = true
 	late := t.buffer([]workItem{m.item(n, r.e)})
 	if late != nil {
+		if w.fault != timeoutFault {
+			return fmt.Errorf("server %d: the install of item %d in epoch %d came back late without a switch timeout", n, n, r.e)
+		}
 		r.sealed = true
 		r.handoffs++
-		t.file(r.e, []*mvstore.Chain{m.chains[n]})
+		t.file(r.e, []kv.Key{itemKey(n)})
 		m.p.discard(late)
 	}
 	return nil
@@ -433,18 +443,18 @@ func (m *epochModel) commit(w *modelWorld, i int, e tstamp.Epoch) error {
 	return nil
 }
 
-// seal seals the running turn's items and files their chains, as the
-// server does before its marker.
+// seal seals the running turn's items and files their keys, as the server
+// does before its marker.
 func (m *epochModel) seal(w *modelWorld, s *modelServer) {
-	var chains []*mvstore.Chain
+	var keys []kv.Key
 	for i := range s.turn.segs {
 		s.turn.segs[i].each(0, func(it *workItem) {
 			w.res[itemNo(it)].sealed = true
-			chains = append(chains, it.chain)
+			keys = append(keys, it.key)
 		})
 	}
-	if chains != nil {
-		s.t.file(s.turn.e, chains)
+	if keys != nil {
+		s.t.file(s.turn.e, keys)
 	}
 }
 
@@ -461,8 +471,8 @@ func (m *epochModel) durable(w *modelWorld, i int) error {
 	if e := s.turn.e; e > modelHorizon {
 		limit := e - modelHorizon
 		for list := s.t.retireBelow(limit); list != nil; list = s.t.retireBelow(limit) {
-			for _, c := range list {
-				if n := slices.Index(m.chains[:], c); w.res[n].e >= limit {
+			for _, k := range list {
+				if n := keyNo(k); w.res[n].e >= limit {
 					return fmt.Errorf("server %d compacted item %d of epoch %d at horizon %d", i, n, w.res[n].e, limit)
 				}
 			}

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"alohadb/internal/mvstore"
+	"alohadb/internal/kv"
 	"alohadb/internal/obs"
 	"alohadb/internal/tstamp"
 )
@@ -15,7 +15,7 @@ import (
 // generator's retargets, one record per live epoch and the commit frontier.
 // Each transition takes the lock, changes state and returns what the caller
 // does outside it (the ack to send, the segments to seal and hand off, the
-// chains to compact); none sends, logs, fsyncs or stamps the journal. Lock
+// keys to compact); none sends, logs, fsyncs or stamps the journal. Lock
 // order: the table, then a processor shard's mu or freeMu.
 type epochTable struct {
 	mu   sync.Mutex
@@ -45,18 +45,19 @@ type epochRec struct {
 	txns uint64    // transactions begun, observed into FamEpochTxns at commit
 	ack  func()    // the revoke's ack, parked while reservations are open
 	segs []segment // installs, one segment per processor shard
-	// retire lists the chains that gained a readable version in the epoch,
+	// retire lists the keys that gained a readable version in the epoch,
 	// compacted by the commit whose horizon passes it (retention.go).
-	retire []*mvstore.Chain
+	retire []kv.Key
 }
 
 func (r *epochRec) empty() bool {
 	return r.open == 0 && r.txns == 0 && r.ack == nil && r.segs == nil && r.retire == nil
 }
 
-// commitTurn commits every epoch up to e not yet committed, under one marker
-// and one publication.
+// commitTurn commits every epoch in [from, e], under one marker and one
+// publication.
 type commitTurn struct {
+	from tstamp.Epoch
 	e    tstamp.Epoch
 	segs []segment // their installs, one segment per shard, oldest epoch first
 	txns uint64
@@ -189,34 +190,36 @@ func (t *epochTable) segments(e tstamp.Epoch) []segment {
 	return r.segs
 }
 
-// commit records a Committed(e); news says none had named e or a later
-// epoch. With no turn running, ok says the caller runs the returned one; a
-// running turn takes e in its next. The generator moves past e, so no
+// commit records a Committed(e); it is news for the epochs [from, e], none
+// when from > e. With no turn running, ok says the caller runs the returned
+// one; a running turn takes e in its next. The generator moves past e, so no
 // reservation opens in a taken epoch even where the revoke was lost. After a
 // failed marker the installs are released here.
-func (t *epochTable) commit(e tstamp.Epoch) (news bool, turn commitTurn, ok bool) {
+func (t *epochTable) commit(e tstamp.Epoch) (from tstamp.Epoch, turn commitTurn, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e < t.want {
-		return false, turn, false
+	if from = t.want; e < from {
+		return from, turn, false
+	} else if from == 0 { // the first: the epochs below e committed before the server started
+		t.taken, from = e, e
 	}
 	t.want = e + 1
 	t.gen.SetEpoch(e + 1)
 	switch {
 	case t.committing:
-		return true, turn, false
+		return from, turn, false
 	case t.failed:
 		t.proc.discard(t.take().segs)
-		return true, turn, false
+		return from, turn, false
 	}
 	t.committing = true
-	return true, t.take(), true
+	return from, t.take(), true
 }
 
 // take takes every epoch in [taken, want): installs, counts and the acks
 // still parked (the switch went on without them under SwitchTimeout).
 func (t *epochTable) take() commitTurn {
-	turn := commitTurn{e: t.want - 1}
+	turn := commitTurn{from: t.taken, e: t.want - 1}
 	for i := range t.recs {
 		r := &t.recs[i]
 		if e := t.base + tstamp.Epoch(i); e < t.taken || e >= t.want {
@@ -288,19 +291,19 @@ func (t *epochTable) busy() bool {
 	return t.committing
 }
 
-// file files chains for retirement under epoch e, or the oldest list held
-// if e's was handed out: its horizon lies above e all the same.
-func (t *epochTable) file(e tstamp.Epoch, chains []*mvstore.Chain) {
+// file files keys for retirement under epoch e, or the oldest list held if
+// e's was handed out: its horizon lies above e all the same.
+func (t *epochTable) file(e tstamp.Epoch, keys []kv.Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.failed {
 		r := t.at(max(e, t.retired))
-		r.retire = append(r.retire, chains...)
+		r.retire = append(r.retire, keys...)
 	}
 }
 
 // retireBelow hands out the oldest retire list below limit, nil at the end.
-func (t *epochTable) retireBelow(limit tstamp.Epoch) []*mvstore.Chain {
+func (t *epochTable) retireBelow(limit tstamp.Epoch) []kv.Key {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.recs) > 0 && t.base < limit && t.base < t.taken {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"alohadb/internal/kv"
-	"alohadb/internal/mvstore"
 	"alohadb/internal/obs/journal"
 	"alohadb/internal/tstamp"
 )
@@ -11,15 +10,12 @@ import (
 // the processor does after it computes a key: the external model test folds
 // keys wherever its schedule stands, not only where a computation ends.
 func (s *Server) FoldSettled() {
-	var keys []kv.Key
-	var chains []*mvstore.Chain
-	s.store.RangeChains(func(k kv.Key, c *mvstore.Chain) bool {
-		keys, chains = append(keys, k), append(chains, c)
+	s.store.RangeKeys(func(k kv.Key) bool {
+		if c, _, _ := s.store.Read(k, 0); c != nil {
+			s.store.Fold(k, c)
+		}
 		return true
 	})
-	for i, k := range keys {
-		s.fold(k, chains[i])
-	}
 }
 
 // RetireLists reports how many per-epoch retirement lists the server holds

@@ -110,10 +110,10 @@ func (s *Server) handleRangeImport(ctx context.Context, m MsgRangeImport) MsgRan
 		}
 		if ke.Watermark != 0 {
 			c.AdvanceWatermark(ke.Watermark)
-			s.payOwed(c)
+			s.payOwed(ke.Key, c)
 		}
 		if published {
-			s.sealedIn(newest, c)
+			s.sealedIn(newest, ke.Key)
 		}
 	}
 	if len(work) > 0 {

@@ -319,7 +319,7 @@ func (p *processor) stop() {
 // at the head of the queue where the installs wrote it.
 func (p *processor) worker(sh *procShard) {
 	defer p.wg.Done()
-	var touched [_workerBatch]*mvstore.Chain
+	var touched [_workerBatch]*workItem // one per chain
 	for {
 		sh.mu.Lock()
 		for sh.queue.head == nil && !p.stopped.Load() {
@@ -342,14 +342,14 @@ func (p *processor) worker(sh *procShard) {
 		for i := pos; i < end; i++ {
 			it := &c.items[i]
 			p.process(it)
-			if ch := it.chain; nt == 0 || touched[nt-1] != ch {
-				touched[nt] = ch
+			if nt == 0 || touched[nt-1].chain != it.chain {
+				touched[nt] = it
 				nt++
 			}
 		}
-		for _, ch := range touched[:nt] {
-			p.s.payOwed(ch)
-			ch.Freeze()
+		for _, it := range touched[:nt] {
+			p.s.payOwed(it.key, it.chain)
+			it.chain.Freeze()
 		}
 		clear(touched[:nt])
 
@@ -402,47 +402,31 @@ func (p *processor) process(item *workItem) {
 	if fn.Type == functor.TypeDepMarker && !item.rec.Final() {
 		return
 	}
-	// Fast path: an earlier chain walk (hot key) already settled this
-	// record and the watermark.
-	if item.rec.Final() && item.chain.Watermark() >= item.rec.Version {
-		s.fold(item.key, item.chain)
-		return
+	// Unless an earlier chain walk (hot key) already settled this record and
+	// the watermark, compute it.
+	if !item.rec.Final() || item.chain.Watermark() < item.rec.Version {
+		if err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
+			// A failed remote read (a dropped message, a severed link) is
+			// tried again at the next epoch commit, with that epoch's
+			// functors and its own install time: left to a reader, the
+			// functor could find the versions it reads already compacted by
+			// retention. Retries have no bound: one whose read stays
+			// unreachable is tried every epoch.
+			retry := *item
+			retry.retried = true
+			s.epochs.retry(&retry)
+			return
+		}
+		if s.awaitDeferred(ctx, item.chain, item.chain.Watermark(), item.rec.Version) != nil {
+			return // the server is closing
+		}
+		item.chain.AdvanceWatermark(item.rec.Version)
 	}
-	if err := s.resolveRecord(ctx, item.key, item.chain, item.rec); err != nil {
-		// A failed remote read (a dropped message, a severed link) is tried
-		// again at the next epoch commit, with that epoch's functors and its
-		// own install time: left to a reader, the functor could find the
-		// versions it reads already compacted by retention. Retries have no
-		// bound: one whose read stays unreachable is tried every epoch.
-		retry := *item
-		retry.retried = true
-		s.epochs.retry(&retry)
-		return
-	}
-	if s.awaitDeferred(ctx, item.chain, item.chain.Watermark(), item.rec.Version) != nil {
-		return // the server is closing
-	}
-	item.chain.AdvanceWatermark(item.rec.Version)
 	// A key written once (most of a YCSB store, every Payment history row)
 	// is now one final version: a row, which the collector never walks. A
 	// key whose every version is now final (a TPC-C stock row between its
 	// writes) is a history: one buffer of bytes.
-	s.fold(item.key, item.chain)
-}
-
-// fold folds k's chain c if it has settled (mvstore.Store.Fold). Under
-// retention a history of more than one version is not folded: retirement
-// compacts the chains it filed, and a history is none. Retention turned on
-// while the fold ran may have seeded its lists past k already; then the key
-// is thawed and filed as the seed would have.
-func (s *Server) fold(k kv.Key, c *mvstore.Chain) {
-	history := s.retention.Load() == 0
-	if !s.store.Fold(k, c, history) || !history || s.retention.Load() == 0 {
-		return
-	}
-	if c := s.store.Chain(k); c != nil {
-		s.sealedIn(s.CommittedEpoch(), c)
-	}
+	s.store.Fold(item.key, item.chain)
 }
 
 // pushToRecipients sends the latest value of the functor's key strictly

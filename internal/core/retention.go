@@ -41,35 +41,41 @@ func (c *Cluster) SetRetention(epochs tstamp.Epoch) {
 }
 
 // Retirement is what makes an epoch commit cost what the epoch wrote: per
-// epoch, the epoch table files the chains that gained a readable version of
+// epoch, the epoch table files the keys that gained a readable version of
 // that epoch (epochRec.retire). A version of epoch x makes everything older
 // on its key droppable once the horizon has passed x, so the commit that
-// moves the horizon past x visits list x — those chains and no others.
+// moves the horizon past x visits list x — those keys and no others — and
+// compacts each where it lies, chain or history (mvstore.Store.CompactKey).
 
 // sealedIn is called wherever the live path makes a version of epoch e
-// readable on chains: the commit's seal loop, a straggler's seal, a
-// deferred write and a range import.
-func (s *Server) sealedIn(e tstamp.Epoch, chains ...*mvstore.Chain) {
-	if len(chains) > 0 && s.retention.Load() != 0 {
-		s.epochs.file(e, chains)
+// readable on keys: the commit's seal loop, a straggler's seal, a deferred
+// write and a range import. It files the store's copy of each key: one
+// decoded from a frame aliases the frame, which a list would pin.
+func (s *Server) sealedIn(e tstamp.Epoch, keys ...kv.Key) {
+	if len(keys) == 0 || s.retention.Load() == 0 {
+		return
 	}
+	for i, k := range keys {
+		keys[i] = s.store.Key(k)
+	}
+	s.epochs.file(e, keys)
 }
 
-// seedRetirement files every chain of the store under the newest committed
-// epoch: a store that live installs did not build (WAL recovery, a
-// checkpoint, a bulk load) or built while retention was off has chains no
-// list knows. It is the one full pass over the store's chains retention
+// seedRetirement files every key of the store that is no row under the
+// newest committed epoch: a store that live installs did not build (WAL
+// recovery, a checkpoint, a bulk load) or built while retention was off has
+// keys no list knows. It is the one full pass over the store retention
 // makes; a row is a single version and never has anything to retire.
 func (s *Server) seedRetirement() {
-	var all []*mvstore.Chain
-	s.store.RangeChains(func(_ kv.Key, c *mvstore.Chain) bool {
-		all = append(all, c)
+	var keys []kv.Key
+	s.store.RangeHistories(func(k kv.Key) bool {
+		keys = append(keys, k)
 		return true
 	})
-	s.sealedIn(s.CommittedEpoch(), all...)
+	s.sealedIn(s.CommittedEpoch(), keys...)
 }
 
-// retire compacts, at the commit of an epoch, the chains of the epochs the
+// retire compacts, at the commit of an epoch, the keys of the epochs the
 // horizon has just passed. A chain whose watermark is still behind the
 // horizon keeps the horizon (mvstore.Chain.Owed) and is finished where its
 // watermark moves: payOwed.
@@ -82,22 +88,18 @@ func (s *Server) retire(committed tstamp.Epoch) {
 	horizon := tstamp.Start(limit)
 	removed := 0
 	for list := s.epochs.retireBelow(limit); list != nil; list = s.epochs.retireBelow(limit) {
-		for _, c := range list {
-			removed += c.Compact(horizon)
+		for _, k := range list {
+			removed += s.store.CompactKey(k, horizon)
 		}
 	}
-	if removed > 0 {
-		s.stats.versionsCompacted.Add(uint64(removed))
-	}
+	s.stats.versionsCompacted.Add(uint64(removed))
 }
 
-// payOwed finishes the compaction c owes, if any, after its watermark has
-// moved.
-func (s *Server) payOwed(c *mvstore.Chain) {
+// payOwed finishes the compaction c, k's chain, owes, if any, after its
+// watermark has moved.
+func (s *Server) payOwed(k kv.Key, c *mvstore.Chain) {
 	if h := c.Owed(); h != 0 {
-		if removed := c.Compact(h); removed > 0 {
-			s.stats.versionsCompacted.Add(uint64(removed))
-		}
+		s.stats.versionsCompacted.Add(uint64(s.store.CompactKey(k, h)))
 	}
 }
 

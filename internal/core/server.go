@@ -369,12 +369,13 @@ func (s *Server) Revoke(e tstamp.Epoch, ack func()) {
 // reordered Committed neither strands an epoch's installs nor publishes an
 // epoch before the ones below it are sealed.
 func (s *Server) Committed(e tstamp.Epoch) {
-	news, turn, ok := s.epochs.commit(e)
-	if news {
-		// An ack still parked is dropped with the epoch's record: the
-		// switch went on without it (SwitchTimeout), and the journal ends
-		// its ack wait at the Committed receipt.
-		s.journal.CommittedRecv(uint64(e), time.Now())
+	from, turn, ok := s.epochs.commit(e)
+	// An ack still parked is dropped with the epoch's record: the switch
+	// went on without it (SwitchTimeout), and the journal ends its ack wait
+	// at the Committed receipt. An epoch whose own Committed was lost is
+	// received with this one.
+	for now, c := time.Now(), from; c <= e; c++ {
+		s.journal.CommittedRecv(uint64(c), now)
 	}
 	for ; ok; turn, ok = s.epochs.next() {
 		if !s.commitTurn(turn) {
@@ -404,13 +405,13 @@ func (s *Server) commitTurn(turn commitTurn) bool {
 	var slow *workItem
 	var slowWait time.Duration
 	retaining := s.retention.Load() != 0
-	var sealed []*mvstore.Chain
+	var sealed []kv.Key
 	items := 0
 	for i := range segs {
 		items += segs[i].n
 		segs[i].each(0, func(it *workItem) {
 			if it.chain.Seal(tstamp.End(e)) > 0 && retaining {
-				sealed = append(sealed, it.chain)
+				sealed = append(sealed, it.key)
 			}
 			if !it.installed.IsZero() {
 				if w := now.Sub(it.installed); slow == nil || w > slowWait {
@@ -420,7 +421,12 @@ func (s *Server) commitTurn(turn commitTurn) bool {
 		})
 	}
 	s.sealedIn(e, sealed...)
-	s.journal.SealDone(uint64(e), time.Now(), items)
+	// Each epoch the turn covers is stamped; its functors count at the newest.
+	sealDone := time.Now()
+	for c := turn.from; c < e; c++ {
+		s.journal.SealDone(uint64(c), sealDone, 0)
+	}
+	s.journal.SealDone(uint64(e), sealDone, items)
 	if slow != nil {
 		// The functor that waited longest between install and commit: the
 		// journal's pointer at what dragged the epoch (a stuck dependent
@@ -448,7 +454,9 @@ func (s *Server) commitTurn(turn commitTurn) bool {
 			log.Printf("core: server %d: epoch %d commit marker: %v; no later epoch becomes visible", s.id, e, err)
 			return false
 		}
-		s.journal.Durable(uint64(e), time.Since(dstart))
+		for d, c := time.Since(dstart), turn.from; c <= e; c++ {
+			s.journal.Durable(uint64(c), d)
+		}
 		dspan.End()
 	}
 	// Advance visibility to End(e) — after the seal and after the durable
@@ -462,7 +470,9 @@ func (s *Server) commitTurn(turn commitTurn) bool {
 	s.moveMu.RLock()
 	migSeals := len(s.sealedRanges)
 	s.moveMu.RUnlock()
-	s.journal.Visible(uint64(e), time.Now(), migSeals, s.rec.Load().StallActive())
+	for at, stall, c := time.Now(), s.rec.Load().StallActive(), turn.from; c <= e; c++ {
+		s.journal.Visible(uint64(c), at, migSeals, stall)
+	}
 	// Sealed, then visible, then computable: only now do the workers get the
 	// epochs' segments.
 	s.proc.handoff(segs)

@@ -156,23 +156,10 @@ func (c *Chain) putResolved(version tstamp.Timestamp, kind functor.ResolutionKin
 	return rec, fresh
 }
 
-// single returns the chain's one record when the chain is a row's worth of
-// history: one sealed version and nothing frozen, its outcome a plain value
-// or tombstone, at or below the watermark, with no compaction owed. Whether
-// anything is staged behind it is for a caller holding c.mu to check.
-func (c *Chain) single() *Record {
-	b := c.cur.Load()
-	if b == nil || b.frozen || b.n.Load() != 1 || c.owed.Load() != 0 {
-		return nil
-	}
-	rec := b.recs[0]
-	switch kind, _, ext := rec.Outcome(); {
-	case ext != nil, kind != functor.Resolved && kind != functor.ResolvedDeleted:
-		return nil
-	case rec.Version > c.Watermark():
-		return nil
-	}
-	return rec
+// plain says whether kind is a value or a tombstone: an outcome a read
+// stops at and a row holds.
+func plain(kind functor.ResolutionKind) bool {
+	return kind == functor.Resolved || kind == functor.ResolvedDeleted
 }
 
 // settled returns the chain's current block and how many versions it holds
@@ -369,31 +356,37 @@ func (c *Chain) at(v tstamp.Timestamp) *Record {
 // would return (any aborted versions above it inside the bound are retained
 // with it). When everything below bound is invisible the whole prefix is
 // dropped: reads there found nothing before and still find nothing. Only
-// final versions below the watermark may be dropped. Returns the number of
-// versions removed. A cut inside the frozen run drops a prefix of the run
-// and leaves the records as they are.
+// final versions may be dropped. Returns the number of versions removed. A
+// cut inside the frozen run drops a prefix of the run and leaves the records
+// as they are.
 //
-// A call the watermark cuts short leaves the epoch of its bound with the
-// chain (see Owed), so whoever advances the watermark later can finish it.
-// Retention's bounds are horizons, each the start of an epoch; any other
-// bound is finished up to the start of its epoch only.
+// A chain with a version above its watermark, sealed or staged, is cut
+// short there and keeps the epoch of its bound (see Owed), so whoever
+// advances the watermark later can finish it; one without holds only final
+// versions, as a history does, and owes nothing. Retention's bounds are
+// horizons, each the start of an epoch; any other bound is finished up to
+// the start of its epoch only.
 func (c *Chain) Compact(bound tstamp.Timestamp) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	b := c.cur.Load()
+	if b == nil {
+		return 0
+	}
+	n := int(b.n.Load())
 	// Stamp first, read the watermark second: a compute that raises the
 	// watermark after this read finds the stamp and compacts again, one
 	// that raised it before is seen here.
 	c.owed.Store(uint32(bound.Epoch()))
-	if w := tstamp.Timestamp(c.watermark.Load()); bound > w {
+	w := tstamp.Timestamp(c.watermark.Load())
+	if behind := c.staged > 0 || n > 0 && b.recs[n-1].Version > w; behind && bound > w {
 		bound = w
 	} else {
 		c.owed.Store(0)
 	}
-	b := c.cur.Load()
-	if b == nil || bound == 0 {
+	if bound == 0 {
 		return 0
 	}
-	n := int(b.n.Load())
 	h := History{run: b.run(), recs: b.recs[:n]}
 	keepFrom := h.keepFrom(bound)
 	if keepFrom == 0 {
@@ -421,7 +414,7 @@ func (h History) keepFrom(bound tstamp.Timestamp) int {
 		// An unresolved record below the watermark is a lazily-resolved
 		// final functor (VALUE/DELETED placeholders resolve on first read);
 		// treat it as visible.
-		if kind == 0 || kind == functor.Resolved || kind == functor.ResolvedDeleted {
+		if kind == 0 || plain(kind) {
 			return j
 		}
 	}

@@ -147,7 +147,7 @@ func (r run) row(i int) Row {
 func (r run) seen(max tstamp.Timestamp) int {
 	n := r.search(max)
 	for i := n - 1; i >= 0; i-- {
-		if kind, _ := r.outcome(i); kind == functor.Resolved || kind == functor.ResolvedDeleted {
+		if kind, _ := r.outcome(i); plain(kind) {
 			return i
 		}
 	}
@@ -193,15 +193,23 @@ func (r run) bytes() int {
 //
 // A version whose entry already lies in place past r's length — the same
 // version, offset and outcome — is taken as it lies and not written again:
-// r was cut from a longer run that holds it (a history thawed, or a chain
-// folded into one), and a reader of that run may be reading it. A version's
-// outcome is final, so the bytes there are the ones it would write.
+// r was cut from a longer run that holds it (a history thawed), and a reader
+// of that run, or the record the thaw built, may be reading it. A version's
+// outcome is final, so the bytes there are the ones it would write. Where
+// such an entry lies and another version would take its place (a version
+// written below the thawed one), the run moves to a fresh buffer instead.
 func (r run) appendRecords(recs []*Record) (run, int) {
 	need, k := 0, 0
+	inPlace := true
 	for _, rec := range recs {
-		size := outcomeLen(rec)
+		e, size := entryAt(rec, len(r.data)+need)
 		if _, value, _ := rec.Outcome(); len(value) > _maxFrozenValue || len(r.data)+need+size > math.MaxUint32 {
 			break
+		}
+		if n := len(r.ents) + k; n < cap(r.ents) {
+			if was := r.ents[:n+1][n]; was != (frozen{}) && was != e {
+				inPlace = false
+			}
 		}
 		need += size
 		k++
@@ -209,18 +217,17 @@ func (r run) appendRecords(recs []*Record) (run, int) {
 	if k == 0 {
 		return r, 0
 	}
-	if cap(r.ents)-len(r.ents) < k || cap(r.data)-len(r.data) < need {
+	if !inPlace || cap(r.ents)-len(r.ents) < k || cap(r.data)-len(r.data) < need {
 		r = r.packed(k, need)
 	}
 	ents, data := r.ents, r.data
 	for _, rec := range recs[:k] {
-		kind, value, extra, more := frozenOutcome(rec)
-		off := len(data)
-		e := frozen{version: rec.Version, off: uint32(off), meta: uint32(len(value))<<3 | uint32(kind)}
+		e, size := entryAt(rec, len(data))
 		if n := len(ents); ents[:n+1][n] == e {
-			ents, data = ents[:n+1], data[:off+outcomeLen(rec)]
+			ents, data = ents[:n+1], data[:len(data)+size]
 			continue
 		}
+		_, value, extra, more := frozenOutcome(rec)
 		data = append(data, value...)
 		if more {
 			data = functor.AppendResolution(data, &extra)
@@ -230,13 +237,15 @@ func (r run) appendRecords(recs []*Record) (run, int) {
 	return run{ents: ents, data: data}, k
 }
 
-// outcomeLen is how many data bytes a run spends on rec's outcome.
-func outcomeLen(rec *Record) int {
-	_, value, extra, more := frozenOutcome(rec)
-	if !more {
-		return len(value)
+// entryAt returns rec's entry with its outcome at data offset off, and how
+// many data bytes the outcome takes.
+func entryAt(rec *Record, off int) (frozen, int) {
+	kind, value, extra, more := frozenOutcome(rec)
+	size := len(value)
+	if more {
+		size += functor.ResolutionLen(&extra)
 	}
-	return len(value) + functor.ResolutionLen(&extra)
+	return frozen{version: rec.Version, off: uint32(off), meta: uint32(len(value))<<3 | uint32(kind)}, size
 }
 
 // frozenOutcome is what a run keeps of rec's outcome: its kind and value

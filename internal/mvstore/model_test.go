@@ -3,6 +3,7 @@ package mvstore
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -235,14 +236,22 @@ func (m *chainModel) advance(v tstamp.Timestamp) {
 	}
 }
 
+// compact is Chain.Compact, and for a history CompactKey: a chain with a
+// version above its watermark, staged or sealed, is cut short there and owes
+// the bound; any other key holds final versions only and is compacted at the
+// bound, a history always keeping its newest version.
 func (m *chainModel) compact(bound tstamp.Timestamp) int {
-	if !m.row && !m.history { // Store.Compact walks the chains; a history owes nothing
+	behind := false
+	for v, r := range m.recs {
+		behind = behind || !r.sealed || v > m.watermark
+	}
+	if !m.row && !m.history && len(m.recs) > 0 {
 		m.owed = 0
-		if bound > m.watermark {
+		if behind && bound > m.watermark {
 			m.owed = bound.Epoch()
 		}
 	}
-	if bound > m.watermark {
+	if behind && bound > m.watermark {
 		bound = m.watermark
 	}
 	sealed := m.sorted(true)
@@ -253,6 +262,9 @@ func (m *chainModel) compact(bound tstamp.Timestamp) int {
 			keepFrom = j
 			break
 		}
+	}
+	if m.history {
+		keepFrom = min(keepFrom, len(sealed)-1)
 	}
 	for _, v := range sealed[:keepFrom] {
 		delete(m.recs, v)
@@ -272,14 +284,13 @@ func (m *chainModel) thaw() {
 	m.row, m.history, m.owed = false, false, 0
 }
 
-// foldable says what Store.Fold(k, c, history) must make k, a chain: a row
-// when its whole history is one sealed version whose outcome is a plain value
-// or tombstone, at or below the watermark, and small enough for a row; a
+// foldable says what Store.Fold(k, c) must make k, a chain: a row when its
+// whole history is one sealed version whose outcome is a plain value or
+// tombstone, at or below the watermark, and small enough for a row; a
 // history when every version is sealed, final and at or below the
-// watermark, and there is one or history is set; else nothing. Nothing may
-// be owed.
-func (m *chainModel) foldable(k kv.Key, history bool) (row, hist bool) {
-	if m.row || m.history || m.owed != 0 || len(m.recs) == 0 || len(m.recs) > 1 && !history {
+// watermark; else nothing. Nothing may be owed.
+func (m *chainModel) foldable(k kv.Key) (row, hist bool) {
+	if m.row || m.history || m.owed != 0 || len(m.recs) == 0 {
 		return false, false
 	}
 	for v, r := range m.recs {
@@ -287,15 +298,21 @@ func (m *chainModel) foldable(k kv.Key, history bool) (row, hist bool) {
 			return false, false
 		}
 	}
-	if len(m.recs) == 1 && m.frozen == 0 {
-		for _, r := range m.recs {
-			if keptBehindExt(r.kept()) == nil && (r.won.Kind == functor.Resolved || r.won.Kind == functor.ResolvedDeleted) &&
-				len(k)+len(r.won.Value) <= _maxRow {
-				return true, false
-			}
-		}
+	if len(m.recs) == 1 && m.frozen == 0 && m.rowHolds(k) {
+		return true, false
 	}
 	return false, true
+}
+
+// rowHolds says whether a row holds k's one version: its outcome, as the
+// store keeps it, a plain value or tombstone that fits.
+func (m *chainModel) rowHolds(k kv.Key) bool {
+	for _, r := range m.recs {
+		won := r.kept()
+		return len(m.recs) == 1 && keptBehindExt(won) == nil && (won.Kind == functor.Resolved || won.Kind == functor.ResolvedDeleted) &&
+			len(k)+len(won.Value) <= _maxRow
+	}
+	return false
 }
 
 // modelHarness applies each operation to a store and to the model of every
@@ -458,20 +475,20 @@ func (h *modelHarness) advance(v tstamp.Timestamp) {
 	}
 }
 
-// fold asks the store to fold k's chain, history or not, and requires it to
-// exactly when the model says the chain has settled into a row or a history.
-// A folded key's watermark is its newest version, what the store holds of a
-// history's outcomes is decoded from bytes, and the record the next thaw
-// builds for it is a new one.
-func (h *modelHarness) fold(history bool) {
+// fold asks the store to fold k's chain and requires it to exactly when the
+// model says the chain has settled into a row or a history. A folded key's
+// watermark is its newest version, what the store holds of a history's
+// outcomes is decoded from bytes, and the record the next thaw builds for it
+// is a new one.
+func (h *modelHarness) fold() {
 	h.t.Helper()
 	c, _, _ := h.s.Read(h.k, 0) // the chain, without thawing a row
 	var row, hist bool
 	if c != nil {
-		row, hist = h.m.foldable(h.k, history)
+		row, hist = h.m.foldable(h.k)
 	}
-	if got := c != nil && h.s.Fold(h.k, c, history); got != (row || hist) {
-		h.t.Fatalf("Fold(%q, %v) = %v, model row %v, history %v (%d records, watermark %v, owed %v)", h.k, history, got, row, hist, len(h.m.recs), h.m.watermark, h.m.owed)
+	if got := c != nil && h.s.Fold(h.k, c); got != (row || hist) {
+		h.t.Fatalf("Fold(%q) = %v, model row %v, history %v (%d records, watermark %v, owed %v)", h.k, got, row, hist, len(h.m.recs), h.m.watermark, h.m.owed)
 	}
 	if row || hist {
 		var newest tstamp.Timestamp
@@ -488,21 +505,29 @@ func (h *modelHarness) fold(history bool) {
 			}
 		}
 		clear(h.m.ptrs)
-		if h.s.Fold(h.k, c, true) {
+		if h.s.Fold(h.k, c) {
 			h.t.Fatalf("Fold(%q) folded a chain the store had let go", h.k)
 		}
 	}
 	h.check()
 }
 
+// compact compacts every key the store holds, one CompactKey each, and
+// requires of each the count the model drops and, afterwards, the fold
+// rule's shape: a chain stays a chain and a row a row; a history left with
+// one version a row holds becomes that row, any other stays a history.
 func (h *modelHarness) compact(bound tstamp.Timestamp) {
 	h.t.Helper()
-	want := 0
-	for _, m := range h.keys {
-		want += m.compact(bound)
-	}
-	if got := h.s.Compact(bound); got != want {
-		h.t.Fatalf("Compact(%v) removed %d records, model %d", bound, got, want)
+	keys := slices.Sorted(maps.Keys(h.keys))
+	for _, k := range keys {
+		m := h.keys[k]
+		want := m.compact(bound)
+		if got := h.s.CompactKey(k, bound); got != want {
+			h.t.Fatalf("CompactKey(%q, %v) removed %d records, model %d", k, bound, got, want)
+		}
+		if m.history && m.rowHolds(k) {
+			m.row, m.history, m.frozen = true, false, 0
+		}
 	}
 	h.check()
 }
@@ -572,7 +597,7 @@ func (h *modelHarness) determinate(e tstamp.Epoch, versions int, land func(v tst
 	}
 	h.advance(wm)
 	h.freeze()
-	h.fold(true)
+	h.fold()
 	if !h.m.history {
 		return
 	}
@@ -599,7 +624,7 @@ func (h *modelHarness) determinate(e tstamp.Epoch, versions int, land func(v tst
 	}
 	ents, data := slices.Clone(was.ents), slices.Clone(was.data[was.ents[0].off:])
 	h.chain()
-	h.fold(true)
+	h.fold()
 	_, again, _ := h.tier(h.k)
 	if !slices.Equal(again.ents, ents) || !bytes.Equal(again.data[again.ents[0].off:], data) || &again.ents[0] != &was.ents[0] {
 		h.t.Fatalf("%q thawed and folded again publishes %v and %q, was %v and %q", h.k, again.ents, again.data[again.ents[0].off:], ents, data)

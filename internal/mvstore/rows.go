@@ -44,10 +44,11 @@ import (
 //
 // A key moves between the tiers always under the shard's write lock: a row
 // or a history becomes a chain when something needs to write it or needs a
-// *Chain of it (shard.thaw), and a chain whose history has settled becomes a
-// row or a history again (Store.Fold). Key and value bytes never change once
-// written — readers keep the ones they were handed without holding a lock —
-// and the header only under the write lock.
+// *Chain of it (shard.thaw), a chain whose history has settled becomes a row
+// or a history again (Store.Fold), and a history compacted to one version a
+// row holds becomes that row (Store.CompactKey). Key and value bytes never
+// change once written — readers keep the ones they were handed without
+// holding a lock — and the header only under the write lock.
 const (
 	_rowHeader = 13
 	// _maxRow is the most key and value bytes a row holds; a larger
@@ -438,43 +439,22 @@ func (sh *shard) thaw(e []byte) *Chain {
 	return c
 }
 
-// thawAll thaws every history of the shard with more than one version and,
-// when all is set, every row and every history.
-func (sh *shard) thawAll(all bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !all && sh.histories.len() == 0 {
-		return
-	}
-	sh.rows.each(func(e []byte) {
-		if !isChain(e) && (all || isHistory(e) && sh.history(e).len() > 1) {
-			sh.thaw(e)
-		}
-	})
-}
-
 // fold replaces the chain entry at index position pos, whose chain is c,
-// with a row or a history of c's settled history (Store.Fold); only a
-// history of one version when history is false. Callers hold sh.mu for
-// writing; fold takes c.mu.
-func (sh *shard) fold(pos int, e []byte, k kv.Key, m uint64, c *Chain, history bool) bool {
+// with a row or a history of c's settled history (Store.Fold). Callers hold
+// sh.mu for writing; fold takes c.mu.
+func (sh *shard) fold(pos int, e []byte, k kv.Key, m uint64, c *Chain) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b, n := c.settled()
-	if n == 0 || n > 1 && !history || c.staged != 0 {
+	if n == 0 || c.staged != 0 {
 		return false
 	}
 	num := entryWord(e)
-	if rec := c.single(); rec != nil {
-		kind, value, _ := rec.Outcome()
-		if len(k)+len(value) <= _maxRow {
-			if slot, ok := sh.rows.append(k, m, uint64(rec.Version), rowFlags(kind, true), value); ok {
-				sh.rows.index[pos] = slot
-				e[8] |= _rowDead
-				sh.chains.remove(num)
-				sh.folds++
-				return true
-			}
+	if rec := b.recs[0]; n == 1 && !b.frozen { // one sealed version, nothing frozen
+		if kind, value, ext := rec.Outcome(); ext == nil && sh.settle(pos, e, k, m, Row{rec.Version, kind, value}) {
+			sh.chains.remove(num)
+			sh.folds++
+			return true
 		}
 	}
 	recs := b.recs[:b.n.Load()]
@@ -491,4 +471,36 @@ func (sh *shard) fold(pos int, e []byte, k kv.Key, m uint64, c *Chain, history b
 	sh.chains.remove(num)
 	sh.folds++
 	return true
+}
+
+// settle replaces the entry e, at index position pos, with a settled row
+// holding r when a row holds it — a plain outcome that fits: a fresh entry,
+// e left behind dead. The caller frees what e named. Callers hold sh.mu for
+// writing.
+func (sh *shard) settle(pos int, e []byte, k kv.Key, m uint64, r Row) bool {
+	if !plain(r.Kind) || len(k)+len(r.Value) > _maxRow {
+		return false
+	}
+	slot, ok := sh.rows.append(k, m, uint64(r.Version), rowFlags(r.Kind, true), r.Value)
+	if ok {
+		sh.rows.index[pos] = slot
+		e[8] |= _rowDead
+	}
+	return ok
+}
+
+// compact drops, where they lie, the versions of the history e that
+// Chain.Compact would drop at bound, but never the newest, and returns how
+// many. A history of one version a row holds, left so or found so, becomes
+// that row, as a chain of one folds. Callers hold sh.mu for writing.
+func (sh *shard) compact(pos int, e []byte, k kv.Key, m uint64, bound tstamp.Timestamp) int {
+	num, h := entryWord(e), sh.history(e)
+	drop := min(History{run: h}.keepFrom(bound), h.len()-1) // a history keeps its newest version
+	h = h.drop(drop)
+	if h.len() == 1 && len(h.extra(0)) == 0 && sh.settle(pos, e, k, m, h.row(0)) {
+		sh.histories.remove(num)
+	} else if drop > 0 {
+		sh.histories.items[num] = refOf(h)
+	}
+	return drop
 }

@@ -208,13 +208,13 @@ func TestRowsAgainstModel(t *testing.T) {
 		h := newModelHarness(t)
 		v3 := ts(2, 1, 0)
 		h.on("sum").put(v1, functor.Add(1))
-		h.fold(true) // staged: no
+		h.fold() // staged: no
 		h.seal(tstamp.End(1))
-		h.fold(true) // not computed: no
+		h.fold() // not computed: no
 		h.resolve(v1, valueRes)
-		h.fold(true) // above the watermark: no
+		h.fold() // above the watermark: no
 		h.advance(v1)
-		h.fold(false)
+		h.fold()
 		if !h.m.row || h.s.Stats().Folds != 1 {
 			t.Fatalf("a computed single version did not fold: %+v", h.s.Stats())
 		}
@@ -222,17 +222,19 @@ func TestRowsAgainstModel(t *testing.T) {
 		h.seal(tstamp.End(1))
 		h.resolve(v2, valueRes)
 		h.advance(v2)
-		h.fold(false) // two versions, and no history asked for: no
+		h.fold() // two versions: a history
 		h.compact(tstamp.End(1))
-		h.fold(false) // compacted to one: yes
+		if !h.m.row {
+			t.Fatal("a history compacted to one plain version is not a row")
+		}
 		h.put(v3, functor.Add(1))
 		h.seal(tstamp.End(2))
 		h.resolve(v3, valueRes)
 		h.compact(tstamp.End(2)) // cut short by the watermark: owed
-		h.fold(true)
+		h.fold()
 		h.advance(tstamp.End(2))
 		h.compact(tstamp.End(2)) // paid, as core's payOwed would: the version below goes
-		h.fold(false)
+		h.fold()
 		if !h.m.row {
 			t.Fatal("a chain that paid its compaction did not fold")
 		}
@@ -243,20 +245,20 @@ func TestRowsAgainstModel(t *testing.T) {
 			h.seal(tstamp.End(1))
 			h.resolve(v1, res)
 			h.advance(v1)
-			h.fold(false)
+			h.fold()
 		}
 		// A deferred write's chain folds too, with the value it was born with.
 		h.on("marker").put(v1, functor.DepMarker("det"))
 		h.putFinal(v1, functor.Resolved, kv.Value("deferred"), false)
 		h.seal(tstamp.End(1))
 		h.advance(v1)
-		h.fold(false)
+		h.fold()
 		// Too big for a row: a history.
 		h.on("big").put(v1, functor.Add(1))
 		h.seal(tstamp.End(1))
 		h.resolve(v1, functor.ValueResolution(bytes.Repeat([]byte{'x'}, _maxRow)))
 		h.advance(v1)
-		h.fold(false)
+		h.fold()
 		if h.m.row || !h.m.history {
 			t.Fatal("an over-cap value folded into a row")
 		}
@@ -284,8 +286,7 @@ func TestRowsAgainstModel(t *testing.T) {
 		}
 		h.on("stock").putFinal(v1, functor.Resolved, kv.Value("loaded"), true)
 		write(ts(2, 1, 0), valueRes)
-		h.fold(false) // two versions, and no history asked for: no
-		h.fold(true)
+		h.fold()
 		if !h.m.history || h.s.Stats().Histories != 1 {
 			t.Fatalf("a settled chain of two versions did not fold into a history: %+v", h.s.Stats())
 		}
@@ -301,11 +302,11 @@ func TestRowsAgainstModel(t *testing.T) {
 			if r := runOf("stock"); r.len() != before.len()-1 || &r.ents[0] != &before.ents[0] || &r.data[0] != &before.data[0] {
 				t.Fatalf("epoch %d: the thaw copied the history (%d entries at %p, was %d at %p)", e, r.len(), &r.ents[0], before.len(), &before.ents[0])
 			}
-			h.fold(true) // settled below a staged write: no
+			h.fold() // settled below a staged write: no
 			h.seal(tstamp.Max)
 			h.resolve(ts(e, 1, 0), res)
 			h.advance(ts(e, 1, 0))
-			h.fold(true)
+			h.fold()
 			if after := runOf("stock"); &after.ents[0] != &before.ents[0] {
 				buffers++
 			}
@@ -323,20 +324,42 @@ func TestRowsAgainstModel(t *testing.T) {
 		h.seal(tstamp.Max)
 		h.resolve(ts(39, 7, 1), writesRes)
 		h.advance(ts(40, 1, 0))
-		h.fold(true)
+		h.fold()
 		// A determinate key's history keeps every outcome's extras.
 		h.on("det")
 		for e := tstamp.Epoch(1); e <= 12; e++ {
 			write(ts(e, 2, 0), []*functor.Resolution{writesRes, abortRes, valueRes}[e%3])
 		}
 		h.freeze()
-		h.fold(true)
+		h.fold()
 		h.chain() // thawed by asking for the chain
-		h.fold(true)
+		h.fold()
 		h.compact(ts(6, 1, 0)) // a history is compacted where it lies
-		h.fold(true)
+		h.fold()
 		h.checkAll()
 		h.rangeAll()
+		h.checkAll()
+	})
+
+	t.Run("a version written below a thawed history's newest is not appended over it", func(t *testing.T) {
+		// A thaw leaves the newest version's entry and bytes where they lie,
+		// past the cut, and the record it builds reads them there.
+		h := newModelHarness(t)
+		compute := func(v tstamp.Timestamp, value string) {
+			h.put(v, functor.Add(1))
+			h.seal(tstamp.Max)
+			h.resolve(v, functor.ValueResolution(kv.Value(value)))
+			h.advance(v)
+			h.fold() // the second fold leaves the history room to grow in place
+		}
+		h.on("k").putFinal(ts(1, 1, 0), functor.Resolved, kv.Value("one"), true)
+		compute(ts(3, 1, 0), "two")
+		compute(ts(5, 1, 0), "new")
+		h.putFinal(ts(4, 1, 0), functor.Resolved, kv.Value("old"), false) // thaws; lands below 5.1
+		h.fold()
+		if !h.m.history {
+			t.Fatal("the key did not fold again")
+		}
 		h.checkAll()
 	})
 
@@ -354,7 +377,7 @@ func TestRowsAgainstModel(t *testing.T) {
 		h.resolve(v2, valueRes)
 		h.advance(v2)
 		h.compact(tstamp.End(1))
-		h.fold(true)              // one final version, but no row holds the key: a history
+		h.fold()                  // one final version, but no row holds the key: a history
 		for i := 0; i < 40; i++ { // grow the index past the long key
 			h.on(kv.Key(fmt.Sprintf("k:%d", i))).putFinal(v1, functor.Resolved, nil, false)
 		}
@@ -459,7 +482,7 @@ func runRowOps(t *testing.T, data []byte) rowOps {
 		case 15:
 			h.chain()
 		case 16:
-			h.fold(arg&1 == 0)
+			h.fold()
 		case 17:
 			// History: ten versions of one epoch (on a server of their
 			// own, so they may land below versions sealed earlier),
@@ -481,7 +504,7 @@ func runRowOps(t *testing.T, data []byte) rowOps {
 			res := []*functor.Resolution{valueRes, abortRes, writesRes, functor.DeleteResolution(), functor.ValueResolution(value)}
 			next := int(arg)
 			h.compute(res, func() int { next++; return next })
-			h.fold(arg%4 != 3)
+			h.fold()
 		case 19:
 			// A determinate key settles: its versions' writes land on
 			// every other one, or on none (arg%3 == 2), frozen and folded
@@ -664,7 +687,7 @@ func TestRowsConcurrent(t *testing.T) {
 					w.c.Compact(bound)
 				}
 				computing[w.i].Store(true)
-				if !s.Fold(keys[w.i], w.c, true) {
+				if !s.Fold(keys[w.i], w.c) {
 					continue
 				}
 				folded.Add(1)
@@ -878,7 +901,7 @@ func TestWriteHoldsOffFold(t *testing.T) {
 				}
 			}
 			folded := make(chan bool)
-			go func() { folded <- s.Fold("k", c, true) }()
+			go func() { folded <- s.Fold("k", c) }()
 			c.mu.Unlock()
 			<-wrote
 			if f := <-folded; f && !tc.settles || !f && (s.Chain("k") != c || c.At(v2) == nil) {
@@ -975,7 +998,7 @@ func TestHistoryReadersRace(t *testing.T) {
 			rec.ResolveValue(functor.Resolved, valueOf(v))
 			c.AdvanceWatermark(v)
 			c.Freeze()
-			if s.Fold(k, c, true) {
+			if s.Fold(k, c) {
 				histories++
 			}
 		}

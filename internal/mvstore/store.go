@@ -101,14 +101,6 @@ func (s *Store) probe(k kv.Key) (en entry) {
 	return en
 }
 
-// chainFor is chainOf that creates the chain of a key never written.
-func (sh *shard) chainFor(k kv.Key, m uint64) *Chain {
-	if c := sh.chainOf(k, m); c != nil {
-		return c
-	}
-	return sh.create(k, m)
-}
-
 // Chain returns the key's chain, thawing its row or history, or nil if the
 // key has never been written. A caller that touches one key more than once
 // holds on to the chain instead of addressing the store by key again; it
@@ -151,7 +143,10 @@ func (s *Store) Stage(k kv.Key, version tstamp.Timestamp, fn *functor.Functor) (
 	sh.mu.RUnlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c := sh.chainFor(k, m)
+	c := sh.chainOf(k, m)
+	if c == nil {
+		c = sh.create(k, m)
+	}
 	rec, err := c.put(version, fn)
 	return c, rec, err
 }
@@ -249,16 +244,14 @@ func putFinalIn(c *Chain, version tstamp.Timestamp, kind functor.ResolutionKind,
 // value or a tombstone) that fits a row becomes a settled row; any other
 // settled history becomes a history, its versions appended to the chain's
 // frozen run — in place when the run has room, so a long history is not
-// copied again. With history false only a chain of one version folds: a
-// caller that retires old versions through the chains it filed (core's
-// retention) keeps the others, since a history is no chain to retire.
+// copied again. Retention compacts a history where it lies (CompactKey).
 //
 // It reports whether it folded. A reader that still holds c, or a record of
 // it, keeps a consistent history — the chain is not changed, only no longer
 // the store's — and the next write of k thaws the row or history into a new
 // chain.
-func (s *Store) Fold(k kv.Key, c *Chain, history bool) bool {
-	if _, n := c.settled(); n == 0 || n > 1 && !history {
+func (s *Store) Fold(k kv.Key, c *Chain) bool {
+	if _, n := c.settled(); n == 0 {
 		return false // the lock-free check: most chains are not settled
 	}
 	sh, m := s.locate(k)
@@ -268,7 +261,7 @@ func (s *Store) Fold(k kv.Key, c *Chain, history bool) bool {
 	if pos < 0 || !isChain(e) || sh.chain(e) != c {
 		return false
 	}
-	return sh.fold(pos, e, k, m, c, history)
+	return sh.fold(pos, e, k, m, c)
 }
 
 // The key-addressed forms below are one probe plus the Chain method of the
@@ -287,8 +280,8 @@ func (s *Store) Seal(k kv.Key, bound tstamp.Timestamp) {
 // SealAll seals every key up to bound; recovery uses it to publish a
 // rebuilt store in one sweep.
 func (s *Store) SealAll(bound tstamp.Timestamp) {
-	s.RangeChains(func(_ kv.Key, c *Chain) bool {
-		c.Seal(bound)
+	s.RangeHistories(func(k kv.Key) bool {
+		s.Seal(k, bound) // a history has nothing staged
 		return true
 	})
 }
@@ -359,61 +352,38 @@ func (s *Store) AdvanceWatermark(k kv.Key, v tstamp.Timestamp) {
 }
 
 // Range calls fn for every key in the store, with its chain, until fn
-// returns false; rows and histories are thawed as their shard is reached, so
-// what fn is handed is the key's one live chain. The iteration order is
-// unspecified. Chains observed through fn are live: new versions may be
-// inserted concurrently, but each View() call returns a consistent snapshot.
-func (s *Store) Range(fn func(k kv.Key, c *Chain) bool) { s.rangeChains(thawAll, fn) }
-
-// RangeChains is Range over the keys that have a chain, for callers after
-// what only a chain has — staged records to seal, history to retire. It
-// thaws the histories of more than one version, which have history to
-// retire, and no row.
-func (s *Store) RangeChains(fn func(k kv.Key, c *Chain) bool) { s.rangeChains(thawHistories, fn) }
-
-// What rangeChains thaws before it walks a shard's chains.
-const (
-	thawNothing = iota
-	thawHistories
-	thawAll
-)
-
-func (s *Store) rangeChains(thaw int, fn func(k kv.Key, c *Chain) bool) {
-	type keyed struct {
-		k kv.Key
-		c *Chain
-	}
-	var snap []keyed
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if thaw != thawNothing {
-			sh.thawAll(thaw == thawAll)
-		}
-		sh.mu.RLock()
-		snap = slices.Grow(snap[:0], sh.chains.len())
-		sh.rows.each(func(e []byte) {
-			if isChain(e) {
-				snap = append(snap, keyed{rowKey(e), sh.chain(e)})
-			}
-		})
-		sh.mu.RUnlock()
-		for _, e := range snap {
-			if !fn(e.k, e.c) {
-				return
-			}
-		}
-	}
+// returns false; a row or a history is thawed as it is reached, so what fn
+// is handed is the key's one live chain. The iteration order is unspecified.
+// Chains observed through fn are live: new versions may be inserted
+// concurrently, but each View() call returns a consistent snapshot.
+func (s *Store) Range(fn func(k kv.Key, c *Chain) bool) {
+	s.RangeKeys(func(k kv.Key) bool {
+		c := s.Chain(k)
+		return c == nil || fn(k, c) // nil: dropped meanwhile
+	})
 }
 
 // RangeKeys calls fn for every key in the store until fn returns false,
 // in unspecified order, and thaws nothing.
-func (s *Store) RangeKeys(fn func(k kv.Key) bool) {
+func (s *Store) RangeKeys(fn func(k kv.Key) bool) { s.rangeKeys(true, fn) }
+
+// RangeHistories is RangeKeys over the keys that are no row, chains and
+// histories: those a compaction may find something to drop in.
+func (s *Store) RangeHistories(fn func(k kv.Key) bool) { s.rangeKeys(false, fn) }
+
+// rangeKeys reads each shard's keys, rows only when rows is set, under its
+// read lock, and calls fn for them after: fn may address the store.
+func (s *Store) rangeKeys(rows bool, fn func(k kv.Key) bool) {
 	var snap []kv.Key
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		snap = slices.Grow(snap[:0], sh.rows.live)
-		sh.rows.each(func(e []byte) { snap = append(snap, rowKey(e)) })
+		sh.rows.each(func(e []byte) {
+			if rows || !isRow(e) {
+				snap = append(snap, rowKey(e))
+			}
+		})
 		sh.mu.RUnlock()
 		for _, k := range snap {
 			if !fn(k) {
@@ -421,6 +391,19 @@ func (s *Store) RangeKeys(fn func(k kv.Key) bool) {
 			}
 		}
 	}
+}
+
+// Key returns the store's own copy of k, the key bytes of its entry, which
+// are never rewritten; k itself when it has none. A caller that keeps a key
+// longer than the buffer it came in (a transport frame) keeps this copy.
+func (s *Store) Key(k kv.Key) kv.Key {
+	sh, m := s.locate(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if pos, e := sh.rows.find(k, m); pos >= 0 {
+		return rowKey(e)
+	}
+	return k
 }
 
 // Len returns the number of keys in the store: each has one entry.
@@ -489,31 +472,31 @@ func (s *Store) Stats() Stats {
 
 // Compact drops final version records strictly below bound for every key,
 // always retaining the newest record below bound so historical reads at
-// live snapshots still resolve. Returns the total number of records
-// removed. Compaction never touches unresolved records (it is capped at
-// each key's watermark). A history is compacted where it lies, as its chain
-// would be: its watermark is its newest version, so it owes nothing and
-// keeps that version.
+// live snapshots still resolve: CompactKey of every key that is no row.
+// Returns the total number of records removed.
 func (s *Store) Compact(bound tstamp.Timestamp) int {
 	total := 0
-	s.rangeChains(thawNothing, func(_ kv.Key, c *Chain) bool {
-		total += c.Compact(bound)
+	s.RangeHistories(func(k kv.Key) bool {
+		total += s.CompactKey(k, bound)
 		return true
 	})
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for num, ref := range sh.histories.items {
-			if ref.elen < 2 {
-				continue // free, or one version: nothing to drop
-			}
-			h := ref.run()
-			if k := (History{run: h}).keepFrom(min(bound, h.newest())); k > 0 {
-				sh.histories.items[num] = refOf(h.drop(k))
-				total += k
-			}
-		}
-		sh.mu.Unlock()
-	}
 	return total
+}
+
+// CompactKey drops k's final versions strictly below bound, keeping the
+// newest visible one below it (Chain.Compact), and returns how many it
+// dropped. A history is compacted where it lies and keeps its newest
+// version; left with one that a row holds, it becomes that row.
+func (s *Store) CompactKey(k kv.Key, bound tstamp.Timestamp) int {
+	sh, m := s.locate(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	switch pos, e := sh.rows.find(k, m); {
+	case pos < 0 || isRow(e):
+		return 0
+	case isChain(e):
+		return sh.chain(e).Compact(bound)
+	default:
+		return sh.compact(pos, e, k, m, bound)
+	}
 }

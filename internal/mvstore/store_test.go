@@ -20,7 +20,10 @@ func (s *Store) testChain(k kv.Key) *Chain {
 	sh, m := s.locate(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.chainFor(k, m)
+	if c := sh.chainOf(k, m); c != nil {
+		return c
+	}
+	return sh.create(k, m)
 }
 
 func ts(epoch tstamp.Epoch, seq uint32, server uint16) tstamp.Timestamp {

@@ -6,8 +6,10 @@
 set -eu
 
 # Object counts and size classes: the untraced install/compute path, what a
-# key written once keeps alive (nothing: it is a row) and what a key with a
-# long history does (a handful: below the watermark it is bytes), what a
+# key written once keeps alive (nothing: it is a row), what a key written in
+# two epochs under retention 1 does once retirement passed its older version
+# (nothing: TestStoreObjectBudget's "retained keys written twice", a row
+# again), what a key with a long history does (a handful: below the watermark it is bytes), what a
 # determinate key's history costs in bytes once its deferred writes landed
 # (a version is its value alone: at most 32 bytes, about 285 when it keeps a
 # NewOrder's writes), the version-chain and row budgets, a frozen run's
